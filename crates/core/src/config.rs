@@ -85,12 +85,6 @@ impl MoeConfig {
         self
     }
 
-    /// Sets the load-balancing loss coefficient.
-    pub fn with_load_balance_weight(mut self, w: f32) -> Self {
-        self.load_balance_weight = w;
-        self
-    }
-
     /// Sets the capacity policy for the dropping baseline.
     pub fn with_capacity(mut self, capacity: CapacityFactor) -> Self {
         self.capacity = capacity;

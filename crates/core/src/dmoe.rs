@@ -132,58 +132,85 @@ impl DroplessMoe {
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols() != hidden_size`, or on a sparse-kernel error
-    /// (only possible with corrupted topology metadata or, under
-    /// `--features sanitize`, a failed sanitizer invariant).
+    /// Panics if `x.cols() != hidden_size`, or on any error
+    /// [`DroplessMoe::try_forward`] returns.
     pub fn forward(&self, x: &Matrix) -> DmoeOutput {
         self.try_forward(x).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible form of [`DroplessMoe::forward`].
     ///
+    /// The whole pass — router, permutation, and every kernel launch —
+    /// runs under the calling thread's ambient context
+    /// ([`exec::cancel::enter`]): it is checked at entry, at every
+    /// launch's band boundaries, and inside the tiled microkernel's panel
+    /// loop.
+    ///
     /// # Errors
     ///
     /// Returns an error if the per-step topology cannot be built or a
     /// sparse kernel rejects its inputs (including sanitizer failures under
-    /// `--features sanitize`).
+    /// `--features sanitize`), and [`SparseError::Cancelled`] when the
+    /// ambient context trips.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != hidden_size`.
     pub fn try_forward(&self, x: &Matrix) -> Result<DmoeOutput, SparseError> {
-        self.try_forward_ctx(x, &exec::Ctx::none())
+        let (output, kept) = self.pipeline(x, Retain::ForBackward)?;
+        let (stats, cache) = kept.expect("a ForBackward pass keeps its cache");
+        Ok(DmoeOutput {
+            output,
+            stats,
+            cache,
+        })
     }
 
-    /// Deadline-aware form of [`DroplessMoe::try_forward`]: the whole
-    /// pass — router, permutation, and every kernel launch — runs under
-    /// `ctx`, installed as the thread's ambient context for the
-    /// duration, and additionally returns [`SparseError::Cancelled`]
-    /// when the context trips (checked at entry, at every launch's band
-    /// boundaries, and inside the tiled microkernel's panel loop). An
-    /// empty context ([`exec::Ctx::none`]) inherits the caller's ambient
-    /// context, making this exactly [`DroplessMoe::try_forward`].
+    /// Inference-only forward pass.
+    ///
+    /// The same pipeline as [`DroplessMoe::try_forward`] — same kernels,
+    /// same accumulation order, bit-identical outputs — but it keeps
+    /// nothing for a backward pass: no [`DmoeCache`] is built, the input is
+    /// never cloned, the GeLU runs in place on the SDD output blocks
+    /// instead of into a second activation buffer, and every intermediate
+    /// (gathered tokens, expert activations, expert outputs) is recycled
+    /// through the workspace arena once its consumers are done. A
+    /// steady-state serving loop therefore allocates nothing per request
+    /// beyond the returned output matrix. A serving engine bounds a batch
+    /// by entering its deadline or cancel token with
+    /// [`exec::cancel::enter`] around the call; the pass then unwinds with
+    /// [`SparseError::Cancelled`] mid-kernel.
     ///
     /// # Errors
     ///
-    /// Everything [`DroplessMoe::try_forward`] returns, plus
-    /// [`SparseError::Cancelled`].
+    /// Same as [`DroplessMoe::try_forward`].
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != hidden_size`.
-    pub fn try_forward_ctx(&self, x: &Matrix, ctx: &exec::Ctx) -> Result<DmoeOutput, SparseError> {
+    pub fn infer(&self, x: &Matrix) -> Result<Matrix, SparseError> {
+        Ok(self.pipeline(x, Retain::Nothing)?.0)
+    }
+
+    /// The one dMoE forward pipeline (Figure 6). Training and inference
+    /// differ only in what they retain, so both run this body.
+    fn pipeline(
+        &self,
+        x: &Matrix,
+        retain: Retain,
+    ) -> Result<(Matrix, Option<(MoeStats, DmoeCache)>), SparseError> {
         assert_eq!(
             x.cols(),
             self.cfg.hidden_size,
             "input feature size mismatch"
         );
-        let _span = telemetry::span("moe.dmoe.forward");
-        let _ambient = exec::cancel::enter(ctx);
-        if let Some(kind) = ctx.status() {
-            return Err(SparseError::Cancelled {
-                op: "moe.dmoe.forward",
-                kind,
-            });
+        let op = match retain {
+            Retain::ForBackward => "moe.dmoe.forward",
+            Retain::Nothing => "moe.dmoe.infer",
+        };
+        let _span = telemetry::span(op);
+        if let Some(kind) = exec::cancel::current().status() {
+            return Err(SparseError::Cancelled { op, kind });
         }
 
         // (1) Assign tokens to experts.
@@ -201,37 +228,16 @@ impl DroplessMoe {
         let xg = padded_gather(x, &permute);
 
         // (4) Compute the expert layers: SDD -> GeLU -> DSD.
-        let (h_pre, h_act, y) = {
-            let _experts = telemetry::span("moe.dmoe.experts");
-            let h_pre = ops::try_sdd(&xg, self.w1.value(), &topology)?;
-            // Elementwise GeLU over the nonzero blocks as a launch plan
-            // into a workspace-backed buffer.
-            let pre = h_pre.as_slice();
-            let mut act = exec::workspace::take_zeroed(pre.len());
-            let bands = exec::parallelism_for(pre.len(), PARALLEL_THRESHOLD);
-            let body = |band: &mut [f32], i0: usize| {
-                for (i, v) in band.iter_mut().enumerate() {
-                    *v = gelu_scalar(pre[i0 + i]);
-                }
-            };
-            exec::LaunchPlan::over_items("moe.gelu", &mut act, 1, pre.len().div_ceil(bands), &body)
-                .try_launch()
-                .map_err(|e| match e.kind() {
-                    Some(kind) => SparseError::Cancelled {
-                        op: "moe.gelu",
-                        kind,
-                    },
-                    // Race violations keep the panicking behavior the
-                    // plain `launch()` had before cancellation existed.
-                    None => panic!("{e}"),
-                })?;
-            let h_act = BlockSparseMatrix::from_raw(&topology, act)?;
-            let y = ops::try_dsd(&h_act, self.w2.value())?;
-            (h_pre, h_act, y)
-        };
+        let (y, activations) =
+            expert_mlp(&xg, self.w1.value(), self.w2.value(), &topology, retain)?;
 
         // (5) Un-permute the tokens and scale by router confidence.
         let mut output = padded_scatter(&y, &permute, &routing.weights);
+        let Some((h_pre, h_act)) = activations else {
+            xg.recycle();
+            y.recycle();
+            return Ok((output, None));
+        };
         // Chaos injection site: an installed FaultPlan may poison the
         // layer output with a NaN here, exercising the trainer's
         // non-finite detection + rollback path. No-op without `chaos`.
@@ -248,117 +254,17 @@ impl DroplessMoe {
             expert_load: permute.tokens_per_expert().to_vec(),
         };
         crate::record_moe_stats(&stats);
-        Ok(DmoeOutput {
-            output,
-            stats,
-            cache: DmoeCache {
-                x: x.clone(),
-                routing,
-                permute,
-                xg,
-                h_pre,
-                h_act,
-                y,
-                d_probs_aux: lb.d_probs,
-            },
-        })
-    }
-
-    /// Inference-only forward pass: [`DroplessMoe::infer_ctx`] with an
-    /// empty context (inheriting the caller's ambient context).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DroplessMoe::infer_ctx`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != hidden_size`.
-    pub fn infer(&self, x: &Matrix) -> Result<Matrix, SparseError> {
-        self.infer_ctx(x, &exec::Ctx::none())
-    }
-
-    /// Deadline-aware inference-only forward pass.
-    ///
-    /// Numerically identical to [`DroplessMoe::try_forward_ctx`] — same
-    /// kernels, same accumulation order, bit-identical outputs — but it
-    /// keeps nothing for a backward pass: no [`DmoeCache`] is built, the
-    /// input is never cloned, the GeLU runs in place on the SDD output
-    /// blocks instead of into a second activation buffer, and every
-    /// intermediate (gathered tokens, expert activations, expert
-    /// outputs) is recycled through the workspace arena the moment its
-    /// last consumer finishes. A steady-state serving loop therefore
-    /// allocates nothing per request beyond the returned output matrix.
-    ///
-    /// The whole pass runs under `ctx` (installed as the thread's
-    /// ambient context), checked at entry, at every launch's band
-    /// boundaries, and inside the tiled microkernel's panel loop — a
-    /// serving engine can hang a per-batch deadline or cancel token here
-    /// and the pass unwinds with [`SparseError::Cancelled`] mid-kernel.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`DroplessMoe::try_forward`] returns, plus
-    /// [`SparseError::Cancelled`] when `ctx` trips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != hidden_size`.
-    pub fn infer_ctx(&self, x: &Matrix, ctx: &exec::Ctx) -> Result<Matrix, SparseError> {
-        assert_eq!(
-            x.cols(),
-            self.cfg.hidden_size,
-            "input feature size mismatch"
-        );
-        let _span = telemetry::span("moe.dmoe.infer");
-        let _ambient = exec::cancel::enter(ctx);
-        if let Some(kind) = ctx.status() {
-            return Err(SparseError::Cancelled {
-                op: "moe.dmoe.infer",
-                kind,
-            });
-        }
-
-        // Route, build the per-batch topology, and gather — identical to
-        // the training path.
-        let routing = self.router.forward(x);
-        let permute = PermuteInfo::new(&routing, self.cfg.num_experts, self.cfg.block_size);
-        let topology = Topology::for_moe(
-            permute.padded_tokens_per_expert(),
-            self.cfg.ffn_hidden_size,
-            self.cfg.block_size,
-        )?;
-        let xg = padded_gather(x, &permute);
-
-        // SDD -> in-place GeLU -> DSD, recycling each intermediate as
-        // soon as its last consumer is done with it.
-        let mut h = ops::try_sdd(&xg, self.w1.value(), &topology)?;
-        xg.recycle();
-        {
-            let data = h.as_mut_slice();
-            let bands = exec::parallelism_for(data.len(), PARALLEL_THRESHOLD);
-            let per_band = data.len().div_ceil(bands);
-            let body = |band: &mut [f32], _i0: usize| {
-                for v in band.iter_mut() {
-                    *v = gelu_scalar(*v);
-                }
-            };
-            exec::LaunchPlan::over_items("moe.gelu", data, 1, per_band, &body)
-                .try_launch()
-                .map_err(|e| match e.kind() {
-                    Some(kind) => SparseError::Cancelled {
-                        op: "moe.gelu",
-                        kind,
-                    },
-                    None => panic!("{e}"),
-                })?;
-        }
-        let y = ops::try_dsd(&h, self.w2.value())?;
-        h.recycle();
-
-        let output = padded_scatter(&y, &permute, &routing.weights);
-        y.recycle();
-        Ok(output)
+        let cache = DmoeCache {
+            x: x.clone(),
+            routing,
+            permute,
+            xg,
+            h_pre,
+            h_act,
+            y,
+            d_probs_aux: lb.d_probs,
+        };
+        Ok((output, Some((stats, cache))))
     }
 
     /// Runs the backward pass for one forward invocation.
@@ -428,6 +334,71 @@ impl DroplessMoe {
         dx.add_assign(&dx_router);
         dx
     }
+}
+
+/// What a forward pass keeps of its intermediates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Retain {
+    /// Everything [`DroplessMoe::backward`] reads.
+    ForBackward,
+    /// Only the output: intermediates go back to the workspace arena.
+    Nothing,
+}
+
+/// The expert MLP of Figure 6 over already permuted tokens:
+/// `y = gelu(xg * w1 | topology) * w2`, as SDD -> GeLU -> DSD. Returns
+/// `y` and, under [`Retain::ForBackward`], the pre- and post-activation
+/// blocks; under [`Retain::Nothing`] the GeLU runs in place and the
+/// blocks are recycled. The single-device layer and every expert-parallel
+/// shard run this one body, so their per-element arithmetic cannot drift.
+pub(crate) fn expert_mlp(
+    xg: &Matrix,
+    w1: &Matrix,
+    w2: &Matrix,
+    topology: &Topology,
+    retain: Retain,
+) -> Result<(Matrix, Option<(BlockSparseMatrix, BlockSparseMatrix)>), SparseError> {
+    let _experts = telemetry::span("moe.dmoe.experts");
+    let mut h = ops::try_sdd(xg, w1, topology)?;
+    let (h_pre, h_act) = match retain {
+        Retain::ForBackward => {
+            let mut act = exec::workspace::take_zeroed(h.as_slice().len());
+            gelu(&mut act, Some(h.as_slice()))?;
+            (Some(h), BlockSparseMatrix::from_raw(topology, act)?)
+        }
+        Retain::Nothing => {
+            gelu(h.as_mut_slice(), None)?;
+            (None, h)
+        }
+    };
+    let y = ops::try_dsd(&h_act, w2)?;
+    match h_pre {
+        Some(h_pre) => Ok((y, Some((h_pre, h_act)))),
+        None => {
+            h_act.recycle();
+            Ok((y, None))
+        }
+    }
+}
+
+/// Elementwise GeLU over the nonzero blocks as a launch plan:
+/// `dst = gelu(src)`, or in place when `src` is `None`.
+fn gelu(dst: &mut [f32], src: Option<&[f32]>) -> Result<(), SparseError> {
+    let bands = exec::parallelism_for(dst.len(), PARALLEL_THRESHOLD);
+    let per_band = dst.len().div_ceil(bands);
+    let body = |band: &mut [f32], i0: usize| match src {
+        Some(src) => {
+            for (v, &pre) in band.iter_mut().zip(&src[i0..]) {
+                *v = gelu_scalar(pre);
+            }
+        }
+        None => {
+            for v in band.iter_mut() {
+                *v = gelu_scalar(*v);
+            }
+        }
+    };
+    Ok(exec::LaunchPlan::over_items("moe.gelu", dst, 1, per_band, &body).try_launch()?)
 }
 
 #[cfg(test)]
@@ -654,32 +625,40 @@ mod tests {
     }
 
     #[test]
-    fn infer_ctx_respects_an_expired_deadline() {
+    fn a_tripped_ambient_context_cancels_both_retention_modes() {
         let (layer, mut rng) = small_layer(9);
-        let x = init::normal(8, 6, 1.0, &mut rng);
-        let ctx = exec::Ctx::none().with_deadline(exec::Deadline::after(std::time::Duration::ZERO));
-        match layer.infer_ctx(&x, &ctx) {
-            Err(SparseError::Cancelled { kind, .. }) => {
-                assert_eq!(kind, exec::CancelKind::DeadlineExceeded);
-            }
-            other => panic!("expected deadline cancellation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn infer_ctx_respects_a_cancelled_token() {
-        let (layer, mut rng) = small_layer(10);
         let x = init::normal(8, 6, 1.0, &mut rng);
         let token = exec::CancelToken::new();
         token.cancel();
-        let ctx = exec::Ctx::none().with_token(&token);
-        match layer.infer_ctx(&x, &ctx) {
-            Err(SparseError::Cancelled { op, kind }) => {
-                assert_eq!(op, "moe.dmoe.infer");
-                assert_eq!(kind, exec::CancelKind::Cancelled);
-            }
-            other => panic!("expected cancellation, got {other:?}"),
+        let cases = [
+            (
+                exec::Ctx::none().with_deadline(exec::Deadline::after(std::time::Duration::ZERO)),
+                exec::CancelKind::DeadlineExceeded,
+            ),
+            (
+                exec::Ctx::none().with_token(&token),
+                exec::CancelKind::Cancelled,
+            ),
+        ];
+        for (ctx, kind) in cases {
+            let _scope = exec::cancel::enter(&ctx);
+            assert_eq!(
+                layer.try_forward(&x).map(|out| out.output).unwrap_err(),
+                SparseError::Cancelled {
+                    op: "moe.dmoe.forward",
+                    kind
+                }
+            );
+            assert_eq!(
+                layer.infer(&x).unwrap_err(),
+                SparseError::Cancelled {
+                    op: "moe.dmoe.infer",
+                    kind
+                }
+            );
         }
+        // Outside the scopes the layer runs again.
+        assert!(layer.infer(&x).is_ok());
     }
 
     #[test]

@@ -59,9 +59,8 @@ pub use expert_choice::{
 pub use ffn::{DenseFfn, FfnCache};
 pub use loss::{load_balancing_loss, LoadBalance};
 pub use parallel::{
-    expert_parallel_forward, resilient_expert_parallel_forward,
-    resilient_expert_parallel_forward_with_breaker, try_expert_parallel_forward, AllToAllBuffers,
-    BreakerPolicy, BreakerState, EpBreaker, EpError, EpOutcome, EpPolicy, EpRecovery, EpStats,
+    resilient_expert_parallel_forward, try_expert_parallel_forward, AllToAllBuffers, BreakerPolicy,
+    BreakerState, EpBreaker, EpError, EpOutcome, EpPolicy, EpRecovery, EpStats,
 };
 pub use param::Param;
 pub use permute::{

@@ -2,8 +2,8 @@
 //! distributed training of MoEs with both data and expert model
 //! parallelism").
 //!
-//! [`expert_parallel_forward`] runs a [`DroplessMoe`] forward pass the way
-//! an expert-parallel deployment would: experts are partitioned across
+//! [`try_expert_parallel_forward`] runs a [`DroplessMoe`] forward pass the
+//! way an expert-parallel deployment would: experts are partitioned across
 //! `num_shards` virtual devices, tokens travel to their expert's shard
 //! through an explicit all-to-all exchange, each shard runs the
 //! block-sparse expert computation over *its own* block-diagonal
@@ -13,13 +13,10 @@
 //! with the single-device layer and the communication volumes the
 //! `gpusim` timeline model charges for.
 //!
-//! Three entry points with increasing fault tolerance:
+//! Two entry points:
 //!
-//! * [`expert_parallel_forward`] — panics on invalid arguments or shard
-//!   failure (the original API).
-//! * [`try_expert_parallel_forward`] — the fallible twin: invalid
-//!   arguments and shard panics come back as a structured [`EpError`]
-//!   instead of unwinding.
+//! * [`try_expert_parallel_forward`] — invalid arguments and shard panics
+//!   come back as a structured [`EpError`] instead of unwinding.
 //! * [`resilient_expert_parallel_forward`] — the recovery path: each
 //!   failed shard is retried up to [`EpPolicy::max_shard_retries`] times,
 //!   stragglers (a shard slower than `straggler_factor`× the median,
@@ -27,14 +24,13 @@
 //!   failing the layer degrades gracefully to a single-device
 //!   [`DroplessMoe::forward`]. Every detection and recovery emits
 //!   `resilience.*` telemetry against the `ep.shard_fail` /
-//!   `ep.shard_delay` fault sites.
-//! * [`resilient_expert_parallel_forward_with_breaker`] — the same
-//!   recovery path behind a per-shard circuit breaker ([`EpBreaker`]):
-//!   a shard that keeps failing (or timing out against
-//!   [`EpPolicy::shard_deadline`]) across calls opens its circuit, and
-//!   subsequent layer calls short-circuit straight to the single-device
-//!   fallback — no doomed shard work, no exchange — until the breaker
-//!   half-opens and a probe call proves the shard healthy again.
+//!   `ep.shard_delay` fault sites. It runs behind a per-shard circuit
+//!   breaker ([`EpBreaker`]): a shard that keeps failing (or timing out
+//!   against [`EpPolicy::shard_deadline`]) across calls opens its
+//!   circuit, and subsequent layer calls short-circuit straight to the
+//!   single-device fallback — no doomed shard work, no exchange — until
+//!   the breaker half-opens and a probe call proves the shard healthy
+//!   again. [`EpBreaker::never`] forgets failures between calls.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,11 +40,11 @@ use std::time::{Duration, Instant};
 use megablocks_exec as exec;
 use megablocks_resilience as resilience;
 use megablocks_resilience::sites::{EP_SHARD_DELAY, EP_SHARD_FAIL};
-use megablocks_sparse::{ops, Topology};
+use megablocks_sparse::Topology;
 use megablocks_telemetry as telemetry;
-use megablocks_tensor::ops::gelu_scalar;
 use megablocks_tensor::Matrix;
 
+use crate::dmoe::{expert_mlp, Retain};
 use crate::{padded_gather, padded_scatter, DroplessMoe, PermuteInfo, Routing};
 
 /// The materialized all-to-all exchange of one expert-parallel layer
@@ -206,8 +202,7 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// Per-shard circuit breaker for
-/// [`resilient_expert_parallel_forward_with_breaker`].
+/// Per-shard circuit breaker for [`resilient_expert_parallel_forward`].
 ///
 /// The classic state machine, one circuit per shard: `Closed` until
 /// [`BreakerPolicy::open_after`] consecutive unhealed failures, then
@@ -240,9 +235,8 @@ impl EpBreaker {
         }
     }
 
-    /// A breaker that never opens — the effective policy of
-    /// [`resilient_expert_parallel_forward`], which retries and falls
-    /// back per call without remembering failures across calls.
+    /// A breaker that never opens: every call retries and falls back on
+    /// its own, without remembering failures across calls.
     pub fn never() -> Self {
         EpBreaker::new(BreakerPolicy {
             open_after: u32::MAX,
@@ -336,22 +330,6 @@ pub struct EpOutcome {
 /// The output is numerically identical to [`DroplessMoe::forward`] up to
 /// floating-point summation order (tests pin a 1e-4 agreement).
 ///
-/// # Panics
-///
-/// Panics if `num_shards` does not divide the expert count, if
-/// `x.cols()` differs from the layer's hidden size, or if a shard's
-/// computation panics ([`try_expert_parallel_forward`] reports these as
-/// values instead).
-pub fn expert_parallel_forward(
-    layer: &DroplessMoe,
-    x: &Matrix,
-    num_shards: usize,
-) -> (Matrix, EpStats, AllToAllBuffers) {
-    try_expert_parallel_forward(layer, x, num_shards).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The fallible twin of [`expert_parallel_forward`].
-///
 /// # Errors
 ///
 /// Returns [`EpError::InvalidShardCount`] / [`EpError::InputShape`] for
@@ -374,11 +352,17 @@ pub fn try_expert_parallel_forward(
 }
 
 /// Fault-tolerant expert-parallel forward: per-shard retry, straggler
-/// detection, and graceful degradation to the single-device layer.
+/// detection, graceful degradation to the single-device layer, and a
+/// per-shard circuit breaker that persists across layer calls.
 ///
 /// Never fails on runtime faults — after `policy.max_shard_retries`
 /// unsuccessful re-runs of any shard the whole layer falls back to
 /// [`DroplessMoe::forward`] and reports it in [`EpRecovery::fell_back`].
+/// Every shard's outcome (success, or failure after retries) feeds its
+/// circuit in `breaker`; when any circuit is open, the call
+/// short-circuits straight to the single-device forward — the doomed
+/// shard work, its retries, and both all-to-alls are skipped entirely —
+/// and [`EpRecovery::breaker_short_circuits`] records it.
 ///
 /// # Errors
 ///
@@ -386,30 +370,6 @@ pub fn try_expert_parallel_forward(
 /// [`EpError::InputShape`]) are returned as errors; those are caller
 /// bugs, not faults to recover from.
 pub fn resilient_expert_parallel_forward(
-    layer: &DroplessMoe,
-    x: &Matrix,
-    num_shards: usize,
-    policy: &EpPolicy,
-) -> Result<EpOutcome, EpError> {
-    let mut breaker = EpBreaker::never();
-    resilient_expert_parallel_forward_with_breaker(layer, x, num_shards, policy, &mut breaker)
-}
-
-/// [`resilient_expert_parallel_forward`] composed with a per-shard
-/// circuit breaker that persists across layer calls.
-///
-/// When any shard's circuit is open, the call short-circuits straight to
-/// the single-device [`DroplessMoe::forward`] — the doomed shard work,
-/// its retries, and both all-to-alls are skipped entirely — and
-/// [`EpRecovery::breaker_short_circuits`] records it. Otherwise the
-/// normal retry/straggler/fallback machinery runs and every shard's
-/// outcome (success, or failure after retries) feeds its circuit.
-///
-/// # Errors
-///
-/// Only argument problems ([`EpError::InvalidShardCount`],
-/// [`EpError::InputShape`]), exactly as the breaker-less form.
-pub fn resilient_expert_parallel_forward_with_breaker(
     layer: &DroplessMoe,
     x: &Matrix,
     num_shards: usize,
@@ -423,9 +383,8 @@ pub fn resilient_expert_parallel_forward_with_breaker(
     // Open circuits absorb the call before any shard work happens: the
     // whole layer degrades to the single-device forward until the
     // breaker half-opens and lets a probe attempt through.
-    if let Some(shard) = breaker.tick_open() {
+    if breaker.tick_open().is_some() {
         telemetry::counter_with("ep.breaker", "short_circuit").inc();
-        let _ = shard; // which circuit blocked is visible via state()
         recovery.breaker_short_circuits += 1;
         recovery.fell_back = true;
         let output = layer.forward(x).output;
@@ -442,10 +401,10 @@ pub fn resilient_expert_parallel_forward_with_breaker(
     count_stragglers(&attempt.elapsed_us, policy, &mut recovery);
 
     for (shard, failure) in attempt.failures.iter().enumerate() {
-        let Some(reason) = failure else {
+        if failure.is_none() {
             breaker.record_success(shard);
             continue;
-        };
+        }
         resilience::record_detected(&EP_SHARD_FAIL);
         telemetry::counter_with("resilience.ep.shard_failures", plan.op_label(shard)).inc();
         let mut healed = false;
@@ -473,7 +432,6 @@ pub fn resilient_expert_parallel_forward_with_breaker(
             // Graceful degradation: the shard is gone for good, so run
             // the whole layer single-device. Correctness over speed.
             telemetry::counter("resilience.ep.fallback").inc();
-            let _ = reason; // already surfaced via telemetry + counters
             recovery.fell_back = true;
             let output = layer.forward(x).output;
             return Ok(EpOutcome {
@@ -578,10 +536,10 @@ impl<'a> EpPlan<'a> {
             self.layer.w1().value()[(i, col0 + j)]
         });
         let w2_local = self.layer.w2().value().rows_range(col0, col0 + cols);
-        let h = ops::sdd(&self.shard_inputs[s], &w1_local, &topo).map(gelu_scalar);
-        let out = ops::dsd(&h, &w2_local);
-        h.recycle();
-        out
+        let input = &self.shard_inputs[s];
+        expert_mlp(input, &w1_local, &w2_local, &topo, Retain::Nothing)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .0
     }
 
     /// Writes one shard's output into its row range of the combined `y`
@@ -754,7 +712,7 @@ mod tests {
         let x = normal(18, 6, 1.0, &mut rng);
         let reference = l.forward(&x).output;
         for shards in [1usize, 2, 4] {
-            let (out, stats, _) = expert_parallel_forward(&l, &x, shards);
+            let (out, stats, _) = try_expert_parallel_forward(&l, &x, shards).unwrap();
             assert!(
                 out.approx_eq(&reference, 1e-4),
                 "{shards} shards diverged by {}",
@@ -770,7 +728,7 @@ mod tests {
         let l = layer(3);
         let mut rng = seeded_rng(4);
         let x = normal(25, 6, 1.0, &mut rng);
-        let (_, stats, buffers) = expert_parallel_forward(&l, &x, 2);
+        let (_, stats, buffers) = try_expert_parallel_forward(&l, &x, 2).unwrap();
         let total_rows: usize = stats.rows_per_shard.iter().sum();
         assert_eq!(stats.alltoall_elements, total_rows * 6);
         assert_eq!(buffers.dispatch_elements, stats.alltoall_elements);
@@ -784,22 +742,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must divide")]
-    fn shard_count_must_divide_experts() {
-        let l = layer(5);
-        let mut rng = seeded_rng(6);
-        let x = normal(8, 6, 1.0, &mut rng);
-        let _ = expert_parallel_forward(&l, &x, 3);
-    }
-
-    #[test]
     fn imbalanced_shards_carry_their_actual_load() {
         // With heavy imbalance, shard row counts differ — no padding to a
         // worst-case shard (the dropless property survives distribution).
         let l = layer(7);
         let mut rng = seeded_rng(8);
         let x = normal(40, 6, 1.0, &mut rng);
-        let (_, stats, _) = expert_parallel_forward(&l, &x, 2);
+        let (_, stats, _) = try_expert_parallel_forward(&l, &x, 2).unwrap();
         let tokens = l.forward(&x).stats.tokens_per_expert;
         let padded: Vec<usize> = tokens.iter().map(|&t| t.div_ceil(4) * 4).collect();
         assert_eq!(stats.rows_per_shard[0], padded[0] + padded[1]);
@@ -906,18 +855,16 @@ mod tests {
             open_after: 1,
             probe_after: 1,
         });
-        let outcome =
-            resilient_expert_parallel_forward_with_breaker(&l, &x, 2, &policy, &mut breaker)
-                .expect("valid args");
+        let outcome = resilient_expert_parallel_forward(&l, &x, 2, &policy, &mut breaker)
+            .expect("valid args");
         assert!(outcome.recovery.fell_back);
         assert_eq!(outcome.recovery.breaker_short_circuits, 0);
         assert!(outcome.output.approx_eq(&reference, 1e-4));
         // The unhealed shard opened its circuit; the next call must
         // short-circuit without attempting EP at all.
         assert_eq!(breaker.state(0), BreakerState::Open);
-        let outcome =
-            resilient_expert_parallel_forward_with_breaker(&l, &x, 2, &policy, &mut breaker)
-                .expect("valid args");
+        let outcome = resilient_expert_parallel_forward(&l, &x, 2, &policy, &mut breaker)
+            .expect("valid args");
         assert!(outcome.recovery.fell_back);
         assert_eq!(outcome.recovery.breaker_short_circuits, 1);
         assert_eq!(outcome.recovery.shard_retries, 0, "EP was never attempted");
@@ -942,15 +889,13 @@ mod tests {
         breaker.record_failure(0);
         assert_eq!(breaker.state(0), BreakerState::Open);
         // Call 1: the open circuit absorbs it (short-circuit fallback).
-        let outcome =
-            resilient_expert_parallel_forward_with_breaker(&l, &x, 2, &healthy, &mut breaker)
-                .expect("valid args");
+        let outcome = resilient_expert_parallel_forward(&l, &x, 2, &healthy, &mut breaker)
+            .expect("valid args");
         assert_eq!(outcome.recovery.breaker_short_circuits, 1);
         // Call 2: the circuit half-opens and the probe succeeds — full
         // EP results come back and the circuit closes.
-        let outcome =
-            resilient_expert_parallel_forward_with_breaker(&l, &x, 2, &healthy, &mut breaker)
-                .expect("valid args");
+        let outcome = resilient_expert_parallel_forward(&l, &x, 2, &healthy, &mut breaker)
+            .expect("valid args");
         assert!(!outcome.recovery.fell_back);
         assert!(outcome.stats.is_some());
         assert!(outcome.output.approx_eq(&reference, 1e-4));
@@ -963,8 +908,14 @@ mod tests {
         let mut rng = seeded_rng(12);
         let x = normal(20, 6, 1.0, &mut rng);
         let reference = l.forward(&x).output;
-        let outcome =
-            resilient_expert_parallel_forward(&l, &x, 2, &EpPolicy::default()).expect("valid args");
+        let outcome = resilient_expert_parallel_forward(
+            &l,
+            &x,
+            2,
+            &EpPolicy::default(),
+            &mut EpBreaker::never(),
+        )
+        .expect("valid args");
         assert!(outcome.output.approx_eq(&reference, 1e-4));
         assert!(!outcome.recovery.fell_back);
         assert_eq!(outcome.recovery.shard_retries, 0);

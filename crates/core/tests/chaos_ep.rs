@@ -8,8 +8,8 @@
 #![cfg(feature = "chaos")]
 
 use megablocks_core::{
-    resilient_expert_parallel_forward, try_expert_parallel_forward, DroplessMoe, EpError, EpPolicy,
-    MoeConfig,
+    resilient_expert_parallel_forward, try_expert_parallel_forward, DroplessMoe, EpBreaker,
+    EpError, EpPolicy, MoeConfig,
 };
 use megablocks_resilience::sites::{EP_SHARD_DELAY, EP_SHARD_FAIL};
 use megablocks_resilience::{clear_plan, install_plan, report, FaultPlan, INJECTED_PANIC_PREFIX};
@@ -47,7 +47,8 @@ fn injected_shard_failure_is_retried_to_the_same_answer() {
 
     install_plan(FaultPlan::seeded(7).at_calls(&EP_SHARD_FAIL, &[0]));
     let outcome =
-        resilient_expert_parallel_forward(&l, &x, 2, &EpPolicy::default()).expect("recovers");
+        resilient_expert_parallel_forward(&l, &x, 2, &EpPolicy::default(), &mut EpBreaker::never())
+            .expect("recovers");
 
     assert_eq!(report().injected_at(&EP_SHARD_FAIL), 1);
     assert!(
@@ -79,7 +80,8 @@ fn persistent_shard_failure_falls_back_to_single_device() {
     // Every shard attempt (first pass and all retries) fails.
     install_plan(FaultPlan::seeded(7).with_rate(&EP_SHARD_FAIL, 1.0, u64::MAX));
     let outcome =
-        resilient_expert_parallel_forward(&l, &x, 2, &EpPolicy::default()).expect("falls back");
+        resilient_expert_parallel_forward(&l, &x, 2, &EpPolicy::default(), &mut EpBreaker::never())
+            .expect("falls back");
 
     assert!(outcome.recovery.fell_back, "{:?}", outcome.recovery);
     assert!(outcome.stats.is_none(), "fallback carries no EP stats");
@@ -125,7 +127,8 @@ fn injected_straggler_delay_is_detected_and_the_result_still_lands() {
         straggler_floor_us: 5_000,
         ..EpPolicy::default()
     };
-    let outcome = resilient_expert_parallel_forward(&l, &x, 4, &policy).expect("no hard fault");
+    let outcome = resilient_expert_parallel_forward(&l, &x, 4, &policy, &mut EpBreaker::never())
+        .expect("no hard fault");
 
     assert_eq!(report().injected_at(&EP_SHARD_DELAY), 1);
     assert!(

@@ -3,8 +3,7 @@
 //! A [`CancelToken`] is a cheap shared flag (one relaxed atomic load to
 //! poll) that marks in-flight work as abandoned; [`Deadline`] is a fixed
 //! point in time after which work should stop. Both travel together in a
-//! [`Ctx`], which a [`crate::LaunchPlan`] carries explicitly
-//! ([`crate::LaunchPlan::with_ctx`]) or inherits from the submitting
+//! [`Ctx`], which a [`crate::LaunchPlan`] inherits from the submitting
 //! thread's ambient context (installed with [`enter`]). Band tasks
 //! re-install the context on whichever worker runs them, so the tiled
 //! microkernel's panel loop can poll [`poll_cancelled`] without any
@@ -288,9 +287,9 @@ impl Drop for CtxScope {
 }
 
 /// Installs `ctx` as the current thread's ambient context until the
-/// returned guard drops. Launch plans built without an explicit
-/// [`crate::LaunchPlan::with_ctx`] inherit the ambient context, so one
-/// `enter` at (say) the trainer step covers every nested kernel launch.
+/// returned guard drops. Every launch plan inherits the ambient context,
+/// so one `enter` at (say) the trainer step covers every nested kernel
+/// launch.
 ///
 /// Entering an *empty* context is a no-op (the previous ambient context,
 /// if any, stays installed) — wrappers can unconditionally enter their

@@ -35,11 +35,14 @@
 //!   launch runs under a cancellation context (explicit or inherited
 //!   from the thread), checked cooperatively at band boundaries and
 //!   inside the tiled microkernel's panel loop; a background watchdog
-//!   ([`configure_stall_budget`] / `MEGABLOCKS_STALL_MS`) cancels
-//!   launches whose bands stall past a median-based budget; and pool
-//!   admission is bounded ([`configure_queue_cap`] /
-//!   `MEGABLOCKS_QUEUE_CAP`) with explicit load shedding for
+//!   ([`LaunchPlan::with_stall_budget`]) cancels launches whose bands
+//!   stall past a median-based budget; and pool admission is bounded
+//!   ([`configure_queue_cap`]) with explicit load shedding for
 //!   latency-bound launches.
+//!
+//! * **One settings resolver** ([`Setting`]) — programmatic request >
+//!   environment variable > default, and a variable that does not parse
+//!   panics at first use instead of falling back.
 //!
 //! Pool occupancy, queue depth, launch counts and workspace hit rates
 //! are reported through `megablocks-telemetry` (`exec.*` metrics).
@@ -50,6 +53,7 @@ pub mod cancel;
 mod plan;
 mod pool;
 mod sanitizer;
+mod setting;
 mod watchdog;
 pub mod workspace;
 
@@ -66,7 +70,5 @@ pub use sanitizer::{
     band_order, perturbation_seed, record_write, record_write_span, set_perturbation, stall_slots,
     RaceViolation, RACE_PANIC_PREFIX,
 };
-pub use watchdog::{configure_stall_budget, stall_budget};
-pub use workspace::{
-    configure_workspace_cap, workspace_cap, Workspace, WorkspaceStats, MAX_WORKSPACE_CAP,
-};
+pub use setting::{Setting, SettingValue};
+pub use workspace::{Workspace, WorkspaceStats};

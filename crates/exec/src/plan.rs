@@ -24,9 +24,8 @@
 //! exactly — which moves the old per-kernel band-partition audit into
 //! the one place every launch passes through.
 //!
-//! Every launch also runs under a cancellation [`Ctx`] — attached
-//! explicitly with [`LaunchPlan::with_ctx`] or inherited from the
-//! submitting thread's ambient context — and is checked cooperatively
+//! Every launch also runs under the cancellation [`Ctx`] its submitting
+//! thread entered ([`crate::cancel::enter`]) and is checked cooperatively
 //! at band boundaries: a launch whose token trips or whose deadline
 //! passes skips unstarted bands, unwinds in bounded time, and reports a
 //! structured [`ExecError`]. Queue admission is bounded too: a launch
@@ -62,7 +61,6 @@ pub struct LaunchPlan<'data, 'body> {
     data: &'data mut [f32],
     partition: Partition,
     body: &'body (dyn Fn(&mut [f32], usize) + Sync),
-    ctx: Ctx,
     stall_budget: Option<Duration>,
 }
 
@@ -95,7 +93,6 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
                 items_per_band: items_per_band.max(1),
             },
             body,
-            ctx: Ctx::none(),
             stall_budget: None,
         }
     }
@@ -125,34 +122,16 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
             data,
             partition: Partition::Explicit { band_lens },
             body,
-            ctx: Ctx::none(),
             stall_budget: None,
         }
     }
 
-    /// Attaches a cancellation/deadline context to the launch. Plans
-    /// without an explicit context inherit the submitting thread's
-    /// ambient context (see [`crate::cancel::enter`]), so one `enter` at
-    /// an outer layer covers every nested launch.
-    pub fn with_ctx(mut self, ctx: Ctx) -> Self {
-        self.ctx = ctx;
-        self
-    }
-
-    /// Puts this launch under the stall watchdog with an explicit
-    /// budget, overriding the process-wide
-    /// [`crate::configure_stall_budget`] / `MEGABLOCKS_STALL_MS`
-    /// setting. A band exceeding `max(budget, 8 x median finished-band
-    /// time)` gets the launch cancelled with
-    /// [`ExecError::DeadlineExceeded`].
+    /// Puts this launch under the stall watchdog: a band exceeding
+    /// `max(budget, 8 x median finished-band time)` gets the launch
+    /// cancelled with [`ExecError::DeadlineExceeded`].
     pub fn with_stall_budget(mut self, budget: Duration) -> Self {
         self.stall_budget = Some(budget);
         self
-    }
-
-    /// The op name the plan was built for (telemetry label).
-    pub fn op(&self) -> &'static str {
-        self.op
     }
 
     /// Number of bands the plan will launch.
@@ -193,8 +172,8 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
 
     /// Executes the plan like [`LaunchPlan::launch`], but returns the
     /// structured [`ExecError`] — detected race, cancellation, deadline
-    /// expiry, or overload shed — instead of panicking. With no context
-    /// attached or inherited and without `--features sanitize`, the
+    /// expiry, or overload shed — instead of panicking. With no ambient
+    /// context entered and without `--features sanitize`, the
     /// dynamic checks compile out or short-circuit and this always
     /// returns `Ok(())` (band panics are still re-raised either way).
     pub fn try_launch(self) -> Result<(), ExecError> {
@@ -223,25 +202,20 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
             data,
             partition,
             body,
-            ctx,
             stall_budget,
         } = self;
-        // Inherit the submitter's ambient context when the plan carries
-        // none, so a deadline installed at (say) the trainer step reaches
-        // every nested kernel launch without each call site threading it
-        // through. An empty inherited context keeps the fast path: every
-        // check below short-circuits on `None`.
-        let mut ctx = if ctx.is_empty() {
-            cancel::current()
-        } else {
-            ctx
-        };
+        // The launch runs under the submitter's ambient context, so a
+        // deadline entered at (say) the trainer step or the serving batch
+        // reaches every nested kernel launch without any call site
+        // threading it through. An empty context keeps the fast path:
+        // every check below short-circuits on `None`.
+        let mut ctx = cancel::current();
         // Pre-launch cancellation point: refuse already-dead work before
         // building a single task.
         if let Some(kind) = ctx.status() {
             return Err(abort_error(op, kind));
         }
-        // Whether the *caller* attached a deadline/token — the watchdog
+        // Whether the *caller* entered a deadline/token — the watchdog
         // may add a private token below, but that must not change the
         // overload policy (only caller-bound launches shed).
         let latency_bound = !ctx.is_empty();
@@ -268,11 +242,10 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
             guarded(data, 0);
             return finish_status(op, &ctx);
         }
-        // Put the launch under the stall watchdog when a budget is
-        // active (per-plan override first, then the process setting).
-        // The watchdog cancels through the context's token, so a watched
-        // context without one gets a private token here.
-        let watch = match stall_budget.or_else(watchdog::stall_budget) {
+        // Put the launch under the stall watchdog when the plan set a
+        // budget. The watchdog cancels through the context's token, so a
+        // watched context without one gets a private token here.
+        let watch = match stall_budget {
             Some(budget) => {
                 let token = match ctx.token() {
                     Some(t) => t.clone(),

@@ -13,23 +13,25 @@
 //! launch sees a clean pool.
 //!
 //! Admission is bounded: a launch that would push the queue past the
-//! configured depth cap ([`configure_queue_cap`] / `MEGABLOCKS_QUEUE_CAP`)
-//! is rejected with its tasks handed back, and the launch plan decides
-//! whether to shed it explicitly (deadline-bound work) or degrade to
-//! inline execution (plain work — the queue stays bounded either way).
+//! depth cap ([`queue_cap`]) is rejected with its tasks handed back, and
+//! the launch plan decides whether to shed it explicitly (deadline-bound
+//! work) or degrade to inline execution (plain work — the queue stays
+//! bounded either way).
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use megablocks_telemetry as telemetry;
 
+use crate::setting::Setting;
+
 /// A unit of work queued on the pool. Tasks are lifetime-erased closures;
 /// the submitting thread blocks until every task of its launch completed,
-/// which is what makes the erasure sound (see [`Pool::run`]).
+/// which is what makes the erasure sound (see [`Pool::try_run`]).
 type Job = Box<dyn FnOnce() + Send>;
 
 /// State shared by the pool's workers.
@@ -93,7 +95,7 @@ impl LaunchState {
 }
 
 /// The persistent worker pool. Obtain the process-wide instance with
-/// [`pool`]; plans submit through [`Pool::run`].
+/// [`pool`]; launch plans submit through it.
 pub struct Pool {
     shared: Arc<Shared>,
     /// Background workers spawned (the submitting thread is the
@@ -109,28 +111,27 @@ thread_local! {
     static PARALLELISM_OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Parallelism target requested via [`configure_threads`] before first
-/// use (0 = unset).
-static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
+/// The requested parallelism target: [`configure_threads`], then
+/// `MEGABLOCKS_THREADS`, then the detected CPU count.
+static THREADS: Setting<usize> = Setting::new(Some("MEGABLOCKS_THREADS"), || {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+});
 
-/// The resolved process-wide parallelism target.
+/// The parallelism target the process resolved on first use; the pool is
+/// sized from it once, so later requests no longer apply.
 static TARGET: OnceLock<usize> = OnceLock::new();
 
 /// The process-wide pool (spawned lazily, on the first pooled launch).
 static POOL: OnceLock<Pool> = OnceLock::new();
 
-/// Queue-depth cap requested via [`configure_queue_cap`] before first
-/// use, stored as `cap + 1` so a configured cap of zero is
-/// distinguishable from unset.
-static CONFIGURED_QUEUE_CAP: AtomicUsize = AtomicUsize::new(0);
+/// The requested queue-depth cap: [`configure_queue_cap`], else a default
+/// generous for kernel fan-out (a launch queues at most
+/// `parallelism - 1` bands) while bounding memory and latency when many
+/// submitters flood the pool at once.
+static QUEUE_CAP_REQUEST: Setting<usize> = Setting::new(None, || 1024);
 
-/// The resolved process-wide queue-depth cap.
+/// The queue-depth cap the process resolved on first use.
 static QUEUE_CAP: OnceLock<usize> = OnceLock::new();
-
-/// Default queue-depth cap: generous for kernel fan-out (a launch queues
-/// at most `parallelism - 1` bands) while bounding memory and latency
-/// when many submitters flood the pool at once.
-const DEFAULT_QUEUE_CAP: usize = 1024;
 
 /// Requests a process-wide parallelism target, overriding the
 /// `MEGABLOCKS_THREADS` environment variable and the detected CPU count.
@@ -138,53 +139,28 @@ const DEFAULT_QUEUE_CAP: usize = 1024;
 /// Returns `false` if the runtime already resolved its target (the pool
 /// keeps its original configuration in that case).
 pub fn configure_threads(threads: usize) -> bool {
-    CONFIGURED.store(threads.max(1), Relaxed);
+    THREADS.set(threads);
     TARGET.get().is_none()
 }
 
 /// Requests a process-wide queue-depth cap (0 = never queue; every
-/// multi-band launch degrades or sheds), overriding the
-/// `MEGABLOCKS_QUEUE_CAP` environment variable and the default.
+/// multi-band launch degrades or sheds), overriding the default of 1024.
 ///
 /// Returns `false` if the runtime already resolved its cap (the original
 /// configuration is kept in that case).
 pub fn configure_queue_cap(cap: usize) -> bool {
-    CONFIGURED_QUEUE_CAP.store(cap.saturating_add(1), Relaxed);
+    QUEUE_CAP_REQUEST.set(cap);
     QUEUE_CAP.get().is_none()
 }
 
-/// The resolved queue-depth cap: explicit [`configure_queue_cap`], then
-/// the `MEGABLOCKS_QUEUE_CAP` environment variable, then
-/// [`DEFAULT_QUEUE_CAP`].
+/// The resolved queue-depth cap.
 pub fn queue_cap() -> usize {
-    *QUEUE_CAP.get_or_init(|| {
-        let configured = CONFIGURED_QUEUE_CAP.load(Relaxed);
-        if configured > 0 {
-            return configured - 1;
-        }
-        if let Ok(v) = std::env::var("MEGABLOCKS_QUEUE_CAP") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n;
-            }
-        }
-        DEFAULT_QUEUE_CAP
-    })
+    *QUEUE_CAP.get_or_init(|| QUEUE_CAP_REQUEST.get())
 }
 
-/// Resolves the parallelism target: explicit [`configure_threads`] call,
-/// then the `MEGABLOCKS_THREADS` environment variable, then the detected
-/// CPU count. Never less than 1.
+/// Resolves the parallelism target. Never less than 1.
 fn resolve_target() -> usize {
-    let configured = CONFIGURED.load(Relaxed);
-    if configured > 0 {
-        return configured;
-    }
-    if let Ok(v) = std::env::var("MEGABLOCKS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+    THREADS.get().max(1)
 }
 
 /// The process-wide parallelism target (workers + submitter), honoring a
@@ -292,7 +268,12 @@ impl Pool {
         self.shared.busy.load(Relaxed).max(0) as usize
     }
 
-    /// Executes `tasks` to completion, one per band of a launch plan.
+    /// Executes `tasks` to completion, one per band of a launch plan,
+    /// under bounded admission: if queueing them would push the queue
+    /// past [`queue_cap`], nothing is queued and the tasks come back in
+    /// [`Rejected`] for the caller to shed or degrade. The admission
+    /// decision is taken under the queue lock, so the cap is exact even
+    /// with many concurrent submitters.
     ///
     /// The first task runs on the calling thread; the rest are queued for
     /// the workers. The call returns only after *every* task finished —
@@ -304,35 +285,9 @@ impl Pool {
     /// Launches submitted from inside a pool task, and launches with a
     /// single task or on a worker-less pool, run inline on the calling
     /// thread; panics then propagate directly.
-    pub fn run<'scope>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        if let Err(rejected) = self.submit(tasks, None) {
-            // Uncapped submission cannot be rejected; run the launch
-            // inline rather than lose it if that invariant ever breaks.
-            for task in rejected.tasks {
-                task();
-            }
-        }
-    }
-
-    /// Executes `tasks` like [`Pool::run`], but under bounded admission:
-    /// if queueing them would push the queue past [`queue_cap`], nothing
-    /// is queued and the tasks come back in [`Rejected`] for the caller
-    /// to shed or degrade.
     pub(crate) fn try_run<'scope>(
         &self,
         tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>,
-    ) -> Result<(), Rejected<'scope>> {
-        self.submit(tasks, Some(queue_cap()))
-    }
-
-    /// The submission path shared by [`Pool::run`] (uncapped) and
-    /// [`Pool::try_run`] (capped). The admission decision is taken under
-    /// the queue lock, so the cap is exact even with many concurrent
-    /// submitters.
-    fn submit<'scope>(
-        &self,
-        tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>,
-        cap: Option<usize>,
     ) -> Result<(), Rejected<'scope>> {
         let queued = tasks.len().saturating_sub(1);
         if queued == 0 || self.workers == 0 || in_worker() {
@@ -342,17 +297,16 @@ impl Pool {
             return Ok(());
         }
 
+        let cap = queue_cap();
         let state = Arc::new(LaunchState::new(queued));
         let enqueued_us = telemetry::trace_now_us();
         let first;
         {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(cap) = cap {
-                let depth = queue.len();
-                if depth + queued > cap {
-                    drop(queue);
-                    return Err(Rejected { tasks, depth, cap });
-                }
+            let depth = queue.len();
+            if depth + queued > cap {
+                drop(queue);
+                return Err(Rejected { tasks, depth, cap });
             }
             let mut tasks = tasks.into_iter();
             first = match tasks.next() {
@@ -404,7 +358,7 @@ impl Pool {
 /// # Safety
 ///
 /// The caller must guarantee the task finishes executing before any
-/// borrow captured in it ends — [`Pool::run`] does so by blocking until
+/// borrow captured in it ends — [`Pool::try_run`] does so by blocking until
 /// the launch's completion count reaches zero.
 // SAFETY: declaring this fn unsafe delegates the outlives proof to the
 // caller; see the function docs above for the exact contract.

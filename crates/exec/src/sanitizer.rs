@@ -39,7 +39,8 @@
 //! with an identical signature, so callers never gate their own code.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use crate::setting::Setting;
 
 /// Prefix of every panic message raised for a detected race. The
 /// fault-tolerant trainer matches on this to classify the panic as
@@ -107,33 +108,20 @@ impl fmt::Display for RaceViolation {
 
 impl std::error::Error for RaceViolation {}
 
-/// The process-wide perturbation seed (0 = perturbation off). Resolved
-/// lazily from `MEGABLOCKS_PERTURB_SEED` unless [`set_perturbation`] ran
-/// first. The high bit marks "explicitly resolved".
-static PERTURB_SEED: AtomicU64 = AtomicU64::new(u64::MAX);
+/// The process-wide schedule-perturbation seed (0 = off):
+/// [`set_perturbation`], then `MEGABLOCKS_PERTURB_SEED`, then off.
+static PERTURB_SEED: Setting<u64> = Setting::new(Some("MEGABLOCKS_PERTURB_SEED"), || 0);
 
 /// Sets the schedule-perturbation seed (0 disables perturbation),
 /// overriding the `MEGABLOCKS_PERTURB_SEED` environment variable. Takes
 /// effect for every subsequent sanitized launch in the process.
 pub fn set_perturbation(seed: u64) {
-    PERTURB_SEED.store(seed.min(u64::MAX - 1), Relaxed);
+    PERTURB_SEED.set(seed);
 }
 
 /// The active schedule-perturbation seed (0 = off).
 pub fn perturbation_seed() -> u64 {
-    let s = PERTURB_SEED.load(Relaxed);
-    if s != u64::MAX {
-        return s;
-    }
-    let resolved = std::env::var("MEGABLOCKS_PERTURB_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0)
-        .min(u64::MAX - 1);
-    // First resolver wins; a concurrent `set_perturbation` overwrite is
-    // also fine (last store is the configured value either way).
-    let _ = PERTURB_SEED.compare_exchange(u64::MAX, resolved, Relaxed, Relaxed);
-    PERTURB_SEED.load(Relaxed)
+    PERTURB_SEED.get()
 }
 
 /// splitmix64: the deterministic mixer behind band shuffles and stall

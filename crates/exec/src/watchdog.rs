@@ -17,8 +17,7 @@
 //! honest work while one band lagging its siblings by an order of
 //! magnitude is.
 //!
-//! Watching is opt-in per process ([`configure_stall_budget`] /
-//! `MEGABLOCKS_STALL_MS`) or per plan
+//! Watching is opt-in per plan
 //! ([`crate::LaunchPlan::with_stall_budget`]); with no budget set, no
 //! watchdog thread is ever spawned and launches pay nothing.
 
@@ -34,48 +33,6 @@ use crate::cancel::CancelToken;
 /// Multiplier over the median finished-band time before an in-flight
 /// band counts as stalled (the EP straggler detector's factor).
 const STALL_FACTOR: u64 = 8;
-
-/// Stall budget requested via [`configure_stall_budget`] before first
-/// use, stored as milliseconds + 1 (0 = unset).
-static CONFIGURED: AtomicU64 = AtomicU64::new(0);
-
-/// The resolved process-wide stall budget in milliseconds (0 = watchdog
-/// disabled).
-static BUDGET_MS: OnceLock<u64> = OnceLock::new();
-
-/// Requests a process-wide stall budget, overriding `MEGABLOCKS_STALL_MS`.
-/// `None` (or a zero duration) disables the watchdog for unwatched plans.
-///
-/// Returns `false` if the runtime already resolved its budget (the
-/// original configuration is kept in that case).
-pub fn configure_stall_budget(budget: Option<Duration>) -> bool {
-    let ms = budget.map_or(0, |b| u64::try_from(b.as_millis()).unwrap_or(u64::MAX - 1));
-    CONFIGURED.store(ms + 1, Relaxed);
-    BUDGET_MS.get().is_none()
-}
-
-/// The resolved process-wide stall budget: explicit
-/// [`configure_stall_budget`], then the `MEGABLOCKS_STALL_MS`
-/// environment variable, then disabled.
-pub fn stall_budget() -> Option<Duration> {
-    let ms = *BUDGET_MS.get_or_init(|| {
-        let configured = CONFIGURED.load(Relaxed);
-        if configured > 0 {
-            return configured - 1;
-        }
-        if let Ok(v) = std::env::var("MEGABLOCKS_STALL_MS") {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                return n;
-            }
-        }
-        0
-    });
-    if ms == 0 {
-        None
-    } else {
-        Some(Duration::from_millis(ms))
-    }
-}
 
 /// Per-launch stall bookkeeping shared between the launch's band tasks
 /// (writers) and the scanner thread (reader).

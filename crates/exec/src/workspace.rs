@@ -17,68 +17,13 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use megablocks_telemetry as telemetry;
 
-/// Default upper bound on floats a thread's arena will hold before it
-/// starts dropping recycled buffers (64 MiB of `f32`s) — a backstop
-/// against pathological workloads hoarding memory.
-const DEFAULT_CAP_FLOATS: usize = 16 << 20;
-
-/// Process-wide cap override set by [`configure_workspace_cap`], stored
-/// as `cap + 1` so `0` can mean "unset" (an explicit cap of zero —
-/// "shelve nothing" — is legitimate).
-static CONFIGURED_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// Cap resolved from `MEGABLOCKS_WORKSPACE_CAP`, read once per process.
-static ENV_CAP: OnceLock<usize> = OnceLock::new();
-
-fn env_cap() -> usize {
-    *ENV_CAP.get_or_init(|| {
-        std::env::var("MEGABLOCKS_WORKSPACE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_CAP_FLOATS)
-    })
-}
-
-/// The largest representable configured cap: the sentinel encoding stores
-/// `cap + 1` in a `usize`, so `usize::MAX` itself cannot be represented
-/// and requests for it clamp here. (No real arena ever reaches either
-/// value — a `usize::MAX`-float shelf would be the entire address space.)
-pub const MAX_WORKSPACE_CAP: usize = usize::MAX - 1;
-
-/// Overrides the per-thread holding cap (in floats) for every arena in the
-/// process, taking precedence over `MEGABLOCKS_WORKSPACE_CAP`. Returns the
-/// previously effective cap. A cap of `0` disables shelving entirely; a
-/// cap above [`MAX_WORKSPACE_CAP`] is clamped to it (the `cap + 1`
-/// sentinel encoding cannot represent `usize::MAX`), so the value
-/// returned by a later call — and by [`workspace_cap`] — is always the
-/// cap actually in effect, never the unrepresentable request.
-///
-/// Buffers already shelved above a lowered cap are not evicted eagerly;
-/// they drain as [`Workspace::recycle`] rejects further deposits.
-pub fn configure_workspace_cap(cap_floats: usize) -> usize {
-    let effective = cap_floats.min(MAX_WORKSPACE_CAP);
-    let prev = CONFIGURED_CAP.swap(effective + 1, Ordering::Relaxed);
-    if prev == 0 {
-        env_cap()
-    } else {
-        prev - 1
-    }
-}
-
-/// The currently effective per-thread holding cap in floats:
-/// [`configure_workspace_cap`] if called, else `MEGABLOCKS_WORKSPACE_CAP`
-/// (invalid or unset values fall back to the 16M-float default).
-pub fn workspace_cap() -> usize {
-    match CONFIGURED_CAP.load(Ordering::Relaxed) {
-        0 => env_cap(),
-        v => v - 1,
-    }
-}
+/// Upper bound on floats a thread's arena will hold before it starts
+/// dropping recycled buffers (64 MiB of `f32`s) — a backstop against
+/// pathological workloads hoarding memory.
+const CAP_FLOATS: usize = 16 << 20;
 
 /// A size-bucketed arena of reusable `f32` buffers.
 ///
@@ -143,10 +88,10 @@ impl Workspace {
     }
 
     /// Shelves `buf` for reuse (dropped instead if it has no capacity or
-    /// the arena is at its holding limit, see [`workspace_cap`]).
+    /// would take the arena past its 16M-float holding limit).
     pub fn recycle(&mut self, buf: Vec<f32>) {
         let cap = buf.capacity();
-        if cap == 0 || self.held_floats + cap > workspace_cap() {
+        if cap == 0 || self.held_floats + cap > CAP_FLOATS {
             return;
         }
         self.held_floats += cap;
@@ -197,18 +142,9 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// `configure_workspace_cap` is process-global, so every test whose
-    /// shelving expectations depend on the cap serializes on this lock.
-    fn cap_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     #[test]
     fn reuse_is_a_hit_and_buffers_are_zeroed() {
-        let _guard = cap_lock();
         let mut ws = Workspace::new();
         let mut a = ws.take_zeroed(16);
         a.iter_mut().for_each(|v| *v = 7.0);
@@ -225,7 +161,6 @@ mod tests {
 
     #[test]
     fn undersized_shelves_are_skipped() {
-        let _guard = cap_lock();
         let mut ws = Workspace::new();
         ws.recycle(Vec::with_capacity(4));
         let b = ws.take_zeroed(64);
@@ -244,39 +179,14 @@ mod tests {
     }
 
     #[test]
-    fn configured_cap_bounds_shelving() {
-        let _guard = cap_lock();
-        let prev = configure_workspace_cap(10);
+    fn the_holding_cap_bounds_shelving() {
         let mut ws = Workspace::new();
-        ws.recycle(vec![0.0; 8]);
+        // Reserved, never touched: no memory is committed for these.
+        ws.recycle(Vec::with_capacity(CAP_FLOATS - 8));
         assert_eq!(ws.stats().held_buffers, 1, "under the cap: shelved");
-        ws.recycle(vec![0.0; 8]);
+        ws.recycle(Vec::with_capacity(16));
         assert_eq!(ws.stats().held_buffers, 1, "over the cap: dropped");
-
-        configure_workspace_cap(0);
-        let mut empty = Workspace::new();
-        empty.recycle(vec![0.0; 1]);
-        assert_eq!(empty.stats().held_buffers, 0, "zero cap disables shelving");
-
-        let restored = configure_workspace_cap(prev);
-        assert_eq!(restored, 0, "previous effective cap is returned");
-        assert_eq!(workspace_cap(), prev);
-    }
-
-    #[test]
-    fn usize_max_cap_clamps_to_the_effective_maximum() {
-        let _guard = cap_lock();
-        let prev = configure_workspace_cap(usize::MAX);
-        // The sentinel encoding cannot represent usize::MAX; the request
-        // clamps to MAX_WORKSPACE_CAP and reads back exactly as stored
-        // instead of silently dropping one more unit.
-        assert_eq!(workspace_cap(), MAX_WORKSPACE_CAP);
-        let effective = configure_workspace_cap(MAX_WORKSPACE_CAP);
-        assert_eq!(
-            effective, MAX_WORKSPACE_CAP,
-            "the actually-effective cap is returned, not the request"
-        );
-        assert_eq!(workspace_cap(), MAX_WORKSPACE_CAP);
-        configure_workspace_cap(prev);
+        ws.recycle(Vec::with_capacity(8));
+        assert_eq!(ws.stats().held_buffers, 2, "exactly at the cap: shelved");
     }
 }

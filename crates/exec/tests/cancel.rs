@@ -23,9 +23,9 @@ fn counted_launch(ctx: Ctx) -> (Result<(), ExecError>, usize) {
         ran.fetch_add(1, Relaxed);
         band.fill(1.0);
     };
-    let result = LaunchPlan::over_items("test.cancel.counted", &mut data, 1, 512, &body)
-        .with_ctx(ctx)
-        .try_launch();
+    let _scope = cancel::enter(&ctx);
+    let result =
+        LaunchPlan::over_items("test.cancel.counted", &mut data, 1, 512, &body).try_launch();
     (result, ran.load(Relaxed))
 }
 
@@ -163,9 +163,9 @@ fn mid_flight_cancel_skips_unstarted_bands_and_reports() {
             std::thread::sleep(Duration::from_millis(2));
         }
     };
-    let result = LaunchPlan::over_items("test.cancel.midflight", &mut data, 1, 64, &body)
-        .with_ctx(Ctx::none().with_token(&token))
-        .try_launch();
+    let _scope = cancel::enter(&Ctx::none().with_token(&token));
+    let result =
+        LaunchPlan::over_items("test.cancel.midflight", &mut data, 1, 64, &body).try_launch();
     assert_eq!(
         result,
         Err(ExecError::Cancelled {

@@ -8,7 +8,9 @@
 
 use std::time::{Duration, Instant};
 
-use megablocks_exec::{configure_threads, pool, queue_cap, Ctx, Deadline, ExecError, LaunchPlan};
+use megablocks_exec::{
+    cancel, configure_threads, pool, queue_cap, Ctx, Deadline, ExecError, LaunchPlan,
+};
 use megablocks_resilience::{clear_plan, install_plan, report, sites, FaultPlan};
 
 // The fault plan is process-global: chaos tests serialize under a lock
@@ -24,9 +26,8 @@ fn queue_flood_sheds_latency_bound_launches() {
     let mut data = vec![0.0f32; 4096];
     let body = |band: &mut [f32], _i0: usize| band.fill(1.0);
     let ctx = Ctx::none().with_deadline(Deadline::after(Duration::from_secs(3600)));
-    let result = LaunchPlan::over_items("test.chaos.flood", &mut data, 1, 512, &body)
-        .with_ctx(ctx)
-        .try_launch();
+    let _scope = cancel::enter(&ctx);
+    let result = LaunchPlan::over_items("test.chaos.flood", &mut data, 1, 512, &body).try_launch();
     assert_eq!(
         result,
         Err(ExecError::Overloaded {

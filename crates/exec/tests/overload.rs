@@ -9,8 +9,8 @@
 use std::time::Duration;
 
 use megablocks_exec::{
-    configure_queue_cap, configure_threads, pool, queue_cap, CancelToken, Ctx, Deadline, ExecError,
-    LaunchPlan,
+    cancel, configure_queue_cap, configure_threads, pool, queue_cap, CancelToken, Ctx, Deadline,
+    ExecError, LaunchPlan,
 };
 
 /// Forces the zero cap (and a deterministic pool size) before the first
@@ -58,9 +58,9 @@ fn latency_bound_launches_are_shed_with_overloaded() {
     // A live deadline marks the launch latency-bound: queueing into a
     // flood would blow the budget, so the launch is shed explicitly.
     let ctx = Ctx::none().with_deadline(Deadline::after(Duration::from_secs(3600)));
-    let result = LaunchPlan::over_items("test.overload.bound", &mut data, 1, 512, &body)
-        .with_ctx(ctx)
-        .try_launch();
+    let _scope = cancel::enter(&ctx);
+    let result =
+        LaunchPlan::over_items("test.overload.bound", &mut data, 1, 512, &body).try_launch();
     assert_eq!(
         result,
         Err(ExecError::Overloaded {
@@ -75,9 +75,9 @@ fn token_only_contexts_are_latency_bound_too() {
     let token = CancelToken::new();
     let mut data = vec![0.0f32; 4096];
     let body = |band: &mut [f32], _i0: usize| band.fill(1.0);
-    let result = LaunchPlan::over_items("test.overload.token", &mut data, 1, 512, &body)
-        .with_ctx(Ctx::none().with_token(&token))
-        .try_launch();
+    let _scope = cancel::enter(&Ctx::none().with_token(&token));
+    let result =
+        LaunchPlan::over_items("test.overload.token", &mut data, 1, 512, &body).try_launch();
     assert_eq!(
         result,
         Err(ExecError::Overloaded {
@@ -95,9 +95,9 @@ fn dead_contexts_are_refused_before_the_admission_decision() {
     let body = |band: &mut [f32], _i0: usize| band.fill(1.0);
     // Precedence: an already-cancelled launch reports the cancel, not
     // the overload it would also have hit.
-    let result = LaunchPlan::over_items("test.overload.dead", &mut data, 1, 512, &body)
-        .with_ctx(Ctx::none().with_token(&token))
-        .try_launch();
+    let _scope = cancel::enter(&Ctx::none().with_token(&token));
+    let result =
+        LaunchPlan::over_items("test.overload.dead", &mut data, 1, 512, &body).try_launch();
     assert_eq!(
         result,
         Err(ExecError::Cancelled {
@@ -114,8 +114,8 @@ fn single_band_launches_never_face_admission() {
     // One band runs inline on the submitter; a zero cap cannot shed it
     // even when the launch is latency-bound.
     let ctx = Ctx::none().with_deadline(Deadline::after(Duration::from_secs(3600)));
+    let _scope = cancel::enter(&ctx);
     LaunchPlan::over_items("test.overload.single", &mut data, 1, 64, &body)
-        .with_ctx(ctx)
         .try_launch()
         .expect("single-band launches bypass the queue");
     assert!(data.iter().all(|&v| v == 3.0));

@@ -2,32 +2,31 @@
 //! batch formation, deadline-aware execution, per-request responses.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use megablocks_core::DroplessMoe;
-use megablocks_exec::{CancelKind, CancelToken, Ctx, Deadline};
+use megablocks_exec::{cancel, CancelKind, CancelToken, Ctx, Deadline};
 use megablocks_sparse::SparseError;
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::Matrix;
 
-/// Tuning knobs for the serving engine.
-///
-/// [`ServeConfig::from_env`] reads the `MEGABLOCKS_SERVE_*` environment
-/// variables; the builder methods override them programmatically.
+/// Tuning knobs for the serving engine: the product defaults, overridden
+/// with the builder methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Maximum requests per micro-batch (`MEGABLOCKS_SERVE_BATCH`,
-    /// default 8). A batch closes as soon as this many requests wait.
+    /// Maximum requests per micro-batch (default 8). A batch closes as
+    /// soon as this many requests wait.
     pub max_batch: usize,
     /// Maximum time the oldest request waits for co-riders before the
-    /// batch closes anyway (`MEGABLOCKS_SERVE_MAX_WAIT_US`,
-    /// default 2000 µs). Also the slack threshold: a request whose
-    /// deadline is closer than this stops the wait immediately.
+    /// batch closes anyway (default 2000 µs). Also the slack threshold: a
+    /// request whose deadline is closer than this stops the wait
+    /// immediately.
     pub max_wait: Duration,
-    /// Admission-queue bound (`MEGABLOCKS_SERVE_QUEUE_CAP`, default 64).
-    /// Submissions past this shed with [`ServeError::Overloaded`].
+    /// Admission-queue bound (default 64). Submissions past this shed
+    /// with [`ServeError::Overloaded`].
     pub queue_cap: usize,
 }
 
@@ -41,28 +40,7 @@ impl Default for ServeConfig {
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 impl ServeConfig {
-    /// The default config with any `MEGABLOCKS_SERVE_*` environment
-    /// overrides applied (invalid values fall back to the defaults).
-    pub fn from_env() -> Self {
-        let d = ServeConfig::default();
-        ServeConfig {
-            max_batch: env_usize("MEGABLOCKS_SERVE_BATCH")
-                .filter(|&n| n > 0)
-                .unwrap_or(d.max_batch),
-            max_wait: env_usize("MEGABLOCKS_SERVE_MAX_WAIT_US")
-                .map(|us| Duration::from_micros(us as u64))
-                .unwrap_or(d.max_wait),
-            queue_cap: env_usize("MEGABLOCKS_SERVE_QUEUE_CAP")
-                .filter(|&n| n > 0)
-                .unwrap_or(d.queue_cap),
-        }
-    }
-
     /// Overrides the per-batch request cap (must be nonzero).
     pub fn with_max_batch(mut self, n: usize) -> Self {
         assert!(n > 0, "max_batch must be nonzero");
@@ -100,8 +78,9 @@ pub enum ServeError {
     /// The batch this request rode in was cancelled mid-flight
     /// (engine shutdown, or a composite-context trip).
     Cancelled(CancelKind),
-    /// A kernel rejected the batch (corrupt topology metadata or a
-    /// sanitizer failure) — not load-related.
+    /// The batch failed in compute — a kernel rejected it (corrupt
+    /// topology metadata or a sanitizer failure) or panicked — not
+    /// load-related.
     Kernel(String),
     /// The engine is shutting down and no longer accepts work.
     ShuttingDown,
@@ -170,28 +149,37 @@ impl ResponseHandle {
             state = self.slot.cv.wait(state).unwrap_or_else(|p| p.into_inner());
         }
     }
-
-    /// The resolution, if the request already resolved (non-blocking).
-    pub fn try_take(&self) -> Option<Result<Response, ServeError>> {
-        self.slot
-            .state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take()
-    }
 }
 
-/// A queued request awaiting batch formation.
+/// A queued request awaiting batch formation. Every request resolves
+/// exactly once: through [`Pending::resolve`], or — when a batch unwinds
+/// before reaching it — on drop, so no waiter is ever stranded.
 struct Pending {
     tokens: Matrix,
     deadline: Option<Deadline>,
     submitted: Instant,
     slot: Arc<Slot>,
+    resolved: bool,
 }
 
 impl Pending {
     fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| d.expired())
+    }
+
+    fn resolve(mut self, result: Result<Response, ServeError>) {
+        self.resolved = true;
+        self.slot.resolve(result);
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        if !self.resolved {
+            self.slot.resolve(Err(ServeError::Kernel(
+                "the batch panicked before resolving this request".into(),
+            )));
+        }
     }
 }
 
@@ -265,9 +253,9 @@ impl Shared {
 /// Owns a dMoE layer and one batcher thread. Submitting threads hand
 /// token batches to [`Engine::submit`] and block on the returned
 /// [`ResponseHandle`]; the batcher forms micro-batches, runs them
-/// through [`DroplessMoe::infer_ctx`], and resolves each member. The
-/// engine shuts down (cancelling in-flight batches mid-kernel) on
-/// [`Engine::shutdown`] or drop.
+/// through [`DroplessMoe::infer`] under the batch's context, and resolves
+/// each member. The engine shuts down (cancelling in-flight batches
+/// mid-kernel) on [`Engine::shutdown`] or drop.
 pub struct Engine {
     shared: Arc<Shared>,
     batcher: Option<std::thread::JoinHandle<()>>,
@@ -311,11 +299,6 @@ impl Engine {
             shared,
             batcher: Some(batcher),
         }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.shared.cfg
     }
 
     /// The layer being served.
@@ -376,6 +359,7 @@ impl Engine {
             deadline,
             submitted: Instant::now(),
             slot: Arc::clone(&slot),
+            resolved: false,
         });
         let depth = state.queue.len();
         drop(state);
@@ -430,7 +414,7 @@ fn drop_expired(state: &mut State, counters: &Counters) {
             counters.expired.fetch_add(1, Ordering::Relaxed);
             telemetry::counter("serve.expired").inc();
             telemetry::trace_instant("serve.expired");
-            pending.slot.resolve(Err(ServeError::Expired));
+            pending.resolve(Err(ServeError::Expired));
         } else {
             kept.push_back(pending);
         }
@@ -466,7 +450,7 @@ fn batcher_loop(shared: &Shared) {
                 if !state.running {
                     // Drain the queue so no submitter blocks forever.
                     for pending in state.queue.drain(..) {
-                        pending.slot.resolve(Err(ServeError::ShuttingDown));
+                        pending.resolve(Err(ServeError::ShuttingDown));
                     }
                     return;
                 }
@@ -493,8 +477,14 @@ fn batcher_loop(shared: &Shared) {
             let take = state.queue.len().min(shared.cfg.max_batch);
             state.queue.drain(..take).collect::<Vec<_>>()
         };
-        if !batch.is_empty() {
-            run_batch(shared, batch);
+        // A panic inside the batch (a re-raised band panic, a sanitizer
+        // race) must not take the batcher down with it: the unwind drops
+        // the batch, which resolves its members, and the loop keeps
+        // serving the queue.
+        if !batch.is_empty() && catch_unwind(AssertUnwindSafe(|| run_batch(shared, batch))).is_err()
+        {
+            telemetry::counter("serve.batch_panicked").inc();
+            telemetry::trace_instant("serve.batch_panicked");
         }
     }
 }
@@ -539,7 +529,11 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
     telemetry::counter("serve.batches").inc();
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
 
-    match shared.layer.infer_ctx(&input, &ctx) {
+    let result = {
+        let _scope = cancel::enter(&ctx);
+        shared.layer.infer(&input)
+    };
+    match result {
         Ok(output) => {
             let mut row0 = 0;
             for pending in batch {
@@ -552,7 +546,7 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
                     slice.recycle();
                     shared.counters.expired.fetch_add(1, Ordering::Relaxed);
                     telemetry::counter("serve.expired").inc();
-                    pending.slot.resolve(Err(ServeError::Expired));
+                    pending.resolve(Err(ServeError::Expired));
                     continue;
                 }
                 let queue_wait = formed.duration_since(pending.submitted);
@@ -563,7 +557,7 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
                 // resolution already sees itself in the stats.
                 shared.counters.completed.fetch_add(1, Ordering::Relaxed);
                 telemetry::counter("serve.completed").inc();
-                pending.slot.resolve(Ok(Response {
+                pending.resolve(Ok(Response {
                     output: slice,
                     queue_wait,
                     latency,
@@ -584,15 +578,13 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
                     shared.counters.expired.fetch_add(1, Ordering::Relaxed);
                     telemetry::counter("serve.expired").inc();
                 }
-                pending.slot.resolve(Err(error.clone()));
+                pending.resolve(Err(error.clone()));
             }
         }
         Err(other) => {
             let message = other.to_string();
             for pending in batch {
-                pending
-                    .slot
-                    .resolve(Err(ServeError::Kernel(message.clone())));
+                pending.resolve(Err(ServeError::Kernel(message.clone())));
             }
         }
     }
@@ -789,8 +781,48 @@ mod tests {
     }
 
     #[test]
-    fn from_env_falls_back_to_defaults() {
-        // The test environment does not set MEGABLOCKS_SERVE_*.
-        assert_eq!(ServeConfig::from_env(), ServeConfig::default());
+    fn an_unresolved_pending_resolves_its_handle_on_drop() {
+        let slot = Arc::new(Slot::default());
+        let handle = ResponseHandle {
+            slot: Arc::clone(&slot),
+        };
+        drop(Pending {
+            tokens: Matrix::zeros(1, 6),
+            deadline: None,
+            submitted: Instant::now(),
+            slot,
+            resolved: false,
+        });
+        assert!(matches!(handle.wait(), Err(ServeError::Kernel(_))));
+    }
+
+    #[test]
+    fn the_engine_keeps_serving_after_a_contained_batch_panic() {
+        let (engine, mut rng) =
+            small_engine(ServeConfig::default().with_max_wait(Duration::from_millis(1)));
+        // `submit` validates shapes, so reach past it: a request with the
+        // wrong feature size makes `run_batch` panic while packing rows.
+        let slot = Arc::new(Slot::default());
+        let poisoned = ResponseHandle {
+            slot: Arc::clone(&slot),
+        };
+        engine.shared.lock().queue.push_back(Pending {
+            tokens: Matrix::zeros(2, 5),
+            deadline: None,
+            submitted: Instant::now(),
+            slot,
+            resolved: false,
+        });
+        engine.shared.cv.notify_one();
+        assert!(matches!(poisoned.wait(), Err(ServeError::Kernel(_))));
+
+        let request = normal(3, 6, 1.0, &mut rng);
+        let response = engine
+            .submit(request.clone(), None)
+            .expect("admitted")
+            .wait()
+            .expect("served after the panic");
+        let sequential = engine.layer().infer(&request).unwrap();
+        assert_eq!(response.output.as_slice(), sequential.as_slice());
     }
 }

@@ -4,7 +4,7 @@
 //! batches for free; inference does not — requests arrive one at a
 //! time, each carrying its own latency budget. This crate closes that
 //! gap with a deadline-aware micro-batching engine over the dMoE
-//! inference path ([`megablocks_core::DroplessMoe::infer_ctx`]):
+//! inference path ([`megablocks_core::DroplessMoe::infer`]):
 //!
 //! * **Bounded admission** — [`Engine::submit`] enqueues a
 //!   `(tokens, deadline)` request into a bounded queue and sheds with

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use megablocks_exec::CancelKind;
+use megablocks_exec::{CancelKind, ExecError, RaceViolation};
 
 use crate::audit::AuditError;
 
@@ -100,5 +100,48 @@ impl Error for SparseError {}
 impl From<AuditError> for SparseError {
     fn from(e: AuditError) -> Self {
         SparseError::Audit(e)
+    }
+}
+
+/// A failed launch in the sparse error space: cancellation flavors —
+/// explicit cancel, expired deadline, watchdog stall, pool shed — keep the
+/// [`CancelKind`] upper layers classify retryability by, and a detected
+/// band race (`--features sanitize`) becomes the audit finding.
+impl From<ExecError> for SparseError {
+    fn from(e: ExecError) -> Self {
+        let (op, kind) = match e {
+            ExecError::Cancelled { op } => (op, CancelKind::Cancelled),
+            ExecError::DeadlineExceeded { op } => (op, CancelKind::DeadlineExceeded),
+            ExecError::Overloaded { op } => (op, CancelKind::Overloaded),
+            ExecError::Race(RaceViolation::Overlap {
+                op,
+                first_band,
+                second_band,
+                start,
+                end,
+            }) => {
+                return SparseError::Audit(AuditError::RaceDetected {
+                    op,
+                    first_band,
+                    second_band,
+                    start,
+                    end,
+                })
+            }
+            // A claim escape has one offending band; report it as a
+            // degenerate pair so the error shape stays uniform.
+            ExecError::Race(RaceViolation::ClaimMismatch {
+                op, band, recorded, ..
+            }) => {
+                return SparseError::Audit(AuditError::RaceDetected {
+                    op,
+                    first_band: band,
+                    second_band: band,
+                    start: recorded.0,
+                    end: recorded.1,
+                })
+            }
+        };
+        SparseError::Cancelled { op, kind }
     }
 }

@@ -66,40 +66,6 @@ mod sanitize {
     pub(super) fn output(op: &'static str, data: &[f32]) -> Result<(), SparseError> {
         audit::check_finite(op, data).map_err(SparseError::Audit)
     }
-
-    pub(super) fn race(
-        result: Result<(), megablocks_exec::RaceViolation>,
-    ) -> Result<(), SparseError> {
-        use megablocks_exec::RaceViolation;
-        result.map_err(|violation| {
-            SparseError::Audit(match violation {
-                RaceViolation::Overlap {
-                    op,
-                    first_band,
-                    second_band,
-                    start,
-                    end,
-                } => audit::AuditError::RaceDetected {
-                    op,
-                    first_band,
-                    second_band,
-                    start,
-                    end,
-                },
-                // A claim escape has one offending band; report it as a
-                // degenerate pair so the error shape stays uniform.
-                RaceViolation::ClaimMismatch {
-                    op, band, recorded, ..
-                } => audit::AuditError::RaceDetected {
-                    op,
-                    first_band: band,
-                    second_band: band,
-                    start: recorded.0,
-                    end: recorded.1,
-                },
-            })
-        })
-    }
 }
 
 #[cfg(not(feature = "sanitize"))]
@@ -133,38 +99,6 @@ mod sanitize {
     #[inline(always)]
     pub(super) fn output(_op: &'static str, _data: &[f32]) -> Result<(), SparseError> {
         Ok(())
-    }
-
-    #[inline(always)]
-    pub(super) fn race(
-        result: Result<(), megablocks_exec::RaceViolation>,
-    ) -> Result<(), SparseError> {
-        let _ = result;
-        Ok(())
-    }
-}
-
-/// Maps a launch result into the sparse error space: race violations go
-/// through the sanitizer mapping (an inlined no-op without the feature)
-/// and cancellation flavors — explicit cancel, expired deadline, watchdog
-/// stall, pool shed — surface as [`SparseError::Cancelled`], carrying the
-/// [`exec::CancelKind`] upper layers classify retryability by.
-fn launch_result(result: Result<(), exec::ExecError>) -> Result<(), SparseError> {
-    match result {
-        Ok(()) => Ok(()),
-        Err(exec::ExecError::Race(violation)) => sanitize::race(Err(violation)),
-        Err(exec::ExecError::Cancelled { op }) => Err(SparseError::Cancelled {
-            op,
-            kind: exec::CancelKind::Cancelled,
-        }),
-        Err(exec::ExecError::DeadlineExceeded { op }) => Err(SparseError::Cancelled {
-            op,
-            kind: exec::CancelKind::DeadlineExceeded,
-        }),
-        Err(exec::ExecError::Overloaded { op }) => Err(SparseError::Cancelled {
-            op,
-            kind: exec::CancelKind::Overloaded,
-        }),
     }
 }
 
@@ -227,8 +161,10 @@ macro_rules! product_wrappers {
         ///
         /// # Errors
         ///
-        /// Returns [`SparseError::Mismatch`] on incompatible shapes (and
-        /// [`SparseError::Audit`] on sanitizer violations under `sanitize`).
+        /// Returns [`SparseError::Mismatch`] on incompatible shapes,
+        /// [`SparseError::Cancelled`] when the thread's ambient context
+        /// trips (and [`SparseError::Audit`] on sanitizer violations under
+        /// `sanitize`).
         pub fn $try_name($($arg: $ty),*) -> Result<$ret, SparseError> {
             $target($($call),*)
         }
@@ -256,73 +192,25 @@ product_wrappers! {
         = try_sdd_op(a, Trans::N, b, Trans::T, topo);
 }
 
-/// Deadline-aware form of [`try_sdd`]: the forward-pass SDD run under
-/// `ctx`, additionally returning [`SparseError::Cancelled`] when the
-/// context trips or the launch is shed under overload.
-///
-/// # Errors
-///
-/// Everything [`try_sdd`] returns, plus [`SparseError::Cancelled`].
-pub fn try_sdd_ctx(
-    a: &Matrix,
-    b: &Matrix,
-    topo: &Topology,
-    ctx: &exec::Ctx,
-) -> Result<BlockSparseMatrix, SparseError> {
-    try_sdd_op_ctx(a, Trans::N, b, Trans::N, topo, ctx)
-}
-
 /// General SDD with transpose control over both dense inputs:
 /// `out = op_a(a) * op_b(b)` restricted to the nonzero blocks of `topo`.
 ///
-/// # Panics
-///
-/// Panics if `op_a(a)` is not `M x K`, `op_b(b)` is not `K x N`, where
-/// `(M, N) = topo.shape()`.
-pub fn sdd_op(
-    a: &Matrix,
-    op_a: Trans,
-    b: &Matrix,
-    op_b: Trans,
-    topo: &Topology,
-) -> BlockSparseMatrix {
-    try_sdd_op(a, op_a, b, op_b, topo).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`sdd_op`]: shape mismatches surface as
-/// [`SparseError::Mismatch`] instead of panicking.
+/// Like every product here it launches under the calling thread's ambient
+/// context ([`megablocks_exec::cancel::enter`]), checked before launch, at
+/// every band boundary and inside the tiled microkernel's panel loop.
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::Mismatch`] if `op_a(a)` is not `M x K`, `op_b(b)`
-/// is not `K x N`, where `(M, N) = topo.shape()`.
+/// Returns [`SparseError::Mismatch`] if `op_a(a)` is not `M x K` or
+/// `op_b(b)` is not `K x N`, where `(M, N) = topo.shape()`, and
+/// [`SparseError::Cancelled`] when the ambient context trips (or the
+/// launch is shed under overload).
 pub fn try_sdd_op(
     a: &Matrix,
     op_a: Trans,
     b: &Matrix,
     op_b: Trans,
     topo: &Topology,
-) -> Result<BlockSparseMatrix, SparseError> {
-    try_sdd_op_ctx(a, op_a, b, op_b, topo, &exec::Ctx::none())
-}
-
-/// Deadline-aware form of [`try_sdd_op`]: the product runs under `ctx`,
-/// checked at entry, at every band boundary and inside the tiled
-/// microkernel's panel loop. An empty context ([`exec::Ctx::none`])
-/// inherits the submitting thread's ambient context, making this exactly
-/// [`try_sdd_op`].
-///
-/// # Errors
-///
-/// Everything [`try_sdd_op`] returns, plus [`SparseError::Cancelled`]
-/// when the context trips (or the launch is shed under overload).
-pub fn try_sdd_op_ctx(
-    a: &Matrix,
-    op_a: Trans,
-    b: &Matrix,
-    op_b: Trans,
-    topo: &Topology,
-    ctx: &exec::Ctx,
 ) -> Result<BlockSparseMatrix, SparseError> {
     let (m, n) = topo.shape();
     let (am, ak) = logical(a, op_a);
@@ -347,9 +235,6 @@ pub fn try_sdd_op_ctx(
 
     let variant = sdd_variant(op_a, op_b);
     let _span = telemetry::span(variant);
-    if let Some(kind) = ctx.status() {
-        return Err(SparseError::Cancelled { op: variant, kind });
-    }
     sanitize::topology(topo)?;
 
     let mut out = BlockSparseMatrix::pooled_zeros(topo);
@@ -398,17 +283,14 @@ pub fn try_sdd_op_ctx(
     if threads > 1 {
         sanitize::sdd_partition(topo, threads, blocks_per_thread)?;
     }
-    launch_result(
-        exec::LaunchPlan::over_items(
-            variant,
-            out.as_mut_slice(),
-            area,
-            blocks_per_thread,
-            &compute,
-        )
-        .with_ctx(ctx.clone())
-        .try_launch(),
-    )?;
+    exec::LaunchPlan::over_items(
+        variant,
+        out.as_mut_slice(),
+        area,
+        blocks_per_thread,
+        &compute,
+    )
+    .try_launch()?;
     sanitize::output(variant, out.as_slice())?;
     Ok(out)
 }
@@ -433,20 +315,6 @@ product_wrappers! {
     /// transpose-index secondary index; no values are copied or transposed.
     dst_d / try_dst_d: (s: &BlockSparseMatrix, d: &Matrix) -> Matrix
         = try_dsd_op(s, Trans::T, d, Trans::N);
-}
-
-/// Deadline-aware form of [`try_dsd`]: the forward-pass DSD run under
-/// `ctx`.
-///
-/// # Errors
-///
-/// Everything [`try_dsd`] returns, plus [`SparseError::Cancelled`].
-pub fn try_dsd_ctx(
-    s: &BlockSparseMatrix,
-    d: &Matrix,
-    ctx: &exec::Ctx,
-) -> Result<Matrix, SparseError> {
-    try_dsd_op_ctx(s, Trans::N, d, Trans::N, ctx)
 }
 
 /// DS^TD via explicit transposition — the ablation baseline for §5.1.4.
@@ -478,42 +346,15 @@ pub fn try_dst_d_explicit(s: &BlockSparseMatrix, d: &Matrix) -> Result<Matrix, S
 
 /// General DSD: `out = op_s(s) * op_d(d)`.
 ///
-/// # Panics
-///
-/// Panics if the logical shapes are incompatible.
-pub fn dsd_op(s: &BlockSparseMatrix, op_s: Trans, d: &Matrix, op_d: Trans) -> Matrix {
-    try_dsd_op(s, op_s, d, op_d).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`dsd_op`]: shape mismatches surface as
-/// [`SparseError::Mismatch`] instead of panicking.
-///
 /// # Errors
 ///
 /// Returns [`SparseError::Mismatch`] if the inner dimensions of `op_s(s)`
-/// and `op_d(d)` differ.
+/// and `op_d(d)` differ, and [`SparseError::Cancelled`] as [`try_sdd_op`].
 pub fn try_dsd_op(
     s: &BlockSparseMatrix,
     op_s: Trans,
     d: &Matrix,
     op_d: Trans,
-) -> Result<Matrix, SparseError> {
-    try_dsd_op_ctx(s, op_s, d, op_d, &exec::Ctx::none())
-}
-
-/// Deadline-aware form of [`try_dsd_op`] — see [`try_sdd_op_ctx`] for
-/// the context contract.
-///
-/// # Errors
-///
-/// Everything [`try_dsd_op`] returns, plus [`SparseError::Cancelled`]
-/// when the context trips (or the launch is shed under overload).
-pub fn try_dsd_op_ctx(
-    s: &BlockSparseMatrix,
-    op_s: Trans,
-    d: &Matrix,
-    op_d: Trans,
-    ctx: &exec::Ctx,
 ) -> Result<Matrix, SparseError> {
     let topo = s.topology();
     let bs = topo.block_size().get();
@@ -534,9 +375,6 @@ pub fn try_dsd_op_ctx(
 
     let variant = dsd_variant(op_s, op_d);
     let _span = telemetry::span(variant);
-    if let Some(kind) = ctx.status() {
-        return Err(SparseError::Cancelled { op: variant, kind });
-    }
     sanitize::topology(topo)?;
     telemetry::counter_with("sparse.blocks", variant).add(topo.nnz_blocks() as u64);
     telemetry::counter_with("sparse.flops", variant).add(2 * topo.nnz() as u64 * n as u64);
@@ -599,17 +437,14 @@ pub fn try_dsd_op_ctx(
             compute_group(band, g0 + off);
         }
     };
-    launch_result(
-        exec::LaunchPlan::over_items(
-            variant,
-            out.as_mut_slice(),
-            bs * n,
-            groups_per_thread,
-            &body,
-        )
-        .with_ctx(ctx.clone())
-        .try_launch(),
-    )?;
+    exec::LaunchPlan::over_items(
+        variant,
+        out.as_mut_slice(),
+        bs * n,
+        groups_per_thread,
+        &body,
+    )
+    .try_launch()?;
     sanitize::output(variant, out.as_slice())?;
     Ok(out)
 }
@@ -619,72 +454,23 @@ pub fn try_dsd_op_ctx(
 // ---------------------------------------------------------------------------
 
 product_wrappers! {
-    /// DDS: computes `out = d * s`.
-    dds / try_dds: (d: &Matrix, s: &BlockSparseMatrix) -> Matrix
-        = try_dds_op(d, Trans::N, s, Trans::N);
-
-    /// DDS^T: computes `out = d * s^T` (row-major traversal of the sparse
-    /// operand).
-    dds_t / try_dds_t: (d: &Matrix, s: &BlockSparseMatrix) -> Matrix
-        = try_dds_op(d, Trans::N, s, Trans::T);
-
     /// DD^TS: computes `out = d^T * s` — the first-layer weight gradient of
     /// a dMoE FFN (paper §5.1).
     ddt_s / try_ddt_s: (d: &Matrix, s: &BlockSparseMatrix) -> Matrix
         = try_dds_op(d, Trans::T, s, Trans::N);
 }
 
-/// Deadline-aware form of [`try_dds`]: `out = d * s` run under `ctx`.
-///
-/// # Errors
-///
-/// Everything [`try_dds`] returns, plus [`SparseError::Cancelled`].
-pub fn try_dds_ctx(
-    d: &Matrix,
-    s: &BlockSparseMatrix,
-    ctx: &exec::Ctx,
-) -> Result<Matrix, SparseError> {
-    try_dds_op_ctx(d, Trans::N, s, Trans::N, ctx)
-}
-
 /// General DDS: `out = op_d(d) * op_s(s)`.
-///
-/// # Panics
-///
-/// Panics if the logical shapes are incompatible.
-pub fn dds_op(d: &Matrix, op_d: Trans, s: &BlockSparseMatrix, op_s: Trans) -> Matrix {
-    try_dds_op(d, op_d, s, op_s).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`dds_op`]: shape mismatches surface as
-/// [`SparseError::Mismatch`] instead of panicking.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::Mismatch`] if the inner dimensions of `op_d(d)`
-/// and `op_s(s)` differ.
+/// and `op_s(s)` differ, and [`SparseError::Cancelled`] as [`try_sdd_op`].
 pub fn try_dds_op(
     d: &Matrix,
     op_d: Trans,
     s: &BlockSparseMatrix,
     op_s: Trans,
-) -> Result<Matrix, SparseError> {
-    try_dds_op_ctx(d, op_d, s, op_s, &exec::Ctx::none())
-}
-
-/// Deadline-aware form of [`try_dds_op`] — see [`try_sdd_op_ctx`] for
-/// the context contract.
-///
-/// # Errors
-///
-/// Everything [`try_dds_op`] returns, plus [`SparseError::Cancelled`]
-/// when the context trips (or the launch is shed under overload).
-pub fn try_dds_op_ctx(
-    d: &Matrix,
-    op_d: Trans,
-    s: &BlockSparseMatrix,
-    op_s: Trans,
-    ctx: &exec::Ctx,
 ) -> Result<Matrix, SparseError> {
     let topo = s.topology();
     let bs = topo.block_size().get();
@@ -706,9 +492,6 @@ pub fn try_dds_op_ctx(
 
     let variant = dds_variant(op_d, op_s);
     let _span = telemetry::span(variant);
-    if let Some(kind) = ctx.status() {
-        return Err(SparseError::Cancelled { op: variant, kind });
-    }
     sanitize::topology(topo)?;
     telemetry::counter_with("sparse.blocks", variant).add(topo.nnz_blocks() as u64);
     telemetry::counter_with("sparse.flops", variant).add(2 * topo.nnz() as u64 * m as u64);
@@ -758,11 +541,8 @@ pub fn try_dds_op_ctx(
 
     let rows_per_thread = m.div_ceil(threads);
     let body = |band: &mut [f32], i0: usize| compute_band(band, i0, band.len() / n);
-    launch_result(
-        exec::LaunchPlan::over_items(variant, out.as_mut_slice(), n, rows_per_thread, &body)
-            .with_ctx(ctx.clone())
-            .try_launch(),
-    )?;
+    exec::LaunchPlan::over_items(variant, out.as_mut_slice(), n, rows_per_thread, &body)
+        .try_launch()?;
     sanitize::output(variant, out.as_slice())?;
     Ok(out)
 }
@@ -844,7 +624,7 @@ mod tests {
                 Trans::N => rand_matrix(k, n, 2),
                 Trans::T => rand_matrix(n, k, 2),
             };
-            let got = sdd_op(&a, op_a, &b, op_b, &topo).to_dense();
+            let got = try_sdd_op(&a, op_a, &b, op_b, &topo).unwrap().to_dense();
             let ad = if op_a == Trans::T {
                 a.transpose()
             } else {
@@ -890,7 +670,7 @@ mod tests {
                 Trans::N => rand_matrix(inner, n, 4),
                 Trans::T => rand_matrix(n, inner, 4),
             };
-            let got = dsd_op(&s, op_s, &d, op_d);
+            let got = try_dsd_op(&s, op_s, &d, op_d).unwrap();
             let sm = if op_s == Trans::T {
                 sd.transpose()
             } else {
@@ -936,7 +716,7 @@ mod tests {
                 Trans::N => rand_matrix(m, inner, 6),
                 Trans::T => rand_matrix(inner, m, 6),
             };
-            let got = dds_op(&d, op_d, &s, op_s);
+            let got = try_dds_op(&d, op_d, &s, op_s).unwrap();
             let dm = if op_d == Trans::T {
                 d.transpose()
             } else {
@@ -1030,7 +810,10 @@ mod tests {
         let d = rand_matrix(8, 5, 22);
         assert_eq!(dsd(&s, &d).max_abs(), 0.0);
         let d2 = rand_matrix(5, 8, 23);
-        assert_eq!(dds(&d2, &s).max_abs(), 0.0);
+        assert_eq!(
+            try_dds_op(&d2, Trans::N, &s, Trans::N).unwrap().max_abs(),
+            0.0
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! (`std::thread` here is fine: the raw-parallelism lint exempts
 //! `tests/` directories.)
 
-use megablocks_exec::scoped_parallelism;
-use megablocks_sparse::{ops, BlockSize, Topology};
-use megablocks_tensor::{matmul, Matrix};
+use megablocks_exec::{cancel, scoped_parallelism, CancelKind, CancelToken, Ctx, Deadline};
+use megablocks_sparse::{ops, BlockSize, SparseError, Topology};
+use megablocks_tensor::{matmul, Matrix, Trans};
 
 /// An irregular MoE-style topology: imbalanced expert loads so bands do
 /// not align with expert boundaries.
@@ -40,7 +40,7 @@ fn run_all_kernels() -> Vec<Vec<f32>> {
     let dt = Matrix::from_fn(rows, 24, |i, j| ((i * 17 + j) as f32).cos());
     let dst_d = ops::dst_d(&s, &dt);
     let lhs = Matrix::from_fn(24, rows, |i, j| ((i + j * 29) as f32).sin());
-    let dds = ops::dds(&lhs, &s);
+    let dds = ops::try_dds_op(&lhs, Trans::N, &s, Trans::N).expect("shapes agree");
     let gemm = matmul(&a, &b);
 
     let mut outputs = vec![
@@ -58,18 +58,22 @@ fn run_all_kernels() -> Vec<Vec<f32>> {
     outputs
 }
 
+/// Bitwise equality, not approx: band count must be invisible.
+fn assert_bit_identical(got: &[Vec<f32>], reference: &[Vec<f32>], what: &str) {
+    assert_eq!(got.len(), reference.len());
+    for (k, (g, r)) in got.iter().zip(reference).enumerate() {
+        let g_bits: Vec<u32> = g.iter().map(|v| v.to_bits()).collect();
+        let r_bits: Vec<u32> = r.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(g_bits, r_bits, "kernel #{k} diverged {what}");
+    }
+}
+
 #[test]
 fn outputs_are_bit_identical_across_worker_counts() {
     let reference = scoped_parallelism(1, run_all_kernels);
     for threads in [2usize, 8] {
         let got = scoped_parallelism(threads, run_all_kernels);
-        assert_eq!(got.len(), reference.len());
-        for (k, (g, r)) in got.iter().zip(&reference).enumerate() {
-            // Bitwise equality, not approx: band count must be invisible.
-            let g_bits: Vec<u32> = g.iter().map(|v| v.to_bits()).collect();
-            let r_bits: Vec<u32> = r.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(g_bits, r_bits, "kernel #{k} diverged at {threads} threads");
-        }
+        assert_bit_identical(&got, &reference, &format!("at {threads} threads"));
     }
 }
 
@@ -94,60 +98,47 @@ fn moe_layer_shapes_are_deterministic_too() {
 }
 
 #[test]
-fn live_cancellation_contexts_do_not_perturb_results() {
-    // Satellite of the cancellation layer: carrying a live (never
-    // tripped) context through the `try_*_ctx` entry points must be
-    // bit-invisible — same outputs as the context-free paths, at every
-    // worker count. The cancellation checks sit at band boundaries and
-    // panel-loop edges, never inside a reduction, so a context that
-    // stays live cannot reorder a single float addition.
-    let token = megablocks_exec::CancelToken::new();
-    let ctx = megablocks_exec::Ctx::none().with_token(&token);
-    let run_ctx = || {
-        let topo = moe_topology();
-        let (a, b) = inputs(&topo);
-        let (_rows, cols) = topo.shape();
-        let s = ops::try_sdd_ctx(&a, &b, &topo, &ctx).expect("live ctx");
-        let d = Matrix::from_fn(cols, 24, |i, j| ((i * 3 + j * 11) as f32).sin());
-        let dsd = ops::try_dsd_ctx(&s, &d, &ctx).expect("live ctx");
-        let lhs = Matrix::from_fn(24, topo.shape().0, |i, j| ((i + j * 29) as f32).sin());
-        let dds = ops::try_dds_ctx(&lhs, &s, &ctx).expect("live ctx");
-        (
-            s.as_slice().to_vec(),
-            dsd.as_slice().to_vec(),
-            dds.as_slice().to_vec(),
-        )
-    };
-    let run_plain = || {
-        let topo = moe_topology();
-        let (a, b) = inputs(&topo);
-        let (_rows, cols) = topo.shape();
-        let s = ops::sdd(&a, &b, &topo);
-        let d = Matrix::from_fn(cols, 24, |i, j| ((i * 3 + j * 11) as f32).sin());
-        let dsd = ops::dsd(&s, &d);
-        let lhs = Matrix::from_fn(24, topo.shape().0, |i, j| ((i + j * 29) as f32).sin());
-        let dds = ops::dds(&lhs, &s);
-        (
-            s.as_slice().to_vec(),
-            dsd.as_slice().to_vec(),
-            dds.as_slice().to_vec(),
-        )
-    };
-    let reference = scoped_parallelism(1, run_plain);
+fn ambient_contexts_are_bit_invisible_while_live_and_cancel_when_tripped() {
+    // The products take no context argument: they launch under whatever
+    // the calling thread entered. A live (never tripped) context must be
+    // bit-invisible — the cancellation checks sit at band boundaries and
+    // panel-loop edges, never inside a reduction — and a tripped one must
+    // surface as `Cancelled` with the kind that tripped it.
+    let reference = scoped_parallelism(1, run_all_kernels);
+    let token = CancelToken::new();
+    let live = Ctx::none()
+        .with_token(&token)
+        .with_deadline(Deadline::after(std::time::Duration::from_secs(3600)));
     for threads in [1usize, 2, 8] {
-        let got = scoped_parallelism(threads, run_ctx);
-        let to_bits = |triple: &(Vec<f32>, Vec<f32>, Vec<f32>)| {
-            [
-                triple.0.iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
-                triple.1.iter().map(|v| v.to_bits()).collect(),
-                triple.2.iter().map(|v| v.to_bits()).collect(),
-            ]
-        };
-        assert_eq!(
-            to_bits(&got),
-            to_bits(&reference),
-            "a live context changed results at {threads} threads"
-        );
+        let _scope = cancel::enter(&live);
+        let got = scoped_parallelism(threads, run_all_kernels);
+        let what = format!("under a live context at {threads} threads");
+        assert_bit_identical(&got, &reference, &what);
+    }
+
+    let topo = moe_topology();
+    let (a, b) = inputs(&topo);
+    let s = ops::sdd(&a, &b, &topo);
+    let d = Matrix::from_fn(topo.shape().1, 24, |i, j| ((i * 3 + j * 11) as f32).sin());
+    let lhs = Matrix::from_fn(24, topo.shape().0, |i, j| ((i + j * 29) as f32).sin());
+    token.cancel();
+    let expired = Ctx::none().with_deadline(Deadline::after(std::time::Duration::ZERO));
+    for (ctx, want) in [
+        (&live, CancelKind::Cancelled),
+        (&expired, CancelKind::DeadlineExceeded),
+    ] {
+        let _scope = cancel::enter(ctx);
+        let results = [
+            ops::try_sdd(&a, &b, &topo).map(|_| ()),
+            ops::try_dsd(&s, &d).map(|_| ()),
+            ops::try_dds_op(&lhs, Trans::N, &s, Trans::N).map(|_| ()),
+        ];
+        for (result, op) in results
+            .into_iter()
+            .zip(["sparse.sdd", "sparse.dsd", "sparse.dds"])
+        {
+            assert_eq!(result, Err(SparseError::Cancelled { op, kind: want }));
+        }
     }
 }
 

@@ -84,7 +84,11 @@ fn all_sparse_products(topo: &Topology, k: usize, n: usize, m: usize, seed: u64)
             Trans::N => lcg_matrix(k, cols, seed ^ 1),
             Trans::T => lcg_matrix(cols, k, seed ^ 1),
         };
-        outputs.push(bits(ops::sdd_op(&a, op_a, &b, op_b, topo).as_slice()));
+        outputs.push(bits(
+            ops::try_sdd_op(&a, op_a, &b, op_b, topo)
+                .unwrap()
+                .as_slice(),
+        ));
     }
 
     // A fixed sparse operand for the DSD/DDS families, built without any
@@ -109,7 +113,9 @@ fn all_sparse_products(topo: &Topology, k: usize, n: usize, m: usize, seed: u64)
             Trans::N => lcg_matrix(inner, n, seed ^ 3),
             Trans::T => lcg_matrix(n, inner, seed ^ 3),
         };
-        outputs.push(bits(ops::dsd_op(&s, op_s, &d, op_d).as_slice()));
+        outputs.push(bits(
+            ops::try_dsd_op(&s, op_s, &d, op_d).unwrap().as_slice(),
+        ));
     }
 
     for &(op_d, op_s) in &COMBOS {
@@ -121,7 +127,9 @@ fn all_sparse_products(topo: &Topology, k: usize, n: usize, m: usize, seed: u64)
             Trans::N => lcg_matrix(m, inner, seed ^ 4),
             Trans::T => lcg_matrix(inner, m, seed ^ 4),
         };
-        outputs.push(bits(ops::dds_op(&d, op_d, &s, op_s).as_slice()));
+        outputs.push(bits(
+            ops::try_dds_op(&d, op_d, &s, op_s).unwrap().as_slice(),
+        ));
     }
 
     outputs

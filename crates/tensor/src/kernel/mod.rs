@@ -39,9 +39,7 @@
 //! re-readable at runtime, so benchmarks can flip backends between
 //! measurements.
 
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
-use std::sync::OnceLock;
-
+use megablocks_exec::{Setting, SettingValue};
 use megablocks_telemetry as telemetry;
 
 pub mod scalar;
@@ -165,63 +163,51 @@ impl KernelBackend {
             KernelBackend::Tiled => "tiled",
         }
     }
+}
+
+impl SettingValue for KernelBackend {
+    const EXPECTED: &'static str = "\"scalar\" or \"tiled\"";
 
     /// Parses a `MEGABLOCKS_KERNEL` value.
-    pub fn parse(s: &str) -> Option<KernelBackend> {
+    fn parse(s: &str) -> Option<KernelBackend> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelBackend::Scalar),
             "tiled" => Some(KernelBackend::Tiled),
             _ => None,
         }
     }
-}
 
-/// Explicit backend request (0 = unset; otherwise `encode(backend)`).
-static CONFIGURED: AtomicU8 = AtomicU8::new(0);
+    fn to_bits(self) -> u64 {
+        self as u64
+    }
 
-/// Backend resolved from the environment, cached on first use.
-static ENV_DEFAULT: OnceLock<KernelBackend> = OnceLock::new();
-
-#[inline]
-fn encode(b: KernelBackend) -> u8 {
-    match b {
-        KernelBackend::Scalar => 1,
-        KernelBackend::Tiled => 2,
+    fn from_bits(bits: u64) -> Self {
+        if bits == KernelBackend::Scalar as u64 {
+            KernelBackend::Scalar
+        } else {
+            KernelBackend::Tiled
+        }
     }
 }
+
+/// [`configure_kernel_backend`] > `MEGABLOCKS_KERNEL` (a typo'd name
+/// panics rather than silently benchmarking the default) >
+/// [`KernelBackend::Tiled`].
+static BACKEND: Setting<KernelBackend> =
+    Setting::new(Some("MEGABLOCKS_KERNEL"), || KernelBackend::Tiled);
 
 /// Selects the process-wide GEMM backend, overriding `MEGABLOCKS_KERNEL`
 /// and the default. Takes effect for every subsequent product (the switch
 /// is re-readable at runtime — backends are bit-identical, so flipping
 /// mid-run changes speed, never results). Returns the previous selection.
 pub fn configure_kernel_backend(backend: KernelBackend) -> KernelBackend {
-    let previous = CONFIGURED.swap(encode(backend), Relaxed);
-    match previous {
-        1 => KernelBackend::Scalar,
-        2 => KernelBackend::Tiled,
-        _ => *ENV_DEFAULT.get_or_init(env_default),
-    }
-}
-
-fn env_default() -> KernelBackend {
-    match std::env::var("MEGABLOCKS_KERNEL") {
-        Ok(v) => KernelBackend::parse(&v).unwrap_or_else(|| {
-            // A typo'd backend name must not silently invalidate a
-            // benchmark run by falling back to the default.
-            panic!("MEGABLOCKS_KERNEL={v:?} is not a backend (expected \"scalar\" or \"tiled\")")
-        }),
-        Err(_) => KernelBackend::Tiled,
-    }
+    BACKEND.set(backend)
 }
 
 /// The currently selected backend: [`configure_kernel_backend`] >
 /// `MEGABLOCKS_KERNEL` > [`KernelBackend::Tiled`].
 pub fn kernel_backend() -> KernelBackend {
-    match CONFIGURED.load(Relaxed) {
-        1 => KernelBackend::Scalar,
-        2 => KernelBackend::Tiled,
-        _ => *ENV_DEFAULT.get_or_init(env_default),
-    }
+    BACKEND.get()
 }
 
 static SCALAR: ScalarKernel = ScalarKernel;

@@ -12,7 +12,9 @@
 use std::path::PathBuf;
 
 use megablocks::core::checkpoint::{validate_checkpoint_file, VERSION_V2};
-use megablocks::core::{resilient_expert_parallel_forward, DroplessMoe, EpPolicy, MoeConfig};
+use megablocks::core::{
+    resilient_expert_parallel_forward, DroplessMoe, EpBreaker, EpPolicy, MoeConfig,
+};
 use megablocks::data::{PileConfig, SyntheticPile, TokenDataset};
 use megablocks::resilience::sites::{
     CHECKPOINT_IO, EP_SHARD_DELAY, EP_SHARD_FAIL, EXEC_WORKER_PANIC, KERNEL_NAN_POISON,
@@ -115,7 +117,8 @@ fn soak_survives_every_fault_kind_and_matches_the_baseline() {
         straggler_floor_us: 5_000,
         ..EpPolicy::default()
     };
-    let outcome = resilient_expert_parallel_forward(&moe, &x, 4, &policy).expect("recovers");
+    let outcome = resilient_expert_parallel_forward(&moe, &x, 4, &policy, &mut EpBreaker::never())
+        .expect("recovers");
 
     // --- Every scheduled site actually injected ------------------------
     let injected = report();

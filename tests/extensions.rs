@@ -3,7 +3,7 @@
 //! routing, and the expert-parallel execution path.
 
 use megablocks::core::{
-    expert_parallel_forward, load_imbalance, DroplessMoe, ExpertChoiceMoe, MoeConfig, Router,
+    load_imbalance, try_expert_parallel_forward, DroplessMoe, ExpertChoiceMoe, MoeConfig, Router,
     SinkhornRouter, VariableDroplessMoe, VariableMoeConfig,
 };
 use megablocks::tensor::init::{normal, seeded_rng};
@@ -95,7 +95,7 @@ fn expert_parallel_matches_reference_through_facade() {
     let layer = DroplessMoe::new(MoeConfig::new(8, 16, 4).with_block_size(4), &mut rng);
     let x = normal(23, 8, 1.0, &mut rng);
     let reference = layer.forward(&x).output;
-    let (out, stats, buffers) = expert_parallel_forward(&layer, &x, 2);
+    let (out, stats, buffers) = try_expert_parallel_forward(&layer, &x, 2).unwrap();
     assert!(out.approx_eq(&reference, 1e-4));
     assert_eq!(stats.num_shards, 2);
     assert_eq!(buffers.shard_inputs.len(), 2);

@@ -135,7 +135,7 @@ proptest! {
         prop_assert!(got.approx_eq(&slow, 1e-4));
 
         let d3 = Matrix::from_fn(n, rows, |i, j| ((i * 2 + j) as f32 * 0.31).cos());
-        let got = ops::dds(&d3, &s);
+        let got = ops::try_dds_op(&d3, Trans::N, &s, Trans::N).unwrap();
         prop_assert!(got.approx_eq(&matmul(&d3, &sd), 1e-4));
 
         let d4 = Matrix::from_fn(rows, n, |i, j| ((i + 7 * j) as f32 * 0.17).sin());
