@@ -15,7 +15,7 @@
 //! The enforced rules live in the central [`rules::RULES`] registry —
 //! run `cargo run -p megablocks-audit -- lint --list` for the table, and
 //! see each rule's doc string there for what it checks. Briefly:
-//! `safety-comment`, `hot-path-panic`, `try-twin`, `telemetry-parity`,
+//! `safety-comment`, `hot-path-panic`, `telemetry-parity`,
 //! `raw-parallelism` and `fault-site-telemetry` port the original
 //! line-based lints onto the token model; `feature-gate-parity`,
 //! `error-exhaustive` and `unsafe-safety-format` are only expressible on
@@ -51,9 +51,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/tensor/src/kernel/tiled.rs",
     "crates/core/src/permute.rs",
 ];
-
-/// The file that must provide a `try_*` twin for every public sparse op.
-pub const SPARSE_OPS: &str = "crates/sparse/src/ops.rs";
 
 /// The feature-gated telemetry implementation pairs that must agree
 /// (enabled variant first, its no-op twin second).
@@ -278,13 +275,12 @@ pub fn run_all_lints(root: &Path) -> io::Result<Vec<Finding>> {
         }
 
         // `raw-parallelism`: raw thread primitives only inside the
-        // execution runtime. Tests and benches are exempt
-        // (determinism/stress suites drive the pool from OS threads
-        // deliberately), as is the audit crate (fixture literals).
+        // execution runtime. Tests are exempt (determinism/stress suites
+        // drive the pool from OS threads deliberately), as is the audit
+        // crate (fixture literals).
         if !wf.rel.starts_with(EXEC_CRATE)
             && !wf.rel.starts_with("crates/audit/")
             && !wf.rel.contains("/tests/")
-            && !wf.rel.contains("/benches/")
         {
             findings.extend(check_raw_parallelism(wf));
         }
@@ -292,12 +288,11 @@ pub fn run_all_lints(root: &Path) -> io::Result<Vec<Finding>> {
         // `kernel-dispatch`: raw GEMM inner loops only inside the
         // microkernel module — tensor/sparse compute funnels through
         // `block_gemm` so the backend registry governs every path.
-        // Tests and benches are exempt (reference implementations are
-        // exactly what parity suites hand-roll).
+        // Tests are exempt (reference implementations are exactly what
+        // parity suites hand-roll).
         if (wf.rel.starts_with("crates/tensor/") || wf.rel.starts_with("crates/sparse/"))
             && !wf.rel.starts_with(KERNEL_DIR)
             && !wf.rel.contains("/tests/")
-            && !wf.rel.contains("/benches/")
         {
             findings.extend(check_kernel_dispatch(wf));
         }
@@ -306,11 +301,6 @@ pub fn run_all_lints(root: &Path) -> io::Result<Vec<Finding>> {
         // crate's own fixtures.
         if !wf.rel.starts_with("crates/audit/") {
             findings.extend(check_feature_gate_parity(wf));
-        }
-
-        // `try-twin`, on the public sparse ops file.
-        if wf.rel == SPARSE_OPS {
-            findings.extend(check_try_twins(wf));
         }
 
         // Suppression comments: collect where they apply, and lint their
@@ -513,44 +503,6 @@ pub fn check_hot_path_panics(wf: &WorkspaceFile) -> Vec<Finding> {
             rule: "hot-path-panic",
             message: format!("`{pat}` in a kernel hot path; propagate the error instead"),
         });
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------------
-// try-twin
-// ---------------------------------------------------------------------------
-
-/// `try-twin`: every top-level `pub fn` in the sparse ops file that is
-/// not itself a `try_*` function must have a `try_*` twin.
-pub fn check_try_twins(wf: &WorkspaceFile) -> Vec<Finding> {
-    let names: Vec<(usize, &str)> = wf
-        .sf
-        .items
-        .iter()
-        .filter(|it| {
-            it.kind == ItemKind::Fn
-                && it.vis == model::Vis::Pub
-                && it.owner.is_none()
-                && it.mod_path.is_empty()
-                && !it.is_test_gated()
-        })
-        .map(|it| (it.line, it.name.as_str()))
-        .collect();
-    let mut findings = Vec::new();
-    for (line, name) in &names {
-        if name.starts_with("try_") {
-            continue;
-        }
-        let twin = format!("try_{name}");
-        if !names.iter().any(|(_, n)| *n == twin) {
-            findings.push(Finding {
-                file: wf.rel.clone(),
-                line: *line,
-                rule: "try-twin",
-                message: format!("public sparse op `{name}` has no fallible `{twin}` twin"),
-            });
-        }
     }
     findings
 }
@@ -940,7 +892,7 @@ pub fn check_error_exhaustive(files: &[WorkspaceFile]) -> Vec<Finding> {
         for (variant, vline) in &decl_item.variants {
             let mut constructed = false;
             'files: for wf in files {
-                if wf.rel.contains("/tests/") || wf.rel.contains("/benches/") {
+                if wf.rel.contains("/tests/") {
                     continue;
                 }
                 let cv = CodeView::new(wf);
@@ -1421,23 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn try_twin_lint_requires_twin() {
-        let with_twin = "pub fn sdd() {}\npub fn try_sdd() {}\n";
-        assert!(check_try_twins(&wf(with_twin)).is_empty());
-        let without = "pub fn sdd() {}\npub fn dsd() {}\npub fn try_dsd() {}\n";
-        let f = check_try_twins(&wf(without));
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("`sdd`"));
-    }
-
-    #[test]
-    fn try_twin_lint_ignores_nested_functions() {
-        let src =
-            "mod helpers {\n    pub fn internal() {}\n}\npub fn op() {}\npub fn try_op() {}\n";
-        assert!(check_try_twins(&wf(src)).is_empty());
-    }
-
-    #[test]
     fn parity_lint_accepts_identical_apis() {
         let enabled = wf("pub struct Counter;\nimpl Counter {\n    pub fn add(&self, n: u64) { let _ = n; }\n}\npub fn counter(name: &'static str) -> Counter { Counter }\n");
         let disabled = wf("pub struct Counter;\nimpl Counter {\n    pub fn add(&self, _n: u64) {}\n}\npub fn counter(_name: &'static str) -> Counter { Counter }\n");
@@ -1692,12 +1627,12 @@ mod tests {
         let findings = vec![Finding {
             file: "a.rs".to_string(),
             line: 3,
-            rule: "try-twin",
+            rule: "hot-path-panic",
             message: "needs a \"twin\"".to_string(),
         }];
         let json = findings_to_json(&findings);
         assert!(json.contains("\"total\":1"));
-        assert!(json.contains("\"try-twin\":1"));
+        assert!(json.contains("\"hot-path-panic\":1"));
         assert!(json.contains("\"safety-comment\":0"));
         assert!(json.contains("needs a \\\"twin\\\""));
     }

@@ -36,13 +36,8 @@ pub const RULES: &[Rule] = &[
               of the kernel hot-path files",
         since: "PR 2",
     },
-    Rule {
-        id: 3,
-        slug: "try-twin",
-        doc: "every panicking public sparse op in crates/sparse/src/ops.rs \
-              has a fallible `try_*` twin",
-        since: "PR 2",
-    },
+    // id 3 (`try-twin`) is retired: `product_wrappers!` emits every
+    // panicking sparse op together with its `try_*` twin.
     Rule {
         id: 4,
         slug: "telemetry-parity",
@@ -142,7 +137,8 @@ mod tests {
 
     #[test]
     fn lookup_by_slug() {
-        assert_eq!(rule_by_slug("try-twin").unwrap().id, 3);
+        assert_eq!(rule_by_slug("telemetry-parity").unwrap().id, 4);
+        assert!(rule_by_slug("try-twin").is_none(), "id 3 stays retired");
         assert!(rule_by_slug("no-such-rule").is_none());
     }
 

@@ -53,20 +53,15 @@ pub fn hot() -> usize {
     *first
 }
 
-/// Fallible twin for `hot`.
-pub fn try_hot() -> Option<usize> {
-    Some(1)
-}
-
 /// Unsuppressed unwrap: `hot-path-panic` must fire on this one.
-pub fn try_second() -> usize {
+pub fn second() -> usize {
     let v = [2usize];
     *v.first().unwrap()
 }
 
 // audit: allow(hot-path-panic)
 /// The allow comment above has no `-- justification`.
-pub fn try_unjustified() -> usize {
+pub fn unjustified() -> usize {
     2
 }
 "#;
@@ -158,7 +153,7 @@ fn seeded_violations_fire_and_suppressions_apply() {
     assert_eq!(unjustified[0].0, "crates/sparse/src/ops.rs");
 
     // ...while the justified suppression silenced its unwrap: only the
-    // unsuppressed one remains, on the `try_second` body line.
+    // unsuppressed one remains, on the `second` body line.
     let panics = &by_rule["hot-path-panic"];
     assert_eq!(panics.len(), 1, "hot-path-panic findings:\n{}", report());
     let unsuppressed_line = HOT_OPS

@@ -1,46 +1,25 @@
-//! `megablocks-bench` — the bench crate's default binary: perf gating
-//! and observability-artifact summarizers.
+//! `megablocks-bench` — the bench crate's default binary: summarizers
+//! for the observability artifacts a `repro` run writes.
 //!
 //! ```text
-//! cargo run --release -p megablocks-bench -- gate [flags]
 //! cargo run -p megablocks-bench -- health results/health_fig2.json
 //! cargo run -p megablocks-bench -- trace results/trace_fig2.json
 //! ```
 //!
 //! Subcommands:
-//!   gate    Re-run the exec launch benchmark (and, when the committed
-//!           BENCH_kernel.json / BENCH_serve.json exist, the microkernel
-//!           backend and serving-engine benchmarks) and compare against
-//!           the committed baselines; nonzero exit on regression. Flags:
-//!           --baseline <path>, --tolerance <frac>, --quick (shrink
-//!           iterations), --inflate <factor> (synthetic slowdown, for
-//!           proving the gate trips), --kernel-baseline <path>,
-//!           --min-kernel-speedup <factor> (absolute tiled-vs-scalar
-//!           floor, default 1.3), --kernel-tolerance <frac> (relative
-//!           tolerance for the kernel speedups, default 0.5 — wider than
-//!           the exec tolerance because 5-12x ratios swing more with
-//!           machine load; the floor backstops the contract),
-//!           --serve-baseline <path>, --min-serve-speedup <factor>
-//!           (absolute batched-vs-sequential floor, default 1.1), and
-//!           --serve-tolerance <frac> (default 0.6).
 //!   health  Summarize a results/health_<cmd>.json MoE health report.
 //!   trace   Summarize a Chrome-trace JSON export (lanes, span counts).
 
 use std::collections::BTreeMap;
 use std::process::exit;
 
-use megablocks_bench::gate::{run_gate, GateConfig};
 use megablocks_core::health::{parse_health_json, render_health_summary};
 use megablocks_telemetry::{parse_chrome_trace, TracePhase};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: megablocks-bench <gate|health|trace> [args]\n\
+        "usage: megablocks-bench <health|trace> <path>\n\
          \n\
-         gate [--baseline <path>] [--tolerance <frac>] [--quick] [--inflate <factor>]\n\
-         \x20    [--kernel-baseline <path>] [--min-kernel-speedup <factor>]\n\
-         \x20    [--kernel-tolerance <frac>] [--serve-baseline <path>]\n\
-         \x20    [--min-serve-speedup <factor>] [--serve-tolerance <frac>]\n\
          health <health_json_path>\n\
          trace <trace_json_path>"
     );
@@ -50,73 +29,10 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("gate") => exit(gate_cmd(&args[1..])),
         Some("health") => exit(health_cmd(&args[1..])),
         Some("trace") => exit(trace_cmd(&args[1..])),
         _ => usage(),
     }
-}
-
-fn gate_cmd(args: &[String]) -> i32 {
-    let mut cfg = GateConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("gate: {flag} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--baseline" => cfg.baseline = value("--baseline").into(),
-            "--trace-baseline" => cfg.trace_baseline = value("--trace-baseline").into(),
-            "--kernel-baseline" => cfg.kernel_baseline = value("--kernel-baseline").into(),
-            "--serve-baseline" => cfg.serve_baseline = value("--serve-baseline").into(),
-            "--serve-tolerance" => {
-                cfg.serve_tolerance = value("--serve-tolerance").parse().unwrap_or_else(|_| {
-                    eprintln!("gate: --serve-tolerance expects a fraction like 0.5");
-                    exit(2);
-                })
-            }
-            "--min-serve-speedup" => {
-                cfg.min_serve_speedup = value("--min-serve-speedup").parse().unwrap_or_else(|_| {
-                    eprintln!("gate: --min-serve-speedup expects a factor like 1.1");
-                    exit(2);
-                })
-            }
-            "--kernel-tolerance" => {
-                cfg.kernel_tolerance = value("--kernel-tolerance").parse().unwrap_or_else(|_| {
-                    eprintln!("gate: --kernel-tolerance expects a fraction like 0.5");
-                    exit(2);
-                })
-            }
-            "--min-kernel-speedup" => {
-                cfg.min_kernel_speedup =
-                    value("--min-kernel-speedup").parse().unwrap_or_else(|_| {
-                        eprintln!("gate: --min-kernel-speedup expects a factor like 1.3");
-                        exit(2);
-                    })
-            }
-            "--tolerance" => {
-                cfg.tolerance = value("--tolerance").parse().unwrap_or_else(|_| {
-                    eprintln!("gate: --tolerance expects a fraction like 0.25");
-                    exit(2);
-                })
-            }
-            "--inflate" => {
-                cfg.inflate = value("--inflate").parse().unwrap_or_else(|_| {
-                    eprintln!("gate: --inflate expects a factor like 2.0");
-                    exit(2);
-                })
-            }
-            "--quick" => cfg.iter_scale = 0.2,
-            other => {
-                eprintln!("gate: unknown flag {other:?}");
-                exit(2);
-            }
-        }
-    }
-    run_gate(&cfg)
 }
 
 fn health_cmd(args: &[String]) -> i32 {

@@ -7,13 +7,9 @@
 //! real models on CPU at laptop scale; throughput/memory numbers (Figures
 //! 4, 9, Tables 3) come from `megablocks-gpusim`.
 
-pub mod exec_bench;
 pub mod frontier;
-pub mod gate;
-pub mod kernel_bench;
 pub mod report;
 pub mod scaled;
-pub mod serve_bench;
 
 pub use frontier::hours_at_loss;
 pub use report::Table;

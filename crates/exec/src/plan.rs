@@ -165,7 +165,7 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
     /// cancelled or timed out. Use [`LaunchPlan::try_launch`] to receive
     /// the failure as a value.
     pub fn launch(self) {
-        if let Err(error) = self.run(false) {
+        if let Err(error) = self.try_launch() {
             panic!("{error}");
         }
     }
@@ -177,23 +177,6 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
     /// dynamic checks compile out or short-circuit and this always
     /// returns `Ok(())` (band panics are still re-raised either way).
     pub fn try_launch(self) -> Result<(), ExecError> {
-        self.run(false)
-    }
-
-    /// Executes the plan by spawning one fresh OS thread per band — the
-    /// pre-runtime behavior, kept as the ablation baseline the exec
-    /// microbenchmark compares pooled launches against.
-    ///
-    /// # Panics
-    ///
-    /// As [`LaunchPlan::launch`], including detected race violations.
-    pub fn launch_spawn_per_op(self) {
-        if let Err(error) = self.run(true) {
-            panic!("{error}");
-        }
-    }
-
-    fn run(self, spawn_per_op: bool) -> Result<(), ExecError> {
         verify_plan(&self);
         let bands = self.bands();
         telemetry::histogram("exec.launch.bands").record(bands as u64);
@@ -311,45 +294,42 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
         }
         let tasks = perturb_submission_order(tasks);
 
-        if spawn_per_op {
-            telemetry::counter_with("exec.launches", "spawn_per_op").inc();
-            run_spawn_per_op(tasks);
+        // Chaos `pool.queue_flood` site: force the admission decision
+        // this launch would face on a flooded queue. Compiles to
+        // `false` without the chaos feature.
+        let admission = if resilience::should_fail(&resilience::sites::POOL_QUEUE_FLOOD) {
+            Err(pool::Rejected {
+                tasks,
+                depth: pool::pool().queue_depth(),
+                cap: pool::queue_cap(),
+            })
         } else {
-            telemetry::counter_with("exec.launches", "pooled").inc();
-            // Chaos `pool.queue_flood` site: force the admission decision
-            // this launch would face on a flooded queue. Compiles to
-            // `false` without the chaos feature.
-            let outcome = if resilience::should_fail(&resilience::sites::POOL_QUEUE_FLOOD) {
-                Err(pool::Rejected {
-                    tasks,
-                    depth: pool::pool().queue_depth(),
-                    cap: pool::queue_cap(),
-                })
-            } else {
-                pool::pool().try_run(tasks)
-            };
-            if let Err(rejected) = outcome {
-                resilience::record_detected(&resilience::sites::POOL_QUEUE_FLOOD);
-                telemetry::trace_instant("exec.shed");
-                telemetry::histogram("exec.shed.depth").record(rejected.depth as u64);
-                telemetry::gauge("exec.pool.queue_cap").set(rejected.cap as f64);
-                if !latency_bound {
-                    // Plain throughput work has no deadline to miss:
-                    // degrade to inline execution on the submitter. The
-                    // queue stays bounded and the work still completes —
-                    // the recovery this site's counter pins.
-                    telemetry::counter_with("exec.shed", "inline").inc();
-                    for task in rejected.tasks {
-                        task();
-                    }
-                    resilience::record_recovered(&resilience::sites::POOL_QUEUE_FLOOD);
-                } else {
-                    // Latency-bound work (it carries a deadline/token):
-                    // shed explicitly rather than queue into the flood.
-                    telemetry::counter_with("exec.shed", "rejected").inc();
-                    drop(rejected.tasks);
-                    return Err(abort_error(op, CancelKind::Overloaded));
+            pool::pool().try_run(tasks)
+        };
+        // `err()` consumes the result, so a rejected launch's tasks, which
+        // borrow the race monitor, are gone before it is finished below.
+        if let Some(rejected) = admission.err() {
+            resilience::record_detected(&resilience::sites::POOL_QUEUE_FLOOD);
+            telemetry::trace_instant("exec.shed");
+            telemetry::histogram("exec.shed.depth").record(rejected.depth as u64);
+            telemetry::gauge("exec.pool.queue_cap").set(rejected.cap as f64);
+            if !latency_bound {
+                // Plain throughput work has no deadline to miss:
+                // degrade to inline execution on the submitter. The
+                // queue stays bounded and the work still completes —
+                // the recovery this site's counter pins.
+                telemetry::counter_with("exec.shed", "inline").inc();
+                telemetry::counter_with("exec.launches", "inline").inc();
+                for task in rejected.tasks {
+                    task();
                 }
+                resilience::record_recovered(&resilience::sites::POOL_QUEUE_FLOOD);
+            } else {
+                // Latency-bound work (it carries a deadline/token):
+                // shed explicitly rather than queue into the flood.
+                telemetry::counter_with("exec.shed", "rejected").inc();
+                drop(rejected.tasks);
+                return Err(abort_error(op, CancelKind::Overloaded));
             }
         }
         race_monitor.finish().map_err(ExecError::Race)?;
@@ -464,22 +444,6 @@ fn partition_claims(partition: &Partition, len: usize) -> Vec<(usize, usize)> {
 fn partition_claims(partition: &Partition, len: usize) -> Vec<(usize, usize)> {
     let _ = (partition, len);
     Vec::new()
-}
-
-/// The spawn-per-op ablation launcher: a fresh scoped thread per band,
-/// exactly what the kernels did before the shared pool existed. Worker
-/// panics are re-raised on the caller with their original payload.
-fn run_spawn_per_op(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        std::thread::scope(|s| {
-            for task in tasks {
-                s.spawn(task);
-            }
-        });
-    }));
-    if let Err(payload) = result {
-        std::panic::resume_unwind(payload);
-    }
 }
 
 /// Proves the plan's declared geometry tiles the output exactly — the

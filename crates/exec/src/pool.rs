@@ -284,13 +284,15 @@ impl Pool {
     ///
     /// Launches submitted from inside a pool task, and launches with a
     /// single task or on a worker-less pool, run inline on the calling
-    /// thread; panics then propagate directly.
+    /// thread; panics then propagate directly. Which of the two happened
+    /// is what `exec.launches{inline,pooled}` counts.
     pub(crate) fn try_run<'scope>(
         &self,
         tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>,
     ) -> Result<(), Rejected<'scope>> {
         let queued = tasks.len().saturating_sub(1);
         if queued == 0 || self.workers == 0 || in_worker() {
+            telemetry::counter_with("exec.launches", "inline").inc();
             for task in tasks {
                 task();
             }
@@ -340,6 +342,7 @@ impl Pool {
             telemetry::gauge("exec.pool.queue_depth").set(queue.len() as f64);
         }
         self.shared.available.notify_all();
+        telemetry::counter_with("exec.launches", "pooled").inc();
 
         // Run the first band here: the submitter is the pool's extra
         // executor. Capture its panic so queued siblings can finish

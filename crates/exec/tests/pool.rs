@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 use megablocks_exec::{configure_threads, parallelism, pool, scoped_parallelism, LaunchPlan};
+use megablocks_telemetry as telemetry;
 
 /// Sums `1..=n` through a multi-band plan; the workhorse "normal launch"
 /// the panic tests interleave with.
@@ -117,8 +118,19 @@ fn nested_launches_run_inline_without_deadlock() {
         )
         .launch();
     };
+    // Sibling tests share the registry, so the counter can only be
+    // bounded from below: band 0 runs on this thread, the other seven on
+    // workers, and a launch from a worker never reaches the queue.
+    let inline_launches = telemetry::counter_with("exec.launches", "inline");
+    let before = inline_launches.get();
     LaunchPlan::over_items("test.nested_outer", &mut data, 1, per_band, &body).launch();
     assert!(data.iter().all(|&v| v == 1.0));
+    if telemetry::is_enabled() {
+        assert!(
+            inline_launches.get() - before >= (outer_bands - 1) as u64,
+            "launches from pool workers must count as inline, not pooled"
+        );
+    }
 }
 
 #[test]
@@ -180,17 +192,22 @@ fn occupancy_gauges_never_underflow() {
 }
 
 #[test]
-fn spawn_per_op_baseline_matches_pooled() {
+fn pooled_launch_matches_inline_reference() {
     configure_threads(4);
     let n = 4096;
     let mut pooled: Vec<f32> = (0..n).map(|v| v as f32).collect();
-    let mut spawned = pooled.clone();
+    let mut inline = pooled.clone();
     let body = |band: &mut [f32], i0: usize| {
         for (i, v) in band.iter_mut().enumerate() {
             *v = v.mul_add(3.0, (i0 + i) as f32);
         }
     };
     LaunchPlan::over_items("test.pooled", &mut pooled, 1, n / 8, &body).launch();
-    LaunchPlan::over_items("test.spawned", &mut spawned, 1, n / 8, &body).launch_spawn_per_op();
-    assert_eq!(pooled, spawned);
+    // One band never reaches the pool: the body runs once, on this
+    // thread, over the whole slice — the reference the 8-band launch
+    // must reproduce.
+    let reference = LaunchPlan::over_items("test.inline", &mut inline, 1, n, &body);
+    assert_eq!(reference.bands(), 1);
+    reference.launch();
+    assert_eq!(pooled, inline);
 }

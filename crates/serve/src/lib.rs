@@ -34,7 +34,8 @@
 //! per-token outputs do not depend on which batch a token rode in
 //! (one-accumulator-per-element contract), so batching is purely a
 //! throughput optimization — verified in this crate's tests and
-//! enforced as a perf floor by `mb gate` against `BENCH_serve.json`.
+//! measured by the `serve_steady`/`serve_saturated` workloads of
+//! `benchmark/`.
 //!
 //! Latency (queue wait and end-to-end), batch sizes, queue depth and
 //! shed/expired counts are recorded under `serve.*` telemetry metrics
