@@ -89,9 +89,16 @@ fn run_blocked(
     out: &mut [f32],
     out_stride: usize,
 ) {
-    let mut a_pack = workspace::take_zeroed(MC * KC);
-    let mut b_pack = workspace::take_zeroed(KC * NC);
-    let mut acc = workspace::take_zeroed(MC * NC);
+    // Sized to the problem, not to the largest tile: a 16x16 sparse block
+    // must not pay for (and zero) a 64x256 pack buffer. Nothing below
+    // depends on the zero-fill — `pack_*` writes every lane the
+    // microkernel reads and `acc` is cleared per output tile.
+    let mc_max = MC.min(m.div_ceil(MR) * MR);
+    let nc_max = NC.min(n.div_ceil(NR) * NR);
+    let kc_max = KC.min(k);
+    let mut a_pack = workspace::take_zeroed(mc_max * kc_max);
+    let mut b_pack = workspace::take_zeroed(kc_max * nc_max);
+    let mut acc = workspace::take_zeroed(mc_max * nc_max);
 
     'tiles: for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
