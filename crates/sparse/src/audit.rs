@@ -610,70 +610,81 @@ where
     Ok(())
 }
 
-/// Verifies the SDD launch plan: thread `i` owns the contiguous slot range
-/// `[i * blocks_per_thread, min((i + 1) * blocks_per_thread, nnz))`.
+/// Checks that `cuts` are band boundaries over `groups` block rows
+/// (columns): they start at 0, end at `groups` and never decrease.
+fn verify_cuts(op: &'static str, groups: usize, cuts: &[usize]) -> Result<(), AuditError> {
+    let broken = |covered: usize| AuditError::BandPartitionBroken {
+        op,
+        rows: groups,
+        covered,
+    };
+    if cuts.first() != Some(&0) {
+        return Err(broken(0));
+    }
+    if let Some(w) = cuts.windows(2).find(|w| w[0] > w[1]) {
+        return Err(broken(w[0].min(groups)));
+    }
+    match cuts.last() {
+        Some(&last) if last == groups => Ok(()),
+        last => Err(broken(last.map_or(0, |&l| l.min(groups)))),
+    }
+}
+
+/// Verifies the SDD launch plan the op is about to launch: band `i` owns
+/// block rows `cuts[i]..cuts[i + 1]`, hence the contiguous storage slots
+/// `row_offsets[cuts[i]]..row_offsets[cuts[i + 1]]` (the plan's actual
+/// boundaries, balanced by nonzero count — not a uniform split).
 ///
-/// Contiguous ranges are disjoint by arithmetic, so what this actually
-/// proves is that the ranges *cover* the storage and that no two distinct
-/// logical blocks share a storage slot — i.e. the COO metadata the workers
-/// read names each output block exactly once.
+/// Contiguous ranges are disjoint by arithmetic, so what this proves is
+/// that the bands tile the block rows, that their slot ranges *cover* the
+/// storage, and that no two distinct logical blocks share a storage slot
+/// — i.e. the metadata the workers read names each output block exactly
+/// once.
 ///
 /// # Errors
 ///
-/// See [`verify_slot_partition`].
-pub fn verify_sdd_partition(
-    topo: &Topology,
-    threads: usize,
-    blocks_per_thread: usize,
-) -> Result<(), AuditError> {
-    let nnz = topo.nnz_blocks();
-    let ranges = (0..threads.max(1)).map(|i| {
-        let lo = (i * blocks_per_thread).min(nnz);
-        let hi = ((i + 1) * blocks_per_thread).min(nnz);
-        lo..hi
-    });
-    verify_slot_partition("sdd", topo, ranges)
+/// [`AuditError::BandPartitionBroken`] if the cuts do not tile the block
+/// rows; otherwise see [`verify_slot_partition`].
+pub fn verify_sdd_partition(topo: &Topology, cuts: &[usize]) -> Result<(), AuditError> {
+    verify_band_partition("sdd", topo, false, cuts)
 }
 
-/// Verifies the DSD launch plan: output row-bands are grouped by block row
-/// (`transposed = false`) or block column (`transposed = true`), each group
-/// owned by exactly one thread, and the per-group slot lists drawn from the
-/// CSR offsets (or the transpose secondary index) consume every stored
-/// block exactly once.
+/// Verifies the DSD launch plan the op is about to launch: output
+/// row-bands are grouped by block row (`transposed = false`) or block
+/// column (`transposed = true`), band `i` owns groups
+/// `cuts[i]..cuts[i + 1]`, and the per-group slot lists drawn from the CSR
+/// offsets (or the transpose secondary index) consume every stored block
+/// exactly once.
 ///
 /// This is the check that catches a corrupted `transpose_indices` *before*
 /// the transposed-traversal kernels read through it in parallel.
 ///
 /// # Errors
 ///
-/// [`AuditError::BandPartitionBroken`] if the thread bands do not tile the
-/// group space; otherwise see [`verify_slot_partition`].
+/// [`AuditError::BandPartitionBroken`] if the cuts do not tile the group
+/// space; otherwise see [`verify_slot_partition`].
 pub fn verify_dsd_partition(
     topo: &Topology,
     transposed: bool,
-    threads: usize,
-    groups_per_thread: usize,
+    cuts: &[usize],
 ) -> Result<(), AuditError> {
-    let groups = if transposed {
-        topo.block_cols()
+    let op = if transposed { "dst_d" } else { "dsd" };
+    verify_band_partition(op, topo, transposed, cuts)
+}
+
+fn verify_band_partition(
+    op: &'static str,
+    topo: &Topology,
+    transposed: bool,
+    cuts: &[usize],
+) -> Result<(), AuditError> {
+    let (groups, offsets) = if transposed {
+        (topo.block_cols(), topo.col_offsets())
     } else {
-        topo.block_rows()
+        (topo.block_rows(), topo.row_offsets())
     };
-    let op: &'static str = if transposed { "dst_d" } else { "dsd" };
-    let covered = (threads.max(1) * groups_per_thread).min(groups);
-    if threads.max(1) * groups_per_thread < groups {
-        return Err(AuditError::BandPartitionBroken {
-            op,
-            rows: groups,
-            covered,
-        });
-    }
-    let offsets = if transposed {
-        topo.col_offsets()
-    } else {
-        topo.row_offsets()
-    };
-    // Guard against corrupted offsets before slicing per-group ranges.
+    verify_cuts(op, groups, cuts)?;
+    // Guard against corrupted offsets before slicing per-band ranges.
     if offsets.len() != groups + 1 {
         return Err(AuditError::BandPartitionBroken {
             op,
@@ -681,19 +692,17 @@ pub fn verify_dsd_partition(
             covered: 0,
         });
     }
-    let group_slots = |g: usize| -> Vec<usize> {
-        let lo = offsets[g].min(topo.nnz_blocks());
-        let hi = offsets[g + 1].min(topo.nnz_blocks());
-        if transposed {
-            topo.transpose_indices()[lo..hi].to_vec()
-        } else {
-            (lo..hi).collect()
-        }
-    };
-    let owners = (0..threads.max(1)).map(|i| {
-        let lo = (i * groups_per_thread).min(groups);
-        let hi = ((i + 1) * groups_per_thread).min(groups);
-        (lo..hi).flat_map(&group_slots).collect::<Vec<_>>()
+    let nnz = topo.nnz_blocks();
+    let owners = cuts.windows(2).map(|w| {
+        let lo = offsets[w[0]].min(nnz);
+        let hi = offsets[w[1]].min(nnz).max(lo);
+        (lo..hi).map(move |pos| {
+            if transposed {
+                topo.transpose_indices().get(pos).copied().unwrap_or(nnz)
+            } else {
+                pos
+            }
+        })
     });
     verify_slot_partition(op, topo, owners)
 }
@@ -776,16 +785,40 @@ mod tests {
     #[test]
     fn kernel_launch_plans_verify() {
         let topo = sample();
-        for threads in 1..6 {
-            let bpt = topo.nnz_blocks().div_ceil(threads);
-            assert_eq!(verify_sdd_partition(&topo, threads, bpt), Ok(()));
+        // Every way of cutting the block rows / columns into bands,
+        // including empty bands, tiles the storage.
+        for cuts in [
+            vec![0, 3],
+            vec![0, 1, 3],
+            vec![0, 1, 2, 3],
+            vec![0, 0, 2, 3],
+        ] {
+            assert_eq!(verify_sdd_partition(&topo, &cuts), Ok(()));
+            assert_eq!(verify_dsd_partition(&topo, false, &cuts), Ok(()));
         }
-        for threads in 1..5 {
-            let gpt = topo.block_rows().div_ceil(threads);
-            assert_eq!(verify_dsd_partition(&topo, false, threads, gpt), Ok(()));
-            let gpt = topo.block_cols().div_ceil(threads);
-            assert_eq!(verify_dsd_partition(&topo, true, threads, gpt), Ok(()));
+        for cuts in [vec![0, 4], vec![0, 2, 4], vec![0, 1, 2, 3, 4]] {
+            assert_eq!(verify_dsd_partition(&topo, true, &cuts), Ok(()));
         }
+    }
+
+    #[test]
+    fn cuts_that_do_not_tile_the_groups_are_rejected() {
+        let topo = sample();
+        let broken = |covered| {
+            Err(AuditError::BandPartitionBroken {
+                op: "dsd",
+                rows: 3,
+                covered,
+            })
+        };
+        assert_eq!(verify_dsd_partition(&topo, false, &[0, 2]), broken(2));
+        assert_eq!(verify_dsd_partition(&topo, false, &[1, 3]), broken(0));
+        assert_eq!(verify_dsd_partition(&topo, false, &[0, 2, 1, 3]), broken(2));
+        assert_eq!(verify_dsd_partition(&topo, false, &[]), broken(0));
+        assert!(matches!(
+            verify_sdd_partition(&topo, &[0, 2]),
+            Err(AuditError::BandPartitionBroken { op: "sdd", .. })
+        ));
     }
 
     #[test]
@@ -809,10 +842,7 @@ mod tests {
         assert!(bad.validate().is_err());
         // The partition proof still passes (it only needs a bijection) —
         // validate() is the stronger check; together they cover both.
-        assert_eq!(
-            verify_dsd_partition(&bad, true, 2, bad.block_cols().div_ceil(2)),
-            Ok(())
-        );
+        assert_eq!(verify_dsd_partition(&bad, true, &[0, 2, 4]), Ok(()));
     }
 
     #[test]

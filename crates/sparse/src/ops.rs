@@ -7,28 +7,54 @@
 //!
 //! Implementation notes, mirroring the paper's kernel design:
 //!
-//! * **SDD** parallelizes over nonzero output blocks. Each worker finds its
-//!   block's coordinates with two O(1) metadata loads (`row_indices[k]`,
-//!   `col_indices[k]`) — the hybrid blocked-CSR-COO encoding of §5.1.3 —
-//!   instead of launching a dense grid of mostly-idle workers or searching
-//!   `row_offsets`.
-//! * **DSD / DDS with a transposed sparse operand** iterate the sparse
-//!   matrix in column-major order through the *transpose indices* secondary
-//!   index (§5.1.4); no nonzero values are moved. The explicit-transpose
-//!   alternative ([`dst_d_explicit`]) exists as the ablation baseline.
+//! * **One kernel call per rectangle of nonzero blocks, never one per
+//!   block.** Each product lowers its share of the topology into
+//!   *rectangles* — maximal runs of consecutive block rows with identical
+//!   column lists, or of consecutive block columns with identical row
+//!   lists — and issues one [`block_gemm`] per rectangle, reading the
+//!   sparse blocks, gathering the matching dense row/column panels and
+//!   (for SDD) writing the output blocks in place through separable
+//!   views ([`Axis`]). On the block-diagonal topology an MoE layer
+//!   produces ([`Topology::for_moe`]) a rectangle is an expert, so every
+//!   product is one grouped GEMM per expert per band — the packed
+//!   operands are reused across the whole expert, and the DSD/DDS
+//!   reduction runs over all of the expert's blocks at once. An irregular
+//!   topology degrades to one call per block row (column) with an
+//!   `nnz_row * bs`-long gathered reduction. `kernel.calls` therefore
+//!   counts rectangles.
+//! * **Which way the topology is walked.** SDD, DSD with `op_s = N` and
+//!   DDS with `op_s = T` group block rows through the BCSR half
+//!   (`row_offsets`/`col_indices`). DSD with `op_s = T` and DDS with
+//!   `op_s = N` group block columns through the *transpose indices*
+//!   secondary index (§5.1.4): a run of columns shares one rectangle when
+//!   their row lists are identical and each block sits one storage slot
+//!   after its left neighbour, so the rectangle is addressed in place and
+//!   no nonzero values are moved. The explicit-transpose alternative
+//!   ([`dst_d_explicit`]) exists as the ablation baseline.
+//! * **Accumulation order.** An SDD element is one `f32` accumulator over
+//!   ascending `k`. A DSD/DDS element is **one** accumulator over its
+//!   block row's (column's) nonzero blocks in ascending block index and
+//!   ascending `k` inside each block — the order a dense GEMM over
+//!   [`BlockSparseMatrix::to_dense`] uses, so on finite data the two are
+//!   bit-identical. A row's value depends only on its own nonzeros, never
+//!   on which rectangle or band it was computed in.
 //! * Every kernel launches through the shared execution runtime
 //!   ([`megablocks_exec::LaunchPlan`]): disjoint output bands dispatched to
 //!   a persistent worker pool, standing in for threadblocks over output
-//!   tiles.
-//! * Within a band, each op reduces to topology iteration plus
-//!   [`block_gemm`] calls on strided [`PanelView`]s — the arithmetic lives
-//!   in `megablocks_tensor::kernel`'s microkernel backends, shared with
-//!   dense GEMM, so sparse and dense products are bit-identical per element
-//!   regardless of the selected backend (`MEGABLOCKS_KERNEL`).
+//!   tiles. SDD and DSD bands are cut on block-row (block-column)
+//!   boundaries balanced by nonzero count; a rectangle that straddles a
+//!   cut is simply computed as two. DDS bands are rows of the dense
+//!   output, and every band walks all rectangles.
+//! * The arithmetic lives in `megablocks_tensor::kernel`'s microkernel
+//!   backends, shared with dense GEMM, so sparse and dense products are
+//!   bit-identical per element regardless of the selected backend
+//!   (`MEGABLOCKS_KERNEL`).
+
+use std::ops::Range;
 
 use megablocks_exec as exec;
 use megablocks_telemetry as telemetry;
-use megablocks_tensor::{block_gemm, Matrix, PanelView, Trans};
+use megablocks_tensor::{block_gemm, Axis, Matrix, OutView, PanelView, Trans};
 
 use crate::{BlockSparseMatrix, SparseError, Topology};
 
@@ -45,22 +71,16 @@ mod sanitize {
         topo.validate().map_err(SparseError::Audit)
     }
 
-    pub(super) fn sdd_partition(
-        topo: &Topology,
-        threads: usize,
-        blocks_per_thread: usize,
-    ) -> Result<(), SparseError> {
-        audit::verify_sdd_partition(topo, threads, blocks_per_thread).map_err(SparseError::Audit)
+    pub(super) fn sdd_partition(topo: &Topology, cuts: &[usize]) -> Result<(), SparseError> {
+        audit::verify_sdd_partition(topo, cuts).map_err(SparseError::Audit)
     }
 
     pub(super) fn dsd_partition(
         topo: &Topology,
         transposed: bool,
-        threads: usize,
-        groups_per_thread: usize,
+        cuts: &[usize],
     ) -> Result<(), SparseError> {
-        audit::verify_dsd_partition(topo, transposed, threads, groups_per_thread)
-            .map_err(SparseError::Audit)
+        audit::verify_dsd_partition(topo, transposed, cuts).map_err(SparseError::Audit)
     }
 
     pub(super) fn output(op: &'static str, data: &[f32]) -> Result<(), SparseError> {
@@ -78,11 +98,7 @@ mod sanitize {
     }
 
     #[inline(always)]
-    pub(super) fn sdd_partition(
-        _topo: &Topology,
-        _threads: usize,
-        _blocks_per_thread: usize,
-    ) -> Result<(), SparseError> {
+    pub(super) fn sdd_partition(_topo: &Topology, _cuts: &[usize]) -> Result<(), SparseError> {
         Ok(())
     }
 
@@ -90,8 +106,7 @@ mod sanitize {
     pub(super) fn dsd_partition(
         _topo: &Topology,
         _transposed: bool,
-        _threads: usize,
-        _groups_per_thread: usize,
+        _cuts: &[usize],
     ) -> Result<(), SparseError> {
         Ok(())
     }
@@ -105,6 +120,188 @@ mod sanitize {
 /// Work below this many f32 multiply-adds stays single-banded: even a
 /// pooled launch costs a queue round-trip per band.
 const PARALLEL_THRESHOLD: usize = 1 << 16;
+
+/// Which way a product walks the sparse operand's topology.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    /// Group consecutive block rows (BCSR half).
+    Rows,
+    /// Group consecutive block columns (transpose indices, §5.1.4).
+    Cols,
+}
+
+/// One rectangle of nonzero blocks: `span` consecutive block rows
+/// ([`Walk::Rows`]) or block columns ([`Walk::Cols`]) that all hold
+/// exactly the blocks `cross` along the other dimension, lowered to the
+/// tile offsets the kernel's views need.
+#[derive(Debug)]
+struct Rect<'s> {
+    walk: Walk,
+    bs: usize,
+    /// The grouped block rows (columns).
+    span: Range<usize>,
+    /// The block columns (rows) every member of `span` holds, ascending.
+    cross: &'s [usize],
+    /// Storage slot of the rectangle's first block; the two offset tables
+    /// are relative to it.
+    first: usize,
+    /// Offset (floats) of each `span` member's first block.
+    span_off: &'s [usize],
+    /// Offset (floats) of each `cross` block within its `span` member.
+    cross_off: &'s [usize],
+}
+
+impl Rect<'_> {
+    /// The block storage along `span` (rows of blocks under
+    /// [`Walk::Rows`], columns under [`Walk::Cols`]).
+    fn span_axis(&self) -> Axis<'_> {
+        let inner = match self.walk {
+            Walk::Rows => self.bs,
+            Walk::Cols => 1,
+        };
+        tiled(self.span_off, self.bs, inner)
+    }
+
+    /// The block storage along `cross`.
+    fn cross_axis(&self) -> Axis<'_> {
+        let inner = match self.walk {
+            Walk::Rows => 1,
+            Walk::Cols => self.bs,
+        };
+        tiled(self.cross_off, self.bs, inner)
+    }
+}
+
+fn tiled(tile_off: &[usize], bs: usize, inner: usize) -> Axis<'_> {
+    Axis::Tiled {
+        tile_off,
+        bs,
+        inner,
+    }
+}
+
+/// Lowers block rows (columns) `groups` of `topo` into rectangles, in
+/// ascending order, calling `f` once per rectangle. Rows (columns)
+/// without blocks produce none.
+///
+/// A run of block rows is one rectangle when their column lists are
+/// identical: row-major storage then puts block `(r0 + t, cross[j])` at
+/// slot `first + t * cross.len() + j`. A run of block columns is one
+/// rectangle when their row lists are identical *and* every block sits
+/// exactly one slot after its left neighbour, so block
+/// `(cross[j], c0 + t)` is at slot `slot(cross[j], c0) + t`. Sorted rows
+/// make the second condition follow from the first; it is checked rather
+/// than assumed so that metadata that violates it (unvalidated, out of
+/// [`Topology::from_raw_parts_unchecked`]) splits the run instead of
+/// being addressed as if it held.
+fn for_each_rect(topo: &Topology, walk: Walk, groups: Range<usize>, mut f: impl FnMut(&Rect<'_>)) {
+    let bs = topo.block_size().get();
+    let area = topo.block_size().area();
+    let row_indices = topo.row_indices();
+    let col_indices = topo.col_indices();
+    let transpose = topo.transpose_indices();
+    let offsets = match walk {
+        Walk::Rows => topo.row_offsets(),
+        Walk::Cols => topo.col_offsets(),
+    };
+    let mut cross = Vec::new();
+    let mut span_off = Vec::new();
+    let mut cross_off = Vec::new();
+
+    let mut g0 = groups.start;
+    while g0 < groups.end {
+        let (lo, hi) = (offsets[g0], offsets[g0 + 1]);
+        let width = hi - lo;
+        let extends = |g: usize| {
+            let at = offsets[g];
+            if offsets[g + 1] - at != width {
+                return false;
+            }
+            match walk {
+                Walk::Rows => col_indices[at..at + width] == col_indices[lo..hi],
+                Walk::Cols => (0..width).all(|j| {
+                    let (left, here) = (transpose[offsets[g - 1] + j], transpose[at + j]);
+                    here == left + 1 && row_indices[here] == row_indices[left]
+                }),
+            }
+        };
+        let mut g1 = g0 + 1;
+        while g1 < groups.end && extends(g1) {
+            g1 += 1;
+        }
+        if width > 0 {
+            let first = match walk {
+                Walk::Rows => lo,
+                Walk::Cols => transpose[lo],
+            };
+            cross.clear();
+            cross_off.clear();
+            match walk {
+                Walk::Rows => {
+                    cross.extend_from_slice(&col_indices[lo..hi]);
+                    cross_off.extend((0..width).map(|j| j * area));
+                }
+                Walk::Cols => {
+                    cross.extend(transpose[lo..hi].iter().map(|&slot| row_indices[slot]));
+                    // Ascending rows are ascending slots: `first` is the
+                    // smallest.
+                    cross_off.extend(transpose[lo..hi].iter().map(|&slot| (slot - first) * area));
+                }
+            }
+            let pitch = match walk {
+                Walk::Rows => width * area,
+                Walk::Cols => area,
+            };
+            span_off.clear();
+            span_off.extend((0..g1 - g0).map(|t| t * pitch));
+            f(&Rect {
+                walk,
+                bs,
+                span: g0..g1,
+                cross: &cross,
+                first,
+                span_off: &span_off,
+                cross_off: &cross_off,
+            });
+        }
+        g0 = g1;
+    }
+}
+
+/// Tile offsets that gather the `bs`-wide panels `blocks` of a dense
+/// operand along an axis whose logical stride is `stride`.
+fn gather_panels(blocks: &[usize], bs: usize, stride: usize, tile_off: &mut Vec<usize>) {
+    tile_off.clear();
+    tile_off.extend(blocks.iter().map(|&g| g * bs * stride));
+}
+
+/// Cuts the block rows (columns) delimited by `offsets` into at most
+/// `bands` consecutive ranges holding about equally many nonzero blocks;
+/// returns the boundaries (`cuts[0] = 0`, last = number of groups). Every
+/// band but possibly the only one holds at least one block.
+fn band_cuts(offsets: &[usize], bands: usize) -> Vec<usize> {
+    let groups = offsets.len() - 1;
+    let nnz = offsets[groups];
+    let mut cuts = vec![0usize];
+    for b in 1..bands {
+        let target = nnz * b / bands;
+        let g = offsets.partition_point(|&o| o < target);
+        if g > cuts[cuts.len() - 1] && g < groups && offsets[g] < nnz {
+            cuts.push(g);
+        }
+    }
+    cuts.push(groups);
+    cuts
+}
+
+/// Logical `(row, column)` strides of `op(m)` over `m`'s row-major
+/// storage: transposition is a stride swap.
+fn strides(m: &Matrix, op: Trans) -> (usize, usize) {
+    match op {
+        Trans::N => (m.cols(), 1),
+        Trans::T => (1, m.cols()),
+    }
+}
 
 /// Telemetry name for an SDD transpose combination. The named public
 /// wrappers cover `sdd` / `sdd_t`; the remaining combinations get a
@@ -246,51 +443,49 @@ pub fn try_sdd_op(
         return Ok(out);
     }
 
-    let threads = exec::parallelism_for(nnz * bs * bs * k, PARALLEL_THRESHOLD).min(nnz);
+    let threads =
+        exec::parallelism_for(nnz * bs * bs * k, PARALLEL_THRESHOLD).min(topo.block_rows());
     let area = topo.block_size().area();
     let a_data = a.as_slice();
     let b_data = b.as_slice();
-    let (_, a_cols) = a.shape();
-    let (_, b_cols) = b.shape();
-    let row_indices = topo.row_indices();
-    let col_indices = topo.col_indices();
+    let (a_rs, a_cs) = strides(a, op_a);
+    let (b_rs, b_cs) = strides(b, op_b);
+    let row_offsets = topo.row_offsets();
 
-    // Each worker owns a contiguous range of nonzero blocks; coordinates
-    // come straight from the COO metadata (no row-offset search). A block
-    // at (r, c) is the `bs x bs` product of A's row panel `r` and B's
-    // column panel `c` — transposition is a stride swap on the views, and
-    // the selected microkernel backend does the arithmetic.
-    let compute = |blocks: &mut [f32], k0: usize| {
-        for (slot, block) in blocks.chunks_mut(area).enumerate() {
-            let kk = k0 + slot;
-            debug_assert!(kk < nnz, "sdd: worker block index {kk} out of range {nnz}");
-            debug_assert_eq!(block.len(), area, "sdd: worker got a partial block");
-            let r = row_indices[kk];
-            let c = col_indices[kk];
-            let a_view = match op_a {
-                Trans::N => PanelView::new(&a_data[r * bs * a_cols..], a_cols, 1),
-                Trans::T => PanelView::new(&a_data[r * bs..], 1, a_cols),
-            };
-            let b_view = match op_b {
-                Trans::N => PanelView::new(&b_data[c * bs..], b_cols, 1),
-                Trans::T => PanelView::new(&b_data[c * bs * b_cols..], 1, b_cols),
-            };
-            block_gemm(bs, bs, k, 1.0, a_view, b_view, block, bs);
-        }
+    // Each band owns a run of block rows, hence a contiguous range of
+    // output blocks. A rectangle of output blocks is the product of A's
+    // row panels `span` with B's column panels `cross`, written in place
+    // into block storage.
+    let cuts = band_cuts(row_offsets, threads);
+    let body = |band: &mut [f32], b: usize| {
+        let band_first = row_offsets[cuts[b]];
+        let mut b_cols = Vec::new();
+        for_each_rect(topo, Walk::Rows, cuts[b]..cuts[b + 1], |rect| {
+            gather_panels(rect.cross, bs, b_cs, &mut b_cols);
+            block_gemm(
+                rect.span.len() * bs,
+                rect.cross.len() * bs,
+                k,
+                1.0,
+                PanelView::new(&a_data[rect.span.start * bs * a_rs..], a_rs, a_cs),
+                PanelView::with_axes(b_data, Axis::Strided(b_rs), tiled(&b_cols, bs, b_cs)),
+                OutView::with_axes(
+                    &mut band[(rect.first - band_first) * area..],
+                    rect.span_axis(),
+                    rect.cross_axis(),
+                ),
+            );
+        });
     };
 
-    let blocks_per_thread = nnz.div_ceil(threads);
-    if threads > 1 {
-        sanitize::sdd_partition(topo, threads, blocks_per_thread)?;
+    if cuts.len() > 2 {
+        sanitize::sdd_partition(topo, &cuts)?;
     }
-    exec::LaunchPlan::over_items(
-        variant,
-        out.as_mut_slice(),
-        area,
-        blocks_per_thread,
-        &compute,
-    )
-    .try_launch()?;
+    let band_lens = cuts
+        .windows(2)
+        .map(|w| (row_offsets[w[1]] - row_offsets[w[0]]) * area)
+        .collect();
+    exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).try_launch()?;
     sanitize::output(variant, out.as_slice())?;
     Ok(out)
 }
@@ -384,67 +579,51 @@ pub fn try_dsd_op(
         return Ok(out);
     }
 
+    let area = topo.block_size().area();
+    let s_data = s.as_slice();
     let d_data = d.as_slice();
-    let (_, d_cols) = d.shape();
-    let col_indices = topo.col_indices();
-    let row_indices = topo.row_indices();
+    let (d_rs, d_cs) = strides(d, op_d);
 
     // Output rows are grouped by block row (op_s = N) or block column
-    // (op_s = T); each group of `bs` output rows is written by exactly one
-    // worker, so bands can be handed out with chunks_mut.
-    let groups = match op_s {
-        Trans::N => topo.block_rows(),
-        Trans::T => topo.block_cols(),
+    // (op_s = T, walked through the transpose indices, §5.1.4); each group
+    // of `bs` output rows belongs to exactly one band.
+    let (walk, offsets) = match op_s {
+        Trans::N => (Walk::Rows, topo.row_offsets()),
+        Trans::T => (Walk::Cols, topo.col_offsets()),
     };
+    let groups = offsets.len() - 1;
     let threads = exec::parallelism_for(topo.nnz() * n, PARALLEL_THRESHOLD).min(groups);
 
-    // A group's band is the product of the sparse operand's block row
-    // (op_s = N) or block column (op_s = T, traversed column-major through
-    // the transpose indices, §5.1.4) with the matching dense row panels:
-    // one microkernel call per nonzero block, accumulating into the band.
-    let compute_group = |band: &mut [f32], g: usize| {
-        debug_assert_eq!(band.len(), bs * n, "dsd: worker band has wrong length");
-        let mut run_block = |k_idx: usize| {
-            let block = s.block(k_idx);
-            // `other` is the sparse block's coordinate along the reduction
-            // dimension: its block column under N, its block row under T
-            // (where the logical block is the stored block transposed —
-            // again just a stride swap).
-            let (other, s_view) = match op_s {
-                Trans::N => (col_indices[k_idx], PanelView::new(block, bs, 1)),
-                Trans::T => (row_indices[k_idx], PanelView::new(block, 1, bs)),
-            };
-            let d_view = match op_d {
-                Trans::N => PanelView::new(&d_data[other * bs * d_cols..], d_cols, 1),
-                Trans::T => PanelView::new(&d_data[other * bs..], 1, d_cols),
-            };
-            block_gemm(bs, n, bs, 1.0, s_view, d_view, band, n);
-        };
-        // row_blocks returns a contiguous range, col_blocks walks the
-        // transpose index — different iterator types, same treatment.
-        match op_s {
-            Trans::N => topo.row_blocks(g).for_each(&mut run_block),
-            Trans::T => topo.col_blocks(g).for_each(&mut run_block),
-        }
+    // A rectangle's output rows are the product of its sparse blocks —
+    // `span` along the output rows, `cross` along the reduction — with the
+    // dense row panels `cross`, gathered in place: one accumulator per
+    // element over all of the row's nonzero blocks.
+    let cuts = band_cuts(offsets, threads);
+    let body = |band: &mut [f32], b: usize| {
+        let mut d_rows = Vec::new();
+        for_each_rect(topo, walk, cuts[b]..cuts[b + 1], |rect| {
+            gather_panels(rect.cross, bs, d_rs, &mut d_rows);
+            block_gemm(
+                rect.span.len() * bs,
+                n,
+                rect.cross.len() * bs,
+                1.0,
+                PanelView::with_axes(
+                    &s_data[rect.first * area..],
+                    rect.span_axis(),
+                    rect.cross_axis(),
+                ),
+                PanelView::with_axes(d_data, tiled(&d_rows, bs, d_rs), Axis::Strided(d_cs)),
+                OutView::new(&mut band[(rect.span.start - cuts[b]) * bs * n..], n),
+            );
+        });
     };
 
-    let groups_per_thread = groups.div_ceil(threads);
-    if threads > 1 {
-        sanitize::dsd_partition(topo, op_s == Trans::T, threads, groups_per_thread)?;
+    if cuts.len() > 2 {
+        sanitize::dsd_partition(topo, op_s == Trans::T, &cuts)?;
     }
-    let body = |bands: &mut [f32], g0: usize| {
-        for (off, band) in bands.chunks_mut(bs * n).enumerate() {
-            compute_group(band, g0 + off);
-        }
-    };
-    exec::LaunchPlan::over_items(
-        variant,
-        out.as_mut_slice(),
-        bs * n,
-        groups_per_thread,
-        &body,
-    )
-    .try_launch()?;
+    let band_lens = cuts.windows(2).map(|w| (w[1] - w[0]) * bs * n).collect();
+    exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).try_launch()?;
     sanitize::output(variant, out.as_slice())?;
     Ok(out)
 }
@@ -501,46 +680,48 @@ pub fn try_dds_op(
         return Ok(out);
     }
 
+    let area = topo.block_size().area();
+    let s_data = s.as_slice();
     let d_data = d.as_slice();
-    let (_, d_cols) = d.shape();
-    let col_indices = topo.col_indices();
-    let row_indices = topo.row_indices();
+    let (d_rs, d_cs) = strides(d, op_d);
     let threads = exec::parallelism_for(topo.nnz() * m, PARALLEL_THRESHOLD).min(m);
 
-    // Workers own bands of output rows; every worker walks all nonzero
-    // blocks (each block touches a disjoint output column stripe). Per
-    // block: out[band rows, oc*bs..] += op_d(d)[band rows, ic*bs..] * blk,
-    // one microkernel call with the band's stride carrying the column
-    // offset.
-    let compute_band = |band: &mut [f32], i0: usize, rows: usize| {
-        debug_assert_eq!(band.len(), rows * n, "dds: worker band has wrong length");
-        for k_idx in 0..topo.nnz_blocks() {
-            let block = s.block(k_idx);
-            // `ic` indexes the reduction dimension, `oc` the output column
-            // stripe; a transposed sparse operand swaps both the block
-            // coordinates and the block-local strides.
-            let (ic, oc, s_view) = match op_s {
-                Trans::N => (
-                    row_indices[k_idx],
-                    col_indices[k_idx],
-                    PanelView::new(block, bs, 1),
+    // Bands are rows of the dense output; every band walks all rectangles.
+    // A rectangle owns the output column stripe `span` — block columns of
+    // `s` under op_s = N (transpose indices), block rows under op_s = T —
+    // and reduces over `cross`: out[band rows, span] += op_d(d)[band rows,
+    // cross panels] * op_s(s)[cross, span], one accumulator per element
+    // over all of the column's nonzero blocks.
+    let (walk, groups) = match op_s {
+        Trans::N => (Walk::Cols, topo.block_cols()),
+        Trans::T => (Walk::Rows, topo.block_rows()),
+    };
+    let body = |band: &mut [f32], i0: usize| {
+        let rows = band.len() / n;
+        let mut d_cols = Vec::new();
+        for_each_rect(topo, walk, 0..groups, |rect| {
+            gather_panels(rect.cross, bs, d_cs, &mut d_cols);
+            block_gemm(
+                rows,
+                rect.span.len() * bs,
+                rect.cross.len() * bs,
+                1.0,
+                PanelView::with_axes(
+                    &d_data[i0 * d_rs..],
+                    Axis::Strided(d_rs),
+                    tiled(&d_cols, bs, d_cs),
                 ),
-                Trans::T => (
-                    col_indices[k_idx],
-                    row_indices[k_idx],
-                    PanelView::new(block, 1, bs),
+                PanelView::with_axes(
+                    &s_data[rect.first * area..],
+                    rect.cross_axis(),
+                    rect.span_axis(),
                 ),
-            };
-            let d_view = match op_d {
-                Trans::N => PanelView::new(&d_data[i0 * d_cols + ic * bs..], d_cols, 1),
-                Trans::T => PanelView::new(&d_data[ic * bs * d_cols + i0..], 1, d_cols),
-            };
-            block_gemm(rows, bs, bs, 1.0, d_view, s_view, &mut band[oc * bs..], n);
-        }
+                OutView::new(&mut band[rect.span.start * bs..], n),
+            );
+        });
     };
 
     let rows_per_thread = m.div_ceil(threads);
-    let body = |band: &mut [f32], i0: usize| compute_band(band, i0, band.len() / n);
     exec::LaunchPlan::over_items(variant, out.as_mut_slice(), n, rows_per_thread, &body)
         .try_launch()?;
     sanitize::output(variant, out.as_slice())?;
@@ -602,6 +783,102 @@ mod tests {
                 0.0
             }
         })
+    }
+
+    /// `(span, cross)` of every rectangle `groups` lowers to.
+    fn rects(topo: &Topology, walk: Walk, groups: Range<usize>) -> Vec<(Range<usize>, Vec<usize>)> {
+        let mut out = Vec::new();
+        for_each_rect(topo, walk, groups, |r| {
+            out.push((r.span.clone(), r.cross.to_vec()))
+        });
+        out
+    }
+
+    #[test]
+    fn moe_topology_lowers_to_one_rectangle_per_expert() {
+        // Experts of 2, 0 and 3 token blocks over 2 ffn blocks each.
+        let topo = Topology::for_moe(&[8, 0, 12], 8, bs(4)).unwrap();
+        assert_eq!(
+            rects(&topo, Walk::Rows, 0..5),
+            [(0..2, vec![0, 1]), (2..5, vec![4, 5])]
+        );
+        // The empty expert's two block columns group into nothing.
+        assert_eq!(
+            rects(&topo, Walk::Cols, 0..6),
+            [(0..2, vec![0, 1]), (4..6, vec![2, 3, 4])]
+        );
+        // A band boundary inside an expert cuts its rectangle in two.
+        assert_eq!(
+            rects(&topo, Walk::Rows, 0..3),
+            [(0..2, vec![0, 1]), (2..3, vec![4, 5])]
+        );
+        assert_eq!(rects(&topo, Walk::Rows, 3..5), [(3..5, vec![4, 5])]);
+    }
+
+    #[test]
+    fn irregular_topology_lowers_to_one_rectangle_per_row_or_column() {
+        let topo = irregular_topo(4);
+        assert_eq!(
+            rects(&topo, Walk::Rows, 0..3),
+            [
+                (0..1, vec![0, 3]),
+                (1..2, vec![1, 2]),
+                (2..3, vec![0, 2, 3])
+            ]
+        );
+        assert_eq!(
+            rects(&topo, Walk::Cols, 0..4),
+            [
+                (0..1, vec![0, 2]),
+                (1..2, vec![1]),
+                (2..3, vec![1, 2]),
+                (3..4, vec![0, 2])
+            ]
+        );
+    }
+
+    #[test]
+    fn column_run_splits_when_blocks_are_not_one_slot_apart() {
+        // Both rows hold columns {0, 1}, but row 0 stores them in the
+        // order [1, 0] — metadata `validate` rejects, reachable only
+        // through the unchecked constructor. The two columns' row lists
+        // are identical, yet block (0, 1) sits one slot *before* (0, 0)
+        // while (1, 1) sits one slot after (1, 0): no single offset table
+        // addresses both columns, so the run must split.
+        let sorted = Topology::from_blocks(
+            2,
+            2,
+            (0..2).flat_map(|r| (0..2).map(move |c| BlockCoord { row: r, col: c })),
+            bs(2),
+        )
+        .unwrap();
+        assert_eq!(rects(&sorted, Walk::Cols, 0..2), [(0..2, vec![0, 1])]);
+        let unsorted = Topology::from_raw_parts_unchecked(
+            bs(2),
+            2,
+            2,
+            vec![0, 2, 4],
+            vec![1, 0, 0, 1],
+            vec![0, 0, 1, 1],
+            vec![0, 2, 4],
+            vec![1, 2, 0, 3],
+        );
+        assert_eq!(
+            rects(&unsorted, Walk::Cols, 0..2),
+            [(0..1, vec![0, 1]), (1..2, vec![0, 1])]
+        );
+    }
+
+    #[test]
+    fn band_cuts_balance_nonzero_blocks_on_group_boundaries() {
+        // Block rows holding 4, 0, 1, 1, 2 blocks.
+        let offsets = [0, 4, 4, 5, 6, 8];
+        assert_eq!(band_cuts(&offsets, 1), [0, 5]);
+        assert_eq!(band_cuts(&offsets, 2), [0, 1, 5]);
+        // Never an empty band, however many are asked for.
+        assert_eq!(band_cuts(&offsets, 8), [0, 1, 3, 4, 5]);
+        assert_eq!(band_cuts(&[0, 3], 4), [0, 1]);
+        assert_eq!(band_cuts(&[0, 0, 0], 2), [0, 2]);
     }
 
     #[test]

@@ -14,6 +14,9 @@ use megablocks_exec::{cancel, scoped_parallelism, CancelKind, CancelToken, Ctx, 
 use megablocks_sparse::{ops, BlockSize, SparseError, Topology};
 use megablocks_tensor::{matmul, Matrix, Trans};
 
+mod common;
+use common::grouping_edge_topologies;
+
 /// An irregular MoE-style topology: imbalanced expert loads so bands do
 /// not align with expert boundaries.
 fn moe_topology() -> Topology {
@@ -21,25 +24,37 @@ fn moe_topology() -> Topology {
     Topology::for_moe(&[64, 8, 0, 40, 16], 32, bs).expect("block-aligned counts")
 }
 
-fn inputs(topo: &Topology) -> (Matrix, Matrix) {
+fn inputs(topo: &Topology, k: usize) -> (Matrix, Matrix) {
     let (rows, cols) = topo.shape();
-    let a = Matrix::from_fn(rows, 24, |i, j| ((i * 31 + j * 7) as f32).sin());
-    let b = Matrix::from_fn(24, cols, |i, j| ((i * 13 + j * 5) as f32).cos());
+    let a = Matrix::from_fn(rows, k, |i, j| ((i * 31 + j * 7) as f32).sin());
+    let b = Matrix::from_fn(k, cols, |i, j| ((i * 13 + j * 5) as f32).cos());
     (a, b)
 }
 
-/// Runs every kernel under test once and returns the raw output buffers.
+/// Runs every kernel under test once, on the MoE topology and on each
+/// grouping edge case (rectangles cut by band boundaries, empty block rows
+/// inside a run, one-block topologies), and returns the raw output
+/// buffers.
 fn run_all_kernels() -> Vec<Vec<f32>> {
-    let topo = moe_topology();
-    let (a, b) = inputs(&topo);
+    let mut outputs = run_kernels_on(&moe_topology(), 24);
+    for (_, topo) in grouping_edge_topologies(8) {
+        // Enough inner dimension to clear the ops' PARALLEL_THRESHOLD, so
+        // these small topologies are really banded at 2 and 8 workers.
+        outputs.extend(run_kernels_on(&topo, (1 << 16) / topo.nnz() + 24));
+    }
+    outputs
+}
+
+fn run_kernels_on(topo: &Topology, k: usize) -> Vec<Vec<f32>> {
+    let (a, b) = inputs(topo, k);
     let (rows, cols) = topo.shape();
 
-    let s = ops::sdd(&a, &b, &topo);
-    let d = Matrix::from_fn(cols, 24, |i, j| ((i * 3 + j * 11) as f32).sin());
+    let s = ops::sdd(&a, &b, topo);
+    let d = Matrix::from_fn(cols, k, |i, j| ((i * 3 + j * 11) as f32).sin());
     let dsd = ops::dsd(&s, &d);
-    let dt = Matrix::from_fn(rows, 24, |i, j| ((i * 17 + j) as f32).cos());
+    let dt = Matrix::from_fn(rows, k, |i, j| ((i * 17 + j) as f32).cos());
     let dst_d = ops::dst_d(&s, &dt);
-    let lhs = Matrix::from_fn(24, rows, |i, j| ((i + j * 29) as f32).sin());
+    let lhs = Matrix::from_fn(k, rows, |i, j| ((i + j * 29) as f32).sin());
     let dds = ops::try_dds_op(&lhs, Trans::N, &s, Trans::N).expect("shapes agree");
     let gemm = matmul(&a, &b);
 
@@ -51,10 +66,12 @@ fn run_all_kernels() -> Vec<Vec<f32>> {
         gemm.as_slice().to_vec(),
     ];
     // Exercise the transpose-operand entry points too.
-    let bt = Matrix::from_fn(cols, 24, |i, j| ((i * 13 + j * 5) as f32).cos());
-    outputs.push(ops::sdd_t(&a, &bt, &topo).as_slice().to_vec());
-    let wide = Matrix::from_fn(18, cols, |i, j| ((i * 9 + j * 2) as f32).sin());
+    let bt = Matrix::from_fn(cols, k, |i, j| ((i * 13 + j * 5) as f32).cos());
+    outputs.push(ops::sdd_t(&a, &bt, topo).as_slice().to_vec());
+    let wide = Matrix::from_fn(k, cols, |i, j| ((i * 9 + j * 2) as f32).sin());
     outputs.push(ops::dsd_t(&s, &wide).as_slice().to_vec());
+    let tall = Matrix::from_fn(rows, k, |i, j| ((i * 5 + j * 3) as f32).cos());
+    outputs.push(ops::ddt_s(&tall, &s).as_slice().to_vec());
     outputs
 }
 
@@ -117,7 +134,7 @@ fn ambient_contexts_are_bit_invisible_while_live_and_cancel_when_tripped() {
     }
 
     let topo = moe_topology();
-    let (a, b) = inputs(&topo);
+    let (a, b) = inputs(&topo, 24);
     let s = ops::sdd(&a, &b, &topo);
     let d = Matrix::from_fn(topo.shape().1, 24, |i, j| ((i * 3 + j * 11) as f32).sin());
     let lhs = Matrix::from_fn(24, topo.shape().0, |i, j| ((i + j * 29) as f32).sin());

@@ -2,19 +2,33 @@
 //!
 //! Every matrix product in the workspace — the four dense [`gemm`]
 //! transpose combinations and the whole SDD/DSD/DDS block-sparse family —
-//! reduces to the same primitive: accumulate `alpha * A * B` into a small
-//! rectangle of an output buffer, where `A` and `B` are strided views over
-//! dense storage or sparse blocks. This module owns that primitive. Ops
-//! keep their topology iteration (which blocks exist, which bands a worker
-//! owns) and delegate every inner product to [`block_gemm`], which
-//! dispatches to the selected [`GemmMicrokernel`] backend:
+//! reduces to the same primitive: accumulate `alpha * A * B` into a
+//! rectangle of an output buffer, where `A`, `B` and the output are
+//! *separable views* over dense storage or sparse blocks. This module owns
+//! that primitive. Ops keep their topology iteration (which rectangles of
+//! nonzero blocks exist, which bands a worker owns) and delegate every
+//! product to [`block_gemm`], which dispatches to the selected
+//! [`GemmMicrokernel`] backend:
 //!
 //! * [`scalar`] — the reference triple loop, one dot product per output
-//!   element. Obviously correct; the baseline every other backend is
-//!   proven against.
+//!   element. Obviously correct; it *defines* the result every other
+//!   backend is proven against.
 //! * [`tiled`] — packed A/B panels with `Mc`/`Nc`/`Kc` cache blocking and
 //!   an `MR x NR` register tile whose lanes vectorize across output
 //!   columns.
+//!
+//! # Separable views
+//!
+//! A view addresses element `(i, p)` at `rows.offset(i) + cols.offset(p)`:
+//! its two axes are independent ([`Axis`]). An axis is either *strided*
+//! (`i * stride` — a dense matrix, transposed by swapping the strides) or
+//! *tiled* (`tile_off[i / bs] + (i % bs) * inner` — block-sparse storage
+//! restricted to a rectangle of blocks, or a gather of `bs`-wide
+//! row/column panels of a dense matrix). Block storage over a rectangle
+//! of blocks is separable in exactly this sense, so the backends pack
+//! sparse blocks and gathered dense panels directly, and write back
+//! straight into block storage: one call covers a whole rectangle of
+//! nonzero blocks, with a reduction as long as the rectangle is wide.
 //!
 //! # Determinism contract
 //!
@@ -28,6 +42,16 @@
 //! runtime's cross-worker-count determinism guarantee extends across
 //! backends. No backend may skip zero operands (adding `0.0` is not a
 //! bitwise no-op when `-0.0` is involved) or reassociate the reduction.
+//!
+//! `k` is the view's logical reduction index. For a block-sparse operand
+//! the ops gather a block row's (column's) nonzero blocks along it in
+//! ascending block index, so a DSD/DDS output element is **one**
+//! accumulator over that row's (column's) nonzero blocks in ascending
+//! block index and ascending `k` inside each block — the order a dense
+//! GEMM over the densified operand uses, minus the structural zeros.
+//! An element's value depends only on its own row and column of the
+//! operands, never on how many rows or columns share the call, which is
+//! why banding, request batching and expert sharding cannot change a bit.
 //!
 //! [`gemm`]: crate::gemm
 //!
@@ -48,30 +72,166 @@ pub mod tiled;
 pub use scalar::ScalarKernel;
 pub use tiled::TiledKernel;
 
-/// A read-only strided view of one GEMM operand.
+/// How one axis of a view maps a logical index to a storage offset.
+#[derive(Debug, Clone, Copy)]
+pub enum Axis<'a> {
+    /// `offset(i) = i * stride`: a row or column of dense storage.
+    Strided(usize),
+    /// `offset(i) = tile_off[i / bs] + (i % bs) * inner`: consecutive
+    /// `bs`-wide tiles placed anywhere — block-sparse storage along one
+    /// side of a rectangle of blocks, or gathered panels of a dense
+    /// matrix.
+    Tiled {
+        /// Offset of each tile's first element.
+        tile_off: &'a [usize],
+        /// Logical indices per tile.
+        bs: usize,
+        /// Stride between consecutive indices inside a tile.
+        inner: usize,
+    },
+}
+
+impl Axis<'_> {
+    /// Storage offset this axis contributes for logical index `i`.
+    #[inline]
+    pub fn offset(&self, i: usize) -> usize {
+        match *self {
+            Axis::Strided(stride) => i * stride,
+            Axis::Tiled {
+                tile_off,
+                bs,
+                inner,
+            } => tile_off[i / bs] + (i % bs) * inner,
+        }
+    }
+
+    /// The offsets of indices `0..len`, as a table.
+    fn offsets(&self, len: usize) -> Vec<usize> {
+        (0..len).map(|i| self.offset(i)).collect()
+    }
+
+    /// Calls `f(at, offset, step, count)` for each maximal constant-step
+    /// run covering logical indices `[start, start + len)`, in order:
+    /// index `start + at + q` lives at `offset + q * step` for
+    /// `q < count`. A strided axis is one run, a tiled axis one per tile
+    /// touched — the inner loops of packing and writeback run over these.
+    #[inline]
+    fn for_each_run(
+        &self,
+        start: usize,
+        len: usize,
+        mut f: impl FnMut(usize, usize, usize, usize),
+    ) {
+        match *self {
+            Axis::Strided(stride) => f(0, start * stride, stride, len),
+            Axis::Tiled {
+                tile_off,
+                bs,
+                inner,
+            } => {
+                let mut at = 0;
+                while at < len {
+                    let i = start + at;
+                    let count = (bs - i % bs).min(len - at);
+                    f(at, tile_off[i / bs] + (i % bs) * inner, inner, count);
+                    at += count;
+                }
+            }
+        }
+    }
+
+    /// Whether the axis addresses `len` logical indices at all (a tiled
+    /// axis needs a tile offset for every tile touched).
+    fn spans(&self, len: usize) -> bool {
+        match *self {
+            Axis::Strided(_) => true,
+            Axis::Tiled { tile_off, bs, .. } => bs > 0 && len.div_ceil(bs) <= tile_off.len(),
+        }
+    }
+
+    /// Largest offset over indices `0..len` (`len > 0`, `spans(len)`).
+    fn max_offset(&self, len: usize) -> usize {
+        match *self {
+            Axis::Strided(stride) => (len - 1) * stride,
+            Axis::Tiled {
+                tile_off,
+                bs,
+                inner,
+            } => {
+                let tiles = len.div_ceil(bs);
+                (0..tiles)
+                    .map(|t| tile_off[t] + (bs.min(len - t * bs) - 1) * inner)
+                    .max()
+                    .unwrap_or(0)
+            }
+        }
+    }
+
+    /// This axis's mixed-radix digits over `0..len`, each as `(smallest
+    /// gap between two distinct offsets, largest offset difference)`, or
+    /// `None` if two indices of the axis already collide (tile offsets
+    /// not strictly ascending). An unused digit is [`NO_DIGIT`]. See
+    /// [`OutView::is_injective`].
+    fn digits(&self, len: usize) -> Option<[(usize, usize); 2]> {
+        let digit = |gap: usize, steps: usize| {
+            if steps > 0 {
+                (gap, steps * gap)
+            } else {
+                NO_DIGIT
+            }
+        };
+        match *self {
+            Axis::Strided(stride) => Some([digit(stride, len - 1), NO_DIGIT]),
+            Axis::Tiled {
+                tile_off,
+                bs,
+                inner,
+            } => {
+                let tiles = &tile_off[..len.div_ceil(bs)];
+                let mut across = NO_DIGIT;
+                if let [first, .., last] = tiles {
+                    let mut gap = usize::MAX;
+                    for w in tiles.windows(2) {
+                        gap = gap.min(w[1].checked_sub(w[0])?);
+                    }
+                    across = (gap, last - first);
+                }
+                Some([digit(inner, bs.min(len) - 1), across])
+            }
+        }
+    }
+}
+
+/// A digit that constrains nothing: sorts last, adds no span.
+const NO_DIGIT: (usize, usize) = (usize::MAX, 0);
+
+/// A read-only separable view of one GEMM operand.
 ///
-/// Element `(i, p)` lives at `data[i * row_stride + p * col_stride]`.
-/// Transposition is a stride swap, a sparse block is a `bs x bs` view with
-/// `row_stride = bs, col_stride = 1`, and a column slab of a row-major
-/// dense matrix is the slice starting at the slab with the matrix's full
-/// row stride — so one view type covers every operand in the workspace
-/// without copying.
+/// Element `(i, p)` lives at `data[rows.offset(i) + cols.offset(p)]`.
+/// [`PanelView::new`] is the all-strided case: transposition is a stride
+/// swap, and a row band or column slab of a row-major dense matrix is the
+/// slice starting there with the matrix's strides. [`PanelView::with_axes`]
+/// takes tiled axes too, which is how a rectangle of sparse blocks or a
+/// gather of dense panels is read in place — one view type covers every
+/// operand in the workspace without copying.
 #[derive(Debug, Clone, Copy)]
 pub struct PanelView<'a> {
     data: &'a [f32],
-    row_stride: usize,
-    col_stride: usize,
+    rows: Axis<'a>,
+    cols: Axis<'a>,
 }
 
 impl<'a> PanelView<'a> {
-    /// A view over `data` with the given strides.
+    /// A strided view: element `(i, p)` at `i * row_stride + p * col_stride`.
     #[inline]
     pub fn new(data: &'a [f32], row_stride: usize, col_stride: usize) -> Self {
-        PanelView {
-            data,
-            row_stride,
-            col_stride,
-        }
+        PanelView::with_axes(data, Axis::Strided(row_stride), Axis::Strided(col_stride))
+    }
+
+    /// A view over `data` with the given axes.
+    #[inline]
+    pub fn with_axes(data: &'a [f32], rows: Axis<'a>, cols: Axis<'a>) -> Self {
+        PanelView { data, rows, cols }
     }
 
     /// The backing slice.
@@ -80,28 +240,85 @@ impl<'a> PanelView<'a> {
         self.data
     }
 
-    /// Stride between consecutive logical rows.
+    /// The axis along logical rows.
     #[inline]
-    pub fn row_stride(&self) -> usize {
-        self.row_stride
+    pub fn rows(&self) -> Axis<'a> {
+        self.rows
     }
 
-    /// Stride between consecutive logical columns.
+    /// The axis along logical columns.
     #[inline]
-    pub fn col_stride(&self) -> usize {
-        self.col_stride
+    pub fn cols(&self) -> Axis<'a> {
+        self.cols
     }
 
     /// Element `(i, p)` of the logical operand.
     #[inline]
     pub fn at(&self, i: usize, p: usize) -> f32 {
-        self.data[i * self.row_stride + p * self.col_stride]
+        self.data[self.rows.offset(i) + self.cols.offset(p)]
     }
 
     /// Whether an `m x k` logical operand fits inside the backing slice.
-    #[inline]
     fn covers(&self, m: usize, k: usize) -> bool {
-        m == 0 || k == 0 || (m - 1) * self.row_stride + (k - 1) * self.col_stride < self.data.len()
+        covers(self.data.len(), &self.rows, &self.cols, m, k)
+    }
+}
+
+/// Whether every element of an `m x n` view over `len` floats is in
+/// bounds: both axes address their extents and the two largest offsets
+/// together stay inside.
+fn covers(len: usize, rows: &Axis<'_>, cols: &Axis<'_>, m: usize, n: usize) -> bool {
+    m == 0
+        || n == 0
+        || (rows.spans(m) && cols.spans(n) && rows.max_offset(m) + cols.max_offset(n) < len)
+}
+
+/// The writable separable view a product accumulates into.
+///
+/// Element `(i, j)` lives at `data[rows.offset(i) + cols.offset(j)]`.
+/// [`OutView::new`] is a band of a row-major dense matrix (rows
+/// `row_stride` apart, unit column stride); [`OutView::with_axes`] takes
+/// tiled axes, which is how SDD writes a rectangle of output blocks
+/// straight into block storage.
+#[derive(Debug)]
+pub struct OutView<'a> {
+    data: &'a mut [f32],
+    rows: Axis<'a>,
+    cols: Axis<'a>,
+}
+
+impl<'a> OutView<'a> {
+    /// Rows `row_stride` apart, columns contiguous.
+    #[inline]
+    pub fn new(data: &'a mut [f32], row_stride: usize) -> Self {
+        OutView::with_axes(data, Axis::Strided(row_stride), Axis::Strided(1))
+    }
+
+    /// A writable view over `data` with the given axes.
+    #[inline]
+    pub fn with_axes(data: &'a mut [f32], rows: Axis<'a>, cols: Axis<'a>) -> Self {
+        OutView { data, rows, cols }
+    }
+
+    /// Structural proof that no two of the `m x n` elements share an
+    /// offset — what `row_stride >= n` is for a dense band, stated for
+    /// separable views. Each axis contributes one or two "digits" (the
+    /// stride of a strided axis; the inner stride and the tile offsets of
+    /// a tiled one); sorted by their smallest gap, every digit's gap must
+    /// exceed the largest offset the smaller digits can add up to, as in
+    /// a mixed-radix number. Sufficient, not necessary, and `O(tiles)`.
+    fn is_injective(&self, m: usize, n: usize) -> bool {
+        let (Some([r0, r1]), Some([c0, c1])) = (self.rows.digits(m), self.cols.digits(n)) else {
+            return false;
+        };
+        let mut digits = [r0, r1, c0, c1];
+        digits.sort_unstable();
+        let mut below = 0usize;
+        digits.iter().all(|&(gap, span)| {
+            let clear = gap > below;
+            below += span;
+            clear
+        })
     }
 }
 
@@ -112,26 +329,35 @@ impl<'a> PanelView<'a> {
 /// `run` must compute, for every `i < m`, `j < n`:
 ///
 /// ```text
-/// out[i * out_stride + j] += alpha * (Σ_{p=0..k} a.at(i, p) * b.at(p, j))
+/// out[(i, j)] += alpha * (Σ_{p=0..k} a.at(i, p) * b.at(p, j))
 /// ```
 ///
 /// where the reduction uses a single `f32` accumulator per output element,
 /// filled in ascending `p` order (chunking the reduction is fine —
 /// reordering or splitting it is not), `alpha` multiplies the finished sum
 /// exactly once, and no term is skipped (not even exact zeros). Every
-/// conforming backend is therefore bit-identical to [`ScalarKernel`].
+/// conforming backend is therefore bit-identical to [`ScalarKernel`],
+/// which runs the same views through its triple loop and defines the
+/// result.
+///
+/// `p` is the views' logical reduction index, whatever storage lies
+/// behind it: when the sparse ops gather a block row's nonzero blocks
+/// along `k`, the element is one accumulator over those blocks in
+/// ascending block index and ascending `k` inside each block (see the
+/// module docs). The value of `out[(i, j)]` depends only on row `i` of
+/// `a` and column `j` of `b`.
 ///
 /// Callers reach backends through [`block_gemm`], which validates the
-/// geometry (operand coverage, output bounds, row disjointness) before
+/// geometry (operand coverage, output bounds, output injectivity) before
 /// dispatch; `run` may assume it.
 pub trait GemmMicrokernel: Sync {
     /// Stable backend name (telemetry label, `MEGABLOCKS_KERNEL` value).
     fn name(&self) -> &'static str;
 
-    /// Accumulates `alpha * a * b` into the `m x n` output rectangle.
+    /// Accumulates `alpha * a * b` into the `m x n` output view.
     // The argument list is the standard GEMM signature (dims, scale, two
-    // operands, output + stride); bundling it into a struct would only
-    // move the same eight names one level down at every call site.
+    // operands, output); bundling it into a struct would only move the
+    // same seven names one level down at every call site.
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
@@ -141,8 +367,7 @@ pub trait GemmMicrokernel: Sync {
         alpha: f32,
         a: PanelView<'_>,
         b: PanelView<'_>,
-        out: &mut [f32],
-        out_stride: usize,
+        out: OutView<'_>,
     );
 }
 
@@ -222,26 +447,23 @@ pub fn backend_impl() -> &'static dyn GemmMicrokernel {
 }
 
 /// Products at or above this many fused multiply-adds record a
-/// `kernel.block_gemm` telemetry span; smaller calls (a single sparse
-/// block) only count, so per-block dispatch stays cheap.
+/// `kernel.block_gemm` telemetry span; smaller calls only count, so a
+/// topology that lowers to many small rectangles stays cheap to dispatch.
 const SPAN_FLOPS: usize = 1 << 20;
 
 /// The shared entry every matrix product dispatches through: accumulates
-/// `alpha * a * b` into the `m x n` rectangle of `out` (rows `out_stride`
-/// apart), on the selected backend.
+/// `alpha * a * b` into the `m x n` view `out`, on the selected backend.
 ///
 /// `a` is logically `m x k`, `b` is `k x n`. When `k == 0` or
 /// `alpha == 0.0` the output is untouched (no `+= 0.0` writeback, on
-/// every backend alike).
+/// every backend alike). `kernel.calls` counts these calls: one per dense
+/// band, one per rectangle of nonzero blocks.
 ///
 /// # Panics
 ///
-/// Panics if either operand view does not cover its logical shape, if the
-/// output rectangle overflows `out`, or if `out_stride < n` would alias
-/// output rows (with `m > 1`).
-// The argument list is the standard GEMM signature; see
-// [`GemmMicrokernel::run`].
-#[allow(clippy::too_many_arguments)]
+/// Panics if an operand or the output view does not cover its logical
+/// shape, or if the output view cannot be shown to address `m x n`
+/// distinct elements (for a dense band: `row_stride < n` with `m > 1`).
 pub fn block_gemm(
     m: usize,
     n: usize,
@@ -249,34 +471,37 @@ pub fn block_gemm(
     alpha: f32,
     a: PanelView<'_>,
     b: PanelView<'_>,
-    out: &mut [f32],
-    out_stride: usize,
+    out: OutView<'_>,
 ) {
     if m == 0 || n == 0 {
         return;
     }
     assert!(
         a.covers(m, k),
-        "block_gemm: A view ({} floats, strides {}x{}) does not cover {m}x{k}",
+        "block_gemm: A view ({} floats, axes {:?} x {:?}) does not cover {m}x{k}",
         a.data.len(),
-        a.row_stride,
-        a.col_stride
+        a.rows,
+        a.cols
     );
     assert!(
         b.covers(k, n),
-        "block_gemm: B view ({} floats, strides {}x{}) does not cover {k}x{n}",
+        "block_gemm: B view ({} floats, axes {:?} x {:?}) does not cover {k}x{n}",
         b.data.len(),
-        b.row_stride,
-        b.col_stride
+        b.rows,
+        b.cols
     );
     assert!(
-        m <= 1 || out_stride >= n,
-        "block_gemm: out_stride {out_stride} < n {n} would alias output rows"
+        covers(out.data.len(), &out.rows, &out.cols, m, n),
+        "block_gemm: {m}x{n} output (axes {:?} x {:?}) overflows {} floats",
+        out.rows,
+        out.cols,
+        out.data.len()
     );
     assert!(
-        (m - 1) * out_stride + n <= out.len(),
-        "block_gemm: {m}x{n} output (stride {out_stride}) overflows {} floats",
-        out.len()
+        out.is_injective(m, n),
+        "block_gemm: {m}x{n} output view (axes {:?} x {:?}) would alias output elements",
+        out.rows,
+        out.cols
     );
     if k == 0 || alpha == 0.0 {
         return;
@@ -291,7 +516,7 @@ pub fn block_gemm(
     } else {
         None
     };
-    kernel.run(m, n, k, alpha, a, b, out, out_stride);
+    kernel.run(m, n, k, alpha, a, b, out);
 }
 
 #[cfg(test)]
@@ -333,8 +558,7 @@ mod tests {
             1.0,
             PanelView::new(&a, 2, 1),
             PanelView::new(&b, 2, 1),
-            &mut out,
-            2,
+            OutView::new(&mut out, 2),
         );
         assert!(out.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
         block_gemm(
@@ -344,8 +568,7 @@ mod tests {
             0.0,
             PanelView::new(&a, 2, 1),
             PanelView::new(&b, 2, 1),
-            &mut out,
-            2,
+            OutView::new(&mut out, 2),
         );
         assert!(out.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
     }
@@ -363,8 +586,7 @@ mod tests {
             1.0,
             PanelView::new(&a, 2, 1),
             PanelView::new(&b, 2, 1),
-            &mut out,
-            2,
+            OutView::new(&mut out, 2),
         );
     }
 
@@ -381,8 +603,78 @@ mod tests {
             1.0,
             PanelView::new(&a, 2, 1),
             PanelView::new(&b, 2, 1),
-            &mut out,
-            1,
+            OutView::new(&mut out, 1),
+        );
+    }
+
+    fn block_axes(tiles: &[usize], bs: usize, inner: usize) -> Axis<'_> {
+        Axis::Tiled {
+            tile_off: tiles,
+            bs,
+            inner,
+        }
+    }
+
+    #[test]
+    fn block_storage_output_is_injective_and_overlaps_are_caught() {
+        // A 2x3 rectangle of 4x4 blocks in storage order: the rows'
+        // inner stride (4) interleaves with the columns' tiles (16
+        // apart), which a plain "row stride >= n" test cannot express.
+        let (bs, area) = (4usize, 16usize);
+        let rows = [0, 3 * area];
+        let cols = [0, area, 2 * area];
+        let mut data = vec![0.0f32; 6 * area];
+        let view = OutView::with_axes(
+            &mut data,
+            block_axes(&rows, bs, bs),
+            block_axes(&cols, bs, 1),
+        );
+        assert!(covers(6 * area, &view.rows, &view.cols, 8, 12));
+        assert!(view.is_injective(8, 12));
+        // Two block rows only two blocks apart: row 1's first block is
+        // row 0's third.
+        let clash = [0, 2 * area];
+        let view = OutView::with_axes(
+            &mut data,
+            block_axes(&clash, bs, bs),
+            block_axes(&cols, bs, 1),
+        );
+        assert!(!view.is_injective(8, 12));
+        // Tile offsets that repeat or descend.
+        let repeat = [0, 0];
+        let view = OutView::with_axes(&mut data, block_axes(&repeat, bs, bs), Axis::Strided(1));
+        assert!(!view.is_injective(8, 4));
+    }
+
+    #[test]
+    fn tiled_axis_runs_and_offsets_agree() {
+        let tiles = [40, 7, 100];
+        let axis = block_axes(&tiles, 3, 2);
+        assert_eq!(axis.offsets(8), [40, 42, 44, 7, 9, 11, 100, 102]);
+        assert_eq!(axis.max_offset(8), 102);
+        assert!(axis.spans(9) && !axis.spans(10));
+        let mut seen = Vec::new();
+        axis.for_each_run(2, 5, |at, off, step, count| {
+            seen.push((at, off, step, count))
+        });
+        assert_eq!(seen, [(0, 44, 2, 1), (1, 7, 2, 3), (4, 100, 2, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not cover")]
+    fn tiled_operand_with_too_few_tiles_panics() {
+        let a = [1.0f32; 8];
+        let b = [1.0f32; 8];
+        let mut out = [0.0f32; 4];
+        let tiles = [0];
+        block_gemm(
+            2,
+            2,
+            4,
+            1.0,
+            PanelView::with_axes(&a, Axis::Strided(4), block_axes(&tiles, 2, 1)),
+            PanelView::new(&b, 2, 1),
+            OutView::new(&mut out, 2),
         );
     }
 }

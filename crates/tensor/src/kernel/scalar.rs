@@ -2,13 +2,15 @@
 //!
 //! This is the workspace's original naive inner loop, hoisted out of the
 //! ten per-op copies that used to live in `matmul.rs` and
-//! `sparse/src/ops.rs`, restated over [`PanelView`] strides. It performs
-//! no blocking and no packing — its value is being obviously conformant
-//! to the [`GemmMicrokernel`] contract (single accumulator, ascending
-//! `k`, `alpha` applied once), which makes it the bit-exactness oracle
-//! the tiled backend and every future backend are proven against.
+//! `sparse/src/ops.rs`, restated over separable views ([`PanelView`],
+//! [`OutView`]). It performs no blocking and no packing — its value is
+//! being obviously conformant to the [`GemmMicrokernel`] contract (single
+//! accumulator, ascending `k`, `alpha` applied once), which makes it the
+//! definition of every product's result: the tiled backend and every
+//! future backend are proven bit-identical to it, on strided and tiled
+//! views alike.
 
-use super::{GemmMicrokernel, PanelView};
+use super::{GemmMicrokernel, OutView, PanelView};
 
 /// The reference triple-loop backend.
 #[derive(Debug, Default)]
@@ -27,33 +29,37 @@ impl GemmMicrokernel for ScalarKernel {
         alpha: f32,
         a: PanelView<'_>,
         b: PanelView<'_>,
-        out: &mut [f32],
-        out_stride: usize,
+        out: OutView<'_>,
     ) {
         let a_data = a.data();
         let b_data = b.data();
-        let (a_rs, a_cs) = (a.row_stride(), a.col_stride());
-        let (b_rs, b_cs) = (b.row_stride(), b.col_stride());
+        // The reduction index's offsets into each operand, tabulated once
+        // so the inner loop is the same whether `k` runs along dense
+        // storage or across a gather of sparse blocks.
+        let a_k = a.cols().offsets(k);
+        let b_k = b.rows().offsets(k);
         for i in 0..m {
-            let a_row = i * a_rs;
-            let out_row = i * out_stride;
+            let a_row = a.rows().offset(i);
+            let out_row = out.rows.offset(i);
             for j in 0..n {
-                let b_col = j * b_cs;
+                let b_col = b.cols().offset(j);
                 let mut acc = 0.0f32;
-                let mut ai = a_row;
-                let mut bi = b_col;
-                for _ in 0..k {
+                for (&ai, &bi) in a_k.iter().zip(&b_k) {
                     let (av, bv) =
                         // SAFETY: block_gemm asserted both views cover their
-                        // logical shapes, so the largest reached offsets —
-                        // (m-1)*a_rs + (k-1)*a_cs and (k-1)*b_rs + (n-1)*b_cs
-                        // — are in bounds, and ai/bi only step toward them.
-                        unsafe { (*a_data.get_unchecked(ai), *b_data.get_unchecked(bi)) };
+                        // logical shapes: the largest row offset plus the
+                        // largest column offset of each view is in bounds,
+                        // and a_row/ai (b_col/bi) are offsets of indices
+                        // inside those shapes, so neither sum exceeds it.
+                        unsafe {
+                            (
+                                *a_data.get_unchecked(a_row + ai),
+                                *b_data.get_unchecked(bi + b_col),
+                            )
+                        };
                     acc += av * bv;
-                    ai += a_cs;
-                    bi += b_rs;
                 }
-                out[out_row + j] += alpha * acc;
+                out.data[out_row + out.cols.offset(j)] += alpha * acc;
             }
         }
     }
@@ -76,8 +82,7 @@ mod tests {
             2.0,
             PanelView::new(&a, 2, 1),
             PanelView::new(&b, 2, 1),
-            &mut out,
-            2,
+            OutView::new(&mut out, 2),
         );
         assert_eq!(out, [39.0, 45.0, 87.0, 101.0]);
     }
@@ -95,8 +100,7 @@ mod tests {
             1.0,
             PanelView::new(&a, 1, 3),
             PanelView::new(&b, 2, 1),
-            &mut out,
-            2,
+            OutView::new(&mut out, 2),
         );
         assert_eq!(out, [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
     }

@@ -30,7 +30,7 @@
 use megablocks_exec::workspace;
 
 use super::scalar::ScalarKernel;
-use super::{GemmMicrokernel, PanelView};
+use super::{GemmMicrokernel, OutView, PanelView};
 
 /// Register-tile rows.
 pub const MR: usize = 4;
@@ -65,20 +65,18 @@ impl GemmMicrokernel for TiledKernel {
         alpha: f32,
         a: PanelView<'_>,
         b: PanelView<'_>,
-        out: &mut [f32],
-        out_stride: usize,
+        out: OutView<'_>,
     ) {
         if m * n * k < SMALL_MULADDS {
-            return ScalarKernel.run(m, n, k, alpha, a, b, out, out_stride);
+            return ScalarKernel.run(m, n, k, alpha, a, b, out);
         }
-        run_blocked(m, n, k, alpha, a, b, out, out_stride);
+        run_blocked(m, n, k, alpha, a, b, out);
     }
 }
 
 /// The blocked path proper, with no size cutoff — separated from
 /// [`TiledKernel::run`] so tests can drive the packing machinery on
 /// shapes below the scalar-delegation threshold.
-#[allow(clippy::too_many_arguments)]
 fn run_blocked(
     m: usize,
     n: usize,
@@ -86,10 +84,9 @@ fn run_blocked(
     alpha: f32,
     a: PanelView<'_>,
     b: PanelView<'_>,
-    out: &mut [f32],
-    out_stride: usize,
+    out: OutView<'_>,
 ) {
-    // Sized to the problem, not to the largest tile: a 16x16 sparse block
+    // Sized to the problem, not to the largest tile: a small rectangle
     // must not pay for (and zero) a 64x256 pack buffer. Nothing below
     // depends on the zero-fill — `pack_*` writes every lane the
     // microkernel reads and `acc` is cleared per output tile.
@@ -99,6 +96,11 @@ fn run_blocked(
     let mut a_pack = workspace::take_zeroed(mc_max * kc_max);
     let mut b_pack = workspace::take_zeroed(kc_max * nc_max);
     let mut acc = workspace::take_zeroed(mc_max * nc_max);
+    let OutView {
+        data: out_data,
+        rows: out_rows,
+        cols: out_cols,
+    } = out;
 
     'tiles: for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
@@ -133,12 +135,24 @@ fn run_blocked(
                     }
                 }
             }
+            // Writeback scatters through the output view: a dense band is
+            // one unit-stride run per row, block storage one run per block.
             for i in 0..mc {
                 let arow = &acc[i * nc_pad..i * nc_pad + nc];
-                let o0 = (ic + i) * out_stride + jc;
-                for (o, &v) in out[o0..o0 + nc].iter_mut().zip(arow) {
-                    *o += alpha * v;
-                }
+                let row = out_rows.offset(ic + i);
+                out_cols.for_each_run(jc, nc, |at, off, step, count| {
+                    let vals = &arow[at..at + count];
+                    if step == 1 {
+                        let dst = &mut out_data[row + off..row + off + count];
+                        for (o, &v) in dst.iter_mut().zip(vals) {
+                            *o += alpha * v;
+                        }
+                    } else {
+                        for (q, &v) in vals.iter().enumerate() {
+                            out_data[row + off + q * step] += alpha * v;
+                        }
+                    }
+                });
             }
         }
     }
@@ -162,7 +176,6 @@ fn pack_a(
     kc: usize,
 ) {
     let data = a.data();
-    let (rs, cs) = (a.row_stride(), a.col_stride());
     for s in 0..mc_pad / MR {
         let strip = &mut dst[s * kc * MR..(s + 1) * kc * MR];
         for ii in 0..MR {
@@ -173,11 +186,14 @@ fn pack_a(
                 }
                 continue;
             }
-            let mut src = (ic + row) * rs + kc0 * cs;
-            for p in 0..kc {
-                strip[p * MR + ii] = data[src];
-                src += cs;
-            }
+            let row_off = a.rows().offset(ic + row);
+            a.cols().for_each_run(kc0, kc, |at, off, step, count| {
+                let mut src = row_off + off;
+                for p in at..at + count {
+                    strip[p * MR + ii] = data[src];
+                    src += step;
+                }
+            });
         }
     }
 }
@@ -195,21 +211,32 @@ fn pack_b(
     kc: usize,
 ) {
     let data = b.data();
-    let (rs, cs) = (b.row_stride(), b.col_stride());
     for t in 0..nc_pad / NR {
         let strip = &mut dst[t * kc * NR..(t + 1) * kc * NR];
         let cols = NR.min(nc.saturating_sub(t * NR));
-        for p in 0..kc {
-            let row = &mut strip[p * NR..(p + 1) * NR];
-            let mut src = (kc0 + p) * rs + (jc + t * NR) * cs;
-            for v in row.iter_mut().take(cols) {
-                *v = data[src];
-                src += cs;
-            }
-            for v in row.iter_mut().skip(cols) {
-                *v = 0.0;
-            }
+        let mut lane_off = [0usize; NR];
+        for (jj, off) in lane_off.iter_mut().enumerate().take(cols) {
+            *off = b.cols().offset(jc + t * NR + jj);
         }
+        // A full strip of adjacent floats (a row-major operand, or sparse
+        // blocks read along their rows) is one copy per `p`.
+        let adjacent = cols == NR && (1..NR).all(|jj| lane_off[jj] == lane_off[0] + jj);
+        b.rows().for_each_run(kc0, kc, |at, off, step, count| {
+            let mut src = off;
+            for p in at..at + count {
+                let lanes = &mut strip[p * NR..(p + 1) * NR];
+                if adjacent {
+                    let first = src + lane_off[0];
+                    lanes.copy_from_slice(&data[first..first + NR]);
+                } else {
+                    for (v, &lane) in lanes.iter_mut().zip(&lane_off).take(cols) {
+                        *v = data[src + lane];
+                    }
+                    lanes[cols..].fill(0.0);
+                }
+                src += step;
+            }
+        });
     }
 }
 
@@ -240,7 +267,7 @@ fn micro(a_strip: &[f32], b_strip: &[f32], acc: &mut [f32], stride: usize) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::KernelBackend;
+    use super::super::{Axis, KernelBackend};
     use super::*;
 
     fn lcg_fill(len: usize, seed: u64) -> Vec<f32> {
@@ -281,8 +308,7 @@ mod tests {
                 alpha,
                 PanelView::new(&a, k, 1),
                 PanelView::new(&b, n, 1),
-                &mut want,
-                n,
+                OutView::new(&mut want, n),
             );
             // run_blocked directly: exercises the packing machinery even
             // on shapes below the scalar-delegation threshold.
@@ -293,8 +319,7 @@ mod tests {
                 alpha,
                 PanelView::new(&a, k, 1),
                 PanelView::new(&b, n, 1),
-                &mut got,
-                n,
+                OutView::new(&mut got, n),
             );
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(
@@ -315,14 +340,93 @@ mod tests {
         let bv = PanelView::new(&b, 1, k);
         let mut want = vec![0.0f32; m * n];
         let mut got = vec![0.0f32; m * n];
-        ScalarKernel.run(m, n, k, 1.0, av, bv, &mut want, n);
-        TiledKernel.run(m, n, k, 1.0, av, bv, &mut got, n);
+        ScalarKernel.run(m, n, k, 1.0, av, bv, OutView::new(&mut want, n));
+        TiledKernel.run(m, n, k, 1.0, av, bv, OutView::new(&mut got, n));
         assert!(
             got.iter()
                 .zip(&want)
                 .all(|(g, w)| g.to_bits() == w.to_bits()),
             "transposed views diverged from scalar"
         );
+    }
+
+    /// Tiled axes on all three views — `A` a rectangle of sparse blocks,
+    /// `B` a gather of dense row panels, the output block storage — give
+    /// the bits of the same product over plain strided copies, on both
+    /// backends, including a gathered reduction longer than `KC`.
+    #[test]
+    fn tiled_axes_match_the_strided_product() {
+        // (block size, block rows, gathered blocks along k, output block cols)
+        for &(bs, r, w, c) in &[
+            (4usize, 3usize, 5usize, 3usize),
+            (16, 2, 17, 2),
+            (1, 5, 3, 9),
+        ] {
+            let (m, k, n) = (r * bs, w * bs, c * bs);
+            let area = bs * bs;
+            let a_dense = lcg_fill(m * k, 21);
+            let big_k = 2 * w + 1;
+            let b_big = lcg_fill(big_k * bs * n, 22);
+            // Panels of `b_big` gathered along k: every other one.
+            let panels: Vec<usize> = (0..w).map(|j| 2 * j + 1).collect();
+            let b_dense: Vec<f32> = panels
+                .iter()
+                .flat_map(|&g| b_big[g * bs * n..(g + 1) * bs * n].iter().copied())
+                .collect();
+            let mut want = lcg_fill(m * n, 23);
+            let out_init = want.clone();
+            ScalarKernel.run(
+                m,
+                n,
+                k,
+                0.5,
+                PanelView::new(&a_dense, k, 1),
+                PanelView::new(&b_dense, n, 1),
+                OutView::new(&mut want, n),
+            );
+
+            // Block layout: block (t, j) of an `rows x cols`-block
+            // rectangle at slot `t * cols + j`, row-major inside.
+            let to_blocks = |dense: &[f32], cols_blocks: usize, width: usize| {
+                let mut blocks = vec![0.0f32; dense.len()];
+                for (idx, &v) in dense.iter().enumerate() {
+                    let (i, j) = (idx / width, idx % width);
+                    let slot = (i / bs) * cols_blocks + j / bs;
+                    blocks[slot * area + (i % bs) * bs + j % bs] = v;
+                }
+                blocks
+            };
+            let a_blocks = to_blocks(&a_dense, w, k);
+            let a_rows: Vec<usize> = (0..r).map(|t| t * w * area).collect();
+            let a_cols: Vec<usize> = (0..w).map(|j| j * area).collect();
+            let b_rows: Vec<usize> = panels.iter().map(|&g| g * bs * n).collect();
+            let o_rows: Vec<usize> = (0..r).map(|t| t * c * area).collect();
+            let o_cols: Vec<usize> = (0..c).map(|j| j * area).collect();
+            let tiled = |tile_off, inner| Axis::Tiled {
+                tile_off,
+                bs,
+                inner,
+            };
+            let av = PanelView::with_axes(&a_blocks, tiled(&a_rows, bs), tiled(&a_cols, 1));
+            let bv = PanelView::with_axes(&b_big, tiled(&b_rows, n), Axis::Strided(1));
+            let want_blocks = to_blocks(&want, c, n);
+            for blocked in [false, true] {
+                let mut got = to_blocks(&out_init, c, n);
+                let ov = OutView::with_axes(&mut got, tiled(&o_rows, bs), tiled(&o_cols, 1));
+                if blocked {
+                    run_blocked(m, n, k, 0.5, av, bv, ov);
+                } else {
+                    ScalarKernel.run(m, n, k, 0.5, av, bv, ov);
+                }
+                for (i, (g, w)) in got.iter().zip(&want_blocks).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "bs={bs} blocked={blocked}: stored float {i} differs ({g} vs {w})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use megablocks_exec as exec;
 
-use crate::kernel::{self, PanelView};
+use crate::kernel::{self, OutView, PanelView};
 use crate::Matrix;
 
 /// Whether an input operand of [`gemm`] is used as-is or transposed.
@@ -125,7 +125,7 @@ pub fn gemm(
             Trans::N => PanelView::new(&a_data[row0 * a_cols..], a_cols, 1),
             Trans::T => PanelView::new(&a_data[row0..], 1, a_cols),
         };
-        kernel::block_gemm(rows, n, k, alpha, a_view, b_view, band, n);
+        kernel::block_gemm(rows, n, k, alpha, a_view, b_view, OutView::new(band, n));
     };
 
     let rows_per_band = m.div_ceil(threads);

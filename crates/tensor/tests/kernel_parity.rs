@@ -18,7 +18,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use megablocks_exec::scoped_parallelism;
 use megablocks_tensor::{
-    block_gemm, configure_kernel_backend, gemm, KernelBackend, Matrix, PanelView, Trans,
+    block_gemm, configure_kernel_backend, gemm, KernelBackend, Matrix, OutView, PanelView, Trans,
 };
 use proptest::prelude::*;
 
@@ -167,8 +167,7 @@ fn block_gemm_strided_views_are_backend_invariant() {
                 0.75,
                 PanelView::new(a.as_slice(), 1, m),
                 PanelView::new(b.as_slice(), 1, k),
-                &mut out,
-                n,
+                OutView::new(&mut out, n),
             );
             out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
         })
