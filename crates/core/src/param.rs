@@ -40,6 +40,12 @@ impl Param {
         &mut self.grad
     }
 
+    /// The value and the gradient, both mutable — for an optimizer that
+    /// updates the value and clears the gradient in one pass.
+    pub fn value_and_grad_mut(&mut self) -> (&mut Matrix, &mut Matrix) {
+        (&mut self.value, &mut self.grad)
+    }
+
     /// Adds `g` into the accumulated gradient.
     ///
     /// # Panics

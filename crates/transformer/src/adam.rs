@@ -106,23 +106,25 @@ impl Adam {
         let b2 = self.cfg.beta2;
         let bias1 = 1.0 - b1.powi(self.t as i32);
         let bias2 = 1.0 - b2.powi(self.t as i32);
+        let wd = self.cfg.weight_decay;
+        let eps = self.cfg.eps;
         for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
             assert_eq!(p.value().shape(), m.shape(), "parameter shape changed");
-            let wd = self.cfg.weight_decay;
-            let eps = self.cfg.eps;
-            let n = p.value().len();
-            for i in 0..n {
-                let g = p.grad().as_slice()[i];
-                let mi = b1 * m.as_slice()[i] + (1.0 - b1) * g;
-                let vi = b2 * v.as_slice()[i] + (1.0 - b2) * g * g;
-                m.as_mut_slice()[i] = mi;
-                v.as_mut_slice()[i] = vi;
-                let mhat = mi / bias1;
-                let vhat = vi / bias2;
-                let w = p.value().as_slice()[i];
-                p.value_mut().as_mut_slice()[i] = w - lr * (mhat / (vhat.sqrt() + eps) + wd * w);
+            // One zipped pass over the four equal-length slices: no index,
+            // so no bounds checks, and the gradient is cleared where it is
+            // read. Element-wise with no reduction, so the values are the
+            // ones the indexed loop produced, bit for bit.
+            let (value, grad) = p.value_and_grad_mut();
+            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            let weights = value.as_mut_slice().iter_mut().zip(grad.as_mut_slice());
+            for ((mi, vi), (w, g)) in moments.zip(weights) {
+                *mi = b1 * *mi + (1.0 - b1) * *g;
+                *vi = b2 * *vi + (1.0 - b2) * *g * *g;
+                let mhat = *mi / bias1;
+                let vhat = *vi / bias2;
+                *w -= lr * (mhat / (vhat.sqrt() + eps) + wd * *w);
+                *g = 0.0;
             }
-            p.zero_grad();
         }
     }
 }
@@ -169,6 +171,69 @@ mod tests {
         let x = p.value()[(0, 0)];
         assert!((x - 3.0).abs() < 0.05, "converged to {x}");
         assert_eq!(opt.steps(), 400);
+    }
+
+    /// The zipped update is the indexed one, bit for bit: the formula as
+    /// `step` used to spell it (one bounds-checked index per matrix per
+    /// element) is written out here and run beside the optimizer for
+    /// several steps, weight decay on, over parameters of two shapes.
+    #[test]
+    fn step_is_bit_identical_to_the_indexed_formula() {
+        let cfg = AdamConfig {
+            weight_decay: 0.01,
+            ..AdamConfig::default()
+        };
+        let wave = |rows, cols, phase: f32| {
+            Matrix::from_fn(rows, cols, |i, j| {
+                ((i * cols + j) as f32 * 0.37 + phase).sin()
+            })
+        };
+        let mut params = vec![Param::new(wave(7, 5, 0.0)), Param::new(wave(1, 33, 1.0))];
+        let mut want: Vec<Vec<f32>> = params
+            .iter()
+            .map(|p| p.value().as_slice().to_vec())
+            .collect();
+        let mut m: Vec<Vec<f32>> = want.iter().map(|w| vec![0.0; w.len()]).collect();
+        let mut v = m.clone();
+        let mut opt = Adam::new(cfg);
+        for t in 1..=6 {
+            let lr = 0.05 / t as f32;
+            let bias1 = 1.0 - cfg.beta1.powi(t);
+            let bias2 = 1.0 - cfg.beta2.powi(t);
+            for (k, p) in params.iter_mut().enumerate() {
+                let (rows, cols) = p.value().shape();
+                let grad = wave(rows, cols, t as f32 + k as f32);
+                p.accumulate(&grad);
+                for i in 0..want[k].len() {
+                    let g = grad.as_slice()[i];
+                    let mi = cfg.beta1 * m[k][i] + (1.0 - cfg.beta1) * g;
+                    let vi = cfg.beta2 * v[k][i] + (1.0 - cfg.beta2) * g * g;
+                    m[k][i] = mi;
+                    v[k][i] = vi;
+                    let mhat = mi / bias1;
+                    let vhat = vi / bias2;
+                    let w = want[k][i];
+                    want[k][i] = w - lr * (mhat / (vhat.sqrt() + cfg.eps) + cfg.weight_decay * w);
+                }
+            }
+            let mut refs: Vec<&mut Param> = params.iter_mut().collect();
+            opt.step(&mut refs, lr);
+            for (k, p) in params.iter().enumerate() {
+                let got: Vec<u32> = p.value().as_slice().iter().map(|x| x.to_bits()).collect();
+                let want_bits: Vec<u32> = want[k].iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want_bits, "parameter {k} diverged at step {t}");
+                assert_eq!(
+                    p.grad().max_abs(),
+                    0.0,
+                    "gradient {k} not cleared at step {t}"
+                );
+            }
+        }
+        let (_, got_m, got_v) = opt.state();
+        for k in 0..params.len() {
+            assert_eq!(got_m[k].as_slice(), &m[k][..]);
+            assert_eq!(got_v[k].as_slice(), &v[k][..]);
+        }
     }
 
     #[test]
