@@ -159,7 +159,7 @@ impl Rect<'_> {
             Walk::Rows => self.bs,
             Walk::Cols => 1,
         };
-        tiled(self.span_off, self.bs, inner)
+        Axis::tiled(self.span_off, self.bs, inner)
     }
 
     /// The block storage along `cross`.
@@ -168,15 +168,7 @@ impl Rect<'_> {
             Walk::Rows => 1,
             Walk::Cols => self.bs,
         };
-        tiled(self.cross_off, self.bs, inner)
-    }
-}
-
-fn tiled(tile_off: &[usize], bs: usize, inner: usize) -> Axis<'_> {
-    Axis::Tiled {
-        tile_off,
-        bs,
-        inner,
+        Axis::tiled(self.cross_off, self.bs, inner)
     }
 }
 
@@ -468,7 +460,7 @@ pub fn try_sdd_op(
                 k,
                 1.0,
                 PanelView::new(&a_data[rect.span.start * bs * a_rs..], a_rs, a_cs),
-                PanelView::with_axes(b_data, Axis::Strided(b_rs), tiled(&b_cols, bs, b_cs)),
+                PanelView::with_axes(b_data, Axis::Strided(b_rs), Axis::tiled(&b_cols, bs, b_cs)),
                 OutView::with_axes(
                     &mut band[(rect.first - band_first) * area..],
                     rect.span_axis(),
@@ -613,7 +605,7 @@ pub fn try_dsd_op(
                     rect.span_axis(),
                     rect.cross_axis(),
                 ),
-                PanelView::with_axes(d_data, tiled(&d_rows, bs, d_rs), Axis::Strided(d_cs)),
+                PanelView::with_axes(d_data, Axis::tiled(&d_rows, bs, d_rs), Axis::Strided(d_cs)),
                 OutView::new(&mut band[(rect.span.start - cuts[b]) * bs * n..], n),
             );
         });
@@ -709,7 +701,7 @@ pub fn try_dds_op(
                 PanelView::with_axes(
                     &d_data[i0 * d_rs..],
                     Axis::Strided(d_rs),
-                    tiled(&d_cols, bs, d_cs),
+                    Axis::tiled(&d_cols, bs, d_cs),
                 ),
                 PanelView::with_axes(
                     &s_data[rect.first * area..],

@@ -91,7 +91,18 @@ pub enum Axis<'a> {
     },
 }
 
-impl Axis<'_> {
+impl<'a> Axis<'a> {
+    /// A tiled axis: `bs` indices per tile, `inner` apart inside a tile,
+    /// tile `t` starting at `tile_off[t]`.
+    #[inline]
+    pub fn tiled(tile_off: &'a [usize], bs: usize, inner: usize) -> Self {
+        Axis::Tiled {
+            tile_off,
+            bs,
+            inner,
+        }
+    }
+
     /// Storage offset this axis contributes for logical index `i`.
     #[inline]
     pub fn offset(&self, i: usize) -> usize {
@@ -341,11 +352,9 @@ impl<'a> OutView<'a> {
 /// result.
 ///
 /// `p` is the views' logical reduction index, whatever storage lies
-/// behind it: when the sparse ops gather a block row's nonzero blocks
-/// along `k`, the element is one accumulator over those blocks in
-/// ascending block index and ascending `k` inside each block (see the
-/// module docs). The value of `out[(i, j)]` depends only on row `i` of
-/// `a` and column `j` of `b`.
+/// behind it (the module docs say what that makes a DSD/DDS element), and
+/// the value of `out[(i, j)]` depends only on row `i` of `a` and column
+/// `j` of `b`.
 ///
 /// Callers reach backends through [`block_gemm`], which validates the
 /// geometry (operand coverage, output bounds, output injectivity) before
@@ -607,14 +616,6 @@ mod tests {
         );
     }
 
-    fn block_axes(tiles: &[usize], bs: usize, inner: usize) -> Axis<'_> {
-        Axis::Tiled {
-            tile_off: tiles,
-            bs,
-            inner,
-        }
-    }
-
     #[test]
     fn block_storage_output_is_injective_and_overlaps_are_caught() {
         // A 2x3 rectangle of 4x4 blocks in storage order: the rows'
@@ -626,8 +627,8 @@ mod tests {
         let mut data = vec![0.0f32; 6 * area];
         let view = OutView::with_axes(
             &mut data,
-            block_axes(&rows, bs, bs),
-            block_axes(&cols, bs, 1),
+            Axis::tiled(&rows, bs, bs),
+            Axis::tiled(&cols, bs, 1),
         );
         assert!(covers(6 * area, &view.rows, &view.cols, 8, 12));
         assert!(view.is_injective(8, 12));
@@ -636,20 +637,20 @@ mod tests {
         let clash = [0, 2 * area];
         let view = OutView::with_axes(
             &mut data,
-            block_axes(&clash, bs, bs),
-            block_axes(&cols, bs, 1),
+            Axis::tiled(&clash, bs, bs),
+            Axis::tiled(&cols, bs, 1),
         );
         assert!(!view.is_injective(8, 12));
         // Tile offsets that repeat or descend.
         let repeat = [0, 0];
-        let view = OutView::with_axes(&mut data, block_axes(&repeat, bs, bs), Axis::Strided(1));
+        let view = OutView::with_axes(&mut data, Axis::tiled(&repeat, bs, bs), Axis::Strided(1));
         assert!(!view.is_injective(8, 4));
     }
 
     #[test]
     fn tiled_axis_runs_and_offsets_agree() {
         let tiles = [40, 7, 100];
-        let axis = block_axes(&tiles, 3, 2);
+        let axis = Axis::tiled(&tiles, 3, 2);
         assert_eq!(axis.offsets(8), [40, 42, 44, 7, 9, 11, 100, 102]);
         assert_eq!(axis.max_offset(8), 102);
         assert!(axis.spans(9) && !axis.spans(10));
@@ -672,7 +673,7 @@ mod tests {
             2,
             4,
             1.0,
-            PanelView::with_axes(&a, Axis::Strided(4), block_axes(&tiles, 2, 1)),
+            PanelView::with_axes(&a, Axis::Strided(4), Axis::tiled(&tiles, 2, 1)),
             PanelView::new(&b, 2, 1),
             OutView::new(&mut out, 2),
         );

@@ -402,11 +402,7 @@ mod tests {
             let b_rows: Vec<usize> = panels.iter().map(|&g| g * bs * n).collect();
             let o_rows: Vec<usize> = (0..r).map(|t| t * c * area).collect();
             let o_cols: Vec<usize> = (0..c).map(|j| j * area).collect();
-            let tiled = |tile_off, inner| Axis::Tiled {
-                tile_off,
-                bs,
-                inner,
-            };
+            let tiled = |tile_off, inner| Axis::tiled(tile_off, bs, inner);
             let av = PanelView::with_axes(&a_blocks, tiled(&a_rows, bs), tiled(&a_cols, 1));
             let bv = PanelView::with_axes(&b_big, tiled(&b_rows, n), Axis::Strided(1));
             let want_blocks = to_blocks(&want, c, n);
