@@ -15,9 +15,9 @@
 //! The enforced rules live in the central [`rules::RULES`] registry —
 //! run `cargo run -p megablocks-audit -- lint --list` for the table, and
 //! see each rule's doc string there for what it checks. Briefly:
-//! `safety-comment`, `hot-path-panic`, `telemetry-parity`,
-//! `raw-parallelism` and `fault-site-telemetry` port the original
-//! line-based lints onto the token model; `feature-gate-parity`,
+//! `safety-comment`, `hot-path-panic`, `raw-parallelism` and
+//! `fault-site-telemetry` port the original line-based lints onto the
+//! token model; `feature-gate-parity`,
 //! `error-exhaustive` and `unsafe-safety-format` are only expressible on
 //! it; `suppression-justification` governs the
 //! `// audit: allow(<rule>) -- <justification>` escape hatch.
@@ -52,19 +52,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/core/src/permute.rs",
 ];
 
-/// The feature-gated telemetry implementation pairs that must agree
-/// (enabled variant first, its no-op twin second).
-pub const TELEMETRY_PAIRS: &[(&str, &str)] = &[
-    (
-        "crates/telemetry/src/enabled.rs",
-        "crates/telemetry/src/disabled.rs",
-    ),
-    (
-        "crates/telemetry/src/trace_enabled.rs",
-        "crates/telemetry/src/trace_disabled.rs",
-    ),
-];
-
 /// The one directory allowed to use raw thread primitives: the execution
 /// runtime owns every spawn in the workspace (workspace-relative prefix).
 pub const EXEC_CRATE: &str = "crates/exec/";
@@ -80,10 +67,8 @@ pub const KERNEL_DIR: &str = "crates/tensor/src/kernel/";
 pub const FAULT_SITES: &str = "crates/resilience/src/sites.rs";
 
 /// The cfg features whose gated items the `feature-gate-parity` rule
-/// requires to have opposite-branch counterparts. (The telemetry crate's
-/// internal `enabled` feature is covered by the dedicated
-/// `telemetry-parity` file-pair rule instead.)
-pub const GATED_FEATURES: &[&str] = &["telemetry", "sanitize", "chaos"];
+/// requires to have opposite-branch counterparts.
+pub const GATED_FEATURES: &[&str] = &["sanitize", "chaos"];
 
 /// The workspace error enums whose variants the `error-exhaustive` rule
 /// requires to be constructed outside tests.
@@ -94,7 +79,7 @@ pub const AUDITED_ERROR_ENUMS: &[&str] = &["SparseError", "AuditError", "EpError
 pub struct Finding {
     /// Workspace-relative path of the offending file.
     pub file: String,
-    /// 1-based line, or 0 when the finding concerns the file as a whole.
+    /// 1-based line.
     pub line: usize,
     /// The violated rule's slug (see [`rules::RULES`]).
     pub rule: &'static str,
@@ -104,15 +89,11 @@ pub struct Finding {
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "{}: [{}] {}", self.file, self.rule, self.message)
-        } else {
-            write!(
-                f,
-                "{}:{}: [{}] {}",
-                self.file, self.line, self.rule, self.message
-            )
-        }
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 
@@ -310,13 +291,6 @@ pub fn run_all_lints(root: &Path) -> io::Result<Vec<Finding>> {
         findings.extend(sup_findings);
     }
 
-    // `telemetry-parity`: the feature-gated implementation file pairs.
-    for pair in TELEMETRY_PAIRS {
-        let enabled = find_file(&files, pair.0)?;
-        let disabled = find_file(&files, pair.1)?;
-        findings.extend(check_telemetry_parity(*pair, enabled, disabled));
-    }
-
     // `fault-site-telemetry`: the catalogue follows the naming scheme and
     // every registered site is wired somewhere.
     let sites_wf = find_file(&files, FAULT_SITES)?;
@@ -340,11 +314,10 @@ pub fn run_all_lints(root: &Path) -> io::Result<Vec<Finding>> {
     // outside tests, somewhere in the workspace.
     findings.extend(check_error_exhaustive(&files));
 
-    // Apply suppressions (file-level findings, line 0, are not
-    // suppressible; neither is the suppression lint itself).
+    // Apply suppressions (the suppression lint itself is not
+    // suppressible).
     findings.retain(|f| {
-        f.line == 0
-            || f.rule == "suppression-justification"
+        f.rule == "suppression-justification"
             || !suppressions
                 .iter()
                 .any(|s| s.file == f.file && s.slug == f.rule && s.applies_line == f.line)
@@ -505,73 +478,6 @@ pub fn check_hot_path_panics(wf: &WorkspaceFile) -> Vec<Finding> {
         });
     }
     findings
-}
-
-// ---------------------------------------------------------------------------
-// telemetry-parity
-// ---------------------------------------------------------------------------
-
-/// `telemetry-parity`: the enabled and disabled implementations of a
-/// feature-gated pair (`pair` names the two files, enabled first) must
-/// expose the same public items with the same signatures.
-pub fn check_telemetry_parity(
-    pair: (&str, &str),
-    enabled: &WorkspaceFile,
-    disabled: &WorkspaceFile,
-) -> Vec<Finding> {
-    let e = public_parity_items(&enabled.sf);
-    let d = public_parity_items(&disabled.sf);
-    let mut findings = Vec::new();
-    for item in &e {
-        if !d.contains(item) {
-            findings.push(parity_finding(pair.1, item, "missing or differs"));
-        }
-    }
-    for item in &d {
-        if !e.contains(item) {
-            findings.push(parity_finding(pair.0, item, "missing or differs"));
-        }
-    }
-    findings
-}
-
-fn parity_finding(file: &str, item: &str, what: &str) -> Finding {
-    Finding {
-        file: file.to_string(),
-        line: 0,
-        rule: "telemetry-parity",
-        message: format!("public item `{item}` {what} in this implementation"),
-    }
-}
-
-/// Normalized public item keys for the parity rules: top-level `pub`
-/// structs and enums by name, top-level `pub fn`s by signature, and
-/// inherent-impl `pub fn`s by `Owner::signature`.
-fn public_parity_items(sf: &SourceFile) -> Vec<String> {
-    let mut items = Vec::new();
-    for it in &sf.items {
-        if it.vis != model::Vis::Pub || it.is_test_gated() {
-            continue;
-        }
-        match it.kind {
-            ItemKind::Struct if it.mod_path.is_empty() => {
-                items.push(format!("struct {}", it.name));
-            }
-            ItemKind::Enum if it.mod_path.is_empty() => {
-                items.push(format!("enum {}", it.name));
-            }
-            ItemKind::Fn => {
-                let sig = it.signature.clone().unwrap_or_default();
-                match &it.owner {
-                    Some(owner) => items.push(format!("{owner}::{sig}")),
-                    None if it.mod_path.is_empty() => items.push(sig),
-                    None => {}
-                }
-            }
-            _ => {}
-        }
-    }
-    items
 }
 
 // ---------------------------------------------------------------------------
@@ -1370,32 +1276,6 @@ mod tests {
     fn hot_path_lint_allows_unwrap_or_else() {
         let src = "fn k(v: Option<u32>) -> u32 {\n    v.unwrap_or_else(|| 0)\n}\n";
         assert!(check_hot_path_panics(&wf(src)).is_empty());
-    }
-
-    #[test]
-    fn parity_lint_accepts_identical_apis() {
-        let enabled = wf("pub struct Counter;\nimpl Counter {\n    pub fn add(&self, n: u64) { let _ = n; }\n}\npub fn counter(name: &'static str) -> Counter { Counter }\n");
-        let disabled = wf("pub struct Counter;\nimpl Counter {\n    pub fn add(&self, _n: u64) {}\n}\npub fn counter(_name: &'static str) -> Counter { Counter }\n");
-        assert!(check_telemetry_parity(("e.rs", "d.rs"), &enabled, &disabled).is_empty());
-    }
-
-    #[test]
-    fn parity_lint_flags_missing_method() {
-        let enabled = wf("pub struct Counter;\nimpl Counter {\n    pub fn add(&self, n: u64) { let _ = n; }\n    pub fn get(&self) -> u64 { 0 }\n}\n");
-        let disabled =
-            wf("pub struct Counter;\nimpl Counter {\n    pub fn add(&self, _n: u64) {}\n}\n");
-        let f = check_telemetry_parity(("e.rs", "d.rs"), &enabled, &disabled);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("Counter::"));
-        assert!(f[0].message.contains("get"));
-    }
-
-    #[test]
-    fn parity_lint_flags_signature_drift() {
-        let enabled = wf("pub fn gauge(name: &'static str) -> Gauge { Gauge }\n");
-        let disabled = wf("pub fn gauge(name: &str) -> Gauge { Gauge }\n");
-        let f = check_telemetry_parity(("e.rs", "d.rs"), &enabled, &disabled);
-        assert_eq!(f.len(), 2); // each side reports the other's variant missing
     }
 
     #[test]

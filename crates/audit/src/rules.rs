@@ -38,14 +38,8 @@ pub const RULES: &[Rule] = &[
     },
     // id 3 (`try-twin`) is retired: `product_wrappers!` emits every
     // panicking sparse op together with its `try_*` twin.
-    Rule {
-        id: 4,
-        slug: "telemetry-parity",
-        doc: "each telemetry enabled/disabled implementation pair exposes \
-              identical public items, so flipping the feature never changes \
-              what compiles",
-        since: "PR 2",
-    },
+    // id 4 (`telemetry-parity`) is retired: telemetry compiles one
+    // implementation, so there is no no-op twin to keep in step.
     Rule {
         id: 5,
         slug: "raw-parallelism",
@@ -63,7 +57,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: 7,
         slug: "feature-gate-parity",
-        doc: "every `telemetry`/`sanitize`/`chaos`-gated item has a \
+        doc: "every `sanitize`/`chaos`-gated item has a \
               same-signature counterpart in the opposite cfg branch",
         since: "PR 7",
     },
@@ -137,8 +131,12 @@ mod tests {
 
     #[test]
     fn lookup_by_slug() {
-        assert_eq!(rule_by_slug("telemetry-parity").unwrap().id, 4);
+        assert_eq!(rule_by_slug("raw-parallelism").unwrap().id, 5);
         assert!(rule_by_slug("try-twin").is_none(), "id 3 stays retired");
+        assert!(
+            rule_by_slug("telemetry-parity").is_none(),
+            "id 4 stays retired"
+        );
         assert!(rule_by_slug("no-such-rule").is_none());
     }
 

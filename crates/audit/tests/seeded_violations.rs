@@ -15,8 +15,8 @@ use megablocks_audit::run_all_lints;
 /// `error-exhaustive` and `unsafe-safety-format`.
 const DEMO_LIB: &str = r#"//! Seeded-violation fixture.
 
-/// Gated on telemetry with no opposite-branch twin anywhere.
-#[cfg(feature = "telemetry")]
+/// Gated on sanitize with no opposite-branch twin anywhere.
+#[cfg(feature = "sanitize")]
 pub fn gated_without_twin() {}
 
 /// Audited error enum with an unconstructed variant.
@@ -71,22 +71,12 @@ fn write_fixture() -> PathBuf {
     let _ = fs::remove_dir_all(&root);
     let demo = root.join("crates/demo/src");
     let sparse = root.join("crates/sparse/src");
-    let telemetry = root.join("crates/telemetry/src");
     fs::create_dir_all(&demo).expect("create fixture dirs");
     fs::create_dir_all(&sparse).expect("create fixture dirs");
-    fs::create_dir_all(&telemetry).expect("create fixture dirs");
     fs::write(demo.join("lib.rs"), DEMO_LIB).expect("write demo lib");
     fs::write(sparse.join("ops.rs"), HOT_OPS).expect("write hot ops");
-    // The telemetry-parity rule refuses to pass vacuously on a missing
-    // pair file, so the fixture carries empty (trivially agreeing) pairs.
-    for pair in [
-        ("enabled.rs", "disabled.rs"),
-        ("trace_enabled.rs", "trace_disabled.rs"),
-    ] {
-        fs::write(telemetry.join(pair.0), "//! fixture\n").expect("write telemetry pair");
-        fs::write(telemetry.join(pair.1), "//! fixture\n").expect("write telemetry pair");
-    }
-    // Likewise the fault-site rule needs its (empty) site catalogue.
+    // The fault-site rule refuses to pass vacuously on a missing site
+    // catalogue, so the fixture carries an empty one.
     let resilience = root.join("crates/resilience/src");
     fs::create_dir_all(&resilience).expect("create fixture dirs");
     fs::write(resilience.join("sites.rs"), "//! fixture\n").expect("write fault sites");

@@ -37,11 +37,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    // With the `telemetry` feature on, every sink flushes when this
-    // guard drops — including during a panic unwind, so an aborted run
-    // still leaves its metrics, timeline trace and health report on
-    // disk. Plain `is_enabled()` checks inside the guard make this a
-    // no-op otherwise.
+    // Naming the output files turns telemetry's recording switch on, and
+    // every sink flushes when this guard drops — including during a
+    // panic unwind, so an aborted run still leaves its metrics, timeline
+    // trace and health report on disk.
     let _flush = telemetry::FlushOnDrop::new()
         .jsonl(format!("results/telemetry_{cmd}.jsonl"))
         .trace(format!("results/trace_{cmd}.json"))
@@ -84,8 +83,8 @@ fn main() {
 }
 
 /// Writes `results/health_<cmd>.json` on drop (panic-safe, like
-/// [`telemetry::FlushOnDrop`]); a no-op when telemetry is off or the
-/// run recorded no MoE steps.
+/// [`telemetry::FlushOnDrop`]); a no-op when the run recorded no MoE
+/// steps.
 struct HealthExport(String);
 
 impl Drop for HealthExport {

@@ -9,9 +9,10 @@
 //! optimizer step and the bench binaries aggregate to
 //! `results/health_<cmd>.json`.
 //!
-//! Recording is gated on the `telemetry` feature (via
-//! [`telemetry::is_enabled`]); without it every call is a cheap early
-//! return and no memory accumulates.
+//! One record per step grows with the run, so recording is gated on
+//! telemetry's runtime switch ([`telemetry::trace_set_enabled`], off
+//! until someone asks for output); while it is off every call is a
+//! cheap early return and no memory accumulates.
 
 use std::io;
 use std::path::Path;
@@ -47,8 +48,8 @@ fn records() -> &'static Mutex<Vec<HealthRecord>> {
     RECORDS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Appends one step's health record (no-op unless the `telemetry`
-/// feature is enabled).
+/// Appends one step's health record (no-op while telemetry's recording
+/// switch is off).
 pub fn record_step(record: HealthRecord) {
     if !telemetry::is_enabled() {
         return;
@@ -189,11 +190,10 @@ pub fn parse_health_json(src: &str) -> Result<Vec<HealthRecord>, String> {
 }
 
 /// Writes the current health records to `path` (parent directories are
-/// created). No-op returning `Ok` when recording is disabled or no
-/// steps were recorded.
+/// created). No-op returning `Ok` when no steps were recorded.
 pub fn export_health_json(path: impl AsRef<Path>) -> io::Result<()> {
     let records = health_snapshot();
-    if !telemetry::is_enabled() || records.is_empty() {
+    if records.is_empty() {
         return Ok(());
     }
     let path = path.as_ref();

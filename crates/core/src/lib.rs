@@ -126,9 +126,9 @@ pub fn count_entropy(counts: &[usize]) -> f32 {
 }
 
 /// Records one forward pass's [`MoeStats`] into the global telemetry
-/// registry (a no-op without the `telemetry` feature): the per-expert
-/// token-count histogram and labelled counters, padding and dropped-token
-/// counters, and the padding-overhead and router load-entropy gauges.
+/// registry: the per-expert token-count histogram and labelled counters,
+/// padding and dropped-token counters, and the padding-overhead and
+/// router load-entropy gauges.
 pub(crate) fn record_moe_stats(stats: &MoeStats) {
     let hist = telemetry::histogram("moe.tokens_per_expert");
     for (e, &c) in stats.tokens_per_expert.iter().enumerate() {

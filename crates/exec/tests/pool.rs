@@ -125,12 +125,10 @@ fn nested_launches_run_inline_without_deadlock() {
     let before = inline_launches.get();
     LaunchPlan::over_items("test.nested_outer", &mut data, 1, per_band, &body).launch();
     assert!(data.iter().all(|&v| v == 1.0));
-    if telemetry::is_enabled() {
-        assert!(
-            inline_launches.get() - before >= (outer_bands - 1) as u64,
-            "launches from pool workers must count as inline, not pooled"
-        );
-    }
+    assert!(
+        inline_launches.get() - before >= (outer_bands - 1) as u64,
+        "launches from pool workers must count as inline, not pooled"
+    );
 }
 
 #[test]

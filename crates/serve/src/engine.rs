@@ -2,7 +2,7 @@
 //! batch formation, deadline-aware execution, per-request responses.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -153,12 +153,15 @@ impl ResponseHandle {
 
 /// A queued request awaiting batch formation. Every request resolves
 /// exactly once: through [`Pending::resolve`], or — when a batch unwinds
-/// before reaching it — on drop, so no waiter is ever stranded.
+/// before reaching it — on drop, so no waiter is ever stranded. Both
+/// count the outcome, so `submitted` equals the sum of the outcomes
+/// once the queue is empty.
 struct Pending {
     tokens: Matrix,
     deadline: Option<Deadline>,
     submitted: Instant,
     slot: Arc<Slot>,
+    counters: Arc<Counters>,
     resolved: bool,
 }
 
@@ -169,6 +172,9 @@ impl Pending {
 
     fn resolve(mut self, result: Result<Response, ServeError>) {
         self.resolved = true;
+        // Count before resolving: a waiter woken by the resolve must
+        // already see this request in the stats.
+        self.counters.count_resolved(Outcome::of(&result));
         self.slot.resolve(result);
     }
 }
@@ -176,6 +182,7 @@ impl Pending {
 impl Drop for Pending {
     fn drop(&mut self) {
         if !self.resolved {
+            self.counters.count_resolved(Outcome::Kernel);
             self.slot.resolve(Err(ServeError::Kernel(
                 "the batch panicked before resolving this request".into(),
             )));
@@ -183,18 +190,60 @@ impl Drop for Pending {
     }
 }
 
-/// Monotonic counters describing an engine's lifetime.
+/// How an admitted request ended; indexes [`Counters::resolved`] and
+/// labels the `serve.resolved` counter family.
+#[derive(Clone, Copy)]
+enum Outcome {
+    Completed,
+    Expired,
+    Cancelled,
+    Kernel,
+    Shutdown,
+}
+
+impl Outcome {
+    const LABELS: [&'static str; 5] = ["completed", "expired", "cancelled", "kernel", "shutdown"];
+
+    fn of(result: &Result<Response, ServeError>) -> Outcome {
+        match result {
+            Ok(_) => Outcome::Completed,
+            Err(ServeError::Expired) => Outcome::Expired,
+            Err(ServeError::Cancelled(_)) => Outcome::Cancelled,
+            Err(ServeError::Kernel(_)) => Outcome::Kernel,
+            Err(ServeError::ShuttingDown) => Outcome::Shutdown,
+            Err(ServeError::Overloaded { .. }) => {
+                unreachable!("a shed request is refused before it is queued")
+            }
+        }
+    }
+}
+
+/// Monotonic counters describing an engine's lifetime. Every admitted
+/// request ends under exactly one outcome, so once nothing is queued or
+/// in flight `submitted == completed + expired + cancelled + kernel +
+/// shutdown`; every [`Engine::submit`] on a running engine is either
+/// `shed` or `submitted`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Requests accepted into the queue.
+    /// Requests admitted: queued, or already past their deadline on
+    /// arrival (those count under `expired` at once).
     pub submitted: u64,
     /// Requests resolved with an output.
     pub completed: u64,
     /// Requests shed at admission ([`ServeError::Overloaded`]).
     pub shed: u64,
-    /// Requests dropped for a passed deadline (pre-batch or
-    /// post-compute).
+    /// Requests dropped for a passed deadline (on arrival, pre-batch,
+    /// mid-compute or post-compute).
     pub expired: u64,
+    /// Requests whose batch was cancelled mid-flight
+    /// ([`ServeError::Cancelled`]).
+    pub cancelled: u64,
+    /// Requests whose batch failed or panicked in compute
+    /// ([`ServeError::Kernel`]).
+    pub kernel: u64,
+    /// Requests still queued when the engine shut down
+    /// ([`ServeError::ShuttingDown`]).
+    pub shutdown: u64,
     /// Batches executed.
     pub batches: u64,
     /// Largest queue depth observed at any admission.
@@ -204,9 +253,8 @@ pub struct EngineStats {
 #[derive(Default)]
 struct Counters {
     submitted: AtomicU64,
-    completed: AtomicU64,
     shed: AtomicU64,
-    expired: AtomicU64,
+    resolved: [AtomicU64; Outcome::LABELS.len()],
     batches: AtomicU64,
     max_queue_depth: AtomicUsize,
 }
@@ -216,12 +264,26 @@ impl Counters {
         self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
+    fn count_submitted(&self) {
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        telemetry::counter("serve.submitted").inc();
+    }
+
+    fn count_resolved(&self, outcome: Outcome) {
+        self.resolved[outcome as usize].fetch_add(1, Ordering::Relaxed);
+        telemetry::counter_with("serve.resolved", Outcome::LABELS[outcome as usize]).inc();
+    }
+
     fn snapshot(&self) -> EngineStats {
+        let resolved = |outcome: Outcome| self.resolved[outcome as usize].load(Ordering::Relaxed);
         EngineStats {
             submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
+            completed: resolved(Outcome::Completed),
             shed: self.shed.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
+            expired: resolved(Outcome::Expired),
+            cancelled: resolved(Outcome::Cancelled),
+            kernel: resolved(Outcome::Kernel),
+            shutdown: resolved(Outcome::Shutdown),
             batches: self.batches.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed) as u64,
         }
@@ -238,7 +300,7 @@ struct Shared {
     cv: Condvar,
     cfg: ServeConfig,
     root: CancelToken,
-    counters: Counters,
+    counters: Arc<Counters>,
     layer: DroplessMoe,
 }
 
@@ -283,7 +345,7 @@ impl Engine {
             cv: Condvar::new(),
             cfg,
             root: CancelToken::new(),
-            counters: Counters::default(),
+            counters: Arc::default(),
             layer,
         });
         let worker = Arc::clone(&shared);
@@ -337,8 +399,10 @@ impl Engine {
         );
         assert!(tokens.rows() > 0, "empty request");
         if deadline.is_some_and(|d| d.expired()) {
-            self.shared.counters.expired.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter("serve.expired").inc();
+            // Dead on arrival: admitted and resolved in one step, so
+            // `shed + submitted` still counts every attempt.
+            self.shared.counters.count_submitted();
+            self.shared.counters.count_resolved(Outcome::Expired);
             return Err(ServeError::Expired);
         }
         let mut state = self.shared.lock();
@@ -359,16 +423,13 @@ impl Engine {
             deadline,
             submitted: Instant::now(),
             slot: Arc::clone(&slot),
+            counters: Arc::clone(&self.shared.counters),
             resolved: false,
         });
         let depth = state.queue.len();
         drop(state);
         self.shared.counters.observe_depth(depth);
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        telemetry::counter("serve.submitted").inc();
+        self.shared.counters.count_submitted();
         telemetry::gauge("serve.queue_depth").set(depth as f64);
         telemetry::trace_counter_event("serve.queue_depth", depth as f64);
         self.shared.cv.notify_one();
@@ -401,7 +462,7 @@ impl Drop for Engine {
 /// Walks the queue and resolves every already-expired request with
 /// [`ServeError::Expired`] — called before each batch formation so dead
 /// requests never occupy a batch slot.
-fn drop_expired(state: &mut State, counters: &Counters) {
+fn drop_expired(state: &mut State) {
     let before = state.queue.len();
     if before == 0 {
         return;
@@ -409,10 +470,6 @@ fn drop_expired(state: &mut State, counters: &Counters) {
     let mut kept = VecDeque::with_capacity(before);
     for pending in state.queue.drain(..) {
         if pending.expired() {
-            // Count before resolving: a waiter woken by the resolve must
-            // already see this request in the stats.
-            counters.expired.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter("serve.expired").inc();
             telemetry::trace_instant("serve.expired");
             pending.resolve(Err(ServeError::Expired));
         } else {
@@ -454,7 +511,7 @@ fn batcher_loop(shared: &Shared) {
                     }
                     return;
                 }
-                drop_expired(&mut state, &shared.counters);
+                drop_expired(&mut state);
                 if state.queue.is_empty() {
                     state = shared.cv.wait(state).unwrap_or_else(|p| p.into_inner());
                     continue;
@@ -529,9 +586,25 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
     telemetry::counter("serve.batches").inc();
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
 
+    // A tripped context surfaces two ways: the sparse products return
+    // it, the glue kernels around them (router, gather, scatter) unwind
+    // with it. Both are the same outcome for the batch's members; any
+    // other panic keeps unwinding to the batcher.
+    let cancelled = |kind| match kind {
+        CancelKind::DeadlineExceeded => ServeError::Expired,
+        other => ServeError::Cancelled(other),
+    };
     let result = {
         let _scope = cancel::enter(&ctx);
-        shared.layer.infer(&input)
+        match catch_unwind(AssertUnwindSafe(|| shared.layer.infer(&input))) {
+            Ok(Ok(output)) => Ok(output),
+            Ok(Err(SparseError::Cancelled { kind, .. })) => Err(cancelled(kind)),
+            Ok(Err(other)) => Err(ServeError::Kernel(other.to_string())),
+            Err(panic) => match ctx.status() {
+                Some(kind) => Err(cancelled(kind)),
+                None => resume_unwind(panic),
+            },
+        }
     };
     match result {
         Ok(output) => {
@@ -544,8 +617,6 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
                     // Finished compute, but past this member's own
                     // deadline: the caller's budget is blown either way.
                     slice.recycle();
-                    shared.counters.expired.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("serve.expired").inc();
                     pending.resolve(Err(ServeError::Expired));
                     continue;
                 }
@@ -553,10 +624,6 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
                 let latency = pending.submitted.elapsed();
                 telemetry::histogram("serve.queue_wait_us").record(queue_wait.as_micros() as u64);
                 telemetry::histogram("serve.latency_us").record(latency.as_micros() as u64);
-                // Count before resolving so a waiter woken by its own
-                // resolution already sees itself in the stats.
-                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("serve.completed").inc();
                 pending.resolve(Ok(Response {
                     output: slice,
                     queue_wait,
@@ -566,25 +633,13 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
             }
             output.recycle();
         }
-        Err(SparseError::Cancelled { kind, .. }) => {
-            telemetry::counter("serve.batch_cancelled").inc();
-            telemetry::trace_instant("serve.batch_cancelled");
-            let error = match kind {
-                CancelKind::DeadlineExceeded => ServeError::Expired,
-                other => ServeError::Cancelled(other),
-            };
-            for pending in batch {
-                if matches!(error, ServeError::Expired) {
-                    shared.counters.expired.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("serve.expired").inc();
-                }
-                pending.resolve(Err(error.clone()));
+        Err(error) => {
+            if !matches!(error, ServeError::Kernel(_)) {
+                telemetry::counter("serve.batch_cancelled").inc();
+                telemetry::trace_instant("serve.batch_cancelled");
             }
-        }
-        Err(other) => {
-            let message = other.to_string();
             for pending in batch {
-                pending.resolve(Err(ServeError::Kernel(message.clone())));
+                pending.resolve(Err(error.clone()));
             }
         }
     }
@@ -669,80 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn overload_sheds_at_the_queue_cap() {
-        // Choke the batcher with a huge max_wait so the queue fills.
-        let (engine, mut rng) = small_engine(
-            ServeConfig::default()
-                .with_max_batch(64)
-                .with_queue_cap(2)
-                .with_max_wait(Duration::from_secs(30)),
-        );
-        let a = engine.submit(normal(1, 6, 1.0, &mut rng), None);
-        let b = engine.submit(normal(1, 6, 1.0, &mut rng), None);
-        assert!(a.is_ok() && b.is_ok());
-        match engine.submit(normal(1, 6, 1.0, &mut rng), None) {
-            Err(ServeError::Overloaded { depth }) => assert!(depth >= 2),
-            other => panic!("expected shed, got {other:?}"),
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.shed, 1);
-        assert!(stats.max_queue_depth <= 2, "queue depth exceeded the cap");
-    }
-
-    #[test]
-    fn expired_requests_drop_before_batch_formation() {
-        let (engine, mut rng) = small_engine(
-            ServeConfig::default()
-                .with_max_batch(8)
-                .with_max_wait(Duration::from_millis(30)),
-        );
-        // Already-expired deadline: rejected at submit.
-        let dead = engine.submit(
-            normal(1, 6, 1.0, &mut rng),
-            Some(Deadline::after(Duration::ZERO)),
-        );
-        assert_eq!(dead.err(), Some(ServeError::Expired));
-
-        // A deadline that expires while queued behind an unhurried
-        // request: the batcher waits out the oldest request's budget,
-        // and by the time the batch forms the doomed co-rider has
-        // expired — it must be dropped *before* formation, so the
-        // healthy request rides alone.
-        let healthy = engine
-            .submit(normal(1, 6, 1.0, &mut rng), None)
-            .expect("admitted");
-        let doomed = engine
-            .submit(
-                normal(1, 6, 1.0, &mut rng),
-                Some(Deadline::after(Duration::from_millis(1))),
-            )
-            .expect("admitted with slack");
-        assert_eq!(doomed.wait().err(), Some(ServeError::Expired));
-        let response = healthy.wait().expect("healthy request served");
-        assert_eq!(response.batch_size, 1, "expired request rode in no batch");
-        assert!(engine.stats().expired >= 2);
-    }
-
-    #[test]
-    fn shutdown_resolves_queued_requests() {
-        let (mut engine, mut rng) = small_engine(
-            ServeConfig::default()
-                .with_max_batch(64)
-                .with_max_wait(Duration::from_secs(30)),
-        );
-        let handle = engine
-            .submit(normal(1, 6, 1.0, &mut rng), None)
-            .expect("admitted");
-        engine.shutdown();
-        match handle.wait() {
-            Err(ServeError::ShuttingDown) | Err(ServeError::Cancelled(_)) | Ok(_) => {}
-            other => panic!("unexpected shutdown resolution: {other:?}"),
-        }
-        let refused = engine.submit(normal(1, 6, 1.0, &mut rng), None);
-        assert_eq!(refused.err(), Some(ServeError::ShuttingDown));
-    }
-
-    #[test]
     fn flood_keeps_queue_depth_bounded() {
         // Open-loop flood at a tiny queue cap: everything either
         // resolves or sheds, and the observed depth never exceeds the
@@ -781,19 +762,22 @@ mod tests {
     }
 
     #[test]
-    fn an_unresolved_pending_resolves_its_handle_on_drop() {
+    fn an_unresolved_pending_resolves_and_counts_on_drop() {
         let slot = Arc::new(Slot::default());
         let handle = ResponseHandle {
             slot: Arc::clone(&slot),
         };
+        let counters = Arc::new(Counters::default());
         drop(Pending {
             tokens: Matrix::zeros(1, 6),
             deadline: None,
             submitted: Instant::now(),
             slot,
+            counters: Arc::clone(&counters),
             resolved: false,
         });
         assert!(matches!(handle.wait(), Err(ServeError::Kernel(_))));
+        assert_eq!(counters.snapshot().kernel, 1);
     }
 
     #[test]
@@ -811,10 +795,12 @@ mod tests {
             deadline: None,
             submitted: Instant::now(),
             slot,
+            counters: Arc::clone(&engine.shared.counters),
             resolved: false,
         });
         engine.shared.cv.notify_one();
         assert!(matches!(poisoned.wait(), Err(ServeError::Kernel(_))));
+        assert_eq!(engine.stats().kernel, 1);
 
         let request = normal(3, 6, 1.0, &mut rng);
         let response = engine

@@ -37,9 +37,14 @@
 //! measured by the `serve_steady`/`serve_saturated` workloads of
 //! `benchmark/`.
 //!
-//! Latency (queue wait and end-to-end), batch sizes, queue depth and
-//! shed/expired counts are recorded under `serve.*` telemetry metrics
-//! and mirrored onto the timeline trace.
+//! Latency (queue wait and end-to-end), batch sizes and queue depth are
+//! recorded under `serve.*` telemetry metrics and mirrored onto the
+//! timeline trace. Requests are counted where they are decided:
+//! `serve.shed` or `serve.submitted` at admission, and exactly one
+//! `serve.resolved{completed|expired|cancelled|kernel|shutdown}` when an
+//! admitted request resolves — so `submitted` equals the sum of the
+//! outcomes once the engine is idle, in [`EngineStats`] and in the
+//! export alike.
 
 #![deny(missing_docs)]
 

@@ -329,13 +329,10 @@ fn dsd_and_dds_equal_the_dense_gemm_bit_for_bit() {
 
 /// On the block-diagonal topology an MoE layer produces, a product is one
 /// kernel call per expert per band — `kernel.calls` counts rectangles,
-/// not the 1,024 blocks. Vacuous unless built with `--features telemetry`.
+/// not the 1,024 blocks.
 #[test]
 fn moe_products_issue_one_kernel_call_per_expert_per_band() {
     let _guard = backend_lock();
-    if !telemetry::is_enabled() {
-        return;
-    }
     let experts = 8;
     let topo = Topology::for_moe(&[64; 8], 512, BlockSize::new(16).expect("nonzero"))
         .expect("block-aligned");

@@ -1,4 +1,4 @@
-//! A minimal JSON value parser, compiled in both feature modes.
+//! A minimal JSON value parser.
 //!
 //! The workspace deliberately carries no serde dependency, but three
 //! consumers need to *read* JSON we ourselves wrote: the trace

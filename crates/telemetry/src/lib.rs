@@ -22,13 +22,18 @@
 //!
 //! Snapshots feed pluggable [`Sink`]s: [`JsonlSink`] writes one JSON
 //! object per metric (for `results/`), and [`SummarySink`] renders a
-//! human-readable table. [`SummaryOnDrop`] prints that table when it goes
-//! out of scope.
+//! human-readable table. [`FlushOnDrop`] runs either when it goes out of
+//! scope.
 //!
-//! Everything is gated behind the `enabled` cargo feature. When the
-//! feature is off, every type is zero-sized and every call inlines to
-//! nothing — verified by a compile-time assertion — so instrumented hot
-//! loops cost nothing in benchmark builds.
+//! There is one implementation and it is always compiled. The bounded
+//! metrics — counters, gauges, histograms and span families, a few
+//! hundred bytes each however long the process runs — always record.
+//! The three logs that grow with the run — the per-thread timeline
+//! rings, the [`event`] line log and `core::health`'s per-step records —
+//! record only while the runtime switch ([`trace_set_enabled`], read
+//! with [`is_enabled`]) is on. It starts off, so a process nobody
+//! observes accumulates nothing; whoever asks for output turns it on
+//! ([`FlushOnDrop::jsonl`] and [`FlushOnDrop::trace`] do so themselves).
 
 #![deny(missing_docs)]
 
@@ -45,48 +50,11 @@ pub use trace::{
 };
 pub use value::Value;
 
-#[cfg(feature = "enabled")]
-mod enabled;
-#[cfg(feature = "enabled")]
-pub use enabled::*;
+mod registry;
+pub use registry::*;
 
-#[cfg(not(feature = "enabled"))]
-mod disabled;
-#[cfg(not(feature = "enabled"))]
-pub use disabled::*;
-
-#[cfg(feature = "enabled")]
-mod trace_enabled;
-#[cfg(feature = "enabled")]
-pub use trace_enabled::*;
-
-#[cfg(not(feature = "enabled"))]
-mod trace_disabled;
-#[cfg(not(feature = "enabled"))]
-pub use trace_disabled::*;
-
-/// Whether metric recording is compiled in (`enabled` cargo feature).
-pub const fn is_enabled() -> bool {
-    cfg!(feature = "enabled")
-}
-
-/// Prints the summary table for the current process when dropped —
-/// the "summary on drop" sink. Create one at the top of `main`.
-#[derive(Debug, Default)]
-pub struct SummaryOnDrop;
-
-impl SummaryOnDrop {
-    /// Creates the guard.
-    pub fn new() -> Self {
-        SummaryOnDrop
-    }
-}
-
-impl Drop for SummaryOnDrop {
-    fn drop(&mut self) {
-        print_summary();
-    }
-}
+mod recorder;
+pub use recorder::*;
 
 /// Flushes telemetry sinks when dropped — including during a panic
 /// unwind, so chaos-run traces and metrics aren't silently truncated
@@ -109,13 +77,18 @@ impl FlushOnDrop {
     }
 
     /// Also export the metric registry as JSONL to `path` on drop.
+    /// Turns the recording switch on: a caller that names an output
+    /// file wants the event lines in it.
     pub fn jsonl(mut self, path: impl Into<std::path::PathBuf>) -> Self {
+        trace_set_enabled(true);
         self.jsonl = Some(path.into());
         self
     }
 
     /// Also export the timeline as Chrome-trace JSON to `path` on drop.
+    /// Turns the recording switch on, like [`FlushOnDrop::jsonl`].
     pub fn trace(mut self, path: impl Into<std::path::PathBuf>) -> Self {
+        trace_set_enabled(true);
         self.trace = Some(path.into());
         self
     }
@@ -127,11 +100,7 @@ impl FlushOnDrop {
     }
 
     /// Flushes the configured sinks now (also called from `drop`).
-    /// No-ops when recording is compiled out.
     pub fn flush(&self) {
-        if !is_enabled() {
-            return;
-        }
         if let Some(path) = &self.jsonl {
             match export_jsonl(path) {
                 Ok(()) => eprintln!("telemetry: wrote {}", path.display()),

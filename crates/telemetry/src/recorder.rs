@@ -1,13 +1,14 @@
-//! The real timeline recorder, compiled when the `enabled` feature is
-//! on.
+//! The timeline recorder and the runtime recording switch.
 //!
 //! Design: recording must be cheap enough to sit inside the exec pool's
 //! per-band path, so there is no global event lock. Each thread owns a
 //! ring buffer ([`Lane`]) registered once in a global list; recording
 //! locks only the recorder's *own* ring (uncontended except while a
 //! snapshot is being taken), timestamps come from one shared monotonic
-//! epoch, and the on/off switch is a relaxed atomic load. When a ring
-//! wraps, the oldest event is dropped and counted — a trace is a
+//! epoch, and the on/off switch is a relaxed atomic load. The switch
+//! starts off and a thread's ring is created by its first recorded
+//! event, so a process that never turns it on holds no ring. When a
+//! ring wraps, the oldest event is dropped and counted — a trace is a
 //! window, not an archive.
 
 use std::cell::RefCell;
@@ -32,7 +33,6 @@ struct Lane {
 struct Recorder {
     lanes: Mutex<Vec<Arc<Lane>>>,
     next_tid: AtomicU32,
-    on: AtomicBool,
     capacity: AtomicUsize,
     dropped: AtomicU64,
     epoch: Instant,
@@ -43,7 +43,6 @@ fn recorder() -> &'static Recorder {
     RECORDER.get_or_init(|| Recorder {
         lanes: Mutex::new(Vec::new()),
         next_tid: AtomicU32::new(1),
-        on: AtomicBool::new(true),
         capacity: AtomicUsize::new(TRACE_DEFAULT_CAPACITY),
         dropped: AtomicU64::new(0),
         epoch: Instant::now(),
@@ -97,16 +96,20 @@ fn push(name: &'static str, ts_us: u64, phase: TracePhase) {
     });
 }
 
-/// Turns timeline recording on or off at runtime. Recording starts on;
-/// benchmarks toggle this to measure tracing overhead in one binary.
+/// The recording switch. Publishes no other data, hence `Relaxed`.
+static ON: AtomicBool = AtomicBool::new(false);
+
+/// Turns the unbounded logs — the timeline, the [`crate::event`] log
+/// and `core::health`'s step records — on or off. They start off;
+/// counters, gauges, histograms and span families record regardless.
 pub fn trace_set_enabled(on: bool) {
-    recorder().on.store(on, Relaxed);
+    ON.store(on, Relaxed);
 }
 
-/// Whether the runtime switch is currently on (the compile-time gate is
-/// [`crate::is_enabled`]).
-pub fn trace_is_on() -> bool {
-    recorder().on.load(Relaxed)
+/// Whether the recording switch ([`trace_set_enabled`]) is on.
+#[inline]
+pub fn is_enabled() -> bool {
+    ON.load(Relaxed)
 }
 
 /// Sets the per-lane ring capacity for events recorded from now on.
@@ -124,7 +127,7 @@ pub fn trace_now_us() -> u64 {
 /// thread's lane.
 #[inline]
 pub fn trace_complete(name: &'static str, ts_us: u64, dur_us: u64) {
-    if !trace_is_on() {
+    if !is_enabled() {
         return;
     }
     push(name, ts_us, TracePhase::Complete { dur_us });
@@ -133,7 +136,7 @@ pub fn trace_complete(name: &'static str, ts_us: u64, dur_us: u64) {
 /// Records a point-in-time mark on the calling thread's lane.
 #[inline]
 pub fn trace_instant(name: &'static str) {
-    if !trace_is_on() {
+    if !is_enabled() {
         return;
     }
     push(name, trace_now_us(), TracePhase::Instant);
@@ -143,7 +146,7 @@ pub fn trace_instant(name: &'static str) {
 /// Perfetto) on the calling thread's lane.
 #[inline]
 pub fn trace_counter_event(name: &'static str, value: f64) {
-    if !trace_is_on() {
+    if !is_enabled() {
         return;
     }
     push(name, trace_now_us(), TracePhase::Counter { value });
@@ -152,7 +155,7 @@ pub fn trace_counter_event(name: &'static str, value: f64) {
 /// Called from `SpanGuard::drop`: mirrors every scalar-telemetry span
 /// onto the timeline as a complete event ending now.
 pub(crate) fn record_span_complete(name: &'static str, dur_ns: u64) {
-    if !trace_is_on() {
+    if !is_enabled() {
         return;
     }
     let dur_us = dur_ns / 1_000;

@@ -1,5 +1,5 @@
-//! The real recording implementation, compiled when the `enabled`
-//! feature is on.
+//! The metric registry: counters, gauges, histograms, span families and
+//! the event log.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -349,8 +349,13 @@ impl Drop for SpanGuard {
 }
 
 /// Appends a structured event (e.g. one per trainer step) to the event
-/// log; exported as its own JSONL line.
+/// log; exported as its own JSONL line. The log grows with the run, so
+/// nothing is appended while the recording switch
+/// ([`crate::trace_set_enabled`]) is off.
 pub fn event(name: &str, fields: &[(&str, Value)]) {
+    if !crate::is_enabled() {
+        return;
+    }
     let mut line = format!("{{\"type\":\"event\",\"name\":{}", json_escape(name));
     for (key, value) in fields {
         let _ = write!(line, ",{}:{}", json_escape(key), value.to_json());

@@ -1,7 +1,5 @@
 //! Snapshot data model, sinks, and renderers — plain data with no
-//! atomics, compiled in both feature modes so downstream code that
-//! consumes snapshots type-checks identically whether recording is
-//! enabled or not.
+//! atomics, apart from the registry that fills it.
 
 use std::fmt::Write as _;
 use std::io;
@@ -72,7 +70,6 @@ pub struct SpanRow {
 }
 
 /// A point-in-time copy of the whole registry, consumed by [`Sink`]s.
-/// Empty when recording is disabled.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// All counters, sorted by (name, label).

@@ -1,7 +1,5 @@
 //! Trace data model and Chrome `trace_event` rendering — plain data,
-//! compiled in both feature modes, so code that consumes
-//! [`TraceSnapshot`]s type-checks identically whether recording is on
-//! or not.
+//! apart from the recorder that fills it.
 //!
 //! The exported file is the Chrome JSON-object trace format understood
 //! by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): a
@@ -55,7 +53,7 @@ pub struct TraceEventRow {
 }
 
 /// A point-in-time copy of the trace recorder: every lane and every
-/// retained event. Empty when recording is disabled.
+/// retained event. Empty if the recording switch was never on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSnapshot {
     /// All lanes, sorted by `tid`.

@@ -1,8 +1,6 @@
-//! Behavioural tests for the enabled telemetry path: exact concurrent
+//! Behavioural tests for the metric registry: exact concurrent
 //! counting, monotone percentiles, nested span accounting, and the JSONL
 //! sink format.
-
-#![cfg(feature = "enabled")]
 
 use std::sync::Mutex;
 use std::thread;
@@ -155,6 +153,9 @@ fn sibling_spans_both_count_toward_parent() {
 #[test]
 fn jsonl_export_contains_every_metric_kind() {
     let _guard = SNAPSHOT_LOCK.lock().unwrap();
+    // The event log is one of the switched logs; no test in this binary
+    // needs it off.
+    telemetry::trace_set_enabled(true);
     telemetry::counter("test.export_counter").add(3);
     telemetry::gauge("test.export_gauge").set(1.5);
     telemetry::histogram_with("test.export_hist", "e0").record(7);

@@ -1,8 +1,8 @@
 //! Edge-case coverage for the report layer: histogram/percentile
 //! behaviour at the log₂ bucket boundaries, empty and single-sample
 //! distributions, and well-formedness of the rendered JSONL/summary
-//! output. The pure-data tests run in both feature modes; tests that
-//! drive the live registry are gated on `enabled`.
+//! output. The pure-data tests build their snapshots by hand; the
+//! `live` module drives the global registry.
 
 use megablocks_telemetry as telemetry;
 use megablocks_telemetry::json::Json;
@@ -57,7 +57,6 @@ fn jsonl_rows_are_valid_json_objects() {
     assert_eq!(first.get("value").and_then(|v| v.as_u64()), Some(u64::MAX));
 }
 
-#[cfg(feature = "enabled")]
 mod live {
     use super::*;
 

@@ -1,10 +1,8 @@
-//! Behavioural tests for the enabled timeline recorder: multi-thread
-//! lanes, ring-buffer wrap accounting, span mirroring, the Chrome-trace
-//! JSON round trip, and the panic-safe flush guard.
+//! Behavioural tests for the timeline recorder: multi-thread lanes,
+//! ring-buffer wrap accounting, span mirroring, the Chrome-trace JSON
+//! round trip, and the panic-safe flush guard.
 
-#![cfg(feature = "enabled")]
-
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -15,10 +13,17 @@ use megablocks_telemetry::TracePhase;
 /// this lock so parallel test threads don't interleave.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes the lock and hands back the recorder switched on and empty.
+fn recorder() -> MutexGuard<'static, ()> {
+    let guard = TRACE_LOCK.lock().unwrap();
+    telemetry::trace_set_enabled(true);
+    telemetry::trace_reset();
+    guard
+}
+
 #[test]
 fn events_land_on_named_per_thread_lanes() {
-    let _guard = TRACE_LOCK.lock().unwrap();
-    telemetry::trace_reset();
+    let _guard = recorder();
     telemetry::trace_instant("lane.main");
     thread::Builder::new()
         .name("trace-worker-a".to_string())
@@ -47,8 +52,7 @@ fn events_land_on_named_per_thread_lanes() {
 
 #[test]
 fn ring_buffer_drops_oldest_and_counts() {
-    let _guard = TRACE_LOCK.lock().unwrap();
-    telemetry::trace_reset();
+    let _guard = recorder();
     telemetry::trace_set_capacity(4);
     for i in 0..10u64 {
         telemetry::trace_complete("ring.event", i, 1);
@@ -72,8 +76,7 @@ fn ring_buffer_drops_oldest_and_counts() {
 
 #[test]
 fn spans_are_mirrored_onto_the_timeline() {
-    let _guard = TRACE_LOCK.lock().unwrap();
-    telemetry::trace_reset();
+    let _guard = recorder();
     {
         let _span = telemetry::span("trace.mirrored_span");
         thread::sleep(Duration::from_millis(2));
@@ -93,22 +96,8 @@ fn spans_are_mirrored_onto_the_timeline() {
 }
 
 #[test]
-fn runtime_switch_suppresses_recording() {
-    let _guard = TRACE_LOCK.lock().unwrap();
-    telemetry::trace_reset();
-    telemetry::trace_set_enabled(false);
-    telemetry::trace_instant("switched.off");
-    telemetry::trace_set_enabled(true);
-    telemetry::trace_instant("switched.on");
-    let snap = telemetry::trace_snapshot();
-    assert!(!snap.events.iter().any(|e| e.name == "switched.off"));
-    assert!(snap.events.iter().any(|e| e.name == "switched.on"));
-}
-
-#[test]
 fn exported_trace_round_trips_and_is_chrome_shaped() {
-    let _guard = TRACE_LOCK.lock().unwrap();
-    telemetry::trace_reset();
+    let _guard = recorder();
     telemetry::trace_complete("rt.span", 10, 32);
     telemetry::trace_instant("rt.mark");
     telemetry::trace_counter_event("rt.counter", 2.5);
@@ -129,23 +118,8 @@ fn exported_trace_round_trips_and_is_chrome_shaped() {
 }
 
 #[test]
-fn export_trace_writes_a_parseable_file() {
-    let _guard = TRACE_LOCK.lock().unwrap();
-    telemetry::trace_reset();
-    telemetry::trace_instant("file.mark");
-    let path =
-        std::env::temp_dir().join(format!("megablocks_trace_test_{}.json", std::process::id()));
-    telemetry::export_trace(&path).expect("export succeeds");
-    let src = std::fs::read_to_string(&path).expect("file exists");
-    let snap = telemetry::parse_chrome_trace(&src).expect("file parses");
-    assert!(snap.events.iter().any(|e| e.name == "file.mark"));
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn flush_guard_exports_even_when_a_panic_unwinds() {
-    let _guard = TRACE_LOCK.lock().unwrap();
-    telemetry::trace_reset();
+    let _guard = recorder();
     let base = std::env::temp_dir().join(format!("megablocks_flush_test_{}", std::process::id()));
     let jsonl = base.with_extension("jsonl");
     let trace = base.with_extension("trace.json");

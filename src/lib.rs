@@ -20,8 +20,10 @@
 //!   [`exec::configure_threads`] or the `MEGABLOCKS_THREADS` environment
 //!   variable.
 //! * [`telemetry`] — span timers, counters, histograms and JSONL export
-//!   for observing training runs (no-ops unless the `telemetry` feature is
-//!   enabled).
+//!   for observing training runs. Always compiled: the bounded metrics
+//!   always record, the timeline and the per-step logs only once
+//!   [`telemetry::trace_set_enabled`] (or a [`telemetry::FlushOnDrop`]
+//!   given an output path) turns them on.
 //! * [`resilience`] — fault injection (behind the `chaos` feature) and the
 //!   fault-tolerance primitives (CRC32, atomic writes, retry/backoff) the
 //!   checkpoint v2 format and [`transformer::ResilientTrainer`] build on.

@@ -1,13 +1,7 @@
 //! End-to-end observability acceptance: a short dMoE training run with
-//! `--features telemetry` must emit a valid Chrome-trace JSON with lanes
+//! recording switched on must emit a valid Chrome-trace JSON with lanes
 //! for every exec worker plus kernel and step spans, and a per-step MoE
 //! health report with load-imbalance and padding-overhead figures.
-//!
-//! ```text
-//! cargo test --features telemetry --test trace_e2e
-//! ```
-
-#![cfg(feature = "telemetry")]
 
 use std::path::PathBuf;
 
@@ -35,6 +29,7 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
     // Pin the worker pool before anything touches it: the acceptance bar
     // is one trace lane per exec worker, independent of host core count.
     megablocks::exec::configure_threads(4);
+    telemetry::trace_set_enabled(true);
     telemetry::trace_reset();
     health::reset_health();
 
@@ -194,5 +189,6 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
     let jsonl = std::fs::read_to_string(&export).expect("jsonl flushed on drop");
     assert!(jsonl.contains("train.step"));
 
+    telemetry::trace_set_enabled(false);
     let _ = std::fs::remove_dir_all(&dir);
 }
