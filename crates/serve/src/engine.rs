@@ -1,6 +1,7 @@
 //! The micro-batching engine: bounded admission queue, dual-trigger
 //! batch formation, deadline-aware execution, per-request responses.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -546,6 +547,20 @@ fn batcher_loop(shared: &Shared) {
     }
 }
 
+/// The abort a panicking launch unwound with, read off the message
+/// prefix [`megablocks_exec::LaunchPlan::launch`] panics with; `None`
+/// for any other panic.
+fn unwound_cancellation(payload: &(dyn Any + Send)) -> Option<CancelKind> {
+    let message = payload.downcast_ref::<String>()?;
+    [
+        CancelKind::Cancelled,
+        CancelKind::DeadlineExceeded,
+        CancelKind::Overloaded,
+    ]
+    .into_iter()
+    .find(|kind| message.starts_with(kind.panic_prefix()))
+}
+
 /// Concatenates the batch's token rows, runs the inference pass under a
 /// composite context, and resolves every member.
 fn run_batch(shared: &Shared, batch: Vec<Pending>) {
@@ -589,7 +604,8 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
     // A tripped context surfaces two ways: the sparse products return
     // it, the glue kernels around them (router, gather, scatter) unwind
     // with it. Both are the same outcome for the batch's members; any
-    // other panic keeps unwinding to the batcher.
+    // other panic — even one racing a deadline or shutdown — keeps
+    // unwinding to the batcher and resolves `Kernel`.
     let cancelled = |kind| match kind {
         CancelKind::DeadlineExceeded => ServeError::Expired,
         other => ServeError::Cancelled(other),
@@ -600,7 +616,7 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
             Ok(Ok(output)) => Ok(output),
             Ok(Err(SparseError::Cancelled { kind, .. })) => Err(cancelled(kind)),
             Ok(Err(other)) => Err(ServeError::Kernel(other.to_string())),
-            Err(panic) => match ctx.status() {
+            Err(panic) => match unwound_cancellation(&*panic) {
                 Some(kind) => Err(cancelled(kind)),
                 None => resume_unwind(panic),
             },
@@ -724,6 +740,80 @@ mod tests {
     }
 
     #[test]
+    fn overload_sheds_at_the_queue_cap() {
+        // Choke the batcher with a huge max_wait so the queue fills.
+        let (engine, mut rng) = small_engine(
+            ServeConfig::default()
+                .with_max_batch(64)
+                .with_queue_cap(2)
+                .with_max_wait(Duration::from_secs(30)),
+        );
+        let a = engine.submit(normal(1, 6, 1.0, &mut rng), None);
+        let b = engine.submit(normal(1, 6, 1.0, &mut rng), None);
+        assert!(a.is_ok() && b.is_ok());
+        match engine.submit(normal(1, 6, 1.0, &mut rng), None) {
+            Err(ServeError::Overloaded { depth }) => assert!(depth >= 2),
+            other => panic!("expected shed, got {other:?}"),
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.shed, 1);
+        assert!(stats.max_queue_depth <= 2, "queue depth exceeded the cap");
+    }
+
+    #[test]
+    fn expired_requests_drop_before_batch_formation() {
+        let (engine, mut rng) = small_engine(
+            ServeConfig::default()
+                .with_max_batch(8)
+                .with_max_wait(Duration::from_millis(30)),
+        );
+        // Already-expired deadline: rejected at submit.
+        let dead = engine.submit(
+            normal(1, 6, 1.0, &mut rng),
+            Some(Deadline::after(Duration::ZERO)),
+        );
+        assert_eq!(dead.err(), Some(ServeError::Expired));
+
+        // A deadline that expires while queued behind an unhurried
+        // request: the batcher waits out the oldest request's budget,
+        // and by the time the batch forms the doomed co-rider has
+        // expired — it must be dropped *before* formation, so the
+        // healthy request rides alone.
+        let healthy = engine
+            .submit(normal(1, 6, 1.0, &mut rng), None)
+            .expect("admitted");
+        let doomed = engine
+            .submit(
+                normal(1, 6, 1.0, &mut rng),
+                Some(Deadline::after(Duration::from_millis(1))),
+            )
+            .expect("admitted with slack");
+        assert_eq!(doomed.wait().err(), Some(ServeError::Expired));
+        let response = healthy.wait().expect("healthy request served");
+        assert_eq!(response.batch_size, 1, "expired request rode in no batch");
+        assert!(engine.stats().expired >= 2);
+    }
+
+    #[test]
+    fn shutdown_resolves_queued_requests() {
+        let (mut engine, mut rng) = small_engine(
+            ServeConfig::default()
+                .with_max_batch(64)
+                .with_max_wait(Duration::from_secs(30)),
+        );
+        let handle = engine
+            .submit(normal(1, 6, 1.0, &mut rng), None)
+            .expect("admitted");
+        engine.shutdown();
+        match handle.wait() {
+            Err(ServeError::ShuttingDown) | Err(ServeError::Cancelled(_)) | Ok(_) => {}
+            other => panic!("unexpected shutdown resolution: {other:?}"),
+        }
+        let refused = engine.submit(normal(1, 6, 1.0, &mut rng), None);
+        assert_eq!(refused.err(), Some(ServeError::ShuttingDown));
+    }
+
+    #[test]
     fn flood_keeps_queue_depth_bounded() {
         // Open-loop flood at a tiny queue cap: everything either
         // resolves or sheds, and the observed depth never exceeds the
@@ -759,6 +849,23 @@ mod tests {
         );
         assert_eq!(stats.submitted, served);
         assert_eq!(stats.shed, shed);
+    }
+
+    #[test]
+    fn only_an_abort_prefix_classifies_an_unwind_as_cancellation() {
+        let payload = |message: String| -> Box<dyn Any + Send> { Box::new(message) };
+        for kind in [
+            CancelKind::Cancelled,
+            CancelKind::DeadlineExceeded,
+            CancelKind::Overloaded,
+        ] {
+            let panic = payload(format!("{}: gather abandoned", kind.panic_prefix()));
+            assert_eq!(unwound_cancellation(&*panic), Some(kind));
+        }
+        // A kernel bug stays a kernel bug, whatever the context says by
+        // the time it unwinds.
+        let bug = payload("index out of bounds: the len is 4".to_string());
+        assert_eq!(unwound_cancellation(&*bug), None);
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
         .map(|_| submit(&engine, 1, None).expect("queued"))
         .collect();
     let excess = submit(&engine, 1, None);
-    assert!(matches!(excess, Err(ServeError::Overloaded { .. })));
+    assert!(matches!(excess, Err(ServeError::Overloaded { depth }) if depth >= MAX_BATCH));
     engine.shutdown();
     assert!(matches!(outcome(in_flight), Err(ServeError::Cancelled(_))));
     for handle in queued {
@@ -114,6 +114,8 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
         cancelled,
         kernel: 0,
         shutdown,
+        // Filled to the cap just above, never past it.
+        max_queue_depth: MAX_BATCH as u64,
         ..stats
     };
     assert_eq!(stats, expected);

@@ -96,6 +96,18 @@ fn spans_are_mirrored_onto_the_timeline() {
 }
 
 #[test]
+fn runtime_switch_suppresses_recording() {
+    let _guard = recorder();
+    telemetry::trace_set_enabled(false);
+    telemetry::trace_instant("switched.off");
+    telemetry::trace_set_enabled(true);
+    telemetry::trace_instant("switched.on");
+    let snap = telemetry::trace_snapshot();
+    assert!(!snap.events.iter().any(|e| e.name == "switched.off"));
+    assert!(snap.events.iter().any(|e| e.name == "switched.on"));
+}
+
+#[test]
 fn exported_trace_round_trips_and_is_chrome_shaped() {
     let _guard = recorder();
     telemetry::trace_complete("rt.span", 10, 32);
@@ -115,6 +127,19 @@ fn exported_trace_round_trips_and_is_chrome_shaped() {
     assert!(events
         .iter()
         .any(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X") && e.get("dur").is_some()));
+}
+
+#[test]
+fn export_trace_writes_a_parseable_file() {
+    let _guard = recorder();
+    telemetry::trace_instant("file.mark");
+    let path =
+        std::env::temp_dir().join(format!("megablocks_trace_test_{}.json", std::process::id()));
+    telemetry::export_trace(&path).expect("export succeeds");
+    let src = std::fs::read_to_string(&path).expect("file exists");
+    let snap = telemetry::parse_chrome_trace(&src).expect("file parses");
+    assert!(snap.events.iter().any(|e| e.name == "file.mark"));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
