@@ -1,11 +1,55 @@
-//! Causal multi-head self-attention with explicit backward pass.
+//! Causal multi-head self-attention with explicit backward pass and an
+//! incremental (KV-cached) forward.
 
 use megablocks_core::Param;
 use megablocks_tensor::ops::{
     add_bias, bias_backward, softmax_rows_backward, softmax_rows_inplace,
 };
-use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
+use megablocks_tensor::{gemm, init, matmul, matmul_nt, matmul_tn, Matrix, Trans};
 use rand::rngs::StdRng;
+
+/// What a forward pass keeps of its intermediates (`DroplessMoe`'s switch,
+/// for `Attention`, `Block` and `TransformerLm`), which is also where they
+/// live: retained ones outlive the step on the heap, the others are
+/// borrowed from the calling thread's workspace arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Retain {
+    /// Everything `backward` reads.
+    ForBackward,
+    /// Only the output, which the caller recycles when done with it.
+    Nothing,
+}
+
+impl Retain {
+    /// A zeroed `rows x cols` matrix in this mode's storage.
+    pub(crate) fn zeros(self, rows: usize, cols: usize) -> Matrix {
+        match self {
+            Retain::ForBackward => Matrix::zeros(rows, cols),
+            Retain::Nothing => Matrix::pooled_zeros(rows, cols),
+        }
+    }
+
+    /// `a * op_b(b)` in this mode's storage.
+    pub(crate) fn matmul(self, a: &Matrix, b: &Matrix, op_b: Trans) -> Matrix {
+        let n = match op_b {
+            Trans::N => b.cols(),
+            Trans::T => b.rows(),
+        };
+        let mut c = self.zeros(a.rows(), n);
+        // `beta = 0`, as `tensor::matmul` has it: the refill is what first
+        // touches a fresh heap matrix's pages, on this thread; leaving it
+        // to the bands cost `train_dense` 12% more CPU per token.
+        gemm(1.0, a, Trans::N, b, op_b, 0.0, &mut c);
+        c
+    }
+
+    /// Gives a dead intermediate back to where [`Retain::zeros`] took it.
+    pub(crate) fn release(self, m: Matrix) {
+        if self == Retain::Nothing {
+            m.recycle();
+        }
+    }
+}
 
 /// Forward-pass cache for [`Attention::backward`].
 #[derive(Debug, Clone)]
@@ -75,6 +119,25 @@ impl Attention {
     ///
     /// Panics if `x.rows() != batch * seq` or `x.cols() != hidden`.
     pub fn forward(&self, x: &Matrix, batch: usize, seq: usize) -> (Matrix, AttentionCache) {
+        let (out, cache) = self.pass(x, batch, seq, None, Retain::ForBackward);
+        (out, cache.expect("a ForBackward pass keeps its cache"))
+    }
+
+    /// The one attention forward. Training and inference differ only in
+    /// what they retain. With `kv = Some((cache, past))` the rows of `x`
+    /// are positions `past..past + seq` of one sequence (`batch == 1`):
+    /// their keys and values become rows `past..` of `cache` (a
+    /// `seq_len x 2*hidden` matrix, `K | V`) and every query attends over
+    /// positions `0..=` its own; without it each sequence is its own whole
+    /// context (`past == 0`).
+    pub(crate) fn pass(
+        &self,
+        x: &Matrix,
+        batch: usize,
+        seq: usize,
+        mut kv: Option<(&mut Matrix, usize)>,
+        retain: Retain,
+    ) -> (Matrix, Option<AttentionCache>) {
         assert_eq!(x.rows(), batch * seq, "row count must be batch * seq");
         assert_eq!(x.cols(), self.hidden, "feature size mismatch");
         let h = self.hidden;
@@ -82,39 +145,61 @@ impl Attention {
         let d = h / nh;
         let scale = 1.0 / (d as f32).sqrt();
 
-        let mut qkv = matmul(x, self.w_qkv.value());
+        let mut qkv = retain.matmul(x, self.w_qkv.value(), Trans::N);
         add_bias(&mut qkv, self.b_qkv.value().row(0));
-
-        let mut ctx = Matrix::zeros(batch * seq, h);
-        let mut probs = Vec::with_capacity(batch * nh);
-        for b in 0..batch {
-            for head in 0..nh {
-                let q = extract(&qkv, b, seq, head * d, d);
-                let k = extract(&qkv, b, seq, h + head * d, d);
-                let v = extract(&qkv, b, seq, 2 * h + head * d, d);
-                let mut scores = matmul_nt(&q, &k);
-                scores.scale(scale);
-                apply_causal_mask(&mut scores);
-                softmax_rows_inplace(&mut scores);
-                let ctx_h = matmul(&scores, &v);
-                insert(&mut ctx, &ctx_h, b, seq, head * d);
-                probs.push(scores);
+        if let Some((cache, past)) = &mut kv {
+            assert_eq!(batch, 1, "a KV cache holds one sequence");
+            for i in 0..seq {
+                cache.row_mut(*past + i).copy_from_slice(&qkv.row(i)[h..]);
             }
         }
 
-        let mut out = matmul(&ctx, self.w_o.value());
+        let mut ctx = retain.zeros(batch * seq, h);
+        let mut probs = Vec::new();
+        for b in 0..batch {
+            for head in 0..nh {
+                let q = extract(&qkv, b * seq, seq, head * d, d);
+                // Keys and values: every cached position, or this sequence's.
+                let (kv_src, row0, rows, k0) = match &kv {
+                    Some((cache, past)) => (&**cache, 0, past + seq, head * d),
+                    None => (&qkv, b * seq, seq, h + head * d),
+                };
+                let k = extract(kv_src, row0, rows, k0, d);
+                let v = extract(kv_src, row0, rows, k0 + h, d);
+                let (ctx_h, p) = attend(&q, &k, &v, scale, retain);
+                insert(&mut ctx, &ctx_h, b * seq, head * d);
+                retain.release(ctx_h);
+                for m in [q, k, v] {
+                    m.recycle();
+                }
+                match retain {
+                    Retain::ForBackward => probs.push(p),
+                    Retain::Nothing => p.recycle(),
+                }
+            }
+        }
+
+        let mut out = retain.matmul(&ctx, self.w_o.value(), Trans::N);
         add_bias(&mut out, self.b_o.value().row(0));
-        (
-            out,
-            AttentionCache {
-                x: x.clone(),
-                qkv,
-                probs,
-                ctx,
-                batch,
-                seq,
-            },
-        )
+        match retain {
+            Retain::ForBackward => {
+                let x = x.clone();
+                let cache = AttentionCache {
+                    x,
+                    qkv,
+                    probs,
+                    ctx,
+                    batch,
+                    seq,
+                };
+                (out, Some(cache))
+            }
+            Retain::Nothing => {
+                qkv.recycle();
+                ctx.recycle();
+                (out, None)
+            }
+        }
     }
 
     /// Backward pass; accumulates parameter gradients and returns `dx`.
@@ -139,11 +224,11 @@ impl Attention {
         let mut d_qkv = Matrix::zeros(batch * seq, 3 * h);
         for b in 0..batch {
             for head in 0..nh {
-                let q = extract(&cache.qkv, b, seq, head * d, d);
-                let k = extract(&cache.qkv, b, seq, h + head * d, d);
-                let v = extract(&cache.qkv, b, seq, 2 * h + head * d, d);
+                let q = extract(&cache.qkv, b * seq, seq, head * d, d);
+                let k = extract(&cache.qkv, b * seq, seq, h + head * d, d);
+                let v = extract(&cache.qkv, b * seq, seq, 2 * h + head * d, d);
                 let probs = &cache.probs[b * nh + head];
-                let d_ctx_h = extract(&d_ctx, b, seq, head * d, d);
+                let d_ctx_h = extract(&d_ctx, b * seq, seq, head * d, d);
 
                 let dv = matmul_tn(probs, &d_ctx_h);
                 let d_probs = matmul_nt(&d_ctx_h, &v);
@@ -154,9 +239,12 @@ impl Attention {
                 let dq = matmul(&d_scores, &k);
                 let dk = matmul_tn(&d_scores, &q);
 
-                insert(&mut d_qkv, &dq, b, seq, head * d);
-                insert(&mut d_qkv, &dk, b, seq, h + head * d);
-                insert(&mut d_qkv, &dv, b, seq, 2 * h + head * d);
+                insert(&mut d_qkv, &dq, b * seq, head * d);
+                insert(&mut d_qkv, &dk, b * seq, h + head * d);
+                insert(&mut d_qkv, &dv, b * seq, 2 * h + head * d);
+                for m in [q, k, v, d_ctx_h] {
+                    m.recycle();
+                }
             }
         }
 
@@ -167,28 +255,43 @@ impl Attention {
     }
 }
 
-/// Copies rows `b*seq..(b+1)*seq`, columns `col0..col0+width` into a fresh
-/// `seq x width` matrix.
-fn extract(m: &Matrix, b: usize, seq: usize, col0: usize, width: usize) -> Matrix {
-    Matrix::from_fn(seq, width, |i, j| m[(b * seq + i, col0 + j)])
-}
-
-/// Adds `block` into rows `b*seq..`, columns `col0..` of `m`.
-fn insert(m: &mut Matrix, block: &Matrix, b: usize, seq: usize, col0: usize) {
-    for i in 0..block.rows() {
-        let dst = m.row_mut(b * seq + i);
-        for (j, v) in block.row(i).iter().enumerate() {
-            dst[col0 + j] += v;
-        }
+/// One head of causal attention: the rows of `q` are the last `q.rows()`
+/// of the `k.rows()` positions `k` and `v` hold, and each attends over
+/// positions `0..=` its own. Returns the context rows and the attention
+/// probabilities (masked entries exactly 0).
+///
+/// A masked score is `-inf`, so its probability is `+0` and it adds `+0`
+/// to the softmax denominator and `0 * v` to a context accumulator that
+/// started at `+0`: a query's outputs do not depend, bitwise, on how many
+/// later positions share the call. That is what makes a cached key/value
+/// row written by one call valid in every later one.
+fn attend(q: &Matrix, k: &Matrix, v: &Matrix, scale: f32, retain: Retain) -> (Matrix, Matrix) {
+    let past = k.rows() - q.rows();
+    let mut scores = retain.matmul(q, k, Trans::T);
+    scores.scale(scale);
+    for i in 0..q.rows() {
+        scores.row_mut(i)[past + i + 1..].fill(f32::NEG_INFINITY);
     }
+    softmax_rows_inplace(&mut scores);
+    let ctx = retain.matmul(&scores, v, Trans::N);
+    (ctx, scores)
 }
 
-fn apply_causal_mask(scores: &mut Matrix) {
-    let n = scores.rows();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            scores[(i, j)] = f32::NEG_INFINITY;
-        }
+/// Copies rows `row0..row0+rows`, columns `col0..col0+width` of `m` into a
+/// `rows x width` matrix from the workspace arena (recycle it).
+fn extract(m: &Matrix, row0: usize, rows: usize, col0: usize, width: usize) -> Matrix {
+    let mut out = Matrix::pooled_zeros(rows, width);
+    for i in 0..rows {
+        out.row_mut(i)
+            .copy_from_slice(&m.row(row0 + i)[col0..col0 + width]);
+    }
+    out
+}
+
+/// Writes `block` over rows `row0..`, columns `col0..` of `m`.
+fn insert(m: &mut Matrix, block: &Matrix, row0: usize, col0: usize) {
+    for i in 0..block.rows() {
+        m.row_mut(row0 + i)[col0..col0 + block.cols()].copy_from_slice(block.row(i));
     }
 }
 
@@ -236,6 +339,33 @@ mod tests {
         // The final position must change (sanity that the perturbation did
         // something).
         assert!(y.row(5) != y2.row(5));
+    }
+
+    #[test]
+    fn cached_pass_equals_the_tail_of_the_full_causal_forward() {
+        let mut rng = seeded_rng(5);
+        let attn = Attention::new(8, 2, &mut rng);
+        let x = init::normal(7, 8, 1.0, &mut rng);
+        let (full, _) = attn.forward(&x, 1, 7);
+        // Positions 0..3 in one call, 3..7 in a second over their cache,
+        // with and without retention: rows of the full forward, bitwise.
+        for retain in [Retain::Nothing, Retain::ForBackward] {
+            let mut cache = Matrix::zeros(7, 16);
+            let (head, _) = attn.pass(&x.rows_range(0, 3), 1, 3, Some((&mut cache, 0)), retain);
+            let (tail, _) = attn.pass(&x.rows_range(3, 7), 1, 4, Some((&mut cache, 3)), retain);
+            assert_eq!(head, full.rows_range(0, 3));
+            assert_eq!(tail, full.rows_range(3, 7));
+        }
+
+        // The per-head routine itself, `len = 3` cached positions.
+        let q = init::normal(7, 4, 1.0, &mut rng);
+        let k = init::normal(7, 4, 1.0, &mut rng);
+        let v = init::normal(7, 4, 1.0, &mut rng);
+        let (ctx, probs) = attend(&q, &k, &v, 0.5, Retain::ForBackward);
+        let (ctx_tail, probs_tail) = attend(&q.rows_range(3, 7), &k, &v, 0.5, Retain::ForBackward);
+        assert_eq!(ctx_tail, ctx.rows_range(3, 7));
+        assert_eq!(probs_tail, probs.rows_range(3, 7));
+        assert_eq!(probs[(0, 1)], 0.0, "masked probabilities are exactly 0");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use megablocks_tensor::ops::LayerNormCache;
 use megablocks_tensor::Matrix;
 use rand::rngs::StdRng;
 
+use crate::attention::Retain;
 use crate::{Attention, AttentionCache, FfnKind, LayerNorm};
 
 /// The feed-forward sub-layer of a block: dense, dropless MoE, or
@@ -100,58 +101,84 @@ impl Block {
         &self.ffn
     }
 
+    /// Whether the FFN maps each token on its own, so that a token's
+    /// output does not depend on which other tokens share the call (dense
+    /// and dropless do; a capacity limit or expert-choice routing does
+    /// not).
+    pub(crate) fn ffn_is_tokenwise(&self) -> bool {
+        matches!(self.ffn, BlockFfn::Dense(_) | BlockFfn::Dropless(_))
+    }
+
     /// Forward pass over `batch` sequences of length `seq`.
     pub fn forward(&self, x: &Matrix, batch: usize, seq: usize) -> (Matrix, BlockCache) {
-        let (n1, ln1_cache) = self.ln1.forward(x);
-        let (a, attn_cache) = self.attn.forward(&n1, batch, seq);
-        let mut mid = x.clone();
-        mid.add_assign(&a);
+        let (out, cache) = self.pass(x, batch, seq, None, Retain::ForBackward);
+        (out, cache.expect("a ForBackward pass keeps its cache"))
+    }
 
-        let (n2, ln2_cache) = self.ln2.forward(&mid);
-        let (f, ffn_cache, moe_stats) = match &self.ffn {
-            BlockFfn::Dense(ffn) => {
+    /// The one block forward; `kv` and `retain` are [`Attention::pass`]'s.
+    pub(crate) fn pass(
+        &self,
+        x: &Matrix,
+        batch: usize,
+        seq: usize,
+        kv: Option<(&mut Matrix, usize)>,
+        retain: Retain,
+    ) -> (Matrix, Option<BlockCache>) {
+        let (n1, ln1) = self.ln1.forward(x);
+        let (mut mid, attn) = self.attn.pass(&n1, batch, seq, kv, retain);
+        // `attn + x` is `x + attn` bit for bit, without a copy of `x`.
+        mid.add_assign(x);
+
+        let (n2, ln2) = self.ln2.forward(&mid);
+        let (mut f, ffn) = match (&self.ffn, retain) {
+            // The one FFN with a retention-free entry.
+            (BlockFfn::Dropless(moe), Retain::Nothing) => {
+                (moe.infer(&n2).unwrap_or_else(|e| panic!("{e}")), None)
+            }
+            (BlockFfn::Dense(ffn), _) => {
                 let (y, c) = ffn.forward(&n2);
-                (y, FfnCacheKind::Dense(c), None)
+                (y, Some((FfnCacheKind::Dense(c), None)))
             }
-            BlockFfn::Dropless(moe) => {
+            (BlockFfn::Dropless(moe), _) => {
                 let out = moe.forward(&n2);
-                (
-                    out.output,
-                    FfnCacheKind::Dropless(out.cache),
-                    Some(out.stats),
-                )
+                let cache = FfnCacheKind::Dropless(out.cache);
+                (out.output, Some((cache, Some(out.stats))))
             }
-            BlockFfn::Dropping(moe) => {
+            (BlockFfn::Dropping(moe), _) => {
                 let out = moe.forward(&n2);
-                (
-                    out.output,
-                    FfnCacheKind::Dropping(out.cache),
-                    Some(out.stats),
-                )
+                let cache = FfnCacheKind::Dropping(out.cache);
+                (out.output, Some((cache, Some(out.stats))))
             }
-            BlockFfn::ExpertChoice(moe) => {
+            (BlockFfn::ExpertChoice(moe), _) => {
                 let out = moe.forward(&n2);
-                (
-                    out.output,
-                    FfnCacheKind::ExpertChoice(out.cache),
-                    Some(out.stats),
-                )
+                let cache = FfnCacheKind::ExpertChoice(out.cache);
+                (out.output, Some((cache, Some(out.stats))))
             }
         };
-        let mut out = mid.clone();
-        out.add_assign(&f);
-        (
-            out,
-            BlockCache {
-                x: x.clone(),
-                ln1: ln1_cache,
-                attn: attn_cache,
-                mid,
-                ln2: ln2_cache,
-                ffn: ffn_cache,
-                moe_stats,
-            },
-        )
+        match retain {
+            Retain::ForBackward => {
+                f.add_assign(&mid);
+                let (ffn, moe_stats) = ffn.expect("a ForBackward pass keeps the FFN cache");
+                let cache = BlockCache {
+                    x: x.clone(),
+                    ln1,
+                    attn: attn.expect("a ForBackward pass keeps the attention cache"),
+                    mid,
+                    ln2,
+                    ffn,
+                    moe_stats,
+                };
+                (f, Some(cache))
+            }
+            Retain::Nothing => {
+                mid.add_assign(&f);
+                // Only `infer` hands out arena storage.
+                if ffn.is_none() {
+                    f.recycle();
+                }
+                (mid, None)
+            }
+        }
     }
 
     /// Backward pass; accumulates parameter gradients and returns `dx`.

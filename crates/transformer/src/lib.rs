@@ -44,7 +44,7 @@ pub use block::{Block, BlockCache, BlockFfn};
 pub use config::{
     model_flops_per_sequence, FfnKind, ModelSpec, MoeSize, TransformerConfig, TransformerSize,
 };
-pub use model::{StepStats, TransformerLm};
+pub use model::{DecodeState, StepStats, TransformerLm};
 pub use norm::LayerNorm;
 pub use resilient::{ResilienceConfig, ResilienceReport, ResilientTrainer, TrainAbort};
 pub use trainer::{lr_at_step, EvalResult, PendingStep, TrainLog, Trainer, TrainerConfig};

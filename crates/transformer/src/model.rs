@@ -5,6 +5,7 @@ use megablocks_tensor::ops::{cross_entropy, LayerNormCache};
 use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
 use rand::rngs::StdRng;
 
+use crate::attention::Retain;
 use crate::{Block, BlockCache, LayerNorm, TransformerConfig};
 
 /// Per-step training statistics returned by [`TransformerLm::train_step`].
@@ -27,12 +28,27 @@ impl StepStats {
     }
 }
 
-struct ForwardCache {
-    x0: Matrix,
-    block_inputs_cache: Vec<BlockCache>,
-    h_last: Matrix,
-    ln_f: LayerNormCache,
-    h_final: Matrix,
+/// One sequence's incremental-decoding state for [`TransformerLm::decode`]:
+/// the tokens of its current window and every layer's keys and values for
+/// them (`2 * layers * seq_len * hidden` floats, allocated once).
+#[derive(Debug, Clone)]
+pub struct DecodeState {
+    /// The last `<= seq_len` tokens fed.
+    window: Vec<usize>,
+    /// Per layer, `seq_len x 2*hidden`: row `p` is `K | V` of `window[p]`.
+    layers: Vec<Matrix>,
+}
+
+impl DecodeState {
+    /// An empty state for a model of configuration `cfg`.
+    pub fn new(cfg: &TransformerConfig) -> Self {
+        Self {
+            window: Vec::new(),
+            layers: (0..cfg.num_layers)
+                .map(|_| Matrix::zeros(cfg.seq_len, 2 * cfg.hidden_size))
+                .collect(),
+        }
+    }
 }
 
 /// A GPT-2-style decoder-only Transformer LM with tied input/output
@@ -108,24 +124,33 @@ impl TransformerLm {
     /// maximum, or a token is out of vocabulary.
     pub fn embed_tokens(&self, inputs: &[usize], batch: usize) -> Matrix {
         let seq = inputs.len() / batch.max(1);
-        self.embed(inputs, batch, seq)
+        // The caller keeps the result, so it gets plain storage.
+        self.embed(inputs, batch, seq, 0, Retain::ForBackward)
     }
 
-    fn embed(&self, inputs: &[usize], batch: usize, seq: usize) -> Matrix {
+    /// Token + positional embeddings of `batch` runs of `seq` tokens that
+    /// each start at position `past`.
+    fn embed(
+        &self,
+        inputs: &[usize],
+        batch: usize,
+        seq: usize,
+        past: usize,
+        retain: Retain,
+    ) -> Matrix {
         assert_eq!(
             inputs.len(),
             batch * seq,
             "inputs length must be batch * seq"
         );
         assert!(
-            seq <= self.cfg.seq_len,
+            past + seq <= self.cfg.seq_len,
             "sequence longer than the model maximum"
         );
-        let h = self.cfg.hidden_size;
-        let mut x = Matrix::zeros(batch * seq, h);
+        let mut x = retain.zeros(batch * seq, self.cfg.hidden_size);
         for (r, &tok) in inputs.iter().enumerate() {
             assert!(tok < self.cfg.vocab_size, "token {tok} out of vocabulary");
-            let pos = r % seq;
+            let pos = past + r % seq;
             let dst = x.row_mut(r);
             let te = self.wte.value().row(tok);
             let pe = self.wpe.value().row(pos);
@@ -136,29 +161,50 @@ impl TransformerLm {
         x
     }
 
-    fn forward_cached(&self, inputs: &[usize], batch: usize, seq: usize) -> (Matrix, ForwardCache) {
-        let x0 = self.embed(inputs, batch, seq);
-        let mut h = x0.clone();
-        let mut caches = Vec::with_capacity(self.blocks.len());
+    /// The one forward up to the last block's output: embeddings, then
+    /// every block. Training and inference differ only in what they
+    /// retain. `kv = (layers, past)` is either `(&mut [], 0)` or one
+    /// sequence's per-block key/value caches, the inputs then being its
+    /// positions `past..` (see `Attention::pass`).
+    fn trunk(
+        &self,
+        inputs: &[usize],
+        batch: usize,
+        seq: usize,
+        (layers, past): (&mut [Matrix], usize),
+        retain: Retain,
+    ) -> (Matrix, Vec<BlockCache>) {
+        let mut layers = layers.iter_mut();
+        let mut h = self.embed(inputs, batch, seq, past, retain);
+        let mut caches = Vec::new();
         for block in &self.blocks {
-            let (next, cache) = block.forward(&h, batch, seq);
-            caches.push(cache);
-            h = next;
+            let kv = layers.next().map(|layer| (layer, past));
+            let (next, cache) = block.pass(&h, batch, seq, kv, retain);
+            caches.extend(cache);
+            retain.release(std::mem::replace(&mut h, next));
         }
-        let h_last = h;
-        let (h_final, ln_f_cache) = self.ln_f.forward(&h_last);
-        // Tied LM head: logits = h_final @ wte^T.
+        (h, caches)
+    }
+
+    /// Final layer norm and tied LM head (`logits = h_final @ wte^T`) on
+    /// the rows of `h`; returns the logits and what their backward reads.
+    fn head(&self, h: &Matrix) -> (Matrix, Matrix, LayerNormCache) {
+        let (h_final, ln_f) = self.ln_f.forward(h);
         let logits = matmul_nt(&h_final, self.wte.value());
-        (
-            logits,
-            ForwardCache {
-                x0,
-                block_inputs_cache: caches,
-                h_last,
-                ln_f: ln_f_cache,
-                h_final,
-            },
-        )
+        (logits, h_final, ln_f)
+    }
+
+    /// [`TransformerLm::head`] on the last row of each sequence only —
+    /// layer norm and LM head are row-wise, so the other rows' logits are
+    /// never computed.
+    fn last_logits(&self, h: &Matrix, batch: usize, seq: usize) -> Matrix {
+        let mut last = Matrix::pooled_zeros(batch, self.cfg.hidden_size);
+        for b in 0..batch {
+            last.row_mut(b).copy_from_slice(h.row(b * seq + seq - 1));
+        }
+        let (logits, ..) = self.head(&last);
+        last.recycle();
+        logits
     }
 
     /// Evaluation forward pass: mean cross-entropy over the batch, no
@@ -174,22 +220,66 @@ impl TransformerLm {
             targets.len(),
             "inputs/targets length mismatch"
         );
-        let seq = inputs.len() / batch;
-        let (logits, _) = self.forward_cached(inputs, batch, seq);
+        let seq = seq_of(inputs, batch);
+        let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), Retain::Nothing);
+        let (logits, ..) = self.head(&h);
+        h.recycle();
         cross_entropy(&logits, targets, None).0
     }
 
-    /// Next-token logits for the last position of each sequence (greedy
-    /// generation helper used by the examples).
+    /// Next-token logits for the last position of each sequence: a
+    /// stateless forward over the whole window that keeps nothing. It is
+    /// the reference [`TransformerLm::decode`] is bit-identical to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is not `batch * seq` tokens for some `seq`.
     pub fn next_token_logits(&self, inputs: &[usize], batch: usize) -> Matrix {
-        let seq = inputs.len() / batch;
-        let (logits, _) = self.forward_cached(inputs, batch, seq);
-        let mut out = Matrix::zeros(batch, self.cfg.vocab_size);
-        for b in 0..batch {
-            out.row_mut(b)
-                .copy_from_slice(logits.row(b * seq + seq - 1));
+        let seq = seq_of(inputs, batch);
+        let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), Retain::Nothing);
+        let logits = self.last_logits(&h, batch, seq);
+        h.recycle();
+        logits
+    }
+
+    /// Feeds `new_tokens` to the sequence `state` tracks and returns the
+    /// `1 x vocab` logits of the token after them — bit for bit what
+    /// [`TransformerLm::next_token_logits`] returns for the last `seq_len`
+    /// tokens fed so far, for every FFN flavor.
+    ///
+    /// Only the positions not yet cached are run: their keys and values
+    /// are appended to the state and each attends over the cached ones, so
+    /// a one-token step costs one row through every layer instead of the
+    /// whole window. The cache is dropped and the window run again when
+    /// its rows would be stale: once the window slides (learned absolute
+    /// positions shift under every cached row), and always for
+    /// `Dropping`/`ExpertChoice` blocks, where a token's FFN output
+    /// depends on which tokens share the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_tokens` is empty or holds an out-of-vocabulary
+    /// token, or if `state` was built for another configuration.
+    pub fn decode(&self, state: &mut DecodeState, new_tokens: &[usize]) -> Matrix {
+        assert!(!new_tokens.is_empty(), "decode needs at least one token");
+        assert_eq!(
+            state.layers.len(),
+            self.blocks.len(),
+            "decode state built for another model"
+        );
+        let mut past = state.window.len();
+        state.window.extend_from_slice(new_tokens);
+        let slid = state.window.len().saturating_sub(self.cfg.seq_len);
+        if slid > 0 || !self.blocks.iter().all(Block::ffn_is_tokenwise) {
+            state.window.drain(..slid);
+            past = 0;
         }
-        out
+        let fresh = &state.window[past..];
+        let kv = (&mut state.layers[..], past);
+        let (h, _) = self.trunk(fresh, 1, fresh.len(), kv, Retain::Nothing);
+        let logits = self.last_logits(&h, 1, fresh.len());
+        h.recycle();
+        logits
     }
 
     /// Autoregressively generates `new_tokens` continuation tokens for a
@@ -197,7 +287,9 @@ impl TransformerLm {
     /// the given temperature.
     ///
     /// The context is truncated to the model's maximum sequence length as
-    /// it grows.
+    /// it grows. Each token costs one [`TransformerLm::decode`] step, and
+    /// the result is exactly that of calling
+    /// [`TransformerLm::next_token_logits`] on the whole window per token.
     ///
     /// # Panics
     ///
@@ -214,12 +306,14 @@ impl TransformerLm {
         if let Some(t) = temperature {
             assert!(t > 0.0, "temperature must be positive");
         }
-        let mut context: Vec<usize> = prompt.to_vec();
-        let mut out = Vec::with_capacity(new_tokens);
-        for _ in 0..new_tokens {
-            let window_start = context.len().saturating_sub(self.cfg.seq_len);
-            let window = &context[window_start..];
-            let logits = self.next_token_logits(window, 1);
+        let mut out: Vec<usize> = Vec::with_capacity(new_tokens);
+        let mut state = DecodeState::new(&self.cfg);
+        while out.len() < new_tokens {
+            // Prefill with the prompt, then feed each pick back.
+            let logits = match out.last() {
+                None => self.decode(&mut state, prompt),
+                Some(&last) => self.decode(&mut state, &[last]),
+            };
             let next = match temperature {
                 None => {
                     let row = logits.row(0);
@@ -247,7 +341,6 @@ impl TransformerLm {
                 }
             };
             out.push(next);
-            context.push(next);
         }
         out
     }
@@ -266,23 +359,24 @@ impl TransformerLm {
             targets.len(),
             "inputs/targets length mismatch"
         );
-        let seq = inputs.len() / batch;
-        let (logits, cache) = self.forward_cached(inputs, batch, seq);
+        let seq = seq_of(inputs, batch);
+        let (h_last, caches) = self.trunk(inputs, batch, seq, (&mut [], 0), Retain::ForBackward);
+        let (logits, h_final, ln_f) = self.head(&h_last);
 
         let (ce_loss, d_logits) = cross_entropy(&logits, targets, None);
 
         // LM head backward (tied weights: the embedding gets two gradient
         // contributions — the head here, the lookup below).
         let mut d_h_final = matmul(&d_logits, self.wte.value());
-        self.wte.accumulate(&matmul_tn(&d_logits, &cache.h_final));
+        self.wte.accumulate(&matmul_tn(&d_logits, &h_final));
 
         // Final layer norm.
-        let d_h_last = self.ln_f.backward(&cache.h_last, &d_h_final, &cache.ln_f);
+        let d_h_last = self.ln_f.backward(&h_last, &d_h_final, &ln_f);
         d_h_final = d_h_last;
 
         // Blocks in reverse.
         let mut moe_stats = Vec::new();
-        for (block, bc) in self.blocks.iter_mut().zip(&cache.block_inputs_cache).rev() {
+        for (block, bc) in self.blocks.iter_mut().zip(&caches).rev() {
             d_h_final = block.backward(bc, &d_h_final);
             if let Some(s) = &bc.moe_stats {
                 moe_stats.push(s.clone());
@@ -291,7 +385,6 @@ impl TransformerLm {
         moe_stats.reverse();
 
         // Embedding backward.
-        let _ = &cache.x0;
         for (r, &tok) in inputs.iter().enumerate() {
             let pos = r % seq;
             let g = d_h_final.row(r);
@@ -314,6 +407,13 @@ impl TransformerLm {
             moe_stats,
         }
     }
+}
+
+/// Tokens per sequence of a `batch`-sequence input (`embed` rejects a
+/// length that `batch` does not divide, with the same message).
+fn seq_of(inputs: &[usize], batch: usize) -> usize {
+    assert!(batch > 0, "inputs length must be batch * seq");
+    inputs.len() / batch
 }
 
 #[cfg(test)]
@@ -430,6 +530,20 @@ mod tests {
         let prompt: Vec<usize> = (0..cfg.seq_len * 3).map(|i| i % cfg.vocab_size).collect();
         let out = model.generate(&prompt, 4, Some(0.8), &mut seeded_rng(2));
         assert_eq!(out.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "inputs length must be batch * seq")]
+    fn eval_loss_rejects_a_zero_batch() {
+        let model = TransformerLm::new(TransformerConfig::tiny(FfnKind::Dense), &mut seeded_rng(9));
+        let _ = model.eval_loss(&[1, 2], &[2, 3], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "inputs length must be batch * seq")]
+    fn next_token_logits_rejects_a_zero_batch() {
+        let model = TransformerLm::new(TransformerConfig::tiny(FfnKind::Dense), &mut seeded_rng(9));
+        let _ = model.next_token_logits(&[1, 2], 0);
     }
 
     #[test]

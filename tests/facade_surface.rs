@@ -24,9 +24,9 @@ use megablocks::telemetry::json::Json;
 use megablocks::tensor::ops::LayerNormCache;
 use megablocks::tensor::{self, init, Matrix};
 use megablocks::transformer::{
-    clip_grad_norm, Adam, AdamConfig, Attention, AttentionCache, Block, BlockCache, EvalResult,
-    FfnKind, PendingStep, StepStats, TrainLog, Trainer, TrainerConfig, TransformerConfig,
-    TransformerLm,
+    clip_grad_norm, Adam, AdamConfig, Attention, AttentionCache, Block, BlockCache, DecodeState,
+    EvalResult, FfnKind, PendingStep, StepStats, TrainLog, Trainer, TrainerConfig,
+    TransformerConfig, TransformerLm,
 };
 use rand::rngs::StdRng;
 
@@ -131,6 +131,8 @@ fn transformer_surface() {
     let _: fn(&TransformerLm, &[usize], usize, Option<f32>, &mut StdRng) -> Vec<usize> =
         TransformerLm::generate;
     let _: fn(&TransformerLm, &[usize], usize) -> Matrix = TransformerLm::next_token_logits;
+    let _: fn(&TransformerConfig) -> DecodeState = DecodeState::new;
+    let _: fn(&TransformerLm, &mut DecodeState, &[usize]) -> Matrix = TransformerLm::decode;
 
     let _ = |steps: usize| TrainerConfig {
         batch_size: 1,
