@@ -46,6 +46,11 @@ fn main() {
         .trace(format!("results/trace_{cmd}.json"))
         .with_summary(true);
     let _health = HealthExport(format!("results/health_{cmd}.json"));
+    println!(
+        "repro {cmd}: kernel backend {} ({})",
+        megablocks_tensor::kernel_backend().name(),
+        megablocks_tensor::tiled_variant()
+    );
     match cmd {
         "table1" => table1(),
         "table2" => table2(),

@@ -15,7 +15,8 @@
 //!   backend is proven against.
 //! * [`tiled`] — packed A/B panels with `Mc`/`Nc`/`Kc` cache blocking and
 //!   an `MR x NR` register tile whose lanes vectorize across output
-//!   columns.
+//!   columns; one routine instantiated per instruction set
+//!   ([`tiled_variant`] names the one this CPU runs).
 //!
 //! # Separable views
 //!
@@ -444,6 +445,16 @@ pub fn kernel_backend() -> KernelBackend {
     BACKEND.get()
 }
 
+/// The instantiation of the [`tiled`] routine the running CPU dispatches
+/// to — `"avx2-4x16"` or `"baseline-4x8"`: instruction set and register
+/// tile. Detected, never configured; every variant is bit-identical to
+/// `scalar`, so this names a speed, not a result. Telemetry records it as
+/// the label of the `kernel.variant` counter the first time a product
+/// runs on it.
+pub fn tiled_variant() -> &'static str {
+    tiled::Variant::detect().name()
+}
+
 static SCALAR: ScalarKernel = ScalarKernel;
 static TILED: TiledKernel = TiledKernel;
 
@@ -455,9 +466,10 @@ pub fn backend_impl() -> &'static dyn GemmMicrokernel {
     }
 }
 
-/// Products at or above this many fused multiply-adds record a
-/// `kernel.block_gemm` telemetry span; smaller calls only count, so a
-/// topology that lowers to many small rectangles stays cheap to dispatch.
+/// Products at or above this many flops (`2 * m * n * k`, the number
+/// `kernel.flops` adds) record a `kernel.block_gemm` telemetry span;
+/// smaller calls only count, so a topology that lowers to many small
+/// rectangles stays cheap to dispatch.
 const SPAN_FLOPS: usize = 1 << 20;
 
 /// The shared entry every matrix product dispatches through: accumulates

@@ -20,6 +20,12 @@
 //! writeback; the padding multiplies into accumulators that are never
 //! read, so it cannot perturb any retained element.
 //!
+//! The routine is written once, generic over `MR x NR`, and instantiated
+//! per instruction set ([`Variant`]): `4 x 8` at the build's default
+//! target features and, on x86-64, `4 x 16` under `avx2` — picked per
+//! call by CPU detection and never with `fma`, so every variant rounds
+//! exactly as [`ScalarKernel`] does, on every machine.
+//!
 //! Packing buffers and the accumulator tile come from the exec runtime's
 //! thread-local [`workspace`] arena — each band of a launch plan packs
 //! into its own worker's recycled buffers, so steady-state products
@@ -27,25 +33,24 @@
 //!
 //! [`workspace`]: megablocks_exec::workspace
 
+use std::sync::Once;
+
 use megablocks_exec::workspace;
+use megablocks_telemetry as telemetry;
 
 use super::scalar::ScalarKernel;
 use super::{GemmMicrokernel, OutView, PanelView};
 
-/// Register-tile rows.
-pub const MR: usize = 4;
-/// Register-tile columns (the autovectorized lanes).
-pub const NR: usize = 8;
-/// Row cache block (multiple of `MR`).
+/// Row cache block (a multiple of every variant's `MR`).
 const MC: usize = 64;
-/// Column cache block (multiple of `NR`).
+/// Column cache block (a multiple of every variant's `NR`).
 const NC: usize = 128;
 /// Reduction cache block.
 const KC: usize = 256;
 
-/// Products below this many fused multiply-adds delegate to the scalar
-/// backend: packing would cost more than it saves on a tiny tile, and the
-/// contract makes the results bit-identical either way.
+/// Products below this many multiply-adds (`m * n * k`) delegate to the
+/// scalar backend: packing would cost more than it saves on a tiny tile,
+/// and the contract makes the results bit-identical either way.
 const SMALL_MULADDS: usize = 1 << 14;
 
 /// The packed/tiled backend.
@@ -70,14 +75,95 @@ impl GemmMicrokernel for TiledKernel {
         if m * n * k < SMALL_MULADDS {
             return ScalarKernel.run(m, n, k, alpha, a, b, out);
         }
-        run_blocked(m, n, k, alpha, a, b, out);
+        let variant = Variant::detect();
+        // So a run's summary and JSONL export name their microkernel.
+        static RECORDED: Once = Once::new();
+        RECORDED.call_once(|| telemetry::counter_with("kernel.variant", variant.name()).inc());
+        variant.run_blocked(m, n, k, alpha, a, b, out);
     }
 }
 
-/// The blocked path proper, with no size cutoff — separated from
-/// [`TiledKernel::run`] so tests can drive the packing machinery on
-/// shapes below the scalar-delegation threshold.
-fn run_blocked(
+/// The instantiations of the one blocked routine: per instruction set,
+/// the register tile its lanes hold without spilling (sweep in DESIGN
+/// §12). All are bit-identical to [`ScalarKernel`]; the choice is speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Variant {
+    /// `4 x 8` at the build's default target features (128-bit lanes on
+    /// baseline x86-64); the only variant on other architectures.
+    Baseline,
+    /// `4 x 16` compiled for 256-bit lanes: `avx2`, never `fma`.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Variant {
+    /// Every variant this build contains, widest first.
+    pub(crate) const ALL: &'static [Variant] = &[
+        #[cfg(target_arch = "x86_64")]
+        Variant::Avx2,
+        Variant::Baseline,
+    ];
+
+    /// Whether the running CPU can execute this variant.
+    pub(crate) fn supported(self) -> bool {
+        match self {
+            Variant::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Variant::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+        }
+    }
+
+    /// The widest supported variant (a cached atomic load per call).
+    pub(crate) fn detect() -> Variant {
+        let mut supported = Variant::ALL.iter().copied().filter(|v| v.supported());
+        supported.next().unwrap_or(Variant::Baseline)
+    }
+
+    /// Stable name: instruction set and register tile.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Variant::Baseline => "baseline-4x8",
+            #[cfg(target_arch = "x86_64")]
+            Variant::Avx2 => "avx2-4x16",
+        }
+    }
+
+    /// The blocked path proper, with no size cutoff — separated from
+    /// [`TiledKernel::run`] so tests can drive each variant's packing
+    /// machinery on shapes below the scalar-delegation threshold. Panics
+    /// if the running CPU does not support the variant.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_blocked(
+        self,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f32,
+        a: PanelView<'_>,
+        b: PanelView<'_>,
+        out: OutView<'_>,
+    ) {
+        assert!(self.supported(), "{}: unsupported CPU", self.name());
+        match self {
+            Variant::Baseline => run_blocked::<4, 8>(m, n, k, alpha, a, b, out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `supported` was just asserted, and for this variant
+            // it is `is_x86_feature_detected!("avx2")` — the one feature
+            // `run_blocked_avx2` enables.
+            Variant::Avx2 => unsafe { run_blocked_avx2(m, n, k, alpha, a, b, out) },
+        }
+    }
+}
+
+/// [`run_blocked`] at `4 x 16`, compiled for 256-bit lanes together with
+/// everything `#[inline(always)]` into it. `fma` is deliberately not
+/// enabled: with no fused instruction available the compiler cannot
+/// contract `acc + a * b`, so each lane rounds the product and the sum
+/// separately, as the 128-bit and scalar forms do.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn run_blocked_avx2(
     m: usize,
     n: usize,
     k: usize,
@@ -86,6 +172,22 @@ fn run_blocked(
     b: PanelView<'_>,
     out: OutView<'_>,
 ) {
+    run_blocked::<4, 16>(m, n, k, alpha, a, b, out);
+}
+
+/// The blocked routine, generic over its `MR x NR` register tile (`NR`
+/// the autovectorized lanes); instantiated only by [`Variant::run_blocked`].
+#[inline(always)]
+fn run_blocked<const MR: usize, const NR: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: PanelView<'_>,
+    b: PanelView<'_>,
+    out: OutView<'_>,
+) {
+    const { assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR)) };
     // Sized to the problem, not to the largest tile: a small rectangle
     // must not pay for (and zero) a 64x256 pack buffer. Nothing below
     // depends on the zero-fill — `pack_*` writes every lane the
@@ -120,13 +222,13 @@ fn run_blocked(
                     break 'tiles;
                 }
                 let kc = KC.min(k - kc0);
-                pack_a(&mut a_pack, &a, ic, mc, mc_pad, kc0, kc);
-                pack_b(&mut b_pack, &b, jc, nc, nc_pad, kc0, kc);
+                pack_a::<MR>(&mut a_pack, &a, ic, mc, mc_pad, kc0, kc);
+                pack_b::<NR>(&mut b_pack, &b, jc, nc, nc_pad, kc0, kc);
                 for t in 0..nc_pad / NR {
                     let b_strip = &b_pack[t * kc * NR..(t + 1) * kc * NR];
                     for s in 0..mc_pad / MR {
                         let a_strip = &a_pack[s * kc * MR..(s + 1) * kc * MR];
-                        micro(
+                        micro::<MR, NR>(
                             a_strip,
                             b_strip,
                             &mut acc[s * MR * nc_pad + t * NR..],
@@ -166,7 +268,8 @@ fn run_blocked(
 /// `MR`-row strips: strip `s`, element `(p, ii)` lands at
 /// `s * kc * MR + p * MR + ii`. Rows past `mc` (edge padding up to
 /// `mc_pad`) are zero-filled.
-fn pack_a(
+#[inline(always)]
+fn pack_a<const MR: usize>(
     dst: &mut [f32],
     a: &PanelView<'_>,
     ic: usize,
@@ -201,7 +304,8 @@ fn pack_a(
 /// Packs rows `[kc0, kc0 + kc)` x columns `[jc, jc + nc)` of `b` into
 /// `NR`-column strips: strip `t`, element `(p, jj)` lands at
 /// `t * kc * NR + p * NR + jj`. Columns past `nc` are zero-filled.
-fn pack_b(
+#[inline(always)]
+fn pack_b<const NR: usize>(
     dst: &mut [f32],
     b: &PanelView<'_>,
     jc: usize,
@@ -246,8 +350,13 @@ fn pack_b(
 /// accumulator per element — the `jj` lanes are independent elements, so
 /// the compiler may vectorize across them without reassociating any
 /// element's reduction), and stored back.
-#[inline]
-fn micro(a_strip: &[f32], b_strip: &[f32], acc: &mut [f32], stride: usize) {
+#[inline(always)]
+fn micro<const MR: usize, const NR: usize>(
+    a_strip: &[f32],
+    b_strip: &[f32],
+    acc: &mut [f32],
+    stride: usize,
+) {
     let mut tile = [[0.0f32; NR]; MR];
     for (ii, row) in tile.iter_mut().enumerate() {
         row.copy_from_slice(&acc[ii * stride..ii * stride + NR]);
@@ -282,51 +391,72 @@ mod tests {
             .collect()
     }
 
+    /// The variants the running CPU supports — every test below drives
+    /// each of them, not only the dispatched one: CI runners have AVX2, so
+    /// the baseline instantiation would otherwise never run.
+    fn supported_variants() -> impl Iterator<Item = Variant> {
+        let variants = Variant::ALL.iter().copied().filter(|v| v.supported());
+        assert_eq!(variants.clone().next(), Some(Variant::detect()));
+        assert_eq!(variants.clone().next_back(), Some(Variant::Baseline));
+        variants
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: element {i} differs ({g} vs {w})"
+            );
+        }
+    }
+
     /// Bit-exactness against the scalar oracle across shapes straddling
-    /// every blocking edge (tile, register strip, reduction chunk).
+    /// every blocking edge (tile, register strip of either width,
+    /// reduction chunk, the pack-once boundary `k = KC`).
     #[test]
     fn bit_identical_to_scalar_across_blocking_edges() {
         let shapes = [
             (1usize, 1usize, 1usize),
-            (MR, NR, 3),
-            (MR + 1, NR + 3, KC + 7),
+            (4, 8, 3),
+            (4, 16, 3),
+            (5, 11, KC + 7),
+            (5, 19, KC + 7),
             (MC, NC, 64),
             (MC + 5, NC + 17, KC + 1),
+            (MC + 5, NC + 17, KC),
             (3, 200, 50),
             (130, 90, 70),
+            // One short of, exactly and one past the 16-column tile.
+            (7, 15, 40),
+            (7, 16, 40),
+            (7, 17, 40),
+            (7, 33, 40),
+            // One-token decode steps: a single row, and 16 of them.
+            (1, 512, 128),
+            (16, 512, 128),
         ];
         for &(m, n, k) in &shapes {
             let a = lcg_fill(m * k, 1 + m as u64);
             let b = lcg_fill(k * n, 2 + n as u64);
-            let mut want = lcg_fill(m * n, 3);
-            let mut got = want.clone();
+            let init = lcg_fill(m * n, 3);
             let alpha = 0.75f32;
-            ScalarKernel.run(
-                m,
-                n,
-                k,
-                alpha,
-                PanelView::new(&a, k, 1),
-                PanelView::new(&b, n, 1),
-                OutView::new(&mut want, n),
-            );
-            // run_blocked directly: exercises the packing machinery even
-            // on shapes below the scalar-delegation threshold.
-            run_blocked(
-                m,
-                n,
-                k,
-                alpha,
-                PanelView::new(&a, k, 1),
-                PanelView::new(&b, n, 1),
-                OutView::new(&mut got, n),
-            );
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "m={m} n={n} k={k}: element {i} differs ({g} vs {w})"
+            let run = |kernel: &dyn Fn(PanelView<'_>, PanelView<'_>, OutView<'_>)| {
+                let mut out = init.clone();
+                kernel(
+                    PanelView::new(&a, k, 1),
+                    PanelView::new(&b, n, 1),
+                    OutView::new(&mut out, n),
                 );
+                out
+            };
+            let want = run(&|a, b, out| ScalarKernel.run(m, n, k, alpha, a, b, out));
+            for variant in supported_variants() {
+                // run_blocked directly: exercises the packing machinery
+                // even on shapes below the scalar-delegation threshold.
+                let got = run(&|a, b, out| variant.run_blocked(m, n, k, alpha, a, b, out));
+                let what = format!("{} m={m} n={n} k={k}", variant.name());
+                assert_same_bits(&got, &want, &what);
             }
         }
     }
@@ -339,21 +469,21 @@ mod tests {
         let av = PanelView::new(&a, 1, m);
         let bv = PanelView::new(&b, 1, k);
         let mut want = vec![0.0f32; m * n];
-        let mut got = vec![0.0f32; m * n];
         ScalarKernel.run(m, n, k, 1.0, av, bv, OutView::new(&mut want, n));
+        for variant in supported_variants() {
+            let mut got = vec![0.0f32; m * n];
+            variant.run_blocked(m, n, k, 1.0, av, bv, OutView::new(&mut got, n));
+            assert_same_bits(&got, &want, variant.name());
+        }
+        let mut got = vec![0.0f32; m * n];
         TiledKernel.run(m, n, k, 1.0, av, bv, OutView::new(&mut got, n));
-        assert!(
-            got.iter()
-                .zip(&want)
-                .all(|(g, w)| g.to_bits() == w.to_bits()),
-            "transposed views diverged from scalar"
-        );
+        assert_same_bits(&got, &want, "dispatched");
     }
 
     /// Tiled axes on all three views — `A` a rectangle of sparse blocks,
     /// `B` a gather of dense row panels, the output block storage — give
-    /// the bits of the same product over plain strided copies, on both
-    /// backends, including a gathered reduction longer than `KC`.
+    /// the bits of the same product over plain strided copies, on scalar
+    /// and every variant, including a gathered reduction longer than `KC`.
     #[test]
     fn tiled_axes_match_the_strided_product() {
         // (block size, block rows, gathered blocks along k, output block cols)
@@ -406,22 +536,46 @@ mod tests {
             let av = PanelView::with_axes(&a_blocks, tiled(&a_rows, bs), tiled(&a_cols, 1));
             let bv = PanelView::with_axes(&b_big, tiled(&b_rows, n), Axis::Strided(1));
             let want_blocks = to_blocks(&want, c, n);
-            for blocked in [false, true] {
+            for variant in std::iter::once(None).chain(supported_variants().map(Some)) {
                 let mut got = to_blocks(&out_init, c, n);
                 let ov = OutView::with_axes(&mut got, tiled(&o_rows, bs), tiled(&o_cols, 1));
-                if blocked {
-                    run_blocked(m, n, k, 0.5, av, bv, ov);
-                } else {
-                    ScalarKernel.run(m, n, k, 0.5, av, bv, ov);
+                match variant {
+                    Some(variant) => variant.run_blocked(m, n, k, 0.5, av, bv, ov),
+                    None => ScalarKernel.run(m, n, k, 0.5, av, bv, ov),
                 }
-                for (i, (g, w)) in got.iter().zip(&want_blocks).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "bs={bs} blocked={blocked}: stored float {i} differs ({g} vs {w})"
-                    );
-                }
+                let what = format!("bs={bs} {}", variant.map_or("scalar", Variant::name));
+                assert_same_bits(&got, &want_blocks, &what);
             }
+        }
+    }
+
+    /// FNV-1a over the outputs' bit patterns.
+    fn hash_bits(values: &[f32]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Golden bits: scalar ≡ tiled on one machine cannot see a build in
+    /// which *both* drift (a toolchain flag that contracts `a * b + c`
+    /// into an FMA, a different float environment); a constant can. The
+    /// operands are LCG-filled, so the value depends on nothing but the
+    /// contract's arithmetic.
+    #[test]
+    fn golden_bits_of_a_dense_product() {
+        const GOLDEN: u64 = 0x104a_90d5_20f3_1153;
+        let (m, n, k) = (70, 65, 300);
+        let a = lcg_fill(m * k, 31);
+        let b = lcg_fill(k * n, 32);
+        let init = lcg_fill(m * n, 33);
+        let (av, bv) = (PanelView::new(&a, k, 1), PanelView::new(&b, n, 1));
+        let mut out = init.clone();
+        ScalarKernel.run(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
+        assert_eq!(hash_bits(&out), GOLDEN, "scalar: {:#018x}", hash_bits(&out));
+        for variant in supported_variants() {
+            let mut out = init.clone();
+            variant.run_blocked(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
+            assert_eq!(hash_bits(&out), GOLDEN, "{}", variant.name());
         }
     }
 

@@ -48,8 +48,8 @@ pub mod ops;
 pub use batched::{batched_matmul, BatchedMatrix};
 pub use error::ShapeError;
 pub use kernel::{
-    block_gemm, configure_kernel_backend, kernel_backend, Axis, GemmMicrokernel, KernelBackend,
-    OutView, PanelView,
+    block_gemm, configure_kernel_backend, kernel_backend, tiled_variant, Axis, GemmMicrokernel,
+    KernelBackend, OutView, PanelView,
 };
 pub use matmul::{gemm, matmul, matmul_nt, matmul_tn, Trans};
 pub use matrix::Matrix;

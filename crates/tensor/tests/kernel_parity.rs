@@ -132,8 +132,10 @@ fn edge_shapes_are_bit_identical() {
     let shapes = [
         (1usize, 1usize, 0usize),
         (1, 1, 1),
-        (4, 8, 3),     // exactly one register tile
-        (5, 9, 257),   // one past MR/NR, one past KC
+        (4, 8, 3),     // exactly one 4x8 register tile
+        (4, 16, 3),    // exactly one 4x16 register tile
+        (5, 9, 257),   // one past MR/NR (4x8), one past KC
+        (5, 17, 257),  // the same for 4x16
         (64, 128, 64), // exact cache blocks
         (69, 145, 300),
         (150, 70, 96), // crosses the scalar-delegation threshold

@@ -24,6 +24,11 @@ fn build(ffn: FfnKind, seed: u64) -> TransformerLm {
 }
 
 fn main() {
+    println!(
+        "kernel backend {} ({})",
+        megablocks::tensor::kernel_backend().name(),
+        megablocks::tensor::tiled_variant()
+    );
     let pile = SyntheticPile::generate(
         &PileConfig {
             vocab_size: 256,

@@ -66,6 +66,9 @@ fn data_and_tensor_surface() {
     let _: fn(&Matrix) -> Matrix = tensor::ops::softmax_rows;
     let _: fn(&Matrix, &[usize], Option<usize>) -> (f32, Matrix) = tensor::ops::cross_entropy;
     let _: fn(&Matrix) -> Matrix = tensor::ops::gelu;
+    // Not called by `api.rs` yet: the name a multiversioned calibration
+    // probe in `benchmark/` would report beside `calib.peak_gflops`.
+    let _: fn() -> &'static str = tensor::tiled_variant;
 }
 
 #[test]
