@@ -203,10 +203,16 @@ fn run_blocked<const MR: usize, const NR: usize>(
         rows: out_rows,
         cols: out_cols,
     } = out;
+    // A reduction of one `KC` chunk has one B panel per column block,
+    // whatever the row block: pack it once, ahead of the rows.
+    let b_once = k <= KC;
 
     'tiles: for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let nc_pad = nc.div_ceil(NR) * NR;
+        if b_once {
+            pack_b::<NR>(&mut b_pack, &b, jc, nc, nc_pad, 0, k);
+        }
         for ic in (0..m).step_by(MC) {
             let mc = MC.min(m - ic);
             let mc_pad = mc.div_ceil(MR) * MR;
@@ -223,7 +229,9 @@ fn run_blocked<const MR: usize, const NR: usize>(
                 }
                 let kc = KC.min(k - kc0);
                 pack_a::<MR>(&mut a_pack, &a, ic, mc, mc_pad, kc0, kc);
-                pack_b::<NR>(&mut b_pack, &b, jc, nc, nc_pad, kc0, kc);
+                if !b_once {
+                    pack_b::<NR>(&mut b_pack, &b, jc, nc, nc_pad, kc0, kc);
+                }
                 for t in 0..nc_pad / NR {
                     let b_strip = &b_pack[t * kc * NR..(t + 1) * kc * NR];
                     for s in 0..mc_pad / MR {
