@@ -49,9 +49,11 @@ const NC: usize = 128;
 const KC: usize = 256;
 
 /// Products below this many multiply-adds (`m * n * k`) delegate to the
-/// scalar backend: packing would cost more than it saves on a tiny tile,
-/// and the contract makes the results bit-identical either way.
-const SMALL_MULADDS: usize = 1 << 14;
+/// scalar backend: packing costs more than it saves on a tiny tile, and
+/// the contract makes the results bit-identical either way. Measured
+/// crossover (EXPERIMENTS.md): from `2^11` up the blocked path wins at
+/// every shape with `m` = 1..16 on the AVX2 variant; below `2^10` it loses.
+const SMALL_MULADDS: usize = 1 << 11;
 
 /// The packed/tiled backend.
 #[derive(Debug, Default)]
