@@ -206,8 +206,14 @@ fn run_blocked<const MR: usize, const NR: usize>(
         cols: out_cols,
     } = out;
     // A reduction of one `KC` chunk has one B panel per column block,
-    // whatever the row block: pack it once, ahead of the rows.
+    // whatever the row block: pack it once, ahead of the rows. If the
+    // rows are one `MC` block as well (an expert's tokens, a decode step)
+    // there is one A panel for the whole product: pack it up front.
     let b_once = k <= KC;
+    let a_once = b_once && m <= MC;
+    if a_once {
+        pack_a::<MR>(&mut a_pack, &a, 0, m, mc_max, 0, k);
+    }
 
     'tiles: for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
@@ -230,7 +236,9 @@ fn run_blocked<const MR: usize, const NR: usize>(
                     break 'tiles;
                 }
                 let kc = KC.min(k - kc0);
-                pack_a::<MR>(&mut a_pack, &a, ic, mc, mc_pad, kc0, kc);
+                if !a_once {
+                    pack_a::<MR>(&mut a_pack, &a, ic, mc, mc_pad, kc0, kc);
+                }
                 if !b_once {
                     pack_b::<NR>(&mut b_pack, &b, jc, nc, nc_pad, kc0, kc);
                 }
@@ -423,7 +431,7 @@ mod tests {
 
     /// Bit-exactness against the scalar oracle across shapes straddling
     /// every blocking edge (tile, register strip of either width,
-    /// reduction chunk, the pack-once boundary `k = KC`).
+    /// reduction chunk, the pack-once boundaries `k = KC` and `m = MC`).
     #[test]
     fn bit_identical_to_scalar_across_blocking_edges() {
         let shapes = [
@@ -435,6 +443,7 @@ mod tests {
             (MC, NC, 64),
             (MC + 5, NC + 17, KC + 1),
             (MC + 5, NC + 17, KC),
+            (MC, NC + 17, KC),
             (3, 200, 50),
             (130, 90, 70),
             // One short of, exactly and one past the 16-column tile.
