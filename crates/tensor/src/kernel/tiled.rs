@@ -117,8 +117,8 @@ impl Variant {
 
     /// The widest supported variant (a cached atomic load per call).
     pub(crate) fn detect() -> Variant {
-        let mut supported = Variant::ALL.iter().copied().filter(|v| v.supported());
-        supported.next().unwrap_or(Variant::Baseline)
+        let widest = Variant::ALL.iter().copied().find(|v| v.supported());
+        widest.unwrap_or(Variant::Baseline)
     }
 
     /// Stable name: instruction set and register tile.
@@ -164,7 +164,6 @@ impl Variant {
 /// separately, as the 128-bit and scalar forms do.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 fn run_blocked_avx2(
     m: usize,
     n: usize,
