@@ -17,7 +17,7 @@ use megablocks_exec as exec;
 use megablocks_resilience as resilience;
 use megablocks_sparse::{ops, BlockSparseMatrix, SparseError, Topology};
 use megablocks_telemetry as telemetry;
-use megablocks_tensor::ops::{gelu_grad_scalar, gelu_scalar};
+use megablocks_tensor::ops::{gelu_grad_mul, gelu_inplace, gelu_into};
 use megablocks_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 
@@ -305,9 +305,7 @@ impl DroplessMoe {
             let bands = exec::parallelism_for(data.len(), PARALLEL_THRESHOLD);
             let per_band = data.len().div_ceil(bands);
             let body = |band: &mut [f32], i0: usize| {
-                for (i, g) in band.iter_mut().enumerate() {
-                    *g *= gelu_grad_scalar(pre[i0 + i]);
-                }
+                gelu_grad_mul(band, &pre[i0..i0 + band.len()]);
             };
             exec::LaunchPlan::over_items("moe.gelu_grad", data, 1, per_band, &body).launch();
         }
@@ -387,16 +385,8 @@ fn gelu(dst: &mut [f32], src: Option<&[f32]>) -> Result<(), SparseError> {
     let bands = exec::parallelism_for(dst.len(), PARALLEL_THRESHOLD);
     let per_band = dst.len().div_ceil(bands);
     let body = |band: &mut [f32], i0: usize| match src {
-        Some(src) => {
-            for (v, &pre) in band.iter_mut().zip(&src[i0..]) {
-                *v = gelu_scalar(pre);
-            }
-        }
-        None => {
-            for v in band.iter_mut() {
-                *v = gelu_scalar(*v);
-            }
-        }
+        Some(src) => gelu_into(band, &src[i0..i0 + band.len()]),
+        None => gelu_inplace(band),
     };
     Ok(exec::LaunchPlan::over_items("moe.gelu", dst, 1, per_band, &body).try_launch()?)
 }
@@ -405,7 +395,7 @@ fn gelu(dst: &mut [f32], src: Option<&[f32]>) -> Result<(), SparseError> {
 mod tests {
     use super::*;
     use megablocks_tensor::init::seeded_rng;
-    use megablocks_tensor::ops::cross_entropy;
+    use megablocks_tensor::ops::{cross_entropy, gelu_scalar};
 
     fn small_layer(seed: u64) -> (DroplessMoe, StdRng) {
         let cfg = MoeConfig::new(6, 8, 3).with_block_size(4);

@@ -15,7 +15,7 @@
 //! behaviour that shrinks Tutel's feasible micro-batch sizes in Table 3.
 
 use megablocks_telemetry as telemetry;
-use megablocks_tensor::ops::{gelu_grad_scalar, gelu_scalar};
+use megablocks_tensor::ops::{gelu_grad_mul, gelu_scalar};
 use megablocks_tensor::{batched_matmul, init, BatchedMatrix, Matrix};
 use rand::rngs::StdRng;
 
@@ -260,13 +260,7 @@ impl DroppingMoe {
                 }
             }
             let mut dh = dh_act;
-            for (g, &pre) in dh
-                .as_mut_slice()
-                .iter_mut()
-                .zip(cache.h_pre.get(ex).as_slice())
-            {
-                *g *= gelu_grad_scalar(pre);
-            }
+            gelu_grad_mul(dh.as_mut_slice(), cache.h_pre.get(ex).as_slice());
             let dxe = megablocks_tensor::matmul_nt(&dh, w1b.get(ex));
             let dw1 = megablocks_tensor::matmul_tn(cache.xb.get(ex), &dh);
             for r in 0..hidden {

@@ -10,7 +10,7 @@
 //! [`crate::DroplessMoe`], only the assignment logic changes.
 
 use megablocks_sparse::{ops, BlockSparseMatrix, Topology};
-use megablocks_tensor::ops::{gelu_grad_scalar, gelu_scalar, softmax_rows, softmax_rows_backward};
+use megablocks_tensor::ops::{gelu_grad_mul, gelu_scalar, softmax_rows, softmax_rows_backward};
 use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
 use rand::rngs::StdRng;
 
@@ -245,9 +245,7 @@ impl ExpertChoiceMoe {
         let dh_act = ops::sdd_t(&dy, self.w2.value(), cache.h_pre.topology());
         self.w2.accumulate(&ops::dst_d(&cache.h_act, &dy));
         let mut dh = dh_act;
-        for (g, &pre) in dh.as_mut_slice().iter_mut().zip(cache.h_pre.as_slice()) {
-            *g *= gelu_grad_scalar(pre);
-        }
+        gelu_grad_mul(dh.as_mut_slice(), cache.h_pre.as_slice());
         let dxg = ops::dsd_t(&dh, self.w1.value());
         self.w1.accumulate(&ops::ddt_s(&cache.xg, &dh));
 

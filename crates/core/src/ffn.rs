@@ -1,7 +1,7 @@
 //! The dense feed-forward layer of a standard Transformer — the layer that
 //! MoE layers replace (paper §2), used by the Megatron-LM dense baseline.
 
-use megablocks_tensor::ops::{add_bias, bias_backward, gelu, gelu_backward};
+use megablocks_tensor::ops::{add_bias, bias_backward, gelu, gelu_grad_mul};
 use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
 use rand::rngs::StdRng;
 
@@ -87,9 +87,9 @@ impl DenseFfn {
         {
             *g += v;
         }
-        let dh_act = matmul_nt(d_out, self.w2.value());
+        let mut dh = matmul_nt(d_out, self.w2.value());
         self.w2.accumulate(&matmul_tn(&cache.h_act, d_out));
-        let dh = gelu_backward(&cache.h_pre, &dh_act);
+        gelu_grad_mul(dh.as_mut_slice(), cache.h_pre.as_slice());
         for (g, v) in self
             .b1
             .grad_mut()

@@ -16,7 +16,7 @@
 //! confidence weights (the Sinkhorn plan itself is treated as a
 //! non-differentiable assignment, as in Megatron-LM's implementation).
 
-use megablocks_tensor::ops::{softmax_rows, softmax_rows_backward};
+use megablocks_tensor::ops::{exp, softmax_rows, softmax_rows_backward};
 use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
 use rand::rngs::StdRng;
 
@@ -68,7 +68,7 @@ impl SinkhornRouter {
         let tokens = logits.rows();
         let experts = logits.cols();
         let target_col = tokens as f32 / experts as f32;
-        let mut p = logits.map(|v| (v / self.temperature).exp());
+        let mut p = logits.map(|v| exp(v / self.temperature));
         for _ in 0..self.iterations {
             // Column normalization.
             let mut col_sums = vec![0.0f32; experts];

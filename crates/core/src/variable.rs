@@ -12,7 +12,7 @@
 //! block-sparse formulation.
 
 use megablocks_sparse::{ops, BlockSize, BlockSparseMatrix, Topology};
-use megablocks_tensor::ops::{gelu_grad_scalar, gelu_scalar};
+use megablocks_tensor::ops::{gelu_grad_mul, gelu_scalar};
 use megablocks_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 
@@ -213,9 +213,7 @@ impl VariableDroplessMoe {
         let dh_act = ops::sdd_t(&dy, self.w2.value(), cache.h_pre.topology());
         self.w2.accumulate(&ops::dst_d(&cache.h_act, &dy));
         let mut dh = dh_act;
-        for (g, &pre) in dh.as_mut_slice().iter_mut().zip(cache.h_pre.as_slice()) {
-            *g *= gelu_grad_scalar(pre);
-        }
+        gelu_grad_mul(dh.as_mut_slice(), cache.h_pre.as_slice());
         let dxg = ops::dsd_t(&dh, self.w1.value());
         self.w1.accumulate(&ops::ddt_s(&cache.xg, &dh));
         let mut dx = padded_gather_backward(&dxg, &cache.permute);

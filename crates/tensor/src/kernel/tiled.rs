@@ -395,18 +395,7 @@ fn micro<const MR: usize, const NR: usize>(
 mod tests {
     use super::super::{Axis, KernelBackend};
     use super::*;
-
-    fn lcg_fill(len: usize, seed: u64) -> Vec<f32> {
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        (0..len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-            })
-            .collect()
-    }
+    use crate::testutil::{hash_bits, lcg_fill};
 
     /// The variants the running CPU supports — every test below drives
     /// each of them, not only the dispatched one: CI runners have AVX2, so
@@ -565,13 +554,6 @@ mod tests {
                 assert_same_bits(&got, &want_blocks, &what);
             }
         }
-    }
-
-    /// FNV-1a over the outputs' bit patterns.
-    fn hash_bits(values: &[f32]) -> u64 {
-        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-            (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
-        })
     }
 
     /// Golden bits: scalar ≡ tiled on one machine cannot see a build in

@@ -44,6 +44,8 @@ pub mod kernel;
 mod matmul;
 mod matrix;
 pub mod ops;
+#[cfg(test)]
+mod testutil;
 
 pub use batched::{batched_matmul, BatchedMatrix};
 pub use error::ShapeError;

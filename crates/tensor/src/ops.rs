@@ -36,17 +36,25 @@ pub fn softmax_rows_inplace(x: &mut Matrix) {
     }
     for i in 0..x.rows() {
         let row = x.row_mut(i);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
+        softmax_row(row);
     }
+}
+
+/// Softmax of one non-empty row in place; returns `(max, sum)` of the
+/// shifted exponentials, which is what [`cross_entropy`] needs for the
+/// loss. The `exp` pass carries nothing from one element to the next, so
+/// it vectorizes; the sum is its own pass, in ascending order.
+fn softmax_row(row: &mut [f32]) -> (f32, f32) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for v in row.iter_mut() {
+        *v = exp(*v - max);
+    }
+    let sum: f32 = row.iter().sum();
+    let inv = 1.0 / sum;
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+    (max, sum)
 }
 
 /// Backward pass of row-wise softmax.
@@ -108,18 +116,10 @@ pub fn cross_entropy(
             logits.cols()
         );
         counted += 1;
-        let row = logits.row(i);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for &v in row {
-            sum += (v - max).exp();
-        }
-        let log_sum = sum.ln() + max;
-        loss += f64::from(log_sum - row[t]);
         let drow = dlogits.row_mut(i);
-        for (j, &v) in row.iter().enumerate() {
-            drow[j] = (v - max).exp() / sum;
-        }
+        drow.copy_from_slice(logits.row(i));
+        let (max, sum) = softmax_row(drow);
+        loss += f64::from(sum.ln() + max - logits[(i, t)]);
         drow[t] -= 1.0;
     }
     if counted == 0 {
@@ -217,45 +217,117 @@ pub fn layer_norm_backward(
     (dx, dgamma, dbeta)
 }
 
-/// GeLU activation (tanh approximation, as used by GPT-2 / Megatron-LM).
-pub fn gelu(x: &Matrix) -> Matrix {
-    x.map(gelu_scalar)
+/// `e^x` from IEEE add, multiply, compare and integer bit operations
+/// only: no libm call and no branch, so a loop over it vectorizes, and
+/// its bits are the same on every machine and at every lane width.
+///
+/// Contract: for `x < -87.336_54` (below it `e^x` is no longer a normal
+/// `f32`), `-inf` included, the result is **exactly `+0.0`** — no
+/// denormal ever comes out; for `x > 88.376_26`, `+inf` included, it is
+/// `+inf`; NaN gives NaN. In between the relative error is below
+/// `1.5e-7` (8.1e-8 measured).
+///
+/// Method (Cephes `expf`): `n = round(x / ln 2)` by adding and
+/// subtracting `1.5 * 2^23`, `r = x - n ln 2` with `ln 2` split in two
+/// constants so the first product is exact, `e^r = 1 + r + r^2 p(r)` on
+/// `|r| <= ln 2 / 2` with Cephes' six fitted coefficients in Horner
+/// order, and `2^n` built by shifting the biased exponent into place.
+#[inline]
+pub fn exp(x: f32) -> f32 {
+    const LO: f32 = -87.336_54;
+    // Above 88.376_26 the clamped argument still rounds to `n = 128`,
+    // whose exponent field is all ones: `2^n` is `+inf` by itself.
+    const HI_CLAMP: f32 = 89.0;
+    const ROUND: f32 = 12_582_912.0; // 1.5 * 2^23: the ulp is 1 up here
+    const LN2_HI: f32 = 0.693_359_4; // 355 / 512, so `n * LN2_HI` is exact
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    // Selects, not `clamp`: NaN fails both compares and flows through.
+    let c = if x < LO { LO } else { x };
+    let c = if c > HI_CLAMP { HI_CLAMP } else { c };
+    let shifted = c * std::f32::consts::LOG2_E + ROUND;
+    let n = shifted - ROUND;
+    let r = c - n * LN2_HI - n * LN2_LO;
+    let mut p = 1.987_569_1e-4;
+    p = p * r + 1.398_199_9e-3;
+    p = p * r + 8.333_452e-3;
+    p = p * r + 4.166_579_6e-2;
+    p = p * r + 1.666_666_5e-1;
+    p = p * r + 0.5;
+    let e_r = p * (r * r) + r + 1.0;
+    // The low bits of `shifted` hold `n` in two's complement and
+    // `n + 127` is in 1..=255, so the shift drops everything else. Below
+    // the cutoff the mask makes the scale, and so the product, `+0.0`.
+    let keep = if x < LO { 0 } else { u32::MAX };
+    let two_n = f32::from_bits((shifted.to_bits().wrapping_add(127) << 23) & keep);
+    e_r * two_n
 }
 
-/// Backward pass of [`gelu`]: `dx = dy * gelu'(x)`.
+/// GeLU activation (tanh approximation, as used by GPT-2 / Megatron-LM).
+pub fn gelu(x: &Matrix) -> Matrix {
+    let mut y = x.clone();
+    gelu_inplace(y.as_mut_slice());
+    y
+}
+
+/// `dst[i] = gelu_scalar(src[i])`.
 ///
 /// # Panics
 ///
-/// Panics if `x` and `dy` shapes differ.
-pub fn gelu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
-    assert_eq!(x.shape(), dy.shape(), "gelu backward shape mismatch");
-    let mut dx = Matrix::zeros(x.rows(), x.cols());
-    for (o, (xi, di)) in dx
-        .as_mut_slice()
-        .iter_mut()
-        .zip(x.as_slice().iter().zip(dy.as_slice()))
-    {
-        *o = di * gelu_grad_scalar(*xi);
+/// Panics if the lengths differ.
+pub fn gelu_into(dst: &mut [f32], src: &[f32]) {
+    assert_eq!(dst.len(), src.len(), "gelu_into length mismatch");
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d = gelu_scalar(x);
     }
-    dx
+}
+
+/// `xs[i] = gelu_scalar(xs[i])`.
+pub fn gelu_inplace(xs: &mut [f32]) {
+    for x in xs {
+        *x = gelu_scalar(*x);
+    }
+}
+
+/// Backward pass of GeLU in place: `grad[i] *= gelu_grad_scalar(pre[i])`,
+/// with `pre` the forward pre-activation.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn gelu_grad_mul(grad: &mut [f32], pre: &[f32]) {
+    assert_eq!(grad.len(), pre.len(), "gelu_grad_mul length mismatch");
+    for (g, &x) in grad.iter_mut().zip(pre) {
+        *g *= gelu_grad_scalar(x);
+    }
 }
 
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 const GELU_COEF: f32 = 0.044_715;
 
-/// Scalar GeLU (tanh approximation). Exposed so sparse-matrix code can map
-/// it over stored blocks; `gelu_scalar(0.0) == 0.0`, which keeps padding
-/// rows zero.
-pub fn gelu_scalar(x: f32) -> f32 {
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_COEF * x * x * x)).tanh())
+/// The argument of the tanh approximation,
+/// `u = sqrt(2/pi) (x + 0.044715 x^3)`; GeLU is
+/// `x (1 + tanh u) / 2 = x * sigmoid(2u)`.
+#[inline]
+fn gelu_u(x: f32) -> f32 {
+    SQRT_2_OVER_PI * (x + GELU_COEF * x * x * x)
 }
 
-/// Derivative of [`gelu_scalar`].
+/// Scalar GeLU (tanh approximation), in its sigmoid form
+/// `x / (1 + exp(-2u))` on [`exp`]. `gelu_scalar(±0.0) == ±0.0`, which
+/// keeps padding rows zero; far below zero the result is `-0.0`, never a
+/// denormal. The slice kernels above are loops over this function.
+#[inline]
+pub fn gelu_scalar(x: f32) -> f32 {
+    x / (1.0 + exp(-2.0 * gelu_u(x)))
+}
+
+/// Derivative of [`gelu_scalar`]: `s + 2x s(1-s) u'` with
+/// `s = sigmoid(2u)`.
+#[inline]
 pub fn gelu_grad_scalar(x: f32) -> f32 {
-    let inner = SQRT_2_OVER_PI * (x + GELU_COEF * x * x * x);
-    let t = inner.tanh();
-    let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    let s = 1.0 / (1.0 + exp(-2.0 * gelu_u(x)));
+    let du = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x * x);
+    s + 2.0 * x * (s * (1.0 - s)) * du
 }
 
 /// ReLU activation.
@@ -307,6 +379,7 @@ pub fn bias_backward(dy: &Matrix) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{hash_bits, lcg_fill};
 
     fn finite_diff_check(
         f: &mut dyn FnMut(&Matrix) -> f32,
@@ -468,10 +541,11 @@ mod tests {
     }
 
     #[test]
-    fn gelu_backward_matches_finite_diff() {
+    fn gelu_grad_mul_matches_finite_diff() {
         let x = Matrix::from_fn(2, 5, |i, j| (i as f32) - (j as f32) * 0.4);
         let w = Matrix::from_fn(2, 5, |i, j| ((i * 5 + j) as f32).sin());
-        let dx = gelu_backward(&x, &w);
+        let mut dx = w.clone();
+        gelu_grad_mul(dx.as_mut_slice(), x.as_slice());
         let mut f = |m: &Matrix| {
             gelu(m)
                 .as_slice()
@@ -481,6 +555,165 @@ mod tests {
                 .sum::<f32>()
         };
         finite_diff_check(&mut f, &x, &dx, 1e-3, 2e-2);
+    }
+
+    /// `lo, lo + step, ..` up to `hi`, each value exact in `f32`.
+    fn grid(lo: f32, hi: f32, step: f32) -> impl Iterator<Item = f32> {
+        let n = ((hi - lo) / step) as usize;
+        (0..=n).map(move |i| lo + i as f32 * step)
+    }
+
+    #[test]
+    fn exp_is_within_its_error_bound_on_the_whole_range() {
+        let mut worst = 0.0f64;
+        for x in grid(-87.0, 88.0, 1.0 / 2048.0) {
+            // Off-grid too: the grid alone only visits dyadic rationals.
+            for x in [x, x + 3.1e-4] {
+                let want = f64::from(x).exp();
+                let rel = ((f64::from(exp(x)) - want) / want).abs();
+                worst = worst.max(rel);
+            }
+        }
+        assert!(worst <= 1.5e-7, "max relative error {worst:e}");
+    }
+
+    #[test]
+    fn exp_special_values_by_bits() {
+        let zero = 0.0f32.to_bits();
+        assert_eq!(exp(f32::NEG_INFINITY).to_bits(), zero);
+        assert_eq!(exp(-100.0).to_bits(), zero);
+        assert_eq!(exp(-87.4).to_bits(), zero);
+        assert_eq!(exp(f32::MIN).to_bits(), zero);
+        assert_eq!(exp(f32::INFINITY), f32::INFINITY);
+        assert_eq!(exp(88.4), f32::INFINITY);
+        // The overflow cutoff is one exact `f32`, not "about 88.4".
+        assert!(exp(88.376_26).is_finite());
+        assert_eq!(
+            exp(f32::from_bits(88.376_26f32.to_bits() + 1)),
+            f32::INFINITY
+        );
+        assert_eq!(exp(f32::MAX), f32::INFINITY);
+        assert!(exp(f32::NAN).is_nan());
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        // Never a denormal: the smallest result is a normal number.
+        assert!(exp(-87.336_54).is_normal());
+    }
+
+    #[test]
+    fn softmax_of_masked_entries_is_exactly_zero() {
+        let mut x = Matrix::from_vec(1, 4, vec![0.3, f32::NEG_INFINITY, -1.0, -200.0]).unwrap();
+        softmax_rows_inplace(&mut x);
+        assert_eq!(x[(0, 1)].to_bits(), 0);
+        assert_eq!(x[(0, 3)].to_bits(), 0);
+        assert!((x.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-6);
+    }
+
+    fn gelu_f64(x: f64) -> f64 {
+        let u = (2.0 / std::f64::consts::PI).sqrt() * (x + 0.044715 * x * x * x);
+        0.5 * x * (1.0 + u.tanh())
+    }
+
+    fn gelu_grad_f64(x: f64) -> f64 {
+        let c = (2.0 / std::f64::consts::PI).sqrt();
+        let t = (c * (x + 0.044715 * x * x * x)).tanh();
+        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x)
+    }
+
+    #[test]
+    fn gelu_and_its_gradient_match_an_f64_reference() {
+        let (mut worst, mut worst_grad) = (0.0f64, 0.0f64);
+        for x in grid(-20.0, 20.0, 1.0 / 1024.0) {
+            let xd = f64::from(x);
+            worst = worst.max((f64::from(gelu_scalar(x)) - gelu_f64(xd)).abs());
+            worst_grad = worst_grad.max((f64::from(gelu_grad_scalar(x)) - gelu_grad_f64(xd)).abs());
+        }
+        assert!(worst <= 1e-6, "gelu max abs error {worst:e}");
+        assert!(worst_grad <= 4e-6, "gelu_grad max abs error {worst_grad:e}");
+    }
+
+    #[test]
+    fn gelu_grad_is_the_central_difference_of_gelu() {
+        let h = 1.0f32 / 64.0;
+        for x in grid(-8.0, 8.0, 1.0 / 16.0) {
+            let num = (f64::from(gelu_scalar(x + h)) - f64::from(gelu_scalar(x - h)))
+                / f64::from(2.0 * h);
+            let ana = f64::from(gelu_grad_scalar(x));
+            assert!((num - ana).abs() < 2e-4, "x = {x}: {num} vs {ana}");
+        }
+    }
+
+    #[test]
+    fn gelu_special_values_by_bits() {
+        assert_eq!(gelu_scalar(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(gelu_scalar(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(gelu_scalar(-1e4).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(gelu_scalar(1e4), 1e4);
+        assert_eq!(gelu_grad_scalar(-1e4), 0.0);
+        assert_eq!(gelu_grad_scalar(1e4), 1.0);
+        assert_eq!(gelu_grad_scalar(0.0), 0.5);
+        // Between "small" and "-0.0" there is no denormal.
+        for x in grid(-12.0, -8.0, 1.0 / 4096.0) {
+            let y = gelu_scalar(x);
+            assert!(y == 0.0 || y.is_normal(), "gelu({x}) = {y:e}");
+        }
+    }
+
+    #[test]
+    fn slice_kernels_are_the_scalar_functions_bit_for_bit() {
+        // Lengths around the 4- and 8-lane widths: the remainder loop
+        // must compute what the vector body computes.
+        for len in [0usize, 1, 3, 4, 5, 7, 8, 9, 31, 33] {
+            let x: Vec<f32> = lcg_fill(len, 7).iter().map(|v| v * 12.0).collect();
+            let dy = lcg_fill(len, 8);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+
+            let want: Vec<f32> = x.iter().map(|&v| gelu_scalar(v)).collect();
+            let mut into = vec![f32::NAN; len];
+            gelu_into(&mut into, &x);
+            assert_eq!(bits(&into), bits(&want), "gelu_into, len {len}");
+            let mut inplace = x.clone();
+            gelu_inplace(&mut inplace);
+            assert_eq!(bits(&inplace), bits(&want), "gelu_inplace, len {len}");
+
+            let want: Vec<f32> = x
+                .iter()
+                .zip(&dy)
+                .map(|(&v, &d)| d * gelu_grad_scalar(v))
+                .collect();
+            let mut grad = dy.clone();
+            gelu_grad_mul(&mut grad, &x);
+            assert_eq!(bits(&grad), bits(&want), "gelu_grad_mul, len {len}");
+
+            let mut row = Matrix::from_vec(1, len, x.clone()).unwrap();
+            softmax_rows_inplace(&mut row);
+            if len > 0 {
+                let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let e: Vec<f32> = x.iter().map(|&v| exp(v - max)).collect();
+                let inv = 1.0 / e.iter().sum::<f32>();
+                let want: Vec<f32> = e.iter().map(|v| v * inv).collect();
+                assert_eq!(bits(row.as_slice()), bits(&want), "softmax, len {len}");
+            }
+        }
+    }
+
+    /// Golden bits of the elementwise kernels, in the style of
+    /// `golden_bits_of_a_dense_product`: slice ≡ scalar on one build
+    /// cannot see a build in which both drift (`-C target-cpu=x86-64-v3`
+    /// allows FMA; the compiler must not contract `p * r + c`). The
+    /// inputs come from an LCG, so the constant depends on nothing but
+    /// the arithmetic `exp` and the GeLU pair spell out — no libm.
+    #[test]
+    fn golden_bits_of_exp_gelu_and_gelu_grad() {
+        const GOLDEN: u64 = 0xbbea_f153_1052_e1f7;
+        let x = lcg_fill(4096, 51);
+        let mut out: Vec<f32> = x.iter().map(|v| exp(v * 180.0)).collect();
+        out.extend(x.iter().map(|v| gelu_scalar(v * 16.0)));
+        out.extend(x.iter().map(|v| gelu_grad_scalar(v * 16.0)));
+        let mut sliced: Vec<f32> = x.iter().map(|v| v * 16.0).collect();
+        gelu_inplace(&mut sliced);
+        out.extend(sliced);
+        assert_eq!(hash_bits(&out), GOLDEN, "{:#018x}", hash_bits(&out));
     }
 
     #[test]
