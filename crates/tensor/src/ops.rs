@@ -264,9 +264,7 @@ pub fn exp(x: f32) -> f32 {
 
 /// GeLU activation (tanh approximation, as used by GPT-2 / Megatron-LM).
 pub fn gelu(x: &Matrix) -> Matrix {
-    let mut y = x.clone();
-    gelu_inplace(y.as_mut_slice());
-    y
+    x.map(gelu_scalar)
 }
 
 /// `dst[i] = gelu_scalar(src[i])`.
