@@ -703,14 +703,11 @@ mod tests {
     /// the arithmetic `exp` and the GeLU pair spell out — no libm.
     #[test]
     fn golden_bits_of_exp_gelu_and_gelu_grad() {
-        const GOLDEN: u64 = 0xbbea_f153_1052_e1f7;
+        const GOLDEN: u64 = 0x4749_fbd4_d90b_13b4;
         let x = lcg_fill(4096, 51);
         let mut out: Vec<f32> = x.iter().map(|v| exp(v * 180.0)).collect();
         out.extend(x.iter().map(|v| gelu_scalar(v * 16.0)));
         out.extend(x.iter().map(|v| gelu_grad_scalar(v * 16.0)));
-        let mut sliced: Vec<f32> = x.iter().map(|v| v * 16.0).collect();
-        gelu_inplace(&mut sliced);
-        out.extend(sliced);
         assert_eq!(hash_bits(&out), GOLDEN, "{:#018x}", hash_bits(&out));
     }
 
