@@ -1,25 +1,22 @@
 //! Source-level lints for the MegaBlocks-RS workspace.
 //!
 //! This crate is the static half of the correctness tooling (the dynamic
-//! half — the topology sanitizer and the launch-plan race sanitizer —
-//! lives behind the `sanitize` feature in `megablocks_sparse::audit` and
-//! `megablocks_exec`). All analysis runs on a real token model rather
-//! than line regexes: [`lexer`] produces a lossless token stream (raw
-//! strings, nested block comments, lifetimes vs. char literals) and
-//! [`model`] parses it into items with visibility, normalized signatures
-//! and per-item `cfg`/feature-gate attribution. Matches inside string
-//! literals or comments are therefore structurally impossible, and
-//! test-only code is recognized by its `#[cfg(test)]` gate rather than
-//! by line position.
+//! half — the topology sanitizer in `megablocks_sparse::audit` — runs at
+//! sparse-op entry in debug builds). All analysis runs on a real token
+//! model rather than line regexes: [`lexer`] produces a lossless token
+//! stream (raw strings, nested block comments, lifetimes vs. char
+//! literals) and [`model`] parses it into items with visibility and
+//! per-item `cfg` attribution. Matches inside string literals or comments
+//! are therefore structurally impossible, and test-only code is
+//! recognized by its `#[cfg(test)]` gate rather than by line position.
 //!
 //! The enforced rules live in the central [`rules::RULES`] registry —
 //! run `cargo run -p megablocks-audit -- lint --list` for the table, and
 //! see each rule's doc string there for what it checks. Briefly:
 //! `safety-comment`, `hot-path-panic`, `raw-parallelism` and
 //! `fault-site-telemetry` port the original line-based lints onto the
-//! token model; `feature-gate-parity`,
-//! `error-exhaustive` and `unsafe-safety-format` are only expressible on
-//! it; `suppression-justification` governs the
+//! token model; `error-exhaustive` and `unsafe-safety-format` are only
+//! expressible on it; `suppression-justification` governs the
 //! `// audit: allow(<rule>) -- <justification>` escape hatch.
 //!
 //! Run everything with `cargo run -p megablocks-audit -- lint`
@@ -38,7 +35,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use lexer::{Token, TokenKind};
-use model::{Gate, Item, ItemKind, SourceFile};
+use model::{ItemKind, SourceFile};
 pub use rules::{render_rule_list, rule_by_slug, Rule, RULES};
 
 /// Kernel hot-path files where `.unwrap()` / `.expect(` are banned
@@ -65,10 +62,6 @@ pub const KERNEL_DIR: &str = "crates/tensor/src/kernel/";
 /// The fault-injection site catalogue the `fault-site-telemetry` rule
 /// parses and cross-references.
 pub const FAULT_SITES: &str = "crates/resilience/src/sites.rs";
-
-/// The cfg features whose gated items the `feature-gate-parity` rule
-/// requires to have opposite-branch counterparts.
-pub const GATED_FEATURES: &[&str] = &["sanitize", "chaos"];
 
 /// The workspace error enums whose variants the `error-exhaustive` rule
 /// requires to be constructed outside tests.
@@ -276,12 +269,6 @@ pub fn run_all_lints(root: &Path) -> io::Result<Vec<Finding>> {
             && !wf.rel.contains("/tests/")
         {
             findings.extend(check_kernel_dispatch(wf));
-        }
-
-        // `feature-gate-parity`, across every crate except the audit
-        // crate's own fixtures.
-        if !wf.rel.starts_with("crates/audit/") {
-            findings.extend(check_feature_gate_parity(wf));
         }
 
         // Suppression comments: collect where they apply, and lint their
@@ -499,11 +486,6 @@ pub fn check_raw_parallelism(wf: &WorkspaceFile) -> Vec<Finding> {
                 || cv.is_ident(i + 3, "Builder"))
         {
             format!("thread::{}", cv.text(i + 3))
-        } else if cv.is_ident(i, "crossbeam")
-            && cv.double_colon(i + 1)
-            && cv.is_ident(i + 3, "thread")
-        {
-            "crossbeam::thread".to_string()
         } else {
             continue;
         };
@@ -601,172 +583,6 @@ pub fn check_kernel_dispatch(wf: &WorkspaceFile) -> Vec<Finding> {
         i += 1;
     }
     findings
-}
-
-// ---------------------------------------------------------------------------
-// feature-gate-parity
-// ---------------------------------------------------------------------------
-
-/// `feature-gate-parity`: items gated on one of [`GATED_FEATURES`] must
-/// have a counterpart in the opposite cfg branch, so flipping the feature
-/// can never change the API surface:
-///
-/// * a gated `fn` (any visibility — private gated fns are still API to
-///   their module) needs an opposite-gated fn of the same name, owner and
-///   normalized signature;
-/// * same-name gated inline `mod` twins are compared on their public-ish
-///   member items;
-/// * a gated public `mod`/`struct`/`enum`/`const`/`type` with no
-///   opposite-gated twin at all is flagged. Private gated mods with no
-///   twin are allowed (their callers gate at the statement level).
-///
-/// Items inherited into a gated mod are covered by the mod pairing, so
-/// only gates attached directly to an item (`own_gates`) trigger the fn
-/// check. Test-gated items are exempt.
-pub fn check_feature_gate_parity(wf: &WorkspaceFile) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for feature in GATED_FEATURES {
-        for (idx, it) in wf.sf.items.iter().enumerate() {
-            let Some(not) = own_feature_gate(it, feature) else {
-                continue;
-            };
-            if it.is_test_gated() {
-                continue;
-            }
-            match it.kind {
-                ItemKind::Fn => {
-                    let counterpart = wf.sf.items.iter().any(|other| {
-                        other.kind == ItemKind::Fn
-                            && other.name == it.name
-                            && other.mod_path == it.mod_path
-                            && other.owner == it.owner
-                            && own_feature_gate(other, feature) == Some(!not)
-                            && other.signature == it.signature
-                    });
-                    let near_miss = wf.sf.items.iter().any(|other| {
-                        other.kind == ItemKind::Fn
-                            && other.name == it.name
-                            && other.mod_path == it.mod_path
-                            && other.owner == it.owner
-                            && own_feature_gate(other, feature) == Some(!not)
-                    });
-                    if !counterpart {
-                        findings.push(gate_parity_finding(
-                            wf,
-                            it,
-                            feature,
-                            not,
-                            if near_miss {
-                                "a counterpart whose signature differs"
-                            } else {
-                                "no counterpart"
-                            },
-                        ));
-                    }
-                }
-                ItemKind::Mod => {
-                    let twin = wf.sf.items.iter().enumerate().find(|(oi, other)| {
-                        *oi != idx
-                            && other.kind == ItemKind::Mod
-                            && other.name == it.name
-                            && other.mod_path == it.mod_path
-                            && own_feature_gate(other, feature) == Some(!not)
-                    });
-                    match twin {
-                        Some((_, twin)) => {
-                            let mine = mod_member_keys(&wf.sf, it);
-                            let theirs = mod_member_keys(&wf.sf, twin);
-                            for missing in mine.difference(&theirs) {
-                                findings.push(Finding {
-                                    file: wf.rel.clone(),
-                                    line: twin.line,
-                                    rule: "feature-gate-parity",
-                                    message: format!(
-                                        "gated mod `{}` twin lacks public item `{missing}` \
-                                         present in the opposite `{feature}` branch",
-                                        it.name
-                                    ),
-                                });
-                            }
-                        }
-                        None if it.vis.is_public() => {
-                            findings.push(gate_parity_finding(wf, it, feature, not, "no twin mod"));
-                        }
-                        None => {}
-                    }
-                }
-                ItemKind::Struct | ItemKind::Enum | ItemKind::Const | ItemKind::TypeAlias => {
-                    if !it.vis.is_public() {
-                        continue;
-                    }
-                    let counterpart = wf.sf.items.iter().enumerate().any(|(oi, other)| {
-                        oi != idx
-                            && other.kind == it.kind
-                            && other.name == it.name
-                            && other.mod_path == it.mod_path
-                            && own_feature_gate(other, feature) == Some(!not)
-                    });
-                    if !counterpart {
-                        findings.push(gate_parity_finding(wf, it, feature, not, "no counterpart"));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    findings
-}
-
-fn gate_parity_finding(
-    wf: &WorkspaceFile,
-    it: &Item,
-    feature: &str,
-    not: bool,
-    what: &str,
-) -> Finding {
-    let branch = if not {
-        format!("cfg(not(feature = \"{feature}\"))")
-    } else {
-        format!("cfg(feature = \"{feature}\")")
-    };
-    Finding {
-        file: wf.rel.clone(),
-        line: it.line,
-        rule: "feature-gate-parity",
-        message: format!(
-            "`{}` is gated on {branch} but has {what} in the opposite branch",
-            it.name
-        ),
-    }
-}
-
-/// The feature gate attached *directly* to `it` (not inherited), if any.
-fn own_feature_gate(it: &Item, feature: &str) -> Option<bool> {
-    it.own_gates.iter().find_map(|g| match g {
-        Gate::Feature { name, not } if name == feature => Some(*not),
-        _ => None,
-    })
-}
-
-/// The comparable public-ish member keys of an inline mod item.
-fn mod_member_keys(sf: &SourceFile, m: &Item) -> std::collections::BTreeSet<String> {
-    sf.items
-        .iter()
-        .filter(|it| {
-            it.span.0 > m.span.0
-                && it.span.1 <= m.span.1
-                && it.vis.is_public()
-                && !it.is_test_gated()
-        })
-        .filter_map(|it| match it.kind {
-            ItemKind::Fn => it.signature.clone(),
-            ItemKind::Struct => Some(format!("struct {}", it.name)),
-            ItemKind::Enum => Some(format!("enum {}", it.name)),
-            ItemKind::Const => Some(format!("const {}", it.name)),
-            ItemKind::TypeAlias => Some(format!("type {}", it.name)),
-            _ => None,
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1280,8 +1096,7 @@ mod tests {
 
     #[test]
     fn raw_parallelism_lint_flags_spawns() {
-        let src =
-            "fn k() {\n    std::thread::spawn(|| {});\n    crossbeam::thread::scope(|s| {});\n}\n";
+        let src = "fn k() {\n    std::thread::spawn(|| {});\n    std::thread::scope(|s| {});\n}\n";
         let f = check_raw_parallelism(&wf(src));
         assert!(f.len() >= 2);
         assert!(f.iter().all(|f| f.rule == "raw-parallelism"));
@@ -1339,51 +1154,6 @@ mod tests {
         // an ident, is the binary product and still trips the rule.
         let src = "fn f(c: &mut [f32], a: &[f32], p: &f32, n: usize) {\n    for i in 0..n {\n        for j in 0..n {\n            for k in 0..n {\n                c[i] += a[k] * *p;\n            }\n        }\n    }\n}\n";
         assert_eq!(check_kernel_dispatch(&wf(src)).len(), 1);
-    }
-
-    #[test]
-    fn gate_parity_accepts_fn_twins() {
-        let src = "#[cfg(feature = \"sanitize\")]\nfn verify(x: &[f32]) {}\n#[cfg(not(feature = \"sanitize\"))]\nfn verify(_x: &[f32]) {}\n";
-        assert!(check_feature_gate_parity(&wf(src)).is_empty());
-    }
-
-    #[test]
-    fn gate_parity_flags_missing_fn_twin() {
-        let src = "#[cfg(feature = \"sanitize\")]\nfn verify(x: &[f32]) {}\n";
-        let f = check_feature_gate_parity(&wf(src));
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "feature-gate-parity");
-        assert!(f[0].message.contains("no counterpart"));
-    }
-
-    #[test]
-    fn gate_parity_flags_signature_drift() {
-        let src = "#[cfg(feature = \"sanitize\")]\nfn verify(x: &[f32]) -> bool { true }\n#[cfg(not(feature = \"sanitize\"))]\nfn verify(_x: &[f32]) {}\n";
-        let f = check_feature_gate_parity(&wf(src));
-        assert_eq!(f.len(), 2); // both branches flag the drift
-        assert!(f[0].message.contains("signature differs"));
-    }
-
-    #[test]
-    fn gate_parity_compares_mod_twin_members() {
-        let ok = "#[cfg(feature = \"sanitize\")]\nmod sanitize {\n    pub(super) fn check(x: usize) {}\n}\n#[cfg(not(feature = \"sanitize\"))]\nmod sanitize {\n    pub(super) fn check(_x: usize) {}\n}\n";
-        assert!(check_feature_gate_parity(&wf(ok)).is_empty());
-        let missing = "#[cfg(feature = \"sanitize\")]\nmod sanitize {\n    pub(super) fn check(x: usize) {}\n    pub(super) fn extra() {}\n}\n#[cfg(not(feature = \"sanitize\"))]\nmod sanitize {\n    pub(super) fn check(_x: usize) {}\n}\n";
-        let f = check_feature_gate_parity(&wf(missing));
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("extra"));
-    }
-
-    #[test]
-    fn gate_parity_allows_private_untwinned_mod() {
-        let src = "#[cfg(feature = \"chaos\")]\nmod active {\n    pub(super) fn arm() {}\n}\n";
-        assert!(check_feature_gate_parity(&wf(src)).is_empty());
-    }
-
-    #[test]
-    fn gate_parity_ignores_test_gated_items() {
-        let src = "#[cfg(test)]\nmod tests {\n    #[cfg(feature = \"sanitize\")]\n    fn helper() {}\n}\n";
-        assert!(check_feature_gate_parity(&wf(src)).is_empty());
     }
 
     #[test]

@@ -5,23 +5,18 @@
 //! impls, consts — each annotated with:
 //!
 //! * **visibility** (`pub` / `pub(crate)`-style scoped / private),
-//! * **cfg attribution**: the full stack of `#[cfg(test)]` /
-//!   `#[cfg(feature = "…")]` / `#[cfg(not(feature = "…"))]` gates on the
+//! * **cfg attribution**: the full stack of `#[cfg(…)]` gates on the
 //!   item itself *and* inherited from enclosing modules, so a rule can ask
-//!   "is this token test-only?" or "which feature branch does this item
-//!   live in?" structurally instead of by line heuristics,
-//! * a **normalized signature** for functions (whitespace-collapsed,
-//!   comment-free, `_`-prefix on parameter names stripped), the basis of
-//!   the API-parity rules,
+//!   "is this token test-only?" structurally instead of by line
+//!   heuristics,
 //! * **enum variants** with declaration lines (for exhaustiveness rules),
 //! * the item's **byte span** including attributes and body.
 //!
 //! Function bodies are deliberately *not* descended into: statement-level
-//! `cfg` and local items are invisible, which keeps the model small and
-//! the feature-parity rule focused on API surface. Brace matching works on
-//! the token stream, so braces inside strings, comments or char literals
-//! can never desynchronize the walk — the failure mode that motivated
-//! replacing the old line-stripping engine.
+//! `cfg` and local items are invisible, which keeps the model small.
+//! Brace matching works on the token stream, so braces inside strings,
+//! comments or char literals can never desynchronize the walk — the
+//! failure mode that motivated replacing the old line-stripping engine.
 
 use crate::lexer::{lex, LexError, Token, TokenKind};
 
@@ -48,15 +43,7 @@ impl Vis {
 pub enum Gate {
     /// `#[cfg(test)]` or `#[test]`.
     Test,
-    /// `#[cfg(feature = "name")]` (`not: false`) or
-    /// `#[cfg(not(feature = "name"))]` (`not: true`).
-    Feature {
-        /// The feature name.
-        name: String,
-        /// Whether the gate is negated.
-        not: bool,
-    },
-    /// Any other `cfg` predicate (platform, `all(…)`, …) — opaque.
+    /// Any other `cfg` predicate (feature, platform, `all(…)`, …) — opaque.
     Other,
 }
 
@@ -98,15 +85,11 @@ pub struct Item {
     pub name: String,
     /// Declared visibility.
     pub vis: Vis,
-    /// Gates on the item itself (not inherited).
-    pub own_gates: Vec<Gate>,
     /// Full gate stack: enclosing modules' gates (outermost first), then
     /// the item's own.
     pub gates: Vec<Gate>,
     /// 1-based line of the declaring keyword.
     pub line: usize,
-    /// Normalized signature for `fn` items (`pub fn f(a: T) -> U`).
-    pub signature: Option<String>,
     /// For fns declared inside an inherent impl: the impl's self type.
     pub owner: Option<String>,
     /// For trait impls: the implemented trait's head identifier.
@@ -124,15 +107,6 @@ impl Item {
     /// Whether any gate (own or inherited) marks the item test-only.
     pub fn is_test_gated(&self) -> bool {
         self.gates.contains(&Gate::Test)
-    }
-
-    /// The item's feature gate on `feature`, if any (own or inherited):
-    /// `Some(false)` for the positive branch, `Some(true)` for `not(…)`.
-    pub fn feature_gate(&self, feature: &str) -> Option<bool> {
-        self.gates.iter().find_map(|g| match g {
-            Gate::Feature { name, not } if name == feature => Some(*not),
-            _ => None,
-        })
     }
 }
 
@@ -180,21 +154,6 @@ impl SourceFile {
             .filter(|it| it.span.0 <= offset && offset < it.span.1)
             .min_by_key(|it| it.span.1 - it.span.0)
     }
-}
-
-/// Whether a code-token slice position holds a `::` path separator ending
-/// at code index `i` (i.e. tokens `i-1`, `i` are `:` `:` and adjacent).
-fn is_path_sep(tokens: &[Token], code: &[usize], src: &str, i: usize) -> bool {
-    if i == 0 {
-        return false;
-    }
-    let a = tokens[code[i - 1]];
-    let b = tokens[code[i]];
-    a.kind == TokenKind::Punct
-        && b.kind == TokenKind::Punct
-        && a.text(src) == ":"
-        && b.text(src) == ":"
-        && a.end == b.start
 }
 
 /// Module-structure walker over the code-token index list.
@@ -271,14 +230,6 @@ impl Walker<'_> {
         let words: Vec<&str> = inner.iter().map(|&ci| self.text(ci)).collect();
         match words.as_slice() {
             ["cfg", "(", "test", ")"] => Some(Gate::Test),
-            ["cfg", "(", "feature", "=", s, ")"] => Some(Gate::Feature {
-                name: unquote(s),
-                not: false,
-            }),
-            ["cfg", "(", "not", "(", "feature", "=", s, ")", ")"] => Some(Gate::Feature {
-                name: unquote(s),
-                not: true,
-            }),
             _ => Some(Gate::Other),
         }
     }
@@ -308,7 +259,6 @@ impl Walker<'_> {
                 }
             }
             // Visibility.
-            let sig_start = ci;
             let mut vis = Vis::Private;
             if self.is_ident(ci, "pub") {
                 vis = Vis::Pub;
@@ -344,12 +294,11 @@ impl Walker<'_> {
             let kw = if qual < end { self.text(qual) } else { "" };
             let line = self.tok(ci).line;
             let mut gates = inherited.to_vec();
-            gates.extend(own_gates.iter().cloned());
+            gates.extend(own_gates);
             match kw {
                 "fn" => {
                     let name = self.ident_after(qual + 1).unwrap_or_default();
                     let (body_open, terminated) = self.find_body_or_semi(qual, end);
-                    let sig = self.normalized_signature(sig_start, body_open);
                     let span_end = if terminated {
                         self.span_end_of_group_or_semi(body_open, end)
                     } else {
@@ -359,10 +308,8 @@ impl Walker<'_> {
                         kind: ItemKind::Fn,
                         name,
                         vis,
-                        own_gates,
                         gates,
                         line,
-                        signature: Some(sig),
                         owner: owner.map(str::to_string),
                         trait_name: None,
                         mod_path: mod_path.to_vec(),
@@ -391,10 +338,8 @@ impl Walker<'_> {
                         kind,
                         name,
                         vis,
-                        own_gates,
                         gates,
                         line,
-                        signature: None,
                         owner: None,
                         trait_name: None,
                         mod_path: mod_path.to_vec(),
@@ -413,10 +358,8 @@ impl Walker<'_> {
                             kind: ItemKind::Mod,
                             name: name.clone(),
                             vis,
-                            own_gates,
                             gates: gates.clone(),
                             line,
-                            signature: None,
                             owner: None,
                             trait_name: None,
                             mod_path: mod_path.to_vec(),
@@ -433,10 +376,8 @@ impl Walker<'_> {
                             kind: ItemKind::ModDecl,
                             name,
                             vis,
-                            own_gates,
                             gates,
                             line,
-                            signature: None,
                             owner: None,
                             trait_name: None,
                             mod_path: mod_path.to_vec(),
@@ -480,10 +421,8 @@ impl Walker<'_> {
                         kind,
                         name: self_ty.clone(),
                         vis,
-                        own_gates,
                         gates: gates.clone(),
                         line,
-                        signature: None,
                         owner: None,
                         trait_name,
                         mod_path: mod_path.to_vec(),
@@ -504,10 +443,8 @@ impl Walker<'_> {
                         kind: ItemKind::Trait,
                         name,
                         vis,
-                        own_gates,
                         gates,
                         line,
-                        signature: None,
                         owner: None,
                         trait_name: None,
                         mod_path: mod_path.to_vec(),
@@ -527,10 +464,8 @@ impl Walker<'_> {
                         kind: ItemKind::Const,
                         name,
                         vis,
-                        own_gates,
                         gates,
                         line,
-                        signature: None,
                         owner: None,
                         trait_name: None,
                         mod_path: mod_path.to_vec(),
@@ -551,10 +486,8 @@ impl Walker<'_> {
                         kind: ItemKind::Use,
                         name: path,
                         vis,
-                        own_gates,
                         gates,
                         line,
-                        signature: None,
                         owner: None,
                         trait_name: None,
                         mod_path: mod_path.to_vec(),
@@ -570,10 +503,8 @@ impl Walker<'_> {
                         kind: ItemKind::TypeAlias,
                         name,
                         vis,
-                        own_gates,
                         gates,
                         line,
-                        signature: None,
                         owner: None,
                         trait_name: None,
                         mod_path: mod_path.to_vec(),
@@ -599,10 +530,8 @@ impl Walker<'_> {
                         kind: ItemKind::Macro,
                         name,
                         vis,
-                        own_gates,
                         gates,
                         line,
-                        signature: None,
                         owner: None,
                         trait_name: None,
                         mod_path: mod_path.to_vec(),
@@ -707,34 +636,6 @@ impl Walker<'_> {
         end
     }
 
-    /// Joins the code tokens of `[start, stop)` into a normalized
-    /// signature: single spaces, no comments, `_`-prefixed parameter names
-    /// de-prefixed so `(&self, _n: u64)` equals `(&self, n: u64)`.
-    fn normalized_signature(&self, start: usize, stop: usize) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        for i in start..stop.min(self.code.len()) {
-            // Trailing commas (multi-line parameter lists) are style, not
-            // signature.
-            if self.is_punct(i, ",") && i + 1 < stop && self.is_punct(i + 1, ")") {
-                continue;
-            }
-            let mut text = self.text(i).to_string();
-            if self.tok(i).kind == TokenKind::Ident
-                && text.starts_with('_')
-                && text.len() > 1
-                && i + 1 < stop
-                && self.is_punct(i + 1, ":")
-                && !is_path_sep(self.tokens, self.code, self.src, i + 2)
-                && i > start
-                && (self.is_punct(i - 1, "(") || self.is_punct(i - 1, ","))
-            {
-                text.remove(0);
-            }
-            parts.push(text);
-        }
-        normalize_sig_text(&parts.join(" "))
-    }
-
     /// Collects enum variant names at depth 1 of the enum body opening at
     /// `body_open`.
     fn enum_variants(&self, body_open: usize) -> Vec<(String, usize)> {
@@ -777,17 +678,6 @@ impl Walker<'_> {
     }
 }
 
-fn unquote(s: &str) -> String {
-    s.trim_matches('"').to_string()
-}
-
-/// Final cleanup of a joined signature: tighten the punctuation spacing
-/// differences that pure token-joining introduces, so signatures built
-/// from differently formatted sources compare equal.
-fn normalize_sig_text(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -821,7 +711,7 @@ mod tests {
         let src = "#[cfg(feature = \"sanitize\")]\nmod sanitize {\n    pub(super) fn hook() {}\n}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
         let sf = parse(src);
         let hook = sf.items.iter().find(|i| i.name == "hook").unwrap();
-        assert_eq!(hook.feature_gate("sanitize"), Some(false));
+        assert_eq!(hook.gates, vec![Gate::Other]);
         assert_eq!(hook.mod_path, vec!["sanitize".to_string()]);
         let t = sf.items.iter().find(|i| i.name == "t").unwrap();
         assert!(t.is_test_gated());
@@ -830,18 +720,11 @@ mod tests {
     }
 
     #[test]
-    fn not_feature_gate_is_negated() {
-        let sf = parse("#[cfg(not(feature = \"sanitize\"))]\nfn verify(_p: &u8) {}\n");
-        assert_eq!(sf.items[0].feature_gate("sanitize"), Some(true));
-    }
-
-    #[test]
-    fn impl_methods_carry_owner_and_signature() {
+    fn impl_methods_carry_owner() {
         let src = "pub struct Counter;\nimpl Counter {\n    pub fn add(&self, n: u64) -> u64 { n }\n}\nimpl std::fmt::Display for Counter {\n    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result { Ok(()) }\n}\n";
         let sf = parse(src);
         let add = sf.items.iter().find(|i| i.name == "add").unwrap();
         assert_eq!(add.owner.as_deref(), Some("Counter"));
-        assert!(add.signature.as_deref().unwrap().contains("pub fn add"));
         // Trait-impl methods carry no inherent owner.
         let fmt = sf.items.iter().find(|i| i.name == "fmt").unwrap();
         assert_eq!(fmt.owner, None);
@@ -852,20 +735,6 @@ mod tests {
             .unwrap();
         assert_eq!(ti.name, "Counter");
         assert_eq!(ti.trait_name.as_deref(), Some("Display"));
-    }
-
-    #[test]
-    fn underscore_parameters_normalize_equal() {
-        let a = parse("pub fn add(&self, n: u64) {}\n");
-        let b = parse("pub fn add(&self, _n: u64) {}\n");
-        assert_eq!(a.items[0].signature, b.items[0].signature);
-    }
-
-    #[test]
-    fn multi_line_signatures_normalize() {
-        let a = parse("pub fn f(\n    a: usize,\n    b: usize,\n) -> usize { a + b }\n");
-        let b = parse("pub fn f(a: usize, b: usize) -> usize { a + b }\n");
-        assert_eq!(a.items[0].signature, b.items[0].signature);
     }
 
     #[test]

@@ -11,13 +11,9 @@ use std::path::PathBuf;
 
 use megablocks_audit::run_all_lints;
 
-/// The demo crate: one seed each for `feature-gate-parity`,
-/// `error-exhaustive` and `unsafe-safety-format`.
+/// The demo crate: one seed each for `error-exhaustive` and
+/// `unsafe-safety-format`.
 const DEMO_LIB: &str = r#"//! Seeded-violation fixture.
-
-/// Gated on sanitize with no opposite-branch twin anywhere.
-#[cfg(feature = "sanitize")]
-pub fn gated_without_twin() {}
 
 /// Audited error enum with an unconstructed variant.
 pub enum EpError {
@@ -103,11 +99,7 @@ fn seeded_violations_fire_and_suppressions_apply() {
             .join("\n")
     };
 
-    // The three new static rules fire exactly once each, where seeded.
-    let gate = &by_rule["feature-gate-parity"];
-    assert_eq!(gate.len(), 1, "feature-gate-parity findings:\n{}", report());
-    assert_eq!(gate[0].0, "crates/demo/src/lib.rs");
-
+    // The two static rules fire exactly once each, where seeded.
     let exhaustive = &by_rule["error-exhaustive"];
     assert_eq!(
         exhaustive.len(),
@@ -155,7 +147,6 @@ fn seeded_violations_fire_and_suppressions_apply() {
 
     // Nothing else fires on the fixture.
     let expected = [
-        "feature-gate-parity",
         "error-exhaustive",
         "unsafe-safety-format",
         "suppression-justification",

@@ -149,8 +149,8 @@ impl DroplessMoe {
     /// # Errors
     ///
     /// Returns an error if the per-step topology cannot be built or a
-    /// sparse kernel rejects its inputs (including sanitizer failures under
-    /// `--features sanitize`), and [`SparseError::Cancelled`] when the
+    /// sparse kernel rejects its inputs (including sanitizer failures in
+    /// debug builds), and [`SparseError::Cancelled`] when the
     /// ambient context trips.
     ///
     /// # Panics
@@ -240,7 +240,7 @@ impl DroplessMoe {
         };
         // Chaos injection site: an installed FaultPlan may poison the
         // layer output with a NaN here, exercising the trainer's
-        // non-finite detection + rollback path. No-op without `chaos`.
+        // non-finite detection + rollback path.
         resilience::maybe_poison(&resilience::sites::KERNEL_NAN_POISON, output.as_mut_slice());
 
         let lb = load_balancing_loss(&routing, self.cfg.load_balance_weight);

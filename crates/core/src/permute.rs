@@ -182,9 +182,12 @@ impl PermuteInfo {
 
 /// Checks that the assignment-to-row map is injective into the padded row
 /// range — every gather/scatter write target is distinct, so the permutation
-/// kernels are race-free even if parallelized over assignments.
-#[cfg(feature = "sanitize")]
+/// kernels are race-free even if parallelized over assignments. Runs in
+/// debug builds only.
 fn sanitize_permutation(info: &PermuteInfo) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
     let mut seen = vec![false; info.padded_rows];
     for (a, &row) in info.assignment_row.iter().enumerate() {
         assert!(
@@ -199,10 +202,6 @@ fn sanitize_permutation(info: &PermuteInfo) {
         seen[row] = true;
     }
 }
-
-#[cfg(not(feature = "sanitize"))]
-#[inline(always)]
-fn sanitize_permutation(_info: &PermuteInfo) {}
 
 /// Permutes token rows into expert-grouped, block-padded order (Figure 6,
 /// line 15). Padding rows are zero.

@@ -2,10 +2,7 @@
 //!
 //! The fault plan is process-global, so this suite lives in its own
 //! integration-test binary (its own process) and serializes every test
-//! behind one mutex. Compiled only under the `chaos` feature; the
-//! default build runs none of this.
-
-#![cfg(feature = "chaos")]
+//! behind one mutex.
 
 use megablocks_core::{
     resilient_expert_parallel_forward, try_expert_parallel_forward, DroplessMoe, EpBreaker,

@@ -27,8 +27,6 @@ use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::sanitizer::RaceViolation;
-
 /// Panic-message prefix for launches aborted by an explicit cancel.
 /// [`crate::LaunchPlan::launch`] panics with it; the fault-tolerant
 /// trainer classifies such panics as non-retryable (retrying cancelled
@@ -336,20 +334,15 @@ pub enum ExecError {
         /// The launching op.
         op: &'static str,
     },
-    /// The dynamic race sanitizer detected a band-write violation
-    /// (`--features sanitize` only).
-    Race(RaceViolation),
 }
 
 impl ExecError {
-    /// The abort kind, when the error is a cancellation flavor
-    /// (`None` for race violations).
-    pub fn kind(&self) -> Option<CancelKind> {
+    /// The abort kind upper layers classify retryability by.
+    pub fn kind(&self) -> CancelKind {
         match self {
-            ExecError::Cancelled { .. } => Some(CancelKind::Cancelled),
-            ExecError::DeadlineExceeded { .. } => Some(CancelKind::DeadlineExceeded),
-            ExecError::Overloaded { .. } => Some(CancelKind::Overloaded),
-            ExecError::Race(_) => None,
+            ExecError::Cancelled { .. } => CancelKind::Cancelled,
+            ExecError::DeadlineExceeded { .. } => CancelKind::DeadlineExceeded,
+            ExecError::Overloaded { .. } => CancelKind::Overloaded,
         }
     }
 }
@@ -372,7 +365,6 @@ impl fmt::Display for ExecError {
                     "{OVERLOADED_PANIC_PREFIX}: {op} shed at the pool queue cap"
                 )
             }
-            ExecError::Race(violation) => violation.fmt(f),
         }
     }
 }
@@ -450,7 +442,7 @@ mod tests {
         assert!(o.starts_with(OVERLOADED_PANIC_PREFIX), "{o}");
         assert_eq!(
             ExecError::Cancelled { op: "t" }.kind(),
-            Some(CancelKind::Cancelled)
+            CancelKind::Cancelled
         );
     }
 }

@@ -13,22 +13,18 @@
 //! * **First-class launch plans** ([`LaunchPlan`]) — a disjoint band
 //!   partition of an output slice plus a per-band body. The sparse
 //!   SDD/DSD/DDS kernels, the dense GEMM and the expert-parallel shard
-//!   loop all launch through this one abstraction; under
-//!   `--features sanitize` every plan's geometry is proven to tile its
-//!   output before a worker touches it.
+//!   loop all launch through this one abstraction, whose constructors
+//!   assert that the bands tile the output exactly.
 //! * **Reusable workspaces** ([`workspace`], [`Workspace`]) — a
 //!   per-thread buffer arena so kernel outputs and scratch reuse storage
 //!   across calls within a training step instead of round-tripping
 //!   through the allocator.
 //!
-//! * **A dynamic race sanitizer** ([`RaceViolation`], [`record_write`],
-//!   [`set_perturbation`]) — under `--features sanitize`, every
-//!   multi-band launch records its empirical per-band write sets and the
-//!   submitter proves them pairwise disjoint and inside the geometry's
-//!   claims after the launch; a seeded schedule-perturbation mode
-//!   shuffles band submission order to flush out order-dependent
-//!   overlaps. Violations surface from [`LaunchPlan::try_launch`] or as
-//!   panics prefixed with [`RACE_PANIC_PREFIX`].
+//! * **Seeded schedule perturbation** ([`set_perturbation`],
+//!   [`band_order`], `MEGABLOCKS_PERTURB_SEED`) — bands are disjoint by
+//!   construction, so any submission order is legal; a non-zero seed
+//!   shuffles it and injects short stalls, and the determinism suites
+//!   demand bit-identical results under every seed.
 //!
 //! * **Deadlines, cancellation & overload control** ([`cancel`],
 //!   [`CancelToken`], [`Deadline`], [`Ctx`], [`ExecError`]) — every
@@ -50,9 +46,9 @@
 #![deny(missing_docs)]
 
 pub mod cancel;
+mod perturb;
 mod plan;
 mod pool;
-mod sanitizer;
 mod setting;
 mod watchdog;
 pub mod workspace;
@@ -61,14 +57,11 @@ pub use cancel::{
     CancelKind, CancelToken, Ctx, Deadline, ExecError, CANCELLED_PANIC_PREFIX,
     DEADLINE_PANIC_PREFIX, OVERLOADED_PANIC_PREFIX,
 };
+pub use perturb::{band_order, perturbation_seed, set_perturbation, stall_slots};
 pub use plan::LaunchPlan;
 pub use pool::{
     configure_queue_cap, configure_threads, parallelism, parallelism_for, pool, queue_cap,
     scoped_parallelism, Pool,
-};
-pub use sanitizer::{
-    band_order, perturbation_seed, record_write, record_write_span, set_perturbation, stall_slots,
-    RaceViolation, RACE_PANIC_PREFIX,
 };
 pub use setting::{Setting, SettingValue};
 pub use workspace::{Workspace, WorkspaceStats};

@@ -19,10 +19,8 @@
 //!
 //! Write disjointness holds *by construction*: bands are carved with
 //! `chunks_mut`/`split_at_mut`, so no two tasks can alias an output
-//! element. Under `--features sanitize` the plan is additionally proven
-//! coherent before launch — the declared geometry must tile the output
-//! exactly — which moves the old per-kernel band-partition audit into
-//! the one place every launch passes through.
+//! element, and the two constructors assert that the declared geometry
+//! tiles the output exactly.
 //!
 //! Every launch also runs under the cancellation [`Ctx`] its submitting
 //! thread entered ([`crate::cancel::enter`]) and is checked cooperatively
@@ -39,8 +37,8 @@ use megablocks_resilience as resilience;
 use megablocks_telemetry as telemetry;
 
 use crate::cancel::{self, CancelKind, CancelToken, Ctx, ExecError};
+use crate::perturb;
 use crate::pool;
-use crate::sanitizer;
 use crate::watchdog;
 
 /// How a plan slices its output.
@@ -157,13 +155,10 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
     /// # Panics
     ///
     /// Panics with a message starting with one of the classification
-    /// prefixes when the launch fails structurally: under
-    /// `--features sanitize`, [`crate::RACE_PANIC_PREFIX`] when the
-    /// dynamic race sanitizer detects overlapping band write sets or a
-    /// claim escape; [`crate::CANCELLED_PANIC_PREFIX`] /
-    /// [`crate::DEADLINE_PANIC_PREFIX`] when the launch's context was
-    /// cancelled or timed out. Use [`LaunchPlan::try_launch`] to receive
-    /// the failure as a value.
+    /// prefixes when the launch fails structurally:
+    /// [`crate::CANCELLED_PANIC_PREFIX`] / [`crate::DEADLINE_PANIC_PREFIX`]
+    /// when the launch's context was cancelled or timed out. Use
+    /// [`LaunchPlan::try_launch`] to receive the failure as a value.
     pub fn launch(self) {
         if let Err(error) = self.try_launch() {
             panic!("{error}");
@@ -171,13 +166,11 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
     }
 
     /// Executes the plan like [`LaunchPlan::launch`], but returns the
-    /// structured [`ExecError`] — detected race, cancellation, deadline
-    /// expiry, or overload shed — instead of panicking. With no ambient
-    /// context entered and without `--features sanitize`, the
-    /// dynamic checks compile out or short-circuit and this always
-    /// returns `Ok(())` (band panics are still re-raised either way).
+    /// structured [`ExecError`] — cancellation, deadline expiry, or
+    /// overload shed — instead of panicking. With no ambient context
+    /// entered the checks short-circuit and this always returns `Ok(())`
+    /// (band panics are still re-raised either way).
     pub fn try_launch(self) -> Result<(), ExecError> {
-        verify_plan(&self);
         let bands = self.bands();
         telemetry::histogram("exec.launch.bands").record(bands as u64);
         let LaunchPlan {
@@ -202,10 +195,9 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
         // may add a private token below, but that must not change the
         // overload policy (only caller-bound launches shed).
         let latency_bound = !ctx.is_empty();
-        // Chaos injection site: under an installed FaultPlan (chaos
-        // feature only) a band task may panic before running its body,
-        // exercising the pool's park-and-reraise recovery path end to
-        // end. Compiles to nothing without the feature. The trace
+        // Chaos injection site: under an installed FaultPlan a band task
+        // may panic before running its body, exercising the pool's
+        // park-and-reraise recovery path end to end. The trace
         // interval is recorded directly (not via `telemetry::span`) so
         // band executions land on each worker's timeline lane without
         // inflating the op's scalar span-family call counts.
@@ -242,9 +234,6 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
             }
             None => None,
         };
-        let race_monitor =
-            sanitizer::Monitor::begin(op, data, partition_claims(&partition, data.len()));
-        let monitor = &race_monitor;
         let guarded = &guarded;
         let ctx_ref = &ctx;
         let watch_ref = &watch;
@@ -255,9 +244,8 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
         // band that has not started; its output is discarded with the
         // launch error, so the skipped writes are unobservable.
         let run_band = |b: usize, band: &mut [f32], i: usize| {
-            sanitizer::stall(b);
+            perturb::stall(b);
             let _ambient = cancel::enter(ctx_ref);
-            let _claim = monitor.enter(b, band);
             if ctx_ref.status().is_some() {
                 return;
             }
@@ -295,8 +283,7 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
         let tasks = perturb_submission_order(tasks);
 
         // Chaos `pool.queue_flood` site: force the admission decision
-        // this launch would face on a flooded queue. Compiles to
-        // `false` without the chaos feature.
+        // this launch would face on a flooded queue.
         let admission = if resilience::should_fail(&resilience::sites::POOL_QUEUE_FLOOD) {
             Err(pool::Rejected {
                 tasks,
@@ -306,9 +293,7 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
         } else {
             pool::pool().try_run(tasks)
         };
-        // `err()` consumes the result, so a rejected launch's tasks, which
-        // borrow the race monitor, are gone before it is finished below.
-        if let Some(rejected) = admission.err() {
+        if let Err(rejected) = admission {
             resilience::record_detected(&resilience::sites::POOL_QUEUE_FLOOD);
             telemetry::trace_instant("exec.shed");
             telemetry::histogram("exec.shed.depth").record(rejected.depth as u64);
@@ -332,7 +317,6 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
                 return Err(abort_error(op, CancelKind::Overloaded));
             }
         }
-        race_monitor.finish().map_err(ExecError::Race)?;
         finish_status(op, &ctx)
     }
 }
@@ -363,8 +347,7 @@ fn finish_status(op: &'static str, ctx: &Ctx) -> Result<(), ExecError> {
 /// configured delay, sleeping in short slices and polling the ambient
 /// context between them — an injected stall still unwinds promptly once
 /// the watchdog (or an explicit cancel) fires, which is exactly the
-/// recovery the site exists to prove. Compiles to a no-op without the
-/// chaos feature.
+/// recovery the site exists to prove.
 fn chaos_stall_band() {
     let ms = resilience::delay_requested(&resilience::sites::EXEC_BAND_STALL);
     if ms == 0 {
@@ -381,16 +364,15 @@ fn chaos_stall_band() {
 
 /// Reorders band tasks by the active schedule-perturbation seed (a no-op
 /// at the default seed 0). Bands are disjoint, so any submission order is
-/// semantically legal; perturbing it flushes out latent order-dependent
-/// overlaps for the race sanitizer to catch.
+/// semantically legal; perturbing it shows results do not depend on it.
 fn perturb_submission_order(
     tasks: Vec<Box<dyn FnOnce() + Send + '_>>,
 ) -> Vec<Box<dyn FnOnce() + Send + '_>> {
-    let seed = sanitizer::perturbation_seed();
+    let seed = perturb::perturbation_seed();
     if seed == 0 || tasks.len() < 2 {
         return tasks;
     }
-    let order = sanitizer::band_order(seed, tasks.len());
+    let order = perturb::band_order(seed, tasks.len());
     let mut slots: Vec<Option<Box<dyn FnOnce() + Send + '_>>> =
         tasks.into_iter().map(Some).collect();
     let mut shuffled = Vec::with_capacity(slots.len());
@@ -401,96 +383,3 @@ fn perturb_submission_order(
     }
     shuffled
 }
-
-/// The byte interval each band's geometry claims, in launch order — the
-/// reference the race sanitizer cross-checks recorded writes against.
-/// Compiles to an empty vec without the `sanitize` feature.
-#[cfg(feature = "sanitize")]
-fn partition_claims(partition: &Partition, len: usize) -> Vec<(usize, usize)> {
-    const F: usize = std::mem::size_of::<f32>();
-    match partition {
-        Partition::Uniform {
-            unit,
-            items_per_band,
-        } => {
-            let items = len / unit;
-            let bands = items.div_ceil(*items_per_band).max(1);
-            (0..bands)
-                .map(|b| {
-                    let lo = b * items_per_band;
-                    let hi = ((b + 1) * items_per_band).min(items);
-                    (lo * unit * F, hi * unit * F)
-                })
-                .collect()
-        }
-        Partition::Explicit { band_lens } => {
-            let mut start = 0usize;
-            band_lens
-                .iter()
-                .map(|&band_len| {
-                    let claim = (start * F, (start + band_len) * F);
-                    start += band_len;
-                    claim
-                })
-                .collect()
-        }
-    }
-}
-
-/// The byte interval each band's geometry claims, in launch order — the
-/// reference the race sanitizer cross-checks recorded writes against.
-/// Compiles to an empty vec without the `sanitize` feature.
-#[cfg(not(feature = "sanitize"))]
-fn partition_claims(partition: &Partition, len: usize) -> Vec<(usize, usize)> {
-    let _ = (partition, len);
-    Vec::new()
-}
-
-/// Proves the plan's declared geometry tiles the output exactly — the
-/// uniform write-disjointness check every launch passes through under
-/// `--features sanitize`.
-#[cfg(feature = "sanitize")]
-fn verify_plan(plan: &LaunchPlan<'_, '_>) {
-    match &plan.partition {
-        Partition::Uniform {
-            unit,
-            items_per_band,
-        } => {
-            let items = plan.data.len() / unit;
-            // Bands are consecutive `items_per_band`-item ranges; prove
-            // they cover every item exactly once.
-            let bands = items.div_ceil((*items_per_band).max(1));
-            let mut covered = 0usize;
-            for b in 0..bands {
-                let lo = b * items_per_band;
-                let hi = ((b + 1) * items_per_band).min(items);
-                assert!(
-                    lo == covered && hi > lo,
-                    "sanitize: {} launch plan leaves a gap at item {covered} \
-                     (band {b} owns {lo}..{hi} of {items})",
-                    plan.op
-                );
-                covered = hi;
-            }
-            assert_eq!(
-                covered, items,
-                "sanitize: {} launch plan covers {covered} of {items} items",
-                plan.op
-            );
-        }
-        Partition::Explicit { band_lens } => {
-            let total: usize = band_lens.iter().sum();
-            assert_eq!(
-                total,
-                plan.data.len(),
-                "sanitize: {} launch plan bands sum to {total}, output has {}",
-                plan.op,
-                plan.data.len()
-            );
-        }
-    }
-}
-
-#[cfg(not(feature = "sanitize"))]
-#[inline(always)]
-fn verify_plan(_plan: &LaunchPlan<'_, '_>) {}

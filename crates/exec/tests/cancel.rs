@@ -252,7 +252,7 @@ fn error_messages_carry_their_classification_prefix() {
     assert!(overloaded
         .to_string()
         .starts_with(megablocks_exec::OVERLOADED_PANIC_PREFIX));
-    assert_eq!(cancelled.kind(), Some(CancelKind::Cancelled));
-    assert_eq!(deadline.kind(), Some(CancelKind::DeadlineExceeded));
-    assert_eq!(overloaded.kind(), Some(CancelKind::Overloaded));
+    assert_eq!(cancelled.kind(), CancelKind::Cancelled);
+    assert_eq!(deadline.kind(), CancelKind::DeadlineExceeded);
+    assert_eq!(overloaded.kind(), CancelKind::Overloaded);
 }

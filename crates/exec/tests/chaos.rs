@@ -4,7 +4,6 @@
 //! would produce, proving the shed/degrade split end to end;
 //! `exec.band_stall` parks a band mid-launch, proving the stall watchdog
 //! cancels the launch within its budget instead of letting it hang.
-#![cfg(feature = "chaos")]
 
 use std::time::{Duration, Instant};
 

@@ -5,8 +5,8 @@
 //! over the destination — on POSIX filesystems the rename is atomic, so
 //! a crash (or an injected fault) at any point leaves either the old
 //! checkpoint or the new one, never a torn hybrid. The
-//! [`crate::sites::CHECKPOINT_IO`] injection site fires at each stage
-//! under the `chaos` feature.
+//! [`crate::sites::CHECKPOINT_IO`] injection site is queried at each
+//! stage.
 
 use std::fs::{self, File};
 use std::io::Write;
@@ -21,8 +21,8 @@ use crate::sites;
 ///
 /// # Errors
 ///
-/// Returns any underlying I/O error (or an injected one under the
-/// `chaos` feature). On error the temp file is removed best-effort and
+/// Returns any underlying I/O error (or one injected by an installed
+/// fault plan). On error the temp file is removed best-effort and
 /// `path` is left exactly as it was.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let _span = telemetry::span("resilience.atomic_write");
@@ -52,6 +52,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{clear_plan, install_plan, serial, FaultPlan};
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("megablocks-resilience-io");
@@ -61,6 +62,7 @@ mod tests {
 
     #[test]
     fn write_then_read_back() {
+        let _guard = serial();
         let path = scratch("roundtrip.bin");
         atomic_write(&path, b"hello checkpoint").expect("write");
         assert_eq!(fs::read(&path).expect("read"), b"hello checkpoint");
@@ -72,6 +74,7 @@ mod tests {
 
     #[test]
     fn no_temp_file_survives_a_successful_write() {
+        let _guard = serial();
         let path = scratch("clean.bin");
         atomic_write(&path, &[1, 2, 3]).expect("write");
         let mut tmp = path.as_os_str().to_owned();
@@ -80,10 +83,9 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
-    #[cfg(feature = "chaos")]
     #[test]
     fn injected_io_error_never_tears_the_destination() {
-        use crate::plan::{clear_plan, install_plan, FaultPlan};
+        let _guard = serial();
         let path = scratch("torn.bin");
         atomic_write(&path, b"committed v1").expect("seed write");
         // One failure per stage: write 1 dies before create (1 call

@@ -6,13 +6,12 @@
 //! expert-parallel shards, torn checkpoint writes. It owns the pieces the
 //! recovery paths in `exec`, `core` and `transformer` share:
 //!
-//! * **A deterministic fault-injection layer** ([`FaultPlan`], [`sites`])
-//!   behind the `chaos` cargo feature. A plan is seeded and installed
-//!   process-wide; registered injection sites ([`Site`]) query it through
-//!   hooks ([`maybe_panic`], [`maybe_poison`], [`should_fail`],
-//!   [`inject_delay`], [`delay_requested`], [`maybe_io_error`]) that
-//!   compile to inlined no-ops
-//!   when the feature is off — production builds carry no chaos machinery.
+//! * **A deterministic fault-injection layer** ([`FaultPlan`], [`sites`]),
+//!   always compiled. A plan is seeded and installed process-wide with
+//!   [`install_plan`]; registered injection sites ([`Site`]) query it
+//!   through hooks ([`maybe_panic`], [`maybe_poison`], [`should_fail`],
+//!   [`inject_delay`], [`delay_requested`], [`maybe_io_error`]) that cost
+//!   one relaxed atomic load while no plan is installed.
 //! * **CRC-checked, atomic file I/O** ([`crc32`], [`Crc32`],
 //!   [`atomic_write`]) — the write-temp + fsync + rename discipline the
 //!   v2 checkpoint format relies on, so a crash or injected I/O error can
@@ -47,14 +46,9 @@ pub use sites::Site;
 
 use megablocks_telemetry as telemetry;
 
-/// Whether the fault-injection hooks are compiled in (`chaos` feature).
-pub const fn chaos_enabled() -> bool {
-    cfg!(feature = "chaos")
-}
-
 /// Records that a recovery path *noticed* a fault at `site` (its own or
-/// an injected one). Always compiled: detection happens on the recovery
-/// path, never in a kernel hot loop.
+/// an injected one). Detection happens on the recovery path, never in a
+/// kernel hot loop.
 pub fn record_detected(site: &Site) {
     telemetry::counter(site.detected).inc();
     telemetry::trace_instant(site.detected);

@@ -11,9 +11,15 @@
 //!   `(seed, site, call index)`, capped at `budget` total firings so a
 //!   chaos run always drains its faults and can finish.
 //!
-//! With the `chaos` feature off every hook in this module is an inlined
-//! constant no-op: [`install_plan`] discards the plan, the queries return
-//! "no fault", and no global state exists.
+//! The hooks are always compiled and [`install_plan`] / [`clear_plan`]
+//! are the only switch. Every hook begins with one relaxed load of an
+//! armed flag: with no plan installed it takes no lock, allocates nothing
+//! and reports "no fault".
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, RwLock};
+
+use megablocks_telemetry as telemetry;
 
 use crate::sites::Site;
 
@@ -123,174 +129,129 @@ impl FaultReport {
     }
 }
 
-#[cfg(feature = "chaos")]
-mod active {
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::{Arc, RwLock};
+struct ActiveSite {
+    name: &'static str,
+    injected_counter: &'static str,
+    sched: Schedule,
+    calls: AtomicU64,
+    fired: AtomicU64,
+    budget_left: AtomicU64,
+}
 
-    use megablocks_telemetry as telemetry;
+struct ActivePlan {
+    seed: u64,
+    delay_ms: u64,
+    sites: Vec<ActiveSite>,
+}
 
-    use super::{FaultPlan, FaultReport, Schedule, SiteReport};
-    use crate::sites::Site;
+static PLAN: RwLock<Option<Arc<ActivePlan>>> = RwLock::new(None);
 
-    struct ActiveSite {
-        name: &'static str,
-        injected_counter: &'static str,
-        sched: Schedule,
-        calls: AtomicU64,
-        fired: AtomicU64,
-        budget_left: AtomicU64,
+/// Set while `PLAN` may hold a plan. It publishes nothing — the plan is
+/// only ever read through the lock — so relaxed ordering is enough: a hook
+/// that sees a stale `true` finds `None` under the lock, and one that sees
+/// a stale `false` behaves as if it ran just before the install.
+static ARMED: AtomicBool = AtomicBool::new(false);
+
+fn current() -> Option<Arc<ActivePlan>> {
+    if !ARMED.load(Relaxed) {
+        return None;
     }
-
-    struct ActivePlan {
-        seed: u64,
-        delay_ms: u64,
-        sites: Vec<ActiveSite>,
-    }
-
-    static PLAN: RwLock<Option<Arc<ActivePlan>>> = RwLock::new(None);
-
-    fn current() -> Option<Arc<ActivePlan>> {
-        PLAN.read().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    pub fn install(plan: FaultPlan) {
-        let sites = plan
-            .schedules
-            .iter()
-            .map(|(name, sched)| ActiveSite {
-                name,
-                injected_counter: crate::sites::ALL
-                    .iter()
-                    .find(|s| s.name == *name)
-                    .map(|s| s.injected)
-                    .unwrap_or("resilience.injected.unknown"),
-                sched: sched.clone(),
-                calls: AtomicU64::new(0),
-                fired: AtomicU64::new(0),
-                budget_left: AtomicU64::new(sched.budget),
-            })
-            .collect();
-        let active = ActivePlan {
-            seed: plan.seed,
-            delay_ms: plan.delay_ms,
-            sites,
-        };
-        *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(active));
-    }
-
-    pub fn clear() {
-        *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-
-    pub fn installed() -> bool {
-        current().is_some()
-    }
-
-    pub fn report() -> FaultReport {
-        let Some(plan) = current() else {
-            return FaultReport::default();
-        };
-        FaultReport {
-            sites: plan
-                .sites
-                .iter()
-                .map(|s| SiteReport {
-                    site: s.name,
-                    calls: s.calls.load(Relaxed),
-                    injected: s.fired.load(Relaxed),
-                })
-                .collect(),
-        }
-    }
-
-    /// SplitMix64 over `(seed, site hash, call index)` — the whole
-    /// determinism story of rate-scheduled faults.
-    fn decision_hash(seed: u64, site: &str, call: u64) -> u64 {
-        let mut z = seed ^ call.wrapping_mul(0x9E3779B97F4A7C15);
-        for b in site.bytes() {
-            z = z.wrapping_add(u64::from(b)).wrapping_mul(0x100000001B3);
-        }
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// One call into the chaos layer from `site`: advances the site's
-    /// call counter and decides whether a fault fires here.
-    pub fn fires(site: &Site) -> bool {
-        let Some(plan) = current() else {
-            return false;
-        };
-        let Some(s) = plan.sites.iter().find(|s| s.name == site.name) else {
-            return false;
-        };
-        let call = s.calls.fetch_add(1, Relaxed);
-        let mut fire = s.sched.at_calls.binary_search(&call).is_ok();
-        if !fire && s.sched.rate > 0.0 {
-            let u = decision_hash(plan.seed, s.name, call) as f64 / u64::MAX as f64;
-            if u < s.sched.rate {
-                // Consume budget; back out on exhaustion.
-                let mut left = s.budget_left.load(Relaxed);
-                while left > 0 {
-                    match s
-                        .budget_left
-                        .compare_exchange(left, left - 1, Relaxed, Relaxed)
-                    {
-                        Ok(_) => {
-                            fire = true;
-                            break;
-                        }
-                        Err(now) => left = now,
-                    }
-                }
-            }
-        }
-        if fire {
-            s.fired.fetch_add(1, Relaxed);
-            telemetry::counter(s.injected_counter).inc();
-            telemetry::trace_instant(s.injected_counter);
-        }
-        fire
-    }
-
-    pub fn delay_ms() -> u64 {
-        current().map_or(0, |p| p.delay_ms)
-    }
+    PLAN.read().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 /// Installs `plan` process-wide, replacing any previous plan and
-/// resetting all call counters. A no-op without the `chaos` feature.
+/// resetting all call counters.
 pub fn install_plan(plan: FaultPlan) {
-    #[cfg(feature = "chaos")]
-    active::install(plan);
-    #[cfg(not(feature = "chaos"))]
-    let _ = plan;
+    let sites = plan
+        .schedules
+        .iter()
+        .map(|(name, sched)| ActiveSite {
+            name,
+            injected_counter: crate::sites::ALL
+                .iter()
+                .find(|s| s.name == *name)
+                .map(|s| s.injected)
+                .unwrap_or("resilience.injected.unknown"),
+            sched: sched.clone(),
+            calls: AtomicU64::new(0),
+            fired: AtomicU64::new(0),
+            budget_left: AtomicU64::new(sched.budget),
+        })
+        .collect();
+    let active = ActivePlan {
+        seed: plan.seed,
+        delay_ms: plan.delay_ms,
+        sites,
+    };
+    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(active));
+    ARMED.store(true, Relaxed);
 }
 
-/// Removes the installed plan (all sites go quiet). A no-op without the
-/// `chaos` feature.
+/// Removes the installed plan (all sites go quiet).
 pub fn clear_plan() {
-    #[cfg(feature = "chaos")]
-    active::clear();
+    ARMED.store(false, Relaxed);
+    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
-/// Whether a plan is currently installed (always `false` without the
-/// `chaos` feature).
+/// Whether a plan is currently installed.
 pub fn plan_installed() -> bool {
-    #[cfg(feature = "chaos")]
-    return active::installed();
-    #[cfg(not(feature = "chaos"))]
-    false
+    current().is_some()
 }
 
-/// Injection activity of the installed plan (empty without the `chaos`
-/// feature or when no plan is installed).
+/// Injection activity of the installed plan (empty when no plan is
+/// installed).
 pub fn report() -> FaultReport {
-    #[cfg(feature = "chaos")]
-    return active::report();
-    #[cfg(not(feature = "chaos"))]
-    FaultReport::default()
+    let Some(plan) = current() else {
+        return FaultReport::default();
+    };
+    FaultReport {
+        sites: plan
+            .sites
+            .iter()
+            .map(|s| SiteReport {
+                site: s.name,
+                calls: s.calls.load(Relaxed),
+                injected: s.fired.load(Relaxed),
+            })
+            .collect(),
+    }
+}
+
+/// SplitMix64 over `(seed, site hash, call index)` — the whole
+/// determinism story of rate-scheduled faults.
+fn decision_hash(seed: u64, site: &str, call: u64) -> u64 {
+    let mut z = seed ^ call.wrapping_mul(0x9E3779B97F4A7C15);
+    for b in site.bytes() {
+        z = z.wrapping_add(u64::from(b)).wrapping_mul(0x100000001B3);
+    }
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
+/// One call into the chaos layer from `site`: advances the site's call
+/// counter and decides whether a fault fires here. `Some(delay_ms)` when
+/// it does.
+fn fires(site: &Site) -> Option<u64> {
+    let plan = current()?;
+    let s = plan.sites.iter().find(|s| s.name == site.name)?;
+    let call = s.calls.fetch_add(1, Relaxed);
+    let mut fire = s.sched.at_calls.binary_search(&call).is_ok();
+    if !fire && s.sched.rate > 0.0 {
+        let u = decision_hash(plan.seed, s.name, call) as f64 / u64::MAX as f64;
+        // A rate hit fires only while budget is left to consume.
+        fire = u < s.sched.rate
+            && s.budget_left
+                .fetch_update(Relaxed, Relaxed, |left| left.checked_sub(1))
+                .is_ok();
+    }
+    if !fire {
+        return None;
+    }
+    s.fired.fetch_add(1, Relaxed);
+    telemetry::counter(s.injected_counter).inc();
+    telemetry::trace_instant(s.injected_counter);
+    Some(plan.delay_ms)
 }
 
 /// Payload prefix of every injected panic, so recovery paths (and tests)
@@ -298,91 +259,73 @@ pub fn report() -> FaultReport {
 pub const INJECTED_PANIC_PREFIX: &str = "injected fault:";
 
 /// Worker-panic hook: panics with a recognizable payload if the plan
-/// fires at `site`. Inlines to nothing without the `chaos` feature.
+/// fires at `site`.
 #[inline]
 pub fn maybe_panic(site: &Site) {
-    #[cfg(feature = "chaos")]
-    if active::fires(site) {
+    if fires(site).is_some() {
         panic!("{} {}", INJECTED_PANIC_PREFIX, site.name);
     }
-    #[cfg(not(feature = "chaos"))]
-    let _ = site;
 }
 
 /// NaN-poisoning hook: overwrites one element of `data` with NaN if the
-/// plan fires at `site`. Inlines to nothing without the `chaos` feature.
+/// plan fires at `site`.
 #[inline]
 pub fn maybe_poison(site: &Site, data: &mut [f32]) {
-    #[cfg(feature = "chaos")]
-    if active::fires(site) {
+    if fires(site).is_some() {
         if let Some(x) = data.first_mut() {
             *x = f32::NAN;
         }
     }
-    #[cfg(not(feature = "chaos"))]
-    let _ = (site, data);
 }
 
 /// Structured-failure hook (EP shards): `true` if the plan fires at
-/// `site`. Inlines to `false` without the `chaos` feature.
+/// `site`.
 #[inline]
 pub fn should_fail(site: &Site) -> bool {
-    #[cfg(feature = "chaos")]
-    return active::fires(site);
-    #[cfg(not(feature = "chaos"))]
-    {
-        let _ = site;
-        false
-    }
+    fires(site).is_some()
 }
 
 /// Straggler hook: sleeps for the plan's configured delay if the plan
-/// fires at `site`, returning the milliseconds slept. Inlines to `0`
-/// without the `chaos` feature.
+/// fires at `site`, returning the milliseconds slept.
 #[inline]
 pub fn inject_delay(site: &Site) -> u64 {
-    #[cfg(feature = "chaos")]
-    if active::fires(site) {
-        let ms = active::delay_ms();
+    let ms = delay_requested(site);
+    if ms > 0 {
         std::thread::sleep(std::time::Duration::from_millis(ms));
-        return ms;
     }
-    #[cfg(not(feature = "chaos"))]
-    let _ = site;
-    0
+    ms
 }
 
 /// Cooperative-stall hook: if the plan fires at `site`, returns the
 /// plan's configured delay in milliseconds *without sleeping* — the
 /// caller parks on its own terms (typically in short slices, polling a
 /// cancellation token between them), so an injected stall still unwinds
-/// promptly once a watchdog cancels it. Inlines to `0` without the
-/// `chaos` feature.
+/// promptly once a watchdog cancels it.
 #[inline]
 pub fn delay_requested(site: &Site) -> u64 {
-    #[cfg(feature = "chaos")]
-    if active::fires(site) {
-        return active::delay_ms();
-    }
-    #[cfg(not(feature = "chaos"))]
-    let _ = site;
-    0
+    fires(site).unwrap_or(0)
 }
 
 /// Checkpoint-I/O hook: returns an injected `io::Error` if the plan fires
-/// at `site`. Inlines to `Ok(())` without the `chaos` feature.
+/// at `site`.
 #[inline]
 pub fn maybe_io_error(site: &Site) -> std::io::Result<()> {
-    #[cfg(feature = "chaos")]
-    if active::fires(site) {
+    if fires(site).is_some() {
         return Err(std::io::Error::other(format!(
             "{} {}",
             INJECTED_PANIC_PREFIX, site.name
         )));
     }
-    #[cfg(not(feature = "chaos"))]
-    let _ = site;
     Ok(())
+}
+
+/// The plan is process-global: every test in this crate that installs one
+/// *or* calls a hooked function holds this lock, so an install never
+/// injects into a test running beside it.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -405,10 +348,9 @@ mod tests {
         let _ = FaultPlan::seeded(0).with_rate(&sites::CHECKPOINT_IO, 1.5, 3);
     }
 
-    #[cfg(not(feature = "chaos"))]
     #[test]
-    fn hooks_are_noops_without_chaos() {
-        install_plan(FaultPlan::seeded(7).at_calls(&sites::KERNEL_NAN_POISON, &[0]));
+    fn hooks_are_quiet_with_no_plan_installed() {
+        let _guard = serial();
         assert!(!plan_installed());
         let mut data = [1.0f32];
         maybe_poison(&sites::KERNEL_NAN_POISON, &mut data);
@@ -420,60 +362,50 @@ mod tests {
         assert!(report().sites.is_empty());
     }
 
-    #[cfg(feature = "chaos")]
-    mod chaos {
-        use super::super::*;
-        use crate::sites;
+    #[test]
+    fn explicit_calls_fire_exactly_once_each() {
+        let _guard = serial();
+        install_plan(FaultPlan::seeded(3).at_calls(&sites::EP_SHARD_FAIL, &[1, 3]));
+        let fired: Vec<bool> = (0..6).map(|_| should_fail(&sites::EP_SHARD_FAIL)).collect();
+        assert_eq!(fired, vec![false, true, false, true, false, false]);
+        assert_eq!(report().injected_at(&sites::EP_SHARD_FAIL), 2);
+        clear_plan();
+    }
 
-        // The plan is process-global, so chaos tests run serially under a
-        // lock to keep installs from racing each other.
-        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-        #[test]
-        fn explicit_calls_fire_exactly_once_each() {
-            let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-            install_plan(FaultPlan::seeded(3).at_calls(&sites::EP_SHARD_FAIL, &[1, 3]));
-            let fired: Vec<bool> = (0..6).map(|_| should_fail(&sites::EP_SHARD_FAIL)).collect();
-            assert_eq!(fired, vec![false, true, false, true, false, false]);
-            assert_eq!(report().injected_at(&sites::EP_SHARD_FAIL), 2);
+    #[test]
+    fn rate_respects_budget_and_is_seed_deterministic() {
+        let _guard = serial();
+        let run = |seed| {
+            install_plan(FaultPlan::seeded(seed).with_rate(&sites::CHECKPOINT_IO, 0.5, 4));
+            let fired: Vec<bool> = (0..64)
+                .map(|_| maybe_io_error(&sites::CHECKPOINT_IO).is_err())
+                .collect();
             clear_plan();
-        }
+            fired
+        };
+        let a = run(11);
+        let b = run(11);
+        assert_eq!(a, b, "same seed, same schedule");
+        assert_eq!(a.iter().filter(|&&f| f).count(), 4, "budget caps firings");
+    }
 
-        #[test]
-        fn rate_respects_budget_and_is_seed_deterministic() {
-            let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-            let run = |seed| {
-                install_plan(FaultPlan::seeded(seed).with_rate(&sites::CHECKPOINT_IO, 0.5, 4));
-                let fired: Vec<bool> = (0..64)
-                    .map(|_| maybe_io_error(&sites::CHECKPOINT_IO).is_err())
-                    .collect();
-                clear_plan();
-                fired
-            };
-            let a = run(11);
-            let b = run(11);
-            assert_eq!(a, b, "same seed, same schedule");
-            assert_eq!(a.iter().filter(|&&f| f).count(), 4, "budget caps firings");
-        }
+    #[test]
+    fn unscheduled_sites_stay_quiet() {
+        let _guard = serial();
+        install_plan(FaultPlan::seeded(5).at_calls(&sites::EP_SHARD_FAIL, &[0]));
+        maybe_panic(&sites::EXEC_WORKER_PANIC);
+        assert_eq!(inject_delay(&sites::EP_SHARD_DELAY), 0);
+        clear_plan();
+    }
 
-        #[test]
-        fn unscheduled_sites_stay_quiet() {
-            let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-            install_plan(FaultPlan::seeded(5).at_calls(&sites::EP_SHARD_FAIL, &[0]));
-            maybe_panic(&sites::EXEC_WORKER_PANIC);
-            assert_eq!(inject_delay(&sites::EP_SHARD_DELAY), 0);
-            clear_plan();
-        }
-
-        #[test]
-        fn injected_panics_carry_the_marker_payload() {
-            let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-            install_plan(FaultPlan::seeded(9).at_calls(&sites::EXEC_WORKER_PANIC, &[0]));
-            let err = std::panic::catch_unwind(|| maybe_panic(&sites::EXEC_WORKER_PANIC))
-                .expect_err("scheduled call must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.starts_with(INJECTED_PANIC_PREFIX), "{msg}");
-            clear_plan();
-        }
+    #[test]
+    fn injected_panics_carry_the_marker_payload() {
+        let _guard = serial();
+        install_plan(FaultPlan::seeded(9).at_calls(&sites::EXEC_WORKER_PANIC, &[0]));
+        let err = std::panic::catch_unwind(|| maybe_panic(&sites::EXEC_WORKER_PANIC))
+            .expect_err("scheduled call must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.starts_with(INJECTED_PANIC_PREFIX), "{msg}");
+        clear_plan();
     }
 }

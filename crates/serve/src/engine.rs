@@ -535,8 +535,8 @@ fn batcher_loop(shared: &Shared) {
             let take = state.queue.len().min(shared.cfg.max_batch);
             state.queue.drain(..take).collect::<Vec<_>>()
         };
-        // A panic inside the batch (a re-raised band panic, a sanitizer
-        // race) must not take the batcher down with it: the unwind drops
+        // A panic inside the batch (a re-raised band panic, a debug-build
+        // sanitizer assertion) must not take the batcher down with it: the unwind drops
         // the batch, which resolves its members, and the loop keeps
         // serving the queue.
         if !batch.is_empty() && catch_unwind(AssertUnwindSafe(|| run_batch(shared, batch))).is_err()

@@ -18,13 +18,12 @@
 //!   metadata.
 //! * [`check_finite`] implements NaN/Inf poisoning detection on kernel
 //!   outputs: a non-finite value in a freshly computed product is always a
-//!   bug (inputs are finite activations and weights), so under the
-//!   `sanitize` feature every sparse op scans its output before returning.
+//!   bug (inputs are finite activations and weights), so in debug builds
+//!   every sparse op scans its output before returning.
 //!
-//! All of it is invoked automatically at sparse-op entry when the crate is
-//! built with `--features sanitize`; without the feature the hooks compile
-//! to inlined no-ops (same design as the telemetry crate), so release
-//! benchmarks pay nothing.
+//! All of it runs automatically at sparse-op entry in debug builds
+//! (`cfg!(debug_assertions)`), so every `cargo test` exercises it; release
+//! builds skip the checks and benchmarks pay nothing.
 
 use std::fmt;
 
@@ -251,21 +250,6 @@ pub enum AuditError {
         /// Rows actually covered by the planned bands.
         covered: usize,
     },
-    /// The dynamic race sanitizer caught two bands writing the same
-    /// output bytes during a launch (or one band escaping its claimed
-    /// interval, reported with `first_band == second_band`).
-    RaceDetected {
-        /// The kernel whose launch raced.
-        op: &'static str,
-        /// Lower-numbered band of the racing pair.
-        first_band: usize,
-        /// Higher-numbered band of the racing pair.
-        second_band: usize,
-        /// First overlapping output byte.
-        start: usize,
-        /// One past the last overlapping output byte.
-        end: usize,
-    },
 }
 
 impl fmt::Display for AuditError {
@@ -366,16 +350,6 @@ impl fmt::Display for AuditError {
             AuditError::BandPartitionBroken { op, rows, covered } => write!(
                 f,
                 "audit: {op} band partition covers {covered} of {rows} output rows"
-            ),
-            AuditError::RaceDetected {
-                op,
-                first_band,
-                second_band,
-                start,
-                end,
-            } => write!(
-                f,
-                "audit: {op} race detected — bands {first_band} and {second_band} both wrote output bytes {start}..{end}"
             ),
         }
     }

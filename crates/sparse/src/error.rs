@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use megablocks_exec::{CancelKind, ExecError, RaceViolation};
+use megablocks_exec::{CancelKind, ExecError};
 
 use crate::audit::AuditError;
 
@@ -103,45 +103,15 @@ impl From<AuditError> for SparseError {
     }
 }
 
-/// A failed launch in the sparse error space: cancellation flavors —
-/// explicit cancel, expired deadline, watchdog stall, pool shed — keep the
-/// [`CancelKind`] upper layers classify retryability by, and a detected
-/// band race (`--features sanitize`) becomes the audit finding.
+/// A failed launch in the sparse error space keeps the [`CancelKind`] —
+/// explicit cancel, expired deadline, watchdog stall, pool shed — upper
+/// layers classify retryability by.
 impl From<ExecError> for SparseError {
     fn from(e: ExecError) -> Self {
-        let (op, kind) = match e {
-            ExecError::Cancelled { op } => (op, CancelKind::Cancelled),
-            ExecError::DeadlineExceeded { op } => (op, CancelKind::DeadlineExceeded),
-            ExecError::Overloaded { op } => (op, CancelKind::Overloaded),
-            ExecError::Race(RaceViolation::Overlap {
-                op,
-                first_band,
-                second_band,
-                start,
-                end,
-            }) => {
-                return SparseError::Audit(AuditError::RaceDetected {
-                    op,
-                    first_band,
-                    second_band,
-                    start,
-                    end,
-                })
-            }
-            // A claim escape has one offending band; report it as a
-            // degenerate pair so the error shape stays uniform.
-            ExecError::Race(RaceViolation::ClaimMismatch {
-                op, band, recorded, ..
-            }) => {
-                return SparseError::Audit(AuditError::RaceDetected {
-                    op,
-                    first_band: band,
-                    second_band: band,
-                    start: recorded.0,
-                    end: recorded.1,
-                })
-            }
-        };
+        let kind = e.kind();
+        let (ExecError::Cancelled { op }
+        | ExecError::DeadlineExceeded { op }
+        | ExecError::Overloaded { op }) = e;
         SparseError::Cancelled { op, kind }
     }
 }

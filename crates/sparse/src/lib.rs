@@ -24,9 +24,8 @@
 //!
 //! The [`audit`] module is the correctness-tooling substrate: a metadata
 //! sanitizer ([`Topology::validate`]), a write-disjointness race checker
-//! for the threaded kernels, and NaN/Inf output poisoning checks. Building
-//! with `--features sanitize` auto-invokes all three at every sparse-op
-//! entry; without the feature the hooks compile to no-ops.
+//! for the threaded kernels, and NaN/Inf output poisoning checks. Debug
+//! builds run all three at every sparse-op entry; release builds skip them.
 //!
 //! # Example
 //!

@@ -56,65 +56,18 @@ use megablocks_exec as exec;
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::{block_gemm, Axis, Matrix, OutView, PanelView, Trans};
 
+use crate::audit::{self, AuditError};
 use crate::{BlockSparseMatrix, SparseError, Topology};
 
-/// Sanitizer hooks, auto-invoked at every op entry under
-/// `--features sanitize` (metadata validation, write-disjointness proof of
-/// the launch plan, NaN/Inf output poisoning). Without the feature each
-/// hook is an inlined `Ok(())`, so the hot paths carry no cost — mirroring
-/// the telemetry design.
-#[cfg(feature = "sanitize")]
-mod sanitize {
-    use crate::{audit, SparseError, Topology};
-
-    pub(super) fn topology(topo: &Topology) -> Result<(), SparseError> {
-        topo.validate().map_err(SparseError::Audit)
+/// Runs a structural check (metadata validation, the write-disjointness
+/// proof of a launch's band cuts, the NaN/Inf output sweep) in debug
+/// builds only: every `cargo test` pays for them, a release build runs
+/// none of them.
+fn debug_check(check: impl FnOnce() -> Result<(), AuditError>) -> Result<(), SparseError> {
+    if cfg!(debug_assertions) {
+        check().map_err(SparseError::Audit)?;
     }
-
-    pub(super) fn sdd_partition(topo: &Topology, cuts: &[usize]) -> Result<(), SparseError> {
-        audit::verify_sdd_partition(topo, cuts).map_err(SparseError::Audit)
-    }
-
-    pub(super) fn dsd_partition(
-        topo: &Topology,
-        transposed: bool,
-        cuts: &[usize],
-    ) -> Result<(), SparseError> {
-        audit::verify_dsd_partition(topo, transposed, cuts).map_err(SparseError::Audit)
-    }
-
-    pub(super) fn output(op: &'static str, data: &[f32]) -> Result<(), SparseError> {
-        audit::check_finite(op, data).map_err(SparseError::Audit)
-    }
-}
-
-#[cfg(not(feature = "sanitize"))]
-mod sanitize {
-    use crate::{SparseError, Topology};
-
-    #[inline(always)]
-    pub(super) fn topology(_topo: &Topology) -> Result<(), SparseError> {
-        Ok(())
-    }
-
-    #[inline(always)]
-    pub(super) fn sdd_partition(_topo: &Topology, _cuts: &[usize]) -> Result<(), SparseError> {
-        Ok(())
-    }
-
-    #[inline(always)]
-    pub(super) fn dsd_partition(
-        _topo: &Topology,
-        _transposed: bool,
-        _cuts: &[usize],
-    ) -> Result<(), SparseError> {
-        Ok(())
-    }
-
-    #[inline(always)]
-    pub(super) fn output(_op: &'static str, _data: &[f32]) -> Result<(), SparseError> {
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Work below this many f32 multiply-adds stays single-banded: even a
@@ -352,8 +305,8 @@ macro_rules! product_wrappers {
         ///
         /// Returns [`SparseError::Mismatch`] on incompatible shapes,
         /// [`SparseError::Cancelled`] when the thread's ambient context
-        /// trips (and [`SparseError::Audit`] on sanitizer violations under
-        /// `sanitize`).
+        /// trips (and [`SparseError::Audit`] on sanitizer violations in
+        /// debug builds).
         pub fn $try_name($($arg: $ty),*) -> Result<$ret, SparseError> {
             $target($($call),*)
         }
@@ -424,7 +377,7 @@ pub fn try_sdd_op(
 
     let variant = sdd_variant(op_a, op_b);
     let _span = telemetry::span(variant);
-    sanitize::topology(topo)?;
+    debug_check(|| topo.validate())?;
 
     let mut out = BlockSparseMatrix::pooled_zeros(topo);
     let nnz = topo.nnz_blocks();
@@ -471,14 +424,14 @@ pub fn try_sdd_op(
     };
 
     if cuts.len() > 2 {
-        sanitize::sdd_partition(topo, &cuts)?;
+        debug_check(|| audit::verify_sdd_partition(topo, &cuts))?;
     }
     let band_lens = cuts
         .windows(2)
         .map(|w| (row_offsets[w[1]] - row_offsets[w[0]]) * area)
         .collect();
     exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).try_launch()?;
-    sanitize::output(variant, out.as_slice())?;
+    debug_check(|| audit::check_finite(variant, out.as_slice()))?;
     Ok(out)
 }
 
@@ -522,7 +475,7 @@ pub fn dst_d_explicit(s: &BlockSparseMatrix, d: &Matrix) -> Matrix {
 /// # Errors
 ///
 /// Returns [`SparseError::Mismatch`] on incompatible shapes (and
-/// [`SparseError::Audit`] on sanitizer violations under `sanitize`).
+/// [`SparseError::Audit`] on sanitizer violations in debug builds).
 pub fn try_dst_d_explicit(s: &BlockSparseMatrix, d: &Matrix) -> Result<Matrix, SparseError> {
     // The span covers the materialized transpose plus the inner DSD (which
     // records its own nested "sparse.dsd" span), so the ablation's extra
@@ -562,7 +515,7 @@ pub fn try_dsd_op(
 
     let variant = dsd_variant(op_s, op_d);
     let _span = telemetry::span(variant);
-    sanitize::topology(topo)?;
+    debug_check(|| topo.validate())?;
     telemetry::counter_with("sparse.blocks", variant).add(topo.nnz_blocks() as u64);
     telemetry::counter_with("sparse.flops", variant).add(2 * topo.nnz() as u64 * n as u64);
 
@@ -612,11 +565,11 @@ pub fn try_dsd_op(
     };
 
     if cuts.len() > 2 {
-        sanitize::dsd_partition(topo, op_s == Trans::T, &cuts)?;
+        debug_check(|| audit::verify_dsd_partition(topo, op_s == Trans::T, &cuts))?;
     }
     let band_lens = cuts.windows(2).map(|w| (w[1] - w[0]) * bs * n).collect();
     exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).try_launch()?;
-    sanitize::output(variant, out.as_slice())?;
+    debug_check(|| audit::check_finite(variant, out.as_slice()))?;
     Ok(out)
 }
 
@@ -663,7 +616,7 @@ pub fn try_dds_op(
 
     let variant = dds_variant(op_d, op_s);
     let _span = telemetry::span(variant);
-    sanitize::topology(topo)?;
+    debug_check(|| topo.validate())?;
     telemetry::counter_with("sparse.blocks", variant).add(topo.nnz_blocks() as u64);
     telemetry::counter_with("sparse.flops", variant).add(2 * topo.nnz() as u64 * m as u64);
 
@@ -716,7 +669,7 @@ pub fn try_dds_op(
     let rows_per_thread = m.div_ceil(threads);
     exec::LaunchPlan::over_items(variant, out.as_mut_slice(), n, rows_per_thread, &body)
         .try_launch()?;
-    sanitize::output(variant, out.as_slice())?;
+    debug_check(|| audit::check_finite(variant, out.as_slice()))?;
     Ok(out)
 }
 

@@ -245,9 +245,9 @@ fn seeded_corruptions_each_caught_with_distinct_variant() {
     );
 }
 
-/// End-to-end: under `--features sanitize` the op entry points themselves
-/// reject corrupted metadata before any kernel work runs.
-#[cfg(feature = "sanitize")]
+/// End-to-end: in debug builds the op entry points themselves reject
+/// corrupted metadata before any kernel work runs.
+#[cfg(debug_assertions)]
 #[test]
 fn sanitized_ops_reject_corrupted_topology_at_entry() {
     use megablocks_sparse::{ops, SparseError};
@@ -267,22 +267,4 @@ fn sanitized_ops_reject_corrupted_topology_at_entry() {
         Err(SparseError::Audit(AuditError::TransposeNotBijective { pos: 1, value: 0 })) => {}
         other => panic!("expected TransposeNotBijective at op entry, got {other:?}"),
     }
-}
-
-#[test]
-fn race_detected_error_carries_bands_and_byte_range() {
-    // The structured error the sanitize feature maps exec race
-    // violations into; the fields and message shape are load-bearing for
-    // operators grepping CI logs.
-    let err = AuditError::RaceDetected {
-        op: "sparse.sdd",
-        first_band: 1,
-        second_band: 3,
-        start: 64,
-        end: 96,
-    };
-    let msg = err.to_string();
-    assert!(msg.contains("sparse.sdd"), "message: {msg}");
-    assert!(msg.contains("bands 1 and 3"), "message: {msg}");
-    assert!(msg.contains("64..96"), "message: {msg}");
 }

@@ -19,8 +19,6 @@
 //! * [`ops`] — neural-network forward/backward primitives: softmax,
 //!   layer norm, GeLU, bias, cross-entropy.
 //! * [`init`] — deterministic weight initializers.
-//! * [`half`] — IEEE binary16 emulation for the paper's mixed-precision
-//!   regime (FP16 operands, FP32 accumulation).
 //!
 //! # Example
 //!
@@ -38,7 +36,6 @@
 mod batched;
 pub mod dropout;
 mod error;
-pub mod half;
 pub mod init;
 pub mod kernel;
 mod matmul;

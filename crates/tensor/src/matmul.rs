@@ -36,13 +36,15 @@ impl Trans {
 /// pooled launch costs a queue round-trip per band.
 const PARALLEL_THRESHOLD: usize = 64 * 64;
 
-/// NaN/Inf poisoning check on a kernel output, auto-invoked under
-/// `--features sanitize`. A non-finite value in a GEMM output means an
-/// input was already poisoned or the kernel itself is broken; panicking at
-/// the producing op localizes the bug instead of letting the NaN spread
-/// through the training step.
-#[cfg(feature = "sanitize")]
+/// NaN/Inf poisoning check on a kernel output, run in debug builds only.
+/// A non-finite value in a GEMM output means an input was already
+/// poisoned or the kernel itself is broken; panicking at the producing op
+/// localizes the bug instead of letting the NaN spread through the
+/// training step.
 fn sanitize_output(op: &'static str, data: &[f32]) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
     for (index, &v) in data.iter().enumerate() {
         assert!(
             v.is_finite(),
@@ -50,10 +52,6 @@ fn sanitize_output(op: &'static str, data: &[f32]) {
         );
     }
 }
-
-#[cfg(not(feature = "sanitize"))]
-#[inline(always)]
-fn sanitize_output(_op: &'static str, _data: &[f32]) {}
 
 /// Computes `c = alpha * op_a(a) * op_b(b) + beta * c`.
 ///
@@ -116,10 +114,6 @@ pub fn gemm(
         Trans::T => PanelView::new(b_data, 1, b_cols),
     };
     let body = |band: &mut [f32], row0: usize| {
-        // Report the band's write set to the exec race sanitizer from the
-        // kernel side (a no-op without `--features sanitize`); gemm writes
-        // every element of its band, so the whole slice is the interval.
-        exec::record_write(band);
         let rows = band.len() / n;
         let a_view = match op_a {
             Trans::N => PanelView::new(&a_data[row0 * a_cols..], a_cols, 1),

@@ -26,7 +26,7 @@
 //!   with new budget (deadline expiry is transient by construction). A
 //!   tripped [`ResilienceConfig::cancel`] token is the opposite: a
 //!   command, not a fault — the step rolls back immediately and is
-//!   never retried, mirroring the race-sanitizer rule.
+//!   never retried.
 //! * **Auto-resume.** [`ResilientTrainer::resume_latest`] scans the
 //!   checkpoint directory newest-first, skips any file that fails CRC or
 //!   structural validation, and restores the first valid one.
@@ -346,16 +346,6 @@ impl ResilientTrainer {
                     self.report.worker_panics += 1;
                     telemetry::counter("resilience.trainer.panics").inc();
                     saw_panic = true;
-                    // A race reported by the exec sanitizer is a kernel
-                    // bug, not a transient fault: the same bands collide
-                    // on every replay, so retrying only burns the budget.
-                    // Roll back and fall through to the skip path.
-                    if last_reason.starts_with(megablocks_exec::RACE_PANIC_PREFIX) {
-                        telemetry::counter("resilience.trainer.races").inc();
-                        self.trainer.zero_grads();
-                        self.trainer.set_rng_state(rng_snapshot);
-                        break;
-                    }
                 }
             }
             // Roll the attempt back exactly: discard partial gradient

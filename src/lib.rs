@@ -24,8 +24,9 @@
 //!   always record, the timeline and the per-step logs only once
 //!   [`telemetry::trace_set_enabled`] (or a [`telemetry::FlushOnDrop`]
 //!   given an output path) turns them on.
-//! * [`resilience`] — fault injection (behind the `chaos` feature) and the
-//!   fault-tolerance primitives (CRC32, atomic writes, retry/backoff) the
+//! * [`resilience`] — fault injection (always compiled; quiet until a
+//!   [`resilience::FaultPlan`] is installed) and the fault-tolerance
+//!   primitives (CRC32, atomic writes, retry/backoff) the
 //!   checkpoint v2 format and [`transformer::ResilientTrainer`] build on.
 //! * [`serve`] — batched inference serving: a deadline-aware
 //!   micro-batching engine ([`serve::Engine`]) over the dMoE

@@ -4,10 +4,7 @@
 //! checkpoint directory.
 //!
 //! The fault plan is process-global, so this soak owns its own
-//! integration-test binary (one process, one test). Compiled only under
-//! the `chaos` feature.
-
-#![cfg(feature = "chaos")]
+//! integration-test binary (one process, one test).
 
 use std::path::PathBuf;
 
@@ -141,15 +138,11 @@ fn soak_survives_every_fault_kind_and_matches_the_baseline() {
     let rep = rt.report();
     assert_eq!(rep.steps_completed, STEPS, "{rep:?}");
     assert_eq!(rep.steps_skipped, 0, "every fault must heal, not skip");
-    if cfg!(feature = "sanitize") {
-        // The sanitizer sweeps kernel outputs, so the NaN poison panics
-        // at the op that consumes it instead of reaching the loss check:
-        // both faults surface as caught worker panics.
-        assert!(rep.worker_panics >= 2, "{rep:?}");
-    } else {
-        assert!(rep.worker_panics >= 1, "{rep:?}");
-        assert!(rep.nonfinite_steps >= 1, "{rep:?}");
-    }
+    // A debug build sweeps kernel outputs, so there the NaN poison panics
+    // at the op that consumes it instead of reaching the loss check; either
+    // way both faults are caught.
+    assert!(rep.worker_panics >= 1, "{rep:?}");
+    assert!(rep.worker_panics + rep.nonfinite_steps >= 2, "{rep:?}");
     assert!(rep.step_retries >= 2, "{rep:?}");
     assert!(rep.checkpoints_written >= 2, "{rep:?}");
     assert_eq!(rep.checkpoint_failures, 0, "the injected I/O error retries");
