@@ -8,55 +8,26 @@
 //! 4. compute the 2-layer MLP experts as an SDD followed by a DSD;
 //! 5. un-permute and scale by the router confidence weights.
 //!
-//! The backward pass uses the four remaining products the paper lists in
-//! §5.1: SDD^T and DS^TD for the second expert layer, DSD^T and DD^TS for
-//! the first. No tokens are ever dropped and no expert batch is padded
-//! beyond the next block boundary.
+//! Steps 3–5 and their backward are the crate's one expert pipeline
+//! ([`crate::experts`]); this layer's policy is steps 1–2: every
+//! assignment is kept, and no expert batch is padded beyond the next
+//! block boundary.
 
 use megablocks_exec as exec;
 use megablocks_resilience as resilience;
-use megablocks_sparse::{ops, BlockSparseMatrix, SparseError, Topology};
+use megablocks_sparse::{SparseError, Topology};
 use megablocks_telemetry as telemetry;
-use megablocks_tensor::ops::{gelu_grad_mul, gelu_inplace, gelu_into};
 use megablocks_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 
-use crate::{
-    load_balancing_loss, padded_gather, padded_gather_backward, padded_scatter,
-    padded_scatter_backward, MoeConfig, MoeStats, Param, PermuteInfo, Router, Routing,
-};
+use crate::experts::{self, MoeCache, MoeOutput, Pass, Retain};
+use crate::{MoeConfig, Param, PermuteInfo, Router, Routing};
 
-/// Elements below this stay single-banded in the elementwise activation
-/// plans (same rationale as the permutation kernels: pure memory traffic).
-const PARALLEL_THRESHOLD: usize = 1 << 16;
+/// Cache to pass to [`DroplessMoe::backward`].
+pub type DmoeCache = MoeCache;
 
-/// Everything the backward pass needs from a forward invocation.
-///
-/// Holding the cache in a separate value (rather than layer state) keeps
-/// the layer reentrant under gradient accumulation: each micro-batch owns
-/// its cache.
-#[derive(Debug, Clone)]
-pub struct DmoeCache {
-    x: Matrix,
-    routing: Routing,
-    permute: PermuteInfo,
-    xg: Matrix,
-    h_pre: BlockSparseMatrix,
-    h_act: BlockSparseMatrix,
-    y: Matrix,
-    d_probs_aux: Matrix,
-}
-
-/// Result of [`DroplessMoe::forward`].
-#[derive(Debug, Clone)]
-pub struct DmoeOutput {
-    /// Layer output, `num_tokens x hidden_size`.
-    pub output: Matrix,
-    /// Forward-pass statistics (dropping is always zero here).
-    pub stats: MoeStats,
-    /// Cache to pass to [`DroplessMoe::backward`].
-    pub cache: DmoeCache,
-}
+/// Result of [`DroplessMoe::forward`] (dropping is always zero here).
+pub type DmoeOutput = MoeOutput;
 
 /// The dropless Mixture-of-Experts layer.
 ///
@@ -157,13 +128,7 @@ impl DroplessMoe {
     ///
     /// Panics if `x.cols() != hidden_size`.
     pub fn try_forward(&self, x: &Matrix) -> Result<DmoeOutput, SparseError> {
-        let (output, kept) = self.pipeline(x, Retain::ForBackward)?;
-        let (stats, cache) = kept.expect("a ForBackward pass keeps its cache");
-        Ok(DmoeOutput {
-            output,
-            stats,
-            cache,
-        })
+        Ok(MoeOutput::of(self.pipeline(x, Retain::ForBackward)?))
     }
 
     /// Inference-only forward pass.
@@ -194,16 +159,9 @@ impl DroplessMoe {
 
     /// The one dMoE forward pipeline (Figure 6). Training and inference
     /// differ only in what they retain, so both run this body.
-    fn pipeline(
-        &self,
-        x: &Matrix,
-        retain: Retain,
-    ) -> Result<(Matrix, Option<(MoeStats, DmoeCache)>), SparseError> {
-        assert_eq!(
-            x.cols(),
-            self.cfg.hidden_size,
-            "input feature size mismatch"
-        );
+    fn pipeline(&self, x: &Matrix, retain: Retain) -> Result<Pass, SparseError> {
+        let cfg = &self.cfg;
+        assert_eq!(x.cols(), cfg.hidden_size, "input feature size mismatch");
         let op = match retain {
             Retain::ForBackward => "moe.dmoe.forward",
             Retain::Nothing => "moe.dmoe.infer",
@@ -213,58 +171,38 @@ impl DroplessMoe {
             return Err(SparseError::Cancelled { op, kind });
         }
 
-        // (1) Assign tokens to experts.
-        let routing = self.router.forward(x);
-
-        // (2) Create the sparse matrix topology (Figure 3C).
-        let permute = PermuteInfo::new(&routing, self.cfg.num_experts, self.cfg.block_size);
-        let topology = Topology::for_moe(
-            permute.padded_tokens_per_expert(),
-            self.cfg.ffn_hidden_size,
-            self.cfg.block_size,
+        // (1) Assign tokens to experts; (3)-(5) permute them to group by
+        // expert, compute the expert layers, un-permute and scale by
+        // router confidence.
+        let policy = |routing: &Routing| {
+            // (2) Create the sparse matrix topology (Figure 3C): every
+            // assignment is kept, each expert padded to the next block.
+            let permute = PermuteInfo::new(routing, cfg.num_experts, cfg.block_size);
+            let topology = Topology::for_moe(
+                permute.padded_tokens_per_expert(),
+                cfg.ffn_hidden_size,
+                cfg.block_size,
+            )?;
+            let slots = permute.padded_rows();
+            Ok((permute, topology, slots))
+        };
+        let mut pass = experts::token_choice_forward(
+            &self.router,
+            self.w1.value(),
+            self.w2.value(),
+            cfg.load_balance_weight,
+            x,
+            retain,
+            policy,
         )?;
-
-        // (3) Permute the tokens to group by expert.
-        let xg = padded_gather(x, &permute);
-
-        // (4) Compute the expert layers: SDD -> GeLU -> DSD.
-        let (y, activations) =
-            expert_mlp(&xg, self.w1.value(), self.w2.value(), &topology, retain)?;
-
-        // (5) Un-permute the tokens and scale by router confidence.
-        let mut output = padded_scatter(&y, &permute, &routing.weights);
-        let Some((h_pre, h_act)) = activations else {
-            xg.recycle();
-            y.recycle();
-            return Ok((output, None));
-        };
-        // Chaos injection site: an installed FaultPlan may poison the
-        // layer output with a NaN here, exercising the trainer's
-        // non-finite detection + rollback path.
-        resilience::maybe_poison(&resilience::sites::KERNEL_NAN_POISON, output.as_mut_slice());
-
-        let lb = load_balancing_loss(&routing, self.cfg.load_balance_weight);
-        let stats = MoeStats {
-            dropped_tokens: 0,
-            padding_rows: permute.padding_rows(),
-            tokens_per_expert: permute.tokens_per_expert().to_vec(),
-            load_balancing_loss: lb.loss,
-            padding_overhead: MoeStats::overhead(permute.padding_rows(), permute.num_assignments()),
-            // Dropless: every assigned token is processed.
-            expert_load: permute.tokens_per_expert().to_vec(),
-        };
-        crate::record_moe_stats(&stats);
-        let cache = DmoeCache {
-            x: x.clone(),
-            routing,
-            permute,
-            xg,
-            h_pre,
-            h_act,
-            y,
-            d_probs_aux: lb.d_probs,
-        };
-        Ok((output, Some((stats, cache))))
+        if pass.1.is_some() {
+            // Chaos injection site: an installed FaultPlan may poison the
+            // layer output with a NaN here, exercising the trainer's
+            // non-finite detection + rollback path.
+            let output = pass.0.as_mut_slice();
+            resilience::maybe_poison(&resilience::sites::KERNEL_NAN_POISON, output);
+        }
+        Ok(pass)
     }
 
     /// Runs the backward pass for one forward invocation.
@@ -277,125 +215,16 @@ impl DroplessMoe {
     ///
     /// Panics if `d_out` does not match the forward output shape.
     pub fn backward(&mut self, cache: &DmoeCache, d_out: &Matrix) -> Matrix {
-        assert_eq!(
-            d_out.shape(),
-            (cache.permute.num_tokens(), self.cfg.hidden_size),
-            "d_out shape mismatch"
-        );
         let _span = telemetry::span("moe.dmoe.backward");
-
-        // Un-permutation backward: per-assignment output grads and router
-        // confidence-weight grads.
-        let (dy, d_weights) =
-            padded_scatter_backward(d_out, &cache.y, &cache.permute, &cache.routing.weights);
-
-        // Second expert layer: data grad SDD^T, weight grad DS^TD.
-        let dh_act = ops::sdd_t(&dy, self.w2.value(), cache.h_pre.topology());
-        let dw2 = ops::dst_d(&cache.h_act, &dy);
-        self.w2.accumulate(&dw2);
-        dw2.recycle();
-        dy.recycle();
-
-        // Activation backward on the stored blocks, as a launch plan over
-        // the nonzero elements.
-        let mut dh = dh_act;
-        {
-            let pre = cache.h_pre.as_slice();
-            let data = dh.as_mut_slice();
-            let bands = exec::parallelism_for(data.len(), PARALLEL_THRESHOLD);
-            let per_band = data.len().div_ceil(bands);
-            let body = |band: &mut [f32], i0: usize| {
-                gelu_grad_mul(band, &pre[i0..i0 + band.len()]);
-            };
-            exec::LaunchPlan::over_items("moe.gelu_grad", data, 1, per_band, &body).launch();
-        }
-
-        // First expert layer: data grad DSD^T, weight grad DD^TS.
-        let dxg = ops::dsd_t(&dh, self.w1.value());
-        let dw1 = ops::ddt_s(&cache.xg, &dh);
-        self.w1.accumulate(&dw1);
-        dw1.recycle();
-        dh.recycle();
-
-        // Permutation backward.
-        let mut dx = padded_gather_backward(&dxg, &cache.permute);
-        dxg.recycle();
-
-        // Router backward (confidence weights + load-balancing loss).
-        let dx_router = self.router.backward(
-            &cache.x,
-            &cache.routing,
-            &d_weights,
-            Some(&cache.d_probs_aux),
-        );
-        exec::workspace::recycle(d_weights);
-        dx.add_assign(&dx_router);
-        dx
+        cache.backward(&mut self.router, &mut self.w1, &mut self.w2, d_out)
     }
-}
-
-/// What a forward pass keeps of its intermediates.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Retain {
-    /// Everything [`DroplessMoe::backward`] reads.
-    ForBackward,
-    /// Only the output: intermediates go back to the workspace arena.
-    Nothing,
-}
-
-/// The expert MLP of Figure 6 over already permuted tokens:
-/// `y = gelu(xg * w1 | topology) * w2`, as SDD -> GeLU -> DSD. Returns
-/// `y` and, under [`Retain::ForBackward`], the pre- and post-activation
-/// blocks; under [`Retain::Nothing`] the GeLU runs in place and the
-/// blocks are recycled. The single-device layer and every expert-parallel
-/// shard run this one body, so their per-element arithmetic cannot drift.
-pub(crate) fn expert_mlp(
-    xg: &Matrix,
-    w1: &Matrix,
-    w2: &Matrix,
-    topology: &Topology,
-    retain: Retain,
-) -> Result<(Matrix, Option<(BlockSparseMatrix, BlockSparseMatrix)>), SparseError> {
-    let _experts = telemetry::span("moe.dmoe.experts");
-    let mut h = ops::try_sdd(xg, w1, topology)?;
-    let (h_pre, h_act) = match retain {
-        Retain::ForBackward => {
-            let mut act = exec::workspace::take_zeroed(h.as_slice().len());
-            gelu(&mut act, Some(h.as_slice()))?;
-            (Some(h), BlockSparseMatrix::from_raw(topology, act)?)
-        }
-        Retain::Nothing => {
-            gelu(h.as_mut_slice(), None)?;
-            (None, h)
-        }
-    };
-    let y = ops::try_dsd(&h_act, w2)?;
-    match h_pre {
-        Some(h_pre) => Ok((y, Some((h_pre, h_act)))),
-        None => {
-            h_act.recycle();
-            Ok((y, None))
-        }
-    }
-}
-
-/// Elementwise GeLU over the nonzero blocks as a launch plan:
-/// `dst = gelu(src)`, or in place when `src` is `None`.
-fn gelu(dst: &mut [f32], src: Option<&[f32]>) -> Result<(), SparseError> {
-    let bands = exec::parallelism_for(dst.len(), PARALLEL_THRESHOLD);
-    let per_band = dst.len().div_ceil(bands);
-    let body = |band: &mut [f32], i0: usize| match src {
-        Some(src) => gelu_into(band, &src[i0..i0 + band.len()]),
-        None => gelu_inplace(band),
-    };
-    Ok(exec::LaunchPlan::over_items("moe.gelu", dst, 1, per_band, &body).try_launch()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use megablocks_tensor::init::seeded_rng;
-    use megablocks_tensor::ops::{cross_entropy, gelu_scalar};
+    use megablocks_tensor::ops::gelu_scalar;
 
     fn small_layer(seed: u64) -> (DroplessMoe, StdRng) {
         let cfg = MoeConfig::new(6, 8, 3).with_block_size(4);
@@ -423,7 +252,7 @@ mod tests {
             .stats
             .tokens_per_expert
             .iter()
-            .zip(out.cache.permute.padded_tokens_per_expert())
+            .zip(out.cache.experts.permute.padded_tokens_per_expert())
         {
             assert_eq!(p, t.div_ceil(4) * 4);
         }
@@ -464,108 +293,6 @@ mod tests {
                     "token {t} feature {q}: got {got}, want {want}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn backward_gradients_match_finite_difference() {
-        // Objective: cross-entropy of a linear readout of the layer output,
-        // plus the load-balancing loss (which backward includes).
-        let (mut layer, mut rng) = small_layer(3);
-        let x = init::normal(8, 6, 0.5, &mut rng);
-        let targets: Vec<usize> = (0..8).map(|t| t % 3).collect();
-        let readout = init::normal(6, 3, 0.5, &mut rng);
-
-        let objective = |layer: &DroplessMoe, x: &Matrix| -> f32 {
-            let out = layer.forward(x);
-            let logits = megablocks_tensor::matmul(&out.output, &readout);
-            let (ce, _) = cross_entropy(&logits, &targets, None);
-            ce + out.stats.load_balancing_loss
-        };
-
-        let out = layer.forward(&x);
-        let logits = megablocks_tensor::matmul(&out.output, &readout);
-        let (_, dlogits) = cross_entropy(&logits, &targets, None);
-        let d_out = megablocks_tensor::matmul_nt(&dlogits, &readout);
-        let dx = layer.backward(&out.cache, &d_out);
-
-        let base_assignment = out.cache.routing.expert_indices.clone();
-        let eps = 2e-3;
-
-        // Input gradient, skipping points where routing flips.
-        let mut checked = 0;
-        for i in 0..x.rows() {
-            for j in [0usize, 3, 5] {
-                let mut xp = x.clone();
-                xp[(i, j)] += eps;
-                let mut xm = x.clone();
-                xm[(i, j)] -= eps;
-                if layer.router().forward(&xp).expert_indices != base_assignment
-                    || layer.router().forward(&xm).expert_indices != base_assignment
-                {
-                    continue;
-                }
-                let num = (objective(&layer, &xp) - objective(&layer, &xm)) / (2.0 * eps);
-                let ana = dx[(i, j)];
-                assert!(
-                    (num - ana).abs() < 5e-2 * (1.0 + num.abs()),
-                    "dx({i},{j}): numeric {num}, analytic {ana}"
-                );
-                checked += 1;
-            }
-        }
-        assert!(checked >= 10, "only {checked} stable finite-diff points");
-
-        // Weight gradients: spot-check a handful of entries of w1, w2 and
-        // the router weight.
-        let spots_w1 = [(0usize, 0usize), (3, 7), (5, 20)];
-        for &(r, c) in &spots_w1 {
-            let ana = layer.w1.grad()[(r, c)];
-            let orig = layer.w1.value()[(r, c)];
-            layer.w1.value_mut()[(r, c)] = orig + eps;
-            let fp = objective(&layer, &x);
-            layer.w1.value_mut()[(r, c)] = orig - eps;
-            let fm = objective(&layer, &x);
-            layer.w1.value_mut()[(r, c)] = orig;
-            let num = (fp - fm) / (2.0 * eps);
-            assert!(
-                (num - ana).abs() < 5e-2 * (1.0 + num.abs()),
-                "dw1({r},{c}): numeric {num}, analytic {ana}"
-            );
-        }
-        let spots_w2 = [(0usize, 0usize), (10, 3), (23, 5)];
-        for &(r, c) in &spots_w2 {
-            let ana = layer.w2.grad()[(r, c)];
-            let orig = layer.w2.value()[(r, c)];
-            layer.w2.value_mut()[(r, c)] = orig + eps;
-            let fp = objective(&layer, &x);
-            layer.w2.value_mut()[(r, c)] = orig - eps;
-            let fm = objective(&layer, &x);
-            layer.w2.value_mut()[(r, c)] = orig;
-            let num = (fp - fm) / (2.0 * eps);
-            assert!(
-                (num - ana).abs() < 5e-2 * (1.0 + num.abs()),
-                "dw2({r},{c}): numeric {num}, analytic {ana}"
-            );
-        }
-        for &(r, c) in &[(1usize, 0usize), (4, 2)] {
-            let ana = layer.router.weight().grad()[(r, c)];
-            let orig = layer.router.weight().value()[(r, c)];
-            layer.router.weight_mut().value_mut()[(r, c)] = orig + eps;
-            let routing_p = layer.router().forward(&x).expert_indices.clone();
-            let fp = objective(&layer, &x);
-            layer.router.weight_mut().value_mut()[(r, c)] = orig - eps;
-            let routing_m = layer.router().forward(&x).expert_indices.clone();
-            let fm = objective(&layer, &x);
-            layer.router.weight_mut().value_mut()[(r, c)] = orig;
-            if routing_p != base_assignment || routing_m != base_assignment {
-                continue;
-            }
-            let num = (fp - fm) / (2.0 * eps);
-            assert!(
-                (num - ana).abs() < 5e-2 * (1.0 + num.abs()),
-                "d_router({r},{c}): numeric {num}, analytic {ana}"
-            );
         }
     }
 

@@ -6,42 +6,26 @@
 //!
 //! The paper conjectures that improved routing algorithms *complement*
 //! block-sparse expert computation; this module demonstrates it: the
-//! expert-choice layer reuses the same topology/SDD/DSD machinery as
-//! [`crate::DroplessMoe`], only the assignment logic changes.
+//! layer is a policy over the crate's one expert pipeline
+//! ([`crate::experts`]). Every (token, expert) pair is an assignment —
+//! `top_k = num_experts`, assignment `t * num_experts + e` weighted by
+//! `probs[(t, e)]` — and the pairs no expert picked have no row.
 
-use megablocks_sparse::{ops, BlockSparseMatrix, Topology};
-use megablocks_tensor::ops::{gelu_grad_mul, gelu_scalar, softmax_rows, softmax_rows_backward};
+use megablocks_sparse::Topology;
+use megablocks_tensor::ops::{softmax_rows, softmax_rows_backward};
 use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
 use rand::rngs::StdRng;
 
-use crate::{MoeConfig, MoeStats, Param};
-
-/// One expert-choice assignment: expert `expert` picked token `token`
-/// with router probability `weight`, placing it at `slot` in the expert's
-/// buffer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExpertChoiceAssignment {
-    /// The selected token.
-    pub token: usize,
-    /// The selecting expert.
-    pub expert: usize,
-    /// Buffer slot within the expert (0..capacity).
-    pub slot: usize,
-    /// Router probability of the (token, expert) pair.
-    pub weight: f32,
-}
+use crate::experts::{self, ExpertCache, Retain};
+use crate::router::top_k_indices;
+use crate::{MoeConfig, MoeStats, Param, PermuteInfo};
 
 /// Forward cache for [`ExpertChoiceMoe::backward`].
 #[derive(Debug, Clone)]
 pub struct ExpertChoiceCache {
     x: Matrix,
     probs: Matrix,
-    assignments: Vec<ExpertChoiceAssignment>,
-    padded_capacity: usize,
-    xg: Matrix,
-    h_pre: BlockSparseMatrix,
-    h_act: BlockSparseMatrix,
-    y: Matrix,
+    experts: ExpertCache,
 }
 
 /// Result of [`ExpertChoiceMoe::forward`].
@@ -111,87 +95,59 @@ impl ExpertChoiceMoe {
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols() != hidden_size`.
+    /// Panics if `x.cols() != hidden_size`, or if a kernel launch fails
+    /// (including a tripped ambient cancellation context).
     pub fn forward(&self, x: &Matrix) -> ExpertChoiceOutput {
-        assert_eq!(
-            x.cols(),
-            self.cfg.hidden_size,
-            "input feature size mismatch"
-        );
+        let cfg = &self.cfg;
+        assert_eq!(x.cols(), cfg.hidden_size, "input feature size mismatch");
         let num_tokens = x.rows();
-        let e = self.cfg.num_experts;
+        let e = cfg.num_experts;
         let capacity = self.capacity(num_tokens);
-        let bs = self.cfg.block_size;
-        let padded_capacity = bs.round_up(capacity);
 
         // Scores: per-token softmax over experts, then each expert picks
         // its top-capacity tokens down its probability column.
-        let logits = matmul(x, self.router_weight.value());
-        let probs = softmax_rows(&logits);
-        let mut assignments = Vec::with_capacity(e * capacity);
-        for expert in 0..e {
-            let mut order: Vec<usize> = (0..num_tokens).collect();
-            order.sort_by(|&a, &b| {
-                probs[(b, expert)]
-                    .partial_cmp(&probs[(a, expert)])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            for (slot, &token) in order.iter().take(capacity).enumerate() {
-                assignments.push(ExpertChoiceAssignment {
-                    token,
-                    expert,
-                    slot,
-                    weight: probs[(token, expert)],
-                });
-            }
-        }
+        let probs = softmax_rows(&matmul(x, self.router_weight.value()));
+        let kept = select(&probs, capacity);
+        let unpicked = kept.chunks(e).filter(|k| !k.contains(&true)).count();
 
-        // Every expert has exactly `padded_capacity` rows: a *uniform*
+        // Every expert has exactly `round_up(capacity)` rows: a *uniform*
         // block-diagonal topology.
-        let topology = Topology::for_moe(&vec![padded_capacity; e], self.cfg.ffn_hidden_size, bs)
-            .expect("aligned by construction");
+        let expert_indices: Vec<usize> = (0..num_tokens * e).map(|a| a % e).collect();
+        let permute = PermuteInfo::with_uniform_rows(
+            &expert_indices,
+            e,
+            e,
+            &kept,
+            cfg.block_size.round_up(capacity),
+        );
+        let topology = Topology::for_moe(
+            permute.padded_tokens_per_expert(),
+            cfg.ffn_hidden_size,
+            cfg.block_size,
+        )
+        .expect("aligned by construction");
+        let (output, experts) = experts::forward(
+            x,
+            self.w1.value(),
+            self.w2.value(),
+            &topology,
+            permute,
+            probs.as_slice(),
+            Retain::ForBackward,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        let experts = experts.expect("a ForBackward pass keeps its cache");
 
-        // Gather into expert-major order.
-        let mut xg = Matrix::zeros(e * padded_capacity, self.cfg.hidden_size);
-        for a in &assignments {
-            xg.row_mut(a.expert * padded_capacity + a.slot)
-                .copy_from_slice(x.row(a.token));
-        }
-
-        let h_pre = ops::sdd(&xg, self.w1.value(), &topology);
-        let h_act = h_pre.map(gelu_scalar);
-        let y = ops::dsd(&h_act, self.w2.value());
-
-        // Scatter back with probability weighting; tokens picked by
-        // multiple experts sum their contributions.
-        let mut output = Matrix::zeros(num_tokens, self.cfg.hidden_size);
-        let mut picked = vec![false; num_tokens];
-        for a in &assignments {
-            picked[a.token] = true;
-            let src = y.row(a.expert * padded_capacity + a.slot);
-            let dst = output.row_mut(a.token);
-            for (o, s) in dst.iter_mut().zip(src) {
-                *o += a.weight * s;
-            }
-        }
-        let unpicked = picked.iter().filter(|&&p| !p).count();
-
-        let mut tokens_per_expert = vec![0usize; e];
-        for a in &assignments {
-            tokens_per_expert[a.expert] += 1;
-        }
+        // Expert choice processes exactly what each expert picked.
+        let permute = &experts.permute;
+        let picked = permute.kept_per_expert().to_vec();
         let stats = MoeStats {
             dropped_tokens: unpicked,
-            padding_rows: e * padded_capacity - assignments.len(),
+            padding_rows: permute.padding_rows(),
             load_balancing_loss: 0.0, // balance is guaranteed; no aux loss
-            padding_overhead: MoeStats::overhead(
-                e * padded_capacity - assignments.len(),
-                assignments.len(),
-            ),
-            // Expert choice processes exactly what each expert picked.
-            expert_load: tokens_per_expert.clone(),
-            tokens_per_expert,
+            padding_overhead: MoeStats::overhead(permute.padding_rows(), picked.iter().sum()),
+            expert_load: picked.clone(),
+            tokens_per_expert: picked,
         };
         crate::record_moe_stats(&stats);
         ExpertChoiceOutput {
@@ -200,12 +156,7 @@ impl ExpertChoiceMoe {
             cache: ExpertChoiceCache {
                 x: x.clone(),
                 probs,
-                assignments,
-                padded_capacity,
-                xg,
-                h_pre,
-                h_act,
-                y,
+                experts,
             },
         }
     }
@@ -217,47 +168,17 @@ impl ExpertChoiceMoe {
     ///
     /// Panics if `d_out` does not match the forward output shape.
     pub fn backward(&mut self, cache: &ExpertChoiceCache, d_out: &Matrix) -> Matrix {
-        let hidden = self.cfg.hidden_size;
-        assert_eq!(
-            d_out.shape(),
-            (cache.x.rows(), hidden),
-            "d_out shape mismatch"
+        // One weight per (token, expert) pair, so the weight gradient is
+        // the probability gradient, row-major.
+        let (mut dx, d_probs) = experts::backward(
+            &mut self.w1,
+            &mut self.w2,
+            &cache.experts,
+            cache.probs.as_slice(),
+            d_out,
         );
-        let pc = cache.padded_capacity;
-
-        // Un-permutation backward: per-assignment expert-output grads and
-        // router probability grads.
-        let mut dy = Matrix::zeros(cache.y.rows(), hidden);
-        let mut d_probs = Matrix::zeros(cache.probs.rows(), cache.probs.cols());
-        for a in &cache.assignments {
-            let row = a.expert * pc + a.slot;
-            let d_row = d_out.row(a.token);
-            let y_row = cache.y.row(row);
-            d_probs[(a.token, a.expert)] +=
-                d_row.iter().zip(y_row).map(|(d, v)| d * v).sum::<f32>();
-            let dst = dy.row_mut(row);
-            for (o, d) in dst.iter_mut().zip(d_row) {
-                *o = a.weight * d;
-            }
-        }
-
-        // Expert MLP backward through the sparse kernels.
-        let dh_act = ops::sdd_t(&dy, self.w2.value(), cache.h_pre.topology());
-        self.w2.accumulate(&ops::dst_d(&cache.h_act, &dy));
-        let mut dh = dh_act;
-        gelu_grad_mul(dh.as_mut_slice(), cache.h_pre.as_slice());
-        let dxg = ops::dsd_t(&dh, self.w1.value());
-        self.w1.accumulate(&ops::ddt_s(&cache.xg, &dh));
-
-        // Gather backward.
-        let mut dx = Matrix::zeros(cache.x.rows(), hidden);
-        for a in &cache.assignments {
-            let src = dxg.row(a.expert * pc + a.slot);
-            let dst = dx.row_mut(a.token);
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
+        let d_probs = Matrix::from_vec(cache.probs.rows(), cache.probs.cols(), d_probs)
+            .expect("one weight gradient per (token, expert) pair");
 
         // Router backward through the softmax (selection treated as
         // non-differentiable, like top-k in token-choice routing).
@@ -269,16 +190,41 @@ impl ExpertChoiceMoe {
     }
 }
 
+/// Which (token, expert) pairs are kept, row-major: each expert picks its
+/// `capacity` most probable tokens.
+fn select(probs: &Matrix, capacity: usize) -> Vec<bool> {
+    let (num_tokens, e) = probs.shape();
+    let mut kept = vec![false; num_tokens * e];
+    for expert in 0..e {
+        let column: Vec<f32> = (0..num_tokens).map(|t| probs[(t, expert)]).collect();
+        for token in top_k_indices(&column, capacity) {
+            kept[token * e + expert] = true;
+        }
+    }
+    kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use megablocks_tensor::init::seeded_rng;
+    use megablocks_tensor::ops::gelu_scalar;
 
     fn layer(seed: u64) -> (ExpertChoiceMoe, StdRng) {
         let cfg = MoeConfig::new(6, 8, 3).with_block_size(4);
         let mut rng = seeded_rng(seed);
         let l = ExpertChoiceMoe::new(cfg, &mut rng);
         (l, rng)
+    }
+
+    /// The (token, expert) pairs the forward pass kept.
+    fn picks(out: &ExpertChoiceOutput) -> Vec<(usize, usize)> {
+        let e = out.cache.probs.cols();
+        let permute = &out.cache.experts.permute;
+        (0..permute.num_assignments())
+            .filter(|&a| permute.row_of(a).is_some())
+            .map(|a| (a / e, a % e))
+            .collect()
     }
 
     #[test]
@@ -300,8 +246,8 @@ mod tests {
         let x = init::normal(24, 6, 1.0, &mut rng);
         let out = l.forward(&x);
         let mut picked = [false; 24];
-        for a in &out.cache.assignments {
-            picked[a.token] = true;
+        for (token, _) in picks(&out) {
+            picked[token] = true;
         }
         assert_eq!(
             out.stats.dropped_tokens,
@@ -323,7 +269,7 @@ mod tests {
         let l = ExpertChoiceMoe::new(cfg, &mut rng);
         let x = init::normal(5, 6, 1.0, &mut rng);
         let out = l.forward(&x);
-        assert_eq!(out.cache.assignments.len(), 3 * 5);
+        assert_eq!(picks(&out).len(), 3 * 5);
         assert_eq!(out.stats.dropped_tokens, 0);
     }
 
@@ -334,21 +280,21 @@ mod tests {
         let out = l.forward(&x);
         let ffn = 8;
         let mut want = Matrix::zeros(12, 6);
-        for a in &out.cache.assignments {
+        for (token, expert) in picks(&out) {
             let mut h = vec![0.0f32; ffn];
             for (j, hv) in h.iter_mut().enumerate() {
                 let mut acc = 0.0;
                 for p in 0..6 {
-                    acc += x[(a.token, p)] * l.w1.value()[(p, a.expert * ffn + j)];
+                    acc += x[(token, p)] * l.w1.value()[(p, expert * ffn + j)];
                 }
                 *hv = gelu_scalar(acc);
             }
             for q in 0..6 {
                 let mut acc = 0.0;
                 for (j, hv) in h.iter().enumerate() {
-                    acc += hv * l.w2.value()[(a.expert * ffn + j, q)];
+                    acc += hv * l.w2.value()[(expert * ffn + j, q)];
                 }
-                want[(a.token, q)] += a.weight * acc;
+                want[(token, q)] += out.cache.probs[(token, expert)] * acc;
             }
         }
         assert!(
@@ -359,73 +305,22 @@ mod tests {
     }
 
     #[test]
-    fn backward_weight_grads_match_finite_difference() {
-        let (mut l, mut rng) = layer(5);
-        let x = init::normal(9, 6, 0.7, &mut rng);
-        let w = init::normal(9, 6, 0.5, &mut rng);
-        let objective = |l: &ExpertChoiceMoe, x: &Matrix| -> f32 {
-            let out = l.forward(x);
-            out.output
-                .as_slice()
-                .iter()
-                .zip(w.as_slice())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
-        let out = l.forward(&x);
-        let base_sel: Vec<(usize, usize)> = out
-            .cache
-            .assignments
-            .iter()
-            .map(|a| (a.token, a.expert))
-            .collect();
-        let _ = l.backward(&out.cache, &w);
-        let eps = 2e-3;
-        for &(r, c) in &[(0usize, 2usize), (3, 11), (5, 20)] {
-            let ana = l.w1.grad()[(r, c)];
-            let orig = l.w1.value()[(r, c)];
-            l.w1.value_mut()[(r, c)] = orig + eps;
-            let fp = objective(&l, &x);
-            l.w1.value_mut()[(r, c)] = orig - eps;
-            let fm = objective(&l, &x);
-            l.w1.value_mut()[(r, c)] = orig;
-            let num = (fp - fm) / (2.0 * eps);
-            assert!(
-                (num - ana).abs() < 5e-2 * (1.0 + num.abs()),
-                "dw1({r},{c}): numeric {num}, analytic {ana}"
-            );
-        }
-        // Router gradient check on a selection-stable perturbation.
-        for &(r, c) in &[(1usize, 0usize), (4, 2)] {
-            let ana = l.router_weight.grad()[(r, c)];
-            let orig = l.router_weight.value()[(r, c)];
-            l.router_weight.value_mut()[(r, c)] = orig + eps;
-            let sel_p: Vec<(usize, usize)> = l
-                .forward(&x)
-                .cache
-                .assignments
-                .iter()
-                .map(|a| (a.token, a.expert))
-                .collect();
-            let fp = objective(&l, &x);
-            l.router_weight.value_mut()[(r, c)] = orig - eps;
-            let sel_m: Vec<(usize, usize)> = l
-                .forward(&x)
-                .cache
-                .assignments
-                .iter()
-                .map(|a| (a.token, a.expert))
-                .collect();
-            let fm = objective(&l, &x);
-            l.router_weight.value_mut()[(r, c)] = orig;
-            if sel_p != base_sel || sel_m != base_sel {
-                continue; // selection flipped; finite diff invalid
+    fn nan_rows_at_512_tokens_select_without_panicking() {
+        // Each expert sorts `num_tokens` probabilities; a poisoned layer
+        // below makes whole rows NaN. (The selection alone: in a debug
+        // build the kernels' own NaN sweep would stop the layer next.)
+        let probs = Matrix::from_fn(512, 3, |t, e| {
+            if t % 3 == 0 {
+                f32::NAN
+            } else {
+                ((t * 3 + e) % 7) as f32 / 7.0
             }
-            let num = (fp - fm) / (2.0 * eps);
-            assert!(
-                (num - ana).abs() < 6e-2 * (1.0 + num.abs()),
-                "d_router({r},{c}): numeric {num}, analytic {ana}"
-            );
+        });
+        let kept = select(&probs, 171);
+        assert_eq!(kept.len(), 512 * 3);
+        for expert in 0..3 {
+            let picked = kept.iter().skip(expert).step_by(3).filter(|&&k| k).count();
+            assert_eq!(picked, 171, "expert {expert}");
         }
     }
 }

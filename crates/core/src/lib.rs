@@ -9,12 +9,20 @@
 //!   paper trains with (§2.2).
 //! * [`PermuteInfo`], [`padded_gather`], [`padded_scatter`] — permutation
 //!   that groups tokens by expert and pads each group to a multiple of the
-//!   block size, fused exactly like the custom kernels of §5.2.
-//! * [`DroplessMoe`] — the paper's dMoE layer: expert computation as
-//!   SDD/DSD block-sparse products over a per-step topology (Figure 6).
+//!   block size, fused exactly like the custom kernels of §5.2. An
+//!   assignment may be dropped: it then has no row.
+//! * One expert pipeline (`experts`, crate-private): gather → SDD → GeLU →
+//!   DSD → scatter and its backward. Every MoE layer below decides only
+//!   *who goes where* — a [`PermuteInfo`] and a block-diagonal topology —
+//!   and runs it (Figure 3: a capacity-padded batched matmul is the same
+//!   product with equal blocks).
+//! * [`DroplessMoe`] — the paper's dMoE layer (Figure 6): every assignment
+//!   kept, each expert padded to the next block.
 //! * [`DroppingMoe`] — the token-dropping baseline (GShard/Switch/Tutel
-//!   formulation, §2–3) computed with batched matrix multiplication,
-//!   including Tutel's dynamic capacity factor.
+//!   formulation, §2–3): experts fill to a capacity in token order, the
+//!   rest drop; including Tutel's dynamic capacity factor.
+//! * [`VariableDroplessMoe`], [`ExpertChoiceMoe`] — variable-width
+//!   experts (§4.1) and expert-choice routing (§7) as two more policies.
 //! * [`DenseFfn`] — the dense FFN layer a standard Transformer uses, for
 //!   the Megatron-LM baseline.
 //!
@@ -40,6 +48,7 @@ mod config;
 mod dmoe;
 mod dropping;
 mod expert_choice;
+mod experts;
 mod ffn;
 pub mod health;
 mod loss;
@@ -47,15 +56,13 @@ mod parallel;
 mod param;
 mod permute;
 mod router;
-mod sinkhorn;
 mod variable;
 
 pub use config::{CapacityFactor, MoeConfig};
 pub use dmoe::{DmoeCache, DmoeOutput, DroplessMoe};
 pub use dropping::{DroppingMoe, DroppingMoeCache, DroppingMoeOutput};
-pub use expert_choice::{
-    ExpertChoiceAssignment, ExpertChoiceCache, ExpertChoiceMoe, ExpertChoiceOutput,
-};
+pub use expert_choice::{ExpertChoiceCache, ExpertChoiceMoe, ExpertChoiceOutput};
+pub use experts::{MoeCache, MoeOutput};
 pub use ffn::{DenseFfn, FfnCache};
 pub use loss::{load_balancing_loss, LoadBalance};
 pub use parallel::{
@@ -67,7 +74,6 @@ pub use permute::{
     padded_gather, padded_gather_backward, padded_scatter, padded_scatter_backward, PermuteInfo,
 };
 pub use router::{Router, Routing};
-pub use sinkhorn::{load_imbalance, SinkhornRouter};
 pub use variable::{VariableDmoeCache, VariableDmoeOutput, VariableDroplessMoe, VariableMoeConfig};
 
 use megablocks_telemetry as telemetry;
@@ -123,6 +129,18 @@ pub fn count_entropy(counts: &[usize]) -> f32 {
         }
     }
     h
+}
+
+/// Max-over-mean load imbalance of an assignment histogram (1.0 =
+/// perfectly balanced).
+pub fn load_imbalance(tokens_per_expert: &[usize]) -> f64 {
+    let total: usize = tokens_per_expert.iter().sum();
+    if total == 0 || tokens_per_expert.is_empty() {
+        return 1.0;
+    }
+    let mean = total as f64 / tokens_per_expert.len() as f64;
+    let max = *tokens_per_expert.iter().max().expect("nonempty") as f64;
+    max / mean
 }
 
 /// Records one forward pass's [`MoeStats`] into the global telemetry

@@ -44,7 +44,7 @@ use megablocks_sparse::Topology;
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::Matrix;
 
-use crate::dmoe::{expert_mlp, Retain};
+use crate::experts::{expert_mlp, Retain};
 use crate::{padded_gather, padded_scatter, DroplessMoe, PermuteInfo, Routing};
 
 /// The materialized all-to-all exchange of one expert-parallel layer

@@ -29,7 +29,10 @@ pub struct PermuteInfo {
     num_tokens: usize,
     top_k: usize,
     tokens_per_expert: Vec<usize>,
+    kept_per_expert: Vec<usize>,
     padded_tokens_per_expert: Vec<usize>,
+    /// Destination row of each assignment, or [`NO_ROW`] for a dropped
+    /// one.
     assignment_row: Vec<usize>,
     /// Inverse of `assignment_row`: the assignment landing on each padded
     /// row, or [`PAD_ROW`] for pure padding rows. Lets gather-style
@@ -41,6 +44,10 @@ pub struct PermuteInfo {
 /// Marker in [`PermuteInfo::assignment_of_row`] for padding rows (no
 /// assignment writes there).
 const PAD_ROW: usize = usize::MAX;
+
+/// Marker in [`PermuteInfo::assignment_row`] for a dropped assignment: it
+/// has no row, so every permutation kernel skips it.
+const NO_ROW: usize = usize::MAX;
 
 /// Elements moved below this stay single-banded: a permutation kernel is
 /// pure memory traffic, so small copies never amortize a pooled launch.
@@ -60,8 +67,7 @@ impl PermuteInfo {
 
     /// Builds permutation metadata with an arbitrary row alignment.
     ///
-    /// `alignment = 1` produces an unpadded grouping (useful for the
-    /// dropping baseline's bookkeeping and for tests).
+    /// `alignment = 1` produces an unpadded grouping (useful for tests).
     ///
     /// # Panics
     ///
@@ -74,6 +80,48 @@ impl PermuteInfo {
         alignment: usize,
     ) -> Self {
         assert!(alignment > 0, "alignment must be nonzero");
+        Self::build(expert_indices, num_experts, top_k, None, |load| {
+            load.div_ceil(alignment) * alignment
+        })
+    }
+
+    /// Builds permutation metadata for capacity-style layouts (Figure
+    /// 3A/3B): every expert owns exactly `rows_per_expert` rows, and only
+    /// the assignments `kept` marks get one, filled in token order. The
+    /// others are dropped: they have no row, contribute nothing to the
+    /// scatter and receive no gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kept` is not one flag per assignment, if an expert keeps
+    /// more than `rows_per_expert` assignments, or on anything
+    /// [`PermuteInfo::with_alignment`] rejects.
+    pub(crate) fn with_uniform_rows(
+        expert_indices: &[usize],
+        num_experts: usize,
+        top_k: usize,
+        kept: &[bool],
+        rows_per_expert: usize,
+    ) -> Self {
+        assert_eq!(
+            kept.len(),
+            expert_indices.len(),
+            "one kept flag per assignment required"
+        );
+        Self::build(expert_indices, num_experts, top_k, Some(kept), |_| {
+            rows_per_expert
+        })
+    }
+
+    /// `kept = None` keeps every assignment; `rows` maps an expert's load
+    /// to its row count.
+    fn build(
+        expert_indices: &[usize],
+        num_experts: usize,
+        top_k: usize,
+        kept: Option<&[bool]>,
+        rows: impl Fn(usize) -> usize,
+    ) -> Self {
         assert!(top_k > 0, "top_k must be nonzero");
         let _span = telemetry::span("moe.permute_build");
         assert!(
@@ -89,10 +137,8 @@ impl PermuteInfo {
             assert!(e < num_experts, "expert index {e} out of range");
             tokens_per_expert[e] += 1;
         }
-        let padded_tokens_per_expert: Vec<usize> = tokens_per_expert
-            .iter()
-            .map(|&c| c.div_ceil(alignment) * alignment)
-            .collect();
+        let padded_tokens_per_expert: Vec<usize> =
+            tokens_per_expert.iter().map(|&c| rows(c)).collect();
 
         let mut offsets = vec![0usize; num_experts];
         let mut acc = 0usize;
@@ -103,24 +149,36 @@ impl PermuteInfo {
         let padded_rows = acc;
 
         // Stable grouping: assignments keep token order within each expert.
-        let mut fill = vec![0usize; num_experts];
+        let mut kept_per_expert = vec![0usize; num_experts];
         let assignment_row: Vec<usize> = expert_indices
             .iter()
-            .map(|&e| {
-                let row = offsets[e] + fill[e];
-                fill[e] += 1;
+            .enumerate()
+            .map(|(a, &e)| {
+                if kept.is_some_and(|kept| !kept[a]) {
+                    return NO_ROW;
+                }
+                assert!(
+                    kept_per_expert[e] < padded_tokens_per_expert[e],
+                    "expert {e} keeps more assignments than its {} rows",
+                    padded_tokens_per_expert[e]
+                );
+                let row = offsets[e] + kept_per_expert[e];
+                kept_per_expert[e] += 1;
                 row
             })
             .collect();
         let mut assignment_of_row = vec![PAD_ROW; padded_rows];
         for (a, &row) in assignment_row.iter().enumerate() {
-            assignment_of_row[row] = a;
+            if row != NO_ROW {
+                assignment_of_row[row] = a;
+            }
         }
 
         let info = Self {
             num_tokens,
             top_k,
             tokens_per_expert,
+            kept_per_expert,
             padded_tokens_per_expert,
             assignment_row,
             assignment_of_row,
@@ -140,12 +198,18 @@ impl PermuteInfo {
         self.top_k
     }
 
-    /// Unpadded per-expert assignment counts.
+    /// Per-expert assignment counts, before dropping and padding.
     pub fn tokens_per_expert(&self) -> &[usize] {
         &self.tokens_per_expert
     }
 
-    /// Per-expert counts after padding to the alignment.
+    /// Per-expert counts of the assignments that have a row.
+    pub(crate) fn kept_per_expert(&self) -> &[usize] {
+        &self.kept_per_expert
+    }
+
+    /// Rows each expert owns: its load padded to the alignment, or the
+    /// given uniform count.
     pub fn padded_tokens_per_expert(&self) -> &[usize] {
         &self.padded_tokens_per_expert
     }
@@ -155,18 +219,20 @@ impl PermuteInfo {
         self.padded_rows
     }
 
-    /// Rows of pure padding in the permuted matrix.
+    /// Rows of the permuted matrix without a kept assignment.
     pub fn padding_rows(&self) -> usize {
-        self.padded_rows - self.assignment_row.len()
+        self.padded_rows - self.kept_per_expert.iter().sum::<usize>()
     }
 
-    /// Destination row of assignment `a` in the permuted matrix.
+    /// Destination row of assignment `a` in the permuted matrix, `None`
+    /// if it was dropped.
     ///
     /// # Panics
     ///
     /// Panics if `a` is out of range.
-    pub fn row_of(&self, a: usize) -> usize {
-        self.assignment_row[a]
+    pub fn row_of(&self, a: usize) -> Option<usize> {
+        let row = self.assignment_row[a];
+        (row != NO_ROW).then_some(row)
     }
 
     /// Source token of assignment `a`.
@@ -180,16 +246,19 @@ impl PermuteInfo {
     }
 }
 
-/// Checks that the assignment-to-row map is injective into the padded row
-/// range — every gather/scatter write target is distinct, so the permutation
-/// kernels are race-free even if parallelized over assignments. Runs in
-/// debug builds only.
+/// Checks that the map from kept assignments to rows is injective into the
+/// padded row range — every gather/scatter write target is distinct, so the
+/// permutation kernels are race-free even if parallelized over assignments.
+/// Runs in debug builds only.
 fn sanitize_permutation(info: &PermuteInfo) {
     if !cfg!(debug_assertions) {
         return;
     }
     let mut seen = vec![false; info.padded_rows];
     for (a, &row) in info.assignment_row.iter().enumerate() {
+        if row == NO_ROW {
+            continue;
+        }
         assert!(
             row < info.padded_rows,
             "sanitize: assignment {a} maps to row {row} >= padded_rows {}",
@@ -271,8 +340,10 @@ pub fn padded_gather_backward(d_gathered: &Matrix, info: &PermuteInfo) -> Matrix
     let body = |band: &mut [f32], t0: usize| {
         for (i, dst) in band.chunks_mut(cols).enumerate() {
             for k in 0..top_k {
-                let src = d_gathered.row(info.row_of((t0 + i) * top_k + k));
-                for (d, s) in dst.iter_mut().zip(src) {
+                let Some(row) = info.row_of((t0 + i) * top_k + k) else {
+                    continue;
+                };
+                for (d, s) in dst.iter_mut().zip(d_gathered.row(row)) {
                     *d += s;
                 }
             }
@@ -322,9 +393,9 @@ pub fn padded_scatter(y: &Matrix, info: &PermuteInfo, weights: &[f32]) -> Matrix
         for (i, dst) in band.chunks_mut(cols).enumerate() {
             for k in 0..top_k {
                 let a = (t0 + i) * top_k + k;
+                let Some(row) = info.row_of(a) else { continue };
                 let w = weights[a];
-                let src = y.row(info.row_of(a));
-                for (d, s) in dst.iter_mut().zip(src) {
+                for (d, s) in dst.iter_mut().zip(y.row(row)) {
                     *d += w * s;
                 }
             }
@@ -406,9 +477,9 @@ pub fn padded_scatter_backward(
         let body = |band: &mut [f32], a0: usize| {
             for (i, dw) in band.iter_mut().enumerate() {
                 let a = a0 + i;
+                let Some(row) = info.row_of(a) else { continue };
                 let d_row = d_out.row(info.token_of(a));
-                let y_row = y.row(info.row_of(a));
-                *dw = d_row.iter().zip(y_row).map(|(d, v)| d * v).sum();
+                *dw = d_row.iter().zip(y.row(row)).map(|(d, v)| d * v).sum();
             }
         };
         exec::LaunchPlan::over_items(
@@ -431,6 +502,10 @@ mod tests {
         PermuteInfo::with_alignment(indices, experts, top_k, align)
     }
 
+    fn row(p: &PermuteInfo, a: usize) -> usize {
+        p.row_of(a).expect("assignment is kept")
+    }
+
     #[test]
     fn grouping_is_stable_and_padded() {
         // tokens 0..5 routed: [1, 0, 1, 1, 0] with alignment 2.
@@ -440,12 +515,12 @@ mod tests {
         assert_eq!(p.padded_rows(), 6);
         assert_eq!(p.padding_rows(), 1);
         // expert 0 occupies rows 0..2: tokens 1 then 4 (stable order)
-        assert_eq!(p.row_of(1), 0);
-        assert_eq!(p.row_of(4), 1);
+        assert_eq!(p.row_of(1), Some(0));
+        assert_eq!(p.row_of(4), Some(1));
         // expert 1 occupies rows 2..6: tokens 0, 2, 3
-        assert_eq!(p.row_of(0), 2);
-        assert_eq!(p.row_of(2), 3);
-        assert_eq!(p.row_of(3), 4);
+        assert_eq!(p.row_of(0), Some(2));
+        assert_eq!(p.row_of(2), Some(3));
+        assert_eq!(p.row_of(3), Some(4));
     }
 
     #[test]
@@ -478,7 +553,7 @@ mod tests {
         let p = info(&[0, 1, 1, 0], 2, 2, 1);
         let mut y = Matrix::zeros(4, 1);
         for a in 0..4 {
-            y[(p.row_of(a), 0)] = (a + 1) as f32; // assignment a produced value a+1
+            y[(row(&p, a), 0)] = (a + 1) as f32; // assignment a produced value a+1
         }
         let out = padded_scatter(&y, &p, &[0.5, 0.25, 1.0, 2.0]);
         // token 0 = 0.5 * 1 + 0.25 * 2 = 1.0; token 1 = 1.0 * 3 + 2.0 * 4 = 11.0
@@ -509,10 +584,50 @@ mod tests {
         let dx = padded_gather_backward(&d_g, &p);
         assert_eq!(dx.rows(), 2);
         // token 0's assignments land at rows row_of(0), row_of(1).
-        let want0 = d_g[(p.row_of(0), 0)] + d_g[(p.row_of(1), 0)];
-        let want1 = d_g[(p.row_of(2), 0)] + d_g[(p.row_of(3), 0)];
+        let want0 = d_g[(row(&p, 0), 0)] + d_g[(row(&p, 1), 0)];
+        let want1 = d_g[(row(&p, 2), 0)] + d_g[(row(&p, 3), 0)];
         assert!((dx[(0, 0)] - want0).abs() < 1e-6);
         assert!((dx[(1, 0)] - want1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn dropped_assignments_have_no_row_and_every_kernel_skips_them() {
+        // 3 tokens, top_k = 2, two experts of 2 rows each; assignments 1
+        // and 4 are dropped.
+        let kept = [true, false, true, true, false, true];
+        let p = PermuteInfo::with_uniform_rows(&[0, 1, 1, 0, 0, 1], 2, 2, &kept, 2);
+        assert_eq!(p.tokens_per_expert(), &[3, 3]);
+        assert_eq!(p.kept_per_expert(), &[2, 2]);
+        assert_eq!(p.padded_tokens_per_expert(), &[2, 2]);
+        assert_eq!(p.padding_rows(), 0);
+        let rows: Vec<_> = (0..6).map(|a| p.row_of(a)).collect();
+        assert_eq!(
+            rows,
+            [Some(0), None, Some(2), Some(1), None, Some(3)],
+            "kept assignments fill their expert in token order"
+        );
+
+        let x = Matrix::from_fn(3, 2, |i, j| (10 * (i + 1) + j) as f32);
+        let g = padded_gather(&x, &p);
+        assert_eq!(
+            g.as_slice(),
+            &[10.0, 11.0, 20.0, 21.0, 20.0, 21.0, 30.0, 31.0]
+        );
+        let out = padded_scatter(&g, &p, &[1.0; 6]);
+        // Token 0 and token 2 each lost one of their two assignments.
+        assert_eq!(out.as_slice(), &[10.0, 11.0, 40.0, 42.0, 30.0, 31.0]);
+        let (dy, dw) = padded_scatter_backward(&x, &g, &p, &[1.0; 6]);
+        assert_eq!(dy.as_slice(), g.as_slice());
+        assert_eq!((dw[1], dw[4]), (0.0, 0.0));
+        assert!(dw[0] > 0.0 && dw[5] > 0.0);
+        let dx = padded_gather_backward(&g, &p);
+        assert_eq!(dx.as_slice(), out.as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps more assignments")]
+    fn overfull_expert_panics() {
+        let _ = PermuteInfo::with_uniform_rows(&[0, 0], 1, 1, &[true, true], 1);
     }
 
     #[test]

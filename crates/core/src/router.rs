@@ -179,14 +179,13 @@ impl Router {
 
 /// Indices of the `k` largest values of `row`, in descending value order
 /// (ties broken toward the lower index, matching a stable greedy argmax).
-fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
+/// `f32::total_cmp` keeps the comparator a total order when a poisoned
+/// layer below hands the router NaNs (each sorts to one end, by its sign
+/// bit), so the sort cannot panic before the trainer's non-finite rollback
+/// sees them.
+pub(crate) fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..row.len()).collect();
-    idx.sort_by(|&a, &b| {
-        row[b]
-            .partial_cmp(&row[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    idx.sort_by(|&a, &b| row[b].total_cmp(&row[a]).then(a.cmp(&b)));
     idx.truncate(k);
     idx
 }
@@ -202,6 +201,28 @@ mod tests {
         assert_eq!(top_k_indices(&[0.1, 0.5, 0.4], 2), vec![1, 2]);
         // Ties go to the lower index.
         assert_eq!(top_k_indices(&[0.3, 0.3, 0.3], 2), vec![0, 1]);
+    }
+
+    #[test]
+    fn nan_rows_at_64_experts_sort_without_panicking() {
+        // `partial_cmp(..).unwrap_or(Equal)` is not a total order once a
+        // value is NaN, and the standard sort aborts on that from 64
+        // values up. (The selection alone: in a debug build the GEMM's
+        // own NaN sweep stops `Router::forward` first.)
+        for sign in [1.0f32, -1.0] {
+            let row: Vec<f32> = (0..64)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        sign * f32::NAN
+                    } else {
+                        i as f32
+                    }
+                })
+                .collect();
+            let picked = top_k_indices(&row, 2);
+            assert_eq!(picked.len(), 2);
+            assert!(picked.iter().all(|&e| e < 64));
+        }
     }
 
     #[test]

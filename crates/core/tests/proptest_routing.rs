@@ -24,7 +24,8 @@ proptest! {
     fn permute_info_invariants((indices, experts, top_k) in routing_inputs(), align in 1usize..9) {
         let info = PermuteInfo::with_alignment(&indices, experts, top_k, align);
         // Every assignment row is unique and in range.
-        let mut rows: Vec<usize> = (0..info.num_assignments()).map(|a| info.row_of(a)).collect();
+        let row_of = |a| info.row_of(a).expect("every assignment is kept");
+        let mut rows: Vec<usize> = (0..info.num_assignments()).map(row_of).collect();
         rows.sort_unstable();
         rows.dedup();
         prop_assert_eq!(rows.len(), info.num_assignments(), "destination rows must be unique");
@@ -42,7 +43,7 @@ proptest! {
         for a in 1..info.num_assignments() {
             let (e_prev, e_cur) = (indices[a - 1], indices[a]);
             if e_prev == e_cur {
-                prop_assert!(info.row_of(a) > info.row_of(a - 1));
+                prop_assert!(row_of(a) > row_of(a - 1));
             }
         }
     }
@@ -74,7 +75,7 @@ proptest! {
         let (dy, dw) = padded_scatter_backward(&d_out, &y, &info, &weights);
         for a in 0..info.num_assignments() {
             let t = info.token_of(a);
-            let r = info.row_of(a);
+            let r = info.row_of(a).expect("every assignment is kept");
             let manual: f32 = (0..h).map(|j| d_out[(t, j)] * y[(r, j)]).sum();
             prop_assert!((dw[a] - manual).abs() < 1e-5);
             for j in 0..h {

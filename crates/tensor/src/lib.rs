@@ -12,10 +12,6 @@
 //!   a [`GemmMicrokernel`] backend trait with bit-identical `scalar` and
 //!   `tiled` implementations, selected by [`configure_kernel_backend`] or
 //!   the `MEGABLOCKS_KERNEL` environment variable.
-//! * [`BatchedMatrix`] and [`batched_matmul`] — the batched matrix
-//!   multiplication primitive that state-of-the-art MoE frameworks
-//!   (Tutel, Megatron-LM) map expert computation onto (paper §2.2,
-//!   Figure 3A).
 //! * [`ops`] — neural-network forward/backward primitives: softmax,
 //!   layer norm, GeLU, bias, cross-entropy.
 //! * [`init`] — deterministic weight initializers.
@@ -33,7 +29,6 @@
 
 #![deny(missing_docs)]
 
-mod batched;
 pub mod dropout;
 mod error;
 pub mod init;
@@ -44,7 +39,6 @@ pub mod ops;
 #[cfg(test)]
 mod testutil;
 
-pub use batched::{batched_matmul, BatchedMatrix};
 pub use error::ShapeError;
 pub use kernel::{
     block_gemm, configure_kernel_backend, kernel_backend, tiled_variant, Axis, GemmMicrokernel,

@@ -5,7 +5,7 @@ use megablocks_tensor::ops::{
     add_bias, bias_backward, cross_entropy, gelu, gelu_grad_mul, layer_norm, layer_norm_backward,
     relu, relu_backward, softmax_rows, softmax_rows_backward,
 };
-use megablocks_tensor::{batched_matmul, matmul, BatchedMatrix, Matrix};
+use megablocks_tensor::{matmul, Matrix};
 use proptest::prelude::*;
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -197,26 +197,6 @@ proptest! {
             for j in 0..4 {
                 prop_assert!((y[(i, j)] - x[(i, j)] - bias[j]).abs() < 1e-6);
             }
-        }
-    }
-
-    #[test]
-    fn batched_matmul_matches_loop(k in 1usize..6, batch in 1usize..5) {
-        let a = BatchedMatrix::from_matrices(
-            (0..batch)
-                .map(|b| Matrix::from_fn(3, k, |i, j| ((b * 7 + i * 3 + j) as f32).sin()))
-                .collect(),
-        )
-        .expect("uniform");
-        let b = BatchedMatrix::from_matrices(
-            (0..batch)
-                .map(|e| Matrix::from_fn(k, 4, |i, j| ((e + i * 2 + j) as f32).cos()))
-                .collect(),
-        )
-        .expect("uniform");
-        let c = batched_matmul(&a, &b);
-        for e in 0..batch {
-            prop_assert!(c.get(e).approx_eq(&matmul(a.get(e), b.get(e)), 1e-4));
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Integration tests for the beyond-the-paper extensions through the
-//! facade API: variable-sized experts, expert-choice routing, Sinkhorn
-//! routing, and the expert-parallel execution path.
+//! facade API: variable-sized experts, expert-choice routing, and the
+//! expert-parallel execution path.
 
 use megablocks::core::{
-    load_imbalance, try_expert_parallel_forward, DroplessMoe, ExpertChoiceMoe, MoeConfig, Router,
-    SinkhornRouter, VariableDroplessMoe, VariableMoeConfig,
+    load_imbalance, try_expert_parallel_forward, DroplessMoe, ExpertChoiceMoe, MoeConfig,
+    VariableDroplessMoe, VariableMoeConfig,
 };
 use megablocks::tensor::init::{normal, seeded_rng};
 
@@ -46,47 +46,6 @@ fn expert_choice_and_token_choice_route_differently() {
         "expert choice imbalance {ec_imb}"
     );
     assert!(tc_imb >= 1.0);
-}
-
-#[test]
-fn sinkhorn_router_plugs_into_the_dmoe_pipeline() {
-    // The Sinkhorn router emits the same Routing type as the learned
-    // router; use it to drive permutation metadata directly.
-    use megablocks::core::{padded_gather, padded_scatter, PermuteInfo};
-    use megablocks::sparse::BlockSize;
-
-    let mut rng = seeded_rng(4);
-    let router = SinkhornRouter::new(8, 4, 8, 1.0, &mut rng);
-    let x = normal(20, 8, 1.0, &mut rng);
-    let routing = router.forward(&x);
-    assert_eq!(routing.expert_indices.len(), 20);
-
-    let info = PermuteInfo::new(&routing, 4, BlockSize::new(4).unwrap());
-    let g = padded_gather(&x, &info);
-    let back = padded_scatter(&g, &info, &[1.0; 20]);
-    assert!(
-        back.approx_eq(&x, 1e-6),
-        "sinkhorn routing broke the permutation"
-    );
-}
-
-#[test]
-fn sinkhorn_balance_beats_greedy_on_equal_weights() {
-    let hidden = 12;
-    let experts = 6;
-    let mut r1 = seeded_rng(5);
-    let greedy = Router::new(hidden, experts, 1, &mut r1);
-    let mut r2 = seeded_rng(5);
-    let sink = SinkhornRouter::new(hidden, experts, 10, 0.7, &mut r2);
-    let mut rng = seeded_rng(6);
-    // Biased inputs provoke imbalance.
-    let mut x = normal(240, hidden, 1.0, &mut rng);
-    for i in 0..x.rows() {
-        x.row_mut(i)[0] += 1.5;
-    }
-    let gi = load_imbalance(&greedy.forward(&x).tokens_per_expert());
-    let si = load_imbalance(&sink.forward(&x).tokens_per_expert());
-    assert!(si <= gi, "sinkhorn {si} vs greedy {gi}");
 }
 
 #[test]

@@ -93,6 +93,15 @@ fn core_surface() {
     let _: fn(&Matrix, &PermuteInfo, &[f32]) -> Matrix = padded_scatter;
     let _: fn(&Matrix, &Matrix, &PermuteInfo, &[f32]) -> (Matrix, Vec<f32>) =
         padded_scatter_backward;
+    // What `benchmark/src/replay.rs` reads of the values it gets back.
+    let _: fn(&PermuteInfo) -> &[usize] = PermuteInfo::padded_tokens_per_expert;
+    let _: fn(&PermuteInfo) -> usize = PermuteInfo::padded_rows;
+    let _: fn(&PermuteInfo) -> usize = PermuteInfo::padding_rows;
+    let _: fn(&PermuteInfo) -> usize = PermuteInfo::num_assignments;
+    let _ = |r: Routing| -> Vec<f32> { r.weights };
+    let _ = |o: DmoeOutput| -> DmoeCache { o.cache };
+    let _ =
+        |o: DroppingMoeOutput| -> (DroppingMoeCache, usize) { (o.cache, o.stats.dropped_tokens) };
 
     let _: fn(usize, usize, usize) -> MoeConfig = MoeConfig::new;
     let _: fn(MoeConfig, usize) -> MoeConfig = MoeConfig::with_block_size;
