@@ -179,7 +179,7 @@ impl DroplessMoe {
             // assignment is kept, each expert padded to the next block.
             let permute = PermuteInfo::new(routing, cfg.num_experts, cfg.block_size);
             let topology = Topology::for_moe(
-                permute.padded_tokens_per_expert(),
+                permute.kept_per_expert(),
                 cfg.ffn_hidden_size,
                 cfg.block_size,
             )?;

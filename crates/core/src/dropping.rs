@@ -137,7 +137,8 @@ impl DroppingMoe {
                 permute.padded_tokens_per_expert(),
                 cfg.ffn_hidden_size,
                 cfg.block_size,
-            )?;
+            )?
+            .with_rows_valid(permute.rows_valid(cfg.block_size))?;
             Ok((permute, topology, cfg.num_experts * capacity))
         };
         let pass = experts::token_choice_forward(

@@ -125,6 +125,7 @@ impl ExpertChoiceMoe {
             cfg.ffn_hidden_size,
             cfg.block_size,
         )
+        .and_then(|t| t.with_rows_valid(permute.rows_valid(cfg.block_size)))
         .expect("aligned by construction");
         let (output, experts) = experts::forward(
             x,

@@ -459,7 +459,6 @@ struct EpPlan<'a> {
     layer: &'a DroplessMoe,
     routing: Routing,
     permute: PermuteInfo,
-    padded: Vec<usize>,
     offsets: Vec<usize>,
     shard_inputs: Vec<Matrix>,
     rows_per_shard: Vec<usize>,
@@ -490,7 +489,7 @@ impl<'a> EpPlan<'a> {
         let routing = layer.router().forward(x);
         let permute = PermuteInfo::new(&routing, cfg.num_experts, cfg.block_size);
         let xg = padded_gather(x, &permute);
-        let padded = permute.padded_tokens_per_expert().to_vec();
+        let padded = permute.padded_tokens_per_expert();
 
         // Dispatch all-to-all: each shard receives the contiguous row
         // range of its experts (the expert-major layout makes this a pure
@@ -511,7 +510,6 @@ impl<'a> EpPlan<'a> {
             layer,
             routing,
             permute,
-            padded,
             offsets,
             shard_inputs,
             rows_per_shard,
@@ -527,9 +525,9 @@ impl<'a> EpPlan<'a> {
     fn compute_shard(&self, s: usize) -> Matrix {
         let cfg = self.layer.config();
         let eps = self.experts_per_shard;
-        let local_padded = &self.padded[s * eps..(s + 1) * eps];
-        let topo = Topology::for_moe(local_padded, self.ffn, cfg.block_size)
-            .expect("padded counts are block-aligned");
+        let local_tokens = &self.permute.kept_per_expert()[s * eps..(s + 1) * eps];
+        let topo = Topology::for_moe(local_tokens, self.ffn, cfg.block_size)
+            .expect("ffn is block-aligned");
         let col0 = s * eps * self.ffn;
         let cols = eps * self.ffn;
         let w1_local = Matrix::from_fn(self.hidden, cols, |i, j| {

@@ -214,6 +214,14 @@ impl PermuteInfo {
         &self.padded_tokens_per_expert
     }
 
+    /// `Topology::rows_valid` of this layout: per block of rows, how many
+    /// hold an assignment (each expert's are a prefix of its rows).
+    pub(crate) fn rows_valid(&self, block_size: BlockSize) -> Vec<usize> {
+        let held = |block: &[usize]| block.iter().filter(|&&a| a != PAD_ROW).count();
+        let blocks = self.assignment_of_row.chunks(block_size.get());
+        blocks.map(held).collect()
+    }
+
     /// Total rows of the permuted (gathered) matrix.
     pub fn padded_rows(&self) -> usize {
         self.padded_rows

@@ -141,7 +141,8 @@ impl VariableDroplessMoe {
                 .map(|&t| t / bs)
                 .collect();
             let cols: Vec<usize> = cfg.ffn_sizes.iter().map(|&f| f / bs).collect();
-            let topology = Topology::block_diagonal(&rows, &cols, cfg.block_size)?;
+            let topology = Topology::block_diagonal(&rows, &cols, cfg.block_size)?
+                .with_rows_valid(permute.rows_valid(cfg.block_size))?;
             let slots = permute.padded_rows();
             Ok((permute, topology, slots))
         };

@@ -206,6 +206,28 @@ pub enum AuditError {
         /// Position in `transpose_indices` of the out-of-order entry.
         pos: usize,
     },
+    /// `rows_valid` must have exactly one entry per block row.
+    RowsValidLength {
+        /// `block_rows`.
+        expected: usize,
+        /// Actual length.
+        actual: usize,
+    },
+    /// A block row cannot hold more valid rows than the block size.
+    RowsValidOutOfRange {
+        /// The block row.
+        row: usize,
+        /// Its `rows_valid` entry.
+        valid: usize,
+    },
+    /// Down a block column the valid rows must be a prefix: no valid row
+    /// below a block row that is not full.
+    RowsValidHole {
+        /// The block column.
+        col: usize,
+        /// The block row holding valid rows below the hole.
+        row: usize,
+    },
     /// A kernel output contained a non-finite value (NaN/Inf poisoning).
     NonFinite {
         /// The kernel that produced the value.
@@ -328,6 +350,18 @@ impl fmt::Display for AuditError {
                 f,
                 "audit: transpose_indices rows not ascending within block column {col} (position {pos})"
             ),
+            AuditError::RowsValidLength { expected, actual } => write!(
+                f,
+                "audit: rows_valid has {actual} entries, expected {expected}"
+            ),
+            AuditError::RowsValidOutOfRange { row, valid } => write!(
+                f,
+                "audit: rows_valid[{row}] = {valid} exceeds the block size"
+            ),
+            AuditError::RowsValidHole { col, row } => write!(
+                f,
+                "audit: block row {row} holds valid rows below a non-full block row of block column {col}"
+            ),
             AuditError::NonFinite { op, index, kind } => write!(
                 f,
                 "audit: {op} produced {kind} at output index {index}"
@@ -377,6 +411,9 @@ impl Topology {
     ///    with `col_offsets` (position `p` in column `c`'s range names a
     ///    block in column `c`) and ascending in row within each column —
     ///    i.e. a correct column-major secondary index.
+    /// 6. `rows_valid` has one entry per block row, none above the block
+    ///    size, and down every block column the valid rows are a prefix —
+    ///    so a rectangle's real row extent is one `m` or `k`.
     ///
     /// Topologies built through the checked constructors always pass; this
     /// exists to catch in-memory corruption and to guard
@@ -514,6 +551,27 @@ impl Topology {
                 if prev >= next {
                     return Err(AuditError::TransposeRowsUnsorted { col: c, pos });
                 }
+            }
+        }
+
+        // (6) rows_valid: shape, bounds, prefix down every block column.
+        let bs = t.block_size.get();
+        let (expected, actual) = (t.block_rows, t.rows_valid.len());
+        if expected != actual {
+            return Err(AuditError::RowsValidLength { expected, actual });
+        }
+        if let Some(row) = t.rows_valid.iter().position(|&v| v > bs) {
+            let valid = t.rows_valid[row];
+            return Err(AuditError::RowsValidOutOfRange { row, valid });
+        }
+        for col in 0..t.block_cols {
+            let mut open = true;
+            for &slot in &t.transpose_indices[t.col_offsets[col]..t.col_offsets[col + 1]] {
+                let row = t.row_indices[slot];
+                if !open && t.rows_valid[row] > 0 {
+                    return Err(AuditError::RowsValidHole { col, row });
+                }
+                open &= t.rows_valid[row] == bs;
             }
         }
 
@@ -812,6 +870,7 @@ mod tests {
             t.row_indices.clone(),
             t.col_offsets.clone(),
             ti,
+            t.rows_valid.clone(),
         );
         assert!(bad.validate().is_err());
         // The partition proof still passes (it only needs a bijection) —

@@ -22,6 +22,10 @@
 //!   topology degrades to one call per block row (column) with an
 //!   `nnz_row * bs`-long gathered reduction. `kernel.calls` therefore
 //!   counts rectangles.
+//! * **Row-exact.** Rows past the topology's `rows_valid` are outside
+//!   the matrix (see [`Topology`]): a row run ends at its first non-full
+//!   block row and the kernel gets the tokens an expert holds — as `m`,
+//!   `n` or `k` — as do `sparse.flops`, the band count and the band cuts.
 //! * **Which way the topology is walked.** SDD, DSD with `op_s = N` and
 //!   DDS with `op_s = T` group block rows through the BCSR half
 //!   (`row_offsets`/`col_indices`). DSD with `op_s = T` and DDS with
@@ -42,7 +46,7 @@
 //!   ([`megablocks_exec::LaunchPlan`]): disjoint output bands dispatched to
 //!   a persistent worker pool, standing in for threadblocks over output
 //!   tiles. SDD and DSD bands are cut on block-row (block-column)
-//!   boundaries balanced by nonzero count; a rectangle that straddles a
+//!   boundaries balanced by real rows; a rectangle that straddles a
 //!   cut is simply computed as two. DDS bands are rows of the dense
 //!   output, and every band walks all rectangles.
 //! * The arithmetic lives in `megablocks_tensor::kernel`'s microkernel
@@ -95,6 +99,9 @@ struct Rect<'s> {
     span: Range<usize>,
     /// The block columns (rows) every member of `span` holds, ascending.
     cross: &'s [usize],
+    /// Rows (columns) of `span` and of `cross` inside the matrix.
+    span_len: usize,
+    cross_len: usize,
     /// Storage slot of the rectangle's first block; the two offset tables
     /// are relative to it.
     first: usize,
@@ -127,11 +134,12 @@ impl Rect<'_> {
 
 /// Lowers block rows (columns) `groups` of `topo` into rectangles, in
 /// ascending order, calling `f` once per rectangle. Rows (columns)
-/// without blocks produce none.
+/// without blocks, or with no valid row, produce none.
 ///
 /// A run of block rows is one rectangle when their column lists are
-/// identical: row-major storage then puts block `(r0 + t, cross[j])` at
-/// slot `first + t * cross.len() + j`. A run of block columns is one
+/// identical and all but the last are full: row-major storage then puts
+/// block `(r0 + t, cross[j])` at slot `first + t * cross.len() + j`, and
+/// the run's valid rows are its first `span_len`. A run of block columns is one
 /// rectangle when their row lists are identical *and* every block sits
 /// exactly one slot after its left neighbour, so block
 /// `(cross[j], c0 + t)` is at slot `slot(cross[j], c0) + t`. Sorted rows
@@ -145,6 +153,7 @@ fn for_each_rect(topo: &Topology, walk: Walk, groups: Range<usize>, mut f: impl 
     let row_indices = topo.row_indices();
     let col_indices = topo.col_indices();
     let transpose = topo.transpose_indices();
+    let rows_valid = topo.rows_valid();
     let offsets = match walk {
         Walk::Rows => topo.row_offsets(),
         Walk::Cols => topo.col_offsets(),
@@ -163,7 +172,9 @@ fn for_each_rect(topo: &Topology, walk: Walk, groups: Range<usize>, mut f: impl 
                 return false;
             }
             match walk {
-                Walk::Rows => col_indices[at..at + width] == col_indices[lo..hi],
+                Walk::Rows => {
+                    rows_valid[g - 1] == bs && col_indices[at..at + width] == col_indices[lo..hi]
+                }
                 Walk::Cols => (0..width).all(|j| {
                     let (left, here) = (transpose[offsets[g - 1] + j], transpose[at + j]);
                     here == left + 1 && row_indices[here] == row_indices[left]
@@ -174,7 +185,15 @@ fn for_each_rect(topo: &Topology, walk: Walk, groups: Range<usize>, mut f: impl 
         while g1 < groups.end && extends(g1) {
             g1 += 1;
         }
-        if width > 0 {
+        // Valid rows are a prefix of the run (of the column's row list).
+        let (span_len, cross_len) = match walk {
+            Walk::Rows => ((g1 - g0 - 1) * bs + rows_valid[g1 - 1], width * bs),
+            Walk::Cols => {
+                let held = |&slot: &usize| rows_valid[row_indices[slot]];
+                ((g1 - g0) * bs, transpose[lo..hi].iter().map(held).sum())
+            }
+        };
+        if span_len > 0 && cross_len > 0 {
             let first = match walk {
                 Walk::Rows => lo,
                 Walk::Cols => transpose[lo],
@@ -204,6 +223,8 @@ fn for_each_rect(topo: &Topology, walk: Walk, groups: Range<usize>, mut f: impl 
                 bs,
                 span: g0..g1,
                 cross: &cross,
+                span_len,
+                cross_len,
                 first,
                 span_off: &span_off,
                 cross_off: &cross_off,
@@ -220,18 +241,34 @@ fn gather_panels(blocks: &[usize], bs: usize, stride: usize, tile_off: &mut Vec<
     tile_off.extend(blocks.iter().map(|&g| g * bs * stride));
 }
 
-/// Cuts the block rows (columns) delimited by `offsets` into at most
-/// `bands` consecutive ranges holding about equally many nonzero blocks;
-/// returns the boundaries (`cuts[0] = 0`, last = number of groups). Every
-/// band but possibly the only one holds at least one block.
-fn band_cuts(offsets: &[usize], bands: usize) -> Vec<usize> {
-    let groups = offsets.len() - 1;
-    let nnz = offsets[groups];
+/// Running total, over the block rows (columns) of `walk`, of the valid
+/// rows their blocks hold: the work a product issues up to each group, in
+/// units of `bs` multiply-adds per element of its free dimension.
+fn real_rows(topo: &Topology, walk: Walk) -> Vec<usize> {
+    let (offsets, order) = match walk {
+        Walk::Rows => (topo.row_offsets(), None),
+        Walk::Cols => (topo.col_offsets(), Some(topo.transpose_indices())),
+    };
+    let held = |p: usize| topo.rows_valid()[topo.row_indices()[order.map_or(p, |o| o[p])]];
+    let mut total = vec![0usize; offsets.len()];
+    for g in 1..offsets.len() {
+        total[g] = total[g - 1] + (offsets[g - 1]..offsets[g]).map(held).sum::<usize>();
+    }
+    total
+}
+
+/// Cuts the block rows (columns) whose running work is `work`
+/// ([`real_rows`]) into at most `bands` consecutive ranges of about equal
+/// work; returns the boundaries (`cuts[0] = 0`, last = number of groups).
+/// Every band but possibly the only one holds work.
+fn band_cuts(work: &[usize], bands: usize) -> Vec<usize> {
+    let groups = work.len() - 1;
+    let all = work[groups];
     let mut cuts = vec![0usize];
     for b in 1..bands {
-        let target = nnz * b / bands;
-        let g = offsets.partition_point(|&o| o < target);
-        if g > cuts[cuts.len() - 1] && g < groups && offsets[g] < nnz {
+        let target = all * b / bands;
+        let g = work.partition_point(|&w| w < target);
+        if g > cuts[cuts.len() - 1] && g < groups && work[g] < all {
             cuts.push(g);
         }
     }
@@ -380,16 +417,15 @@ pub fn try_sdd_op(
     debug_check(|| topo.validate())?;
 
     let mut out = BlockSparseMatrix::pooled_zeros(topo);
-    let nnz = topo.nnz_blocks();
-    telemetry::counter_with("sparse.blocks", variant).add(nnz as u64);
-    telemetry::counter_with("sparse.flops", variant)
-        .add(2 * nnz as u64 * bs as u64 * bs as u64 * k as u64);
-    if nnz == 0 || k == 0 {
+    let work = real_rows(topo, Walk::Rows);
+    let real = work[topo.block_rows()] * bs;
+    telemetry::counter_with("sparse.blocks", variant).add(topo.nnz_blocks() as u64);
+    telemetry::counter_with("sparse.flops", variant).add(2 * (real * k) as u64);
+    if real == 0 || k == 0 {
         return Ok(out);
     }
 
-    let threads =
-        exec::parallelism_for(nnz * bs * bs * k, PARALLEL_THRESHOLD).min(topo.block_rows());
+    let threads = exec::parallelism_for(real * k, PARALLEL_THRESHOLD).min(topo.block_rows());
     let area = topo.block_size().area();
     let a_data = a.as_slice();
     let b_data = b.as_slice();
@@ -401,15 +437,15 @@ pub fn try_sdd_op(
     // output blocks. A rectangle of output blocks is the product of A's
     // row panels `span` with B's column panels `cross`, written in place
     // into block storage.
-    let cuts = band_cuts(row_offsets, threads);
+    let cuts = band_cuts(&work, threads);
     let body = |band: &mut [f32], b: usize| {
         let band_first = row_offsets[cuts[b]];
         let mut b_cols = Vec::new();
         for_each_rect(topo, Walk::Rows, cuts[b]..cuts[b + 1], |rect| {
             gather_panels(rect.cross, bs, b_cs, &mut b_cols);
             block_gemm(
-                rect.span.len() * bs,
-                rect.cross.len() * bs,
+                rect.span_len,
+                rect.cross_len,
                 k,
                 1.0,
                 PanelView::new(&a_data[rect.span.start * bs * a_rs..], a_rs, a_cs),
@@ -516,11 +552,21 @@ pub fn try_dsd_op(
     let variant = dsd_variant(op_s, op_d);
     let _span = telemetry::span(variant);
     debug_check(|| topo.validate())?;
+    // Output rows are grouped by block row (op_s = N) or block column
+    // (op_s = T, walked through the transpose indices, §5.1.4); each group
+    // of `bs` output rows belongs to exactly one band.
+    let walk = match op_s {
+        Trans::N => Walk::Rows,
+        Trans::T => Walk::Cols,
+    };
+    let work = real_rows(topo, walk);
+    let groups = work.len() - 1;
+    let real = work[groups] * bs;
     telemetry::counter_with("sparse.blocks", variant).add(topo.nnz_blocks() as u64);
-    telemetry::counter_with("sparse.flops", variant).add(2 * topo.nnz() as u64 * n as u64);
+    telemetry::counter_with("sparse.flops", variant).add(2 * (real * n) as u64);
 
     let mut out = Matrix::pooled_zeros(sm, n);
-    if topo.nnz_blocks() == 0 || n == 0 {
+    if real == 0 || n == 0 {
         return Ok(out);
     }
 
@@ -529,29 +575,21 @@ pub fn try_dsd_op(
     let d_data = d.as_slice();
     let (d_rs, d_cs) = strides(d, op_d);
 
-    // Output rows are grouped by block row (op_s = N) or block column
-    // (op_s = T, walked through the transpose indices, §5.1.4); each group
-    // of `bs` output rows belongs to exactly one band.
-    let (walk, offsets) = match op_s {
-        Trans::N => (Walk::Rows, topo.row_offsets()),
-        Trans::T => (Walk::Cols, topo.col_offsets()),
-    };
-    let groups = offsets.len() - 1;
-    let threads = exec::parallelism_for(topo.nnz() * n, PARALLEL_THRESHOLD).min(groups);
+    let threads = exec::parallelism_for(real * n, PARALLEL_THRESHOLD).min(groups);
 
     // A rectangle's output rows are the product of its sparse blocks —
     // `span` along the output rows, `cross` along the reduction — with the
     // dense row panels `cross`, gathered in place: one accumulator per
     // element over all of the row's nonzero blocks.
-    let cuts = band_cuts(offsets, threads);
+    let cuts = band_cuts(&work, threads);
     let body = |band: &mut [f32], b: usize| {
         let mut d_rows = Vec::new();
         for_each_rect(topo, walk, cuts[b]..cuts[b + 1], |rect| {
             gather_panels(rect.cross, bs, d_rs, &mut d_rows);
             block_gemm(
-                rect.span.len() * bs,
+                rect.span_len,
                 n,
-                rect.cross.len() * bs,
+                rect.cross_len,
                 1.0,
                 PanelView::with_axes(
                     &s_data[rect.first * area..],
@@ -617,11 +655,12 @@ pub fn try_dds_op(
     let variant = dds_variant(op_d, op_s);
     let _span = telemetry::span(variant);
     debug_check(|| topo.validate())?;
+    let real = real_rows(topo, Walk::Rows)[topo.block_rows()] * bs;
     telemetry::counter_with("sparse.blocks", variant).add(topo.nnz_blocks() as u64);
-    telemetry::counter_with("sparse.flops", variant).add(2 * topo.nnz() as u64 * m as u64);
+    telemetry::counter_with("sparse.flops", variant).add(2 * (real * m) as u64);
 
     let mut out = Matrix::pooled_zeros(m, n);
-    if topo.nnz_blocks() == 0 || m == 0 {
+    if real == 0 || m == 0 {
         return Ok(out);
     }
 
@@ -629,7 +668,7 @@ pub fn try_dds_op(
     let s_data = s.as_slice();
     let d_data = d.as_slice();
     let (d_rs, d_cs) = strides(d, op_d);
-    let threads = exec::parallelism_for(topo.nnz() * m, PARALLEL_THRESHOLD).min(m);
+    let threads = exec::parallelism_for(real * m, PARALLEL_THRESHOLD).min(m);
 
     // Bands are rows of the dense output; every band walks all rectangles.
     // A rectangle owns the output column stripe `span` — block columns of
@@ -648,8 +687,8 @@ pub fn try_dds_op(
             gather_panels(rect.cross, bs, d_cs, &mut d_cols);
             block_gemm(
                 rows,
-                rect.span.len() * bs,
-                rect.cross.len() * bs,
+                rect.span_len,
+                rect.cross_len,
                 1.0,
                 PanelView::with_axes(
                     &d_data[i0 * d_rs..],
@@ -807,6 +846,7 @@ mod tests {
             vec![0, 0, 1, 1],
             vec![0, 2, 4],
             vec![1, 2, 0, 3],
+            vec![2, 2],
         );
         assert_eq!(
             rects(&unsorted, Walk::Cols, 0..2),
@@ -814,9 +854,49 @@ mod tests {
         );
     }
 
+    /// `(span_len, cross_len)` of every rectangle `groups` lowers to.
+    fn extents(topo: &Topology, walk: Walk) -> Vec<(usize, usize)> {
+        let groups = match walk {
+            Walk::Rows => topo.block_rows(),
+            Walk::Cols => topo.block_cols(),
+        };
+        let mut out = Vec::new();
+        for_each_rect(topo, walk, 0..groups, |r| {
+            out.push((r.span_len, r.cross_len))
+        });
+        out
+    }
+
     #[test]
-    fn band_cuts_balance_nonzero_blocks_on_group_boundaries() {
-        // Block rows holding 4, 0, 1, 1, 2 blocks.
+    fn rectangles_carry_real_rows_and_skip_empty_block_rows() {
+        // Experts of 6, 0, 1 and 8 tokens over 2 ffn blocks: a partial
+        // block, no block, one row of one block, two full blocks.
+        let topo = Topology::for_moe(&[6, 0, 1, 8], 8, bs(4)).unwrap();
+        assert_eq!(topo.rows_valid(), [4, 2, 1, 4, 4]);
+        assert_eq!(
+            rects(&topo, Walk::Rows, 0..5),
+            [(0..2, vec![0, 1]), (2..3, vec![4, 5]), (3..5, vec![6, 7])]
+        );
+        assert_eq!(extents(&topo, Walk::Rows), [(6, 8), (1, 8), (8, 8)]);
+        assert_eq!(extents(&topo, Walk::Cols), [(8, 6), (8, 1), (8, 8)]);
+        assert_eq!(real_rows(&topo, Walk::Rows), [0, 8, 12, 14, 22, 30]);
+        assert_eq!(real_rows(&topo, Walk::Cols)[8], 30);
+
+        // A capacity layout: three block rows per expert, 5 and 0 kept.
+        let topo = Topology::for_moe(&[12, 12], 4, bs(4))
+            .unwrap()
+            .with_rows_valid(vec![4, 1, 0, 0, 0, 0])
+            .unwrap();
+        assert_eq!(rects(&topo, Walk::Rows, 0..6), [(0..2, vec![0])]);
+        assert_eq!(extents(&topo, Walk::Rows), [(5, 4)]);
+        assert_eq!(extents(&topo, Walk::Cols), [(4, 5)]);
+        // No band is cut over the empty block rows.
+        assert_eq!(band_cuts(&real_rows(&topo, Walk::Rows), 4), [0, 1, 6]);
+    }
+
+    #[test]
+    fn band_cuts_balance_work_on_group_boundaries() {
+        // Block rows holding 4, 0, 1, 1, 2 units of work.
         let offsets = [0, 4, 4, 5, 6, 8];
         assert_eq!(band_cuts(&offsets, 1), [0, 5]);
         assert_eq!(band_cuts(&offsets, 2), [0, 1, 5]);

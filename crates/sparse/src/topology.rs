@@ -41,6 +41,14 @@ pub struct BlockCoord {
 ///   transposed order through one layer of indirection without transposing
 ///   any values (§5.1.4) — the "secondary index" of the paper's database
 ///   analogy.
+/// * **Valid rows** — `rows_valid[r] <= block size` rows of block row `r`
+///   are inside the matrix, a prefix down every block column (an expert's
+///   tokens fill its padded group from the top). The rest is padding of
+///   the *format*: stored, and counted by [`Topology::nnz`] and
+///   [`Topology::shape`], but never read or written by a product — it
+///   stays the `+0.0` it was created as and costs memory, not FLOPs. No
+///   bit depends on skipping it: on finite data a padded row only adds
+///   `±0.0` terms to accumulators that start at `+0.0`.
 ///
 /// Topologies are immutable and cheaply cloneable (`Arc` internals), so one
 /// topology built from the router output is shared across all products in a
@@ -50,7 +58,7 @@ pub struct Topology {
     pub(crate) inner: Arc<TopologyInner>,
 }
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TopologyInner {
     pub(crate) block_size: BlockSize,
     pub(crate) block_rows: usize,
@@ -60,13 +68,14 @@ pub(crate) struct TopologyInner {
     pub(crate) row_indices: Vec<usize>,
     pub(crate) col_offsets: Vec<usize>,
     pub(crate) transpose_indices: Vec<usize>,
+    pub(crate) rows_valid: Vec<usize>,
 }
 
 impl Topology {
     /// Builds a topology from an explicit list of nonzero block coordinates.
     ///
     /// The coordinate list does not need to be sorted; storage order is
-    /// normalized to row-major (BCSR order).
+    /// normalized to row-major (BCSR order). Every row is valid.
     ///
     /// # Errors
     ///
@@ -135,6 +144,7 @@ impl Topology {
                 row_indices,
                 col_offsets,
                 transpose_indices,
+                rows_valid: vec![block_size.get(); block_rows],
             }),
         })
     }
@@ -181,19 +191,21 @@ impl Topology {
         Self::from_blocks(block_rows, block_cols, blocks, block_size)
     }
 
-    /// Builds the MoE topology from padded per-expert token counts — the
+    /// Builds the MoE topology from per-expert token counts — the
     /// `make_topology(indices)` step of the paper's Figure 6.
     ///
-    /// `padded_tokens_per_expert[e]` must already be padded to a multiple of
-    /// the block size (see `padded_gather` in `megablocks-core`);
-    /// `ffn_hidden_size` must be a multiple of the block size.
+    /// Expert `e` owns `tokens_per_expert[e]` rounded up to whole blocks
+    /// (the layout `padded_gather` in `megablocks-core` produces), of which
+    /// the first `tokens_per_expert[e]` rows are valid; already padded
+    /// counts therefore mean "all rows valid". `ffn_hidden_size` must be a
+    /// multiple of the block size.
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::Unaligned`] if any count violates block
-    /// alignment.
+    /// Returns [`SparseError::Unaligned`] if `ffn_hidden_size` violates
+    /// block alignment.
     pub fn for_moe(
-        padded_tokens_per_expert: &[usize],
+        tokens_per_expert: &[usize],
         ffn_hidden_size: usize,
         block_size: BlockSize,
     ) -> Result<Self, SparseError> {
@@ -205,19 +217,27 @@ impl Topology {
                 block_size: bs,
             });
         }
-        let mut rows_blocks = Vec::with_capacity(padded_tokens_per_expert.len());
-        for &t in padded_tokens_per_expert {
-            if t % bs != 0 {
-                return Err(SparseError::Unaligned {
-                    what: "padded tokens per expert",
-                    value: t,
-                    block_size: bs,
-                });
-            }
-            rows_blocks.push(t / bs);
-        }
-        let cols_blocks = vec![ffn_hidden_size / bs; padded_tokens_per_expert.len()];
-        Self::block_diagonal(&rows_blocks, &cols_blocks, block_size)
+        let rows_blocks: Vec<usize> = tokens_per_expert.iter().map(|t| t.div_ceil(bs)).collect();
+        let cols_blocks = vec![ffn_hidden_size / bs; tokens_per_expert.len()];
+        let mut topo = Self::block_diagonal(&rows_blocks, &cols_blocks, block_size)?;
+        Arc::make_mut(&mut topo.inner).rows_valid = tokens_per_expert
+            .iter()
+            .flat_map(|&t| (0..t.div_ceil(bs)).map(move |b| (t - b * bs).min(bs)))
+            .collect();
+        Ok(topo)
+    }
+
+    /// Narrows the matrix to the first `rows_valid[r]` rows of each block
+    /// row `r` — for layouts whose experts own more block rows than their
+    /// tokens fill, as a capacity-padded layer's do.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseError::Audit`] if [`Topology::validate`] rejects `rows_valid`.
+    pub fn with_rows_valid(mut self, rows_valid: Vec<usize>) -> Result<Self, SparseError> {
+        Arc::make_mut(&mut self.inner).rows_valid = rows_valid;
+        self.validate()?;
+        Ok(self)
     }
 
     /// The block size.
@@ -289,6 +309,12 @@ impl Topology {
         &self.inner.transpose_indices
     }
 
+    /// Rows of each block row that are inside the matrix (length
+    /// `block_rows`, each at most the block size).
+    pub fn rows_valid(&self) -> &[usize] {
+        &self.inner.rows_valid
+    }
+
     /// Coordinates of the block stored at position `k`.
     ///
     /// This is the O(1) lookup the hybrid encoding exists for: a worker
@@ -347,7 +373,8 @@ impl Topology {
     }
 
     /// The topology of the transposed matrix, built by swapping the roles of
-    /// the two index halves. Used by the explicit-transposition ablation.
+    /// the two index halves, with every row valid. Used by the
+    /// explicit-transposition ablation.
     ///
     /// # Panics
     ///
@@ -400,6 +427,7 @@ impl Topology {
         row_indices: Vec<usize>,
         col_offsets: Vec<usize>,
         transpose_indices: Vec<usize>,
+        rows_valid: Vec<usize>,
     ) -> Self {
         Self {
             inner: Arc::new(TopologyInner {
@@ -411,6 +439,7 @@ impl Topology {
                 row_indices,
                 col_offsets,
                 transpose_indices,
+                rows_valid,
             }),
         }
     }
@@ -422,7 +451,8 @@ impl Topology {
             + self.inner.col_indices.len()
             + self.inner.row_indices.len()
             + self.inner.col_offsets.len()
-            + self.inner.transpose_indices.len())
+            + self.inner.transpose_indices.len()
+            + self.inner.rows_valid.len())
             * std::mem::size_of::<usize>()
     }
 }
@@ -519,16 +549,32 @@ mod tests {
     }
 
     #[test]
-    fn for_moe_validates_alignment() {
-        assert!(Topology::for_moe(&[128, 256], 512, bs(128)).is_ok());
-        assert!(matches!(
-            Topology::for_moe(&[100], 512, bs(128)),
-            Err(SparseError::Unaligned { .. })
-        ));
+    fn for_moe_rounds_token_counts_up_and_validates_ffn_alignment() {
+        let padded = Topology::for_moe(&[128, 256], 512, bs(128)).unwrap();
+        assert_eq!(padded.rows_valid(), [128, 128, 128]);
+        // Real counts get the padded layout; only `rows_valid` differs.
+        let real = Topology::for_moe(&[100, 129], 512, bs(128)).unwrap();
+        assert_eq!(real.rows_valid(), [100, 128, 1]);
+        assert_eq!(real.row_offsets(), padded.row_offsets());
+        assert_eq!(real.col_indices(), padded.col_indices());
+        assert_eq!(real.shape(), padded.shape());
+        assert_ne!(real, padded);
         assert!(matches!(
             Topology::for_moe(&[128], 500, bs(128)),
             Err(SparseError::Unaligned { .. })
         ));
+    }
+
+    #[test]
+    fn with_rows_valid_checks_what_it_is_given() {
+        let topo = Topology::for_moe(&[8, 8], 4, bs(4)).unwrap();
+        let narrowed = topo.clone().with_rows_valid(vec![4, 3, 0, 0]).unwrap();
+        assert_eq!(narrowed.rows_valid(), [4, 3, 0, 0]);
+        assert_eq!(narrowed.transposed().rows_valid(), [4, 4]);
+        for bad in [vec![4, 4, 4], vec![4, 5, 4, 4], vec![3, 1, 4, 4]] {
+            let err = topo.clone().with_rows_valid(bad).unwrap_err();
+            assert!(matches!(err, SparseError::Audit(_)), "{err}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::mem::discriminant;
 
-use megablocks_sparse::{AuditError, BlockCoord, BlockSize, Topology};
+use megablocks_sparse::{AuditError, BlockCoord, BlockSize, SparseError, Topology};
 use proptest::prelude::*;
 
 /// A random topology: up to a 5x5 block grid with an arbitrary subset of
@@ -71,6 +71,22 @@ fn rebuild(
         row_indices.unwrap_or_else(|| topo.row_indices().to_vec()),
         col_offsets.unwrap_or_else(|| topo.col_offsets().to_vec()),
         transpose_indices.unwrap_or_else(|| topo.transpose_indices().to_vec()),
+        topo.rows_valid().to_vec(),
+    )
+}
+
+/// Rebuilds `topo` with `rows_valid` replaced.
+fn rebuild_rows_valid(topo: &Topology, rows_valid: Vec<usize>) -> Topology {
+    Topology::from_raw_parts_unchecked(
+        topo.block_size(),
+        topo.block_rows(),
+        topo.block_cols(),
+        topo.row_offsets().to_vec(),
+        topo.col_indices().to_vec(),
+        topo.row_indices().to_vec(),
+        topo.col_offsets().to_vec(),
+        topo.transpose_indices().to_vec(),
+        rows_valid,
     )
 }
 
@@ -95,7 +111,7 @@ proptest! {
     }
 
     #[test]
-    fn any_single_field_mutation_is_rejected(topo in nonempty_topology(), which in 0usize..6, bump in 1usize..4) {
+    fn any_single_field_mutation_is_rejected(topo in nonempty_topology(), which in 0usize..7, bump in 1usize..4) {
         let nnz = topo.nnz_blocks();
         let corrupted = match which {
             0 => {
@@ -132,11 +148,17 @@ proptest! {
                 }
                 rebuild(&topo, None, None, None, None, Some(v))
             }
-            _ => {
+            5 => {
                 // Point a transpose index past the storage.
                 let mut v = topo.transpose_indices().to_vec();
                 v[0] = nnz + bump - 1;
                 rebuild(&topo, None, None, None, None, Some(v))
+            }
+            _ => {
+                // Claim more valid rows than a block has.
+                let mut v = topo.rows_valid().to_vec();
+                v[0] += bump;
+                rebuild_rows_valid(&topo, v)
             }
         };
         prop_assert!(corrupted.validate().is_err(), "mutation {which} went undetected");
@@ -245,12 +267,45 @@ fn seeded_corruptions_each_caught_with_distinct_variant() {
     );
 }
 
+/// `rows_valid` seeded three ways — too long, above the block size, a hole
+/// before a valid row — each returns its own [`AuditError`].
+#[test]
+fn seeded_rows_valid_corruptions_each_return_their_error() {
+    // Experts of 7 and 4 tokens at block size 4: block rows [4, 3 | 4].
+    let topo = Topology::for_moe(&[7, 4], 8, BlockSize::new(4).unwrap()).unwrap();
+    assert_eq!(topo.rows_valid(), [4, 3, 4]);
+    assert_eq!(topo.validate(), Ok(()));
+    let cases = [
+        (
+            vec![4, 3, 4, 4],
+            AuditError::RowsValidLength {
+                expected: 3,
+                actual: 4,
+            },
+        ),
+        (
+            vec![4, 5, 4],
+            AuditError::RowsValidOutOfRange { row: 1, valid: 5 },
+        ),
+        (vec![2, 3, 4], AuditError::RowsValidHole { col: 0, row: 1 }),
+    ];
+    for (rows_valid, want) in cases {
+        let bad = rebuild_rows_valid(&topo, rows_valid.clone());
+        assert_eq!(bad.validate(), Err(want.clone()), "{rows_valid:?}");
+        // The checked path refuses the same vectors.
+        let checked = topo.clone().with_rows_valid(rows_valid);
+        assert_eq!(checked, Err(SparseError::Audit(want)));
+    }
+    // An empty tail (a capacity layout under capacity) is a prefix too.
+    assert!(topo.clone().with_rows_valid(vec![4, 0, 1]).is_ok());
+}
+
 /// End-to-end: in debug builds the op entry points themselves reject
 /// corrupted metadata before any kernel work runs.
 #[cfg(debug_assertions)]
 #[test]
 fn sanitized_ops_reject_corrupted_topology_at_entry() {
-    use megablocks_sparse::{ops, SparseError};
+    use megablocks_sparse::ops;
     use megablocks_tensor::Matrix;
 
     let topo = Topology::from_blocks(

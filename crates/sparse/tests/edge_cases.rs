@@ -77,7 +77,7 @@ fn errors_carry_actionable_messages() {
     let e = Topology::from_blocks(1, 1, [BlockCoord { row: 3, col: 0 }], bs(2)).unwrap_err();
     assert!(e.to_string().contains("out of range"), "{e}");
 
-    let e = Topology::for_moe(&[5], 4, bs(4)).unwrap_err();
+    let e = Topology::for_moe(&[4], 5, bs(4)).unwrap_err();
     assert!(e.to_string().contains("not a multiple"), "{e}");
 
     let e = BlockSize::new(0).unwrap_err();

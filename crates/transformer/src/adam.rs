@@ -188,7 +188,7 @@ mod tests {
                 ((i * cols + j) as f32 * 0.37 + phase).sin()
             })
         };
-        let mut params = vec![Param::new(wave(7, 5, 0.0)), Param::new(wave(1, 33, 1.0))];
+        let mut params = [Param::new(wave(7, 5, 0.0)), Param::new(wave(1, 33, 1.0))];
         let mut want: Vec<Vec<f32>> = params
             .iter()
             .map(|p| p.value().as_slice().to_vec())

@@ -71,6 +71,37 @@ fn dmoe_output_is_invariant_to_block_size() {
 }
 
 #[test]
+fn batched_infer_equals_solo_infers_bitwise() {
+    // The serving engine's guarantee: a request's rows do not depend on
+    // what it was batched with. Each side of the stack lands its partial
+    // blocks elsewhere than the batch does, so every expert product runs
+    // at a different `m` solo and batched.
+    let mut rng = seeded_rng(9);
+    let layer = DroplessMoe::new(cfg(), &mut rng);
+    for (rows_a, rows_b) in [(1, 1), (1, 7), (3, 6), (5, 2), (4, 13), (9, 16)] {
+        let a = normal(rows_a, 12, 1.0, &mut rng);
+        let b = normal(rows_b, 12, 1.0, &mut rng);
+        let stacked = Matrix::from_fn(rows_a + rows_b, 12, |i, j| {
+            if i < rows_a {
+                a[(i, j)]
+            } else {
+                b[(i - rows_a, j)]
+            }
+        });
+        let batched = layer.infer(&stacked).expect("no ambient context");
+        let solo_a = layer.infer(&a).expect("no ambient context");
+        let solo_b = layer.infer(&b).expect("no ambient context");
+        let bits = |m: &[f32]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let solo = [solo_a.as_slice(), solo_b.as_slice()].concat();
+        assert_eq!(
+            bits(batched.as_slice()),
+            bits(&solo),
+            "{rows_a} + {rows_b} rows"
+        );
+    }
+}
+
+#[test]
 fn dmoe_tokens_are_permutation_equivariant() {
     // Reordering input tokens reorders outputs identically (routing is
     // per-token): the permutation machinery must not leak position.

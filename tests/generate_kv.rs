@@ -115,6 +115,7 @@ fn every_decode_step_is_bit_identical_to_the_full_window() {
 #[test]
 fn a_one_token_step_runs_one_row_not_the_window() {
     let _guard = backend_lock();
+    let mut steps = Vec::new();
     for ffn in tokenwise_kinds() {
         let lm = model(ffn.clone(), 12);
         let context = prompt(SEQ_LEN - 1, lm.config().vocab_size);
@@ -130,12 +131,30 @@ fn a_one_token_step_runs_one_row_not_the_window() {
         let _ = lm.decode(&mut state, &context[SEQ_LEN - 2..]);
         let step = flops.get() - before;
 
-        // One token still pays for a whole block of its expert's rows.
         assert!(
             step * 2 < full,
             "{ffn:?}: a one-token step cost {step} flops, the full window {full}"
         );
+        steps.push(step);
     }
+
+    // Exactly one row, not one block: around the FFN the two models issue
+    // the same products, so a dMoE step is a dense step with each layer's
+    // two `1 x hidden x ffn` products swapped for the router product and
+    // the two expert products at one real row. A padded row anywhere in
+    // SDD or DSD shows up here as whole multiples of `hidden * ffn`.
+    let (cfg, moe) = (TransformerConfig::tiny(FfnKind::Dense), moe());
+    let hidden = cfg.hidden_size;
+    let dense_ffn = 2 * 2 * hidden * cfg.ffn_hidden_size;
+    let dmoe_ffn = 2 * hidden * moe.num_experts + 2 * 2 * hidden * moe.ffn_hidden_size;
+    let [dense_step, dmoe_step] = steps[..] else {
+        panic!("one step per token-wise kind")
+    };
+    assert_eq!(
+        dmoe_step + (cfg.num_layers * dense_ffn) as u64,
+        dense_step + (cfg.num_layers * dmoe_ffn) as u64,
+        "dense step {dense_step}, dMoE step {dmoe_step}"
+    );
 }
 
 #[test]
