@@ -139,9 +139,9 @@ impl Rect<'_> {
 /// A run of block rows is one rectangle when their column lists are
 /// identical and all but the last are full: row-major storage then puts
 /// block `(r0 + t, cross[j])` at slot `first + t * cross.len() + j`, and
-/// the run's valid rows are its first `span_len`. A run of block columns is one
-/// rectangle when their row lists are identical *and* every block sits
-/// exactly one slot after its left neighbour, so block
+/// the run's valid rows are its first `span_len`. A run of block columns
+/// is one rectangle when their row lists are identical *and* every block
+/// sits exactly one slot after its left neighbour, so block
 /// `(cross[j], c0 + t)` is at slot `slot(cross[j], c0) + t`. Sorted rows
 /// make the second condition follow from the first; it is checked rather
 /// than assumed so that metadata that violates it (unvalidated, out of
