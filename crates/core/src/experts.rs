@@ -129,6 +129,12 @@ impl MoeOutput {
 }
 
 impl MoeCache {
+    /// The expert activations the forward pass kept, before and after the
+    /// GeLU, in the block layout of the pass's topology.
+    pub fn activations(&self) -> (&BlockSparseMatrix, &BlockSparseMatrix) {
+        (&self.experts.h_pre, &self.experts.h_act)
+    }
+
     /// Backward of a token-choice layer: the expert pipeline, then the
     /// router (confidence weights + load-balancing loss).
     pub(crate) fn backward(
@@ -210,19 +216,12 @@ pub(crate) fn backward(
     dw2.recycle();
     dy.recycle();
 
-    // Activation backward on the stored blocks, as a launch plan over
-    // the nonzero elements.
+    // Activation backward on the valid rows of the stored blocks.
     let mut dh = dh_act;
-    {
-        let pre = cache.h_pre.as_slice();
-        let data = dh.as_mut_slice();
-        let bands = exec::parallelism_for(data.len(), PARALLEL_THRESHOLD);
-        let per_band = data.len().div_ceil(bands);
-        let body = |band: &mut [f32], i0: usize| {
-            gelu_grad_mul(band, &pre[i0..i0 + band.len()]);
-        };
-        exec::LaunchPlan::over_items("moe.gelu_grad", data, 1, per_band, &body).launch();
-    }
+    let (pre, topology) = (cache.h_pre.as_slice(), cache.h_pre.topology());
+    let body = |rows: &mut [f32], at: usize| gelu_grad_mul(rows, &pre[at..at + rows.len()]);
+    over_valid_rows("moe.gelu_grad", topology, dh.as_mut_slice(), &body)
+        .unwrap_or_else(|e| panic!("{e}"));
 
     // First expert layer: data grad DSD^T, weight grad DD^TS.
     let dxg = ops::dsd_t(&dh, w1.value());
@@ -255,11 +254,11 @@ pub(crate) fn expert_mlp(
     let (h_pre, h_act) = match retain {
         Retain::ForBackward => {
             let mut act = exec::workspace::take_zeroed(h.as_slice().len());
-            gelu(&mut act, Some(h.as_slice()))?;
+            gelu(topology, &mut act, Some(h.as_slice()))?;
             (Some(h), BlockSparseMatrix::from_raw(topology, act)?)
         }
         Retain::Nothing => {
-            gelu(h.as_mut_slice(), None)?;
+            gelu(topology, h.as_mut_slice(), None)?;
             (None, h)
         }
     };
@@ -273,14 +272,37 @@ pub(crate) fn expert_mlp(
     }
 }
 
-/// Elementwise GeLU over the nonzero blocks as a launch plan:
+/// Elementwise GeLU over the valid rows of the nonzero blocks:
 /// `dst = gelu(src)`, or in place when `src` is `None`.
-fn gelu(dst: &mut [f32], src: Option<&[f32]>) -> Result<(), SparseError> {
-    let bands = exec::parallelism_for(dst.len(), PARALLEL_THRESHOLD);
-    let per_band = dst.len().div_ceil(bands);
-    let body = |band: &mut [f32], i0: usize| match src {
-        Some(src) => gelu_into(band, &src[i0..i0 + band.len()]),
-        None => gelu_inplace(band),
+fn gelu(topology: &Topology, dst: &mut [f32], src: Option<&[f32]>) -> Result<(), SparseError> {
+    let body = |rows: &mut [f32], at: usize| match src {
+        Some(src) => gelu_into(rows, &src[at..at + rows.len()]),
+        None => gelu_inplace(rows),
     };
-    Ok(exec::LaunchPlan::over_items("moe.gelu", dst, 1, per_band, &body).try_launch()?)
+    Ok(over_valid_rows("moe.gelu", topology, dst, &body)?)
+}
+
+/// Runs `f(rows, at)` on the valid rows of every stored block of
+/// `topology` in `data` — the first `rows_valid[r]·bs` elements of each
+/// block in block row `r`, `at` their offset in `data` — as one launch
+/// plan banded over whole blocks. Rows past `rows_valid` are left as they
+/// are: `+0.0`, which the GeLU (`gelu(+0) = +0`) and its gradient product
+/// (`+0 · gelu'(0) = +0`) would map to `+0.0` anyway.
+fn over_valid_rows(
+    op: &'static str,
+    topology: &Topology,
+    data: &mut [f32],
+    f: &(impl Fn(&mut [f32], usize) + Sync),
+) -> Result<(), exec::ExecError> {
+    let (bs, area) = (topology.block_size().get(), topology.block_size().area());
+    let (rows, valid) = (topology.row_indices(), topology.rows_valid());
+    let bands = exec::parallelism_for(data.len(), PARALLEL_THRESHOLD);
+    let blocks_per_band = topology.nnz_blocks().div_ceil(bands);
+    let body = |band: &mut [f32], first: usize| {
+        for (q, block) in band.chunks_exact_mut(area).enumerate() {
+            let len = valid[rows[first + q]] * bs;
+            f(&mut block[..len], (first + q) * area);
+        }
+    };
+    exec::LaunchPlan::over_items(op, data, area, blocks_per_band, &body).try_launch()
 }

@@ -97,14 +97,18 @@ fn try_forward_surfaces_the_injected_failure_as_a_structured_error() {
     let x = input(6, 12);
 
     install_plan(FaultPlan::seeded(7).at_calls(&EP_SHARD_FAIL, &[0]));
-    let err = try_expert_parallel_forward(&l, &x, 2).expect_err("shard 0 is scheduled to fail");
+    let err =
+        try_expert_parallel_forward(&l, &x, 2).expect_err("fault call 0 is scheduled to fail");
+    // The two shards race for fault call 0, so either may be the one
+    // that fails; exactly one fault fires.
     match err {
         EpError::ShardFailed { shard, reason } => {
-            assert_eq!(shard, 0);
+            assert!(shard < 2, "shard {shard} of 2");
             assert!(reason.contains(INJECTED_PANIC_PREFIX), "{reason}");
         }
         other => panic!("expected ShardFailed, got {other}"),
     }
+    assert_eq!(report().injected_at(&EP_SHARD_FAIL), 1);
 }
 
 #[test]

@@ -24,7 +24,10 @@
 //! per instruction set ([`Variant`]): `4 x 8` at the build's default
 //! target features and, on x86-64, `4 x 16` under `avx2` — picked per
 //! call by CPU detection and never with `fma`, so every variant rounds
-//! exactly as [`ScalarKernel`] does, on every machine.
+//! exactly as [`ScalarKernel`] does, on every machine. Each variant also
+//! instantiates it at a one-row `1 x 32` tile for products of fewer than
+//! four rows (decode steps, experts holding a few tokens), which reads B
+//! where it lies instead of packing it.
 //!
 //! Packing buffers and the accumulator tile come from the exec runtime's
 //! thread-local [`workspace`] arena — each band of a launch plan packs
@@ -47,6 +50,11 @@ const MC: usize = 64;
 const NC: usize = 128;
 /// Reduction cache block.
 const KC: usize = 256;
+/// Height of every variant's full register tile; fewer rows run the
+/// one-row tile.
+const TILE_ROWS: usize = 4;
+/// Width of the one-row tile on every lane width (sweep in EXPERIMENTS.md).
+const ROW_NR: usize = 32;
 
 /// Products below this many multiply-adds (`m * n * k`) delegate to the
 /// scalar backend: packing costs more than it saves on a tiny tile, and
@@ -132,8 +140,10 @@ impl Variant {
 
     /// The blocked path proper, with no size cutoff — separated from
     /// [`TiledKernel::run`] so tests can drive each variant's packing
-    /// machinery on shapes below the scalar-delegation threshold. Panics
-    /// if the running CPU does not support the variant.
+    /// machinery on shapes below the scalar-delegation threshold. Under
+    /// [`TILE_ROWS`] rows it runs the one-row tile, so no zero row is
+    /// multiplied (an element depends only on its own row of A: no bit
+    /// moves). Panics if the running CPU does not support the variant.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_blocked(
         self,
@@ -146,25 +156,33 @@ impl Variant {
         out: OutView<'_>,
     ) {
         assert!(self.supported(), "{}: unsupported CPU", self.name());
+        let one_row = m < TILE_ROWS;
         match self {
-            Variant::Baseline => run_blocked::<4, 8>(m, n, k, alpha, a, b, out),
+            Variant::Baseline if one_row => run_blocked::<1, ROW_NR>(m, n, k, alpha, a, b, out),
+            Variant::Baseline => run_blocked::<TILE_ROWS, 8>(m, n, k, alpha, a, b, out),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `supported` was just asserted, and for this variant
             // it is `is_x86_feature_detected!("avx2")` — the one feature
             // `run_blocked_avx2` enables.
-            Variant::Avx2 => unsafe { run_blocked_avx2(m, n, k, alpha, a, b, out) },
+            Variant::Avx2 => unsafe {
+                if one_row {
+                    run_blocked_avx2::<1, ROW_NR>(m, n, k, alpha, a, b, out)
+                } else {
+                    run_blocked_avx2::<TILE_ROWS, 16>(m, n, k, alpha, a, b, out)
+                }
+            },
         }
     }
 }
 
-/// [`run_blocked`] at `4 x 16`, compiled for 256-bit lanes together with
-/// everything `#[inline(always)]` into it. `fma` is deliberately not
-/// enabled: with no fused instruction available the compiler cannot
-/// contract `acc + a * b`, so each lane rounds the product and the sum
-/// separately, as the 128-bit and scalar forms do.
+/// [`run_blocked`] at an `MR x NR` tile, compiled for 256-bit lanes
+/// together with everything `#[inline(always)]` into it. `fma` is
+/// deliberately not enabled: with no fused instruction available the
+/// compiler cannot contract `acc + a * b`, so each lane rounds the
+/// product and the sum separately, as the 128-bit and scalar forms do.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn run_blocked_avx2(
+fn run_blocked_avx2<const MR: usize, const NR: usize>(
     m: usize,
     n: usize,
     k: usize,
@@ -173,7 +191,7 @@ fn run_blocked_avx2(
     b: PanelView<'_>,
     out: OutView<'_>,
 ) {
-    run_blocked::<4, 16>(m, n, k, alpha, a, b, out);
+    run_blocked::<MR, NR>(m, n, k, alpha, a, b, out);
 }
 
 /// The blocked routine, generic over its `MR x NR` register tile (`NR`
@@ -189,6 +207,11 @@ fn run_blocked<const MR: usize, const NR: usize>(
     out: OutView<'_>,
 ) {
     const { assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR)) };
+    // The one-row tile's strips read each B strip back to back, so a
+    // packed panel would be a copy read once: it streams B in place where
+    // a strip is `NR` adjacent floats and packs only the other strips.
+    // The full tile keeps packing (faster at 4 rows; DESIGN §12).
+    let stream = MR == 1;
     // Sized to the problem, not to the largest tile: a small rectangle
     // must not pay for (and zero) a 64x256 pack buffer. Nothing below
     // depends on the zero-fill — `pack_*` writes every lane the
@@ -197,7 +220,7 @@ fn run_blocked<const MR: usize, const NR: usize>(
     let nc_max = NC.min(n.div_ceil(NR) * NR);
     let kc_max = KC.min(k);
     let mut a_pack = workspace::take_zeroed(mc_max * kc_max);
-    let mut b_pack = workspace::take_zeroed(kc_max * nc_max);
+    let mut b_pack = workspace::take_zeroed(kc_max * if stream { NR } else { nc_max });
     let mut acc = workspace::take_zeroed(mc_max * nc_max);
     let OutView {
         data: out_data,
@@ -217,7 +240,7 @@ fn run_blocked<const MR: usize, const NR: usize>(
     'tiles: for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let nc_pad = nc.div_ceil(NR) * NR;
-        if b_once {
+        if b_once && !stream {
             pack_b::<NR>(&mut b_pack, &b, jc, nc, nc_pad, 0, k);
         }
         for ic in (0..m).step_by(MC) {
@@ -238,19 +261,60 @@ fn run_blocked<const MR: usize, const NR: usize>(
                 if !a_once {
                     pack_a::<MR>(&mut a_pack, &a, ic, mc, mc_pad, kc0, kc);
                 }
-                if !b_once {
+                if !b_once && !stream {
                     pack_b::<NR>(&mut b_pack, &b, jc, nc, nc_pad, kc0, kc);
                 }
-                for t in 0..nc_pad / NR {
-                    let b_strip = &b_pack[t * kc * NR..(t + 1) * kc * NR];
-                    for s in 0..mc_pad / MR {
-                        let a_strip = &a_pack[s * kc * MR..(s + 1) * kc * MR];
-                        micro::<MR, NR>(
-                            a_strip,
-                            b_strip,
-                            &mut acc[s * MR * nc_pad + t * NR..],
-                            nc_pad,
-                        );
+                if stream {
+                    for t in 0..nc_pad / NR {
+                        let (j0, cols) = (jc + t * NR, NR.min(nc - t * NR));
+                        let acc = &mut acc[t * NR..];
+                        match adjacent_lanes::<NR>(&b, j0, cols) {
+                            // B in place, one pass per run of its rows
+                            // (one for a dense B, one per gathered panel).
+                            Some(lane0) => {
+                                b.rows().for_each_run(kc0, kc, |at, off, step, count| {
+                                    let (data, first) = (b.data(), off + lane0);
+                                    for s in 0..mc_pad / MR {
+                                        let a_run =
+                                            &a_pack[(s * kc + at) * MR..(s * kc + at + count) * MR];
+                                        let b_rows =
+                                            (0..count).map(|q| &data[first + q * step..][..NR]);
+                                        micro::<MR, NR>(
+                                            a_run,
+                                            b_rows,
+                                            &mut acc[s * MR * nc_pad..],
+                                            nc_pad,
+                                        );
+                                    }
+                                })
+                            }
+                            None => {
+                                pack_b::<NR>(&mut b_pack, &b, j0, cols, NR, kc0, kc);
+                                for s in 0..mc_pad / MR {
+                                    let a_strip = &a_pack[s * kc * MR..(s + 1) * kc * MR];
+                                    let b_rows = b_pack[..kc * NR].chunks_exact(NR);
+                                    micro::<MR, NR>(
+                                        a_strip,
+                                        b_rows,
+                                        &mut acc[s * MR * nc_pad..],
+                                        nc_pad,
+                                    );
+                                }
+                            }
+                        }
+                    }
+                } else {
+                    for t in 0..nc_pad / NR {
+                        let b_strip = &b_pack[t * kc * NR..(t + 1) * kc * NR];
+                        for s in 0..mc_pad / MR {
+                            let a_strip = &a_pack[s * kc * MR..(s + 1) * kc * MR];
+                            micro::<MR, NR>(
+                                a_strip,
+                                b_strip.chunks_exact(NR),
+                                &mut acc[s * MR * nc_pad + t * NR..],
+                                nc_pad,
+                            );
+                        }
                     }
                 }
             }
@@ -361,16 +425,28 @@ fn pack_b<const NR: usize>(
     }
 }
 
+/// The storage offset of B's column `j0` when columns `[j0, j0 + cols)`
+/// are `NR` adjacent floats: a row-major operand, sparse blocks read along
+/// their rows, or adjacent gathered column panels.
+#[inline(always)]
+fn adjacent_lanes<const NR: usize>(b: &PanelView<'_>, j0: usize, cols: usize) -> Option<usize> {
+    let first = b.cols().offset(j0);
+    let adjacent = cols == NR && (1..NR).all(|jj| b.cols().offset(j0 + jj) == first + jj);
+    adjacent.then_some(first)
+}
+
 /// The register-tile microkernel: continues the `MR x NR` accumulator
-/// tile at `acc[.. stride ..]` through one packed `kc` chunk. The local
+/// tile at `acc[.. stride ..]` through consecutive reduction rows — a
+/// packed A strip's `MR`-wide steps against `b_rows`, each `NR` floats of
+/// one B row (a packed strip's, or B's own where it lies). The local
 /// tile is loaded from `acc`, updated in ascending-`p` order (one `f32`
 /// accumulator per element — the `jj` lanes are independent elements, so
 /// the compiler may vectorize across them without reassociating any
 /// element's reduction), and stored back.
 #[inline(always)]
-fn micro<const MR: usize, const NR: usize>(
+fn micro<'b, const MR: usize, const NR: usize>(
     a_strip: &[f32],
-    b_strip: &[f32],
+    b_rows: impl Iterator<Item = &'b [f32]>,
     acc: &mut [f32],
     stride: usize,
 ) {
@@ -378,7 +454,7 @@ fn micro<const MR: usize, const NR: usize>(
     for (ii, row) in tile.iter_mut().enumerate() {
         row.copy_from_slice(&acc[ii * stride..ii * stride + NR]);
     }
-    for (av, bv) in a_strip.chunks_exact(MR).zip(b_strip.chunks_exact(NR)) {
+    for (av, bv) in a_strip.chunks_exact(MR).zip(b_rows) {
         for (ii, row) in tile.iter_mut().enumerate() {
             let a = av[ii];
             for (jj, v) in row.iter_mut().enumerate() {
@@ -418,11 +494,12 @@ mod tests {
     }
 
     /// Bit-exactness against the scalar oracle across shapes straddling
-    /// every blocking edge (tile, register strip of either width,
-    /// reduction chunk, the pack-once boundaries `k = KC` and `m = MC`).
+    /// every blocking edge (tile, register strip of either width, the
+    /// one-row tile's `m < TILE_ROWS` switch and its edge strip, reduction
+    /// chunk, the pack-once boundaries `k = KC` and `m = MC`).
     #[test]
     fn bit_identical_to_scalar_across_blocking_edges() {
-        let shapes = [
+        let mut shapes = vec![
             (1usize, 1usize, 1usize),
             (4, 8, 3),
             (4, 16, 3),
@@ -443,6 +520,14 @@ mod tests {
             (1, 512, 128),
             (16, 512, 128),
         ];
+        // Both sides of the one-row switch, against both strip widths.
+        for m in 1..=TILE_ROWS + 1 {
+            for nr in [16, ROW_NR] {
+                for n in [nr - 1, 2 * nr, 3 * nr + 5] {
+                    shapes.extend([1, KC, KC + 7].map(|k| (m, n, k)));
+                }
+            }
+        }
         for &(m, n, k) in &shapes {
             let a = lcg_fill(m * k, 1 + m as u64);
             let b = lcg_fill(k * n, 2 + n as u64);
@@ -490,14 +575,22 @@ mod tests {
     /// Tiled axes on all three views — `A` a rectangle of sparse blocks,
     /// `B` a gather of dense row panels, the output block storage — give
     /// the bits of the same product over plain strided copies, on scalar
-    /// and every variant, including a gathered reduction longer than `KC`.
+    /// and every variant, including a gathered reduction longer than `KC`
+    /// and the one-row tile's products (`rows < TILE_ROWS`), which read
+    /// the gathered panels in place. Then B's columns at those few rows:
+    /// adjacent column panels (an expert's `w1`, read in place), panels
+    /// with gaps and a transposed B (both packed).
     #[test]
     fn tiled_axes_match_the_strided_product() {
-        // (block size, block rows, gathered blocks along k, output block cols)
-        for &(bs, r, w, c) in &[
-            (4usize, 3usize, 5usize, 3usize),
-            (16, 2, 17, 2),
-            (1, 5, 3, 9),
+        // (block size, block rows, gathered blocks along k, output block
+        // cols, rows multiplied)
+        for &(bs, r, w, c, rows) in &[
+            (4usize, 3usize, 5usize, 3usize, 12usize),
+            (16, 2, 17, 2, 32),
+            (1, 5, 3, 9, 5),
+            (16, 1, 3, 2, 1),
+            (16, 2, 17, 2, 3),
+            (4, 1, 9, 10, 2),
         ] {
             let (m, k, n) = (r * bs, w * bs, c * bs);
             let area = bs * bs;
@@ -513,7 +606,7 @@ mod tests {
             let mut want = lcg_fill(m * n, 23);
             let out_init = want.clone();
             ScalarKernel.run(
-                m,
+                rows,
                 n,
                 k,
                 0.5,
@@ -547,12 +640,73 @@ mod tests {
                 let mut got = to_blocks(&out_init, c, n);
                 let ov = OutView::with_axes(&mut got, tiled(&o_rows, bs), tiled(&o_cols, 1));
                 match variant {
-                    Some(variant) => variant.run_blocked(m, n, k, 0.5, av, bv, ov),
-                    None => ScalarKernel.run(m, n, k, 0.5, av, bv, ov),
+                    Some(variant) => variant.run_blocked(rows, n, k, 0.5, av, bv, ov),
+                    None => ScalarKernel.run(rows, n, k, 0.5, av, bv, ov),
                 }
-                let what = format!("bs={bs} {}", variant.map_or("scalar", Variant::name));
+                let what = format!(
+                    "bs={bs} rows={rows} {}",
+                    variant.map_or("scalar", Variant::name)
+                );
                 assert_same_bits(&got, &want_blocks, &what);
             }
+        }
+
+        let (bs, c, k) = (16, 5, KC + 9);
+        let (n, big_n) = (c * bs, (2 * c + 1) * bs);
+        let b_big = lcg_fill(k * big_n, 24);
+        for gap in [1, 2] {
+            let panels: Vec<usize> = (0..c).map(|j| (gap * j + 1) * bs).collect();
+            let b_dense: Vec<f32> = (0..k * n)
+                .map(|idx| b_big[(idx / n) * big_n + panels[(idx % n) / bs] + idx % bs])
+                .collect();
+            let b_t: Vec<f32> = (0..n * k)
+                .map(|idx| b_dense[(idx % k) * n + idx / k])
+                .collect();
+            let gathered = Axis::tiled(&panels, bs, 1);
+            let views = [
+                (
+                    "column panels",
+                    PanelView::with_axes(&b_big, Axis::Strided(big_n), gathered),
+                ),
+                ("transposed", PanelView::new(&b_t, 1, k)),
+            ];
+            for m in 1..TILE_ROWS {
+                let (a, init) = (lcg_fill(m * k, 25), lcg_fill(m * n, 26));
+                let av = PanelView::new(&a, k, 1);
+                let mut want = init.clone();
+                let bv = PanelView::new(&b_dense, n, 1);
+                ScalarKernel.run(m, n, k, 0.5, av, bv, OutView::new(&mut want, n));
+                for ((layout, bv), variant) in views
+                    .iter()
+                    .flat_map(|v| supported_variants().map(move |x| (v, x)))
+                {
+                    let mut got = init.clone();
+                    variant.run_blocked(m, n, k, 0.5, av, *bv, OutView::new(&mut got, n));
+                    let what = format!("{layout} gap={gap} m={m} {}", variant.name());
+                    assert_same_bits(&got, &want, &what);
+                }
+            }
+        }
+    }
+
+    /// Golden bits of a one-row product, which the one-row tile computes
+    /// with B read in place (its two full strips) and packed (its edge
+    /// strip) across two `KC` chunks.
+    #[test]
+    fn golden_bits_of_a_one_row_product() {
+        const GOLDEN: u64 = 0x9feb_a957_0e8d_5c27;
+        let (m, n, k) = (1, 65, 300);
+        let a = lcg_fill(m * k, 34);
+        let b = lcg_fill(k * n, 35);
+        let init = lcg_fill(m * n, 36);
+        let (av, bv) = (PanelView::new(&a, k, 1), PanelView::new(&b, n, 1));
+        let mut out = init.clone();
+        ScalarKernel.run(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
+        assert_eq!(hash_bits(&out), GOLDEN, "scalar: {:#018x}", hash_bits(&out));
+        for variant in supported_variants() {
+            let mut out = init.clone();
+            variant.run_blocked(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
+            assert_eq!(hash_bits(&out), GOLDEN, "{}", variant.name());
         }
     }
 
