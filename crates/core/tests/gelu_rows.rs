@@ -65,10 +65,4 @@ fn padded_rows_stay_positive_zero_and_real_rows_are_gelu_bitwise() {
     // Two blocks per block row; the 1-, (bs - 1)- and (bs + 1)-token
     // experts each leave one partial block row.
     assert_eq!(padded, 2 * bs * ((bs - 1) + 1 + (bs - 1)));
-
-    // The backward's gradient product walks the same rows; it runs and
-    // stays finite.
-    let d_out = normal(x.rows(), hidden, 1.0, &mut rng);
-    let dx = layer.backward(&out.cache, &d_out);
-    assert!(dx.as_slice().iter().all(|v| v.is_finite()));
 }
