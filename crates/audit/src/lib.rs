@@ -13,11 +13,12 @@
 //! The enforced rules live in the central [`rules::RULES`] registry —
 //! run `cargo run -p megablocks-audit -- lint --list` for the table, and
 //! see each rule's doc string there for what it checks. Briefly:
-//! `safety-comment`, `hot-path-panic`, `raw-parallelism` and
-//! `fault-site-telemetry` port the original line-based lints onto the
-//! token model; `error-exhaustive` and `unsafe-safety-format` are only
-//! expressible on it; `suppression-justification` governs the
-//! `// audit: allow(<rule>) -- <justification>` escape hatch.
+//! `safety-comment`, `hot-path-panic` and `fault-site-telemetry` port the
+//! original line-based lints onto the token model; `error-exhaustive` and
+//! `unsafe-safety-format` are only expressible on it;
+//! `suppression-justification` governs the
+//! `// audit: allow(<rule>) -- <justification>` escape hatch. Thread
+//! spawns are clippy's (`disallowed-methods` in `clippy.toml`).
 //!
 //! Run everything with `cargo run -p megablocks-audit -- lint`
 //! (`--json` for machine-readable output).
@@ -49,10 +50,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/core/src/permute.rs",
 ];
 
-/// The one directory allowed to use raw thread primitives: the execution
-/// runtime owns every spawn in the workspace (workspace-relative prefix).
-pub const EXEC_CRATE: &str = "crates/exec/";
-
 /// The one directory allowed to hand-roll GEMM inner loops: the
 /// microkernel module behind `block_gemm` (workspace-relative prefix).
 /// The `kernel-dispatch` rule bans raw inner loops elsewhere in the
@@ -65,7 +62,7 @@ pub const FAULT_SITES: &str = "crates/resilience/src/sites.rs";
 
 /// The workspace error enums whose variants the `error-exhaustive` rule
 /// requires to be constructed outside tests.
-pub const AUDITED_ERROR_ENUMS: &[&str] = &["SparseError", "AuditError", "EpError"];
+pub const AUDITED_ERROR_ENUMS: &[&str] = &["SparseError", "AuditError"];
 
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -246,17 +243,6 @@ pub fn run_all_lints(root: &Path) -> io::Result<Vec<Finding>> {
         // `hot-path-panic`, on the kernel hot-path files.
         if HOT_PATHS.contains(&wf.rel.as_str()) {
             findings.extend(check_hot_path_panics(wf));
-        }
-
-        // `raw-parallelism`: raw thread primitives only inside the
-        // execution runtime. Tests are exempt (determinism/stress suites
-        // drive the pool from OS threads deliberately), as is the audit
-        // crate (fixture literals).
-        if !wf.rel.starts_with(EXEC_CRATE)
-            && !wf.rel.starts_with("crates/audit/")
-            && !wf.rel.contains("/tests/")
-        {
-            findings.extend(check_raw_parallelism(wf));
         }
 
         // `kernel-dispatch`: raw GEMM inner loops only inside the
@@ -468,44 +454,6 @@ pub fn check_hot_path_panics(wf: &WorkspaceFile) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// raw-parallelism
-// ---------------------------------------------------------------------------
-
-/// `raw-parallelism`: raw thread-spawning primitives are banned outside
-/// the execution runtime crate — kernels launch through
-/// `megablocks_exec::LaunchPlan`, never by spawning threads themselves.
-/// Test-gated items are exempt, like the hot-path rule.
-pub fn check_raw_parallelism(wf: &WorkspaceFile) -> Vec<Finding> {
-    let cv = CodeView::new(wf);
-    let mut findings = Vec::new();
-    for i in 0..cv.len() {
-        let pat = if cv.is_ident(i, "thread")
-            && cv.double_colon(i + 1)
-            && (cv.is_ident(i + 3, "spawn")
-                || cv.is_ident(i + 3, "scope")
-                || cv.is_ident(i + 3, "Builder"))
-        {
-            format!("thread::{}", cv.text(i + 3))
-        } else {
-            continue;
-        };
-        if wf.sf.in_test_item(cv.tok(i).start) {
-            continue;
-        }
-        findings.push(Finding {
-            file: wf.rel.clone(),
-            line: cv.tok(i).line,
-            rule: "raw-parallelism",
-            message: format!(
-                "`{pat}` outside crates/exec; launch through \
-                 megablocks_exec::LaunchPlan instead"
-            ),
-        });
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------------
 // kernel-dispatch
 // ---------------------------------------------------------------------------
 
@@ -514,7 +462,7 @@ pub fn check_raw_parallelism(wf: &WorkspaceFile) -> Vec<Finding> {
 /// loop. Outside [`KERNEL_DIR`] those are banned in the tensor and
 /// sparse crates — compute routes through `megablocks_tensor::block_gemm`
 /// so the kernel backend registry governs every path. Test-gated items
-/// are exempt, like the raw-parallelism rule.
+/// are exempt, like the hot-path rule.
 ///
 /// The loop tracker skips `for<` (higher-ranked trait bounds) and only
 /// counts a `for` with an `in` before its body brace; depth-1 and
@@ -1095,27 +1043,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_parallelism_lint_flags_spawns() {
-        let src = "fn k() {\n    std::thread::spawn(|| {});\n    std::thread::scope(|s| {});\n}\n";
-        let f = check_raw_parallelism(&wf(src));
-        assert!(f.len() >= 2);
-        assert!(f.iter().all(|f| f.rule == "raw-parallelism"));
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn raw_parallelism_lint_exempts_tests_and_comments() {
-        let src = "// thread::spawn is discussed here only\nfn k() {}\n#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| {}); }\n}\n";
-        assert!(check_raw_parallelism(&wf(src)).is_empty());
-    }
-
-    #[test]
-    fn raw_parallelism_lint_ignores_strings() {
-        let src = "fn k() -> &'static str {\n    \"thread::spawn\"\n}\n";
-        assert!(check_raw_parallelism(&wf(src)).is_empty());
-    }
-
-    #[test]
     fn kernel_dispatch_flags_triple_loop_gemm() {
         let src = "fn gemm(a: &[f32], b: &[f32], c: &mut [f32], n: usize) {\n    for i in 0..n {\n        for j in 0..n {\n            for p in 0..n {\n                c[i * n + j] += a[i * n + p] * b[p * n + j];\n            }\n        }\n    }\n}\n";
         let f = check_kernel_dispatch(&wf(src));
@@ -1160,12 +1087,12 @@ mod tests {
     fn error_exhaustive_flags_unconstructed_variant() {
         let decl = WorkspaceFile::new(
             "crates/x/src/err.rs",
-            "pub enum EpError {\n    Used,\n    Orphan,\n}\nimpl std::fmt::Display for EpError {\n    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {\n        match self { EpError::Used => Ok(()), EpError::Orphan => Ok(()) }\n    }\n}\n",
+            "pub enum SparseError {\n    Used,\n    Orphan,\n}\nimpl std::fmt::Display for SparseError {\n    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {\n        match self { SparseError::Used => Ok(()), SparseError::Orphan => Ok(()) }\n    }\n}\n",
         )
         .unwrap();
         let user = WorkspaceFile::new(
             "crates/x/src/use_site.rs",
-            "pub fn f() -> Result<(), super::EpError> {\n    Err(EpError::Used)\n}\n",
+            "pub fn f() -> Result<(), super::SparseError> {\n    Err(SparseError::Used)\n}\n",
         )
         .unwrap();
         let f = check_error_exhaustive(&[decl, user]);
@@ -1179,7 +1106,7 @@ mod tests {
     fn error_exhaustive_ignores_test_constructions() {
         let decl = WorkspaceFile::new(
             "crates/x/src/err.rs",
-            "pub enum EpError { Orphan }\n#[cfg(test)]\nmod tests {\n    fn t() { let _ = super::EpError::Orphan; }\n}\n",
+            "pub enum SparseError { Orphan }\n#[cfg(test)]\nmod tests {\n    fn t() { let _ = super::SparseError::Orphan; }\n}\n",
         )
         .unwrap();
         let f = check_error_exhaustive(&[decl]);

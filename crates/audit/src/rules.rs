@@ -40,13 +40,9 @@ pub const RULES: &[Rule] = &[
     // panicking sparse op together with its `try_*` twin.
     // id 4 (`telemetry-parity`) is retired: telemetry compiles one
     // implementation, so there is no no-op twin to keep in step.
-    Rule {
-        id: 5,
-        slug: "raw-parallelism",
-        doc: "raw thread primitives (`thread::spawn` & co.) are banned \
-              outside crates/exec; kernels launch through the worker pool",
-        since: "PR 3",
-    },
+    // id 5 (no thread spawns outside crates/exec) is retired: clippy.toml's
+    // `disallowed-methods` bans the thread primitives, and each spawn
+    // site carries its own `#[allow]` with a reason.
     Rule {
         id: 6,
         slug: "fault-site-telemetry",
@@ -59,8 +55,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: 8,
         slug: "error-exhaustive",
-        doc: "every `SparseError`/`AuditError`/`EpError` variant is \
-              constructed somewhere outside tests",
+        doc: "every `SparseError`/`AuditError` variant is constructed \
+              somewhere outside tests",
         since: "PR 7",
     },
     Rule {
@@ -126,12 +122,13 @@ mod tests {
 
     #[test]
     fn lookup_by_slug() {
-        assert_eq!(rule_by_slug("raw-parallelism").unwrap().id, 5);
+        assert_eq!(rule_by_slug("fault-site-telemetry").unwrap().id, 6);
         assert!(rule_by_slug("try-twin").is_none(), "id 3 stays retired");
         assert!(
             rule_by_slug("telemetry-parity").is_none(),
             "id 4 stays retired"
         );
+        assert!(RULES.iter().all(|r| r.id != 5), "id 5 stays retired");
         assert!(
             rule_by_slug("feature-gate-parity").is_none(),
             "id 7 stays retired"

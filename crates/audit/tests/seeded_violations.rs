@@ -16,16 +16,16 @@ use megablocks_audit::run_all_lints;
 const DEMO_LIB: &str = r#"//! Seeded-violation fixture.
 
 /// Audited error enum with an unconstructed variant.
-pub enum EpError {
+pub enum SparseError {
     /// Constructed in `make_error`.
     Used,
     /// Never constructed anywhere in the fixture.
     NeverBuilt,
 }
 
-/// Constructs only `EpError::Used`.
-pub fn make_error() -> EpError {
-    EpError::Used
+/// Constructs only `SparseError::Used`.
+pub fn make_error() -> SparseError {
+    SparseError::Used
 }
 
 /// The SAFETY justification below is too short to say anything.

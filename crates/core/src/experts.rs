@@ -240,8 +240,8 @@ pub(crate) fn backward(
 /// `y = gelu(xg * w1 | topology) * w2`, as SDD -> GeLU -> DSD. Returns
 /// `y` and, under [`Retain::ForBackward`], the pre- and post-activation
 /// blocks; under [`Retain::Nothing`] the GeLU runs in place and the
-/// blocks are recycled. Every layer and every expert-parallel shard run
-/// this one body, so their per-element arithmetic cannot drift.
+/// blocks are recycled. Every layer runs this one body, so their
+/// per-element arithmetic cannot drift.
 pub(crate) fn expert_mlp(
     xg: &Matrix,
     w1: &Matrix,

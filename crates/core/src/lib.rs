@@ -52,7 +52,6 @@ mod experts;
 mod ffn;
 pub mod health;
 mod loss;
-mod parallel;
 mod param;
 mod permute;
 mod router;
@@ -65,10 +64,6 @@ pub use expert_choice::{ExpertChoiceCache, ExpertChoiceMoe, ExpertChoiceOutput};
 pub use experts::{MoeCache, MoeOutput};
 pub use ffn::{DenseFfn, FfnCache};
 pub use loss::{load_balancing_loss, LoadBalance};
-pub use parallel::{
-    resilient_expert_parallel_forward, try_expert_parallel_forward, AllToAllBuffers, BreakerPolicy,
-    BreakerState, EpBreaker, EpError, EpOutcome, EpPolicy, EpRecovery, EpStats,
-};
 pub use param::Param;
 pub use permute::{
     padded_gather, padded_gather_backward, padded_scatter, padded_scatter_backward, PermuteInfo,

@@ -12,9 +12,9 @@
 //!   re-raised on the submitter without poisoning or wedging the pool.
 //! * **First-class launch plans** ([`LaunchPlan`]) — a disjoint band
 //!   partition of an output slice plus a per-band body. The sparse
-//!   SDD/DSD/DDS kernels, the dense GEMM and the expert-parallel shard
-//!   loop all launch through this one abstraction, whose constructors
-//!   assert that the bands tile the output exactly.
+//!   SDD/DSD/DDS kernels and the dense GEMM all launch through this one
+//!   abstraction, whose constructors assert that the bands tile the
+//!   output exactly.
 //! * **Reusable workspaces** ([`workspace`], [`Workspace`]) — a
 //!   per-thread buffer arena so kernel outputs and scratch reuse storage
 //!   across calls within a training step instead of round-tripping

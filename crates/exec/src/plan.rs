@@ -3,9 +3,8 @@
 //! A [`LaunchPlan`] describes one kernel launch: a flat output slice, a
 //! partition of that slice into disjoint contiguous bands, and a band
 //! body. It replaces the hand-rolled scoped-thread launchers that the
-//! sparse (SDD/DSD/DDS), dense (GEMM) and expert-parallel paths used to
-//! duplicate — every parallel region in the workspace now goes through
-//! this one seam.
+//! sparse (SDD/DSD/DDS) and dense (GEMM) paths used to duplicate — every
+//! parallel region in the workspace now goes through this one seam.
 //!
 //! Two partition shapes cover every kernel:
 //!
@@ -13,9 +12,9 @@
 //!   `unit` floats (nonzero blocks for SDD, block-row bands for DSD,
 //!   rows for DDS/GEMM); each band owns `items_per_band` consecutive
 //!   items and the body receives `(band, first_item_index)`.
-//! * [`LaunchPlan::over_bands`] — explicitly sized bands (the
-//!   expert-parallel shard loop, where shards own different row counts);
-//!   the body receives `(band, band_index)`.
+//! * [`LaunchPlan::over_bands`] — explicitly sized bands (the SDD and
+//!   DSD launches, whose cost-balanced bands of block rows differ in
+//!   length); the body receives `(band, band_index)`.
 //!
 //! Write disjointness holds *by construction*: bands are carved with
 //! `chunks_mut`/`split_at_mut`, so no two tasks can alias an output

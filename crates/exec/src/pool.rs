@@ -237,6 +237,10 @@ impl Pool {
         });
         for i in 0..workers {
             let shared = Arc::clone(&shared);
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the pool's workers are the threads every launch runs on"
+            )]
             let spawned = std::thread::Builder::new()
                 .name(format!("megablocks-exec-{i}"))
                 .spawn(move || worker_loop(&shared));

@@ -11,11 +11,10 @@
 //! cooperative cancellation points then unwind the launch, which
 //! reports [`crate::ExecError::DeadlineExceeded`].
 //!
-//! The threshold is median-based, mirroring the expert-parallel
-//! straggler detector: `max(budget, STALL_FACTOR x median finished-band
-//! time)`, so a uniformly slow launch (big inputs) is not punished for
-//! honest work while one band lagging its siblings by an order of
-//! magnitude is.
+//! The threshold is median-based: `max(budget, STALL_FACTOR x median
+//! finished-band time)`, so a uniformly slow launch (big inputs) is not
+//! punished for honest work while one band lagging its siblings by an
+//! order of magnitude is.
 //!
 //! Watching is opt-in per plan
 //! ([`crate::LaunchPlan::with_stall_budget`]); with no budget set, no
@@ -31,7 +30,7 @@ use megablocks_telemetry as telemetry;
 use crate::cancel::CancelToken;
 
 /// Multiplier over the median finished-band time before an in-flight
-/// band counts as stalled (the EP straggler detector's factor).
+/// band counts as stalled.
 const STALL_FACTOR: u64 = 8;
 
 /// Per-launch stall bookkeeping shared between the launch's band tasks
@@ -121,6 +120,10 @@ fn registry() -> &'static Arc<Registry> {
             wake: Condvar::new(),
         });
         let scanner = Arc::clone(&registry);
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the scanner must run beside the pool it watches, not on it"
+        )]
         let spawned = std::thread::Builder::new()
             .name("megablocks-watchdog".to_string())
             .spawn(move || scanner_loop(&scanner));

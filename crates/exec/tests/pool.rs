@@ -154,6 +154,10 @@ fn occupancy_gauges_never_underflow() {
     // sample must stay within physical bounds.
     let stop = AtomicBool::new(false);
     let workers = pool().workers();
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the sampler must read the gauges from outside the pool"
+    )]
     std::thread::scope(|s| {
         let sampler = s.spawn(|| {
             let mut max_depth = 0usize;

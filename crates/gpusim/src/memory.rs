@@ -103,12 +103,12 @@ pub enum MemoryPolicy {
     },
 }
 
-/// Per-GPU weight + optimizer memory in bytes under `expert_parallel`-way
+/// Per-GPU weight + optimizer memory in bytes under `ep_ways`-way
 /// expert parallelism (the paper uses 8).
-pub fn weight_memory(shape: &ModelShape, expert_parallel: usize) -> f64 {
+pub fn weight_memory(shape: &ModelShape, ep_ways: usize) -> f64 {
     let expert = shape.expert_param_count();
     let dense = shape.param_count() - expert;
-    (dense + expert / expert_parallel as f64) * BYTES_PER_PARAM
+    (dense + expert / ep_ways as f64) * BYTES_PER_PARAM
 }
 
 /// Per-GPU activation memory in bytes for one micro-batch of
@@ -139,9 +139,9 @@ pub fn training_memory(
     shape: &ModelShape,
     policy: MemoryPolicy,
     micro_batch: usize,
-    expert_parallel: usize,
+    ep_ways: usize,
 ) -> f64 {
-    weight_memory(shape, expert_parallel) + activation_memory(shape, policy, micro_batch)
+    weight_memory(shape, ep_ways) + activation_memory(shape, policy, micro_batch)
 }
 
 /// The largest power-of-two micro-batch (≥ 1) that fits in device memory,
@@ -151,12 +151,12 @@ pub fn max_micro_batch(
     device: &DeviceSpec,
     shape: &ModelShape,
     policy: MemoryPolicy,
-    expert_parallel: usize,
+    ep_ways: usize,
 ) -> Option<usize> {
     let mut best = None;
     let mut b = 1usize;
     while b <= 512 {
-        if training_memory(shape, policy, b, expert_parallel) <= device.mem_capacity {
+        if training_memory(shape, policy, b, ep_ways) <= device.mem_capacity {
             best = Some(b);
         } else {
             break;

@@ -2,16 +2,16 @@
 //!
 //! The paper's dropless formulation removes one whole class of silent
 //! failures (token dropping); this crate is the workspace's answer to the
-//! *loud* ones — worker panics, NaN-poisoned kernels, failed
-//! expert-parallel shards, torn checkpoint writes. It owns the pieces the
+//! *loud* ones — worker panics, NaN-poisoned kernels, stalled bands, a
+//! flooded pool queue, torn checkpoint writes. It owns the pieces the
 //! recovery paths in `exec`, `core` and `transformer` share:
 //!
 //! * **A deterministic fault-injection layer** ([`FaultPlan`], [`sites`]),
 //!   always compiled. A plan is seeded and installed process-wide with
 //!   [`install_plan`]; registered injection sites ([`Site`]) query it
 //!   through hooks ([`maybe_panic`], [`maybe_poison`], [`should_fail`],
-//!   [`inject_delay`], [`delay_requested`], [`maybe_io_error`]) that cost
-//!   one relaxed atomic load while no plan is installed.
+//!   [`delay_requested`], [`maybe_io_error`]) that cost one relaxed atomic
+//!   load while no plan is installed.
 //! * **CRC-checked, atomic file I/O** ([`crc32`], [`Crc32`],
 //!   [`atomic_write`]) — the write-temp + fsync + rename discipline the
 //!   v2 checkpoint format relies on, so a crash or injected I/O error can
@@ -37,9 +37,8 @@ pub mod sites;
 pub use crc::{crc32, Crc32};
 pub use io::atomic_write;
 pub use plan::{
-    clear_plan, delay_requested, inject_delay, install_plan, maybe_io_error, maybe_panic,
-    maybe_poison, plan_installed, report, should_fail, FaultPlan, FaultReport, SiteReport,
-    INJECTED_PANIC_PREFIX,
+    clear_plan, delay_requested, install_plan, maybe_io_error, maybe_panic, maybe_poison,
+    plan_installed, report, should_fail, FaultPlan, FaultReport, SiteReport, INJECTED_PANIC_PREFIX,
 };
 pub use retry::{run_with_retry, RetryPolicy};
 pub use sites::Site;
@@ -55,8 +54,7 @@ pub fn record_detected(site: &Site) {
 }
 
 /// Records that a recovery path *healed* a fault at `site` — a retried
-/// step succeeded, a shard was re-run, a checkpoint write went through on
-/// a later attempt.
+/// step succeeded, a checkpoint write went through on a later attempt.
 pub fn record_recovered(site: &Site) {
     telemetry::counter(site.recovered).inc();
     telemetry::trace_instant(site.recovered);

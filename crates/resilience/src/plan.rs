@@ -42,8 +42,8 @@ struct Schedule {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
-    /// Milliseconds an injected [`crate::sites::EP_SHARD_DELAY`] fault
-    /// sleeps for.
+    /// Milliseconds an injected [`crate::sites::EXEC_BAND_STALL`] fault
+    /// parks for.
     delay_ms: u64,
     schedules: Vec<(&'static str, Schedule)>,
 }
@@ -83,8 +83,7 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the sleep duration of injected straggler delays
-    /// (default 20 ms).
+    /// Sets the duration of injected band stalls (default 20 ms).
     #[must_use]
     pub fn delay_ms(mut self, ms: u64) -> Self {
         self.delay_ms = ms;
@@ -278,22 +277,11 @@ pub fn maybe_poison(site: &Site, data: &mut [f32]) {
     }
 }
 
-/// Structured-failure hook (EP shards): `true` if the plan fires at
-/// `site`.
+/// Structured-failure hook (a flooded pool queue): `true` if the plan
+/// fires at `site`.
 #[inline]
 pub fn should_fail(site: &Site) -> bool {
     fires(site).is_some()
-}
-
-/// Straggler hook: sleeps for the plan's configured delay if the plan
-/// fires at `site`, returning the milliseconds slept.
-#[inline]
-pub fn inject_delay(site: &Site) -> u64 {
-    let ms = delay_requested(site);
-    if ms > 0 {
-        std::thread::sleep(std::time::Duration::from_millis(ms));
-    }
-    ms
 }
 
 /// Cooperative-stall hook: if the plan fires at `site`, returns the
@@ -355,8 +343,8 @@ mod tests {
         let mut data = [1.0f32];
         maybe_poison(&sites::KERNEL_NAN_POISON, &mut data);
         assert_eq!(data[0], 1.0);
-        assert!(!should_fail(&sites::EP_SHARD_FAIL));
-        assert_eq!(inject_delay(&sites::EP_SHARD_DELAY), 0);
+        assert!(!should_fail(&sites::POOL_QUEUE_FLOOD));
+        assert_eq!(delay_requested(&sites::EXEC_BAND_STALL), 0);
         assert!(maybe_io_error(&sites::CHECKPOINT_IO).is_ok());
         maybe_panic(&sites::EXEC_WORKER_PANIC); // must not panic
         assert!(report().sites.is_empty());
@@ -365,10 +353,12 @@ mod tests {
     #[test]
     fn explicit_calls_fire_exactly_once_each() {
         let _guard = serial();
-        install_plan(FaultPlan::seeded(3).at_calls(&sites::EP_SHARD_FAIL, &[1, 3]));
-        let fired: Vec<bool> = (0..6).map(|_| should_fail(&sites::EP_SHARD_FAIL)).collect();
+        install_plan(FaultPlan::seeded(3).at_calls(&sites::POOL_QUEUE_FLOOD, &[1, 3]));
+        let fired: Vec<bool> = (0..6)
+            .map(|_| should_fail(&sites::POOL_QUEUE_FLOOD))
+            .collect();
         assert_eq!(fired, vec![false, true, false, true, false, false]);
-        assert_eq!(report().injected_at(&sites::EP_SHARD_FAIL), 2);
+        assert_eq!(report().injected_at(&sites::POOL_QUEUE_FLOOD), 2);
         clear_plan();
     }
 
@@ -392,9 +382,9 @@ mod tests {
     #[test]
     fn unscheduled_sites_stay_quiet() {
         let _guard = serial();
-        install_plan(FaultPlan::seeded(5).at_calls(&sites::EP_SHARD_FAIL, &[0]));
+        install_plan(FaultPlan::seeded(5).at_calls(&sites::POOL_QUEUE_FLOOD, &[0]));
         maybe_panic(&sites::EXEC_WORKER_PANIC);
-        assert_eq!(inject_delay(&sites::EP_SHARD_DELAY), 0);
+        assert_eq!(delay_requested(&sites::EXEC_BAND_STALL), 0);
         clear_plan();
     }
 

@@ -18,7 +18,7 @@ pub struct RetryPolicy {
     /// Jitter amplitude as a percent of the computed backoff, in
     /// `0..=100`: retry `k` sleeps `backoff(k)` stretched by up to
     /// ±`jitter_pct`%, which desynchronizes retry storms when many
-    /// shards back off from the same fault. The offset is derived from a
+    /// callers back off from the same fault. The offset is derived from a
     /// hash of the op name and attempt index, so runs stay reproducible.
     pub jitter_pct: u32,
 }

@@ -46,24 +46,6 @@ pub const KERNEL_NAN_POISON: Site = Site {
     recovered: "resilience.recovered.kernel.nan_poison",
 };
 
-/// Expert-parallel shard failure: one shard of the EP launch plan fails,
-/// exercising per-shard retry and the single-device fallback.
-pub const EP_SHARD_FAIL: Site = Site {
-    name: "ep.shard_fail",
-    injected: "resilience.injected.ep.shard_fail",
-    detected: "resilience.detected.ep.shard_fail",
-    recovered: "resilience.recovered.ep.shard_fail",
-};
-
-/// Expert-parallel straggler: one shard sleeps for the plan's configured
-/// delay, exercising straggler detection around the shard launch.
-pub const EP_SHARD_DELAY: Site = Site {
-    name: "ep.shard_delay",
-    injected: "resilience.injected.ep.shard_delay",
-    detected: "resilience.detected.ep.shard_delay",
-    recovered: "resilience.recovered.ep.shard_delay",
-};
-
 /// Checkpoint I/O failure: an [`crate::atomic_write`] step returns an
 /// injected `io::Error`, exercising write retry/backoff and proving a
 /// torn write never commits.
@@ -99,8 +81,6 @@ pub const POOL_QUEUE_FLOOD: Site = Site {
 pub const ALL: &[Site] = &[
     EXEC_WORKER_PANIC,
     KERNEL_NAN_POISON,
-    EP_SHARD_FAIL,
-    EP_SHARD_DELAY,
     CHECKPOINT_IO,
     EXEC_BAND_STALL,
     POOL_QUEUE_FLOOD,

@@ -353,7 +353,10 @@ impl Engine {
         // The batcher is a control-plane thread (it blocks on a condvar
         // waiting for requests), not a compute worker; all kernel work
         // it triggers still launches through the exec pool.
-        // audit: allow(raw-parallelism) -- batcher control thread blocks on the admission condvar; compute still goes through the exec pool
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "batcher control thread blocks on the admission condvar; compute still goes through the exec pool"
+        )]
         let batcher = std::thread::Builder::new()
             .name("mb-serve-batcher".into())
             .spawn(move || batcher_loop(&worker))

@@ -7,8 +7,6 @@
 //! worker counts 1/2/8 for every sparse product and the dense gemm, and
 //! then hammer the shared pool from concurrent OS threads to show
 //! launches from different submitters never corrupt each other.
-//! (`std::thread` here is fine: the raw-parallelism lint exempts
-//! `tests/` directories.)
 
 use megablocks_exec::{cancel, scoped_parallelism, CancelKind, CancelToken, Ctx, Deadline};
 use megablocks_sparse::{ops, BlockSize, SparseError, Topology};
@@ -166,6 +164,10 @@ fn concurrent_submitters_share_the_pool_safely() {
     // reference exactly. This is the cross-submitter interference test:
     // queued bands from different launches interleave on the workers.
     let reference = scoped_parallelism(1, run_all_kernels);
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the submitters are the OS threads under test"
+    )]
     let results: Vec<Vec<Vec<f32>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8).map(|_| scope.spawn(run_all_kernels)).collect();
         handles

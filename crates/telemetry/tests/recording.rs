@@ -16,6 +16,10 @@ static SNAPSHOT_LOCK: Mutex<()> = Mutex::new(());
 fn concurrent_counter_increments_land_exactly() {
     let threads = 8;
     let per_thread = 10_000u64;
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "concurrent OS threads are what the counters must survive"
+    )]
     thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {

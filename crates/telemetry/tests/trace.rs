@@ -25,6 +25,10 @@ fn recorder() -> MutexGuard<'static, ()> {
 fn events_land_on_named_per_thread_lanes() {
     let _guard = recorder();
     telemetry::trace_instant("lane.main");
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a named OS thread is what gets its own lane"
+    )]
     thread::Builder::new()
         .name("trace-worker-a".to_string())
         .spawn(|| telemetry::trace_instant("lane.worker"))

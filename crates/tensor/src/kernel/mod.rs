@@ -52,7 +52,7 @@
 //! GEMM over the densified operand uses, minus the structural zeros.
 //! An element's value depends only on its own row and column of the
 //! operands, never on how many rows or columns share the call, which is
-//! why banding, request batching and expert sharding cannot change a bit.
+//! why banding and request batching cannot change a bit.
 //!
 //! [`gemm`]: crate::gemm
 //!

@@ -1,7 +1,10 @@
 //! Chaos soak: train a dMoE language model end-to-end under a seeded
-//! fault schedule covering every registered injection site, and assert
+//! fault schedule at the three sites a training run recovers from
+//! (`exec.worker_panic`, `kernel.nan_poison`, `checkpoint.io`), and assert
 //! the run completes with the fault-free trajectory and a clean
-//! checkpoint directory.
+//! checkpoint directory. The other two registered sites,
+//! `exec.band_stall` and `pool.queue_flood`, are exec's own drills
+//! (`crates/exec/tests/chaos.rs`).
 //!
 //! The fault plan is process-global, so this soak owns its own
 //! integration-test binary (one process, one test).
@@ -9,15 +12,11 @@
 use std::path::PathBuf;
 
 use megablocks::core::checkpoint::{validate_checkpoint_file, VERSION_V2};
-use megablocks::core::{
-    resilient_expert_parallel_forward, DroplessMoe, EpBreaker, EpPolicy, MoeConfig,
-};
+use megablocks::core::MoeConfig;
 use megablocks::data::{PileConfig, SyntheticPile, TokenDataset};
-use megablocks::resilience::sites::{
-    CHECKPOINT_IO, EP_SHARD_DELAY, EP_SHARD_FAIL, EXEC_WORKER_PANIC, KERNEL_NAN_POISON,
-};
+use megablocks::resilience::sites::{CHECKPOINT_IO, EXEC_WORKER_PANIC, KERNEL_NAN_POISON};
 use megablocks::resilience::{clear_plan, install_plan, report, FaultPlan};
-use megablocks::tensor::init::{normal, seeded_rng};
+use megablocks::tensor::init::seeded_rng;
 use megablocks::transformer::{
     FfnKind, ResilienceConfig, ResilientTrainer, Trainer, TrainerConfig, TransformerConfig,
     TransformerLm,
@@ -77,7 +76,7 @@ fn soak_survives_every_fault_kind_and_matches_the_baseline() {
     baseline.train(&train, STEPS);
     let reference = baseline.evaluate(&valid, 4).loss;
 
-    // --- Chaos run: all five sites scheduled ---------------------------
+    // --- Chaos run: all three sites scheduled --------------------------
     // Call indices are spread out so the worker panic (step 0) is healed
     // before the NaN poisoning lands (a few steps later) — each recovery
     // path is observed on its own.
@@ -86,10 +85,7 @@ fn soak_survives_every_fault_kind_and_matches_the_baseline() {
         FaultPlan::seeded(41)
             .at_calls(&EXEC_WORKER_PANIC, &[2])
             .at_calls(&KERNEL_NAN_POISON, &[30])
-            .at_calls(&CHECKPOINT_IO, &[0])
-            .at_calls(&EP_SHARD_FAIL, &[0])
-            .at_calls(&EP_SHARD_DELAY, &[1])
-            .delay_ms(60),
+            .at_calls(&CHECKPOINT_IO, &[0]),
     );
 
     let cfg = ResilienceConfig {
@@ -102,30 +98,9 @@ fn soak_survives_every_fault_kind_and_matches_the_baseline() {
     rt.train(&train, STEPS)
         .expect("the soak must complete under faults");
 
-    // Expert parallelism rides the same plan: one shard fails once and
-    // is retried, one shard straggles and is detected.
-    let moe = {
-        let mut rng = seeded_rng(31);
-        DroplessMoe::new(MoeConfig::new(6, 8, 4).with_block_size(4), &mut rng)
-    };
-    let x = normal(24, 6, 1.0, &mut seeded_rng(32));
-    let ep_reference = moe.forward(&x).output;
-    let policy = EpPolicy {
-        straggler_floor_us: 5_000,
-        ..EpPolicy::default()
-    };
-    let outcome = resilient_expert_parallel_forward(&moe, &x, 4, &policy, &mut EpBreaker::never())
-        .expect("recovers");
-
     // --- Every scheduled site actually injected ------------------------
     let injected = report();
-    for site in [
-        &EXEC_WORKER_PANIC,
-        &KERNEL_NAN_POISON,
-        &CHECKPOINT_IO,
-        &EP_SHARD_FAIL,
-        &EP_SHARD_DELAY,
-    ] {
+    for site in [&EXEC_WORKER_PANIC, &KERNEL_NAN_POISON, &CHECKPOINT_IO] {
         assert!(
             injected.injected_at(site) >= 1,
             "site {} never fired: {injected:?}",
@@ -146,18 +121,6 @@ fn soak_survives_every_fault_kind_and_matches_the_baseline() {
     assert!(rep.step_retries >= 2, "{rep:?}");
     assert!(rep.checkpoints_written >= 2, "{rep:?}");
     assert_eq!(rep.checkpoint_failures, 0, "the injected I/O error retries");
-    assert!(
-        outcome.recovery.shards_recovered >= 1,
-        "{:?}",
-        outcome.recovery
-    );
-    assert!(
-        outcome.recovery.stragglers_detected >= 1,
-        "{:?}",
-        outcome.recovery
-    );
-    assert!(!outcome.recovery.fell_back);
-    assert!(outcome.output.approx_eq(&ep_reference, 1e-4));
 
     // --- The chaos trajectory equals the fault-free one ----------------
     let after = rt.trainer().evaluate(&valid, 4).loss;

@@ -1,15 +1,13 @@
 //! Integration tests for the beyond-the-paper extensions through the
-//! facade API: variable-sized experts, expert-choice routing, and the
-//! expert-parallel execution path.
+//! facade API: variable-sized experts and expert-choice routing.
 
 use megablocks::core::{
-    load_imbalance, try_expert_parallel_forward, DroplessMoe, ExpertChoiceMoe, MoeConfig,
-    VariableDroplessMoe, VariableMoeConfig,
+    load_imbalance, DroplessMoe, ExpertChoiceMoe, MoeConfig, VariableDroplessMoe, VariableMoeConfig,
 };
 use megablocks::tensor::init::{normal, seeded_rng};
 
 #[test]
-fn variable_experts_integrate_with_expert_parallel_intuition() {
+fn variable_experts_weight_layout_matches_offsets() {
     // A variable layer with doubling widths: the concatenated weight
     // layout must match the config's offsets.
     let cfg = VariableMoeConfig::new(8, vec![4, 8, 16], 4);
@@ -46,16 +44,4 @@ fn expert_choice_and_token_choice_route_differently() {
         "expert choice imbalance {ec_imb}"
     );
     assert!(tc_imb >= 1.0);
-}
-
-#[test]
-fn expert_parallel_matches_reference_through_facade() {
-    let mut rng = seeded_rng(7);
-    let layer = DroplessMoe::new(MoeConfig::new(8, 16, 4).with_block_size(4), &mut rng);
-    let x = normal(23, 8, 1.0, &mut rng);
-    let reference = layer.forward(&x).output;
-    let (out, stats, buffers) = try_expert_parallel_forward(&layer, &x, 2).unwrap();
-    assert!(out.approx_eq(&reference, 1e-4));
-    assert_eq!(stats.num_shards, 2);
-    assert_eq!(buffers.shard_inputs.len(), 2);
 }
