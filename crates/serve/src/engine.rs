@@ -1,4 +1,4 @@
-//! The micro-batching engine: bounded admission queue, dual-trigger
+//! The micro-batching engine: bounded admission queue, work-conserving
 //! batch formation, deadline-aware execution, per-request responses.
 
 use std::any::Any;
@@ -14,18 +14,14 @@ use megablocks_sparse::SparseError;
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::Matrix;
 
-/// Tuning knobs for the serving engine: the product defaults, overridden
-/// with the builder methods.
+/// Size bounds for the serving engine: the product defaults, overridden
+/// with the builder methods. Nothing here is a timer: a batch forms the
+/// moment the batcher is free and a request is queued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Maximum requests per micro-batch (default 8). A batch closes as
-    /// soon as this many requests wait.
+    /// Maximum requests per micro-batch (default 8). A batch takes at
+    /// most this many of the queued requests, oldest first.
     pub max_batch: usize,
-    /// Maximum time the oldest request waits for co-riders before the
-    /// batch closes anyway (default 2000 µs). Also the slack threshold: a
-    /// request whose deadline is closer than this stops the wait
-    /// immediately.
-    pub max_wait: Duration,
     /// Admission-queue bound (default 64). Submissions past this shed
     /// with [`ServeError::Overloaded`].
     pub queue_cap: usize,
@@ -35,7 +31,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 8,
-            max_wait: Duration::from_micros(2000),
             queue_cap: 64,
         }
     }
@@ -46,12 +41,6 @@ impl ServeConfig {
     pub fn with_max_batch(mut self, n: usize) -> Self {
         assert!(n > 0, "max_batch must be nonzero");
         self.max_batch = n;
-        self
-    }
-
-    /// Overrides the batching wait / slack threshold.
-    pub fn with_max_wait(mut self, d: Duration) -> Self {
-        self.max_wait = d;
         self
     }
 
@@ -108,7 +97,7 @@ impl std::error::Error for ServeError {}
 pub struct Response {
     /// Layer output for this request's tokens (`rows x hidden_size`).
     pub output: Matrix,
-    /// Time spent queued before the batch closed.
+    /// Time spent queued before its batch formed.
     pub queue_wait: Duration,
     /// End-to-end latency from submit to resolution.
     pub latency: Duration,
@@ -383,9 +372,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// * [`ServeError::Overloaded`] — queue at capacity; request shed.
+    /// * [`ServeError::ShuttingDown`] — the engine stopped. Checked first:
+    ///   a stopped engine counts the attempt nowhere.
     /// * [`ServeError::Expired`] — the deadline had already passed.
-    /// * [`ServeError::ShuttingDown`] — the engine stopped.
+    /// * [`ServeError::Overloaded`] — queue at capacity; request shed.
     ///
     /// # Panics
     ///
@@ -402,16 +392,17 @@ impl Engine {
             "request feature size mismatch"
         );
         assert!(tokens.rows() > 0, "empty request");
-        if deadline.is_some_and(|d| d.expired()) {
-            // Dead on arrival: admitted and resolved in one step, so
-            // `shed + submitted` still counts every attempt.
-            self.shared.counters.count_submitted();
-            self.shared.counters.count_resolved(Outcome::Expired);
-            return Err(ServeError::Expired);
-        }
         let mut state = self.shared.lock();
         if !state.running {
             return Err(ServeError::ShuttingDown);
+        }
+        if deadline.is_some_and(|d| d.expired()) {
+            // Dead on arrival: admitted and resolved in one step, so
+            // `shed + submitted` still counts every attempt.
+            drop(state);
+            self.shared.counters.count_submitted();
+            self.shared.counters.count_resolved(Outcome::Expired);
+            return Err(ServeError::Expired);
         }
         let depth = state.queue.len();
         if depth >= self.shared.cfg.queue_cap {
@@ -483,26 +474,10 @@ fn drop_expired(state: &mut State) {
     state.queue = kept;
 }
 
-/// How long the batcher may keep waiting for co-riders, given the
-/// oldest queued request: `None` means a trigger already fired.
-fn wait_budget(oldest: &Pending, max_wait: Duration) -> Option<Duration> {
-    let waited = oldest.submitted.elapsed();
-    if waited >= max_wait {
-        return None;
-    }
-    let mut budget = max_wait - waited;
-    if let Some(deadline) = oldest.deadline {
-        let slack = deadline.remaining();
-        if slack <= max_wait {
-            // Less than a batching window of slack left: waiting any
-            // longer could not be recovered by batching efficiency.
-            return None;
-        }
-        budget = budget.min(slack - max_wait);
-    }
-    Some(budget)
-}
-
+/// Forms each batch the moment the batcher is free and a live request is
+/// queued: the next `min(queue.len(), max_batch)` requests, oldest first.
+/// Requests that arrive while a batch computes queue behind it and are
+/// the next batch, so batches grow with load without a timer.
 fn batcher_loop(shared: &Shared) {
     loop {
         let batch = {
@@ -516,24 +491,10 @@ fn batcher_loop(shared: &Shared) {
                     return;
                 }
                 drop_expired(&mut state);
-                if state.queue.is_empty() {
-                    state = shared.cv.wait(state).unwrap_or_else(|p| p.into_inner());
-                    continue;
-                }
-                if state.queue.len() >= shared.cfg.max_batch {
+                if !state.queue.is_empty() {
                     break;
                 }
-                let oldest = state.queue.front().expect("nonempty queue");
-                match wait_budget(oldest, shared.cfg.max_wait) {
-                    None => break,
-                    Some(budget) => {
-                        let (next, _timeout) = shared
-                            .cv
-                            .wait_timeout(state, budget)
-                            .unwrap_or_else(|p| p.into_inner());
-                        state = next;
-                    }
-                }
+                state = shared.cv.wait(state).unwrap_or_else(|p| p.into_inner());
             }
             let take = state.queue.len().min(shared.cfg.max_batch);
             state.queue.drain(..take).collect::<Vec<_>>()
@@ -542,8 +503,7 @@ fn batcher_loop(shared: &Shared) {
         // sanitizer assertion) must not take the batcher down with it: the unwind drops
         // the batch, which resolves its members, and the loop keeps
         // serving the queue.
-        if !batch.is_empty() && catch_unwind(AssertUnwindSafe(|| run_batch(shared, batch))).is_err()
-        {
+        if catch_unwind(AssertUnwindSafe(|| run_batch(shared, batch))).is_err() {
             telemetry::counter("serve.batch_panicked").inc();
             telemetry::trace_instant("serve.batch_panicked");
         }
@@ -680,11 +640,7 @@ mod tests {
 
     #[test]
     fn batched_output_is_bit_identical_to_sequential() {
-        let (engine, mut rng) = small_engine(
-            ServeConfig::default()
-                .with_max_batch(4)
-                .with_max_wait(Duration::from_millis(20)),
-        );
+        let (engine, mut rng) = small_engine(ServeConfig::default().with_max_batch(4));
         let requests: Vec<Matrix> = (0..4).map(|_| normal(3, 6, 1.0, &mut rng)).collect();
         let handles: Vec<_> = requests
             .iter()
@@ -704,106 +660,8 @@ mod tests {
     }
 
     #[test]
-    fn max_batch_trigger_groups_requests() {
-        // A long max_wait means only the size trigger can close the
-        // batch; submitting exactly max_batch requests must form one
-        // batch of that size.
-        let (engine, mut rng) = small_engine(
-            ServeConfig::default()
-                .with_max_batch(3)
-                .with_max_wait(Duration::from_secs(5)),
-        );
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                engine
-                    .submit(normal(2, 6, 1.0, &mut rng), None)
-                    .expect("admitted")
-            })
-            .collect();
-        for handle in handles {
-            let response = handle.wait().expect("served");
-            assert_eq!(response.batch_size, 3, "size trigger should batch all 3");
-        }
-        assert_eq!(engine.stats().batches, 1);
-    }
-
-    #[test]
-    fn max_wait_trigger_fires_for_a_lone_request() {
-        let (engine, mut rng) = small_engine(
-            ServeConfig::default()
-                .with_max_batch(64)
-                .with_max_wait(Duration::from_millis(2)),
-        );
-        let handle = engine
-            .submit(normal(2, 6, 1.0, &mut rng), None)
-            .expect("admitted");
-        let response = handle.wait().expect("served before max_batch fills");
-        assert_eq!(response.batch_size, 1);
-        assert!(response.queue_wait >= Duration::from_millis(1));
-    }
-
-    #[test]
-    fn overload_sheds_at_the_queue_cap() {
-        // Choke the batcher with a huge max_wait so the queue fills.
-        let (engine, mut rng) = small_engine(
-            ServeConfig::default()
-                .with_max_batch(64)
-                .with_queue_cap(2)
-                .with_max_wait(Duration::from_secs(30)),
-        );
-        let a = engine.submit(normal(1, 6, 1.0, &mut rng), None);
-        let b = engine.submit(normal(1, 6, 1.0, &mut rng), None);
-        assert!(a.is_ok() && b.is_ok());
-        match engine.submit(normal(1, 6, 1.0, &mut rng), None) {
-            Err(ServeError::Overloaded { depth }) => assert!(depth >= 2),
-            other => panic!("expected shed, got {other:?}"),
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.shed, 1);
-        assert!(stats.max_queue_depth <= 2, "queue depth exceeded the cap");
-    }
-
-    #[test]
-    fn expired_requests_drop_before_batch_formation() {
-        let (engine, mut rng) = small_engine(
-            ServeConfig::default()
-                .with_max_batch(8)
-                .with_max_wait(Duration::from_millis(30)),
-        );
-        // Already-expired deadline: rejected at submit.
-        let dead = engine.submit(
-            normal(1, 6, 1.0, &mut rng),
-            Some(Deadline::after(Duration::ZERO)),
-        );
-        assert_eq!(dead.err(), Some(ServeError::Expired));
-
-        // A deadline that expires while queued behind an unhurried
-        // request: the batcher waits out the oldest request's budget,
-        // and by the time the batch forms the doomed co-rider has
-        // expired — it must be dropped *before* formation, so the
-        // healthy request rides alone.
-        let healthy = engine
-            .submit(normal(1, 6, 1.0, &mut rng), None)
-            .expect("admitted");
-        let doomed = engine
-            .submit(
-                normal(1, 6, 1.0, &mut rng),
-                Some(Deadline::after(Duration::from_millis(1))),
-            )
-            .expect("admitted with slack");
-        assert_eq!(doomed.wait().err(), Some(ServeError::Expired));
-        let response = healthy.wait().expect("healthy request served");
-        assert_eq!(response.batch_size, 1, "expired request rode in no batch");
-        assert!(engine.stats().expired >= 2);
-    }
-
-    #[test]
     fn shutdown_resolves_queued_requests() {
-        let (mut engine, mut rng) = small_engine(
-            ServeConfig::default()
-                .with_max_batch(64)
-                .with_max_wait(Duration::from_secs(30)),
-        );
+        let (mut engine, mut rng) = small_engine(ServeConfig::default());
         let handle = engine
             .submit(normal(1, 6, 1.0, &mut rng), None)
             .expect("admitted");
@@ -822,12 +680,8 @@ mod tests {
         // resolves or sheds, and the observed depth never exceeds the
         // cap.
         let cap = 4;
-        let (engine, mut rng) = small_engine(
-            ServeConfig::default()
-                .with_max_batch(2)
-                .with_queue_cap(cap)
-                .with_max_wait(Duration::from_micros(100)),
-        );
+        let (engine, mut rng) =
+            small_engine(ServeConfig::default().with_max_batch(2).with_queue_cap(cap));
         let mut handles = Vec::new();
         let mut shed = 0u64;
         for _ in 0..200 {
@@ -892,8 +746,7 @@ mod tests {
 
     #[test]
     fn the_engine_keeps_serving_after_a_contained_batch_panic() {
-        let (engine, mut rng) =
-            small_engine(ServeConfig::default().with_max_wait(Duration::from_millis(1)));
+        let (engine, mut rng) = small_engine(ServeConfig::default());
         // `submit` validates shapes, so reach past it: a request with the
         // wrong feature size makes `run_batch` panic while packing rows.
         let slot = Arc::new(Slot::default());

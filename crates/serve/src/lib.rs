@@ -14,12 +14,12 @@
 //!   queue depth stays bounded and excess load fails fast instead of
 //!   growing an unbounded backlog nobody will ever meet a deadline
 //!   through.
-//! * **Dual-trigger batch formation** — the batcher closes a
-//!   micro-batch when it reaches [`ServeConfig::max_batch`] requests,
-//!   or when the oldest waiting request has either waited
-//!   [`ServeConfig::max_wait`] or has only `max_wait` of deadline
-//!   slack left (waiting any longer could not be recovered by batching
-//!   efficiency).
+//! * **Work-conserving batch formation** — the moment the batcher is
+//!   free and a request is queued, it takes the queued requests in FIFO
+//!   order, at most [`ServeConfig::max_batch`] of them.
+//!   A lone request on an idle engine is dispatched at once; under load
+//!   the requests that queue while one batch computes are the next
+//!   batch, so batches grow with the load and no timer holds work back.
 //! * **Pre-batch expiry** — requests whose deadline has already passed
 //!   are dropped *before* batch formation and resolved with
 //!   [`ServeError::Expired`]; they never occupy a slot in a batch the

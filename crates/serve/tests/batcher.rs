@@ -298,28 +298,28 @@ impl Schedule {
         set_perturbation(perturbation);
 
         let (fates, want) = predict(self.cfg, &kinds, self.shutdown);
-        let ctx = format!("{self:?}");
+        let case = format!("{self:?}");
         for (r, (fate, seen)) in fates.iter().zip(&seen).enumerate() {
             match (fate, &seen.result) {
                 (Fate::Shed, Err(ServeError::Overloaded { depth })) => {
-                    assert_eq!(*depth, self.cfg.queue_cap, "request {r}: {ctx}");
+                    assert_eq!(*depth, self.cfg.queue_cap, "request {r}: {case}");
                 }
                 (Fate::Expired, Err(ServeError::Expired))
                 | (Fate::Cancelled, Err(ServeError::Cancelled(CancelKind::Cancelled)))
                 | (Fate::ShutDown, Err(ServeError::ShuttingDown)) => {}
                 (Fate::Rides { size, .. }, Ok(response)) => {
-                    assert_eq!(response.batch_size, *size, "request {r}: {ctx}");
+                    assert_eq!(response.batch_size, *size, "request {r}: {case}");
                     assert!(response.batch_size <= self.cfg.max_batch);
                     let alone = engine.layer().infer(&seen.tokens).expect("infer");
                     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
                     let (got, solo): (Vec<u32>, Vec<u32>) = (bits(&response.output), bits(&alone));
-                    assert!(got == solo, "request {r}: batched output diverged: {ctx}");
+                    assert!(got == solo, "request {r}: batched output diverged: {case}");
                     if let Some(deadline) = seen.deadline {
                         let (earliest, _) = seen.formed(response);
-                        assert!(earliest < deadline, "request {r} rode expired: {ctx}");
+                        assert!(earliest < deadline, "request {r} rode expired: {case}");
                     }
                 }
-                (fate, result) => panic!("request {r}: model {fate:?}, engine {result:?}: {ctx}"),
+                (fate, result) => panic!("request {r}: model {fate:?}, engine {result:?}: {case}"),
             }
         }
         // Batches leave in admission order, and the members of one batch
@@ -333,18 +333,18 @@ impl Schedule {
                 let (later_lo, later_hi) = seen_s.formed(later);
                 assert!(
                     first_lo <= later_hi,
-                    "request {r} left after a later one: {ctx}"
+                    "request {r} left after a later one: {case}"
                 );
                 let same = matches!((fate_r, fate_s),
                     (Fate::Rides { batch: a, .. }, Fate::Rides { batch: b, .. }) if a == b);
                 if same {
-                    assert!(later_lo <= first_hi, "request {r}'s batch split: {ctx}");
+                    assert!(later_lo <= first_hi, "request {r}'s batch split: {case}");
                 }
             }
         }
 
         let stats = engine.stats();
-        assert_eq!(stats, want, "{ctx}");
+        assert_eq!(stats, want, "{case}");
         assert_eq!(
             stats.submitted,
             stats.completed + stats.expired + stats.cancelled + stats.kernel + stats.shutdown

@@ -2,109 +2,179 @@
 //! submitted, and every submitted request ends under exactly one
 //! outcome. One engine is driven through serving, dead-on-arrival,
 //! pre-batch expiry, post-compute expiry, shedding, a batch cancelled by
-//! shutdown and requests still queued at shutdown; the books are then
-//! read twice, from `Engine::stats()` and from `telemetry::snapshot()`.
-//! One test in its own binary: the registry is process-global.
+//! shutdown, requests still queued at shutdown and attempts on the
+//! stopped engine; the books are then read twice, from `Engine::stats()`
+//! and from `telemetry::snapshot()`. A scenario that needs a batch still
+//! computing parks it with an injected `exec.band_stall`, so each one
+//! runs the same in debug and release builds. One test in its own
+//! binary: the registry and the fault plan are process-global.
 
 use std::time::{Duration, Instant};
 
 use megablocks_core::{DroplessMoe, MoeConfig};
-use megablocks_exec::Deadline;
+use megablocks_exec::{configure_threads, Deadline};
+use megablocks_resilience::{clear_plan, install_plan, report, sites, FaultPlan};
 use megablocks_serve::{Engine, EngineStats, ResponseHandle, ServeConfig, ServeError};
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::init::{normal, seeded_rng};
+use megablocks_tensor::Matrix;
+use rand::rngs::StdRng;
 
 const HIDDEN: usize = 64;
 const MAX_BATCH: usize = 3;
-const MAX_WAIT: Duration = Duration::from_millis(10);
+/// Rows of a request whose batch is parked: enough that its SDD is a
+/// multi-band launch, which has a band for the stall to park.
+const HOLDER_ROWS: usize = 16;
+/// How long a parked batch computes.
+const HOLD: Duration = Duration::from_millis(200);
+
+/// The engine, the requests' source, and every attempt made on it.
+struct Client {
+    engine: Engine,
+    rng: StdRng,
+    attempts: u64,
+}
+
+impl Client {
+    fn tokens(&mut self, rows: usize) -> Matrix {
+        normal(rows, HIDDEN, 1.0, &mut self.rng)
+    }
+
+    fn submit(
+        &mut self,
+        rows: usize,
+        deadline: Option<Deadline>,
+    ) -> Result<ResponseHandle, ServeError> {
+        let tokens = self.tokens(rows);
+        self.attempts += 1;
+        self.engine.submit(tokens, deadline)
+    }
+
+    /// Band calls a batch of `tokens` alone makes: under a plan installed
+    /// just before it, the next batch's first band call has this index.
+    fn band_calls(&self, tokens: &Matrix) -> u64 {
+        install_plan(FaultPlan::seeded(5).at_calls(&sites::EXEC_BAND_STALL, &[u64::MAX]));
+        self.engine.layer().infer(tokens).expect("infer");
+        let calls = report().sites.iter().map(|site| site.calls).sum();
+        clear_plan();
+        calls
+    }
+
+    /// Submits `tokens` with the band calls `calls` parked for `hold`, and
+    /// returns once its batch is parked: what is submitted next queues
+    /// behind it.
+    fn hold(&mut self, tokens: Matrix, calls: &[u64], hold: Duration) -> ResponseHandle {
+        install_plan(
+            FaultPlan::seeded(5)
+                .at_calls(&sites::EXEC_BAND_STALL, calls)
+                .delay_ms(hold.as_millis() as u64),
+        );
+        self.attempts += 1;
+        let held = self.engine.submit(tokens, None).expect("admitted");
+        let asked = Instant::now();
+        while report().injected_at(&sites::EXEC_BAND_STALL) == 0 {
+            assert!(
+                asked.elapsed() < Duration::from_secs(30),
+                "the batch never parked"
+            );
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        held
+    }
+}
 
 #[test]
 fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
+    // A one-thread pool runs every launch inline as a single band, and the
+    // stall parks a band of a multi-band launch.
+    configure_threads(2);
     let mut rng = seeded_rng(5);
     let layer = DroplessMoe::new(MoeConfig::new(HIDDEN, 512, 4).with_block_size(16), &mut rng);
-    let mut engine = Engine::new(
+    let engine = Engine::new(
         layer,
         ServeConfig::default()
             .with_max_batch(MAX_BATCH)
-            .with_queue_cap(MAX_BATCH)
-            .with_max_wait(MAX_WAIT),
+            .with_queue_cap(MAX_BATCH),
     );
-    let mut attempts = 0u64;
-    let mut submit = |engine: &Engine, rows: usize, deadline: Option<Deadline>| {
-        attempts += 1;
-        engine.submit(normal(rows, HIDDEN, 1.0, &mut rng), deadline)
+    let mut client = Client {
+        engine,
+        rng,
+        attempts: 0,
     };
     let outcome = |handle: ResponseHandle| handle.wait().map(|response| response.batch_size);
 
-    // Serve: a full batch closes on the size trigger.
+    // Serve: a backlog of `MAX_BATCH` behind a parked batch leaves as one
+    // batch.
+    let holder = client.tokens(HOLDER_ROWS);
+    let held = client.hold(holder, &[0], HOLD);
     let full: Vec<_> = (0..MAX_BATCH)
-        .map(|_| submit(&engine, 2, None).expect("admitted"))
+        .map(|_| client.submit(2, None).expect("admitted"))
         .collect();
+    assert_eq!(outcome(held), Ok(1));
     for handle in full {
         assert_eq!(outcome(handle), Ok(MAX_BATCH));
     }
 
     // Dead on arrival: refused, but still one submission and one outcome.
-    let dead = submit(&engine, 1, Some(Deadline::after(Duration::ZERO)));
+    let dead = client.submit(1, Some(Deadline::after(Duration::ZERO)));
     assert_eq!(dead.err(), Some(ServeError::Expired));
 
-    // Pre-batch expiry: the deadline passes while the request waits out
-    // an unhurried elder's batching window, so the elder rides alone.
-    let elder = submit(&engine, 1, None).expect("admitted");
-    let doomed = submit(&engine, 1, Some(Deadline::after(MAX_WAIT / 10))).expect("admitted");
+    // Pre-batch expiry: the deadline passes while the request queues
+    // behind a parked batch, so the undated elder rides alone.
+    let holder = client.tokens(HOLDER_ROWS);
+    let held = client.hold(holder, &[0], HOLD);
+    let elder = client.submit(1, None).expect("admitted");
+    let doomed = client
+        .submit(1, Some(Deadline::after(HOLD / 10)))
+        .expect("admitted");
     assert_eq!(outcome(doomed), Err(ServeError::Expired));
     assert_eq!(outcome(elder), Ok(1));
+    assert_eq!(outcome(held), Ok(1));
 
-    // The next two scenarios need a batch that is still computing when
-    // something else happens. Debug and release builds differ ~50x in
-    // speed, so size the request by measurement: double it until one
-    // batch computes for a few batching windows.
-    let mut rows = 256;
-    loop {
-        let handle = submit(&engine, rows, None).expect("admitted");
-        let response = handle.wait().expect("served");
-        if response.latency - response.queue_wait >= 4 * MAX_WAIT {
-            break;
-        }
-        rows *= 2;
-    }
-
-    // Post-compute expiry: a full batch forms at once, an undated
-    // co-rider leaves it unbounded, and one member's deadline falls
-    // inside the compute window.
-    let long = submit(&engine, rows, None).expect("admitted");
-    let rider = submit(&engine, 1, None).expect("admitted");
-    let late = submit(&engine, 1, Some(Deadline::after(MAX_WAIT))).expect("admitted");
+    // Post-compute expiry: a full batch forms behind a parked one and is
+    // parked in turn. An undated co-rider leaves it unbounded, and one
+    // member's deadline passes after it forms, inside its compute.
+    let holder = client.tokens(HOLDER_ROWS);
+    let next = client.band_calls(&holder);
+    let parked = Instant::now();
+    let held = client.hold(holder, &[0, next], HOLD);
+    let long = client.submit(HOLDER_ROWS, None).expect("admitted");
+    let rider = client.submit(1, None).expect("admitted");
+    let late = client
+        .submit(1, Some(Deadline::at(parked + HOLD * 3 / 2)))
+        .expect("admitted");
     assert_eq!(outcome(late), Err(ServeError::Expired));
     assert_eq!(outcome(long), Ok(MAX_BATCH), "the late member rode");
     assert_eq!(outcome(rider), Ok(MAX_BATCH));
+    assert_eq!(outcome(held), Ok(1));
 
-    // Shutdown with one batch in flight, a full queue behind it and one
+    // Shutdown with one batch parked, a full queue behind it and one
     // request too many.
-    let batches = engine.stats().batches;
-    let in_flight = submit(&engine, 2 * rows, None).expect("admitted");
-    let asked = Instant::now();
-    while engine.stats().batches == batches {
-        assert!(asked.elapsed() < Duration::from_secs(30), "batch never ran");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    let holder = client.tokens(HOLDER_ROWS);
+    let in_flight = client.hold(holder, &[0], Duration::from_secs(60));
     let queued: Vec<_> = (0..MAX_BATCH)
-        .map(|_| submit(&engine, 1, None).expect("queued"))
+        .map(|_| client.submit(1, None).expect("queued"))
         .collect();
-    let excess = submit(&engine, 1, None);
-    assert!(matches!(excess, Err(ServeError::Overloaded { depth }) if depth >= MAX_BATCH));
-    engine.shutdown();
+    let excess = client.submit(1, None);
+    assert!(matches!(excess, Err(ServeError::Overloaded { depth }) if depth == MAX_BATCH));
+    client.engine.shutdown();
+    clear_plan();
     assert!(matches!(outcome(in_flight), Err(ServeError::Cancelled(_))));
     for handle in queued {
         assert_eq!(outcome(handle), Err(ServeError::ShuttingDown));
     }
-    // A stopped engine refuses outright: neither shed nor submitted.
-    let refused = engine.submit(normal(1, HIDDEN, 1.0, &mut rng), None);
-    assert_eq!(refused.err(), Some(ServeError::ShuttingDown));
+    // A stopped engine refuses outright: neither shed nor submitted, even
+    // a request whose deadline has already passed.
+    for deadline in [None, Some(Deadline::after(Duration::ZERO))] {
+        let tokens = client.tokens(1);
+        let refused = client.engine.submit(tokens, deadline);
+        assert_eq!(refused.err(), Some(ServeError::ShuttingDown));
+    }
 
     // The engine's books: `shed + submitted` is every attempt, and what
     // was submitted and did not end otherwise completed.
-    let stats = engine.stats();
+    let stats = client.engine.stats();
+    let attempts = client.attempts;
     let (shed, expired, cancelled, shutdown) = (1, 3, 1, MAX_BATCH as u64);
     let expected = EngineStats {
         submitted: attempts - shed,
