@@ -11,6 +11,9 @@
 //! assignments are consecutive), so no two bands ever touch the same
 //! output row.
 
+// A kernel hot path: propagate an error instead of panicking on one.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use megablocks_exec as exec;
 use megablocks_sparse::BlockSize;
 use megablocks_telemetry as telemetry;

@@ -23,8 +23,10 @@
 //! Every injection and every recovery emits `resilience.*` telemetry:
 //! `resilience.injected.<site>` when a fault fires,
 //! `resilience.detected.<site>` when a recovery path notices one, and
-//! `resilience.recovered.<site>` when it heals it. The audit lint
-//! (rule 6) pins the site catalogue to this naming scheme.
+//! `resilience.recovered.<site>` when it heals it. A unit test in
+//! [`sites`] pins the catalogue to this naming scheme, and the root test
+//! `tests/source_rules.rs` checks that every site is listed in
+//! [`sites::ALL`] and wired outside the catalogue.
 
 #![deny(missing_docs)]
 

@@ -130,7 +130,6 @@ impl FaultReport {
 
 struct ActiveSite {
     name: &'static str,
-    injected_counter: &'static str,
     sched: Schedule,
     calls: AtomicU64,
     fired: AtomicU64,
@@ -166,11 +165,6 @@ pub fn install_plan(plan: FaultPlan) {
         .iter()
         .map(|(name, sched)| ActiveSite {
             name,
-            injected_counter: crate::sites::ALL
-                .iter()
-                .find(|s| s.name == *name)
-                .map(|s| s.injected)
-                .unwrap_or("resilience.injected.unknown"),
             sched: sched.clone(),
             calls: AtomicU64::new(0),
             fired: AtomicU64::new(0),
@@ -248,8 +242,8 @@ fn fires(site: &Site) -> Option<u64> {
         return None;
     }
     s.fired.fetch_add(1, Relaxed);
-    telemetry::counter(s.injected_counter).inc();
-    telemetry::trace_instant(s.injected_counter);
+    telemetry::counter(site.injected).inc();
+    telemetry::trace_instant(site.injected);
     Some(plan.delay_ms)
 }
 
@@ -386,6 +380,26 @@ mod tests {
         maybe_panic(&sites::EXEC_WORKER_PANIC);
         assert_eq!(delay_requested(&sites::EXEC_BAND_STALL), 0);
         clear_plan();
+    }
+
+    #[test]
+    fn an_injection_counts_under_the_sites_own_counter() {
+        // Not in `sites::ALL`: the counter comes from the `Site` the hook
+        // was handed, not from a catalogue lookup.
+        const UNLISTED: Site = Site {
+            name: "test.unlisted",
+            injected: "resilience.injected.test.unlisted",
+            detected: "resilience.detected.test.unlisted",
+            recovered: "resilience.recovered.test.unlisted",
+        };
+        assert!(sites::ALL.iter().all(|s| s.name != UNLISTED.name));
+        let _guard = serial();
+        let before = telemetry::counter(UNLISTED.injected).get();
+        install_plan(FaultPlan::seeded(2).at_calls(&UNLISTED, &[0, 2]));
+        let fired = (0..3).filter(|_| should_fail(&UNLISTED)).count();
+        clear_plan();
+        assert_eq!(fired, 2);
+        assert_eq!(telemetry::counter(UNLISTED.injected).get() - before, 2);
     }
 
     #[test]

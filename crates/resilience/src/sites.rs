@@ -7,11 +7,12 @@
 //! noticed a fault — injected or genuine) and `recovered` (the recovery
 //! path healed it).
 //!
-//! The audit lint's rule 6 parses this file: every site's counters must
-//! be `resilience.injected.<name>` / `resilience.detected.<name>` /
-//! `resilience.recovered.<name>`, and every site listed in [`ALL`] must
-//! be referenced outside this file — a registered-but-unwired site is a
-//! lint failure, not dead weight.
+//! Every site's counters are `resilience.injected.<name>` /
+//! `resilience.detected.<name>` / `resilience.recovered.<name>` (the unit
+//! test below). The root test `tests/source_rules.rs` reads this file:
+//! every `pub const …: Site` must be listed in [`ALL`] and named as
+//! `sites::IDENT` by non-test code outside this file — a
+//! registered-but-unwired site is a test failure, not dead weight.
 
 /// One registered fault-injection site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +92,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_names_follow_the_lint_contract() {
+    fn counter_names_follow_the_naming_scheme() {
         for site in ALL {
             assert_eq!(site.injected, format!("resilience.injected.{}", site.name));
             assert_eq!(site.detected, format!("resilience.detected.{}", site.name));

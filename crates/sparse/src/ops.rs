@@ -54,6 +54,9 @@
 //!   bit-identical per element regardless of the selected backend
 //!   (`MEGABLOCKS_KERNEL`).
 
+// A kernel hot path: propagate an error instead of panicking on one.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::ops::Range;
 
 use megablocks_exec as exec;

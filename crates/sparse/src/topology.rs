@@ -417,7 +417,11 @@ impl Topology {
     /// [`Topology::for_moe`], which establish the invariants by
     /// construction.
     #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per metadata array, so a corruption test can break any one of \
+                  them without a builder that would itself have to stay unchecked"
+    )]
     pub fn from_raw_parts_unchecked(
         block_size: BlockSize,
         block_rows: usize,

@@ -64,6 +64,10 @@
 //! re-readable at runtime, so benchmarks can flip backends between
 //! measurements.
 
+// A kernel hot path, `scalar` and `tiled` included: propagate an error
+// instead of panicking on one.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use megablocks_exec::{Setting, SettingValue};
 use megablocks_telemetry as telemetry;
 
@@ -365,10 +369,11 @@ pub trait GemmMicrokernel: Sync {
     fn name(&self) -> &'static str;
 
     /// Accumulates `alpha * a * b` into the `m x n` output view.
-    // The argument list is the standard GEMM signature (dims, scale, two
-    // operands, output); bundling it into a struct would only move the
-    // same seven names one level down at every call site.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the standard GEMM signature (dims, scale, two operands, output); a struct \
+                  would only move the same seven names one level down at every call site"
+    )]
     fn run(
         &self,
         m: usize,

@@ -144,7 +144,10 @@ impl Variant {
     /// [`TILE_ROWS`] rows it runs the one-row tile, so no zero row is
     /// multiplied (an element depends only on its own row of A: no bit
     /// moves). Panics if the running CPU does not support the variant.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "`GemmMicrokernel::run`'s seven arguments plus the variant it dispatches on"
+    )]
     pub(crate) fn run_blocked(
         self,
         m: usize,

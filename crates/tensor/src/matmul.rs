@@ -7,6 +7,9 @@
 //! [`kernel::block_gemm`] call — transposition is a stride swap on the
 //! operand views, and the selected microkernel backend does the rest.
 
+// A kernel hot path: propagate an error instead of panicking on one.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use megablocks_exec as exec;
 
 use crate::kernel::{self, OutView, PanelView};

@@ -6,8 +6,11 @@
 //! it at, through the same `megablocks` facade paths — compile-only, so a
 //! facade change that would break the benchmark fails tier-1 instead.
 
-// The spelled-out `fn` types are the content of this file.
-#![allow(clippy::type_complexity)]
+#![allow(
+    clippy::type_complexity,
+    reason = "the spelled-out `fn` types are the content of this file; an alias would hide \
+              the signature the benchmark calls"
+)]
 
 use std::time::Instant;
 
