@@ -13,7 +13,6 @@
 //! assignment is kept, and no expert batch is padded beyond the next
 //! block boundary.
 
-use megablocks_exec as exec;
 use megablocks_resilience as resilience;
 use megablocks_sparse::{SparseError, Topology};
 use megablocks_telemetry as telemetry;
@@ -113,20 +112,21 @@ impl DroplessMoe {
     ///
     /// The whole pass — router, permutation, and every kernel launch —
     /// runs under the calling thread's ambient context
-    /// ([`exec::cancel::enter`]): it is checked at entry, at every
-    /// launch's band boundaries, and inside the tiled microkernel's panel
-    /// loop.
+    /// ([`megablocks_exec::cancel::enter`]): it is checked before every
+    /// launch, at its band boundaries, and inside the tiled microkernel's
+    /// panel loop.
     ///
     /// # Errors
     ///
     /// Returns an error if the per-step topology cannot be built or a
     /// sparse kernel rejects its inputs (including sanitizer failures in
-    /// debug builds), and [`SparseError::Cancelled`] when the
-    /// ambient context trips.
+    /// debug builds).
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols() != hidden_size`.
+    /// Panics if `x.cols() != hidden_size`, and unwinds with an
+    /// [`megablocks_exec::ExecError`] payload when the ambient context
+    /// trips.
     pub fn try_forward(&self, x: &Matrix) -> Result<DmoeOutput, SparseError> {
         Ok(MoeOutput::of(self.pipeline(x, Retain::ForBackward)?))
     }
@@ -143,8 +143,8 @@ impl DroplessMoe {
     /// steady-state serving loop therefore allocates nothing per request
     /// beyond the returned output matrix. A serving engine bounds a batch
     /// by entering its deadline or cancel token with
-    /// [`exec::cancel::enter`] around the call; the pass then unwinds with
-    /// [`SparseError::Cancelled`] mid-kernel.
+    /// [`megablocks_exec::cancel::enter`] around the call; the pass then
+    /// unwinds mid-kernel with an [`megablocks_exec::ExecError`] payload.
     ///
     /// # Errors
     ///
@@ -152,7 +152,7 @@ impl DroplessMoe {
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols() != hidden_size`.
+    /// Same as [`DroplessMoe::try_forward`].
     pub fn infer(&self, x: &Matrix) -> Result<Matrix, SparseError> {
         Ok(self.pipeline(x, Retain::Nothing)?.0)
     }
@@ -167,9 +167,6 @@ impl DroplessMoe {
             Retain::Nothing => "moe.dmoe.infer",
         };
         let _span = telemetry::span(op);
-        if let Some(kind) = exec::cancel::current().status() {
-            return Err(SparseError::Cancelled { op, kind });
-        }
 
         // (1) Assign tokens to experts; (3)-(5) permute them to group by
         // expert, compute the expert layers, un-permute and scale by
@@ -223,6 +220,7 @@ impl DroplessMoe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use megablocks_exec as exec;
     use megablocks_tensor::init::seeded_rng;
     use megablocks_tensor::ops::gelu_scalar;
 
@@ -350,29 +348,26 @@ mod tests {
         let cases = [
             (
                 exec::Ctx::none().with_deadline(exec::Deadline::after(std::time::Duration::ZERO)),
-                exec::CancelKind::DeadlineExceeded,
+                exec::ExecError::DeadlineExceeded { op: "gemm" },
             ),
             (
                 exec::Ctx::none().with_token(&token),
-                exec::CancelKind::Cancelled,
+                exec::ExecError::Cancelled { op: "gemm" },
             ),
         ];
-        for (ctx, kind) in cases {
+        // The router's GEMM is the pass's first launch, so it is the one
+        // that refuses the dead context.
+        let unwound = |pass: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(pass))
+                .expect_err("a tripped context must unwind the pass");
+            *payload
+                .downcast::<exec::ExecError>()
+                .expect("an ExecError payload")
+        };
+        for (ctx, want) in cases {
             let _scope = exec::cancel::enter(&ctx);
-            assert_eq!(
-                layer.try_forward(&x).map(|out| out.output).unwrap_err(),
-                SparseError::Cancelled {
-                    op: "moe.dmoe.forward",
-                    kind
-                }
-            );
-            assert_eq!(
-                layer.infer(&x).unwrap_err(),
-                SparseError::Cancelled {
-                    op: "moe.dmoe.infer",
-                    kind
-                }
-            );
+            assert_eq!(unwound(&|| drop(layer.try_forward(&x))), want);
+            assert_eq!(unwound(&|| drop(layer.infer(&x))), want);
         }
         // Outside the scopes the layer runs again.
         assert!(layer.infer(&x).is_ok());

@@ -220,8 +220,7 @@ pub(crate) fn backward(
     let mut dh = dh_act;
     let (pre, topology) = (cache.h_pre.as_slice(), cache.h_pre.topology());
     let body = |rows: &mut [f32], at: usize| gelu_grad_mul(rows, &pre[at..at + rows.len()]);
-    over_valid_rows("moe.gelu_grad", topology, dh.as_mut_slice(), &body)
-        .unwrap_or_else(|e| panic!("{e}"));
+    over_valid_rows("moe.gelu_grad", topology, dh.as_mut_slice(), &body);
 
     // First expert layer: data grad DSD^T, weight grad DD^TS.
     let dxg = ops::dsd_t(&dh, w1.value());
@@ -254,11 +253,11 @@ pub(crate) fn expert_mlp(
     let (h_pre, h_act) = match retain {
         Retain::ForBackward => {
             let mut act = exec::workspace::take_zeroed(h.as_slice().len());
-            gelu(topology, &mut act, Some(h.as_slice()))?;
+            gelu(topology, &mut act, Some(h.as_slice()));
             (Some(h), BlockSparseMatrix::from_raw(topology, act)?)
         }
         Retain::Nothing => {
-            gelu(topology, h.as_mut_slice(), None)?;
+            gelu(topology, h.as_mut_slice(), None);
             (None, h)
         }
     };
@@ -274,12 +273,12 @@ pub(crate) fn expert_mlp(
 
 /// Elementwise GeLU over the valid rows of the nonzero blocks:
 /// `dst = gelu(src)`, or in place when `src` is `None`.
-fn gelu(topology: &Topology, dst: &mut [f32], src: Option<&[f32]>) -> Result<(), SparseError> {
+fn gelu(topology: &Topology, dst: &mut [f32], src: Option<&[f32]>) {
     let body = |rows: &mut [f32], at: usize| match src {
         Some(src) => gelu_into(rows, &src[at..at + rows.len()]),
         None => gelu_inplace(rows),
     };
-    Ok(over_valid_rows("moe.gelu", topology, dst, &body)?)
+    over_valid_rows("moe.gelu", topology, dst, &body);
 }
 
 /// Runs `f(rows, at)` on the valid rows of every stored block of
@@ -293,7 +292,7 @@ fn over_valid_rows(
     topology: &Topology,
     data: &mut [f32],
     f: &(impl Fn(&mut [f32], usize) + Sync),
-) -> Result<(), exec::ExecError> {
+) {
     let (bs, area) = (topology.block_size().get(), topology.block_size().area());
     let (rows, valid) = (topology.row_indices(), topology.rows_valid());
     let bands = exec::parallelism_for(data.len(), PARALLEL_THRESHOLD);
@@ -304,5 +303,5 @@ fn over_valid_rows(
             f(&mut block[..len], (first + q) * area);
         }
     };
-    exec::LaunchPlan::over_items(op, data, area, blocks_per_band, &body).try_launch()
+    exec::LaunchPlan::over_items(op, data, area, blocks_per_band, &body).launch();
 }

@@ -13,9 +13,11 @@
 //! Instead the runtime checks the context at band boundaries and inside
 //! the packed-panel loop, so an abandoned launch unwinds within one
 //! panel's worth of work per in-flight band and skips every band that
-//! has not started. The launch then reports a structured
+//! has not started. The launch then ends with a structured
 //! [`ExecError::Cancelled`] / [`ExecError::DeadlineExceeded`] instead of
-//! running to completion.
+//! running to completion: [`crate::LaunchPlan::launch`] unwinds with it
+//! as the panic payload, and the code that entered the context catches
+//! it by type (`catch_unwind`, then `downcast::<ExecError>()`).
 //!
 //! Tokens are hierarchical: [`CancelToken::child`] makes a token that
 //! trips when either it *or any ancestor* is cancelled, so a trainer can
@@ -27,27 +29,11 @@ use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Panic-message prefix for launches aborted by an explicit cancel.
-/// [`crate::LaunchPlan::launch`] panics with it; the fault-tolerant
-/// trainer classifies such panics as non-retryable (retrying cancelled
-/// work cannot succeed — someone asked for it to stop).
-pub const CANCELLED_PANIC_PREFIX: &str = "exec: cancelled";
-
-/// Panic-message prefix for launches aborted by an expired deadline or
-/// the stall watchdog. The fault-tolerant trainer classifies such panics
-/// as retryable-with-fresh-deadline.
-pub const DEADLINE_PANIC_PREFIX: &str = "exec: deadline";
-
-/// Panic-message prefix for launches shed by the pool's bounded
-/// admission instead of queueing past the configured depth cap.
-pub const OVERLOADED_PANIC_PREFIX: &str = "exec: overloaded";
-
 /// Token state: work may proceed.
 const LIVE: u8 = 0;
 /// Token state: explicitly cancelled.
 const CANCELLED: u8 = 1;
-/// Token state: cancelled because a deadline passed (or the watchdog
-/// declared a band stalled).
+/// Token state: cancelled because a deadline passed.
 const DEADLINE: u8 = 2;
 
 /// Why in-flight work was abandoned.
@@ -55,7 +41,7 @@ const DEADLINE: u8 = 2;
 pub enum CancelKind {
     /// An explicit [`CancelToken::cancel`] (or an ancestor's).
     Cancelled,
-    /// A [`Deadline`] expired, or the stall watchdog fired.
+    /// A [`Deadline`] expired.
     DeadlineExceeded,
     /// The pool's bounded admission shed the launch under overload.
     Overloaded,
@@ -68,16 +54,6 @@ impl CancelKind {
             CancelKind::Cancelled => "cancelled",
             CancelKind::DeadlineExceeded => "deadline",
             CancelKind::Overloaded => "overloaded",
-        }
-    }
-
-    /// The panic-message prefix a panicking launch uses for this kind —
-    /// the stable string upper layers classify retryability by.
-    pub fn panic_prefix(self) -> &'static str {
-        match self {
-            CancelKind::Cancelled => CANCELLED_PANIC_PREFIX,
-            CancelKind::DeadlineExceeded => DEADLINE_PANIC_PREFIX,
-            CancelKind::Overloaded => OVERLOADED_PANIC_PREFIX,
         }
     }
 }
@@ -143,8 +119,8 @@ impl CancelToken {
             .compare_exchange(LIVE, CANCELLED, Relaxed, Relaxed);
     }
 
-    /// Marks the token cancelled by deadline/stall — the watchdog's and
-    /// deadline enforcement's flavor of [`CancelToken::cancel`].
+    /// Marks the token cancelled by deadline — deadline enforcement's
+    /// flavor of [`CancelToken::cancel`].
     pub fn cancel_deadline(&self) {
         let _ = self
             .inner
@@ -323,7 +299,7 @@ pub enum ExecError {
         /// The launching op.
         op: &'static str,
     },
-    /// The context's deadline passed, or the stall watchdog fired.
+    /// The context's deadline passed.
     DeadlineExceeded {
         /// The launching op.
         op: &'static str,
@@ -351,20 +327,10 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::Cancelled { op } => {
-                write!(
-                    f,
-                    "{CANCELLED_PANIC_PREFIX}: {op} abandoned at a cancellation point"
-                )
+                write!(f, "{op} abandoned at a cancellation point")
             }
-            ExecError::DeadlineExceeded { op } => {
-                write!(f, "{DEADLINE_PANIC_PREFIX}: {op} exceeded its deadline")
-            }
-            ExecError::Overloaded { op } => {
-                write!(
-                    f,
-                    "{OVERLOADED_PANIC_PREFIX}: {op} shed at the pool queue cap"
-                )
-            }
+            ExecError::DeadlineExceeded { op } => write!(f, "{op} exceeded its deadline"),
+            ExecError::Overloaded { op } => write!(f, "{op} shed at the pool queue cap"),
         }
     }
 }
@@ -430,19 +396,5 @@ mod tests {
             assert_eq!(current().status(), Some(CancelKind::Cancelled));
         }
         assert!(!poll_cancelled(), "outer scope must restore on drop");
-    }
-
-    #[test]
-    fn error_messages_start_with_their_classification_prefix() {
-        let c = ExecError::Cancelled { op: "t" }.to_string();
-        let d = ExecError::DeadlineExceeded { op: "t" }.to_string();
-        let o = ExecError::Overloaded { op: "t" }.to_string();
-        assert!(c.starts_with(CANCELLED_PANIC_PREFIX), "{c}");
-        assert!(d.starts_with(DEADLINE_PANIC_PREFIX), "{d}");
-        assert!(o.starts_with(OVERLOADED_PANIC_PREFIX), "{o}");
-        assert_eq!(
-            ExecError::Cancelled { op: "t" }.kind(),
-            CancelKind::Cancelled
-        );
     }
 }

@@ -30,11 +30,12 @@
 //!   [`CancelToken`], [`Deadline`], [`Ctx`], [`ExecError`]) — every
 //!   launch runs under a cancellation context (explicit or inherited
 //!   from the thread), checked cooperatively at band boundaries and
-//!   inside the tiled microkernel's panel loop; a background watchdog
-//!   ([`LaunchPlan::with_stall_budget`]) cancels launches whose bands
-//!   stall past a median-based budget; and pool admission is bounded
-//!   ([`configure_queue_cap`]) with explicit load shedding for
-//!   latency-bound launches.
+//!   inside the tiled microkernel's panel loop, and pool admission is
+//!   bounded ([`configure_queue_cap`]) with explicit load shedding for
+//!   latency-bound launches. Every aborted launch ends one way:
+//!   [`LaunchPlan::launch`] unwinds with the [`ExecError`] itself as the
+//!   panic payload, which the code that entered the context catches by
+//!   type.
 //!
 //! * **One settings resolver** ([`Setting`]) — programmatic request >
 //!   environment variable > default, and a variable that does not parse
@@ -50,13 +51,9 @@ mod perturb;
 mod plan;
 mod pool;
 mod setting;
-mod watchdog;
 pub mod workspace;
 
-pub use cancel::{
-    CancelKind, CancelToken, Ctx, Deadline, ExecError, CANCELLED_PANIC_PREFIX,
-    DEADLINE_PANIC_PREFIX, OVERLOADED_PANIC_PREFIX,
-};
+pub use cancel::{CancelKind, CancelToken, Ctx, Deadline, ExecError};
 pub use perturb::{band_order, perturbation_seed, set_perturbation, stall_slots};
 pub use plan::LaunchPlan;
 pub use pool::{

@@ -24,21 +24,22 @@
 //! Every launch also runs under the cancellation [`Ctx`] its submitting
 //! thread entered ([`crate::cancel::enter`]) and is checked cooperatively
 //! at band boundaries: a launch whose token trips or whose deadline
-//! passes skips unstarted bands, unwinds in bounded time, and reports a
+//! passes skips unstarted bands and ends in bounded time with a
 //! structured [`ExecError`]. Queue admission is bounded too: a launch
 //! that would flood the pool past its depth cap is shed with
 //! [`ExecError::Overloaded`] when latency-bound, or degraded to inline
-//! execution when not.
+//! execution when not. [`LaunchPlan::launch`] unwinds with that error as
+//! the panic payload; [`LaunchPlan::try_launch`] returns it.
 
+use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
 
 use megablocks_resilience as resilience;
 use megablocks_telemetry as telemetry;
 
-use crate::cancel::{self, CancelKind, CancelToken, Ctx, ExecError};
+use crate::cancel::{self, CancelKind, Ctx, ExecError};
 use crate::perturb;
 use crate::pool;
-use crate::watchdog;
 
 /// How a plan slices its output.
 enum Partition {
@@ -58,7 +59,6 @@ pub struct LaunchPlan<'data, 'body> {
     data: &'data mut [f32],
     partition: Partition,
     body: &'body (dyn Fn(&mut [f32], usize) + Sync),
-    stall_budget: Option<Duration>,
 }
 
 impl<'data, 'body> LaunchPlan<'data, 'body> {
@@ -90,7 +90,6 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
                 items_per_band: items_per_band.max(1),
             },
             body,
-            stall_budget: None,
         }
     }
 
@@ -119,16 +118,7 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
             data,
             partition: Partition::Explicit { band_lens },
             body,
-            stall_budget: None,
         }
-    }
-
-    /// Puts this launch under the stall watchdog: a band exceeding
-    /// `max(budget, 8 x median finished-band time)` gets the launch
-    /// cancelled with [`ExecError::DeadlineExceeded`].
-    pub fn with_stall_budget(mut self, budget: Duration) -> Self {
-        self.stall_budget = Some(budget);
-        self
     }
 
     /// Number of bands the plan will launch.
@@ -153,22 +143,24 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
     ///
     /// # Panics
     ///
-    /// Panics with a message starting with one of the classification
-    /// prefixes when the launch fails structurally:
-    /// [`crate::CANCELLED_PANIC_PREFIX`] / [`crate::DEADLINE_PANIC_PREFIX`]
-    /// when the launch's context was cancelled or timed out. Use
-    /// [`LaunchPlan::try_launch`] to receive the failure as a value.
+    /// Unwinds with the launch's [`ExecError`] as the panic payload when
+    /// its context was cancelled, timed out or shed. The payload is raised
+    /// with [`resume_unwind`], so no panic hook runs; whoever entered the
+    /// context catches it with `catch_unwind` and downcasts it to
+    /// [`ExecError`].
     pub fn launch(self) {
         if let Err(error) = self.try_launch() {
-            panic!("{error}");
+            resume_unwind(Box::new(error));
         }
     }
 
-    /// Executes the plan like [`LaunchPlan::launch`], but returns the
-    /// structured [`ExecError`] — cancellation, deadline expiry, or
-    /// overload shed — instead of panicking. With no ambient context
-    /// entered the checks short-circuit and this always returns `Ok(())`
-    /// (band panics are still re-raised either way).
+    /// Executes the plan like [`LaunchPlan::launch`], but returns this
+    /// launch's own [`ExecError`] — cancellation, deadline expiry, or
+    /// overload shed — instead of unwinding with it. With no ambient
+    /// context entered the checks short-circuit and this always returns
+    /// `Ok(())`. Band panics are re-raised either way, and so is an
+    /// [`ExecError`] a nested [`LaunchPlan::launch`] unwound with inside
+    /// a band.
     pub fn try_launch(self) -> Result<(), ExecError> {
         let bands = self.bands();
         telemetry::histogram("exec.launch.bands").record(bands as u64);
@@ -177,22 +169,19 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
             data,
             partition,
             body,
-            stall_budget,
         } = self;
         // The launch runs under the submitter's ambient context, so a
         // deadline entered at (say) the trainer step or the serving batch
         // reaches every nested kernel launch without any call site
         // threading it through. An empty context keeps the fast path:
         // every check below short-circuits on `None`.
-        let mut ctx = cancel::current();
+        let ctx = cancel::current();
         // Pre-launch cancellation point: refuse already-dead work before
         // building a single task.
         if let Some(kind) = ctx.status() {
             return Err(abort_error(op, kind));
         }
-        // Whether the *caller* entered a deadline/token — the watchdog
-        // may add a private token below, but that must not change the
-        // overload policy (only caller-bound launches shed).
+        // Only launches under a deadline or token shed on overload.
         let latency_bound = !ctx.is_empty();
         // Chaos injection site: under an installed FaultPlan a band task
         // may panic before running its body, exercising the pool's
@@ -216,47 +205,22 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
             guarded(data, 0);
             return finish_status(op, &ctx);
         }
-        // Put the launch under the stall watchdog when the plan set a
-        // budget. The watchdog cancels through the context's token, so a
-        // watched context without one gets a private token here.
-        let watch = match stall_budget {
-            Some(budget) => {
-                let token = match ctx.token() {
-                    Some(t) => t.clone(),
-                    None => {
-                        let t = CancelToken::new();
-                        ctx = ctx.with_token(&t);
-                        t
-                    }
-                };
-                Some(watchdog::register(op, token, bands, budget))
-            }
-            None => None,
-        };
         let guarded = &guarded;
         let ctx_ref = &ctx;
-        let watch_ref = &watch;
         // One band task: re-installs the launch context on whichever
-        // thread runs the band (so kernel panel loops can poll it),
-        // checks the band-boundary cancellation point, and reports
-        // start/finish to the watchdog. A cancelled launch skips every
-        // band that has not started; its output is discarded with the
-        // launch error, so the skipped writes are unobservable.
+        // thread runs the band (so kernel panel loops can poll it) and
+        // checks the band-boundary cancellation point. A cancelled launch
+        // skips every band that has not started; its output is discarded
+        // with the launch error, so the skipped writes are unobservable.
         let run_band = |b: usize, band: &mut [f32], i: usize| {
             perturb::stall(b);
             let _ambient = cancel::enter(ctx_ref);
             if ctx_ref.status().is_some() {
                 return;
             }
-            if let Some(w) = watch_ref {
-                w.watch().band_started(b);
-            }
             chaos_stall_band();
             if ctx_ref.status().is_none() {
                 guarded(band, i);
-            }
-            if let Some(w) = watch_ref {
-                w.watch().band_finished(b);
             }
         };
         let run_band = &run_band;
@@ -333,8 +297,8 @@ fn abort_error(op: &'static str, kind: CancelKind) -> ExecError {
 }
 
 /// Post-launch verdict of the context: `Err` when the launch was
-/// cancelled mid-flight (by its token, its deadline, or the watchdog),
-/// in which case the output must be considered garbage.
+/// cancelled mid-flight (by its token or its deadline), in which case
+/// the output must be considered garbage.
 fn finish_status(op: &'static str, ctx: &Ctx) -> Result<(), ExecError> {
     match ctx.status() {
         Some(kind) => Err(abort_error(op, kind)),
@@ -345,8 +309,9 @@ fn finish_status(op: &'static str, ctx: &Ctx) -> Result<(), ExecError> {
 /// Chaos `exec.band_stall` site: parks the current band for the plan's
 /// configured delay, sleeping in short slices and polling the ambient
 /// context between them — an injected stall still unwinds promptly once
-/// the watchdog (or an explicit cancel) fires, which is exactly the
-/// recovery the site exists to prove.
+/// its deadline passes (or its token trips), which is exactly the
+/// recovery the site exists to prove. A stall cut short that way counts
+/// as detected.
 fn chaos_stall_band() {
     let ms = resilience::delay_requested(&resilience::sites::EXEC_BAND_STALL);
     if ms == 0 {
@@ -355,6 +320,7 @@ fn chaos_stall_band() {
     let until = Instant::now() + Duration::from_millis(ms);
     while Instant::now() < until {
         if cancel::poll_cancelled() {
+            resilience::record_detected(&resilience::sites::EXEC_BAND_STALL);
             break;
         }
         std::thread::sleep(Duration::from_millis(1));

@@ -1,14 +1,15 @@
-//! Cancellation, deadline and watchdog behavior of launch plans.
+//! Cancellation and deadline behavior of launch plans.
 //!
 //! These tests pin the cooperative-cancellation contract end to end:
 //! already-dead contexts are refused before any band runs, token
 //! hierarchies propagate an ancestor's cancel into nested launches, the
 //! ambient context installed with [`cancel::enter`] is inherited by
-//! plans that carry none, and the stall watchdog cancels a wedged band
-//! in bounded time instead of letting the launch hang.
+//! plans that carry none, and an abort inside a band unwinds through the
+//! launch that ran the band with the typed [`ExecError`] as its payload.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use megablocks_exec::{
     cancel, configure_threads, CancelKind, CancelToken, Ctx, Deadline, ExecError, LaunchPlan,
@@ -179,80 +180,38 @@ fn mid_flight_cancel_skips_unstarted_bands_and_reports() {
 }
 
 #[test]
-fn watchdog_cancels_a_stalled_band_in_bounded_time() {
+fn a_nested_abort_on_a_worker_unwinds_through_the_outer_launch() {
     configure_threads(4);
-    let stalled = AtomicUsize::new(0);
+    let token = CancelToken::new();
+    token.cancel();
+    let dead = Ctx::none().with_token(&token);
     let mut data = vec![0.0f32; 4096];
-    // Band 0 wedges until cancelled (with a hard cap so a watchdog
-    // regression fails the test instead of hanging it); the sibling
-    // bands finish instantly, so the stall threshold resolves to the
-    // plan's explicit budget.
-    let body = |band: &mut [f32], i0: usize| {
-        if i0 == 0 {
-            stalled.fetch_add(1, Relaxed);
-            let hard_cap = Instant::now() + Duration::from_secs(30);
-            while !cancel::poll_cancelled() && Instant::now() < hard_cap {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            return;
-        }
-        band.fill(1.0);
-    };
-    let start = Instant::now();
-    let result = LaunchPlan::over_items("test.cancel.stall", &mut data, 1, 512, &body)
-        .with_stall_budget(Duration::from_millis(50))
-        .try_launch();
-    let elapsed = start.elapsed();
-    assert_eq!(
-        result,
-        Err(ExecError::DeadlineExceeded {
-            op: "test.cancel.stall"
-        }),
-        "the watchdog must cancel the stalled launch"
-    );
-    assert_eq!(
-        stalled.load(Relaxed),
-        1,
-        "the stalled band ran exactly once"
-    );
-    assert!(
-        elapsed < Duration::from_secs(10),
-        "a 50ms stall budget must unwind the launch promptly, took {elapsed:?}"
-    );
-}
-
-#[test]
-fn healthy_launches_pass_under_a_stall_budget() {
-    configure_threads(4);
-    let mut data: Vec<f32> = (1..=4096).map(|v| v as f32).collect();
+    // The outer launch runs under no context. Every band a pool worker
+    // runs launches again under a dead one; that nested launch runs
+    // inline on the worker and unwinds with its `ExecError`, which the
+    // pool parks and re-raises on the submitter.
     let body = |band: &mut [f32], _i0: usize| {
-        for v in band.iter_mut() {
-            *v *= 2.0;
+        let on_worker = std::thread::current()
+            .name()
+            .is_some_and(|name| name.starts_with("megablocks-exec"));
+        if on_worker {
+            let _scope = cancel::enter(&dead);
+            let len = band.len();
+            LaunchPlan::over_items("test.cancel.inner", band, 1, len, &|_, _| {}).launch();
         }
     };
-    LaunchPlan::over_items("test.cancel.healthy", &mut data, 1, 512, &body)
-        .with_stall_budget(Duration::from_secs(5))
-        .try_launch()
-        .expect("a healthy launch under a generous budget must pass");
-    let want = (4096u64 * 4097) as f64; // 2 * sum(1..=n)
-    assert_eq!(data.iter().map(|&v| v as f64).sum::<f64>(), want);
-}
-
-#[test]
-fn error_messages_carry_their_classification_prefix() {
-    let cancelled = ExecError::Cancelled { op: "x" };
-    let deadline = ExecError::DeadlineExceeded { op: "x" };
-    let overloaded = ExecError::Overloaded { op: "x" };
-    assert!(cancelled
-        .to_string()
-        .starts_with(megablocks_exec::CANCELLED_PANIC_PREFIX));
-    assert!(deadline
-        .to_string()
-        .starts_with(megablocks_exec::DEADLINE_PANIC_PREFIX));
-    assert!(overloaded
-        .to_string()
-        .starts_with(megablocks_exec::OVERLOADED_PANIC_PREFIX));
-    assert_eq!(cancelled.kind(), CancelKind::Cancelled);
-    assert_eq!(deadline.kind(), CancelKind::DeadlineExceeded);
-    assert_eq!(overloaded.kind(), CancelKind::Overloaded);
+    let outer = catch_unwind(AssertUnwindSafe(|| {
+        LaunchPlan::over_items("test.cancel.outer", &mut data, 1, 512, &body).try_launch()
+    }));
+    let payload = outer.expect_err("the inner abort must unwind, not return");
+    let error = payload
+        .downcast::<ExecError>()
+        .expect("the payload is the inner launch's ExecError");
+    assert_eq!(
+        *error,
+        ExecError::Cancelled {
+            op: "test.cancel.inner"
+        }
+    );
+    assert_eq!(error.kind(), CancelKind::Cancelled);
 }

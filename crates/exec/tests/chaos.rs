@@ -2,8 +2,8 @@
 //!
 //! `pool.queue_flood` forces the admission decision a flooded queue
 //! would produce, proving the shed/degrade split end to end;
-//! `exec.band_stall` parks a band mid-launch, proving the stall watchdog
-//! cancels the launch within its budget instead of letting it hang.
+//! `exec.band_stall` parks a band mid-launch, proving the launch's
+//! deadline cuts the stall short instead of letting it hang.
 
 use std::time::{Duration, Instant};
 
@@ -11,6 +11,7 @@ use megablocks_exec::{
     cancel, configure_threads, pool, queue_cap, Ctx, Deadline, ExecError, LaunchPlan,
 };
 use megablocks_resilience::{clear_plan, install_plan, report, sites, FaultPlan};
+use megablocks_telemetry as telemetry;
 
 // The fault plan is process-global: chaos tests serialize under a lock
 // so installs cannot race each other.
@@ -65,37 +66,44 @@ fn queue_flood_degrades_plain_launches_inline() {
 }
 
 #[test]
-fn band_stall_is_cancelled_by_the_watchdog_within_budget() {
+fn band_stall_is_cut_by_the_deadline_within_budget() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     configure_threads(4);
-    // One band parks for 30 s — far past the 50 ms stall budget. The
-    // watchdog must cancel the launch, the parked band must notice via
-    // its cancellation poll, and the whole launch must unwind in a small
-    // multiple of the budget rather than the injected delay.
+    // One band parks for 30 s — far past the launch's 50 ms deadline. The
+    // parked band must notice the expiry via its cancellation poll, and
+    // the whole launch must unwind in a small multiple of the deadline
+    // rather than the injected delay.
     install_plan(
         FaultPlan::seeded(23)
             .at_calls(&sites::EXEC_BAND_STALL, &[0])
             .delay_ms(30_000),
     );
+    let detected = telemetry::counter(sites::EXEC_BAND_STALL.detected);
+    let detected_before = detected.get();
 
     let mut data = vec![0.0f32; 4096];
     let body = |band: &mut [f32], _i0: usize| band.fill(1.0);
+    let ctx = Ctx::none().with_deadline(Deadline::after(Duration::from_millis(50)));
+    let _scope = cancel::enter(&ctx);
     let start = Instant::now();
-    let result = LaunchPlan::over_items("test.chaos.stall", &mut data, 1, 512, &body)
-        .with_stall_budget(Duration::from_millis(50))
-        .try_launch();
+    let result = LaunchPlan::over_items("test.chaos.stall", &mut data, 1, 512, &body).try_launch();
     let elapsed = start.elapsed();
     assert_eq!(
         result,
         Err(ExecError::DeadlineExceeded {
             op: "test.chaos.stall"
         }),
-        "the watchdog must cancel the stalled launch"
+        "the deadline must end the stalled launch"
     );
     assert_eq!(report().injected_at(&sites::EXEC_BAND_STALL), 1);
+    assert_eq!(
+        detected.get(),
+        detected_before + 1,
+        "the cut-short stall counts as detected"
+    );
     assert!(
         elapsed < Duration::from_secs(10),
-        "a 50ms budget must unwind a 30s injected stall promptly, took {elapsed:?}"
+        "a 50ms deadline must unwind a 30s injected stall promptly, took {elapsed:?}"
     );
     clear_plan();
 }

@@ -282,7 +282,7 @@ pub fn should_fail(site: &Site) -> bool {
 /// plan's configured delay in milliseconds *without sleeping* — the
 /// caller parks on its own terms (typically in short slices, polling a
 /// cancellation token between them), so an injected stall still unwinds
-/// promptly once a watchdog cancels it.
+/// promptly once its deadline passes or its token trips.
 #[inline]
 pub fn delay_requested(site: &Site) -> u64 {
     fires(site).unwrap_or(0)

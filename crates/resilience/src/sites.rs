@@ -59,8 +59,8 @@ pub const CHECKPOINT_IO: Site = Site {
 
 /// Band stall inside the exec launch path: one band of a launch plan
 /// parks for the plan's configured delay (cooperatively, via
-/// [`crate::delay_requested`]), exercising the stall watchdog's
-/// cancel-and-unwind path.
+/// [`crate::delay_requested`]), exercising the path on which the
+/// launch's deadline cuts the stall short and unwinds.
 pub const EXEC_BAND_STALL: Site = Site {
     name: "exec.band_stall",
     injected: "resilience.injected.exec.band_stall",

@@ -1,7 +1,6 @@
 //! The micro-batching engine: bounded admission queue, work-conserving
 //! batch formation, deadline-aware execution, per-request responses.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -9,8 +8,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use megablocks_core::DroplessMoe;
-use megablocks_exec::{cancel, CancelKind, CancelToken, Ctx, Deadline};
-use megablocks_sparse::SparseError;
+use megablocks_exec::{cancel, CancelKind, CancelToken, Ctx, Deadline, ExecError};
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::Matrix;
 
@@ -510,20 +508,6 @@ fn batcher_loop(shared: &Shared) {
     }
 }
 
-/// The abort a panicking launch unwound with, read off the message
-/// prefix [`megablocks_exec::LaunchPlan::launch`] panics with; `None`
-/// for any other panic.
-fn unwound_cancellation(payload: &(dyn Any + Send)) -> Option<CancelKind> {
-    let message = payload.downcast_ref::<String>()?;
-    [
-        CancelKind::Cancelled,
-        CancelKind::DeadlineExceeded,
-        CancelKind::Overloaded,
-    ]
-    .into_iter()
-    .find(|kind| message.starts_with(kind.panic_prefix()))
-}
-
 /// Concatenates the batch's token rows, runs the inference pass under a
 /// composite context, and resolves every member.
 fn run_batch(shared: &Shared, batch: Vec<Pending>) {
@@ -564,24 +548,21 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
     telemetry::counter("serve.batches").inc();
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
 
-    // A tripped context surfaces two ways: the sparse products return
-    // it, the glue kernels around them (router, gather, scatter) unwind
-    // with it. Both are the same outcome for the batch's members; any
-    // other panic — even one racing a deadline or shutdown — keeps
-    // unwinding to the batcher and resolves `Kernel`.
-    let cancelled = |kind| match kind {
-        CancelKind::DeadlineExceeded => ServeError::Expired,
-        other => ServeError::Cancelled(other),
-    };
+    // A tripped context unwinds out of whichever launch sees it first
+    // with the `ExecError` itself as the payload. Any other panic — even
+    // one racing a deadline or shutdown — keeps unwinding to the batcher
+    // and resolves `Kernel`.
     let result = {
         let _scope = cancel::enter(&ctx);
         match catch_unwind(AssertUnwindSafe(|| shared.layer.infer(&input))) {
             Ok(Ok(output)) => Ok(output),
-            Ok(Err(SparseError::Cancelled { kind, .. })) => Err(cancelled(kind)),
-            Ok(Err(other)) => Err(ServeError::Kernel(other.to_string())),
-            Err(panic) => match unwound_cancellation(&*panic) {
-                Some(kind) => Err(cancelled(kind)),
-                None => resume_unwind(panic),
+            Ok(Err(error)) => Err(ServeError::Kernel(error.to_string())),
+            Err(panic) => match panic.downcast::<ExecError>() {
+                Ok(error) => Err(match error.kind() {
+                    CancelKind::DeadlineExceeded => ServeError::Expired,
+                    other => ServeError::Cancelled(other),
+                }),
+                Err(panic) => resume_unwind(panic),
             },
         }
     };
@@ -631,11 +612,30 @@ mod tests {
     use megablocks_core::MoeConfig;
     use megablocks_tensor::init::{normal, seeded_rng};
 
-    fn small_engine(cfg: ServeConfig) -> (Engine, rand::rngs::StdRng) {
+    fn small_layer() -> (DroplessMoe, rand::rngs::StdRng) {
         let moe = MoeConfig::new(6, 8, 3).with_block_size(4);
         let mut rng = seeded_rng(11);
-        let layer = DroplessMoe::new(moe, &mut rng);
+        (DroplessMoe::new(moe, &mut rng), rng)
+    }
+
+    fn small_engine(cfg: ServeConfig) -> (Engine, rand::rngs::StdRng) {
+        let (layer, rng) = small_layer();
         (Engine::new(layer, cfg), rng)
+    }
+
+    /// A queued request for `tokens`, counted in `counters`, and the
+    /// handle it resolves — built by hand to reach past `submit`.
+    fn pending(tokens: Matrix, counters: &Arc<Counters>) -> (Pending, ResponseHandle) {
+        let slot = Arc::new(Slot::default());
+        let pending = Pending {
+            tokens,
+            deadline: None,
+            submitted: Instant::now(),
+            slot: Arc::clone(&slot),
+            counters: Arc::clone(counters),
+            resolved: false,
+        };
+        (pending, ResponseHandle { slot })
     }
 
     #[test]
@@ -709,37 +709,40 @@ mod tests {
     }
 
     #[test]
-    fn only_an_abort_prefix_classifies_an_unwind_as_cancellation() {
-        let payload = |message: String| -> Box<dyn Any + Send> { Box::new(message) };
-        for kind in [
-            CancelKind::Cancelled,
-            CancelKind::DeadlineExceeded,
-            CancelKind::Overloaded,
-        ] {
-            let panic = payload(format!("{}: gather abandoned", kind.panic_prefix()));
-            assert_eq!(unwound_cancellation(&*panic), Some(kind));
+    fn a_glue_kernel_abort_resolves_every_member_cancelled() {
+        let (layer, mut rng) = small_layer();
+        let shared = Shared {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                running: true,
+            }),
+            cv: Condvar::new(),
+            cfg: ServeConfig::default(),
+            root: CancelToken::new(),
+            counters: Arc::default(),
+            layer,
+        };
+        shared.root.cancel();
+        let (batch, handles): (Vec<_>, Vec<_>) = (0..3)
+            .map(|_| pending(normal(2, 6, 1.0, &mut rng), &shared.counters))
+            .unzip();
+        // The batch's first launch is the router's GEMM, a glue kernel: it
+        // refuses the dead context and unwinds with its `ExecError`.
+        run_batch(&shared, batch);
+        for handle in handles {
+            assert_eq!(
+                handle.wait().err(),
+                Some(ServeError::Cancelled(CancelKind::Cancelled))
+            );
         }
-        // A kernel bug stays a kernel bug, whatever the context says by
-        // the time it unwinds.
-        let bug = payload("index out of bounds: the len is 4".to_string());
-        assert_eq!(unwound_cancellation(&*bug), None);
+        assert_eq!(shared.counters.snapshot().cancelled, 3);
     }
 
     #[test]
     fn an_unresolved_pending_resolves_and_counts_on_drop() {
-        let slot = Arc::new(Slot::default());
-        let handle = ResponseHandle {
-            slot: Arc::clone(&slot),
-        };
         let counters = Arc::new(Counters::default());
-        drop(Pending {
-            tokens: Matrix::zeros(1, 6),
-            deadline: None,
-            submitted: Instant::now(),
-            slot,
-            counters: Arc::clone(&counters),
-            resolved: false,
-        });
+        let (unresolved, handle) = pending(Matrix::zeros(1, 6), &counters);
+        drop(unresolved);
         assert!(matches!(handle.wait(), Err(ServeError::Kernel(_))));
         assert_eq!(counters.snapshot().kernel, 1);
     }
@@ -749,18 +752,8 @@ mod tests {
         let (engine, mut rng) = small_engine(ServeConfig::default());
         // `submit` validates shapes, so reach past it: a request with the
         // wrong feature size makes `run_batch` panic while packing rows.
-        let slot = Arc::new(Slot::default());
-        let poisoned = ResponseHandle {
-            slot: Arc::clone(&slot),
-        };
-        engine.shared.lock().queue.push_back(Pending {
-            tokens: Matrix::zeros(2, 5),
-            deadline: None,
-            submitted: Instant::now(),
-            slot,
-            counters: Arc::clone(&engine.shared.counters),
-            resolved: false,
-        });
+        let (bad, poisoned) = pending(Matrix::zeros(2, 5), &engine.shared.counters);
+        engine.shared.lock().queue.push_back(bad);
         engine.shared.cv.notify_one();
         assert!(matches!(poisoned.wait(), Err(ServeError::Kernel(_))));
         assert_eq!(engine.stats().kernel, 1);

@@ -1,8 +1,6 @@
 use std::error::Error;
 use std::fmt;
 
-use megablocks_exec::{CancelKind, ExecError};
-
 use crate::audit::AuditError;
 
 /// Error type for block-sparse construction and validation.
@@ -42,17 +40,6 @@ pub enum SparseError {
     },
     /// Mismatched input lengths or shapes.
     Mismatch(String),
-    /// The product's kernel launch was abandoned before completion: its
-    /// cancellation context tripped (explicit cancel or expired
-    /// deadline), the stall watchdog fired, or the pool shed the launch
-    /// under overload. The partially-written output is discarded with
-    /// this error.
-    Cancelled {
-        /// The telemetry name of the abandoned product.
-        op: &'static str,
-        /// Why the launch was abandoned.
-        kind: CancelKind,
-    },
 }
 
 impl fmt::Display for SparseError {
@@ -81,16 +68,6 @@ impl fmt::Display for SparseError {
                 write!(f, "duplicate nonzero block at ({row}, {col})")
             }
             SparseError::Mismatch(s) => write!(f, "{s}"),
-            // Leads with the exec panic prefix for the kind, so a message
-            // crossing a panic boundary still classifies uniformly
-            // (retryable deadline vs. non-retryable cancel).
-            SparseError::Cancelled { op, kind } => {
-                write!(
-                    f,
-                    "{}: {op} abandoned before completion",
-                    kind.panic_prefix()
-                )
-            }
         }
     }
 }
@@ -100,18 +77,5 @@ impl Error for SparseError {}
 impl From<AuditError> for SparseError {
     fn from(e: AuditError) -> Self {
         SparseError::Audit(e)
-    }
-}
-
-/// A failed launch in the sparse error space keeps the [`CancelKind`] —
-/// explicit cancel, expired deadline, watchdog stall, pool shed — upper
-/// layers classify retryability by.
-impl From<ExecError> for SparseError {
-    fn from(e: ExecError) -> Self {
-        let kind = e.kind();
-        let (ExecError::Cancelled { op }
-        | ExecError::DeadlineExceeded { op }
-        | ExecError::Overloaded { op }) = e;
-        SparseError::Cancelled { op, kind }
     }
 }

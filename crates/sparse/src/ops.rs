@@ -343,10 +343,10 @@ macro_rules! product_wrappers {
         ///
         /// # Errors
         ///
-        /// Returns [`SparseError::Mismatch`] on incompatible shapes,
-        /// [`SparseError::Cancelled`] when the thread's ambient context
-        /// trips (and [`SparseError::Audit`] on sanitizer violations in
-        /// debug builds).
+        /// Returns [`SparseError::Mismatch`] on incompatible shapes (and
+        /// [`SparseError::Audit`] on sanitizer violations in debug
+        /// builds). A tripped ambient context unwinds as
+        /// [`try_sdd_op`] describes.
         pub fn $try_name($($arg: $ty),*) -> Result<$ret, SparseError> {
             $target($($call),*)
         }
@@ -384,9 +384,13 @@ product_wrappers! {
 /// # Errors
 ///
 /// Returns [`SparseError::Mismatch`] if `op_a(a)` is not `M x K` or
-/// `op_b(b)` is not `K x N`, where `(M, N) = topo.shape()`, and
-/// [`SparseError::Cancelled`] when the ambient context trips (or the
-/// launch is shed under overload).
+/// `op_b(b)` is not `K x N`, where `(M, N) = topo.shape()`.
+///
+/// # Panics
+///
+/// Unwinds with a [`megablocks_exec::ExecError`] payload when the ambient
+/// context trips or the launch is shed under overload, like every kernel
+/// launch ([`megablocks_exec::LaunchPlan::launch`]).
 pub fn try_sdd_op(
     a: &Matrix,
     op_a: Trans,
@@ -469,7 +473,7 @@ pub fn try_sdd_op(
         .windows(2)
         .map(|w| (row_offsets[w[1]] - row_offsets[w[0]]) * area)
         .collect();
-    exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).try_launch()?;
+    exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).launch();
     debug_check(|| audit::check_finite(variant, out.as_slice()))?;
     Ok(out)
 }
@@ -528,7 +532,8 @@ pub fn try_dst_d_explicit(s: &BlockSparseMatrix, d: &Matrix) -> Result<Matrix, S
 /// # Errors
 ///
 /// Returns [`SparseError::Mismatch`] if the inner dimensions of `op_s(s)`
-/// and `op_d(d)` differ, and [`SparseError::Cancelled`] as [`try_sdd_op`].
+/// and `op_d(d)` differ. A tripped ambient context unwinds as
+/// [`try_sdd_op`] describes.
 pub fn try_dsd_op(
     s: &BlockSparseMatrix,
     op_s: Trans,
@@ -609,7 +614,7 @@ pub fn try_dsd_op(
         debug_check(|| audit::verify_dsd_partition(topo, op_s == Trans::T, &cuts))?;
     }
     let band_lens = cuts.windows(2).map(|w| (w[1] - w[0]) * bs * n).collect();
-    exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).try_launch()?;
+    exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).launch();
     debug_check(|| audit::check_finite(variant, out.as_slice()))?;
     Ok(out)
 }
@@ -630,7 +635,8 @@ product_wrappers! {
 /// # Errors
 ///
 /// Returns [`SparseError::Mismatch`] if the inner dimensions of `op_d(d)`
-/// and `op_s(s)` differ, and [`SparseError::Cancelled`] as [`try_sdd_op`].
+/// and `op_s(s)` differ. A tripped ambient context unwinds as
+/// [`try_sdd_op`] describes.
 pub fn try_dds_op(
     d: &Matrix,
     op_d: Trans,
@@ -709,8 +715,7 @@ pub fn try_dds_op(
     };
 
     let rows_per_thread = m.div_ceil(threads);
-    exec::LaunchPlan::over_items(variant, out.as_mut_slice(), n, rows_per_thread, &body)
-        .try_launch()?;
+    exec::LaunchPlan::over_items(variant, out.as_mut_slice(), n, rows_per_thread, &body).launch();
     debug_check(|| audit::check_finite(variant, out.as_slice()))?;
     Ok(out)
 }

@@ -8,8 +8,12 @@
 //! then hammer the shared pool from concurrent OS threads to show
 //! launches from different submitters never corrupt each other.
 
-use megablocks_exec::{cancel, scoped_parallelism, CancelKind, CancelToken, Ctx, Deadline};
-use megablocks_sparse::{ops, BlockSize, SparseError, Topology};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use megablocks_exec::{
+    cancel, scoped_parallelism, CancelKind, CancelToken, Ctx, Deadline, ExecError,
+};
+use megablocks_sparse::{ops, BlockSize, Topology};
 use megablocks_tensor::{matmul, Matrix, Trans};
 
 mod common;
@@ -118,7 +122,7 @@ fn ambient_contexts_are_bit_invisible_while_live_and_cancel_when_tripped() {
     // the calling thread entered. A live (never tripped) context must be
     // bit-invisible — the cancellation checks sit at band boundaries and
     // panel-loop edges, never inside a reduction — and a tripped one must
-    // surface as `Cancelled` with the kind that tripped it.
+    // unwind with the `ExecError` of the kind that tripped it.
     let reference = scoped_parallelism(1, run_all_kernels);
     let token = CancelToken::new();
     let live = Ctx::none()
@@ -143,16 +147,23 @@ fn ambient_contexts_are_bit_invisible_while_live_and_cancel_when_tripped() {
         (&expired, CancelKind::DeadlineExceeded),
     ] {
         let _scope = cancel::enter(ctx);
-        let results = [
-            ops::try_sdd(&a, &b, &topo).map(|_| ()),
-            ops::try_dsd(&s, &d).map(|_| ()),
-            ops::try_dds_op(&lhs, Trans::N, &s, Trans::N).map(|_| ()),
+        let aborted = |product: &dyn Fn()| {
+            let payload = catch_unwind(AssertUnwindSafe(product)).expect_err("must unwind");
+            *payload
+                .downcast::<ExecError>()
+                .expect("an ExecError payload")
+        };
+        let errors = [
+            aborted(&|| drop(ops::try_sdd(&a, &b, &topo))),
+            aborted(&|| drop(ops::try_dsd(&s, &d))),
+            aborted(&|| drop(ops::try_dds_op(&lhs, Trans::N, &s, Trans::N))),
         ];
-        for (result, op) in results
+        for (error, op) in errors
             .into_iter()
             .zip(["sparse.sdd", "sparse.dsd", "sparse.dds"])
         {
-            assert_eq!(result, Err(SparseError::Cancelled { op, kind: want }));
+            assert_eq!(error.kind(), want, "{op}");
+            assert!(error.to_string().starts_with(op), "{error}");
         }
     }
 }

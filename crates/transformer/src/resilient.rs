@@ -23,10 +23,13 @@
 //!   [`ResilienceConfig::step_deadline`] set, every step attempt runs
 //!   under a *fresh* exec deadline; an attempt that blows its budget
 //!   unwinds at the next cooperative cancellation point and is retried
-//!   with new budget (deadline expiry is transient by construction). A
+//!   with new budget (deadline expiry is transient by construction), and
+//!   so is an attempt whose launch the pool shed under overload. A
 //!   tripped [`ResilienceConfig::cancel`] token is the opposite: a
 //!   command, not a fault — the step rolls back immediately and is
-//!   never retried.
+//!   never retried. An aborted launch unwinds with an [`exec::ExecError`]
+//!   payload, and the step classifies it by [`exec::ExecError::kind`];
+//!   every other panic counts as a worker panic.
 //! * **Auto-resume.** [`ResilientTrainer::resume_latest`] scans the
 //!   checkpoint directory newest-first, skips any file that fails CRC or
 //!   structural validation, and restores the first valid one.
@@ -44,7 +47,7 @@ use megablocks_data::TokenDataset;
 use megablocks_exec as exec;
 use megablocks_resilience as resilience;
 use megablocks_resilience::sites::{
-    CHECKPOINT_IO, EXEC_BAND_STALL, EXEC_WORKER_PANIC, KERNEL_NAN_POISON,
+    CHECKPOINT_IO, EXEC_BAND_STALL, EXEC_WORKER_PANIC, KERNEL_NAN_POISON, POOL_QUEUE_FLOOD,
 };
 use megablocks_resilience::RetryPolicy;
 use megablocks_telemetry as telemetry;
@@ -108,8 +111,9 @@ pub struct ResilienceReport {
     pub worker_panics: usize,
     /// Attempts rolled back for a non-finite loss or gradient.
     pub nonfinite_steps: usize,
-    /// Attempts rolled back because the step deadline (or the exec
-    /// stall watchdog) expired; each was retried with a fresh budget.
+    /// Attempts rolled back because the step deadline expired or the
+    /// pool shed one of the step's launches under overload; each was
+    /// retried with a fresh budget.
     pub deadline_steps: usize,
     /// Steps rolled back and abandoned because the cancel token tripped.
     pub cancelled_steps: usize,
@@ -277,6 +281,7 @@ impl ResilientTrainer {
         let mut saw_panic = false;
         let mut saw_nonfinite = false;
         let mut saw_deadline = false;
+        let mut saw_overload = false;
         for attempt in 0..=self.cfg.retry.max_retries {
             if attempt > 0 {
                 self.report.step_retries += 1;
@@ -304,6 +309,9 @@ impl ResilientTrainer {
                         if saw_deadline {
                             resilience::record_recovered(&EXEC_BAND_STALL);
                         }
+                        if saw_overload {
+                            resilience::record_recovered(&POOL_QUEUE_FLOOD);
+                        }
                         let log = self.trainer.apply_step(pending);
                         self.report.steps_completed += 1;
                         self.consecutive_skips = 0;
@@ -317,36 +325,40 @@ impl ResilientTrainer {
                     last_reason =
                         format!("non-finite loss or gradient (ce = {})", pending.ce_loss());
                 }
-                Err(payload) => {
-                    last_reason = panic_reason(payload.as_ref());
-                    // A cancelled step is a command, not a fault:
-                    // retrying work someone asked to stop cannot
-                    // succeed. Roll back, count it, and skip without
-                    // burning the retry budget.
-                    if last_reason.starts_with(exec::CANCELLED_PANIC_PREFIX) {
-                        self.report.cancelled_steps += 1;
-                        telemetry::counter("resilience.trainer.cancelled").inc();
-                        telemetry::trace_instant("resilience.step_cancelled");
-                        self.trainer.zero_grads();
-                        self.trainer.set_rng_state(rng_snapshot);
-                        break;
-                    }
-                    // A blown deadline (or a watchdog-declared stall) is
-                    // retryable *because* the next attempt gets a fresh
-                    // budget; classify it apart from worker panics.
-                    if last_reason.starts_with(exec::DEADLINE_PANIC_PREFIX) {
+                Err(payload) => match payload.downcast::<exec::ExecError>() {
+                    Ok(error) => {
+                        last_reason = error.to_string();
+                        match error.kind() {
+                            // A cancelled step is a command, not a fault:
+                            // retrying work someone asked to stop cannot
+                            // succeed. Roll back, count it, and skip
+                            // without burning the retry budget.
+                            exec::CancelKind::Cancelled => {
+                                self.report.cancelled_steps += 1;
+                                telemetry::counter("resilience.trainer.cancelled").inc();
+                                telemetry::trace_instant("resilience.step_cancelled");
+                                self.trainer.zero_grads();
+                                self.trainer.set_rng_state(rng_snapshot);
+                                break;
+                            }
+                            // A blown deadline or an overload shed is
+                            // retryable *because* the next attempt gets a
+                            // fresh budget and a fresh admission decision;
+                            // neither is a worker panic.
+                            exec::CancelKind::DeadlineExceeded => saw_deadline = true,
+                            exec::CancelKind::Overloaded => saw_overload = true,
+                        }
                         self.report.deadline_steps += 1;
                         telemetry::counter("resilience.trainer.deadline").inc();
-                        saw_deadline = true;
-                        self.trainer.zero_grads();
-                        self.trainer.set_rng_state(rng_snapshot);
-                        continue;
                     }
-                    resilience::record_detected(&EXEC_WORKER_PANIC);
-                    self.report.worker_panics += 1;
-                    telemetry::counter("resilience.trainer.panics").inc();
-                    saw_panic = true;
-                }
+                    Err(payload) => {
+                        last_reason = panic_reason(payload.as_ref());
+                        resilience::record_detected(&EXEC_WORKER_PANIC);
+                        self.report.worker_panics += 1;
+                        telemetry::counter("resilience.trainer.panics").inc();
+                        saw_panic = true;
+                    }
+                },
             }
             // Roll the attempt back exactly: discard partial gradient
             // accumulation and rewind the data stream.
