@@ -1,8 +1,8 @@
 //! Request conservation: every attempt on a running engine is shed or
 //! submitted, and every submitted request ends under exactly one
 //! outcome. One engine is driven through serving, dead-on-arrival,
-//! pre-batch expiry, post-compute expiry, shedding, a batch cancelled by
-//! shutdown, requests still queued at shutdown and attempts on the
+//! pre-batch expiry, post-compute expiry, a kernel panic, shedding, a
+//! batch cancelled by shutdown, requests still queued at shutdown and attempts on the
 //! stopped engine; the books are then read twice, from `Engine::stats()`
 //! and from `telemetry::snapshot()`. A scenario that needs a batch still
 //! computing parks it with an injected `exec.band_stall`, so each one
@@ -148,6 +148,15 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
     assert_eq!(outcome(rider), Ok(MAX_BATCH));
     assert_eq!(outcome(held), Ok(1));
 
+    // A kernel bug: a band panics with a plain payload under the batch's
+    // live deadline. Only an `ExecError` payload is an abort, so this
+    // panic keeps unwinding and the member resolves `Kernel`.
+    install_plan(FaultPlan::seeded(5).at_calls(&sites::EXEC_WORKER_PANIC, &[0]));
+    let hour = Deadline::after(Duration::from_secs(3600));
+    let buggy = client.submit(HOLDER_ROWS, Some(hour)).expect("admitted");
+    assert!(matches!(outcome(buggy), Err(ServeError::Kernel(_))));
+    clear_plan();
+
     // Shutdown with one batch parked, a full queue behind it and one
     // request too many.
     let holder = client.tokens(HOLDER_ROWS);
@@ -175,14 +184,14 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
     // was submitted and did not end otherwise completed.
     let stats = client.engine.stats();
     let attempts = client.attempts;
-    let (shed, expired, cancelled, shutdown) = (1, 3, 1, MAX_BATCH as u64);
+    let (shed, expired, cancelled, kernel, shutdown) = (1, 3, 1, 1, MAX_BATCH as u64);
     let expected = EngineStats {
         submitted: attempts - shed,
-        completed: attempts - shed - expired - cancelled - shutdown,
+        completed: attempts - shed - expired - cancelled - kernel - shutdown,
         shed,
         expired,
         cancelled,
-        kernel: 0,
+        kernel,
         shutdown,
         // Filled to the cap just above, never past it.
         max_queue_depth: MAX_BATCH as u64,
@@ -199,6 +208,9 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
     };
     assert_eq!(counter("serve.submitted", None), stats.submitted);
     assert_eq!(counter("serve.shed", None), stats.shed);
+    // The kernel bug's batch panicked; only the shutdown's was cancelled.
+    assert_eq!(counter("serve.batch_panicked", None), kernel);
+    assert_eq!(counter("serve.batch_cancelled", None), cancelled);
     for (label, value) in [
         ("completed", stats.completed),
         ("expired", stats.expired),
