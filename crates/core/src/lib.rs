@@ -146,7 +146,7 @@ pub(crate) fn record_moe_stats(stats: &MoeStats) {
     let hist = telemetry::histogram("moe.tokens_per_expert");
     for (e, &c) in stats.tokens_per_expert.iter().enumerate() {
         hist.record(c as u64);
-        telemetry::counter_with("moe.expert_tokens", e).add(c as u64);
+        telemetry::counter_with("moe.expert_tokens", &e.to_string()).add(c as u64);
     }
     telemetry::counter("moe.padding_rows").add(stats.padding_rows as u64);
     telemetry::counter("moe.dropped_tokens").add(stats.dropped_tokens as u64);

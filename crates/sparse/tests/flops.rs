@@ -37,7 +37,7 @@ fn sparse_flops_reconcile_with_kernel_flops_on_partial_and_empty_experts() {
     let kernel_start = kernel.get();
     let mut sparse_total = 0;
     for (variant, product) in products {
-        let sparse = telemetry::counter_with("sparse.flops", format!("sparse.{variant}"));
+        let sparse = telemetry::counter_with("sparse.flops", &format!("sparse.{variant}"));
         let before = (sparse.get(), kernel.get());
         product();
         let (counted, issued) = (sparse.get() - before.0, kernel.get() - before.1);

@@ -16,9 +16,11 @@
 //!   metrics and structured per-step records (loss, lr, throughput).
 //!
 //! Handles are fetched from the global [`Registry`] by name (plus an
-//! optional label for families such as per-expert counts); hot loops
-//! fetch a handle once per kernel invocation, accumulate locally, and
-//! record once, so nothing in a worker loop takes a lock.
+//! optional label for families such as per-variant counts). A thread's
+//! first fetch of a name takes the registry lock; every later one is a
+//! lookup in the thread's own map that takes no lock and allocates
+//! nothing. Metrics are never removed, so a handle stays valid for the
+//! life of the process.
 //!
 //! Snapshots feed pluggable [`Sink`]s: [`JsonlSink`] writes one JSON
 //! object per metric (for `results/`), and [`SummarySink`] renders a

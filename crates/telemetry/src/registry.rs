@@ -3,13 +3,13 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fmt::Display;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::report::{CounterRow, GaugeRow, HistogramRow, JsonlSink, Sink, Snapshot, SpanRow};
@@ -86,15 +86,18 @@ struct SpanCore {
     self_ns: AtomicU64,
 }
 
+/// A metric's cell. Metrics are never removed, so each cell lives for
+/// the rest of the process and an entry or handle is a plain reference.
+#[derive(Clone, Copy)]
 enum Entry {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicU64>),
-    Histogram(Arc<HistogramCore>),
-    Span(Arc<SpanCore>),
+    Counter(&'static AtomicU64),
+    Gauge(&'static AtomicU64),
+    Histogram(&'static HistogramCore),
+    Span(&'static SpanCore),
 }
 
 impl Entry {
-    fn kind(&self) -> &'static str {
+    fn kind(self) -> &'static str {
         match self {
             Entry::Counter(_) => "counter",
             Entry::Gauge(_) => "gauge",
@@ -102,6 +105,10 @@ impl Entry {
             Entry::Span(_) => "span",
         }
     }
+}
+
+fn leak<T>(cell: T) -> &'static T {
+    Box::leak(Box::new(cell))
 }
 
 type Key = (&'static str, Option<String>);
@@ -123,28 +130,85 @@ fn registry() -> &'static Registry {
     })
 }
 
-impl Registry {
-    fn with_entry<T>(
-        &self,
-        name: &'static str,
-        label: Option<String>,
-        make: impl FnOnce() -> Entry,
-        get: impl FnOnce(&Entry) -> Option<T>,
-    ) -> T {
-        let mut metrics = self.metrics.lock().expect("registry poisoned");
-        let entry = metrics.entry((name, label)).or_insert_with(make);
-        match get(entry) {
-            Some(handle) => handle,
-            None => panic!("metric {name:?} already registered as a {}", entry.kind()),
+/// Hashes a name's address and length: two words, never the string.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(usize::from(b));
         }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
-/// A monotonically increasing atomic counter handle. Cloning is cheap;
-/// fetch once per kernel call and `add` accumulated totals.
+/// One thread's resolved entries, keyed by the name's address and length
+/// (names are `&'static str`: equal keys are equal names), then the label.
+type Resolved =
+    HashMap<(usize, usize), Vec<(Option<Box<str>>, Entry)>, BuildHasherDefault<AddrHasher>>;
+
+thread_local! {
+    static RESOLVED: RefCell<Resolved> = RefCell::new(Resolved::default());
+}
+
+/// The entry `name{label}`, registered with `make` on first use. Only a
+/// thread's first request for it takes the registry lock; every later one
+/// is a lookup in the thread's own map that allocates nothing.
+fn resolve(name: &'static str, label: Option<&str>, make: fn() -> Entry) -> Entry {
+    let from_registry = || {
+        let mut metrics = registry().metrics.lock().expect("registry poisoned");
+        *metrics
+            .entry((name, label.map(str::to_owned)))
+            .or_insert_with(make)
+    };
+    RESOLVED
+        .try_with(|resolved| {
+            let mut resolved = resolved.borrow_mut();
+            let slot = resolved
+                .entry((name.as_ptr() as usize, name.len()))
+                .or_default();
+            match slot.iter().find(|(l, _)| l.as_deref() == label) {
+                Some(&(_, entry)) => entry,
+                None => {
+                    let entry = from_registry();
+                    slot.push((label.map(Box::from), entry));
+                    entry
+                }
+            }
+        })
+        // The thread's map is gone while its thread-locals are torn down.
+        .unwrap_or_else(|_| from_registry())
+}
+
+/// The handle `get` makes of `name{label}`.
+///
+/// # Panics
+///
+/// Panics if `name{label}` is registered as another kind of metric.
+fn handle<T>(
+    name: &'static str,
+    label: Option<&str>,
+    make: fn() -> Entry,
+    get: fn(Entry) -> Option<T>,
+) -> T {
+    let entry = resolve(name, label, make);
+    get(entry).unwrap_or_else(|| panic!("metric {name:?} already registered as a {}", entry.kind()))
+}
+
+/// A monotonically increasing atomic counter handle: a reference to the
+/// counter's cell, so cloning is free. `add` accumulated totals rather
+/// than one per element.
 #[derive(Clone)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    cell: &'static AtomicU64,
 }
 
 impl Counter {
@@ -169,7 +233,7 @@ impl Counter {
 /// A last-value metric handle storing an `f64`.
 #[derive(Clone)]
 pub struct Gauge {
-    bits: Arc<AtomicU64>,
+    bits: &'static AtomicU64,
 }
 
 impl Gauge {
@@ -188,7 +252,7 @@ impl Gauge {
 /// A log₂-bucketed histogram handle.
 #[derive(Clone)]
 pub struct Histogram {
-    core: Arc<HistogramCore>,
+    core: &'static HistogramCore,
 }
 
 impl Histogram {
@@ -220,19 +284,19 @@ pub fn counter(name: &'static str) -> Counter {
     counter_entry(name, None)
 }
 
-/// Returns the counter `name{label}` — e.g. per-expert token counts use
-/// the expert index as the label.
-pub fn counter_with(name: &'static str, label: impl Display) -> Counter {
-    counter_entry(name, Some(label.to_string()))
+/// Returns the counter `name{label}` — e.g. per-variant FLOP counts use
+/// the variant name as the label.
+pub fn counter_with(name: &'static str, label: &str) -> Counter {
+    counter_entry(name, Some(label))
 }
 
-fn counter_entry(name: &'static str, label: Option<String>) -> Counter {
-    registry().with_entry(
+fn counter_entry(name: &'static str, label: Option<&str>) -> Counter {
+    handle(
         name,
         label,
-        || Entry::Counter(Arc::new(AtomicU64::new(0))),
+        || Entry::Counter(leak(AtomicU64::new(0))),
         |e| match e {
-            Entry::Counter(c) => Some(Counter { cell: c.clone() }),
+            Entry::Counter(cell) => Some(Counter { cell }),
             _ => None,
         },
     )
@@ -240,12 +304,12 @@ fn counter_entry(name: &'static str, label: Option<String>) -> Counter {
 
 /// Returns the gauge named `name`, registering it on first use.
 pub fn gauge(name: &'static str) -> Gauge {
-    registry().with_entry(
+    handle(
         name,
         None,
-        || Entry::Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))),
+        || Entry::Gauge(leak(AtomicU64::new(0f64.to_bits()))),
         |e| match e {
-            Entry::Gauge(g) => Some(Gauge { bits: g.clone() }),
+            Entry::Gauge(bits) => Some(Gauge { bits }),
             _ => None,
         },
     )
@@ -258,34 +322,34 @@ pub fn histogram(name: &'static str) -> Histogram {
 }
 
 /// Returns the histogram `name{label}`.
-pub fn histogram_with(name: &'static str, label: impl Display) -> Histogram {
-    histogram_entry(name, Some(label.to_string()))
+pub fn histogram_with(name: &'static str, label: &str) -> Histogram {
+    histogram_entry(name, Some(label))
 }
 
-fn histogram_entry(name: &'static str, label: Option<String>) -> Histogram {
-    registry().with_entry(
+fn histogram_entry(name: &'static str, label: Option<&str>) -> Histogram {
+    handle(
         name,
         label,
-        || Entry::Histogram(Arc::new(HistogramCore::new())),
+        || Entry::Histogram(leak(HistogramCore::new())),
         |e| match e {
-            Entry::Histogram(h) => Some(Histogram { core: h.clone() }),
+            Entry::Histogram(core) => Some(Histogram { core }),
             _ => None,
         },
     )
 }
 
-fn span_core(name: &'static str) -> Arc<SpanCore> {
-    registry().with_entry(
+fn span_core(name: &'static str) -> &'static SpanCore {
+    handle(
         name,
         None,
         || {
-            Entry::Span(Arc::new(SpanCore {
+            Entry::Span(leak(SpanCore {
                 durations: HistogramCore::new(),
                 self_ns: AtomicU64::new(0),
             }))
         },
         |e| match e {
-            Entry::Span(s) => Some(s.clone()),
+            Entry::Span(core) => Some(core),
             _ => None,
         },
     )
@@ -366,15 +430,6 @@ pub fn event(name: &str, fields: &[(&str, Value)]) {
         .lock()
         .expect("event log poisoned")
         .push(line);
-}
-
-/// Clears every metric and event. Handles fetched before the reset keep
-/// recording into detached metrics that no longer export; fetch fresh
-/// handles afterwards.
-pub fn reset() {
-    let reg = registry();
-    reg.metrics.lock().expect("registry poisoned").clear();
-    reg.events.lock().expect("event log poisoned").clear();
 }
 
 /// Captures the current state of the global registry.

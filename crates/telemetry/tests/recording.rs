@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use megablocks_telemetry as telemetry;
 
-/// Tests that read whole-registry snapshots (or reset the registry)
-/// serialize on this lock so parallel test threads don't interleave.
+/// Tests that read whole-registry snapshots serialize on this lock so
+/// parallel test threads don't interleave.
 static SNAPSHOT_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
@@ -88,11 +88,11 @@ fn percentile_of_constant_distribution_is_that_constant() {
 #[test]
 fn labelled_families_are_distinct() {
     for e in 0..4u64 {
-        telemetry::counter_with("test.expert_tokens", e).add(10 * (e + 1));
+        telemetry::counter_with("test.expert_tokens", &e.to_string()).add(10 * (e + 1));
     }
     for e in 0..4u64 {
         assert_eq!(
-            telemetry::counter_with("test.expert_tokens", e).get(),
+            telemetry::counter_with("test.expert_tokens", &e.to_string()).get(),
             10 * (e + 1)
         );
     }
@@ -206,10 +206,41 @@ fn jsonl_export_contains_every_metric_kind() {
 }
 
 #[test]
-fn reset_clears_the_registry() {
+fn handles_resolved_on_several_threads_count_into_one_cell() {
     let _guard = SNAPSHOT_LOCK.lock().unwrap();
-    telemetry::counter("test.reset_me").add(5);
-    telemetry::reset();
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "each OS thread resolves the handle through its own map"
+    )]
+    thread::scope(|s| {
+        for t in 0..4u64 {
+            s.spawn(move || {
+                for _ in 0..3 {
+                    telemetry::counter_with("test.per_thread", "x").add(t + 1);
+                }
+                // The same name at another address, and a label built at run
+                // time, are the same metric.
+                let name: &'static str =
+                    Box::leak(String::from("test.per_thread").into_boxed_str());
+                telemetry::counter_with(name, &String::from("x")).add(100);
+            });
+        }
+    });
     let snap = telemetry::snapshot();
-    assert!(snap.counters.iter().all(|c| c.name != "test.reset_me"));
+    let rows: Vec<_> = snap
+        .counters
+        .iter()
+        .filter(|c| c.name == "test.per_thread")
+        .collect();
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    assert_eq!(rows[0].label.as_deref(), Some("x"));
+    assert_eq!(rows[0].value, 3 * (1 + 2 + 3 + 4) + 4 * 100);
+}
+
+#[test]
+#[should_panic(expected = "metric \"test.kind_clash\" already registered as a counter")]
+fn a_cached_counter_asked_for_as_a_histogram_still_panics() {
+    telemetry::counter("test.kind_clash").inc();
+    telemetry::counter("test.kind_clash").inc();
+    let _ = telemetry::histogram("test.kind_clash");
 }

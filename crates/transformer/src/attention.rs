@@ -2,6 +2,7 @@
 //! incremental (KV-cached) forward.
 
 use megablocks_core::Param;
+use megablocks_telemetry as telemetry;
 use megablocks_tensor::ops::{
     add_bias, bias_backward, softmax_rows_backward, softmax_rows_inplace,
 };
@@ -47,6 +48,27 @@ impl Retain {
     pub(crate) fn release(self, m: Matrix) {
         if self == Retain::Nothing {
             m.recycle();
+        }
+    }
+}
+
+/// One layer's keys and values of one sequence, for incremental decoding.
+/// Keys are stored transposed — column `p` of `k_t` is position `p`'s key,
+/// heads stacked as in `qkv` — so a head's keys are a row slab that
+/// `q·Kᵀ` streams; `v` is position-major.
+#[derive(Debug, Clone)]
+pub(crate) struct KvCache {
+    /// `hidden x seq_len`.
+    pub(crate) k_t: Matrix,
+    /// `seq_len x hidden`.
+    pub(crate) v: Matrix,
+}
+
+impl KvCache {
+    pub(crate) fn new(hidden: usize, seq_len: usize) -> Self {
+        Self {
+            k_t: Matrix::zeros(hidden, seq_len),
+            v: Matrix::zeros(seq_len, hidden),
         }
     }
 }
@@ -126,18 +148,18 @@ impl Attention {
     /// The one attention forward. Training and inference differ only in
     /// what they retain. With `kv = Some((cache, past))` the rows of `x`
     /// are positions `past..past + seq` of one sequence (`batch == 1`):
-    /// their keys and values become rows `past..` of `cache` (a
-    /// `seq_len x 2*hidden` matrix, `K | V`) and every query attends over
-    /// positions `0..=` its own; without it each sequence is its own whole
-    /// context (`past == 0`).
+    /// their keys and values become positions `past..` of `cache` and
+    /// every query attends over positions `0..=` its own; without it each
+    /// sequence is its own whole context (`past == 0`).
     pub(crate) fn pass(
         &self,
         x: &Matrix,
         batch: usize,
         seq: usize,
-        mut kv: Option<(&mut Matrix, usize)>,
+        mut kv: Option<(&mut KvCache, usize)>,
         retain: Retain,
     ) -> (Matrix, Option<AttentionCache>) {
+        let _span = telemetry::span("transformer.attention");
         assert_eq!(x.rows(), batch * seq, "row count must be batch * seq");
         assert_eq!(x.cols(), self.hidden, "feature size mismatch");
         let h = self.hidden;
@@ -150,7 +172,11 @@ impl Attention {
         if let Some((cache, past)) = &mut kv {
             assert_eq!(batch, 1, "a KV cache holds one sequence");
             for i in 0..seq {
-                cache.row_mut(*past + i).copy_from_slice(&qkv.row(i)[h..]);
+                let row = qkv.row(i);
+                for (c, &k) in row[h..2 * h].iter().enumerate() {
+                    cache.k_t[(c, *past + i)] = k;
+                }
+                cache.v.row_mut(*past + i).copy_from_slice(&row[2 * h..]);
             }
         }
 
@@ -160,13 +186,19 @@ impl Attention {
             for head in 0..nh {
                 let q = extract(&qkv, b * seq, seq, head * d, d);
                 // Keys and values: every cached position, or this sequence's.
-                let (kv_src, row0, rows, k0) = match &kv {
-                    Some((cache, past)) => (&**cache, 0, past + seq, head * d),
-                    None => (&qkv, b * seq, seq, h + head * d),
+                let (k, k_op, v) = match &kv {
+                    Some((cache, past)) => (
+                        extract(&cache.k_t, head * d, d, 0, past + seq),
+                        Trans::N,
+                        extract(&cache.v, 0, past + seq, head * d, d),
+                    ),
+                    None => (
+                        extract(&qkv, b * seq, seq, h + head * d, d),
+                        Trans::T,
+                        extract(&qkv, b * seq, seq, 2 * h + head * d, d),
+                    ),
                 };
-                let k = extract(kv_src, row0, rows, k0, d);
-                let v = extract(kv_src, row0, rows, k0 + h, d);
-                let (ctx_h, p) = attend(&q, &k, &v, scale, retain);
+                let (ctx_h, p) = attend(&q, &k, k_op, &v, scale, retain);
                 insert(&mut ctx, &ctx_h, b * seq, head * d);
                 retain.release(ctx_h);
                 for m in [q, k, v] {
@@ -256,18 +288,27 @@ impl Attention {
 }
 
 /// One head of causal attention: the rows of `q` are the last `q.rows()`
-/// of the `k.rows()` positions `k` and `v` hold, and each attends over
-/// positions `0..=` its own. Returns the context rows and the attention
-/// probabilities (masked entries exactly 0).
+/// of the positions `k` and `v` hold, and each attends over positions
+/// `0..=` its own. `v` is position-major; `k` is too under `k_op =
+/// Trans::T`, and is `Kᵀ` (one column per position) under `Trans::N`.
+/// Returns the context rows and the attention probabilities (masked
+/// entries exactly 0).
 ///
 /// A masked score is `-inf`, so its probability is `+0` and it adds `+0`
 /// to the softmax denominator and `0 * v` to a context accumulator that
 /// started at `+0`: a query's outputs do not depend, bitwise, on how many
 /// later positions share the call. That is what makes a cached key/value
 /// row written by one call valid in every later one.
-fn attend(q: &Matrix, k: &Matrix, v: &Matrix, scale: f32, retain: Retain) -> (Matrix, Matrix) {
-    let past = k.rows() - q.rows();
-    let mut scores = retain.matmul(q, k, Trans::T);
+fn attend(
+    q: &Matrix,
+    k: &Matrix,
+    k_op: Trans,
+    v: &Matrix,
+    scale: f32,
+    retain: Retain,
+) -> (Matrix, Matrix) {
+    let past = v.rows() - q.rows();
+    let mut scores = retain.matmul(q, k, k_op);
     scores.scale(scale);
     for i in 0..q.rows() {
         scores.row_mut(i)[past + i + 1..].fill(f32::NEG_INFINITY);
@@ -350,7 +391,7 @@ mod tests {
         // Positions 0..3 in one call, 3..7 in a second over their cache,
         // with and without retention: rows of the full forward, bitwise.
         for retain in [Retain::Nothing, Retain::ForBackward] {
-            let mut cache = Matrix::zeros(7, 16);
+            let mut cache = KvCache::new(8, 7);
             let (head, _) = attn.pass(&x.rows_range(0, 3), 1, 3, Some((&mut cache, 0)), retain);
             let (tail, _) = attn.pass(&x.rows_range(3, 7), 1, 4, Some((&mut cache, 3)), retain);
             assert_eq!(head, full.rows_range(0, 3));
@@ -361,10 +402,16 @@ mod tests {
         let q = init::normal(7, 4, 1.0, &mut rng);
         let k = init::normal(7, 4, 1.0, &mut rng);
         let v = init::normal(7, 4, 1.0, &mut rng);
-        let (ctx, probs) = attend(&q, &k, &v, 0.5, Retain::ForBackward);
-        let (ctx_tail, probs_tail) = attend(&q.rows_range(3, 7), &k, &v, 0.5, Retain::ForBackward);
+        let (ctx, probs) = attend(&q, &k, Trans::T, &v, 0.5, Retain::ForBackward);
+        let tail = q.rows_range(3, 7);
+        let (ctx_tail, probs_tail) = attend(&tail, &k, Trans::T, &v, 0.5, Retain::ForBackward);
         assert_eq!(ctx_tail, ctx.rows_range(3, 7));
         assert_eq!(probs_tail, probs.rows_range(3, 7));
+        // Keys handed over as `Kᵀ` give the same bits.
+        let k_t = k.transpose();
+        let (ctx_t, probs_t) = attend(&tail, &k_t, Trans::N, &v, 0.5, Retain::ForBackward);
+        assert_eq!(ctx_t, ctx_tail);
+        assert_eq!(probs_t, probs_tail);
         assert_eq!(probs[(0, 1)], 0.0, "masked probabilities are exactly 0");
     }
 

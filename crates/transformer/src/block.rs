@@ -8,7 +8,7 @@ use megablocks_tensor::ops::LayerNormCache;
 use megablocks_tensor::Matrix;
 use rand::rngs::StdRng;
 
-use crate::attention::Retain;
+use crate::attention::{KvCache, Retain};
 use crate::{Attention, AttentionCache, FfnKind, LayerNorm};
 
 /// The feed-forward sub-layer of a block: dense, dropless MoE, or
@@ -121,7 +121,7 @@ impl Block {
         x: &Matrix,
         batch: usize,
         seq: usize,
-        kv: Option<(&mut Matrix, usize)>,
+        kv: Option<(&mut KvCache, usize)>,
         retain: Retain,
     ) -> (Matrix, Option<BlockCache>) {
         let (n1, ln1) = self.ln1.forward(x);

@@ -1,11 +1,14 @@
 //! The decoder-only Transformer language model.
 
+use std::sync::OnceLock;
+
 use megablocks_core::{MoeStats, Param};
+use megablocks_telemetry as telemetry;
 use megablocks_tensor::ops::{cross_entropy, LayerNormCache};
 use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
 use rand::rngs::StdRng;
 
-use crate::attention::Retain;
+use crate::attention::{KvCache, Retain};
 use crate::{Block, BlockCache, LayerNorm, TransformerConfig};
 
 /// Per-step training statistics returned by [`TransformerLm::train_step`].
@@ -30,13 +33,16 @@ impl StepStats {
 
 /// One sequence's incremental-decoding state for [`TransformerLm::decode`]:
 /// the tokens of its current window and every layer's keys and values for
-/// them (`2 * layers * seq_len * hidden` floats, allocated once).
+/// them (`2 * layers * seq_len * hidden` floats, allocated once). Keys are
+/// kept transposed (`hidden x seq_len`, one column per position) so that
+/// a step's `q·Kᵀ` streams them; values are position-major
+/// (`seq_len x hidden`).
 #[derive(Debug, Clone)]
 pub struct DecodeState {
     /// The last `<= seq_len` tokens fed.
     window: Vec<usize>,
-    /// Per layer, `seq_len x 2*hidden`: row `p` is `K | V` of `window[p]`.
-    layers: Vec<Matrix>,
+    /// Per layer, `Kᵀ` and `V` of `window`.
+    layers: Vec<KvCache>,
 }
 
 impl DecodeState {
@@ -45,7 +51,7 @@ impl DecodeState {
         Self {
             window: Vec::new(),
             layers: (0..cfg.num_layers)
-                .map(|_| Matrix::zeros(cfg.seq_len, 2 * cfg.hidden_size))
+                .map(|_| KvCache::new(cfg.hidden_size, cfg.seq_len))
                 .collect(),
         }
     }
@@ -61,6 +67,10 @@ pub struct TransformerLm {
     wpe: Param,
     blocks: Vec<Block>,
     ln_f: LayerNorm,
+    /// `wteᵀ` (`hidden x vocab`), built by the first `last_logits` so that
+    /// its one-row product streams B instead of gathering a transposed
+    /// strip. `params_mut` is the only way to `&mut wte` and drops it.
+    wte_t: OnceLock<Matrix>,
 }
 
 impl TransformerLm {
@@ -87,6 +97,7 @@ impl TransformerLm {
             wpe,
             blocks,
             ln_f,
+            wte_t: OnceLock::new(),
         }
     }
 
@@ -97,6 +108,7 @@ impl TransformerLm {
 
     /// All trainable parameters in a stable order, for the optimizer.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.wte_t = OnceLock::new();
         let mut p = vec![&mut self.wte, &mut self.wpe];
         for b in &mut self.blocks {
             p.extend(b.params_mut());
@@ -138,6 +150,7 @@ impl TransformerLm {
         past: usize,
         retain: Retain,
     ) -> Matrix {
+        let _span = telemetry::span("transformer.embed");
         assert_eq!(
             inputs.len(),
             batch * seq,
@@ -171,7 +184,7 @@ impl TransformerLm {
         inputs: &[usize],
         batch: usize,
         seq: usize,
-        (layers, past): (&mut [Matrix], usize),
+        (layers, past): (&mut [KvCache], usize),
         retain: Retain,
     ) -> (Matrix, Vec<BlockCache>) {
         let mut layers = layers.iter_mut();
@@ -188,7 +201,9 @@ impl TransformerLm {
 
     /// Final layer norm and tied LM head (`logits = h_final @ wte^T`) on
     /// the rows of `h`; returns the logits and what their backward reads.
+    /// At a training batch's row count the transposed pack is amortised.
     fn head(&self, h: &Matrix) -> (Matrix, Matrix, LayerNormCache) {
+        let _span = telemetry::span("transformer.lm_head");
         let (h_final, ln_f) = self.ln_f.forward(h);
         let logits = matmul_nt(&h_final, self.wte.value());
         (logits, h_final, ln_f)
@@ -196,15 +211,17 @@ impl TransformerLm {
 
     /// [`TransformerLm::head`] on the last row of each sequence only —
     /// layer norm and LM head are row-wise, so the other rows' logits are
-    /// never computed.
+    /// never computed — against the cached `wteᵀ`, the same bits.
     fn last_logits(&self, h: &Matrix, batch: usize, seq: usize) -> Matrix {
+        let _span = telemetry::span("transformer.lm_head");
         let mut last = Matrix::pooled_zeros(batch, self.cfg.hidden_size);
         for b in 0..batch {
             last.row_mut(b).copy_from_slice(h.row(b * seq + seq - 1));
         }
-        let (logits, ..) = self.head(&last);
+        let (h_final, _) = self.ln_f.forward(&last);
         last.recycle();
-        logits
+        let wte_t = self.wte_t.get_or_init(|| self.wte.value().transpose());
+        matmul(&h_final, wte_t)
     }
 
     /// Evaluation forward pass: mean cross-entropy over the batch, no
@@ -262,9 +279,11 @@ impl TransformerLm {
     /// token, or if `state` was built for another configuration.
     pub fn decode(&self, state: &mut DecodeState, new_tokens: &[usize]) -> Matrix {
         assert!(!new_tokens.is_empty(), "decode needs at least one token");
-        assert_eq!(
-            state.layers.len(),
-            self.blocks.len(),
+        // `KvCache::new` sizes `k_t` from the same two numbers as `v`.
+        let shape = (self.cfg.seq_len, self.cfg.hidden_size);
+        assert!(
+            state.layers.len() == self.blocks.len()
+                && state.layers.iter().all(|kv| kv.v.shape() == shape),
             "decode state built for another model"
         );
         let mut past = state.window.len();
@@ -420,6 +439,7 @@ fn seq_of(inputs: &[usize], batch: usize) -> usize {
 mod tests {
     use super::*;
     use crate::FfnKind;
+    use megablocks_core::checkpoint::{load_params, save_params};
     use megablocks_core::MoeConfig;
     use megablocks_tensor::init::seeded_rng;
 
@@ -544,6 +564,44 @@ mod tests {
     fn next_token_logits_rejects_a_zero_batch() {
         let model = TransformerLm::new(TransformerConfig::tiny(FfnKind::Dense), &mut seeded_rng(9));
         let _ = model.next_token_logits(&[1, 2], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "decode state built for another model")]
+    fn decode_rejects_a_state_of_another_width() {
+        let cfg = TransformerConfig::tiny(FfnKind::Dense);
+        let model = TransformerLm::new(cfg.clone(), &mut seeded_rng(10));
+        let wider = TransformerConfig {
+            hidden_size: 2 * cfg.hidden_size,
+            ..cfg
+        };
+        let _ = model.decode(&mut DecodeState::new(&wider), &[1, 2]);
+    }
+
+    #[test]
+    fn the_cached_wte_transpose_is_never_stale() {
+        let cfg = TransformerConfig::tiny(FfnKind::Dense);
+        let prompt = [3usize, 5, 9];
+        let logits = |lm: &TransformerLm| -> Vec<u32> {
+            let m = lm.decode(&mut DecodeState::new(&cfg), &prompt);
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        // `params_mut()[0]` is `wte`: an optimizer step's edit.
+        let scale_wte = |lm: &mut TransformerLm| lm.params_mut()[0].value_mut().scale(1.5);
+        let mut used = TransformerLm::new(cfg.clone(), &mut seeded_rng(11));
+        let _ = logits(&used);
+        scale_wte(&mut used);
+        let mut fresh = TransformerLm::new(cfg.clone(), &mut seeded_rng(11));
+        scale_wte(&mut fresh);
+        assert_eq!(logits(&used), logits(&fresh));
+
+        // A checkpoint load into a model that has already decoded.
+        let mut buf = Vec::new();
+        save_params(&fresh.params_mut(), &mut buf).expect("save");
+        let mut loaded = TransformerLm::new(cfg.clone(), &mut seeded_rng(12));
+        let _ = logits(&loaded);
+        load_params(&mut loaded.params_mut(), buf.as_slice()).expect("load");
+        assert_eq!(logits(&loaded), logits(&fresh));
     }
 
     #[test]

@@ -208,6 +208,36 @@ fn seeded_sampling_equals_the_hand_rolled_loop() {
     }
 }
 
+/// Calls recorded so far of the span family `name`.
+fn span_calls(name: &str) -> u64 {
+    let snap = telemetry::snapshot();
+    snap.spans
+        .iter()
+        .find(|s| s.name == name)
+        .map_or(0, |s| s.calls)
+}
+
+#[test]
+fn a_one_token_decode_records_its_parts_once_each() {
+    let _guard = backend_lock();
+    let lm = model(FfnKind::Dropless(moe()), 16);
+    let mut state = DecodeState::new(lm.config());
+    let _ = lm.decode(&mut state, &prompt(BS + 1, lm.config().vocab_size));
+    let parts = [
+        "transformer.embed",
+        "transformer.attention",
+        "transformer.lm_head",
+    ];
+    let before = parts.map(span_calls);
+    let _ = lm.decode(&mut state, &[1]);
+    let recorded: Vec<u64> = parts
+        .iter()
+        .zip(before)
+        .map(|(p, b)| span_calls(p) - b)
+        .collect();
+    assert_eq!(recorded, [1, lm.config().num_layers as u64, 1], "{parts:?}");
+}
+
 /// Runs `call` twice on a cleared arena, single-banded so that every
 /// buffer is taken on this thread: after the first call every buffer it
 /// took (one per miss) is shelved again, and the second call is served
