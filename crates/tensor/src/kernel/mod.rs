@@ -156,6 +156,30 @@ impl<'a> Axis<'a> {
         }
     }
 
+    /// The longest constant-step run from index `start`, within `len`
+    /// indices: `(offset, step, count)`, index `start + q` at `offset +
+    /// q * step` for `q < count`. Unlike [`Axis::for_each_run`] it runs
+    /// on across tiles that continue one another (gathered panels side by
+    /// side).
+    #[inline]
+    fn run_from(&self, start: usize, len: usize) -> (usize, usize, usize) {
+        match *self {
+            Axis::Strided(stride) => (start * stride, stride, len),
+            Axis::Tiled {
+                tile_off,
+                bs,
+                inner,
+            } => {
+                let (off, step) = (self.offset(start), if bs == 1 { 1 } else { inner });
+                let mut count = (bs - start % bs).min(len);
+                while step == 1 && count < len && tile_off[(start + count) / bs] == off + count {
+                    count += bs.min(len - count);
+                }
+                (off, step, count)
+            }
+        }
+    }
+
     /// Whether the axis addresses `len` logical indices at all (a tiled
     /// axis needs a tile offset for every tile touched).
     fn spans(&self, len: usize) -> bool {

@@ -24,10 +24,12 @@
 //! per instruction set ([`Variant`]): `4 x 8` at the build's default
 //! target features and, on x86-64, `4 x 16` under `avx2` — picked per
 //! call by CPU detection and never with `fma`, so every variant rounds
-//! exactly as [`ScalarKernel`] does, on every machine. Each variant also
-//! instantiates it at a one-row `1 x 32` tile for products of fewer than
-//! four rows (decode steps, experts holding a few tokens), which reads B
-//! where it lies instead of packing it.
+//! exactly as [`ScalarKernel`] does, on every machine. A product of
+//! fewer than four rows (a decode step, an expert holding a few tokens)
+//! runs [`few_rows`] in the same variant instead: no packed panel and no
+//! zero row, B read where it lies, down one `W`-column strip at a time
+//! into local accumulators that are written back once (only a
+//! transposed B and a partial last strip are packed).
 //!
 //! Packing buffers and the accumulator tile come from the exec runtime's
 //! thread-local [`workspace`] arena — each band of a launch plan packs
@@ -36,8 +38,10 @@
 //!
 //! [`workspace`]: megablocks_exec::workspace
 
+use std::cell::Cell;
 use std::sync::Once;
 
+use megablocks_exec::cancel::poll_cancelled;
 use megablocks_exec::workspace;
 use megablocks_telemetry as telemetry;
 
@@ -50,17 +54,21 @@ const MC: usize = 64;
 const NC: usize = 128;
 /// Reduction cache block.
 const KC: usize = 256;
-/// Height of every variant's full register tile; fewer rows run the
-/// one-row tile.
+/// Height of every variant's register tile; fewer rows run [`few_rows`].
 const TILE_ROWS: usize = 4;
-/// Width of the one-row tile on every lane width (sweep in EXPERIMENTS.md).
-const ROW_NR: usize = 32;
+/// [`few_rows`]'s strip width at one row and at two or three rows
+/// (sweep in EXPERIMENTS.md).
+const ONE_ROW_W: usize = 64;
+const FEW_ROWS_W: usize = 32;
 
 /// Products below this many multiply-adds (`m * n * k`) delegate to the
-/// scalar backend: packing costs more than it saves on a tiny tile, and
-/// the contract makes the results bit-identical either way. Measured
+/// scalar backend: a call's fixed cost outweighs the work, and the
+/// contract makes the results bit-identical either way. Measured
 /// crossover (EXPERIMENTS.md): from `2^11` up the blocked path wins at
-/// every shape with `m` = 1..16 on the AVX2 variant; below `2^10` it loses.
+/// every shape with `m` = 1..16 on the AVX2 variant. Re-swept at `m` =
+/// 1–3 against [`few_rows`]: below it a product whose columns fill a
+/// strip still wins and one that packs a partial strip (a router's 8
+/// columns) loses, so the constant stays.
 const SMALL_MULADDS: usize = 1 << 11;
 
 /// The packed/tiled backend.
@@ -139,11 +147,9 @@ impl Variant {
     }
 
     /// The blocked path proper, with no size cutoff — separated from
-    /// [`TiledKernel::run`] so tests can drive each variant's packing
-    /// machinery on shapes below the scalar-delegation threshold. Under
-    /// [`TILE_ROWS`] rows it runs the one-row tile, so no zero row is
-    /// multiplied (an element depends only on its own row of A: no bit
-    /// moves). Panics if the running CPU does not support the variant.
+    /// [`TiledKernel::run`] so tests can drive each variant's machinery
+    /// on shapes below the scalar-delegation threshold. Panics if the
+    /// running CPU does not support the variant.
     #[allow(
         clippy::too_many_arguments,
         reason = "`GemmMicrokernel::run`'s seven arguments plus the variant it dispatches on"
@@ -159,33 +165,25 @@ impl Variant {
         out: OutView<'_>,
     ) {
         assert!(self.supported(), "{}: unsupported CPU", self.name());
-        let one_row = m < TILE_ROWS;
         match self {
-            Variant::Baseline if one_row => run_blocked::<1, ROW_NR>(m, n, k, alpha, a, b, out),
-            Variant::Baseline => run_blocked::<TILE_ROWS, 8>(m, n, k, alpha, a, b, out),
+            Variant::Baseline => by_rows::<8>(m, n, k, alpha, a, b, out),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `supported` was just asserted, and for this variant
             // it is `is_x86_feature_detected!("avx2")` — the one feature
-            // `run_blocked_avx2` enables.
-            Variant::Avx2 => unsafe {
-                if one_row {
-                    run_blocked_avx2::<1, ROW_NR>(m, n, k, alpha, a, b, out)
-                } else {
-                    run_blocked_avx2::<TILE_ROWS, 16>(m, n, k, alpha, a, b, out)
-                }
-            },
+            // `by_rows_avx2` enables.
+            Variant::Avx2 => unsafe { by_rows_avx2(m, n, k, alpha, a, b, out) },
         }
     }
 }
 
-/// [`run_blocked`] at an `MR x NR` tile, compiled for 256-bit lanes
-/// together with everything `#[inline(always)]` into it. `fma` is
-/// deliberately not enabled: with no fused instruction available the
-/// compiler cannot contract `acc + a * b`, so each lane rounds the
-/// product and the sum separately, as the 128-bit and scalar forms do.
+/// [`by_rows`] at `NR = 16`, compiled for 256-bit lanes together with
+/// everything `#[inline(always)]` into it. `fma` is deliberately not
+/// enabled: with no fused instruction available the compiler cannot
+/// contract `acc + a * b`, so each lane rounds the product and the sum
+/// separately, as the 128-bit and scalar forms do.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn run_blocked_avx2<const MR: usize, const NR: usize>(
+fn by_rows_avx2(
     m: usize,
     n: usize,
     k: usize,
@@ -194,13 +192,14 @@ fn run_blocked_avx2<const MR: usize, const NR: usize>(
     b: PanelView<'_>,
     out: OutView<'_>,
 ) {
-    run_blocked::<MR, NR>(m, n, k, alpha, a, b, out);
+    by_rows::<16>(m, n, k, alpha, a, b, out);
 }
 
-/// The blocked routine, generic over its `MR x NR` register tile (`NR`
-/// the autovectorized lanes); instantiated only by [`Variant::run_blocked`].
+/// One variant's product: [`few_rows`] under [`TILE_ROWS`] rows, so no
+/// zero row is multiplied (an element depends only on its own row of A:
+/// no bit moves), else [`run_blocked`] at the `TILE_ROWS x NR` tile.
 #[inline(always)]
-fn run_blocked<const MR: usize, const NR: usize>(
+fn by_rows<const NR: usize>(
     m: usize,
     n: usize,
     k: usize,
@@ -209,12 +208,28 @@ fn run_blocked<const MR: usize, const NR: usize>(
     b: PanelView<'_>,
     out: OutView<'_>,
 ) {
+    match m {
+        1 => few_rows::<1, ONE_ROW_W>(n, k, alpha, a, b, out),
+        2 => few_rows::<2, FEW_ROWS_W>(n, k, alpha, a, b, out),
+        3 => few_rows::<3, FEW_ROWS_W>(n, k, alpha, a, b, out),
+        _ => run_blocked::<NR>(m, n, k, alpha, a, b, out),
+    }
+}
+
+/// The blocked routine at the `TILE_ROWS x NR` register tile (`NR` the
+/// autovectorized lanes); instantiated only by [`by_rows`].
+#[inline(always)]
+fn run_blocked<const NR: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: PanelView<'_>,
+    b: PanelView<'_>,
+    mut out: OutView<'_>,
+) {
+    const MR: usize = TILE_ROWS;
     const { assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR)) };
-    // The one-row tile's strips read each B strip back to back, so a
-    // packed panel would be a copy read once: it streams B in place where
-    // a strip is `NR` adjacent floats and packs only the other strips.
-    // The full tile keeps packing (faster at 4 rows; DESIGN §12).
-    let stream = MR == 1;
     // Sized to the problem, not to the largest tile: a small rectangle
     // must not pay for (and zero) a 64x256 pack buffer. Nothing below
     // depends on the zero-fill — `pack_*` writes every lane the
@@ -223,16 +238,11 @@ fn run_blocked<const MR: usize, const NR: usize>(
     let nc_max = NC.min(n.div_ceil(NR) * NR);
     let kc_max = KC.min(k);
     let mut a_pack = workspace::take_zeroed(mc_max * kc_max);
-    let mut b_pack = workspace::take_zeroed(kc_max * if stream { NR } else { nc_max });
+    let mut b_pack = workspace::take_zeroed(kc_max * nc_max);
     let mut acc = workspace::take_zeroed(mc_max * nc_max);
-    let OutView {
-        data: out_data,
-        rows: out_rows,
-        cols: out_cols,
-    } = out;
     // A reduction of one `KC` chunk has one B panel per column block,
     // whatever the row block: pack it once, ahead of the rows. If the
-    // rows are one `MC` block as well (an expert's tokens, a decode step)
+    // rows are one `MC` block as well (an expert's tokens, a prefill)
     // there is one A panel for the whole product: pack it up front.
     let b_once = k <= KC;
     let a_once = b_once && m <= MC;
@@ -243,7 +253,7 @@ fn run_blocked<const MR: usize, const NR: usize>(
     'tiles: for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let nc_pad = nc.div_ceil(NR) * NR;
-        if b_once && !stream {
+        if b_once {
             pack_b::<NR>(&mut b_pack, &b, jc, nc, nc_pad, 0, k);
         }
         for ic in (0..m).step_by(MC) {
@@ -257,88 +267,33 @@ fn run_blocked<const MR: usize, const NR: usize>(
                 // is free at kernel granularity). A cancelled launch's
                 // output is discarded with the launch error, so bailing
                 // mid-accumulation cannot be observed.
-                if megablocks_exec::cancel::poll_cancelled() {
+                if poll_cancelled() {
                     break 'tiles;
                 }
                 let kc = KC.min(k - kc0);
                 if !a_once {
                     pack_a::<MR>(&mut a_pack, &a, ic, mc, mc_pad, kc0, kc);
                 }
-                if !b_once && !stream {
+                if !b_once {
                     pack_b::<NR>(&mut b_pack, &b, jc, nc, nc_pad, kc0, kc);
                 }
-                if stream {
-                    for t in 0..nc_pad / NR {
-                        let (j0, cols) = (jc + t * NR, NR.min(nc - t * NR));
-                        let acc = &mut acc[t * NR..];
-                        match adjacent_lanes::<NR>(&b, j0, cols) {
-                            // B in place, one pass per run of its rows
-                            // (one for a dense B, one per gathered panel).
-                            Some(lane0) => {
-                                b.rows().for_each_run(kc0, kc, |at, off, step, count| {
-                                    let (data, first) = (b.data(), off + lane0);
-                                    for s in 0..mc_pad / MR {
-                                        let a_run =
-                                            &a_pack[(s * kc + at) * MR..(s * kc + at + count) * MR];
-                                        let b_rows =
-                                            (0..count).map(|q| &data[first + q * step..][..NR]);
-                                        micro::<MR, NR>(
-                                            a_run,
-                                            b_rows,
-                                            &mut acc[s * MR * nc_pad..],
-                                            nc_pad,
-                                        );
-                                    }
-                                })
-                            }
-                            None => {
-                                pack_b::<NR>(&mut b_pack, &b, j0, cols, NR, kc0, kc);
-                                for s in 0..mc_pad / MR {
-                                    let a_strip = &a_pack[s * kc * MR..(s + 1) * kc * MR];
-                                    let b_rows = b_pack[..kc * NR].chunks_exact(NR);
-                                    micro::<MR, NR>(
-                                        a_strip,
-                                        b_rows,
-                                        &mut acc[s * MR * nc_pad..],
-                                        nc_pad,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    for t in 0..nc_pad / NR {
-                        let b_strip = &b_pack[t * kc * NR..(t + 1) * kc * NR];
-                        for s in 0..mc_pad / MR {
-                            let a_strip = &a_pack[s * kc * MR..(s + 1) * kc * MR];
-                            micro::<MR, NR>(
-                                a_strip,
-                                b_strip.chunks_exact(NR),
-                                &mut acc[s * MR * nc_pad + t * NR..],
-                                nc_pad,
-                            );
-                        }
+                for t in 0..nc_pad / NR {
+                    let b_strip = &b_pack[t * kc * NR..(t + 1) * kc * NR];
+                    for s in 0..mc_pad / MR {
+                        let a_strip = &a_pack[s * kc * MR..(s + 1) * kc * MR];
+                        micro::<MR, NR>(
+                            a_strip,
+                            b_strip,
+                            &mut acc[s * MR * nc_pad + t * NR..],
+                            nc_pad,
+                        );
                     }
                 }
             }
             // Writeback scatters through the output view: a dense band is
             // one unit-stride run per row, block storage one run per block.
             for i in 0..mc {
-                let arow = &acc[i * nc_pad..i * nc_pad + nc];
-                let row = out_rows.offset(ic + i);
-                out_cols.for_each_run(jc, nc, |at, off, step, count| {
-                    let vals = &arow[at..at + count];
-                    if step == 1 {
-                        let dst = &mut out_data[row + off..row + off + count];
-                        for (o, &v) in dst.iter_mut().zip(vals) {
-                            *o += alpha * v;
-                        }
-                    } else {
-                        for (q, &v) in vals.iter().enumerate() {
-                            out_data[row + off + q * step] += alpha * v;
-                        }
-                    }
-                });
+                out.add_row(ic + i, jc, &acc[i * nc_pad..i * nc_pad + nc], alpha);
             }
         }
     }
@@ -346,6 +301,121 @@ fn run_blocked<const MR: usize, const NR: usize>(
     workspace::recycle(acc);
     workspace::recycle(b_pack);
     workspace::recycle(a_pack);
+}
+
+thread_local! {
+    /// [`few_rows`]'s B row offsets, per thread (the arena holds `f32`s).
+    static B_ROWS: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+}
+
+/// The product of `M < TILE_ROWS` rows, with B read where it lies. A's
+/// rows are gathered once and B's row offsets tabulated once; B's
+/// columns are taken as maximal unit-stride runs (an expert's adjacent
+/// `w1` panels are one run), each walked in `W`-column strips, every
+/// strip down all of `p` in ascending order into `M x W` local
+/// accumulators that are written back once, with `alpha`. Columns that
+/// are not unit-stride (a transposed B) and a run's last `< W` columns
+/// are packed into a zero-padded `k x W` strip and run the same loop.
+#[inline(always)]
+fn few_rows<const M: usize, const W: usize>(
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: PanelView<'_>,
+    b: PanelView<'_>,
+    mut out: OutView<'_>,
+) {
+    // `p`-major: row `i`'s element `p` at `p * M + i`.
+    let mut a_rows = workspace::take_zeroed(k * M);
+    pack_a::<M>(&mut a_rows, &a, 0, M, M, 0, k);
+    let mut b_rows = B_ROWS.take();
+    b_rows.clear();
+    b_rows.extend((0..k).map(|p| b.rows().offset(p)));
+    let mut packed = Vec::new();
+    let mut put = |j: usize, acc: &[[f32; W]; M], width: usize| {
+        for (i, vals) in acc.iter().enumerate() {
+            out.add_row(i, j, &vals[..width], alpha);
+        }
+    };
+    let live = |_: &usize| !poll_cancelled();
+    let mut j0 = 0;
+    while j0 < n {
+        let (off, step, count) = b.cols().run_from(j0, n - j0);
+        let in_place = if step == 1 { count / W * W } else { 0 };
+        for s in (0..in_place).step_by(W).take_while(live) {
+            let rows = b_rows.iter().copied();
+            put(j0 + s, &strip::<M, W>(&a_rows, b.data(), rows, off + s), W);
+        }
+        for s in (in_place..count).step_by(W).take_while(live) {
+            let width = W.min(count - s);
+            if packed.is_empty() {
+                packed = workspace::take_zeroed(k * W);
+            }
+            // A row-by-row copy here, not in `pack_b`: a runtime-length
+            // copy there slows the `4 x NR` tile's packing (EXPERIMENTS.md).
+            if step == 1 {
+                for (lanes, &row) in packed.chunks_exact_mut(W).zip(b_rows.iter()) {
+                    lanes[..width].copy_from_slice(&b.data()[row + off + s..][..width]);
+                    lanes[width..].fill(0.0);
+                }
+            } else {
+                pack_b::<W>(&mut packed, &b, j0 + s, width, W, 0, k);
+            }
+            let rows = (0..k).map(|p| p * W);
+            put(j0 + s, &strip::<M, W>(&a_rows, &packed, rows, 0), width);
+        }
+        j0 += count;
+    }
+    B_ROWS.set(b_rows);
+    workspace::recycle(packed);
+    workspace::recycle(a_rows);
+}
+
+/// One `M x W` strip of the product: element `(p, j)` of B at
+/// `data[row_p + c + j]`, `row_p` the `p`-th of `rows`, against the
+/// gathered rows `a`. One `f32` accumulator per element, ascending `p`
+/// (the `W` lanes are independent elements, so the compiler may
+/// vectorize across them without reassociating any element's reduction).
+#[inline(always)]
+fn strip<const M: usize, const W: usize>(
+    a: &[f32],
+    data: &[f32],
+    rows: impl Iterator<Item = usize>,
+    c: usize,
+) -> [[f32; W]; M] {
+    let mut acc = [[0.0f32; W]; M];
+    for (av, row) in a.as_chunks::<M>().0.iter().zip(rows) {
+        let bv = &data[row + c..row + c + W];
+        for (acc, &av) in acc.iter_mut().zip(av) {
+            for (v, &b) in acc.iter_mut().zip(bv) {
+                *v += av * b;
+            }
+        }
+    }
+    acc
+}
+
+impl OutView<'_> {
+    /// `out(i, j0 + q) += alpha * vals[q]`: one row's writeback, one pass
+    /// per run of the output's columns (one for a dense band, one per
+    /// block of block storage).
+    #[inline(always)]
+    fn add_row(&mut self, i: usize, j0: usize, vals: &[f32], alpha: f32) {
+        let (out, row) = (&mut *self.data, self.rows.offset(i));
+        self.cols
+            .for_each_run(j0, vals.len(), |at, off, step, count| {
+                let vals = &vals[at..at + count];
+                if step == 1 {
+                    for (o, &v) in out[row + off..row + off + count].iter_mut().zip(vals) {
+                        *o += alpha * v;
+                    }
+                } else {
+                    for (q, &v) in vals.iter().enumerate() {
+                        out[row + off + q * step] += alpha * v;
+                    }
+                }
+            });
+    }
 }
 
 /// Packs rows `[ic, ic + mc)` x columns `[kc0, kc0 + kc)` of `a` into
@@ -428,28 +498,17 @@ fn pack_b<const NR: usize>(
     }
 }
 
-/// The storage offset of B's column `j0` when columns `[j0, j0 + cols)`
-/// are `NR` adjacent floats: a row-major operand, sparse blocks read along
-/// their rows, or adjacent gathered column panels.
-#[inline(always)]
-fn adjacent_lanes<const NR: usize>(b: &PanelView<'_>, j0: usize, cols: usize) -> Option<usize> {
-    let first = b.cols().offset(j0);
-    let adjacent = cols == NR && (1..NR).all(|jj| b.cols().offset(j0 + jj) == first + jj);
-    adjacent.then_some(first)
-}
-
 /// The register-tile microkernel: continues the `MR x NR` accumulator
-/// tile at `acc[.. stride ..]` through consecutive reduction rows — a
-/// packed A strip's `MR`-wide steps against `b_rows`, each `NR` floats of
-/// one B row (a packed strip's, or B's own where it lies). The local
-/// tile is loaded from `acc`, updated in ascending-`p` order (one `f32`
-/// accumulator per element — the `jj` lanes are independent elements, so
-/// the compiler may vectorize across them without reassociating any
-/// element's reduction), and stored back.
+/// tile at `acc[.. stride ..]` through a packed A strip's `MR`-wide steps
+/// against a packed B strip's `NR`-wide rows. The local tile is loaded
+/// from `acc`, updated in ascending-`p` order (one `f32` accumulator per
+/// element — the `jj` lanes are independent elements, so the compiler may
+/// vectorize across them without reassociating any element's reduction),
+/// and stored back.
 #[inline(always)]
-fn micro<'b, const MR: usize, const NR: usize>(
+fn micro<const MR: usize, const NR: usize>(
     a_strip: &[f32],
-    b_rows: impl Iterator<Item = &'b [f32]>,
+    b_strip: &[f32],
     acc: &mut [f32],
     stride: usize,
 ) {
@@ -457,7 +516,7 @@ fn micro<'b, const MR: usize, const NR: usize>(
     for (ii, row) in tile.iter_mut().enumerate() {
         row.copy_from_slice(&acc[ii * stride..ii * stride + NR]);
     }
-    for (av, bv) in a_strip.chunks_exact(MR).zip(b_rows) {
+    for (av, bv) in a_strip.chunks_exact(MR).zip(b_strip.chunks_exact(NR)) {
         for (ii, row) in tile.iter_mut().enumerate() {
             let a = av[ii];
             for (jj, v) in row.iter_mut().enumerate() {
@@ -498,7 +557,7 @@ mod tests {
 
     /// Bit-exactness against the scalar oracle across shapes straddling
     /// every blocking edge (tile, register strip of either width, the
-    /// one-row tile's `m < TILE_ROWS` switch and its edge strip, reduction
+    /// few-row switch at `m < TILE_ROWS` and its strip widths, reduction
     /// chunk, the pack-once boundaries `k = KC` and `m = MC`).
     #[test]
     fn bit_identical_to_scalar_across_blocking_edges() {
@@ -523,9 +582,9 @@ mod tests {
             (1, 512, 128),
             (16, 512, 128),
         ];
-        // Both sides of the one-row switch, against both strip widths.
+        // Both sides of the few-row switch, against every strip width.
         for m in 1..=TILE_ROWS + 1 {
-            for nr in [16, ROW_NR] {
+            for nr in [16, FEW_ROWS_W, ONE_ROW_W] {
                 for n in [nr - 1, 2 * nr, 3 * nr + 5] {
                     shapes.extend([1, KC, KC + 7].map(|k| (m, n, k)));
                 }
@@ -579,10 +638,8 @@ mod tests {
     /// `B` a gather of dense row panels, the output block storage — give
     /// the bits of the same product over plain strided copies, on scalar
     /// and every variant, including a gathered reduction longer than `KC`
-    /// and the one-row tile's products (`rows < TILE_ROWS`), which read
-    /// the gathered panels in place. Then B's columns at those few rows:
-    /// adjacent column panels (an expert's `w1`, read in place), panels
-    /// with gaps and a transposed B (both packed).
+    /// and few-row products (`rows < TILE_ROWS`), which read the gathered
+    /// panels in place.
     #[test]
     fn tiled_axes_match_the_strided_product() {
         // (block size, block rows, gathered blocks along k, output block
@@ -653,48 +710,125 @@ mod tests {
                 assert_same_bits(&got, &want_blocks, &what);
             }
         }
+    }
 
-        let (bs, c, k) = (16, 5, KC + 9);
-        let (n, big_n) = (c * bs, (2 * c + 1) * bs);
-        let b_big = lcg_fill(k * big_n, 24);
-        for gap in [1, 2] {
-            let panels: Vec<usize> = (0..c).map(|j| (gap * j + 1) * bs).collect();
-            let b_dense: Vec<f32> = (0..k * n)
-                .map(|idx| b_big[(idx / n) * big_n + panels[(idx % n) / bs] + idx % bs])
-                .collect();
-            let b_t: Vec<f32> = (0..n * k)
-                .map(|idx| b_dense[(idx % k) * n + idx / k])
-                .collect();
-            let gathered = Axis::tiled(&panels, bs, 1);
-            let views = [
-                (
-                    "column panels",
-                    PanelView::with_axes(&b_big, Axis::Strided(big_n), gathered),
+    /// `few_rows` at one, two and three rows, on every B layout the
+    /// products hand it, against scalar over a row-major B: row-major,
+    /// column panels side by side (one merged run, an expert's `w1`) and
+    /// with gaps (a run per panel), gathered row panels (the DSD's `w2`)
+    /// and a transposed B (packed strips), with `n` leaving a packed tail
+    /// after the full strips at either width, and `k > KC`;
+    /// into a dense band and into block storage, with `alpha != 1` onto
+    /// a nonzero output.
+    #[test]
+    fn few_row_products_match_scalar_on_every_layout() {
+        let (bs, c) = (4, 35);
+        let (n, k) = (c * bs, 67 * bs);
+        assert!(k > KC && n % ONE_ROW_W > 0 && n % FEW_ROWS_W > 0);
+        let b = lcg_fill(k * n, 41);
+        let b_t: Vec<f32> = (0..n * k).map(|idx| b[(idx % k) * n + idx / k]).collect();
+        // Column panel `j` at storage column `panel(j)` of a wider B, row
+        // panel `t` at storage row `row_panel(t)` of a taller one.
+        let cols_in = |panel: &dyn Fn(usize) -> usize, width: usize| {
+            let mut big = vec![0.0f32; k * width];
+            for (idx, &v) in b.iter().enumerate() {
+                let (p, j) = (idx / n, idx % n);
+                big[p * width + panel(j / bs) + j % bs] = v;
+            }
+            big
+        };
+        let (near, gapped) = (|j: usize| (j + 1) * bs, |j: usize| (2 * j + 1) * bs);
+        let (b_near, b_gapped) = (cols_in(&near, n + bs), cols_in(&gapped, (2 * c + 1) * bs));
+        let near_off: Vec<usize> = (0..c).map(near).collect();
+        let gapped_off: Vec<usize> = (0..c).map(gapped).collect();
+        let row_panels: Vec<usize> = (0..k / bs).map(|t| (2 * t + 1) * bs * n).collect();
+        let mut b_tall = vec![0.0f32; (2 * k + bs) * n];
+        for (t, &at) in row_panels.iter().enumerate() {
+            b_tall[at..at + bs * n].copy_from_slice(&b[t * bs * n..(t + 1) * bs * n]);
+        }
+        let layouts = [
+            ("row-major", PanelView::new(&b, n, 1)),
+            (
+                "adjacent column panels",
+                PanelView::with_axes(
+                    &b_near,
+                    Axis::Strided(n + bs),
+                    Axis::tiled(&near_off, bs, 1),
                 ),
-                ("transposed", PanelView::new(&b_t, 1, k)),
-            ];
-            for m in 1..TILE_ROWS {
-                let (a, init) = (lcg_fill(m * k, 25), lcg_fill(m * n, 26));
-                let av = PanelView::new(&a, k, 1);
-                let mut want = init.clone();
-                let bv = PanelView::new(&b_dense, n, 1);
-                ScalarKernel.run(m, n, k, 0.5, av, bv, OutView::new(&mut want, n));
-                for ((layout, bv), variant) in views
-                    .iter()
-                    .flat_map(|v| supported_variants().map(move |x| (v, x)))
-                {
+            ),
+            (
+                "column panels with gaps",
+                PanelView::with_axes(
+                    &b_gapped,
+                    Axis::Strided((2 * c + 1) * bs),
+                    Axis::tiled(&gapped_off, bs, 1),
+                ),
+            ),
+            (
+                "gathered row panels",
+                PanelView::with_axes(&b_tall, Axis::tiled(&row_panels, bs, n), Axis::Strided(1)),
+            ),
+            ("transposed", PanelView::new(&b_t, 1, k)),
+        ];
+        // Block storage: the rows are one block row, block `j` at slot `j`.
+        let (o_rows, o_cols) = ([0], (0..c).map(|j| j * bs * bs).collect::<Vec<_>>());
+        for m in 1..TILE_ROWS {
+            let a = lcg_fill(m * k, 42 + m as u64);
+            let av = PanelView::new(&a, k, 1);
+            for blocks in [false, true] {
+                let init = lcg_fill(if blocks { c * bs * bs } else { m * n }, 43);
+                let run = |b: PanelView<'_>, variant: Option<Variant>| {
                     let mut got = init.clone();
-                    variant.run_blocked(m, n, k, 0.5, av, *bv, OutView::new(&mut got, n));
-                    let what = format!("{layout} gap={gap} m={m} {}", variant.name());
-                    assert_same_bits(&got, &want, &what);
+                    let ov = if blocks {
+                        let (rows, cols) =
+                            (Axis::tiled(&o_rows, bs, bs), Axis::tiled(&o_cols, bs, 1));
+                        OutView::with_axes(&mut got, rows, cols)
+                    } else {
+                        OutView::new(&mut got, n)
+                    };
+                    match variant {
+                        Some(variant) => variant.run_blocked(m, n, k, 1.5, av, b, ov),
+                        None => ScalarKernel.run(m, n, k, 1.5, av, b, ov),
+                    }
+                    got
+                };
+                let want = run(layouts[0].1, None);
+                for &(layout, bv) in &layouts {
+                    let variants = std::iter::once(None).chain(supported_variants().map(Some));
+                    for variant in variants {
+                        let name = variant.map_or("scalar", Variant::name);
+                        let what = format!("{layout} m={m} blocks={blocks} {name}");
+                        assert_same_bits(&run(bv, variant), &want, &what);
+                    }
                 }
             }
         }
     }
 
-    /// Golden bits of a one-row product, which the one-row tile computes
-    /// with B read in place (its two full strips) and packed (its edge
-    /// strip) across two `KC` chunks.
+    /// Golden bits of two- and three-row products over the one-row
+    /// product's shape: full strips and a packed tail, `k > KC`.
+    #[test]
+    fn golden_bits_of_a_few_row_product() {
+        for (m, golden) in [(2, 0x438c_c08e_a83e_fbc2), (3, 0x1574_f5bd_f1ee_121f)] {
+            let (n, k) = (65, 300);
+            let a = lcg_fill(m * k, 37);
+            let b = lcg_fill(k * n, 38);
+            let init = lcg_fill(m * n, 39);
+            let (av, bv) = (PanelView::new(&a, k, 1), PanelView::new(&b, n, 1));
+            let mut out = init.clone();
+            ScalarKernel.run(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
+            let hash = hash_bits(&out);
+            assert_eq!(hash, golden, "scalar m={m}: {hash:#018x}");
+            for variant in supported_variants() {
+                let mut out = init.clone();
+                variant.run_blocked(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
+                assert_eq!(hash_bits(&out), golden, "{} m={m}", variant.name());
+            }
+        }
+    }
+
+    /// Golden bits of a one-row product: a full strip and a packed tail,
+    /// `k > KC`.
     #[test]
     fn golden_bits_of_a_one_row_product() {
         const GOLDEN: u64 = 0x9feb_a957_0e8d_5c27;

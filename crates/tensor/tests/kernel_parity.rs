@@ -16,7 +16,8 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use megablocks_exec::scoped_parallelism;
+use megablocks_exec::cancel::{self, CancelToken, Ctx};
+use megablocks_exec::{scoped_parallelism, workspace};
 use megablocks_tensor::{
     block_gemm, configure_kernel_backend, gemm, KernelBackend, Matrix, OutView, PanelView, Trans,
 };
@@ -175,4 +176,59 @@ fn block_gemm_strided_views_are_backend_invariant() {
         })
     };
     assert_eq!(run(KernelBackend::Scalar), run(KernelBackend::Tiled));
+}
+
+/// A product of one to three rows under an entered, already-tripped
+/// context writes nothing and shelves again every workspace buffer it
+/// took (one per miss on a cleared arena) — with B read in place and
+/// with B transposed (packed strips) — while the same call outside the
+/// context does write.
+#[test]
+fn a_cancelled_few_row_product_writes_nothing_and_gives_its_buffers_back() {
+    let _guard = backend_lock();
+    let token = CancelToken::new();
+    token.cancel();
+    let tripped = Ctx::none().with_token(&token);
+    let (n, k) = (512, 128);
+    let a = lcg_matrix(3, k, 9);
+    let b = lcg_matrix(k, n, 10);
+    let b_t = lcg_matrix(n, k, 11);
+    with_backend(KernelBackend::Tiled, || {
+        for m in 1..=3 {
+            let views = [
+                ("in place", PanelView::new(b.as_slice(), n, 1)),
+                ("transposed", PanelView::new(b_t.as_slice(), 1, k)),
+            ];
+            for (layout, bv) in views {
+                let av = PanelView::new(a.as_slice(), k, 1);
+                let init = vec![0.25f32; m * n];
+                let mut out = init.clone();
+                workspace::clear();
+                let start = workspace::stats();
+                {
+                    let _scope = cancel::enter(&tripped);
+                    block_gemm(m, n, k, 1.0, av, bv, OutView::new(&mut out, n));
+                }
+                let end = workspace::stats();
+                let what = format!("m={m} {layout}");
+                assert!(end.misses > start.misses, "{what}: took no buffer");
+                assert_eq!(
+                    end.held_buffers as u64,
+                    end.misses - start.misses,
+                    "{what}: a buffer taken from the arena did not come back"
+                );
+                assert!(
+                    out.iter()
+                        .zip(&init)
+                        .all(|(o, i)| o.to_bits() == i.to_bits()),
+                    "{what}: a cancelled product wrote its output"
+                );
+                block_gemm(m, n, k, 1.0, av, bv, OutView::new(&mut out, n));
+                assert_ne!(
+                    out, init,
+                    "{what}: the product outside the context wrote nothing"
+                );
+            }
+        }
+    });
 }
