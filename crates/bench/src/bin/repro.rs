@@ -39,13 +39,13 @@ fn main() {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     // Naming the output files turns telemetry's recording switch on, and
     // every sink flushes when this guard drops — including during a
-    // panic unwind, so an aborted run still leaves its metrics, timeline
-    // trace and health report on disk.
+    // panic unwind, so an aborted run still leaves its metrics (the
+    // per-step `train.step` events among them) and timeline trace on
+    // disk.
     let _flush = telemetry::FlushOnDrop::new()
         .jsonl(format!("results/telemetry_{cmd}.jsonl"))
         .trace(format!("results/trace_{cmd}.json"))
         .with_summary(true);
-    let _health = HealthExport(format!("results/health_{cmd}.json"));
     println!(
         "repro {cmd}: kernel backend {} ({})",
         megablocks_tensor::kernel_backend().name(),
@@ -83,19 +83,6 @@ fn main() {
                 "usage: repro <table1|table2|table3|fig2|fig4|fig7|fig8|fig9|ablation-launch|ablation-transpose|ablation-blocksize|ablation-routing|all> [--quick]"
             );
             std::process::exit(2);
-        }
-    }
-}
-
-/// Writes `results/health_<cmd>.json` on drop (panic-safe, like
-/// [`telemetry::FlushOnDrop`]); a no-op when the run recorded no MoE
-/// steps.
-struct HealthExport(String);
-
-impl Drop for HealthExport {
-    fn drop(&mut self) {
-        if let Err(e) = megablocks_core::health::export_health_json(&self.0) {
-            eprintln!("telemetry: failed to write {}: {e}", self.0);
         }
     }
 }

@@ -50,7 +50,6 @@ mod dropping;
 mod expert_choice;
 mod experts;
 mod ffn;
-pub mod health;
 mod loss;
 mod param;
 mod permute;
@@ -110,7 +109,8 @@ impl MoeStats {
 
 /// Shannon entropy (nats) of a count distribution: `ln(len)` when counts
 /// are perfectly uniform, 0 when concentrated on one bin or empty. The
-/// per-step health report uses this as its router-entropy metric.
+/// trainer's `train.step` event averages it over MoE layers as its
+/// `router_entropy` field.
 pub fn count_entropy(counts: &[usize]) -> f32 {
     let total: usize = counts.iter().sum();
     if total == 0 {

@@ -1,16 +1,16 @@
 //! A minimal JSON value parser.
 //!
-//! The workspace deliberately carries no serde dependency, but three
-//! consumers need to *read* JSON we ourselves wrote: the trace
-//! round-trip tests ([`crate::trace::parse_chrome_trace`]), the bench
-//! regression gate (committed `BENCH_*.json` baselines), and the health
-//! report CLI. This is a strict-enough recursive-descent parser for
-//! that closed world: objects, arrays, strings with the standard
-//! escapes, `f64` numbers, booleans and null. It is not a general
-//! validating parser — surrogate-pair escapes degrade to U+FFFD and
-//! number syntax is delegated to `f64::from_str` — but it rejects
-//! trailing garbage and mismatched brackets, which is what the tests
-//! and the gate need to trust their inputs.
+//! The workspace deliberately carries no serde dependency, but two
+//! consumers need to *read* JSON we ourselves wrote: the Chrome-trace
+//! parser ([`crate::trace::parse_chrome_trace`]) and tests that read a
+//! run's JSONL line by line (the `train.step` events among them). This
+//! is a strict-enough recursive-descent parser for that closed world:
+//! objects, arrays, strings with the standard escapes, `f64` numbers,
+//! booleans and null. It is not a general validating parser —
+//! surrogate-pair escapes degrade to U+FFFD and number syntax is
+//! delegated to `f64::from_str` — but it rejects trailing garbage and
+//! mismatched brackets, which is what the tests need to trust their
+//! inputs.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

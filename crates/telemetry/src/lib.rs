@@ -30,12 +30,12 @@
 //! There is one implementation and it is always compiled. The bounded
 //! metrics — counters, gauges, histograms and span families, a few
 //! hundred bytes each however long the process runs — always record.
-//! The three logs that grow with the run — the per-thread timeline
-//! rings, the [`event`] line log and `core::health`'s per-step records —
-//! record only while the runtime switch ([`trace_set_enabled`], read
-//! with [`is_enabled`]) is on. It starts off, so a process nobody
-//! observes accumulates nothing; whoever asks for output turns it on
-//! ([`FlushOnDrop::jsonl`] and [`FlushOnDrop::trace`] do so themselves).
+//! The two logs that grow with the run — the per-thread timeline rings
+//! and the [`event`] line log — record only while the runtime switch
+//! ([`trace_set_enabled`], read with [`is_enabled`]) is on. It starts
+//! off, so a process nobody observes accumulates nothing; whoever asks
+//! for output turns it on ([`FlushOnDrop::jsonl`] and
+//! [`FlushOnDrop::trace`] do so themselves).
 
 #![deny(missing_docs)]
 

@@ -99,9 +99,9 @@ fn push(name: &'static str, ts_us: u64, phase: TracePhase) {
 /// The recording switch. Publishes no other data, hence `Relaxed`.
 static ON: AtomicBool = AtomicBool::new(false);
 
-/// Turns the unbounded logs — the timeline, the [`crate::event`] log
-/// and `core::health`'s step records — on or off. They start off;
-/// counters, gauges, histograms and span families record regardless.
+/// Turns the two unbounded logs — the timeline and the
+/// [`crate::event`] log — on or off. They start off; counters, gauges,
+/// histograms and span families record regardless.
 pub fn trace_set_enabled(on: bool) {
     ON.store(on, Relaxed);
 }

@@ -99,7 +99,8 @@ pub struct PendingStep {
     dropped_tokens: usize,
     max_load_imbalance: f64,
     started: Instant,
-    /// MoE-layer observations for the per-step health report.
+    /// MoE-layer observations behind the routing-health fields of the
+    /// `train.step` event.
     moe_layer_obs: usize,
     padding_rows: usize,
     kept_assignments: usize,
@@ -298,8 +299,11 @@ impl Trainer {
 
     /// The update phase of one step: averages the accumulated gradients,
     /// clips, applies the Adam update and advances the step counter.
+    /// Closes the step on the timeline: `train.step` spans the whole
+    /// step from [`Trainer::accumulate_step`]'s start, `train.update`
+    /// this phase only.
     pub fn apply_step(&mut self, pending: PendingStep) -> TrainLog {
-        let _span = telemetry::span("train.step");
+        let update = telemetry::span("train.update");
         let PendingStep {
             ce_loss: ce,
             lb_loss: lb,
@@ -335,6 +339,19 @@ impl Trainer {
         telemetry::gauge("train.lr").set(lr as f64);
         telemetry::gauge("train.grad_norm").set(grad_norm as f64);
         telemetry::gauge("train.tokens_per_sec").set(tokens_per_sec);
+        // Routing health over every MoE-layer observation of the step; a
+        // dense step reads imbalance 1 and zeros.
+        let padding_overhead = if kept_assignments == 0 {
+            0.0
+        } else {
+            padding_rows as f64 / kept_assignments as f64
+        };
+        let drop_rate = if total_assignments == 0 {
+            0.0
+        } else {
+            dropped as f64 / total_assignments as f64
+        };
+        let router_entropy = entropy_sum / moe_layer_obs.max(1) as f64;
         telemetry::event(
             "train.step",
             &[
@@ -345,28 +362,20 @@ impl Trainer {
                 ("grad_norm", grad_norm.into()),
                 ("lr", lr.into()),
                 ("tokens_per_sec", tokens_per_sec.into()),
+                ("imbalance", imbalance.into()),
+                ("padding_overhead", padding_overhead.into()),
+                ("drop_rate", drop_rate.into()),
+                ("router_entropy", router_entropy.into()),
             ],
         );
-        if moe_layer_obs > 0 {
-            // One health record per optimizer step, aggregated over every
-            // MoE layer observation in the accumulated micro-batches.
-            megablocks_core::health::record_step(megablocks_core::health::HealthRecord {
-                step: (self.step - 1) as u64,
-                imbalance,
-                padding_overhead: if kept_assignments == 0 {
-                    0.0
-                } else {
-                    padding_rows as f64 / kept_assignments as f64
-                },
-                drop_rate: if total_assignments == 0 {
-                    0.0
-                } else {
-                    dropped as f64 / total_assignments as f64
-                },
-                router_entropy: entropy_sum / moe_layer_obs as f64,
-                tokens_per_sec,
-            });
-        }
+        // Close the update first, so it lies inside the step it belongs to.
+        drop(update);
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        telemetry::trace_complete(
+            "train.step",
+            telemetry::trace_now_us().saturating_sub(elapsed_us),
+            elapsed_us,
+        );
 
         TrainLog {
             step: self.step - 1,

@@ -1,14 +1,15 @@
 //! End-to-end observability acceptance: a short dMoE training run with
 //! recording switched on must emit a valid Chrome-trace JSON with lanes
-//! for every exec worker plus kernel and step spans, and a per-step MoE
-//! health report with load-imbalance and padding-overhead figures.
+//! for every exec worker plus kernel and step spans, and a JSONL whose
+//! `train.step` events carry the per-step routing health (load
+//! imbalance, padding overhead, drop rate, router entropy).
 
 use std::path::PathBuf;
 
-use megablocks::core::health;
 use megablocks::core::MoeConfig;
 use megablocks::data::{PileConfig, SyntheticPile};
 use megablocks::telemetry;
+use megablocks::telemetry::json::Json;
 use megablocks::telemetry::TracePhase;
 use megablocks::transformer::{
     FfnKind, ResilienceConfig, ResilientTrainer, Trainer, TrainerConfig, TransformerConfig,
@@ -24,6 +25,16 @@ fn temp_dir() -> PathBuf {
     dir
 }
 
+/// The JSONL lines of one `type` and `name`, in file order.
+fn lines_of<'a>(lines: &'a [Json], kind: &str, name: &str) -> Vec<&'a Json> {
+    let is =
+        |line: &Json, key: &str, want: &str| line.get(key).and_then(Json::as_str) == Some(want);
+    lines
+        .iter()
+        .filter(|l| is(l, "type", kind) && is(l, "name", name))
+        .collect()
+}
+
 #[test]
 fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
     // Pin the worker pool before anything touches it: the acceptance bar
@@ -31,7 +42,6 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
     megablocks::exec::configure_threads(4);
     telemetry::trace_set_enabled(true);
     telemetry::trace_reset();
-    health::reset_health();
 
     // --- A short dMoE training run under the flush guard ---------------
     let dir = temp_dir();
@@ -49,8 +59,10 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
     )
     .split(0.9);
     let moe = MoeConfig::new(32, 64, 4).with_block_size(8);
+    let num_experts = moe.num_experts;
     let mut cfg = TransformerConfig::tiny(FfnKind::Dropless(moe));
     cfg.seq_len = 16;
+    let moe_layers = cfg.num_layers;
     let mut rng = megablocks::tensor::init::seeded_rng(11);
     let model = TransformerLm::new(cfg, &mut rng);
     let trainer = Trainer::new(
@@ -138,6 +150,7 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
         "moe.dmoe.forward",
         "moe.dmoe.backward",
         "train.step",
+        "train.update",
     ] {
         assert!(
             complete_names.contains(&family),
@@ -155,39 +168,118 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
         "trace missing queue-wait accounting"
     );
 
-    // --- Health report: one record per step, sane figures ---------------
-    let records = health::health_snapshot();
-    assert_eq!(records.len(), STEPS, "one health record per optimizer step");
-    for r in &records {
+    // --- The step interval is the whole step ----------------------------
+    // `train.step` runs from the first micro-batch to the end of the
+    // update, so every dMoE forward and backward on the caller's lane
+    // lies inside one.
+    let step_spans: Vec<(u32, u64, u64)> = snap
+        .events
+        .iter()
+        .filter_map(|e| match e.phase {
+            TracePhase::Complete { dur_us } if e.name == "train.step" => {
+                Some((e.tid, e.ts_us, e.ts_us + dur_us))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(step_spans.len(), STEPS, "one train.step interval per step");
+    let caller = step_spans[0].0;
+    assert!(
+        step_spans.iter().all(|&(tid, ..)| tid == caller),
+        "every step on the caller's lane: {step_spans:?}"
+    );
+    let mut moe_spans = 0;
+    for e in &snap.events {
+        let TracePhase::Complete { dur_us } = e.phase else {
+            continue;
+        };
+        if e.tid != caller || !matches!(e.name.as_str(), "moe.dmoe.forward" | "moe.dmoe.backward") {
+            continue;
+        }
+        moe_spans += 1;
         assert!(
-            r.imbalance.is_finite() && r.imbalance >= 1.0,
-            "imbalance is max/mean load, >= 1: {r:?}"
+            step_spans
+                .iter()
+                .any(|&(_, start, end)| start <= e.ts_us && e.ts_us + dur_us <= end),
+            "{} at [{}, +{dur_us}] µs lies outside every train.step {step_spans:?}",
+            e.name,
+            e.ts_us
         );
-        assert!(
-            r.padding_overhead.is_finite() && r.padding_overhead >= 0.0,
-            "padding overhead is a fraction: {r:?}"
-        );
-        assert!(
-            (0.0..=1.0).contains(&r.drop_rate),
-            "drop rate in [0,1]: {r:?}"
-        );
-        assert!(r.router_entropy >= 0.0, "entropy non-negative: {r:?}");
-        assert!(r.tokens_per_sec > 0.0, "throughput recorded: {r:?}");
     }
-    // dMoE never drops tokens.
-    assert!(records.iter().all(|r| r.drop_rate == 0.0));
+    // A forward and a backward per MoE layer per micro-batch (2 of them).
+    assert_eq!(moe_spans, 2 * moe_layers * 2 * STEPS);
 
-    // The JSON report round-trips and carries the per-step figures.
-    let health_path = dir.join("health.json");
-    health::export_health_json(&health_path).expect("health export");
-    let back =
-        health::parse_health_json(&std::fs::read_to_string(&health_path).expect("health file"))
-            .expect("health JSON parses");
-    assert_eq!(back, records);
-
-    // The scalar registry flushed too.
+    // --- Routing health: one `train.step` event per step, sane figures --
     let jsonl = std::fs::read_to_string(&export).expect("jsonl flushed on drop");
-    assert!(jsonl.contains("train.step"));
+    let lines: Vec<Json> = jsonl
+        .lines()
+        .map(|l| Json::parse(l).expect("every JSONL line parses"))
+        .collect();
+    let steps = lines_of(&lines, "event", "train.step");
+    assert_eq!(
+        steps.len(),
+        STEPS,
+        "one train.step event per optimizer step"
+    );
+    for (i, (ev, log)) in steps.iter().zip(&logs).enumerate() {
+        let num = |key: &str| {
+            ev.get(key)
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("step {i}: no number {key:?} in {ev:?}"))
+        };
+        assert_eq!(ev.get("step").and_then(Json::as_u64), Some(i as u64));
+        let imbalance = num("imbalance");
+        let padding_overhead = num("padding_overhead");
+        let drop_rate = num("drop_rate");
+        assert!(
+            imbalance.is_finite() && imbalance >= 1.0,
+            "imbalance is max/mean load, >= 1: {ev:?}"
+        );
+        assert!(
+            padding_overhead.is_finite() && padding_overhead >= 0.0,
+            "padding overhead is a fraction: {ev:?}"
+        );
+        assert!(
+            (0.0..=1.0).contains(&drop_rate),
+            "drop rate in [0,1]: {ev:?}"
+        );
+        // dMoE never drops tokens.
+        assert_eq!(drop_rate, 0.0, "{ev:?}");
+        assert!(num("router_entropy") >= 0.0, "entropy non-negative: {ev:?}");
+        assert!(num("tokens_per_sec") > 0.0, "throughput recorded: {ev:?}");
+        // The event and the returned log are the same numbers.
+        assert_eq!(imbalance.to_bits(), log.max_load_imbalance.to_bits());
+        assert_eq!(
+            ev.get("dropped_tokens").and_then(Json::as_u64),
+            Some(log.dropped_tokens as u64)
+        );
+    }
+
+    // The per-expert counters reconcile with what the run routed: top-1
+    // sends every token of every step through each MoE layer once...
+    let expert_tokens: Vec<(usize, u64)> = lines_of(&lines, "counter", "moe.expert_tokens")
+        .into_iter()
+        .map(|c| {
+            let expert = c
+                .get("label")
+                .and_then(Json::as_str)
+                .and_then(|l| l.parse().ok());
+            let value = c.get("value").and_then(Json::as_u64);
+            (expert.expect("expert label"), value.expect("count"))
+        })
+        .collect();
+    let routed: u64 = expert_tokens.iter().map(|&(_, n)| n).sum();
+    assert_eq!(routed, (STEPS * 8 * 16 * moe_layers) as u64);
+    // ...and name the hottest expert of the run.
+    let (hottest, load) = *expert_tokens
+        .iter()
+        .max_by_key(|&&(_, n)| n)
+        .expect("per-expert counters");
+    assert!(hottest < num_experts, "expert {hottest} of {num_experts}");
+    assert!(
+        load * num_experts as u64 >= routed,
+        "the hottest is at least the mean"
+    );
 
     telemetry::trace_set_enabled(false);
     let _ = std::fs::remove_dir_all(&dir);
