@@ -141,7 +141,7 @@ impl Attention {
     ///
     /// Panics if `x.rows() != batch * seq` or `x.cols() != hidden`.
     pub fn forward(&self, x: &Matrix, batch: usize, seq: usize) -> (Matrix, AttentionCache) {
-        let (out, cache) = self.pass(x, batch, seq, None, Retain::ForBackward);
+        let (out, cache) = self.pass(x, batch, seq, seq, None, Retain::ForBackward);
         (out, cache.expect("a ForBackward pass keeps its cache"))
     }
 
@@ -150,18 +150,25 @@ impl Attention {
     /// are positions `past..past + seq` of one sequence (`batch == 1`):
     /// their keys and values become positions `past..` of `cache` and
     /// every query attends over positions `0..=` its own; without it each
-    /// sequence is its own whole context (`past == 0`).
+    /// sequence is its own whole context (`past == 0`). Every row's key
+    /// and value are computed, but only the last `keep` rows of each
+    /// sequence are queried: the output is `batch * keep` rows.
     pub(crate) fn pass(
         &self,
         x: &Matrix,
         batch: usize,
         seq: usize,
+        keep: usize,
         mut kv: Option<(&mut KvCache, usize)>,
         retain: Retain,
     ) -> (Matrix, Option<AttentionCache>) {
         let _span = telemetry::span("transformer.attention");
         assert_eq!(x.rows(), batch * seq, "row count must be batch * seq");
         assert_eq!(x.cols(), self.hidden, "feature size mismatch");
+        assert!(
+            (1..=seq).contains(&keep) && (keep == seq || retain == Retain::Nothing),
+            "a pass kept for backward queries every row"
+        );
         let h = self.hidden;
         let nh = self.num_heads;
         let d = h / nh;
@@ -180,11 +187,11 @@ impl Attention {
             }
         }
 
-        let mut ctx = retain.zeros(batch * seq, h);
+        let mut ctx = retain.zeros(batch * keep, h);
         let mut probs = Vec::new();
         for b in 0..batch {
             for head in 0..nh {
-                let q = extract(&qkv, b * seq, seq, head * d, d);
+                let q = extract(&qkv, b * seq + seq - keep, keep, head * d, d);
                 // Keys and values: every cached position, or this sequence's.
                 let (k, k_op, v) = match &kv {
                     Some((cache, past)) => (
@@ -199,7 +206,7 @@ impl Attention {
                     ),
                 };
                 let (ctx_h, p) = attend(&q, &k, k_op, &v, scale, retain);
-                insert(&mut ctx, &ctx_h, b * seq, head * d);
+                insert(&mut ctx, &ctx_h, b * keep, head * d);
                 retain.release(ctx_h);
                 for m in [q, k, v] {
                     m.recycle();
@@ -392,11 +399,21 @@ mod tests {
         // with and without retention: rows of the full forward, bitwise.
         for retain in [Retain::Nothing, Retain::ForBackward] {
             let mut cache = KvCache::new(8, 7);
-            let (head, _) = attn.pass(&x.rows_range(0, 3), 1, 3, Some((&mut cache, 0)), retain);
-            let (tail, _) = attn.pass(&x.rows_range(3, 7), 1, 4, Some((&mut cache, 3)), retain);
+            let (head, _) = attn.pass(&x.rows_range(0, 3), 1, 3, 3, Some((&mut cache, 0)), retain);
+            let (tail, _) = attn.pass(&x.rows_range(3, 7), 1, 4, 4, Some((&mut cache, 3)), retain);
             assert_eq!(head, full.rows_range(0, 3));
             assert_eq!(tail, full.rows_range(3, 7));
         }
+        // Queries of the last rows only, cached or not, and per sequence
+        // of a batch: the same rows of the full forward, bitwise.
+        let mut cache = KvCache::new(8, 7);
+        let (last, _) = attn.pass(&x, 1, 7, 1, Some((&mut cache, 0)), Retain::Nothing);
+        assert_eq!(last, full.rows_range(6, 7));
+        let x2 = init::normal(8, 8, 1.0, &mut rng);
+        let (full2, _) = attn.forward(&x2, 2, 4);
+        let (tails, _) = attn.pass(&x2, 2, 4, 2, None, Retain::Nothing);
+        assert_eq!(tails.rows_range(0, 2), full2.rows_range(2, 4));
+        assert_eq!(tails.rows_range(2, 4), full2.rows_range(6, 8));
 
         // The per-head routine itself, `len = 3` cached positions.
         let q = init::normal(7, 4, 1.0, &mut rng);
@@ -413,6 +430,15 @@ mod tests {
         assert_eq!(ctx_t, ctx_tail);
         assert_eq!(probs_t, probs_tail);
         assert_eq!(probs[(0, 1)], 0.0, "masked probabilities are exactly 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "a pass kept for backward queries every row")]
+    fn a_pass_kept_for_backward_queries_every_row() {
+        let mut rng = seeded_rng(6);
+        let attn = Attention::new(8, 2, &mut rng);
+        let x = init::normal(4, 8, 1.0, &mut rng);
+        let _ = attn.pass(&x, 1, 4, 1, None, Retain::ForBackward);
     }
 
     #[test]

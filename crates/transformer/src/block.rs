@@ -111,23 +111,38 @@ impl Block {
 
     /// Forward pass over `batch` sequences of length `seq`.
     pub fn forward(&self, x: &Matrix, batch: usize, seq: usize) -> (Matrix, BlockCache) {
-        let (out, cache) = self.pass(x, batch, seq, None, Retain::ForBackward);
+        let (out, cache) = self.pass(x, batch, seq, seq, None, Retain::ForBackward);
         (out, cache.expect("a ForBackward pass keeps its cache"))
     }
 
-    /// The one block forward; `kv` and `retain` are [`Attention::pass`]'s.
+    /// The one block forward; `keep`, `kv` and `retain` are
+    /// [`Attention::pass`]'s: every row feeds the keys and values, and
+    /// the last `keep` rows of each sequence run the rest of the block.
     pub(crate) fn pass(
         &self,
         x: &Matrix,
         batch: usize,
         seq: usize,
+        keep: usize,
         kv: Option<(&mut KvCache, usize)>,
         retain: Retain,
     ) -> (Matrix, Option<BlockCache>) {
         let (n1, ln1) = self.ln1.forward(x);
-        let (mut mid, attn) = self.attn.pass(&n1, batch, seq, kv, retain);
+        let (mut mid, attn) = self.attn.pass(&n1, batch, seq, keep, kv, retain);
         // `attn + x` is `x + attn` bit for bit, without a copy of `x`.
-        mid.add_assign(x);
+        if keep == seq {
+            mid.add_assign(x);
+        } else {
+            // The kept rows are the last `keep` of each sequence of `x`.
+            let h = x.cols();
+            for b in 0..batch {
+                let tail = &x.as_slice()[((b + 1) * seq - keep) * h..(b + 1) * seq * h];
+                let rows = &mut mid.as_mut_slice()[b * keep * h..(b + 1) * keep * h];
+                for (m, v) in rows.iter_mut().zip(tail) {
+                    *m += v;
+                }
+            }
+        }
 
         let (n2, ln2) = self.ln2.forward(&mid);
         let (mut f, ffn) = match (&self.ffn, retain) {

@@ -178,21 +178,29 @@ impl TransformerLm {
     /// every block. Training and inference differ only in what they
     /// retain. `kv = (layers, past)` is either `(&mut [], 0)` or one
     /// sequence's per-block key/value caches, the inputs then being its
-    /// positions `past..` (see `Attention::pass`).
+    /// positions `past..` (see `Attention::pass`). With `last_only` the
+    /// caller reads each sequence's last row alone, and a final block
+    /// whose FFN is token-wise runs everything after its keys and values
+    /// on that row only: the output is `batch` rows, else `batch * seq`.
     fn trunk(
         &self,
         inputs: &[usize],
         batch: usize,
         seq: usize,
         (layers, past): (&mut [KvCache], usize),
+        last_only: bool,
         retain: Retain,
     ) -> (Matrix, Vec<BlockCache>) {
         let mut layers = layers.iter_mut();
         let mut h = self.embed(inputs, batch, seq, past, retain);
         let mut caches = Vec::new();
-        for block in &self.blocks {
+        for (i, block) in self.blocks.iter().enumerate() {
             let kv = layers.next().map(|layer| (layer, past));
-            let (next, cache) = block.pass(&h, batch, seq, kv, retain);
+            // Only a token-wise FFN gives a row the bits it has beside the
+            // other rows of the call.
+            let one_row = last_only && i + 1 == self.blocks.len() && block.ffn_is_tokenwise();
+            let keep = if one_row { 1 } else { seq };
+            let (next, cache) = block.pass(&h, batch, seq, keep, kv, retain);
             caches.extend(cache);
             retain.release(std::mem::replace(&mut h, next));
         }
@@ -238,7 +246,7 @@ impl TransformerLm {
             "inputs/targets length mismatch"
         );
         let seq = seq_of(inputs, batch);
-        let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), Retain::Nothing);
+        let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), false, Retain::Nothing);
         let (logits, ..) = self.head(&h);
         h.recycle();
         cross_entropy(&logits, targets, None).0
@@ -253,7 +261,7 @@ impl TransformerLm {
     /// Panics if `inputs` is not `batch * seq` tokens for some `seq`.
     pub fn next_token_logits(&self, inputs: &[usize], batch: usize) -> Matrix {
         let seq = seq_of(inputs, batch);
-        let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), Retain::Nothing);
+        let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), false, Retain::Nothing);
         let logits = self.last_logits(&h, batch, seq);
         h.recycle();
         logits
@@ -267,11 +275,14 @@ impl TransformerLm {
     /// Only the positions not yet cached are run: their keys and values
     /// are appended to the state and each attends over the cached ones, so
     /// a one-token step costs one row through every layer instead of the
-    /// whole window. The cache is dropped and the window run again when
-    /// its rows would be stale: once the window slides (learned absolute
-    /// positions shift under every cached row), and always for
-    /// `Dropping`/`ExpertChoice` blocks, where a token's FFN output
-    /// depends on which tokens share the call.
+    /// whole window. Only the last position's hidden state reaches the
+    /// head, so a prefill's final block computes keys and values for every
+    /// new row but its queries, out-projection, layer norm and FFN for the
+    /// last row alone, when its FFN is token-wise. The cache is dropped
+    /// and the window run again when its rows would be stale: once the
+    /// window slides (learned absolute positions shift under every cached
+    /// row), and always for `Dropping`/`ExpertChoice` blocks, where a
+    /// token's FFN output depends on which tokens share the call.
     ///
     /// # Panics
     ///
@@ -295,8 +306,8 @@ impl TransformerLm {
         }
         let fresh = &state.window[past..];
         let kv = (&mut state.layers[..], past);
-        let (h, _) = self.trunk(fresh, 1, fresh.len(), kv, Retain::Nothing);
-        let logits = self.last_logits(&h, 1, fresh.len());
+        let (h, _) = self.trunk(fresh, 1, fresh.len(), kv, true, Retain::Nothing);
+        let logits = self.last_logits(&h, 1, h.rows());
         h.recycle();
         logits
     }
@@ -379,7 +390,8 @@ impl TransformerLm {
             "inputs/targets length mismatch"
         );
         let seq = seq_of(inputs, batch);
-        let (h_last, caches) = self.trunk(inputs, batch, seq, (&mut [], 0), Retain::ForBackward);
+        let (h_last, caches) =
+            self.trunk(inputs, batch, seq, (&mut [], 0), false, Retain::ForBackward);
         let (logits, h_final, ln_f) = self.head(&h_last);
 
         let (ce_loss, d_logits) = cross_entropy(&logits, targets, None);

@@ -1,13 +1,22 @@
-//! Where a one-token decode step's time goes.
+//! Where a decode step's time goes, and the prefill's share of a call.
 //!
 //! Builds the benchmark's language model (vocab 512, hidden 128, 2 layers
 //! of 2 heads, sequence 128, a dMoE of 8 experts with FFN 512 and block
-//! 16), prefills a 48-token prompt and times 15 one-token `decode` steps
-//! per round, twice: feeding the same token at every step (the same
-//! expert's weights, hot in cache) and feeding varying tokens. For each it
-//! prints the step's p50 and mean, then every telemetry span's self time
-//! per step, summed over the steps only (the prefills are excluded), and
-//! the time no span covers.
+//! 16), then per round:
+//!
+//! - prefills a 48-token prompt and times 15 one-token `decode` steps,
+//!   twice: feeding the same token at every step (the same expert's
+//!   weights, hot in cache) and feeding varying tokens. For each it prints
+//!   the step's p50 and mean, then every telemetry span's self time per
+//!   step, summed over the steps only (the prefills are excluded), and the
+//!   time no span covers;
+//! - runs the benchmark's `lm_generate` call by hand for each prompt
+//!   length of its cycle (16, 32, 48, 64): a prefill, then 15 greedy
+//!   one-token steps, which is a 16-token `generate`. Per length it prints
+//!   the prefill's p50, the 15 steps' p50, their ratio and the prefill's
+//!   share of the call; then every span's self time per prefill, summed
+//!   over the prefills only and over every thread (a prefill's products
+//!   run bands on the pool's workers, a step's one row does not).
 //!
 //! Run with: `cargo run --release --example decode_parts [rounds]`
 //! (default 100 rounds, after 5 untimed ones).
@@ -23,12 +32,64 @@ use megablocks::transformer::{DecodeState, FfnKind, TransformerConfig, Transform
 const PROMPT: usize = 48;
 const STEPS: usize = 15;
 const WARMUP: usize = 5;
+/// The benchmark's `lm_generate` prompt lengths.
+const PROMPT_CYCLE: [usize; 4] = [16, 32, 48, 64];
+
+type Parts = BTreeMap<String, (u64, u64)>;
 
 /// Self nanoseconds and calls of every span family so far.
-fn spans() -> BTreeMap<String, (u64, u64)> {
+fn spans() -> Parts {
     let snapshot = telemetry::snapshot();
     let rows = snapshot.spans.into_iter();
     rows.map(|s| (s.name, (s.self_ns, s.calls))).collect()
+}
+
+/// Adds what every span family recorded since `before` to `parts`.
+fn accumulate(parts: &mut Parts, before: &Parts) {
+    for (name, (self_ns, calls)) in spans() {
+        let (self0, calls0) = before.get(&name).copied().unwrap_or_default();
+        let part = parts.entry(name).or_default();
+        part.0 += self_ns - self0;
+        part.1 += calls - calls0;
+    }
+}
+
+/// Prints each span's self time and calls per operation (`n` of them,
+/// `mean_us` each), largest first, and the wall time no span covers.
+/// Spans are summed over every thread, so the last figure goes negative
+/// where pool workers ran bands of a launch beside the caller.
+fn print_parts(per: &str, parts: Parts, n: f64, mean_us: f64) {
+    let head = format!("self µs/{per}");
+    let calls = format!("calls/{per}");
+    println!("  {:<28} {head:>15} {calls:>13}", "span");
+    let mut rows: Vec<_> = parts.into_iter().filter(|(_, (_, c))| *c > 0).collect();
+    rows.sort_by_key(|(_, (self_ns, _))| std::cmp::Reverse(*self_ns));
+    let mut covered_us = 0.0;
+    for (name, (self_ns, calls)) in rows {
+        let per_op = self_ns as f64 / n / 1e3;
+        covered_us += per_op;
+        println!("  {name:<28} {per_op:>15.2} {:>13.2}", calls as f64 / n);
+    }
+    println!("  {:<28} {:>15.2}", "(wall - spans)", mean_us - covered_us);
+}
+
+/// The median of `ns`, in µs.
+fn p50_us(ns: &mut [u64]) -> f64 {
+    ns.sort_unstable();
+    ns[ns.len() / 2] as f64 / 1e3
+}
+
+fn mean_us(ns: &[u64]) -> f64 {
+    ns.iter().sum::<u64>() as f64 / ns.len() as f64 / 1e3
+}
+
+/// The greedy pick, as `generate` makes it.
+fn argmax(logits: &[f32]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map_or(0, |(i, _)| i)
 }
 
 fn main() {
@@ -47,7 +108,8 @@ fn main() {
     };
     let vocab = cfg.vocab_size;
     let lm = TransformerLm::new(cfg, &mut seeded_rng(1));
-    let prompt: Vec<usize> = (0..PROMPT).map(|i| (i * 13 + 5) % vocab).collect();
+    let prompt_of = |len: usize| -> Vec<usize> { (0..len).map(|i| (i * 13 + 5) % vocab).collect() };
+    let prompt = prompt_of(PROMPT);
     println!(
         "decode_parts: {PROMPT}-token prompt, {rounds} rounds x {STEPS} one-token steps, \
          tiled variant {}",
@@ -60,7 +122,7 @@ fn main() {
             false => 7,
         };
         let mut steps_ns = Vec::with_capacity(rounds * STEPS);
-        let mut parts: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        let mut parts = Parts::new();
         for round in 0..WARMUP + rounds {
             let mut state = DecodeState::new(lm.config());
             let _ = lm.decode(&mut state, &prompt);
@@ -76,31 +138,62 @@ fn main() {
                 continue;
             }
             steps_ns.extend(round_ns);
-            for (name, (self_ns, calls)) in spans() {
-                let (self0, calls0) = before.get(&name).copied().unwrap_or_default();
-                let part = parts.entry(name).or_default();
-                part.0 += self_ns - self0;
-                part.1 += calls - calls0;
-            }
+            accumulate(&mut parts, &before);
         }
 
-        let n = steps_ns.len() as f64;
-        let mean_us = steps_ns.iter().sum::<u64>() as f64 / n / 1e3;
-        steps_ns.sort_unstable();
-        let p50_us = steps_ns[steps_ns.len() / 2] as f64 / 1e3;
-        println!("\n{mode}: step p50 {p50_us:.1} µs, mean {mean_us:.1} µs");
-        println!(
-            "  {:<28} {:>12} {:>10}",
-            "span", "self µs/step", "calls/step"
-        );
-        let mut rows: Vec<_> = parts.into_iter().filter(|(_, (_, c))| *c > 0).collect();
-        rows.sort_by_key(|(_, (self_ns, _))| std::cmp::Reverse(*self_ns));
-        let mut covered_us = 0.0;
-        for (name, (self_ns, calls)) in rows {
-            let per_step = self_ns as f64 / n / 1e3;
-            covered_us += per_step;
-            println!("  {name:<28} {per_step:>12.2} {:>10.2}", calls as f64 / n);
-        }
-        println!("  {:<28} {:>12.2}", "(no span)", mean_us - covered_us);
+        let mean = mean_us(&steps_ns);
+        let p50 = p50_us(&mut steps_ns);
+        println!("\n{mode}: step p50 {p50:.1} µs, mean {mean:.1} µs");
+        print_parts("step", parts, steps_ns.len() as f64, mean);
     }
+
+    // The benchmark's call, by hand: prefill, then greedy steps.
+    let prompts = PROMPT_CYCLE.map(prompt_of);
+    let mut prefill_ns = PROMPT_CYCLE.map(|_| Vec::with_capacity(rounds));
+    let mut steps_ns = PROMPT_CYCLE.map(|_| Vec::with_capacity(rounds));
+    let mut parts = Parts::new();
+    for round in 0..WARMUP + rounds {
+        for (i, prompt) in prompts.iter().enumerate() {
+            let mut state = DecodeState::new(lm.config());
+            let before = spans();
+            let start = Instant::now();
+            let mut logits = lm.decode(&mut state, prompt);
+            let prefill = start.elapsed().as_nanos() as u64;
+            if round >= WARMUP {
+                accumulate(&mut parts, &before);
+            }
+            let start = Instant::now();
+            for _ in 0..STEPS {
+                let next = argmax(logits.row(0));
+                logits = lm.decode(&mut state, &[next]);
+            }
+            let steps = start.elapsed().as_nanos() as u64;
+            std::hint::black_box(logits);
+            if round >= WARMUP {
+                prefill_ns[i].push(prefill);
+                steps_ns[i].push(steps);
+            }
+        }
+    }
+
+    println!(
+        "\nprefill, then {STEPS} greedy steps (a {}-token generate), per prompt length:",
+        STEPS + 1
+    );
+    println!(
+        "  {:>6} {:>15} {:>15} {:>16} {:>14}",
+        "prompt", "prefill p50 µs", "steps p50 µs", "prefill ÷ steps", "prefill share"
+    );
+    let all_prefills: Vec<u64> = prefill_ns.iter().flatten().copied().collect();
+    for ((len, prefill), steps) in PROMPT_CYCLE.iter().zip(&mut prefill_ns).zip(&mut steps_ns) {
+        let (prefill, steps) = (p50_us(prefill), p50_us(steps));
+        println!(
+            "  {len:>6} {prefill:>15.1} {steps:>15.1} {:>16.2} {:>13.0}%",
+            prefill / steps,
+            100.0 * prefill / (prefill + steps)
+        );
+    }
+    let mean = mean_us(&all_prefills);
+    println!("\nprefill over the cycle: mean {mean:.1} µs");
+    print_parts("prefill", parts, all_prefills.len() as f64, mean);
 }

@@ -87,7 +87,7 @@ fn bits(m: &Matrix) -> Vec<u32> {
 #[test]
 fn every_decode_step_is_bit_identical_to_the_full_window() {
     let _guard = backend_lock();
-    for ffn in tokenwise_kinds() {
+    for ffn in all_kinds() {
         let lm = model(ffn.clone(), 11);
         let vocab = lm.config().vocab_size;
         on_every_backend_and_worker_count(|| {
@@ -155,6 +155,35 @@ fn a_one_token_step_runs_one_row_not_the_window() {
         dense_step + (cfg.num_layers * dmoe_ffn) as u64,
         "dense step {dense_step}, dMoE step {dmoe_step}"
     );
+}
+
+#[test]
+fn a_prefill_runs_the_final_block_on_its_last_row_only() {
+    let _guard = backend_lock();
+    let lm = model(FfnKind::Dropless(moe()), 17);
+    let (cfg, moe) = (lm.config(), moe());
+    assert_eq!((cfg.num_layers, moe.top_k), (2, 1));
+    // One routed row costs `2 * hidden * ffn` in SDD and again in DSD.
+    let per_row = (2 * moe.hidden_size * moe.ffn_hidden_size) as u64;
+    let sdd = telemetry::counter_with("sparse.flops", "sparse.sdd");
+    let dsd = telemetry::counter_with("sparse.flops", "sparse.dsd");
+    let counted = |run: &mut dyn FnMut()| {
+        let before = (sdd.get(), dsd.get());
+        run();
+        (sdd.get() - before.0, dsd.get() - before.1)
+    };
+    for t in [BS + 1, SEQ_LEN] {
+        let mut state = DecodeState::new(cfg);
+        let tokens = prompt(t, cfg.vocab_size);
+        // `t` rows through the first layer, one through the final block.
+        let want = per_row * (t as u64 + 1);
+        let prefill = counted(&mut || drop(lm.decode(&mut state, &tokens)));
+        assert_eq!(prefill, (want, want), "a {t}-token prefill");
+        // One row per layer, or at `SEQ_LEN` a slid window run again.
+        let rows = if t < SEQ_LEN { 2 } else { SEQ_LEN as u64 + 1 };
+        let step = counted(&mut || drop(lm.decode(&mut state, &[1])));
+        assert_eq!(step, (per_row * rows, per_row * rows), "a step after {t}");
+    }
 }
 
 #[test]
