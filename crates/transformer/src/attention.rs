@@ -165,8 +165,9 @@ impl Attention {
         let _span = telemetry::span("transformer.attention");
         assert_eq!(x.rows(), batch * seq, "row count must be batch * seq");
         assert_eq!(x.cols(), self.hidden, "feature size mismatch");
+        assert!((1..=seq).contains(&keep), "keep must be in 1..=seq");
         assert!(
-            (1..=seq).contains(&keep) && (keep == seq || retain == Retain::Nothing),
+            keep == seq || retain == Retain::Nothing,
             "a pass kept for backward queries every row"
         );
         let h = self.hidden;

@@ -129,18 +129,13 @@ impl Block {
     ) -> (Matrix, Option<BlockCache>) {
         let (n1, ln1) = self.ln1.forward(x);
         let (mut mid, attn) = self.attn.pass(&n1, batch, seq, keep, kv, retain);
-        // `attn + x` is `x + attn` bit for bit, without a copy of `x`.
-        if keep == seq {
-            mid.add_assign(x);
-        } else {
-            // The kept rows are the last `keep` of each sequence of `x`.
-            let h = x.cols();
-            for b in 0..batch {
-                let tail = &x.as_slice()[((b + 1) * seq - keep) * h..(b + 1) * seq * h];
-                let rows = &mut mid.as_mut_slice()[b * keep * h..(b + 1) * keep * h];
-                for (m, v) in rows.iter_mut().zip(tail) {
-                    *m += v;
-                }
+        // `attn + x` is `x + attn` bit for bit, without a copy of `x`; the
+        // kept rows are the last `keep` of each sequence of `x`.
+        let h = x.cols();
+        let sequences = x.as_slice().chunks(seq * h);
+        for (rows, xs) in mid.as_mut_slice().chunks_mut(keep * h).zip(sequences) {
+            for (m, v) in rows.iter_mut().zip(&xs[(seq - keep) * h..]) {
+                *m += v;
             }
         }
 

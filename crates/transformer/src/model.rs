@@ -178,17 +178,16 @@ impl TransformerLm {
     /// every block. Training and inference differ only in what they
     /// retain. `kv = (layers, past)` is either `(&mut [], 0)` or one
     /// sequence's per-block key/value caches, the inputs then being its
-    /// positions `past..` (see `Attention::pass`). With `last_only` the
-    /// caller reads each sequence's last row alone, and a final block
-    /// whose FFN is token-wise runs everything after its keys and values
-    /// on that row only: the output is `batch` rows, else `batch * seq`.
+    /// positions `past..` (see `Attention::pass`). The final block runs
+    /// everything after its keys and values on the last `last_keep` rows
+    /// of each sequence only: the output is `batch * last_keep` rows.
     fn trunk(
         &self,
         inputs: &[usize],
         batch: usize,
         seq: usize,
         (layers, past): (&mut [KvCache], usize),
-        last_only: bool,
+        last_keep: usize,
         retain: Retain,
     ) -> (Matrix, Vec<BlockCache>) {
         let mut layers = layers.iter_mut();
@@ -196,10 +195,11 @@ impl TransformerLm {
         let mut caches = Vec::new();
         for (i, block) in self.blocks.iter().enumerate() {
             let kv = layers.next().map(|layer| (layer, past));
-            // Only a token-wise FFN gives a row the bits it has beside the
-            // other rows of the call.
-            let one_row = last_only && i + 1 == self.blocks.len() && block.ffn_is_tokenwise();
-            let keep = if one_row { 1 } else { seq };
+            let keep = if i + 1 == self.blocks.len() {
+                last_keep
+            } else {
+                seq
+            };
             let (next, cache) = block.pass(&h, batch, seq, keep, kv, retain);
             caches.extend(cache);
             retain.release(std::mem::replace(&mut h, next));
@@ -246,7 +246,7 @@ impl TransformerLm {
             "inputs/targets length mismatch"
         );
         let seq = seq_of(inputs, batch);
-        let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), false, Retain::Nothing);
+        let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), seq, Retain::Nothing);
         let (logits, ..) = self.head(&h);
         h.recycle();
         cross_entropy(&logits, targets, None).0
@@ -261,7 +261,7 @@ impl TransformerLm {
     /// Panics if `inputs` is not `batch * seq` tokens for some `seq`.
     pub fn next_token_logits(&self, inputs: &[usize], batch: usize) -> Matrix {
         let seq = seq_of(inputs, batch);
-        let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), false, Retain::Nothing);
+        let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), seq, Retain::Nothing);
         let logits = self.last_logits(&h, batch, seq);
         h.recycle();
         logits
@@ -300,13 +300,17 @@ impl TransformerLm {
         let mut past = state.window.len();
         state.window.extend_from_slice(new_tokens);
         let slid = state.window.len().saturating_sub(self.cfg.seq_len);
-        if slid > 0 || !self.blocks.iter().all(Block::ffn_is_tokenwise) {
+        let tokenwise = self.blocks.iter().all(Block::ffn_is_tokenwise);
+        if slid > 0 || !tokenwise {
             state.window.drain(..slid);
             past = 0;
         }
         let fresh = &state.window[past..];
         let kv = (&mut state.layers[..], past);
-        let (h, _) = self.trunk(fresh, 1, fresh.len(), kv, true, Retain::Nothing);
+        // Only a token-wise FFN gives the last row the bits it has beside
+        // the other rows of the call.
+        let last_keep = if tokenwise { 1 } else { fresh.len() };
+        let (h, _) = self.trunk(fresh, 1, fresh.len(), kv, last_keep, Retain::Nothing);
         let logits = self.last_logits(&h, 1, h.rows());
         h.recycle();
         logits
@@ -391,7 +395,7 @@ impl TransformerLm {
         );
         let seq = seq_of(inputs, batch);
         let (h_last, caches) =
-            self.trunk(inputs, batch, seq, (&mut [], 0), false, Retain::ForBackward);
+            self.trunk(inputs, batch, seq, (&mut [], 0), seq, Retain::ForBackward);
         let (logits, h_final, ln_f) = self.head(&h_last);
 
         let (ce_loss, d_logits) = cross_entropy(&logits, targets, None);
