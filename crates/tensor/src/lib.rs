@@ -29,7 +29,6 @@
 
 #![deny(missing_docs)]
 
-pub mod dropout;
 mod error;
 pub mod init;
 pub mod kernel;

@@ -328,27 +328,6 @@ pub fn gelu_grad_scalar(x: f32) -> f32 {
     s + 2.0 * x * (s * (1.0 - s)) * du
 }
 
-/// ReLU activation.
-pub fn relu(x: &Matrix) -> Matrix {
-    x.map(|v| v.max(0.0))
-}
-
-/// Backward pass of [`relu`]: passes gradient where `x > 0`.
-///
-/// # Panics
-///
-/// Panics if `x` and `dy` shapes differ.
-pub fn relu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
-    assert_eq!(x.shape(), dy.shape(), "relu backward shape mismatch");
-    let mut dx = dy.clone();
-    for (o, &xi) in dx.as_mut_slice().iter_mut().zip(x.as_slice()) {
-        if xi <= 0.0 {
-            *o = 0.0;
-        }
-    }
-    dx
-}
-
 /// Adds a bias row vector to every row of `x`, in place.
 ///
 /// # Panics
@@ -709,16 +688,6 @@ mod tests {
         out.extend(x.iter().map(|v| gelu_scalar(v * 16.0)));
         out.extend(x.iter().map(|v| gelu_grad_scalar(v * 16.0)));
         assert_eq!(hash_bits(&out), GOLDEN, "{:#018x}", hash_bits(&out));
-    }
-
-    #[test]
-    fn relu_and_backward() {
-        let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -3.0]).unwrap();
-        let y = relu(&x);
-        assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
-        let dy = Matrix::full(1, 4, 1.0);
-        let dx = relu_backward(&x, &dy);
-        assert_eq!(dx.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Causal multi-head self-attention with explicit backward pass and an
 //! incremental (KV-cached) forward.
 
+use std::sync::OnceLock;
+
 use megablocks_core::Param;
+use megablocks_exec as exec;
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::ops::{
     add_bias, bias_backward, softmax_rows_backward, softmax_rows_inplace,
 };
-use megablocks_tensor::{gemm, init, matmul, matmul_nt, matmul_tn, Matrix, Trans};
+use megablocks_tensor::{
+    block_gemm, gemm, init, matmul_nt, matmul_tn, Matrix, OutView, PanelView, Trans,
+};
 use rand::rngs::StdRng;
 
 /// What a forward pass keeps of its intermediates (`DroplessMoe`'s switch,
@@ -159,7 +164,7 @@ impl Attention {
         batch: usize,
         seq: usize,
         keep: usize,
-        mut kv: Option<(&mut KvCache, usize)>,
+        kv: Option<(&mut KvCache, usize)>,
         retain: Retain,
     ) -> (Matrix, Option<AttentionCache>) {
         let _span = telemetry::span("transformer.attention");
@@ -170,64 +175,57 @@ impl Attention {
             keep == seq || retain == Retain::Nothing,
             "a pass kept for backward queries every row"
         );
-        let h = self.hidden;
-        let nh = self.num_heads;
+        let (h, nh, w) = (self.hidden, self.num_heads, 3 * self.hidden);
         let d = h / nh;
         let scale = 1.0 / (d as f32).sqrt();
 
         let mut qkv = retain.matmul(x, self.w_qkv.value(), Trans::N);
         add_bias(&mut qkv, self.b_qkv.value().row(0));
-        if let Some((cache, past)) = &mut kv {
-            assert_eq!(batch, 1, "a KV cache holds one sequence");
-            for i in 0..seq {
-                let row = qkv.row(i);
-                for (c, &k) in row[h..2 * h].iter().enumerate() {
-                    cache.k_t[(c, *past + i)] = k;
+        let n = kv.as_ref().map_or(0, |(cache, _)| cache.k_t.cols());
+        let (kv, len) = match kv {
+            Some((cache, past)) => {
+                assert_eq!(batch, 1, "a KV cache holds one sequence");
+                for (i, row) in qkv.as_slice().chunks_exact(w).enumerate() {
+                    let keys = cache.k_t.as_mut_slice()[past + i..].iter_mut().step_by(n);
+                    keys.zip(&row[h..2 * h]).for_each(|(dst, &k)| *dst = k);
+                    cache.v.row_mut(past + i).copy_from_slice(&row[2 * h..]);
                 }
-                cache.v.row_mut(*past + i).copy_from_slice(&row[2 * h..]);
+                (Some(&*cache), past + seq)
             }
-        }
+            None => (None, seq),
+        };
 
         let mut ctx = retain.zeros(batch * keep, h);
-        let mut probs = Vec::new();
-        for b in 0..batch {
+        let probs: Vec<OnceLock<Matrix>> = (0..batch * nh).map(|_| OnceLock::new()).collect();
+        let work = 2 * batch * nh * keep * len * d;
+        let wide = if kv.is_some() && keep == 1 { n } else { len };
+        launch(&mut ctx, batch, work, |rows, b| {
             for head in 0..nh {
-                let q = extract(&qkv, b * seq + seq - keep, keep, head * d, d);
-                // Keys and values: every cached position, or this sequence's.
-                let (k, k_op, v) = match &kv {
-                    Some((cache, past)) => (
-                        extract(&cache.k_t, head * d, d, 0, past + seq),
-                        Trans::N,
-                        extract(&cache.v, 0, past + seq, head * d, d),
-                    ),
-                    None => (
-                        extract(&qkv, b * seq, seq, h + head * d, d),
-                        Trans::T,
-                        extract(&qkv, b * seq, seq, 2 * h + head * d, d),
-                    ),
+                let (col, at) = (head * d, b * seq * w + head * d);
+                let q = view(&qkv, at + (seq - keep) * w, w, 1);
+                // `Kᵀ` and `V`: every cached position, or this sequence's.
+                let (k_t, v) = match kv {
+                    Some(c) => (view(&c.k_t, col * n, n, 1), view(&c.v, col, h, 1)),
+                    None => (view(&qkv, at + h, 1, w), view(&qkv, at + 2 * h, w, 1)),
                 };
-                let (ctx_h, p) = attend(&q, &k, k_op, &v, scale, retain);
-                insert(&mut ctx, &ctx_h, b * keep, head * d);
-                retain.release(ctx_h);
-                for m in [q, k, v] {
-                    m.recycle();
-                }
+                let out = OutView::new(&mut rows[col..], h);
+                let p = attend(q, k_t, v, (keep, len, wide, d), scale, retain, out);
                 match retain {
-                    Retain::ForBackward => probs.push(p),
+                    Retain::ForBackward => drop(probs[b * nh + head].set(p)),
                     Retain::Nothing => p.recycle(),
                 }
             }
-        }
+        });
 
         let mut out = retain.matmul(&ctx, self.w_o.value(), Trans::N);
         add_bias(&mut out, self.b_o.value().row(0));
         match retain {
             Retain::ForBackward => {
-                let x = x.clone();
+                let probs = probs.into_iter().map(|p| p.into_inner().expect("run"));
                 let cache = AttentionCache {
-                    x,
+                    x: x.clone(),
                     qkv,
-                    probs,
+                    probs: probs.collect(),
                     ctx,
                     batch,
                     seq,
@@ -248,8 +246,7 @@ impl Attention {
     ///
     /// Panics if `d_out` does not match the forward output shape.
     pub fn backward(&mut self, cache: &AttentionCache, d_out: &Matrix) -> Matrix {
-        let h = self.hidden;
-        let nh = self.num_heads;
+        let (h, nh, w) = (self.hidden, self.num_heads, 3 * self.hidden);
         let d = h / nh;
         let (batch, seq) = (cache.batch, cache.seq);
         assert_eq!(d_out.shape(), (batch * seq, h), "d_out shape mismatch");
@@ -260,33 +257,34 @@ impl Attention {
         self.w_o.accumulate(&matmul_tn(&cache.ctx, d_out));
         add_row_grad(self.b_o.grad_mut(), &bias_backward(d_out));
 
-        // Per-head attention backward.
-        let mut d_qkv = Matrix::zeros(batch * seq, 3 * h);
-        for b in 0..batch {
+        // Per-head attention backward, in one launch: each head writes its
+        // dQ, dK and dV columns of its sequence's rows of `d_qkv`.
+        let mut d_qkv = Matrix::zeros(batch * seq, w);
+        let work = 4 * batch * nh * seq * seq * d;
+        launch(&mut d_qkv, batch, work, |rows, b| {
             for head in 0..nh {
-                let q = extract(&cache.qkv, b * seq, seq, head * d, d);
-                let k = extract(&cache.qkv, b * seq, seq, h + head * d, d);
-                let v = extract(&cache.qkv, b * seq, seq, 2 * h + head * d, d);
+                let (col, at) = (head * d, b * seq * w + head * d);
                 let probs = &cache.probs[b * nh + head];
-                let d_ctx_h = extract(&d_ctx, b * seq, seq, head * d, d);
-
-                let dv = matmul_tn(probs, &d_ctx_h);
-                let d_probs = matmul_nt(&d_ctx_h, &v);
+                let d_ctx_h = view(&d_ctx, b * seq * h + col, h, 1);
+                // dV = Pᵀ dC, dP = dC Vᵀ.
+                let dv = OutView::new(&mut rows[2 * h + col..], w);
+                block_gemm(seq, d, seq, 1.0, view(probs, 0, 1, seq), d_ctx_h, dv);
+                let mut d_probs = Matrix::pooled_zeros(seq, seq);
+                let v_t = view(&cache.qkv, at + 2 * h, 1, w);
+                let dp = OutView::new(d_probs.as_mut_slice(), seq);
+                block_gemm(seq, seq, d, 1.0, d_ctx_h, v_t, dp);
                 let mut d_scores = softmax_rows_backward(probs, &d_probs);
-                // Masked positions have prob 0, so their gradient is
-                // already 0; scale handles the 1/sqrt(d).
+                d_probs.recycle();
+                // Masked positions' gradient is already 0; `scale` is 1/√d.
                 d_scores.scale(scale);
-                let dq = matmul(&d_scores, &k);
-                let dk = matmul_tn(&d_scores, &q);
-
-                insert(&mut d_qkv, &dq, b * seq, head * d);
-                insert(&mut d_qkv, &dk, b * seq, h + head * d);
-                insert(&mut d_qkv, &dv, b * seq, 2 * h + head * d);
-                for m in [q, k, v, d_ctx_h] {
-                    m.recycle();
-                }
+                // dQ = dS K, dK = dSᵀ Q.
+                let (k, q) = (view(&cache.qkv, at + h, w, 1), view(&cache.qkv, at, w, 1));
+                let dq = OutView::new(&mut rows[col..], w);
+                block_gemm(seq, d, seq, 1.0, view(&d_scores, 0, seq, 1), k, dq);
+                let dk = OutView::new(&mut rows[h + col..], w);
+                block_gemm(seq, d, seq, 1.0, view(&d_scores, 0, 1, seq), q, dk);
             }
-        }
+        });
 
         // Input projection.
         self.w_qkv.accumulate(&matmul_tn(&cache.x, &d_qkv));
@@ -295,53 +293,55 @@ impl Attention {
     }
 }
 
-/// One head of causal attention: the rows of `q` are the last `q.rows()`
-/// of the positions `k` and `v` hold, and each attends over positions
-/// `0..=` its own. `v` is position-major; `k` is too under `k_op =
-/// Trans::T`, and is `Kᵀ` (one column per position) under `Trans::N`.
-/// Returns the context rows and the attention probabilities (masked
-/// entries exactly 0).
+/// One head of causal attention, read and written in place: the `rows`
+/// queries `q` are the last of the `len` positions of `k_t` (`d x wide`,
+/// `wide >= len`) and `v` (`len x d`), and each attends over positions
+/// `0..=` its own. Accumulates the context into `out` (zeroed); returns
+/// the probabilities (masked entries, and every column past `len`, `+0`).
 ///
 /// A masked score is `-inf`, so its probability is `+0` and it adds `+0`
 /// to the softmax denominator and `0 * v` to a context accumulator that
 /// started at `+0`: a query's outputs do not depend, bitwise, on how many
-/// later positions share the call. That is what makes a cached key/value
-/// row written by one call valid in every later one.
+/// later positions share the call. That makes a cached key/value row
+/// written by one call valid in every later one, and lets a one-row query
+/// score a cache's whole width, reading its `Kᵀ` in place, in strips.
 fn attend(
-    q: &Matrix,
-    k: &Matrix,
-    k_op: Trans,
-    v: &Matrix,
+    q: PanelView<'_>,
+    k_t: PanelView<'_>,
+    v: PanelView<'_>,
+    (rows, len, wide, d): (usize, usize, usize, usize),
     scale: f32,
     retain: Retain,
-) -> (Matrix, Matrix) {
-    let past = v.rows() - q.rows();
-    let mut scores = retain.matmul(q, k, k_op);
-    scores.scale(scale);
-    for i in 0..q.rows() {
-        scores.row_mut(i)[past + i + 1..].fill(f32::NEG_INFINITY);
+    out: OutView<'_>,
+) -> Matrix {
+    let mut scores = retain.zeros(rows, wide);
+    let s_out = OutView::new(scores.as_mut_slice(), wide);
+    block_gemm(rows, wide, d, scale, q, k_t, s_out);
+    for i in 0..rows {
+        scores.row_mut(i)[len - rows + i + 1..].fill(f32::NEG_INFINITY);
     }
     softmax_rows_inplace(&mut scores);
-    let ctx = retain.matmul(&scores, v, Trans::N);
-    (ctx, scores)
+    block_gemm(rows, d, len, 1.0, view(&scores, 0, wide, 1), v, out);
+    scores
 }
 
-/// Copies rows `row0..row0+rows`, columns `col0..col0+width` of `m` into a
-/// `rows x width` matrix from the workspace arena (recycle it).
-fn extract(m: &Matrix, row0: usize, rows: usize, col0: usize, width: usize) -> Matrix {
-    let mut out = Matrix::pooled_zeros(rows, width);
-    for i in 0..rows {
-        out.row_mut(i)
-            .copy_from_slice(&m.row(row0 + i)[col0..col0 + width]);
-    }
-    out
+/// `m`'s storage from `offset` on, as a GEMM operand with these strides.
+fn view(m: &Matrix, offset: usize, row_stride: usize, col_stride: usize) -> PanelView<'_> {
+    PanelView::new(&m.as_slice()[offset..], row_stride, col_stride)
 }
 
-/// Writes `block` over rows `row0..`, columns `col0..` of `m`.
-fn insert(m: &mut Matrix, block: &Matrix, row0: usize, col0: usize) {
-    for i in 0..block.rows() {
-        m.row_mut(row0 + i)[col0..col0 + block.cols()].copy_from_slice(block.row(i));
-    }
+/// Runs `body(rows, b)` on each of `out`'s `batch` sequences' rows, as one
+/// launch of bands of whole sequences: one inline band under 2¹⁶ of `work`.
+fn launch(out: &mut Matrix, batch: usize, work: usize, body: impl Fn(&mut [f32], usize) + Sync) {
+    let unit = out.len() / batch;
+    let per_band = batch.div_ceil(exec::parallelism_for(work, 1 << 16).min(batch));
+    let band = |rows: &mut [f32], b0: usize| {
+        for (s, rows) in rows.chunks_mut(unit).enumerate() {
+            body(rows, b0 + s);
+        }
+    };
+    exec::LaunchPlan::over_items("attention.heads", out.as_mut_slice(), unit, per_band, &band)
+        .launch();
 }
 
 fn add_row_grad(grad: &mut Matrix, db: &[f32]) {
@@ -407,7 +407,10 @@ mod tests {
         }
         // Queries of the last rows only, cached or not, and per sequence
         // of a batch: the same rows of the full forward, bitwise.
-        let mut cache = KvCache::new(8, 7);
+        // One row against a wider cache whose unwritten slots are NaN.
+        let mut cache = KvCache::new(8, 10);
+        cache.k_t.map_inplace(|_| f32::NAN);
+        cache.v.map_inplace(|_| f32::NAN);
         let (last, _) = attn.pass(&x, 1, 7, 1, Some((&mut cache, 0)), Retain::Nothing);
         assert_eq!(last, full.rows_range(6, 7));
         let x2 = init::normal(8, 8, 1.0, &mut rng);
@@ -420,14 +423,21 @@ mod tests {
         let q = init::normal(7, 4, 1.0, &mut rng);
         let k = init::normal(7, 4, 1.0, &mut rng);
         let v = init::normal(7, 4, 1.0, &mut rng);
-        let (ctx, probs) = attend(&q, &k, Trans::T, &v, 0.5, Retain::ForBackward);
-        let tail = q.rows_range(3, 7);
-        let (ctx_tail, probs_tail) = attend(&tail, &k, Trans::T, &v, 0.5, Retain::ForBackward);
+        let head = |rows: usize, k_t: PanelView<'_>| {
+            let mut ctx = Matrix::zeros(rows, 4);
+            let q = PanelView::new(&q.as_slice()[(7 - rows) * 4..], 4, 1);
+            let v = PanelView::new(v.as_slice(), 4, 1);
+            let out = OutView::new(ctx.as_mut_slice(), 4);
+            let probs = attend(q, k_t, v, (rows, 7, 7, 4), 0.5, Retain::ForBackward, out);
+            (ctx, probs)
+        };
+        let (ctx, probs) = head(7, PanelView::new(k.as_slice(), 1, 4));
+        let (ctx_tail, probs_tail) = head(4, PanelView::new(k.as_slice(), 1, 4));
         assert_eq!(ctx_tail, ctx.rows_range(3, 7));
         assert_eq!(probs_tail, probs.rows_range(3, 7));
-        // Keys handed over as `Kᵀ` give the same bits.
+        // Keys stored as `Kᵀ` give the same bits.
         let k_t = k.transpose();
-        let (ctx_t, probs_t) = attend(&tail, &k_t, Trans::N, &v, 0.5, Retain::ForBackward);
+        let (ctx_t, probs_t) = head(4, PanelView::new(k_t.as_slice(), 7, 1));
         assert_eq!(ctx_t, ctx_tail);
         assert_eq!(probs_t, probs_tail);
         assert_eq!(probs[(0, 1)], 0.0, "masked probabilities are exactly 0");
@@ -456,13 +466,18 @@ mod tests {
 
     #[test]
     fn backward_matches_finite_difference() {
+        // Two sequences, so a band that mixed up sequences or heads shows;
+        // `w_qkv` scaled up from its GPT-2 init (where every score is ≈ 0
+        // and the softmax uniform), so the Q and K paths carry gradients
+        // the tolerance can see.
         let mut rng = seeded_rng(4);
         let mut attn = Attention::new(6, 2, &mut rng);
-        let x = init::normal(4, 6, 0.8, &mut rng);
-        let w = init::normal(4, 6, 0.5, &mut rng); // fixed projection for a scalar objective
+        attn.w_qkv.value_mut().scale(25.0);
+        let x = init::normal(8, 6, 0.8, &mut rng);
+        let w = init::normal(8, 6, 0.5, &mut rng); // fixed projection for a scalar objective
 
         let objective = |attn: &Attention, x: &Matrix| -> f32 {
-            let (y, _) = attn.forward(x, 1, 4);
+            let (y, _) = attn.forward(x, 2, 4);
             y.as_slice()
                 .iter()
                 .zip(w.as_slice())
@@ -470,12 +485,11 @@ mod tests {
                 .sum()
         };
 
-        let (y, cache) = attn.forward(&x, 1, 4);
-        let _ = y;
+        let (_, cache) = attn.forward(&x, 2, 4);
         let dx = attn.backward(&cache, &w);
 
         let eps = 1e-3;
-        for i in 0..4 {
+        for i in 0..8 {
             for j in 0..6 {
                 let mut xp = x.clone();
                 xp[(i, j)] += eps;
@@ -483,27 +497,37 @@ mod tests {
                 xm[(i, j)] -= eps;
                 let num = (objective(&attn, &xp) - objective(&attn, &xm)) / (2.0 * eps);
                 assert!(
-                    (num - dx[(i, j)]).abs() < 3e-2 * (1.0 + num.abs()),
+                    (num - dx[(i, j)]).abs() < 1e-3 * (1.0 + num.abs()),
                     "dx({i},{j}): numeric {num}, analytic {}",
                     dx[(i, j)]
                 );
             }
         }
 
-        // Spot-check weight grads.
-        let spots = [(0usize, 0usize), (3, 10), (5, 17)];
-        for &(r, c) in &spots {
-            let ana = attn.w_qkv.grad()[(r, c)];
-            let orig = attn.w_qkv.value()[(r, c)];
-            attn.w_qkv.value_mut()[(r, c)] = orig + eps;
+        // Spot-check `w_qkv`, `b_qkv` (a query, a key and a value column)
+        // and `w_o`, by index into `params_mut`.
+        let spots = [
+            (0, 0usize, 0usize),
+            (0, 3, 10),
+            (0, 5, 17),
+            (1, 0, 4),
+            (1, 0, 8),
+            (1, 0, 13),
+            (2, 1, 2),
+            (2, 4, 5),
+        ];
+        for &(which, r, c) in &spots {
+            let ana = attn.params_mut()[which].grad()[(r, c)];
+            let orig = attn.params_mut()[which].value()[(r, c)];
+            attn.params_mut()[which].value_mut()[(r, c)] = orig + eps;
             let fp = objective(&attn, &x);
-            attn.w_qkv.value_mut()[(r, c)] = orig - eps;
+            attn.params_mut()[which].value_mut()[(r, c)] = orig - eps;
             let fm = objective(&attn, &x);
-            attn.w_qkv.value_mut()[(r, c)] = orig;
+            attn.params_mut()[which].value_mut()[(r, c)] = orig;
             let num = (fp - fm) / (2.0 * eps);
             assert!(
-                (num - ana).abs() < 3e-2 * (1.0 + num.abs()),
-                "dw_qkv({r},{c}): numeric {num}, analytic {ana}"
+                (num - ana).abs() < 1e-3 * (1.0 + num.abs()),
+                "param {which} ({r},{c}): numeric {num}, analytic {ana}"
             );
         }
         // Bias grads: db_o = column sums of upstream gradient w.

@@ -16,7 +16,13 @@
 //!   the prefill's p50, the 15 steps' p50, their ratio and the prefill's
 //!   share of the call; then every span's self time per prefill, summed
 //!   over the prefills only and over every thread (a prefill's products
-//!   run bands on the pool's workers, a step's one row does not).
+//!   run bands on the pool's workers, a step's one row does not);
+//! - once, in process: a one-token `DroplessMoe::infer` of the same dMoE
+//!   shape against its own expert products — `ops::sdd` + `ops::dsd` on
+//!   the expert the router picks — and the glue between them (router,
+//!   `PermuteInfo::new`, `Topology::for_moe`), interleaved call by call
+//!   and printed as p50s of 20 calls per round. What the layer costs
+//!   above its two products is that glue.
 //!
 //! Run with: `cargo run --release --example decode_parts [rounds]`
 //! (default 100 rounds, after 5 untimed ones).
@@ -24,9 +30,11 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use megablocks::core::MoeConfig;
+use megablocks::core::{DroplessMoe, MoeConfig, PermuteInfo};
+use megablocks::sparse::{ops, Topology};
 use megablocks::telemetry;
-use megablocks::tensor::init::seeded_rng;
+use megablocks::tensor::init::{normal, seeded_rng};
+use megablocks::tensor::Matrix;
 use megablocks::transformer::{DecodeState, FfnKind, TransformerConfig, TransformerLm};
 
 const PROMPT: usize = 48;
@@ -92,11 +100,63 @@ fn argmax(logits: &[f32]) -> usize {
         .map_or(0, |(i, _)| i)
 }
 
+/// A one-token `infer` against its own SDD + DSD and its glue, each timed
+/// per call and interleaved with the others, `calls` times.
+fn moe_in_process(moe: &MoeConfig, calls: usize) {
+    let layer = DroplessMoe::new(moe.clone(), &mut seeded_rng(2));
+    let x = normal(1, moe.hidden_size, 1.0, &mut seeded_rng(3));
+    let routing = layer.router().forward(&x);
+    let mut counts = vec![0; moe.num_experts];
+    counts[routing.expert_indices[0]] = 1;
+    let topology = Topology::for_moe(&counts, moe.ffn_hidden_size, moe.block_size)
+        .expect("one token fits the expert's first block");
+    let mut xg = Matrix::zeros(moe.block_size.get(), moe.hidden_size);
+    xg.row_mut(0).copy_from_slice(x.row(0));
+    let (w1, w2) = (layer.w1().value(), layer.w2().value());
+    let parts: [(&str, &dyn Fn()); 5] = [
+        ("DroplessMoe::infer", &|| {
+            layer.infer(&x).expect("valid").recycle()
+        }),
+        ("ops::sdd + ops::dsd", &|| {
+            let h = ops::sdd(&xg, w1, &topology);
+            ops::dsd(&h, w2).recycle();
+            h.recycle();
+        }),
+        ("router", &|| {
+            drop(std::hint::black_box(layer.router().forward(&x)))
+        }),
+        ("PermuteInfo::new", &|| {
+            let permute = PermuteInfo::new(&routing, moe.num_experts, moe.block_size);
+            drop(std::hint::black_box(permute));
+        }),
+        ("Topology::for_moe", &|| {
+            let topo = Topology::for_moe(&counts, moe.ffn_hidden_size, moe.block_size);
+            drop(std::hint::black_box(topo));
+        }),
+    ];
+    let mut ns = parts.map(|_| Vec::with_capacity(calls));
+    for call in 0..WARMUP + calls {
+        for ((_, part), ns) in parts.iter().zip(&mut ns) {
+            let start = Instant::now();
+            part();
+            if call >= WARMUP {
+                ns.push(start.elapsed().as_nanos() as u64);
+            }
+        }
+    }
+    println!("\none-token dMoE layer in process, {calls} interleaved calls each:");
+    println!("  {:<28} {:>15}", "part", "p50 µs/call");
+    for ((name, _), ns) in parts.iter().zip(&mut ns) {
+        println!("  {name:<28} {:>15.2}", p50_us(ns));
+    }
+}
+
 fn main() {
     let rounds: usize = match std::env::args().nth(1) {
         Some(arg) => arg.parse().expect("rounds: a whole number"),
         None => 100,
     };
+    let moe = MoeConfig::new(128, 512, 8).with_block_size(16);
     let cfg = TransformerConfig {
         vocab_size: 512,
         hidden_size: 128,
@@ -104,7 +164,7 @@ fn main() {
         num_heads: 2,
         seq_len: 128,
         ffn_hidden_size: 512,
-        ffn: FfnKind::Dropless(MoeConfig::new(128, 512, 8).with_block_size(16)),
+        ffn: FfnKind::Dropless(moe.clone()),
     };
     let vocab = cfg.vocab_size;
     let lm = TransformerLm::new(cfg, &mut seeded_rng(1));
@@ -196,4 +256,5 @@ fn main() {
     let mean = mean_us(&all_prefills);
     println!("\nprefill over the cycle: mean {mean:.1} µs");
     print_parts("prefill", parts, all_prefills.len() as f64, mean);
+    moe_in_process(&moe, 20 * rounds);
 }
