@@ -12,8 +12,8 @@
 //! `probs[(t, e)]` — and the pairs no expert picked have no row.
 
 use megablocks_sparse::Topology;
-use megablocks_tensor::ops::{softmax_rows, softmax_rows_backward};
-use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
+use megablocks_tensor::ops::{softmax_rows, softmax_rows_backward_inplace};
+use megablocks_tensor::{gemm, init, matmul, Matrix, Trans};
 use rand::rngs::StdRng;
 
 use crate::experts::{self, ExpertCache, Retain};
@@ -26,6 +26,15 @@ pub struct ExpertChoiceCache {
     x: Matrix,
     probs: Matrix,
     experts: ExpertCache,
+}
+
+impl ExpertChoiceCache {
+    /// Returns the cache's step-sized buffers to the calling thread's
+    /// workspace arena.
+    pub fn recycle(self) {
+        self.x.recycle();
+        self.experts.recycle();
+    }
 }
 
 /// Result of [`ExpertChoiceMoe::forward`].
@@ -155,7 +164,7 @@ impl ExpertChoiceMoe {
             output,
             stats,
             cache: ExpertChoiceCache {
-                x: x.clone(),
+                x: x.pooled_copy(),
                 probs,
                 experts,
             },
@@ -178,15 +187,18 @@ impl ExpertChoiceMoe {
             cache.probs.as_slice(),
             d_out,
         );
-        let d_probs = Matrix::from_vec(cache.probs.rows(), cache.probs.cols(), d_probs)
+        let (tokens, e) = cache.probs.shape();
+        let mut d_logits = Matrix::from_vec(tokens, e, d_probs)
             .expect("one weight gradient per (token, expert) pair");
 
         // Router backward through the softmax (selection treated as
-        // non-differentiable, like top-k in token-choice routing).
-        let d_logits = softmax_rows_backward(&cache.probs, &d_probs);
-        self.router_weight
-            .accumulate(&matmul_tn(&cache.x, &d_logits));
-        dx.add_assign(&matmul_nt(&d_logits, self.router_weight.value()));
+        // non-differentiable, like top-k in token-choice routing), in place.
+        softmax_rows_backward_inplace(cache.probs.as_slice(), d_logits.as_mut_slice(), e);
+        self.router_weight.accumulate_tn(&cache.x, &d_logits);
+        // `dx + d_logits·Wᵀ` as one accumulating product, the bits of
+        // adding a separate one (see `Param::accumulate_tn`).
+        let w = self.router_weight.value();
+        gemm(1.0, &d_logits, Trans::N, w, Trans::T, 1.0, &mut dx);
         dx
     }
 }

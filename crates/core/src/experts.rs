@@ -108,7 +108,7 @@ pub(crate) fn token_choice_forward(
     };
     crate::record_moe_stats(&stats);
     let cache = MoeCache {
-        x: x.clone(),
+        x: x.pooled_copy(),
         routing,
         experts,
         d_probs_aux: lb.d_probs,
@@ -135,6 +135,13 @@ impl MoeCache {
         (&self.experts.h_pre, &self.experts.h_act)
     }
 
+    /// Returns the cache's step-sized buffers to the calling thread's
+    /// workspace arena.
+    pub fn recycle(self) {
+        self.x.recycle();
+        self.experts.recycle();
+    }
+
     /// Backward of a token-choice layer: the expert pipeline, then the
     /// router (confidence weights + load-balancing loss).
     pub(crate) fn backward(
@@ -149,6 +156,7 @@ impl MoeCache {
             router.backward(&self.x, &self.routing, &d_weights, Some(&self.d_probs_aux));
         exec::workspace::recycle(d_weights);
         dx.add_assign(&dx_router);
+        dx_router.recycle();
         dx
     }
 }
@@ -183,6 +191,17 @@ pub(crate) fn forward(
         y,
     };
     Ok((output, Some(cache)))
+}
+
+impl ExpertCache {
+    /// Returns the pipeline's buffers to the calling thread's workspace
+    /// arena.
+    pub(crate) fn recycle(self) {
+        self.xg.recycle();
+        self.h_pre.recycle();
+        self.h_act.recycle();
+        self.y.recycle();
+    }
 }
 
 /// Backward of [`forward`]. Accumulates the gradients of `w1` and `w2`

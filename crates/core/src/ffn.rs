@@ -1,8 +1,8 @@
 //! The dense feed-forward layer of a standard Transformer — the layer that
 //! MoE layers replace (paper §2), used by the Megatron-LM dense baseline.
 
-use megablocks_tensor::ops::{add_bias, bias_backward, gelu, gelu_grad_mul};
-use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
+use megablocks_tensor::ops::{add_bias, bias_backward, gelu_grad_mul, gelu_into};
+use megablocks_tensor::{init, pooled_matmul, Matrix, Trans};
 use rand::rngs::StdRng;
 
 use crate::Param;
@@ -13,6 +13,15 @@ pub struct FfnCache {
     x: Matrix,
     h_pre: Matrix,
     h_act: Matrix,
+}
+
+impl FfnCache {
+    /// Returns the cache's buffers to the calling thread's workspace arena.
+    pub fn recycle(self) {
+        self.x.recycle();
+        self.h_pre.recycle();
+        self.h_act.recycle();
+    }
 }
 
 /// A 2-layer MLP with GeLU and biases: `y = gelu(x W1 + b1) W2 + b2` —
@@ -50,29 +59,26 @@ impl DenseFfn {
         self.w1.count() + self.b1.count() + self.w2.count() + self.b2.count()
     }
 
-    /// Forward pass on `x` (`num_tokens x hidden_size`).
+    /// Forward pass on `x` (`num_tokens x hidden_size`). The output and
+    /// the cache are in the calling thread's workspace arena: give them
+    /// back with [`Matrix::recycle`] and [`FfnCache::recycle`].
     ///
     /// # Panics
     ///
     /// Panics if `x.cols()` differs from the layer's hidden size.
     pub fn forward(&self, x: &Matrix) -> (Matrix, FfnCache) {
-        let mut h_pre = matmul(x, self.w1.value());
+        let mut h_pre = pooled_matmul(x, Trans::N, self.w1.value(), Trans::N);
         add_bias(&mut h_pre, self.b1.value().row(0));
-        let h_act = gelu(&h_pre);
-        let mut y = matmul(&h_act, self.w2.value());
+        let mut h_act = Matrix::pooled_zeros(h_pre.rows(), h_pre.cols());
+        gelu_into(h_act.as_mut_slice(), h_pre.as_slice());
+        let mut y = pooled_matmul(&h_act, Trans::N, self.w2.value(), Trans::N);
         add_bias(&mut y, self.b2.value().row(0));
-        (
-            y,
-            FfnCache {
-                x: x.clone(),
-                h_pre,
-                h_act,
-            },
-        )
+        let x = x.pooled_copy();
+        (y, FfnCache { x, h_pre, h_act })
     }
 
     /// Backward pass; accumulates weight gradients and returns the input
-    /// gradient.
+    /// gradient, in the calling thread's workspace arena.
     ///
     /// # Panics
     ///
@@ -87,8 +93,8 @@ impl DenseFfn {
         {
             *g += v;
         }
-        let mut dh = matmul_nt(d_out, self.w2.value());
-        self.w2.accumulate(&matmul_tn(&cache.h_act, d_out));
+        let mut dh = pooled_matmul(d_out, Trans::N, self.w2.value(), Trans::T);
+        self.w2.accumulate_tn(&cache.h_act, d_out);
         gelu_grad_mul(dh.as_mut_slice(), cache.h_pre.as_slice());
         for (g, v) in self
             .b1
@@ -99,8 +105,10 @@ impl DenseFfn {
         {
             *g += v;
         }
-        self.w1.accumulate(&matmul_tn(&cache.x, &dh));
-        matmul_nt(&dh, self.w1.value())
+        self.w1.accumulate_tn(&cache.x, &dh);
+        let dx = pooled_matmul(&dh, Trans::N, self.w1.value(), Trans::T);
+        dh.recycle();
+        dx
     }
 }
 
@@ -109,6 +117,7 @@ mod tests {
     use super::*;
     use megablocks_tensor::init::seeded_rng;
     use megablocks_tensor::ops::cross_entropy;
+    use megablocks_tensor::{matmul, matmul_nt};
 
     #[test]
     fn forward_shape() {

@@ -6,8 +6,8 @@
 //! the confidence weights that scale each expert's output (§2.4).
 
 use megablocks_telemetry as telemetry;
-use megablocks_tensor::ops::{softmax_rows, softmax_rows_backward};
-use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
+use megablocks_tensor::ops::{softmax_rows, softmax_rows_backward_inplace};
+use megablocks_tensor::{init, matmul, pooled_matmul, Matrix, Trans};
 use rand::rngs::StdRng;
 
 use crate::Param;
@@ -138,7 +138,7 @@ impl Router {
     ///   probability matrix (from the load-balancing loss).
     ///
     /// Accumulates the weight gradient internally and returns the gradient
-    /// with respect to `x`.
+    /// with respect to `x`, in the calling thread's workspace arena.
     ///
     /// # Panics
     ///
@@ -171,9 +171,12 @@ impl Router {
             let t = a / routing.top_k;
             d_probs[(t, e)] += dw;
         }
-        let d_logits = softmax_rows_backward(&routing.probs, &d_probs);
-        self.weight.accumulate(&matmul_tn(x, &d_logits));
-        matmul_nt(&d_logits, self.weight.value())
+        // The probability gradient becomes the logit gradient in place.
+        let experts = routing.probs.cols();
+        let (probs, d_logits) = (routing.probs.as_slice(), d_probs.as_mut_slice());
+        softmax_rows_backward_inplace(probs, d_logits, experts);
+        self.weight.accumulate_tn(x, &d_probs);
+        pooled_matmul(&d_probs, Trans::N, self.weight.value(), Trans::T)
     }
 }
 

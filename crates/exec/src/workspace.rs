@@ -83,7 +83,12 @@ impl Workspace {
             // cold allocation inside a step that should be steady-state.
             telemetry::trace_instant("exec.workspace.miss");
             telemetry::trace_counter_event("exec.workspace.misses", self.misses as f64);
-            vec![0.0; len]
+            // A fresh buffer's capacity is its power-of-two size class, so
+            // one that grows a little from one step to the next (a dMoE's,
+            // whose padded rows follow the routing) is still a hit.
+            let mut buf = Vec::with_capacity(len.next_power_of_two());
+            buf.resize(len, 0.0);
+            buf
         }
     }
 
@@ -157,6 +162,17 @@ mod tests {
         assert!(b.iter().all(|&v| v == 0.0), "recycled buffer not zeroed");
         let s = ws.stats();
         assert_eq!((s.hits, s.misses, s.held_buffers), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_miss_reserves_its_power_of_two_class() {
+        let mut ws = Workspace::new();
+        let a = ws.take_zeroed(40);
+        assert_eq!((a.len(), a.capacity()), (40, 64));
+        ws.recycle(a);
+        let b = ws.take_zeroed(64);
+        assert_eq!(b.len(), 64);
+        assert_eq!(ws.stats().hits, 1, "a grown request within the class hits");
     }
 
     #[test]

@@ -43,5 +43,5 @@ pub use kernel::{
     block_gemm, configure_kernel_backend, kernel_backend, tiled_variant, Axis, GemmMicrokernel,
     KernelBackend, OutView, PanelView,
 };
-pub use matmul::{gemm, matmul, matmul_nt, matmul_tn, Trans};
+pub use matmul::{gemm, matmul, matmul_nt, pooled_matmul, Trans};
 pub use matrix::Matrix;

@@ -60,8 +60,8 @@ fn sanitize_output(op: &'static str, data: &[f32]) {
 ///
 /// `op_a`/`op_b` select transposition of each input ([`Trans`]). This is the
 /// full BLAS-style GEMM used by every dense layer in the workspace; the
-/// convenience wrappers [`matmul`], [`matmul_tn`] and [`matmul_nt`] cover the
-/// common cases.
+/// convenience wrappers [`matmul`], [`matmul_nt`] and [`pooled_matmul`]
+/// cover the common cases.
 ///
 /// # Panics
 ///
@@ -130,6 +130,23 @@ pub fn gemm(
     sanitize_output("gemm", c_data);
 }
 
+/// `op_a(a) * op_b(b)` into a matrix from the calling thread's workspace
+/// arena ([`Matrix::pooled_zeros`]; give it back with
+/// [`Matrix::recycle`]). The buffer is already zero, so the product
+/// accumulates into it (`beta = 1`) — the same bits as `beta = 0` — and
+/// skips a second zeroing pass.
+///
+/// # Panics
+///
+/// Panics if the logical shapes are incompatible, as [`gemm`] does.
+pub fn pooled_matmul(a: &Matrix, op_a: Trans, b: &Matrix, op_b: Trans) -> Matrix {
+    let (m, _) = op_a.apply(a.shape());
+    let (_, n) = op_b.apply(b.shape());
+    let mut c = Matrix::pooled_zeros(m, n);
+    gemm(1.0, a, op_a, b, op_b, 1.0, &mut c);
+    c
+}
+
 /// Generates the `matmul*` convenience wrappers: each allocates the
 /// right-shaped output and runs one [`gemm`] with fixed transpositions —
 /// the per-combination loop bodies they used to carry all live in
@@ -152,13 +169,6 @@ matmul_wrappers! {
     ///
     /// Panics if `a.cols() != b.rows()`.
     matmul: (Trans::N, Trans::N) -> |a, b| (a.rows(), b.cols());
-
-    /// Computes `a^T * b` into a fresh matrix (used for weight gradients).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.rows() != b.rows()`.
-    matmul_tn: (Trans::T, Trans::N) -> |a, b| (a.cols(), b.cols());
 
     /// Computes `a * b^T` into a fresh matrix (used for data gradients).
     ///
@@ -297,7 +307,7 @@ mod tests {
     fn helpers_match_gemm() {
         let a = rand_matrix(4, 6, 21);
         let b = rand_matrix(4, 5, 22);
-        let c = matmul_tn(&a, &b);
+        let c = pooled_matmul(&a, Trans::T, &b, Trans::N);
         assert!(c.approx_eq(&reference(&a, Trans::T, &b, Trans::N), 1e-4));
 
         let a = rand_matrix(4, 6, 23);

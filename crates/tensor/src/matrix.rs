@@ -57,6 +57,14 @@ impl Matrix {
         }
     }
 
+    /// A copy of this matrix in workspace-arena storage, like
+    /// [`Matrix::pooled_zeros`].
+    pub fn pooled_copy(&self) -> Self {
+        let mut m = Self::pooled_zeros(self.rows, self.cols);
+        m.data.copy_from_slice(&self.data);
+        m
+    }
+
     /// Returns this matrix's storage to the execution runtime's workspace
     /// arena for reuse by a later [`Matrix::pooled_zeros`].
     pub fn recycle(self) {

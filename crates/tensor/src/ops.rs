@@ -31,11 +31,15 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
 /// Row-wise softmax, in place.
 pub fn softmax_rows_inplace(x: &mut Matrix) {
     let cols = x.cols();
+    softmax_rows_of(x.as_mut_slice(), cols);
+}
+
+/// [`softmax_rows_inplace`] on `data` read as rows of `cols` floats.
+pub fn softmax_rows_of(data: &mut [f32], cols: usize) {
     if cols == 0 {
         return;
     }
-    for i in 0..x.rows() {
-        let row = x.row_mut(i);
+    for row in data.chunks_exact_mut(cols) {
         softmax_row(row);
     }
 }
@@ -67,24 +71,36 @@ fn softmax_row(row: &mut [f32]) -> (f32, f32) {
 /// Panics if `y` and `dy` shapes differ.
 pub fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
     assert_eq!(y.shape(), dy.shape(), "softmax backward shape mismatch");
-    let mut dx = Matrix::zeros(y.rows(), y.cols());
-    for i in 0..y.rows() {
-        let yr = y.row(i);
-        let dyr = dy.row(i);
-        let dot: f32 = yr.iter().zip(dyr).map(|(a, b)| a * b).sum();
-        let dxr = dx.row_mut(i);
-        for j in 0..yr.len() {
-            dxr[j] = yr[j] * (dyr[j] - dot);
+    let mut dx = dy.clone();
+    softmax_rows_backward_inplace(y.as_slice(), dx.as_mut_slice(), y.cols());
+    dx
+}
+
+/// [`softmax_rows_backward`] in place on rows of `cols` floats: `grad`
+/// holds `dy` on entry and `dx` on return.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn softmax_rows_backward_inplace(y: &[f32], grad: &mut [f32], cols: usize) {
+    assert_eq!(y.len(), grad.len(), "softmax backward shape mismatch");
+    if cols == 0 {
+        return;
+    }
+    for (yr, row) in y.chunks_exact(cols).zip(grad.chunks_exact_mut(cols)) {
+        let dot: f32 = yr.iter().zip(&*row).map(|(a, b)| a * b).sum();
+        for (d, &p) in row.iter_mut().zip(yr) {
+            *d = p * (*d - dot);
         }
     }
-    dx
 }
 
 /// Mean cross-entropy between row-wise logits and integer targets, with the
 /// gradient computed in the same pass.
 ///
 /// Returns `(loss, dlogits)` where `loss` is averaged over rows and
-/// `dlogits` already includes the `1/rows` factor.
+/// `dlogits` already includes the `1/rows` factor. `dlogits` is in the
+/// calling thread's workspace arena ([`Matrix::pooled_zeros`]).
 ///
 /// Rows whose target equals `ignore_index` (if provided) contribute neither
 /// loss nor gradient — used for padded positions.
@@ -103,7 +119,7 @@ pub fn cross_entropy(
         logits.rows(),
         "cross_entropy needs one target per logits row"
     );
-    let mut dlogits = Matrix::zeros(logits.rows(), logits.cols());
+    let mut dlogits = Matrix::pooled_zeros(logits.rows(), logits.cols());
     let mut loss = 0.0f64;
     let mut counted = 0usize;
     for (i, &t) in targets.iter().enumerate() {
@@ -130,16 +146,26 @@ pub fn cross_entropy(
     ((loss / counted as f64) as f32, dlogits)
 }
 
-/// Cache produced by [`layer_norm`] and consumed by [`layer_norm_backward`].
+/// Cache produced by [`layer_norm`] and consumed by [`layer_norm_backward`]:
+/// each row's mean and reciprocal standard deviation.
 #[derive(Debug, Clone)]
 pub struct LayerNormCache {
-    mean: Vec<f32>,
-    rstd: Vec<f32>,
+    /// `[mean; rows]` then `[rstd; rows]`, in workspace-arena storage.
+    stats: Vec<f32>,
+}
+
+impl LayerNormCache {
+    /// Returns the cache's storage to the calling thread's workspace arena.
+    pub fn recycle(self) {
+        megablocks_exec::workspace::recycle(self.stats);
+    }
 }
 
 /// Layer normalization over each row, with learnable `gamma` and `beta`.
 ///
-/// Returns the normalized output and a cache for the backward pass.
+/// Returns the normalized output and a cache for the backward pass, both
+/// in the calling thread's workspace arena ([`Matrix::recycle`],
+/// [`LayerNormCache::recycle`]).
 ///
 /// # Panics
 ///
@@ -147,30 +173,29 @@ pub struct LayerNormCache {
 pub fn layer_norm(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32) -> (Matrix, LayerNormCache) {
     assert_eq!(gamma.len(), x.cols(), "gamma length mismatch");
     assert_eq!(beta.len(), x.cols(), "beta length mismatch");
-    let mut y = Matrix::zeros(x.rows(), x.cols());
-    let mut cache = LayerNormCache {
-        mean: Vec::with_capacity(x.rows()),
-        rstd: Vec::with_capacity(x.rows()),
-    };
+    let rows = x.rows();
+    let mut y = Matrix::pooled_zeros(rows, x.cols());
+    let mut stats = megablocks_exec::workspace::take_zeroed(2 * rows);
     let n = x.cols() as f32;
-    for i in 0..x.rows() {
+    for i in 0..rows {
         let row = x.row(i);
         let mean: f32 = row.iter().sum::<f32>() / n;
         let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
         let rstd = 1.0 / (var + eps).sqrt();
-        cache.mean.push(mean);
-        cache.rstd.push(rstd);
+        stats[i] = mean;
+        stats[rows + i] = rstd;
         let yr = y.row_mut(i);
         for j in 0..row.len() {
             yr[j] = (row[j] - mean) * rstd * gamma[j] + beta[j];
         }
     }
-    (y, cache)
+    (y, LayerNormCache { stats })
 }
 
 /// Backward pass of [`layer_norm`].
 ///
-/// Returns `(dx, dgamma, dbeta)`.
+/// Returns `(dx, dgamma, dbeta)`, `dx` in the calling thread's workspace
+/// arena.
 ///
 /// # Panics
 ///
@@ -182,20 +207,20 @@ pub fn layer_norm_backward(
     cache: &LayerNormCache,
 ) -> (Matrix, Vec<f32>, Vec<f32>) {
     assert_eq!(x.shape(), dy.shape(), "layer_norm_backward shape mismatch");
+    let rows = x.rows();
     assert_eq!(
-        cache.mean.len(),
-        x.rows(),
+        cache.stats.len(),
+        2 * rows,
         "cache does not match forward input"
     );
     let n = x.cols() as f32;
-    let mut dx = Matrix::zeros(x.rows(), x.cols());
+    let mut dx = Matrix::pooled_zeros(rows, x.cols());
     let mut dgamma = vec![0.0f32; x.cols()];
     let mut dbeta = vec![0.0f32; x.cols()];
     for i in 0..x.rows() {
         let row = x.row(i);
         let dyr = dy.row(i);
-        let mean = cache.mean[i];
-        let rstd = cache.rstd[i];
+        let (mean, rstd) = (cache.stats[i], cache.stats[rows + i]);
         // xhat = (x - mean) * rstd
         let mut sum_dy_g = 0.0f32;
         let mut sum_dy_g_xhat = 0.0f32;

@@ -1,60 +1,29 @@
 //! Causal multi-head self-attention with explicit backward pass and an
 //! incremental (KV-cached) forward.
 
-use std::sync::OnceLock;
+use std::sync::Mutex;
 
 use megablocks_core::Param;
 use megablocks_exec as exec;
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::ops::{
-    add_bias, bias_backward, softmax_rows_backward, softmax_rows_inplace,
+    add_bias, bias_backward, softmax_rows_backward_inplace, softmax_rows_of,
 };
-use megablocks_tensor::{
-    block_gemm, gemm, init, matmul_nt, matmul_tn, Matrix, OutView, PanelView, Trans,
-};
+use megablocks_tensor::{block_gemm, init, pooled_matmul, Matrix, OutView, PanelView, Trans};
 use rand::rngs::StdRng;
 
 /// What a forward pass keeps of its intermediates (`DroplessMoe`'s switch,
-/// for `Attention`, `Block` and `TransformerLm`), which is also where they
-/// live: retained ones outlive the step on the heap, the others are
-/// borrowed from the calling thread's workspace arena.
+/// for `Attention`, `Block` and `TransformerLm`). Either way every buffer
+/// is taken from the calling thread's workspace arena and given back to
+/// it: an intermediate once the pass is done with it, a retained one once
+/// backward has consumed it (`BlockCache::recycle`), so a steady-state
+/// training step allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Retain {
     /// Everything `backward` reads.
     ForBackward,
     /// Only the output, which the caller recycles when done with it.
     Nothing,
-}
-
-impl Retain {
-    /// A zeroed `rows x cols` matrix in this mode's storage.
-    pub(crate) fn zeros(self, rows: usize, cols: usize) -> Matrix {
-        match self {
-            Retain::ForBackward => Matrix::zeros(rows, cols),
-            Retain::Nothing => Matrix::pooled_zeros(rows, cols),
-        }
-    }
-
-    /// `a * op_b(b)` in this mode's storage.
-    pub(crate) fn matmul(self, a: &Matrix, b: &Matrix, op_b: Trans) -> Matrix {
-        let n = match op_b {
-            Trans::N => b.cols(),
-            Trans::T => b.rows(),
-        };
-        let mut c = self.zeros(a.rows(), n);
-        // `beta = 0`, as `tensor::matmul` has it: the refill is what first
-        // touches a fresh heap matrix's pages, on this thread; leaving it
-        // to the bands cost `train_dense` 12% more CPU per token.
-        gemm(1.0, a, Trans::N, b, op_b, 0.0, &mut c);
-        c
-    }
-
-    /// Gives a dead intermediate back to where [`Retain::zeros`] took it.
-    pub(crate) fn release(self, m: Matrix) {
-        if self == Retain::Nothing {
-            m.recycle();
-        }
-    }
 }
 
 /// One layer's keys and values of one sequence, for incremental decoding.
@@ -83,10 +52,20 @@ impl KvCache {
 pub struct AttentionCache {
     x: Matrix,
     qkv: Matrix,
-    probs: Vec<Matrix>,
+    /// Every (sequence, head)'s `seq x seq` probabilities, in that order.
+    probs: Matrix,
     ctx: Matrix,
     batch: usize,
     seq: usize,
+}
+
+impl AttentionCache {
+    /// Returns the cache's buffers to the calling thread's workspace arena.
+    pub fn recycle(self) {
+        for m in [self.x, self.qkv, self.probs, self.ctx] {
+            m.recycle();
+        }
+    }
 }
 
 /// Multi-head causal self-attention (GPT-2 style, with qkv and projection
@@ -140,12 +119,15 @@ impl Attention {
         self.w_qkv.count() + self.b_qkv.count() + self.w_o.count() + self.b_o.count()
     }
 
-    /// Forward pass over `batch` sequences of length `seq`.
+    /// Forward pass over `batch` sequences of length `seq`. The output and
+    /// the cache are in the calling thread's workspace arena: give them
+    /// back with [`Matrix::recycle`] and [`AttentionCache::recycle`].
     ///
     /// # Panics
     ///
     /// Panics if `x.rows() != batch * seq` or `x.cols() != hidden`.
     pub fn forward(&self, x: &Matrix, batch: usize, seq: usize) -> (Matrix, AttentionCache) {
+        let x = x.pooled_copy();
         let (out, cache) = self.pass(x, batch, seq, seq, None, Retain::ForBackward);
         (out, cache.expect("a ForBackward pass keeps its cache"))
     }
@@ -157,10 +139,11 @@ impl Attention {
     /// every query attends over positions `0..=` its own; without it each
     /// sequence is its own whole context (`past == 0`). Every row's key
     /// and value are computed, but only the last `keep` rows of each
-    /// sequence are queried: the output is `batch * keep` rows.
+    /// sequence are queried: the output is `batch * keep` rows. The pass
+    /// takes `x`, which the cache keeps or the arena gets back.
     pub(crate) fn pass(
         &self,
-        x: &Matrix,
+        x: Matrix,
         batch: usize,
         seq: usize,
         keep: usize,
@@ -179,7 +162,7 @@ impl Attention {
         let d = h / nh;
         let scale = 1.0 / (d as f32).sqrt();
 
-        let mut qkv = retain.matmul(x, self.w_qkv.value(), Trans::N);
+        let mut qkv = pooled_matmul(&x, Trans::N, self.w_qkv.value(), Trans::N);
         add_bias(&mut qkv, self.b_qkv.value().row(0));
         let n = kv.as_ref().map_or(0, |(cache, _)| cache.k_t.cols());
         let (kv, len) = match kv {
@@ -195,12 +178,19 @@ impl Attention {
             None => (None, seq),
         };
 
-        let mut ctx = retain.zeros(batch * keep, h);
-        let probs: Vec<OnceLock<Matrix>> = (0..batch * nh).map(|_| OnceLock::new()).collect();
+        let mut ctx = Matrix::pooled_zeros(batch * keep, h);
         let work = 2 * batch * nh * keep * len * d;
         let wide = if kv.is_some() && keep == 1 { n } else { len };
+        // Every (sequence, head)'s probabilities in one buffer from this
+        // thread's arena; the band of sequence `b` locks `b`'s share.
+        let mut probs = Matrix::pooled_zeros(batch * nh * keep, wide);
+        let shares = probs.as_mut_slice().chunks_mut(nh * keep * wide);
+        let shares: Vec<Mutex<&mut [f32]>> = shares.map(Mutex::new).collect();
         launch(&mut ctx, batch, work, |rows, b| {
-            for head in 0..nh {
+            let mut share = shares[b]
+                .lock()
+                .expect("a sequence's share is locked once, by its band");
+            for (head, p) in share.chunks_exact_mut(keep * wide).enumerate() {
                 let (col, at) = (head * d, b * seq * w + head * d);
                 let q = view(&qkv, at + (seq - keep) * w, w, 1);
                 // `Kᵀ` and `V`: every cached position, or this sequence's.
@@ -209,23 +199,19 @@ impl Attention {
                     None => (view(&qkv, at + h, 1, w), view(&qkv, at + 2 * h, w, 1)),
                 };
                 let out = OutView::new(&mut rows[col..], h);
-                let p = attend(q, k_t, v, (keep, len, wide, d), scale, retain, out);
-                match retain {
-                    Retain::ForBackward => drop(probs[b * nh + head].set(p)),
-                    Retain::Nothing => p.recycle(),
-                }
+                attend(q, k_t, v, (keep, len, wide, d), scale, p, out);
             }
         });
+        drop(shares);
 
-        let mut out = retain.matmul(&ctx, self.w_o.value(), Trans::N);
+        let mut out = pooled_matmul(&ctx, Trans::N, self.w_o.value(), Trans::N);
         add_bias(&mut out, self.b_o.value().row(0));
         match retain {
             Retain::ForBackward => {
-                let probs = probs.into_iter().map(|p| p.into_inner().expect("run"));
                 let cache = AttentionCache {
-                    x: x.clone(),
+                    x,
                     qkv,
-                    probs: probs.collect(),
+                    probs,
                     ctx,
                     batch,
                     seq,
@@ -233,14 +219,16 @@ impl Attention {
                 (out, Some(cache))
             }
             Retain::Nothing => {
-                qkv.recycle();
-                ctx.recycle();
+                for m in [x, qkv, probs, ctx] {
+                    m.recycle();
+                }
                 (out, None)
             }
         }
     }
 
-    /// Backward pass; accumulates parameter gradients and returns `dx`.
+    /// Backward pass; accumulates parameter gradients and returns `dx`, in
+    /// the calling thread's workspace arena.
     ///
     /// # Panics
     ///
@@ -253,28 +241,29 @@ impl Attention {
         let scale = 1.0 / (d as f32).sqrt();
 
         // Output projection.
-        let d_ctx = matmul_nt(d_out, self.w_o.value());
-        self.w_o.accumulate(&matmul_tn(&cache.ctx, d_out));
+        let d_ctx = pooled_matmul(d_out, Trans::N, self.w_o.value(), Trans::T);
+        self.w_o.accumulate_tn(&cache.ctx, d_out);
         add_row_grad(self.b_o.grad_mut(), &bias_backward(d_out));
 
         // Per-head attention backward, in one launch: each head writes its
         // dQ, dK and dV columns of its sequence's rows of `d_qkv`.
-        let mut d_qkv = Matrix::zeros(batch * seq, w);
+        let mut d_qkv = Matrix::pooled_zeros(batch * seq, w);
         let work = 4 * batch * nh * seq * seq * d;
         launch(&mut d_qkv, batch, work, |rows, b| {
             for head in 0..nh {
                 let (col, at) = (head * d, b * seq * w + head * d);
-                let probs = &cache.probs[b * nh + head];
+                let p_at = (b * nh + head) * seq * seq;
+                let probs = &cache.probs.as_slice()[p_at..p_at + seq * seq];
                 let d_ctx_h = view(&d_ctx, b * seq * h + col, h, 1);
                 // dV = Pᵀ dC, dP = dC Vᵀ.
                 let dv = OutView::new(&mut rows[2 * h + col..], w);
-                block_gemm(seq, d, seq, 1.0, view(probs, 0, 1, seq), d_ctx_h, dv);
-                let mut d_probs = Matrix::pooled_zeros(seq, seq);
+                block_gemm(seq, d, seq, 1.0, PanelView::new(probs, 1, seq), d_ctx_h, dv);
+                // This band's thread takes the scratch and gives it back.
+                let mut d_scores = Matrix::pooled_zeros(seq, seq);
                 let v_t = view(&cache.qkv, at + 2 * h, 1, w);
-                let dp = OutView::new(d_probs.as_mut_slice(), seq);
+                let dp = OutView::new(d_scores.as_mut_slice(), seq);
                 block_gemm(seq, seq, d, 1.0, d_ctx_h, v_t, dp);
-                let mut d_scores = softmax_rows_backward(probs, &d_probs);
-                d_probs.recycle();
+                softmax_rows_backward_inplace(probs, d_scores.as_mut_slice(), seq);
                 // Masked positions' gradient is already 0; `scale` is 1/√d.
                 d_scores.scale(scale);
                 // dQ = dS K, dK = dSᵀ Q.
@@ -283,21 +272,26 @@ impl Attention {
                 block_gemm(seq, d, seq, 1.0, view(&d_scores, 0, seq, 1), k, dq);
                 let dk = OutView::new(&mut rows[h + col..], w);
                 block_gemm(seq, d, seq, 1.0, view(&d_scores, 0, 1, seq), q, dk);
+                d_scores.recycle();
             }
         });
+        d_ctx.recycle();
 
         // Input projection.
-        self.w_qkv.accumulate(&matmul_tn(&cache.x, &d_qkv));
+        self.w_qkv.accumulate_tn(&cache.x, &d_qkv);
         add_row_grad(self.b_qkv.grad_mut(), &bias_backward(&d_qkv));
-        matmul_nt(&d_qkv, self.w_qkv.value())
+        let dx = pooled_matmul(&d_qkv, Trans::N, self.w_qkv.value(), Trans::T);
+        d_qkv.recycle();
+        dx
     }
 }
 
 /// One head of causal attention, read and written in place: the `rows`
 /// queries `q` are the last of the `len` positions of `k_t` (`d x wide`,
 /// `wide >= len`) and `v` (`len x d`), and each attends over positions
-/// `0..=` its own. Accumulates the context into `out` (zeroed); returns
-/// the probabilities (masked entries, and every column past `len`, `+0`).
+/// `0..=` its own. Writes the probabilities into `probs` (`rows x wide`,
+/// zeroed; masked entries, and every column past `len`, come out `+0`)
+/// and accumulates the context into `out` (zeroed).
 ///
 /// A masked score is `-inf`, so its probability is `+0` and it adds `+0`
 /// to the softmax denominator and `0 * v` to a context accumulator that
@@ -311,18 +305,15 @@ fn attend(
     v: PanelView<'_>,
     (rows, len, wide, d): (usize, usize, usize, usize),
     scale: f32,
-    retain: Retain,
+    probs: &mut [f32],
     out: OutView<'_>,
-) -> Matrix {
-    let mut scores = retain.zeros(rows, wide);
-    let s_out = OutView::new(scores.as_mut_slice(), wide);
-    block_gemm(rows, wide, d, scale, q, k_t, s_out);
-    for i in 0..rows {
-        scores.row_mut(i)[len - rows + i + 1..].fill(f32::NEG_INFINITY);
+) {
+    block_gemm(rows, wide, d, scale, q, k_t, OutView::new(probs, wide));
+    for (i, row) in probs.chunks_exact_mut(wide).enumerate() {
+        row[len - rows + i + 1..].fill(f32::NEG_INFINITY);
     }
-    softmax_rows_inplace(&mut scores);
-    block_gemm(rows, d, len, 1.0, view(&scores, 0, wide, 1), v, out);
-    scores
+    softmax_rows_of(probs, wide);
+    block_gemm(rows, d, len, 1.0, PanelView::new(probs, wide, 1), v, out);
 }
 
 /// `m`'s storage from `offset` on, as a GEMM operand with these strides.
@@ -400,8 +391,8 @@ mod tests {
         // with and without retention: rows of the full forward, bitwise.
         for retain in [Retain::Nothing, Retain::ForBackward] {
             let mut cache = KvCache::new(8, 7);
-            let (head, _) = attn.pass(&x.rows_range(0, 3), 1, 3, 3, Some((&mut cache, 0)), retain);
-            let (tail, _) = attn.pass(&x.rows_range(3, 7), 1, 4, 4, Some((&mut cache, 3)), retain);
+            let (head, _) = attn.pass(x.rows_range(0, 3), 1, 3, 3, Some((&mut cache, 0)), retain);
+            let (tail, _) = attn.pass(x.rows_range(3, 7), 1, 4, 4, Some((&mut cache, 3)), retain);
             assert_eq!(head, full.rows_range(0, 3));
             assert_eq!(tail, full.rows_range(3, 7));
         }
@@ -411,11 +402,11 @@ mod tests {
         let mut cache = KvCache::new(8, 10);
         cache.k_t.map_inplace(|_| f32::NAN);
         cache.v.map_inplace(|_| f32::NAN);
-        let (last, _) = attn.pass(&x, 1, 7, 1, Some((&mut cache, 0)), Retain::Nothing);
+        let (last, _) = attn.pass(x.clone(), 1, 7, 1, Some((&mut cache, 0)), Retain::Nothing);
         assert_eq!(last, full.rows_range(6, 7));
         let x2 = init::normal(8, 8, 1.0, &mut rng);
         let (full2, _) = attn.forward(&x2, 2, 4);
-        let (tails, _) = attn.pass(&x2, 2, 4, 2, None, Retain::Nothing);
+        let (tails, _) = attn.pass(x2.clone(), 2, 4, 2, None, Retain::Nothing);
         assert_eq!(tails.rows_range(0, 2), full2.rows_range(2, 4));
         assert_eq!(tails.rows_range(2, 4), full2.rows_range(6, 8));
 
@@ -427,8 +418,9 @@ mod tests {
             let mut ctx = Matrix::zeros(rows, 4);
             let q = PanelView::new(&q.as_slice()[(7 - rows) * 4..], 4, 1);
             let v = PanelView::new(v.as_slice(), 4, 1);
+            let mut probs = Matrix::zeros(rows, 7);
             let out = OutView::new(ctx.as_mut_slice(), 4);
-            let probs = attend(q, k_t, v, (rows, 7, 7, 4), 0.5, Retain::ForBackward, out);
+            attend(q, k_t, v, (rows, 7, 7, 4), 0.5, probs.as_mut_slice(), out);
             (ctx, probs)
         };
         let (ctx, probs) = head(7, PanelView::new(k.as_slice(), 1, 4));
@@ -449,7 +441,7 @@ mod tests {
         let mut rng = seeded_rng(6);
         let attn = Attention::new(8, 2, &mut rng);
         let x = init::normal(4, 8, 1.0, &mut rng);
-        let _ = attn.pass(&x, 1, 4, 1, None, Retain::ForBackward);
+        let _ = attn.pass(x, 1, 4, 1, None, Retain::ForBackward);
     }
 
     #[test]

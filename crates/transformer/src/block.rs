@@ -34,6 +34,16 @@ enum FfnCacheKind {
     ExpertChoice(ExpertChoiceCache),
 }
 
+impl FfnCacheKind {
+    fn recycle(self) {
+        match self {
+            FfnCacheKind::Dense(c) => c.recycle(),
+            FfnCacheKind::Dropless(c) | FfnCacheKind::Dropping(c) => c.recycle(),
+            FfnCacheKind::ExpertChoice(c) => c.recycle(),
+        }
+    }
+}
+
 /// Forward-pass cache for [`Block::backward`].
 #[derive(Debug, Clone)]
 pub struct BlockCache {
@@ -45,6 +55,18 @@ pub struct BlockCache {
     ffn: FfnCacheKind,
     /// MoE statistics of this block's forward pass (None for dense FFN).
     pub moe_stats: Option<MoeStats>,
+}
+
+impl BlockCache {
+    /// Returns the cache's buffers to the calling thread's workspace arena.
+    pub fn recycle(self) {
+        self.x.recycle();
+        self.ln1.recycle();
+        self.attn.recycle();
+        self.mid.recycle();
+        self.ln2.recycle();
+        self.ffn.recycle();
+    }
 }
 
 /// One pre-norm Transformer block:
@@ -109,8 +131,11 @@ impl Block {
         matches!(self.ffn, BlockFfn::Dense(_) | BlockFfn::Dropless(_))
     }
 
-    /// Forward pass over `batch` sequences of length `seq`.
+    /// Forward pass over `batch` sequences of length `seq`. The output and
+    /// the cache are in the calling thread's workspace arena: give them
+    /// back with [`Matrix::recycle`] and [`BlockCache::recycle`].
     pub fn forward(&self, x: &Matrix, batch: usize, seq: usize) -> (Matrix, BlockCache) {
+        let x = x.pooled_copy();
         let (out, cache) = self.pass(x, batch, seq, seq, None, Retain::ForBackward);
         (out, cache.expect("a ForBackward pass keeps its cache"))
     }
@@ -118,17 +143,18 @@ impl Block {
     /// The one block forward; `keep`, `kv` and `retain` are
     /// [`Attention::pass`]'s: every row feeds the keys and values, and
     /// the last `keep` rows of each sequence run the rest of the block.
+    /// The pass takes `x`, which the cache keeps or the arena gets back.
     pub(crate) fn pass(
         &self,
-        x: &Matrix,
+        x: Matrix,
         batch: usize,
         seq: usize,
         keep: usize,
         kv: Option<(&mut KvCache, usize)>,
         retain: Retain,
     ) -> (Matrix, Option<BlockCache>) {
-        let (n1, ln1) = self.ln1.forward(x);
-        let (mut mid, attn) = self.attn.pass(&n1, batch, seq, keep, kv, retain);
+        let (n1, ln1) = self.ln1.forward(&x);
+        let (mut mid, attn) = self.attn.pass(n1, batch, seq, keep, kv, retain);
         // `attn + x` is `x + attn` bit for bit, without a copy of `x`; the
         // kept rows are the last `keep` of each sequence of `x`.
         let h = x.cols();
@@ -165,12 +191,14 @@ impl Block {
                 (out.output, Some((cache, Some(out.stats))))
             }
         };
+        // Every FFN cache keeps its own copy of its input.
+        n2.recycle();
         match retain {
             Retain::ForBackward => {
                 f.add_assign(&mid);
                 let (ffn, moe_stats) = ffn.expect("a ForBackward pass keeps the FFN cache");
                 let cache = BlockCache {
-                    x: x.clone(),
+                    x,
                     ln1,
                     attn: attn.expect("a ForBackward pass keeps the attention cache"),
                     mid,
@@ -182,16 +210,20 @@ impl Block {
             }
             Retain::Nothing => {
                 mid.add_assign(&f);
-                // Only `infer` hands out arena storage.
-                if ffn.is_none() {
-                    f.recycle();
+                f.recycle();
+                x.recycle();
+                ln1.recycle();
+                ln2.recycle();
+                if let Some((ffn, _)) = ffn {
+                    ffn.recycle();
                 }
                 (mid, None)
             }
         }
     }
 
-    /// Backward pass; accumulates parameter gradients and returns `dx`.
+    /// Backward pass; accumulates parameter gradients and returns `dx`, in
+    /// the calling thread's workspace arena.
     pub fn backward(&mut self, cache: &BlockCache, d_out: &Matrix) -> Matrix {
         // Second residual: d_out flows to both mid and the FFN branch.
         let d_n2 = match (&mut self.ffn, &cache.ffn) {
@@ -201,13 +233,18 @@ impl Block {
             (BlockFfn::ExpertChoice(moe), FfnCacheKind::ExpertChoice(c)) => moe.backward(c, d_out),
             _ => unreachable!("cache flavor always matches the layer flavor"),
         };
-        let mut d_mid = d_out.clone();
-        d_mid.add_assign(&self.ln2.backward(&cache.mid, &d_n2, &cache.ln2));
+        // Each residual sum is added into the layer norm's gradient: `b + a`
+        // is `a + b` bit for bit, without a copy of `d_out`.
+        let mut d_mid = self.ln2.backward(&cache.mid, &d_n2, &cache.ln2);
+        d_mid.add_assign(d_out);
+        d_n2.recycle();
 
         // First residual.
         let d_n1 = self.attn.backward(&cache.attn, &d_mid);
-        let mut dx = d_mid;
-        dx.add_assign(&self.ln1.backward(&cache.x, &d_n1, &cache.ln1));
+        let mut dx = self.ln1.backward(&cache.x, &d_n1, &cache.ln1);
+        dx.add_assign(&d_mid);
+        d_n1.recycle();
+        d_mid.recycle();
         dx
     }
 }

@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 use megablocks_core::{MoeStats, Param};
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::ops::{cross_entropy, LayerNormCache};
-use megablocks_tensor::{init, matmul, matmul_nt, matmul_tn, Matrix};
+use megablocks_tensor::{init, matmul, pooled_matmul, Matrix, Trans};
 use rand::rngs::StdRng;
 
 use crate::attention::{KvCache, Retain};
@@ -128,7 +128,8 @@ impl TransformerLm {
     }
 
     /// Embeds a token window exactly as the forward pass does (token +
-    /// positional embeddings). Exposed for routing/diagnostic probes.
+    /// positional embeddings), in the calling thread's workspace arena.
+    /// Exposed for routing/diagnostic probes.
     ///
     /// # Panics
     ///
@@ -136,20 +137,12 @@ impl TransformerLm {
     /// maximum, or a token is out of vocabulary.
     pub fn embed_tokens(&self, inputs: &[usize], batch: usize) -> Matrix {
         let seq = inputs.len() / batch.max(1);
-        // The caller keeps the result, so it gets plain storage.
-        self.embed(inputs, batch, seq, 0, Retain::ForBackward)
+        self.embed(inputs, batch, seq, 0)
     }
 
     /// Token + positional embeddings of `batch` runs of `seq` tokens that
     /// each start at position `past`.
-    fn embed(
-        &self,
-        inputs: &[usize],
-        batch: usize,
-        seq: usize,
-        past: usize,
-        retain: Retain,
-    ) -> Matrix {
+    fn embed(&self, inputs: &[usize], batch: usize, seq: usize, past: usize) -> Matrix {
         let _span = telemetry::span("transformer.embed");
         assert_eq!(
             inputs.len(),
@@ -160,7 +153,7 @@ impl TransformerLm {
             past + seq <= self.cfg.seq_len,
             "sequence longer than the model maximum"
         );
-        let mut x = retain.zeros(batch * seq, self.cfg.hidden_size);
+        let mut x = Matrix::pooled_zeros(batch * seq, self.cfg.hidden_size);
         for (r, &tok) in inputs.iter().enumerate() {
             assert!(tok < self.cfg.vocab_size, "token {tok} out of vocabulary");
             let pos = past + r % seq;
@@ -191,7 +184,7 @@ impl TransformerLm {
         retain: Retain,
     ) -> (Matrix, Vec<BlockCache>) {
         let mut layers = layers.iter_mut();
-        let mut h = self.embed(inputs, batch, seq, past, retain);
+        let mut h = self.embed(inputs, batch, seq, past);
         let mut caches = Vec::new();
         for (i, block) in self.blocks.iter().enumerate() {
             let kv = layers.next().map(|layer| (layer, past));
@@ -200,20 +193,21 @@ impl TransformerLm {
             } else {
                 seq
             };
-            let (next, cache) = block.pass(&h, batch, seq, keep, kv, retain);
+            let (next, cache) = block.pass(h, batch, seq, keep, kv, retain);
             caches.extend(cache);
-            retain.release(std::mem::replace(&mut h, next));
+            h = next;
         }
         (h, caches)
     }
 
     /// Final layer norm and tied LM head (`logits = h_final @ wte^T`) on
-    /// the rows of `h`; returns the logits and what their backward reads.
-    /// At a training batch's row count the transposed pack is amortised.
+    /// the rows of `h`; returns the logits and what their backward reads,
+    /// all in the workspace arena. At a training batch's row count the
+    /// transposed pack is amortised.
     fn head(&self, h: &Matrix) -> (Matrix, Matrix, LayerNormCache) {
         let _span = telemetry::span("transformer.lm_head");
         let (h_final, ln_f) = self.ln_f.forward(h);
-        let logits = matmul_nt(&h_final, self.wte.value());
+        let logits = pooled_matmul(&h_final, Trans::N, self.wte.value(), Trans::T);
         (logits, h_final, ln_f)
     }
 
@@ -226,10 +220,13 @@ impl TransformerLm {
         for b in 0..batch {
             last.row_mut(b).copy_from_slice(h.row(b * seq + seq - 1));
         }
-        let (h_final, _) = self.ln_f.forward(&last);
+        let (h_final, ln_f) = self.ln_f.forward(&last);
         last.recycle();
+        ln_f.recycle();
         let wte_t = self.wte_t.get_or_init(|| self.wte.value().transpose());
-        matmul(&h_final, wte_t)
+        let logits = matmul(&h_final, wte_t);
+        h_final.recycle();
+        logits
     }
 
     /// Evaluation forward pass: mean cross-entropy over the batch, no
@@ -247,9 +244,13 @@ impl TransformerLm {
         );
         let seq = seq_of(inputs, batch);
         let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), seq, Retain::Nothing);
-        let (logits, ..) = self.head(&h);
-        h.recycle();
-        cross_entropy(&logits, targets, None).0
+        let (logits, h_final, ln_f) = self.head(&h);
+        let (loss, d_logits) = cross_entropy(&logits, targets, None);
+        for m in [h, h_final, logits, d_logits] {
+            m.recycle();
+        }
+        ln_f.recycle();
+        loss
     }
 
     /// Next-token logits for the last position of each sequence: a
@@ -399,30 +400,35 @@ impl TransformerLm {
         let (logits, h_final, ln_f) = self.head(&h_last);
 
         let (ce_loss, d_logits) = cross_entropy(&logits, targets, None);
+        logits.recycle();
 
         // LM head backward (tied weights: the embedding gets two gradient
         // contributions — the head here, the lookup below).
-        let mut d_h_final = matmul(&d_logits, self.wte.value());
-        self.wte.accumulate(&matmul_tn(&d_logits, &h_final));
+        let d_h_final = pooled_matmul(&d_logits, Trans::N, self.wte.value(), Trans::N);
+        self.wte.accumulate_tn(&d_logits, &h_final);
+        d_logits.recycle();
+        h_final.recycle();
 
         // Final layer norm.
-        let d_h_last = self.ln_f.backward(&h_last, &d_h_final, &ln_f);
-        d_h_final = d_h_last;
+        let mut d_h = self.ln_f.backward(&h_last, &d_h_final, &ln_f);
+        h_last.recycle();
+        d_h_final.recycle();
+        ln_f.recycle();
 
-        // Blocks in reverse.
+        // Blocks in reverse, each cache back to the arena once consumed.
         let mut moe_stats = Vec::new();
-        for (block, bc) in self.blocks.iter_mut().zip(&caches).rev() {
-            d_h_final = block.backward(bc, &d_h_final);
-            if let Some(s) = &bc.moe_stats {
-                moe_stats.push(s.clone());
-            }
+        for (block, mut bc) in self.blocks.iter_mut().zip(caches).rev() {
+            let d_in = block.backward(&bc, &d_h);
+            std::mem::replace(&mut d_h, d_in).recycle();
+            moe_stats.extend(bc.moe_stats.take());
+            bc.recycle();
         }
         moe_stats.reverse();
 
         // Embedding backward.
         for (r, &tok) in inputs.iter().enumerate() {
             let pos = r % seq;
-            let g = d_h_final.row(r);
+            let g = d_h.row(r);
             let te = self.wte.grad_mut().row_mut(tok);
             for (d, v) in te.iter_mut().zip(g) {
                 *d += v;
@@ -432,6 +438,7 @@ impl TransformerLm {
                 *d += v;
             }
         }
+        d_h.recycle();
 
         let lb_loss: f32 = moe_stats.iter().map(|s| s.load_balancing_loss).sum();
         let dropped_tokens = moe_stats.iter().map(|s| s.dropped_tokens).sum();

@@ -37,7 +37,8 @@ impl LayerNorm {
         self.gamma.count() + self.beta.count()
     }
 
-    /// Forward pass; the cache feeds [`LayerNorm::backward`].
+    /// Forward pass; the cache feeds [`LayerNorm::backward`]. Both are in
+    /// the calling thread's workspace arena, as is `backward`'s `dx`.
     pub fn forward(&self, x: &Matrix) -> (Matrix, LayerNormCache) {
         layer_norm(
             x,

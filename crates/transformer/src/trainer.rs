@@ -6,6 +6,7 @@
 use std::time::Instant;
 
 use megablocks_data::TokenDataset;
+use megablocks_exec as exec;
 use megablocks_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,6 +100,8 @@ pub struct PendingStep {
     dropped_tokens: usize,
     max_load_imbalance: f64,
     started: Instant,
+    /// The calling thread's workspace-arena misses when the step started.
+    misses_before: u64,
     /// MoE-layer observations behind the routing-health fields of the
     /// `train.step` event.
     moe_layer_obs: usize,
@@ -254,6 +257,7 @@ impl Trainer {
     /// non-finite loss before calling [`Trainer::apply_step`].
     pub fn accumulate_step(&mut self, train: &TokenDataset) -> PendingStep {
         let started = Instant::now();
+        let misses_before = exec::workspace::stats().misses;
         let micro_steps = self.cfg.batch_size / self.cfg.micro_batch_size;
         let mut ce = 0.0f32;
         let mut lb = 0.0f32;
@@ -289,6 +293,7 @@ impl Trainer {
             dropped_tokens: dropped,
             max_load_imbalance: imbalance,
             started,
+            misses_before,
             moe_layer_obs,
             padding_rows,
             kept_assignments,
@@ -310,6 +315,7 @@ impl Trainer {
             dropped_tokens: dropped,
             max_load_imbalance: imbalance,
             started,
+            misses_before,
             moe_layer_obs,
             padding_rows,
             kept_assignments,
@@ -352,6 +358,9 @@ impl Trainer {
             dropped as f64 / total_assignments as f64
         };
         let router_entropy = entropy_sum / moe_layer_obs.max(1) as f64;
+        // Buffers the step could not take from this thread's arena: 0 once
+        // the arena holds a step's working set.
+        let workspace_misses = exec::workspace::stats().misses - misses_before;
         telemetry::event(
             "train.step",
             &[
@@ -366,6 +375,7 @@ impl Trainer {
                 ("padding_overhead", padding_overhead.into()),
                 ("drop_rate", drop_rate.into()),
                 ("router_entropy", router_entropy.into()),
+                ("workspace_misses", workspace_misses.into()),
             ],
         );
         // Close the update first, so it lies inside the step it belongs to.

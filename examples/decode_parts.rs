@@ -22,7 +22,13 @@
 //!   the expert the router picks — and the glue between them (router,
 //!   `PermuteInfo::new`, `Topology::for_moe`), interleaved call by call
 //!   and printed as p50s of 20 calls per round. What the layer costs
-//!   above its two products is that glue.
+//!   above its two products is that glue;
+//! - once, in process: the read rate of a one-row product over a 256 KB
+//!   weight panel (`1 x 128` by `128 x 512`), hot (the same panel every
+//!   call) and cold (a 16 MB ring of panels, larger than a per-core L2,
+//!   so each call's panel comes from further out) — the floor a decode
+//!   step's products, whose weights the other layers evict, can be held
+//!   to.
 //!
 //! Run with: `cargo run --release --example decode_parts [rounds]`
 //! (default 100 rounds, after 5 untimed ones).
@@ -34,7 +40,7 @@ use megablocks::core::{DroplessMoe, MoeConfig, PermuteInfo};
 use megablocks::sparse::{ops, Topology};
 use megablocks::telemetry;
 use megablocks::tensor::init::{normal, seeded_rng};
-use megablocks::tensor::Matrix;
+use megablocks::tensor::{matmul, Matrix};
 use megablocks::transformer::{DecodeState, FfnKind, TransformerConfig, TransformerLm};
 
 const PROMPT: usize = 48;
@@ -151,6 +157,39 @@ fn moe_in_process(moe: &MoeConfig, calls: usize) {
     }
 }
 
+/// GB/s of a one-row product streaming a 256 KB panel, hot and cold,
+/// interleaved call by call: p50s of `calls` calls each.
+fn panel_reads(calls: usize) {
+    const K: usize = 128;
+    const N: usize = 512;
+    /// 16 MB of panels.
+    const RING: usize = 64;
+    let x = normal(1, K, 1.0, &mut seeded_rng(4));
+    let ring: Vec<Matrix> = (0..RING)
+        .map(|i| normal(K, N, 1.0, &mut seeded_rng(100 + i as u64)))
+        .collect();
+    let (mut hot, mut cold) = (Vec::with_capacity(calls), Vec::with_capacity(calls));
+    for call in 0..WARMUP + calls {
+        for (panel, ns) in [
+            (&ring[0], &mut hot),
+            (&ring[1 + call % (RING - 1)], &mut cold),
+        ] {
+            let start = Instant::now();
+            std::hint::black_box(matmul(&x, panel));
+            if call >= WARMUP {
+                ns.push(start.elapsed().as_nanos() as u64);
+            }
+        }
+    }
+    let gbs = |ns: &mut Vec<u64>| (K * N * 4) as f64 / (p50_us(ns) * 1e3);
+    println!(
+        "
+one-row product over a 256 KB panel, {calls} interleaved calls each:"
+    );
+    println!("  hot  (same panel)          {:>6.1} GB/s", gbs(&mut hot));
+    println!("  cold (a 16 MB ring)        {:>6.1} GB/s", gbs(&mut cold));
+}
+
 fn main() {
     let rounds: usize = match std::env::args().nth(1) {
         Some(arg) => arg.parse().expect("rounds: a whole number"),
@@ -257,4 +296,5 @@ fn main() {
     println!("\nprefill over the cycle: mean {mean:.1} µs");
     print_parts("prefill", parts, all_prefills.len() as f64, mean);
     moe_in_process(&moe, 20 * rounds);
+    panel_reads(20 * rounds);
 }

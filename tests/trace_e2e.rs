@@ -17,6 +17,8 @@ use megablocks::transformer::{
 };
 
 const STEPS: usize = 4;
+/// Steps after which the caller's workspace arena holds a step's buffers.
+const WARM_UP_STEPS: usize = 2;
 
 fn temp_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mbrs-trace-e2e-{}", std::process::id()));
@@ -247,6 +249,13 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
         assert_eq!(drop_rate, 0.0, "{ev:?}");
         assert!(num("router_entropy") >= 0.0, "entropy non-negative: {ev:?}");
         assert!(num("tokens_per_sec") > 0.0, "throughput recorded: {ev:?}");
+        // Every step-sized buffer cycles through the caller's workspace
+        // arena: once the first steps have filled it, a step misses none.
+        let misses = ev.get("workspace_misses").and_then(Json::as_u64);
+        let misses = misses.unwrap_or_else(|| panic!("step {i}: no workspace_misses in {ev:?}"));
+        if i >= WARM_UP_STEPS {
+            assert_eq!(misses, 0, "step {i} missed the workspace arena: {ev:?}");
+        }
         // The event and the returned log are the same numbers.
         assert_eq!(imbalance.to_bits(), log.max_load_imbalance.to_bits());
         assert_eq!(
