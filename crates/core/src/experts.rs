@@ -228,11 +228,10 @@ pub(crate) fn backward(
     // confidence-weight grads.
     let (dy, d_weights) = padded_scatter_backward(d_out, &cache.y, &cache.permute, weights);
 
-    // Second expert layer: data grad SDD^T, weight grad DS^TD.
+    // Second expert layer: data grad SDD^T, weight grad DS^TD added into
+    // the parameter's gradient. An empty expert's rows stay as they were.
     let dh_act = ops::sdd_t(&dy, w2.value(), cache.h_pre.topology());
-    let dw2 = ops::dst_d(&cache.h_act, &dy);
-    w2.accumulate(&dw2);
-    dw2.recycle();
+    ops::dst_d_accumulate(&cache.h_act, &dy, w2.grad_mut());
     dy.recycle();
 
     // Activation backward on the valid rows of the stored blocks.
@@ -241,11 +240,10 @@ pub(crate) fn backward(
     let body = |rows: &mut [f32], at: usize| gelu_grad_mul(rows, &pre[at..at + rows.len()]);
     over_valid_rows("moe.gelu_grad", topology, dh.as_mut_slice(), &body);
 
-    // First expert layer: data grad DSD^T, weight grad DD^TS.
+    // First expert layer: data grad DSD^T, weight grad DD^TS added into
+    // the parameter's gradient.
     let dxg = ops::dsd_t(&dh, w1.value());
-    let dw1 = ops::ddt_s(&cache.xg, &dh);
-    w1.accumulate(&dw1);
-    dw1.recycle();
+    ops::ddt_s_accumulate(&cache.xg, &dh, w1.grad_mut());
     dh.recycle();
 
     // Permutation backward.

@@ -59,15 +59,6 @@ impl Param {
         (&mut self.value, grad)
     }
 
-    /// Adds `g` into the accumulated gradient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` has a different shape than the value.
-    pub fn accumulate(&mut self, g: &Matrix) {
-        self.grad_mut().add_assign(g);
-    }
-
     /// Adds `aᵀ·b` into the accumulated gradient as one accumulating GEMM:
     /// no temporary and no second pass. The same bits as accumulating a
     /// separately computed `aᵀ·b`: the kernel adds each element's finished
@@ -101,8 +92,9 @@ mod tests {
     #[test]
     fn accumulate_and_zero() {
         let mut p = Param::new(Matrix::zeros(2, 2));
-        p.accumulate(&Matrix::full(2, 2, 1.5));
-        p.accumulate(&Matrix::full(2, 2, 0.5));
+        let ones = Matrix::full(2, 2, 1.0);
+        p.accumulate_tn(&ones, &Matrix::full(2, 2, 0.75));
+        p.accumulate_tn(&ones, &Matrix::full(2, 2, 0.25));
         assert!(p.grad().approx_eq(&Matrix::full(2, 2, 2.0), 1e-6));
         p.zero_grad();
         assert_eq!(p.grad().max_abs(), 0.0);

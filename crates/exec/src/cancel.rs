@@ -276,6 +276,17 @@ pub fn enter(ctx: &Ctx) -> CtxScope {
     CtxScope { prev: Some(prev) }
 }
 
+/// Removes the current thread's ambient context until the returned guard
+/// drops, so launches in between run under the empty context — for work
+/// that must not stop half-done once it starts (an optimizer update
+/// mutates weights in place; a deadline that cut it short would leave
+/// them half-updated). [`enter`] cannot do this: entering an empty
+/// context keeps the outer one.
+pub fn detach() -> CtxScope {
+    let prev = CURRENT.with(|c| c.borrow_mut().take());
+    CtxScope { prev: Some(prev) }
+}
+
 /// The current thread's ambient context (empty if none installed).
 pub fn current() -> Ctx {
     CURRENT.with(|c| c.borrow().clone().unwrap_or_default())
@@ -393,6 +404,12 @@ mod tests {
                 assert!(!poll_cancelled());
             }
             assert!(poll_cancelled(), "inner scope must restore on drop");
+            {
+                // `detach` does mask it, and restores it on drop.
+                let _detached = detach();
+                assert!(!poll_cancelled());
+                assert!(current().is_empty());
+            }
             assert_eq!(current().status(), Some(CancelKind::Cancelled));
         }
         assert!(!poll_cancelled(), "outer scope must restore on drop");

@@ -2,14 +2,17 @@
 //!
 //! A [`LaunchPlan`] describes one kernel launch: a flat output slice, a
 //! partition of that slice into disjoint contiguous bands, and a band
-//! body. It replaces the hand-rolled scoped-thread launchers that the
+//! body. The output is `f32` for every kernel product; a plan over
+//! another element type (the `f64` partial sums of the gradient norm,
+//! the per-chunk slices of the optimizer update) goes through the same
+//! launcher. It replaces the hand-rolled scoped-thread launchers that the
 //! sparse (SDD/DSD/DDS) and dense (GEMM) paths used to duplicate — every
 //! parallel region in the workspace now goes through this one seam.
 //!
 //! Two partition shapes cover every kernel:
 //!
 //! * [`LaunchPlan::over_items`] — the output is `items` equal units of
-//!   `unit` floats (nonzero blocks for SDD, block-row bands for DSD,
+//!   `unit` elements (nonzero blocks for SDD, block-row bands for DSD,
 //!   rows for DDS/GEMM); each band owns `items_per_band` consecutive
 //!   items and the body receives `(band, first_item_index)`.
 //! * [`LaunchPlan::over_bands`] — explicitly sized bands (the SDD and
@@ -43,9 +46,9 @@ use crate::pool;
 
 /// How a plan slices its output.
 enum Partition {
-    /// `items` units of `unit` floats, `items_per_band` per band.
+    /// `items` units of `unit` elements, `items_per_band` per band.
     Uniform { unit: usize, items_per_band: usize },
-    /// Explicit per-band lengths, in floats.
+    /// Explicit per-band lengths, in elements.
     Explicit { band_lens: Vec<usize> },
 }
 
@@ -53,15 +56,17 @@ enum Partition {
 ///
 /// Build with [`LaunchPlan::over_items`] or [`LaunchPlan::over_bands`],
 /// then call [`LaunchPlan::launch`]. The body must be `Sync`: every band
-/// task shares it by reference.
-pub struct LaunchPlan<'data, 'body> {
+/// task shares it by reference. The elements are `f32` unless the output
+/// says otherwise; each band is handed to one task, so they must be
+/// `Send`.
+pub struct LaunchPlan<'data, 'body, T = f32> {
     op: &'static str,
-    data: &'data mut [f32],
+    data: &'data mut [T],
     partition: Partition,
-    body: &'body (dyn Fn(&mut [f32], usize) + Sync),
+    body: &'body (dyn Fn(&mut [T], usize) + Sync),
 }
 
-impl<'data, 'body> LaunchPlan<'data, 'body> {
+impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
     /// Plan over `data.len() / unit` uniform items, `items_per_band` per
     /// band. The body receives each band and the index of its first item.
     ///
@@ -71,10 +76,10 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
     /// — a malformed plan is a kernel bug, never a data condition.
     pub fn over_items(
         op: &'static str,
-        data: &'data mut [f32],
+        data: &'data mut [T],
         unit: usize,
         items_per_band: usize,
-        body: &'body (dyn Fn(&mut [f32], usize) + Sync),
+        body: &'body (dyn Fn(&mut [T], usize) + Sync),
     ) -> Self {
         assert!(unit > 0, "{op}: launch plan unit must be nonzero");
         assert!(
@@ -93,7 +98,7 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
         }
     }
 
-    /// Plan over explicitly sized bands (`band_lens` in floats). The body
+    /// Plan over explicitly sized bands (`band_lens` in elements). The body
     /// receives each band and its index.
     ///
     /// # Panics
@@ -102,15 +107,15 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
     /// must tile the output exactly.
     pub fn over_bands(
         op: &'static str,
-        data: &'data mut [f32],
+        data: &'data mut [T],
         band_lens: Vec<usize>,
-        body: &'body (dyn Fn(&mut [f32], usize) + Sync),
+        body: &'body (dyn Fn(&mut [T], usize) + Sync),
     ) -> Self {
         let total: usize = band_lens.iter().sum();
         assert_eq!(
             total,
             data.len(),
-            "{op}: band lengths sum to {total}, output has {} floats",
+            "{op}: band lengths sum to {total}, output has {} elements",
             data.len()
         );
         LaunchPlan {
@@ -189,7 +194,7 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
         // interval is recorded directly (not via `telemetry::span`) so
         // band executions land on each worker's timeline lane without
         // inflating the op's scalar span-family call counts.
-        let guarded = |band: &mut [f32], i: usize| {
+        let guarded = |band: &mut [T], i: usize| {
             resilience::maybe_panic(&resilience::sites::EXEC_WORKER_PANIC);
             let band_start_us = telemetry::trace_now_us();
             body(band, i);
@@ -212,7 +217,7 @@ impl<'data, 'body> LaunchPlan<'data, 'body> {
         // checks the band-boundary cancellation point. A cancelled launch
         // skips every band that has not started; its output is discarded
         // with the launch error, so the skipped writes are unobservable.
-        let run_band = |b: usize, band: &mut [f32], i: usize| {
+        let run_band = |b: usize, band: &mut [T], i: usize| {
             perturb::stall(b);
             let _ambient = cancel::enter(ctx_ref);
             if ctx_ref.status().is_some() {

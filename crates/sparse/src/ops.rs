@@ -527,6 +527,21 @@ pub fn try_dst_d_explicit(s: &BlockSparseMatrix, d: &Matrix) -> Result<Matrix, S
     try_dsd(&s.try_explicit_transpose()?, d)
 }
 
+/// DS^TD accumulated into a caller's matrix: `out += s^T * d` — the
+/// second-layer weight gradient added straight into a parameter's
+/// gradient, with no temporary and no second pass. The same bits as
+/// adding a separately computed [`dst_d`]: each element of `out` is
+/// written by one [`block_gemm`], which adds the element's finished sum
+/// once, and a sum that starts at `+0` is never `-0`.
+///
+/// # Panics
+///
+/// Panics if the logical shapes are incompatible or `out` is not the
+/// product's shape.
+pub fn dst_d_accumulate(s: &BlockSparseMatrix, d: &Matrix, out: &mut Matrix) {
+    dsd_into(s, Trans::T, d, Trans::N, out).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// General DSD: `out = op_s(s) * op_d(d)`.
 ///
 /// # Errors
@@ -540,6 +555,21 @@ pub fn try_dsd_op(
     d: &Matrix,
     op_d: Trans,
 ) -> Result<Matrix, SparseError> {
+    let (rows, cols) = s.topology().shape();
+    let rows = if op_s == Trans::N { rows } else { cols };
+    let mut out = Matrix::pooled_zeros(rows, logical(d, op_d).1);
+    dsd_into(s, op_s, d, op_d, &mut out)?;
+    Ok(out)
+}
+
+/// The body of every DSD: `out += op_s(s) * op_d(d)`.
+fn dsd_into(
+    s: &BlockSparseMatrix,
+    op_s: Trans,
+    d: &Matrix,
+    op_d: Trans,
+    out: &mut Matrix,
+) -> Result<(), SparseError> {
     let topo = s.topology();
     let bs = topo.block_size().get();
     let (sm, sk) = match op_s {
@@ -556,6 +586,12 @@ pub fn try_dsd_op(
         )));
     }
     let n = dn;
+    if out.shape() != (sm, n) {
+        return Err(SparseError::Mismatch(format!(
+            "dsd: output is {:?}, the product is {sm}x{n}",
+            out.shape()
+        )));
+    }
 
     let variant = dsd_variant(op_s, op_d);
     let _span = telemetry::span(variant);
@@ -572,10 +608,8 @@ pub fn try_dsd_op(
     let real = work[groups] * bs;
     telemetry::counter_with("sparse.blocks", variant).add(topo.nnz_blocks() as u64);
     telemetry::counter_with("sparse.flops", variant).add(2 * (real * n) as u64);
-
-    let mut out = Matrix::pooled_zeros(sm, n);
     if real == 0 || n == 0 {
-        return Ok(out);
+        return Ok(());
     }
 
     let area = topo.block_size().area();
@@ -615,8 +649,7 @@ pub fn try_dsd_op(
     }
     let band_lens = cuts.windows(2).map(|w| (w[1] - w[0]) * bs * n).collect();
     exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).launch();
-    debug_check(|| audit::check_finite(variant, out.as_slice()))?;
-    Ok(out)
+    debug_check(|| audit::check_finite(variant, out.as_slice()))
 }
 
 // ---------------------------------------------------------------------------
@@ -628,6 +661,19 @@ product_wrappers! {
     /// a dMoE FFN (paper §5.1).
     ddt_s / try_ddt_s: (d: &Matrix, s: &BlockSparseMatrix) -> Matrix
         = try_dds_op(d, Trans::T, s, Trans::N);
+}
+
+/// DD^TS accumulated into a caller's matrix: `out += d^T * s` — the
+/// first-layer weight gradient added straight into a parameter's
+/// gradient, with the same bits as adding a separately computed
+/// [`ddt_s`] (see [`dst_d_accumulate`]).
+///
+/// # Panics
+///
+/// Panics if the logical shapes are incompatible or `out` is not the
+/// product's shape.
+pub fn ddt_s_accumulate(d: &Matrix, s: &BlockSparseMatrix, out: &mut Matrix) {
+    dds_into(d, Trans::T, s, Trans::N, out).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// General DDS: `out = op_d(d) * op_s(s)`.
@@ -643,6 +689,21 @@ pub fn try_dds_op(
     s: &BlockSparseMatrix,
     op_s: Trans,
 ) -> Result<Matrix, SparseError> {
+    let (rows, cols) = s.topology().shape();
+    let cols = if op_s == Trans::N { cols } else { rows };
+    let mut out = Matrix::pooled_zeros(logical(d, op_d).0, cols);
+    dds_into(d, op_d, s, op_s, &mut out)?;
+    Ok(out)
+}
+
+/// The body of every DDS: `out += op_d(d) * op_s(s)`.
+fn dds_into(
+    d: &Matrix,
+    op_d: Trans,
+    s: &BlockSparseMatrix,
+    op_s: Trans,
+    out: &mut Matrix,
+) -> Result<(), SparseError> {
     let topo = s.topology();
     let bs = topo.block_size().get();
     let (dm, dk) = logical(d, op_d);
@@ -660,6 +721,12 @@ pub fn try_dds_op(
     }
     let m = dm;
     let n = sn;
+    if out.shape() != (m, n) {
+        return Err(SparseError::Mismatch(format!(
+            "dds: output is {:?}, the product is {m}x{n}",
+            out.shape()
+        )));
+    }
 
     let variant = dds_variant(op_d, op_s);
     let _span = telemetry::span(variant);
@@ -667,10 +734,8 @@ pub fn try_dds_op(
     let real = real_rows(topo, Walk::Rows)[topo.block_rows()] * bs;
     telemetry::counter_with("sparse.blocks", variant).add(topo.nnz_blocks() as u64);
     telemetry::counter_with("sparse.flops", variant).add(2 * (real * m) as u64);
-
-    let mut out = Matrix::pooled_zeros(m, n);
     if real == 0 || m == 0 {
-        return Ok(out);
+        return Ok(());
     }
 
     let area = topo.block_size().area();
@@ -716,8 +781,7 @@ pub fn try_dds_op(
 
     let rows_per_thread = m.div_ceil(threads);
     exec::LaunchPlan::over_items(variant, out.as_mut_slice(), n, rows_per_thread, &body).launch();
-    debug_check(|| audit::check_finite(variant, out.as_slice()))?;
-    Ok(out)
+    debug_check(|| audit::check_finite(variant, out.as_slice()))
 }
 
 fn logical(m: &Matrix, op: Trans) -> (usize, usize) {
@@ -1108,6 +1172,41 @@ mod tests {
         assert!(dx.approx_eq(&want_dx, 1e-4));
         let want_dw1 = matmul(&x.transpose(), &dh.to_dense());
         assert!(dw1.approx_eq(&want_dw1, 1e-4));
+    }
+
+    /// Accumulating a weight gradient in place has the bits of adding the
+    /// separately computed product, and an empty expert's rows (`dst_d`)
+    /// and columns (`ddt_s`) keep the gradient's values.
+    #[test]
+    fn accumulate_forms_match_adding_the_product() {
+        let (block, hidden, ffn) = (4, 6, 8);
+        let topo = Topology::for_moe(&[4, 0, 7], ffn, bs(block)).unwrap();
+        let (tokens, cols) = topo.shape();
+        let x = rand_matrix(tokens, hidden, 50);
+        let h = sdd(&x, &rand_matrix(hidden, cols, 51), &topo);
+        let dy = rand_matrix(tokens, hidden, 52);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let grad = rand_matrix(cols, hidden, 53);
+        let mut want = grad.clone();
+        want.add_assign(&dst_d(&h, &dy));
+        let mut got = grad.clone();
+        dst_d_accumulate(&h, &dy, &mut got);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got.row(ffn), grad.row(ffn), "the empty expert's rows");
+
+        let grad = rand_matrix(hidden, cols, 54);
+        let mut want = grad.clone();
+        want.add_assign(&ddt_s(&x, &h));
+        let mut got = grad.clone();
+        ddt_s_accumulate(&x, &h, &mut got);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got[(0, ffn)], grad[(0, ffn)], "the empty expert's columns");
+
+        let err = dsd_into(&h, Trans::T, &dy, Trans::N, &mut Matrix::zeros(cols, 1));
+        assert!(err.unwrap_err().to_string().contains("dsd: output is"));
+        let err = dds_into(&x, Trans::T, &h, Trans::N, &mut Matrix::zeros(1, cols));
+        assert!(err.unwrap_err().to_string().contains("dds: output is"));
     }
 
     #[test]

@@ -299,7 +299,7 @@ impl ResilientTrainer {
             }));
             match outcome {
                 Ok(pending) => {
-                    if pending.ce_loss().is_finite() && self.trainer.grads_finite() {
+                    if pending.ce_loss().is_finite() && pending.grad_norm().is_finite() {
                         if saw_panic {
                             resilience::record_recovered(&EXEC_WORKER_PANIC);
                         }

@@ -11,7 +11,7 @@ use megablocks_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{clip_grad_norm, Adam, AdamConfig, TransformerLm};
+use crate::{adam, Adam, AdamConfig, TransformerLm};
 
 /// Trainer hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,15 +90,18 @@ pub struct TrainLog {
 
 /// The output of [`Trainer::accumulate_step`]: per-step statistics whose
 /// gradients are sitting on the model, waiting for
-/// [`Trainer::apply_step`]. Holding one of these is the window in which
-/// the fault-tolerant loop validates the step (finite loss, finite
-/// gradients) and can still roll it back untouched.
+/// [`Trainer::apply_step`], and the averaged gradients' global norm.
+/// Holding one of these is the window in which the fault-tolerant loop
+/// validates the step (finite loss, finite norm) and can still roll it
+/// back untouched.
 #[derive(Debug, Clone)]
 pub struct PendingStep {
     ce_loss: f32,
     lb_loss: f32,
     dropped_tokens: usize,
     max_load_imbalance: f64,
+    /// Global L2 norm of the averaged gradients, before clipping.
+    grad_norm: f64,
     started: Instant,
     /// The calling thread's workspace-arena misses when the step started.
     misses_before: u64,
@@ -120,6 +123,13 @@ impl PendingStep {
     /// Mean load-balancing loss over the accumulated micro-batches.
     pub fn lb_loss(&self) -> f32 {
         self.lb_loss
+    }
+
+    /// Global L2 norm of the averaged gradients, before clipping, in
+    /// `f64`. Every `f32` square is finite in `f64`, so the norm is finite
+    /// exactly when every gradient element is.
+    pub fn grad_norm(&self) -> f64 {
+        self.grad_norm
     }
 }
 
@@ -220,17 +230,6 @@ impl Trainer {
         }
     }
 
-    /// Whether every accumulated gradient element is finite. Scanned by
-    /// the fault-tolerant loop between accumulation and the optimizer
-    /// update, so a NaN/Inf can be rolled back before it poisons the
-    /// weights.
-    pub fn grads_finite(&mut self) -> bool {
-        self.model
-            .params_mut()
-            .iter()
-            .all(|p| p.grad().as_slice().iter().all(|g| g.is_finite()))
-    }
-
     /// Runs one optimizer step (with gradient accumulation over
     /// `batch_size / micro_batch_size` micro-batches) on `train`.
     pub fn train_step(&mut self, train: &TokenDataset) -> TrainLog {
@@ -249,7 +248,9 @@ impl Trainer {
     }
 
     /// The accumulation phase of one step: samples and runs every
-    /// micro-batch, leaving summed gradients on the parameters. Nothing
+    /// micro-batch, leaving summed gradients on the parameters, and takes
+    /// the averaged gradients' norm (read-only, so it stays inside the
+    /// rollback window). Nothing
     /// is mutated beyond gradients and the data RNG, so the phase can be
     /// rolled back with [`Trainer::zero_grads`] +
     /// [`Trainer::set_rng_state`] — which is exactly what the
@@ -287,11 +288,16 @@ impl Trainer {
                 entropy_sum += megablocks_core::count_entropy(&layer.tokens_per_expert) as f64;
             }
         }
+        let grad_norm = {
+            let _norm = telemetry::span("train.norm");
+            adam::grad_norm(&self.model.params_mut(), 1.0 / micro_steps as f32)
+        };
         PendingStep {
             ce_loss: ce / micro_steps as f32,
             lb_loss: lb / micro_steps as f32,
             dropped_tokens: dropped,
             max_load_imbalance: imbalance,
+            grad_norm,
             started,
             misses_before,
             moe_layer_obs,
@@ -302,11 +308,14 @@ impl Trainer {
         }
     }
 
-    /// The update phase of one step: averages the accumulated gradients,
-    /// clips, applies the Adam update and advances the step counter.
-    /// Closes the step on the timeline: `train.step` spans the whole
-    /// step from [`Trainer::accumulate_step`]'s start, `train.update`
-    /// this phase only.
+    /// The update phase of one step: one Adam pass that reads each
+    /// accumulated gradient averaged over the micro-steps and clipped by
+    /// the pending step's norm; then advances the step counter. Once it
+    /// starts, the update runs to the end exactly once, as
+    /// [`Adam::step`] does. Closes the step on the timeline:
+    /// `train.step` spans the whole step from
+    /// [`Trainer::accumulate_step`]'s start, `train.update` this phase
+    /// only and `train.adam` its optimizer pass.
     pub fn apply_step(&mut self, pending: PendingStep) -> TrainLog {
         let update = telemetry::span("train.update");
         let PendingStep {
@@ -314,6 +323,7 @@ impl Trainer {
             lb_loss: lb,
             dropped_tokens: dropped,
             max_load_imbalance: imbalance,
+            grad_norm,
             started,
             misses_before,
             moe_layer_obs,
@@ -324,15 +334,17 @@ impl Trainer {
         } = pending;
         let micro_steps = self.cfg.batch_size / self.cfg.micro_batch_size;
 
-        // Average accumulated gradients over micro-steps, clip, update.
-        let scale = 1.0 / micro_steps as f32;
-        let mut params = self.model.params_mut();
-        for p in params.iter_mut() {
-            p.grad_mut().scale(scale);
-        }
-        let grad_norm = clip_grad_norm(&mut params, self.cfg.clip);
+        // The norm is of the averaged gradients; the update averages and
+        // clips each gradient as it reads it.
+        let grad_norm = grad_norm as f32;
+        let coef = adam::clip_coef(grad_norm, self.cfg.clip).unwrap_or(1.0);
         let lr = lr_at_step(&self.cfg, self.step);
-        self.optimizer.step(&mut params, lr);
+        {
+            let _adam = telemetry::span("train.adam");
+            let mut params = self.model.params_mut();
+            let scale = 1.0 / micro_steps as f32;
+            self.optimizer.update(&mut params, lr, scale, coef);
+        }
         self.step += 1;
 
         let elapsed = started.elapsed();

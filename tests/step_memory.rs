@@ -1,14 +1,16 @@
 //! A steady-state training step reuses its own memory: after two warm-up
-//! steps, a dense and a dMoE `TransformerLm::train_step` at the
-//! benchmark's shape (batch 4 × 128, hidden 128, two layers) take every
-//! buffer from the calling thread's workspace arena — no miss — and, on
-//! Linux, the process takes next to no minor page faults per step.
-//! One test, so the fault count is this process's alone.
+//! steps, a dense and a dMoE `Trainer::train_step` at the benchmark's
+//! shape (batch 4 × 128, hidden 128, two layers, no gradient
+//! accumulation) — forward, backward, gradient norm and Adam update —
+//! take every buffer from the calling thread's workspace arena — no miss
+//! — and, on Linux, the process takes next to no minor page faults per
+//! step. One test, so the fault count is this process's alone.
 
 use megablocks::core::MoeConfig;
+use megablocks::data::TokenDataset;
 use megablocks::exec::workspace;
 use megablocks::tensor::init::seeded_rng;
-use megablocks::transformer::{FfnKind, TransformerConfig, TransformerLm};
+use megablocks::transformer::{FfnKind, Trainer, TrainerConfig, TransformerConfig, TransformerLm};
 
 const BATCH: usize = 4;
 const SEQ: usize = 128;
@@ -50,16 +52,26 @@ fn config(ffn: FfnKind) -> TransformerConfig {
 fn a_steady_state_train_step_allocates_nothing() {
     let moe = MoeConfig::new(128, 512, 8).with_block_size(16);
     for (name, ffn) in [("dense", FfnKind::Dense), ("dMoE", FfnKind::Dropless(moe))] {
-        let cfg = config(ffn);
-        let mut lm = TransformerLm::new(cfg, &mut seeded_rng(1));
-        let tokens: Vec<usize> = (0..BATCH * SEQ + 1).map(|i| (i * 37 + 11) % 512).collect();
-        let (inputs, targets) = (&tokens[..BATCH * SEQ], &tokens[1..]);
+        let lm = TransformerLm::new(config(ffn), &mut seeded_rng(1));
+        let mut trainer = Trainer::new(
+            lm,
+            TrainerConfig {
+                batch_size: BATCH,
+                micro_batch_size: BATCH,
+                seq_len: SEQ,
+                ..TrainerConfig::small(100)
+            },
+        );
+        let tokens: Vec<u32> = (0..(8 * BATCH * SEQ) as u32)
+            .map(|i| (i * 37 + 11) % 512)
+            .collect();
+        let data = TokenDataset::new(tokens, 512);
         for _ in 0..2 {
-            lm.train_step(inputs, targets, BATCH);
+            trainer.train_step(&data);
         }
         for step in 0..STEPS {
             let (misses, faults) = (workspace::stats().misses, minor_faults());
-            lm.train_step(inputs, targets, BATCH);
+            trainer.train_step(&data);
             let missed = workspace::stats().misses - misses;
             assert_eq!(missed, 0, "{name} step {step}: {missed} workspace misses");
             if let (Some(before), Some(after)) = (faults, minor_faults()) {
