@@ -21,8 +21,7 @@
 //! * [`DroppingMoe`] — the token-dropping baseline (GShard/Switch/Tutel
 //!   formulation, §2–3): experts fill to a capacity in token order, the
 //!   rest drop; including Tutel's dynamic capacity factor.
-//! * [`VariableDroplessMoe`], [`ExpertChoiceMoe`] — variable-width
-//!   experts (§4.1) and expert-choice routing (§7) as two more policies.
+//! * [`ExpertChoiceMoe`] — expert-choice routing (§7) as one more policy.
 //! * [`DenseFfn`] — the dense FFN layer a standard Transformer uses, for
 //!   the Megatron-LM baseline.
 //!
@@ -54,7 +53,6 @@ mod loss;
 mod param;
 mod permute;
 mod router;
-mod variable;
 
 pub use config::{CapacityFactor, MoeConfig};
 pub use dmoe::{DmoeCache, DmoeOutput, DroplessMoe};
@@ -68,7 +66,6 @@ pub use permute::{
     padded_gather, padded_gather_backward, padded_scatter, padded_scatter_backward, PermuteInfo,
 };
 pub use router::{Router, Routing};
-pub use variable::{VariableDmoeCache, VariableDmoeOutput, VariableDroplessMoe, VariableMoeConfig};
 
 use megablocks_telemetry as telemetry;
 

@@ -2,9 +2,7 @@
 //! its binary: it reads the process-global telemetry registry's call
 //! counts.
 
-use megablocks_core::{
-    DroplessMoe, DroppingMoe, ExpertChoiceMoe, MoeConfig, VariableDroplessMoe, VariableMoeConfig,
-};
+use megablocks_core::{DroplessMoe, DroppingMoe, ExpertChoiceMoe, MoeConfig};
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::init::{normal, seeded_rng};
 
@@ -26,7 +24,6 @@ fn every_layer_forward_emits_the_pipeline_spans() {
     let dropless = DroplessMoe::new(cfg.clone(), &mut rng);
     let dropping = DroppingMoe::new(cfg.clone(), &mut rng);
     let expert_choice = ExpertChoiceMoe::new(cfg, &mut rng);
-    let variable = VariableDroplessMoe::new(VariableMoeConfig::new(8, vec![4, 8, 16], 4), &mut rng);
     let x = normal(16, 8, 1.0, &mut rng);
 
     let emits_once = |name: &str, forward: &dyn Fn()| {
@@ -40,5 +37,4 @@ fn every_layer_forward_emits_the_pipeline_spans() {
     emits_once("dropless", &|| drop(dropless.forward(&x)));
     emits_once("dropping", &|| drop(dropping.forward(&x)));
     emits_once("expert choice", &|| drop(expert_choice.forward(&x)));
-    emits_once("variable", &|| drop(variable.forward(&x)));
 }

@@ -1,9 +1,8 @@
-//! The four MoE layers against one finite-difference harness, and the
+//! The three MoE layers against one finite-difference harness, and the
 //! exact identities that hold because they share one expert pipeline.
 
 use megablocks_core::{
     CapacityFactor, DroplessMoe, DroppingMoe, ExpertChoiceMoe, MoeConfig, Param,
-    VariableDroplessMoe, VariableMoeConfig,
 };
 use megablocks_tensor::init::{normal, seeded_rng};
 use megablocks_tensor::ops::softmax_rows;
@@ -16,7 +15,7 @@ fn cfg() -> MoeConfig {
 }
 
 /// What the harness needs of a layer. `params_mut` is `[router, w1, w2]`
-/// for all four.
+/// for all three.
 trait Layer {
     fn params_mut(&mut self) -> Vec<&mut Param>;
     /// Layer output and auxiliary loss.
@@ -53,10 +52,6 @@ macro_rules! layer {
 // Token choice: the drop pattern is a function of the expert indices.
 layer!(DroplessMoe, |l, x| l.router().forward(x).expert_indices);
 layer!(DroppingMoe, |l, x| l.router().forward(x).expert_indices);
-layer!(VariableDroplessMoe, |l, x| l
-    .router()
-    .forward(x)
-    .expert_indices);
 // Expert choice: each expert's `capacity` most probable tokens, recomputed
 // from the router weight.
 layer!(ExpertChoiceMoe, |l, x| {
@@ -196,13 +191,6 @@ fn every_layer_matches_finite_differences() {
         (
             "expert choice",
             Box::new(ExpertChoiceMoe::new(cfg(), &mut rng)),
-        ),
-        (
-            "variable widths",
-            Box::new(VariableDroplessMoe::new(
-                VariableMoeConfig::new(HIDDEN, vec![4, 8, 16], 4),
-                &mut rng,
-            )),
         ),
     ];
     for (seed, (name, layer)) in cases.iter_mut().enumerate() {

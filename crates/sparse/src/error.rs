@@ -1,14 +1,9 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::audit::AuditError;
-
-/// Error type for block-sparse construction and validation.
+/// Error type for block-sparse construction and product shapes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SparseError {
-    /// A sanitizer invariant was violated (metadata corruption, a broken
-    /// kernel launch plan, or NaN/Inf poisoning in a kernel output).
-    Audit(AuditError),
     /// A block size of zero was requested.
     ZeroBlockSize,
     /// A dimension is not divisible by the block size.
@@ -45,7 +40,6 @@ pub enum SparseError {
 impl fmt::Display for SparseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SparseError::Audit(e) => write!(f, "{e}"),
             SparseError::ZeroBlockSize => write!(f, "block size must be nonzero"),
             SparseError::Unaligned {
                 what,
@@ -73,9 +67,3 @@ impl fmt::Display for SparseError {
 }
 
 impl Error for SparseError {}
-
-impl From<AuditError> for SparseError {
-    fn from(e: AuditError) -> Self {
-        SparseError::Audit(e)
-    }
-}

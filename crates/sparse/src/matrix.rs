@@ -212,35 +212,12 @@ impl BlockSparseMatrix {
     /// This is the *expensive* alternative that transpose indices avoid
     /// (§5.1.4); it exists for the ablation benchmark and as a correctness
     /// oracle for the transposed-iteration kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology's metadata is internally inconsistent (never
-    /// for a topology built through the checked constructors).
     pub fn explicit_transpose(&self) -> BlockSparseMatrix {
-        self.try_explicit_transpose()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`BlockSparseMatrix::explicit_transpose`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the topology's metadata is inconsistent — the
-    /// mirrored block of a stored block is missing from the transposed
-    /// topology, which only corrupted metadata can cause.
-    pub fn try_explicit_transpose(&self) -> Result<BlockSparseMatrix, SparseError> {
         let bs = self.topo.block_size().get();
-        let tt = self.topo.try_transposed()?;
-        let mut out = BlockSparseMatrix::zeros(&tt);
-        for k in 0..self.topo.nnz_blocks() {
-            let c = self.topo.coord(k);
-            let kt = tt.find(c.col, c.row).ok_or_else(|| {
-                SparseError::Mismatch(format!(
-                    "explicit_transpose: mirrored block ({}, {}) missing from transposed topology",
-                    c.col, c.row
-                ))
-            })?;
+        let mut out = BlockSparseMatrix::zeros(&self.topo.transposed());
+        // The transpose stores its blocks in this matrix's column-major
+        // order, which `transpose_indices` lists.
+        for (kt, &k) in self.topo.transpose_indices().iter().enumerate() {
             let src = self.block(k);
             let dst = out.block_mut(kt);
             for bi in 0..bs {
@@ -249,7 +226,7 @@ impl BlockSparseMatrix {
                 }
             }
         }
-        Ok(out)
+        out
     }
 
     /// The largest absolute stored value.

@@ -31,7 +31,7 @@
 //!   (`row_offsets`/`col_indices`). DSD with `op_s = T` and DDS with
 //!   `op_s = N` group block columns through the *transpose indices*
 //!   secondary index (§5.1.4): a run of columns shares one rectangle when
-//!   their row lists are identical and each block sits one storage slot
+//!   their row lists are identical, which puts each block one storage slot
 //!   after its left neighbour, so the rectangle is addressed in place and
 //!   no nonzero values are moved. The explicit-transpose alternative
 //!   ([`dst_d_explicit`]) exists as the ablation baseline.
@@ -63,19 +63,7 @@ use megablocks_exec as exec;
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::{block_gemm, Axis, Matrix, OutView, PanelView, Trans};
 
-use crate::audit::{self, AuditError};
 use crate::{BlockSparseMatrix, SparseError, Topology};
-
-/// Runs a structural check (metadata validation, the write-disjointness
-/// proof of a launch's band cuts, the NaN/Inf output sweep) in debug
-/// builds only: every `cargo test` pays for them, a release build runs
-/// none of them.
-fn debug_check(check: impl FnOnce() -> Result<(), AuditError>) -> Result<(), SparseError> {
-    if cfg!(debug_assertions) {
-        check().map_err(SparseError::Audit)?;
-    }
-    Ok(())
-}
 
 /// Work below this many f32 multiply-adds stays single-banded: even a
 /// pooled launch costs a queue round-trip per band.
@@ -143,13 +131,10 @@ impl Rect<'_> {
 /// identical and all but the last are full: row-major storage then puts
 /// block `(r0 + t, cross[j])` at slot `first + t * cross.len() + j`, and
 /// the run's valid rows are its first `span_len`. A run of block columns
-/// is one rectangle when their row lists are identical *and* every block
-/// sits exactly one slot after its left neighbour, so block
-/// `(cross[j], c0 + t)` is at slot `slot(cross[j], c0) + t`. Sorted rows
-/// make the second condition follow from the first; it is checked rather
-/// than assumed so that metadata that violates it (unvalidated, out of
-/// [`Topology::from_raw_parts_unchecked`]) splits the run instead of
-/// being addressed as if it held.
+/// is one rectangle when their row lists are identical: row-major storage
+/// sorts each row's columns and no column lies between two neighbours, so
+/// every block then sits exactly one slot after its left neighbour and
+/// block `(cross[j], c0 + t)` is at slot `slot(cross[j], c0) + t`.
 fn for_each_rect(topo: &Topology, walk: Walk, groups: Range<usize>, mut f: impl FnMut(&Rect<'_>)) {
     let bs = topo.block_size().get();
     let area = topo.block_size().area();
@@ -180,7 +165,7 @@ fn for_each_rect(topo: &Topology, walk: Walk, groups: Range<usize>, mut f: impl 
                 }
                 Walk::Cols => (0..width).all(|j| {
                     let (left, here) = (transpose[offsets[g - 1] + j], transpose[at + j]);
-                    here == left + 1 && row_indices[here] == row_indices[left]
+                    row_indices[here] == row_indices[left]
                 }),
             }
         };
@@ -343,10 +328,8 @@ macro_rules! product_wrappers {
         ///
         /// # Errors
         ///
-        /// Returns [`SparseError::Mismatch`] on incompatible shapes (and
-        /// [`SparseError::Audit`] on sanitizer violations in debug
-        /// builds). A tripped ambient context unwinds as
-        /// [`try_sdd_op`] describes.
+        /// Returns [`SparseError::Mismatch`] on incompatible shapes. A
+        /// tripped ambient context unwinds as [`try_sdd_op`] describes.
         pub fn $try_name($($arg: $ty),*) -> Result<$ret, SparseError> {
             $target($($call),*)
         }
@@ -421,7 +404,6 @@ pub fn try_sdd_op(
 
     let variant = sdd_variant(op_a, op_b);
     let _span = telemetry::span(variant);
-    debug_check(|| topo.validate())?;
 
     let mut out = BlockSparseMatrix::pooled_zeros(topo);
     let work = real_rows(topo, Walk::Rows);
@@ -466,15 +448,11 @@ pub fn try_sdd_op(
         });
     };
 
-    if cuts.len() > 2 {
-        debug_check(|| audit::verify_sdd_partition(topo, &cuts))?;
-    }
     let band_lens = cuts
         .windows(2)
         .map(|w| (row_offsets[w[1]] - row_offsets[w[0]]) * area)
         .collect();
     exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).launch();
-    debug_check(|| audit::check_finite(variant, out.as_slice()))?;
     Ok(out)
 }
 
@@ -517,14 +495,13 @@ pub fn dst_d_explicit(s: &BlockSparseMatrix, d: &Matrix) -> Matrix {
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::Mismatch`] on incompatible shapes (and
-/// [`SparseError::Audit`] on sanitizer violations in debug builds).
+/// Returns [`SparseError::Mismatch`] on incompatible shapes.
 pub fn try_dst_d_explicit(s: &BlockSparseMatrix, d: &Matrix) -> Result<Matrix, SparseError> {
     // The span covers the materialized transpose plus the inner DSD (which
     // records its own nested "sparse.dsd" span), so the ablation's extra
     // cost shows up as this span's exclusive time.
     let _span = telemetry::span("sparse.dst_d_explicit");
-    try_dsd(&s.try_explicit_transpose()?, d)
+    try_dsd(&s.explicit_transpose(), d)
 }
 
 /// DS^TD accumulated into a caller's matrix: `out += s^T * d` — the
@@ -595,7 +572,6 @@ fn dsd_into(
 
     let variant = dsd_variant(op_s, op_d);
     let _span = telemetry::span(variant);
-    debug_check(|| topo.validate())?;
     // Output rows are grouped by block row (op_s = N) or block column
     // (op_s = T, walked through the transpose indices, §5.1.4); each group
     // of `bs` output rows belongs to exactly one band.
@@ -644,12 +620,9 @@ fn dsd_into(
         });
     };
 
-    if cuts.len() > 2 {
-        debug_check(|| audit::verify_dsd_partition(topo, op_s == Trans::T, &cuts))?;
-    }
     let band_lens = cuts.windows(2).map(|w| (w[1] - w[0]) * bs * n).collect();
     exec::LaunchPlan::over_bands(variant, out.as_mut_slice(), band_lens, &body).launch();
-    debug_check(|| audit::check_finite(variant, out.as_slice()))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -730,7 +703,6 @@ fn dds_into(
 
     let variant = dds_variant(op_d, op_s);
     let _span = telemetry::span(variant);
-    debug_check(|| topo.validate())?;
     let real = real_rows(topo, Walk::Rows)[topo.block_rows()] * bs;
     telemetry::counter_with("sparse.blocks", variant).add(topo.nnz_blocks() as u64);
     telemetry::counter_with("sparse.flops", variant).add(2 * (real * m) as u64);
@@ -781,7 +753,7 @@ fn dds_into(
 
     let rows_per_thread = m.div_ceil(threads);
     exec::LaunchPlan::over_items(variant, out.as_mut_slice(), n, rows_per_thread, &body).launch();
-    debug_check(|| audit::check_finite(variant, out.as_slice()))
+    Ok(())
 }
 
 fn logical(m: &Matrix, op: Trans) -> (usize, usize) {
@@ -893,39 +865,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn column_run_splits_when_blocks_are_not_one_slot_apart() {
-        // Both rows hold columns {0, 1}, but row 0 stores them in the
-        // order [1, 0] — metadata `validate` rejects, reachable only
-        // through the unchecked constructor. The two columns' row lists
-        // are identical, yet block (0, 1) sits one slot *before* (0, 0)
-        // while (1, 1) sits one slot after (1, 0): no single offset table
-        // addresses both columns, so the run must split.
-        let sorted = Topology::from_blocks(
-            2,
-            2,
-            (0..2).flat_map(|r| (0..2).map(move |c| BlockCoord { row: r, col: c })),
-            bs(2),
-        )
-        .unwrap();
-        assert_eq!(rects(&sorted, Walk::Cols, 0..2), [(0..2, vec![0, 1])]);
-        let unsorted = Topology::from_raw_parts_unchecked(
-            bs(2),
-            2,
-            2,
-            vec![0, 2, 4],
-            vec![1, 0, 0, 1],
-            vec![0, 0, 1, 1],
-            vec![0, 2, 4],
-            vec![1, 2, 0, 3],
-            vec![2, 2],
-        );
-        assert_eq!(
-            rects(&unsorted, Walk::Cols, 0..2),
-            [(0..1, vec![0, 1]), (1..2, vec![0, 1])]
-        );
-    }
-
     /// `(span_len, cross_len)` of every rectangle `groups` lowers to.
     fn extents(topo: &Topology, walk: Walk) -> Vec<(usize, usize)> {
         let groups = match walk {
@@ -976,6 +915,38 @@ mod tests {
         assert_eq!(band_cuts(&offsets, 8), [0, 1, 3, 4, 5]);
         assert_eq!(band_cuts(&[0, 3], 4), [0, 1]);
         assert_eq!(band_cuts(&[0, 0, 0], 2), [0, 2]);
+    }
+
+    /// The bands of a launch own disjoint runs of groups that cover them
+    /// all: the cuts start at 0, end at the last group and ascend, and
+    /// every band of a multi-band launch holds work.
+    #[test]
+    fn band_cuts_tile_the_groups() {
+        let mut state = 7u64;
+        let mut held = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 62) as usize // 0..=3 units, empty groups included
+        };
+        for groups in 1..12 {
+            for _ in 0..8 {
+                let mut work = vec![0usize];
+                for g in 0..groups {
+                    work.push(work[g] + held());
+                }
+                for bands in 1..10 {
+                    let cuts = band_cuts(&work, bands);
+                    assert_eq!(cuts.first(), Some(&0), "{work:?} into {bands}");
+                    assert_eq!(cuts.last(), Some(&groups), "{work:?} into {bands}");
+                    assert!(cuts.len() <= bands + 1, "{work:?} into {bands}: {cuts:?}");
+                    if cuts.len() > 2 {
+                        let holds = cuts.windows(2).all(|w| work[w[0]] < work[w[1]]);
+                        assert!(holds, "{work:?} into {bands}: {cuts:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -233,10 +233,39 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// [`SparseError::Audit`] if [`Topology::validate`] rejects `rows_valid`.
+    /// [`SparseError::Mismatch`] unless `rows_valid` has one entry per
+    /// block row, none above the block size, and its valid rows form a
+    /// prefix down every block column (no valid row below a block row
+    /// that is not full).
     pub fn with_rows_valid(mut self, rows_valid: Vec<usize>) -> Result<Self, SparseError> {
+        let bs = self.inner.block_size.get();
+        if rows_valid.len() != self.inner.block_rows {
+            return Err(SparseError::Mismatch(format!(
+                "rows_valid has {} entries for {} block rows",
+                rows_valid.len(),
+                self.inner.block_rows
+            )));
+        }
+        if let Some(row) = rows_valid.iter().position(|&v| v > bs) {
+            return Err(SparseError::Mismatch(format!(
+                "rows_valid[{row}] = {} exceeds the block size {bs}",
+                rows_valid[row]
+            )));
+        }
+        for col in 0..self.inner.block_cols {
+            let mut open = true;
+            for slot in self.col_blocks(col) {
+                let row = self.inner.row_indices[slot];
+                if !open && rows_valid[row] > 0 {
+                    return Err(SparseError::Mismatch(format!(
+                        "rows_valid: block row {row} holds valid rows below a block row \
+                         of block column {col} that is not full"
+                    )));
+                }
+                open &= rows_valid[row] == bs;
+            }
+        }
         Arc::make_mut(&mut self.inner).rows_valid = rows_valid;
-        self.validate()?;
         Ok(self)
     }
 
@@ -372,26 +401,11 @@ impl Topology {
         self.inner.transpose_indices[lo..hi].iter().copied()
     }
 
-    /// The topology of the transposed matrix, built by swapping the roles of
-    /// the two index halves, with every row valid. Used by the
+    /// The topology of the transposed matrix, with every row valid: the
+    /// mirrored block list through [`Topology::from_blocks`], so its
+    /// storage order is this topology's column-major order. Used by the
     /// explicit-transposition ablation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this topology's metadata is internally inconsistent (never
-    /// for a topology built through the checked constructors).
     pub fn transposed(&self) -> Topology {
-        self.try_transposed().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Topology::transposed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the mirrored coordinates are rejected — only
-    /// possible for a topology with corrupted metadata (e.g. one built with
-    /// [`Topology::from_raw_parts_unchecked`]).
-    pub fn try_transposed(&self) -> Result<Topology, SparseError> {
         let blocks = (0..self.nnz_blocks()).map(|k| {
             let c = self.coord(k);
             BlockCoord {
@@ -399,53 +413,9 @@ impl Topology {
                 col: c.row,
             }
         });
-        Topology::from_blocks(
-            self.inner.block_cols,
-            self.inner.block_rows,
-            blocks,
-            self.inner.block_size,
-        )
-    }
-
-    /// Assembles a topology directly from raw metadata arrays, skipping
-    /// every consistency check.
-    ///
-    /// This exists for the audit tooling only: seeded-corruption tests and
-    /// the sanitizer's own mutation tests need to build *invalid* topologies
-    /// to prove [`Topology::validate`] catches them. Production code must
-    /// use [`Topology::from_blocks`] / [`Topology::block_diagonal`] /
-    /// [`Topology::for_moe`], which establish the invariants by
-    /// construction.
-    #[doc(hidden)]
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "one argument per metadata array, so a corruption test can break any one of \
-                  them without a builder that would itself have to stay unchecked"
-    )]
-    pub fn from_raw_parts_unchecked(
-        block_size: BlockSize,
-        block_rows: usize,
-        block_cols: usize,
-        row_offsets: Vec<usize>,
-        col_indices: Vec<usize>,
-        row_indices: Vec<usize>,
-        col_offsets: Vec<usize>,
-        transpose_indices: Vec<usize>,
-        rows_valid: Vec<usize>,
-    ) -> Self {
-        Self {
-            inner: Arc::new(TopologyInner {
-                block_size,
-                block_rows,
-                block_cols,
-                row_offsets,
-                col_indices,
-                row_indices,
-                col_offsets,
-                transpose_indices,
-                rows_valid,
-            }),
-        }
+        let (rows, cols) = (self.inner.block_cols, self.inner.block_rows);
+        Topology::from_blocks(rows, cols, blocks, self.inner.block_size)
+            .expect("the mirror of distinct in-range blocks is distinct and in range")
     }
 
     /// Bytes of metadata this topology stores (for the paper's claim that
@@ -575,9 +545,17 @@ mod tests {
         let narrowed = topo.clone().with_rows_valid(vec![4, 3, 0, 0]).unwrap();
         assert_eq!(narrowed.rows_valid(), [4, 3, 0, 0]);
         assert_eq!(narrowed.transposed().rows_valid(), [4, 4]);
-        for bad in [vec![4, 4, 4], vec![4, 5, 4, 4], vec![3, 1, 4, 4]] {
+        for (bad, why) in [
+            (vec![4, 4, 4], "3 entries for 4 block rows"),
+            (
+                vec![4, 5, 4, 4],
+                "rows_valid[1] = 5 exceeds the block size 4",
+            ),
+            (vec![3, 1, 4, 4], "block row 1 holds valid rows below"),
+        ] {
             let err = topo.clone().with_rows_valid(bad).unwrap_err();
-            assert!(matches!(err, SparseError::Audit(_)), "{err}");
+            assert!(matches!(err, SparseError::Mismatch(_)), "{err}");
+            assert!(err.to_string().contains(why), "{err}");
         }
     }
 

@@ -1,17 +1,24 @@
-//! Property-based and seeded-corruption tests for the metadata sanitizer
-//! (`Topology::validate`).
+//! The topology invariant catalogue (`common/oracle.rs`) as an oracle over
+//! every constructor's output, and as a detector of corrupted metadata.
 //!
 //! Three claims:
 //!
-//! 1. every topology built through the checked constructors validates;
-//! 2. corrupting any single metadata field is caught, with a distinct
-//!    [`AuditError`] variant per corruption class;
+//! 1. every topology a constructor builds — `from_blocks`,
+//!    `block_diagonal`, `for_moe`, `with_rows_valid`, and the
+//!    `transposed()` of each — satisfies the catalogue;
+//! 2. corrupting any single metadata field of a valid topology breaks it,
+//!    and the seeded corruptions name pairwise distinct invariants;
 //! 3. the transpose secondary index round-trips
 //!    (`transposed().transposed()` restores the original encoding).
 
-use std::mem::discriminant;
+mod common;
+#[path = "common/oracle.rs"]
+mod oracle;
 
-use megablocks_sparse::{AuditError, BlockCoord, BlockSize, SparseError, Topology};
+use common::grouping_edge_topologies;
+use megablocks_sparse::{BlockCoord, BlockSize, SparseError, Topology};
+use oracle::{check, Raw, Violation};
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// A random topology: up to a 5x5 block grid with an arbitrary subset of
@@ -23,7 +30,7 @@ fn topology() -> impl Strategy<Value = Topology> {
                 Just(rows),
                 Just(cols),
                 Just(1usize << bs_exp),
-                proptest::collection::vec(proptest::bool::ANY, rows * cols),
+                vec(proptest::bool::ANY, rows * cols),
             )
         })
         .prop_map(|(rows, cols, bs, mask)| {
@@ -53,50 +60,54 @@ fn nonempty_topology() -> impl Strategy<Value = Topology> {
     })
 }
 
-/// Rebuilds `topo` with one metadata vector replaced.
-fn rebuild(
-    topo: &Topology,
-    row_offsets: Option<Vec<usize>>,
-    col_indices: Option<Vec<usize>>,
-    row_indices: Option<Vec<usize>>,
-    col_offsets: Option<Vec<usize>>,
-    transpose_indices: Option<Vec<usize>>,
-) -> Topology {
-    Topology::from_raw_parts_unchecked(
-        topo.block_size(),
-        topo.block_rows(),
-        topo.block_cols(),
-        row_offsets.unwrap_or_else(|| topo.row_offsets().to_vec()),
-        col_indices.unwrap_or_else(|| topo.col_indices().to_vec()),
-        row_indices.unwrap_or_else(|| topo.row_indices().to_vec()),
-        col_offsets.unwrap_or_else(|| topo.col_offsets().to_vec()),
-        transpose_indices.unwrap_or_else(|| topo.transpose_indices().to_vec()),
-        topo.rows_valid().to_vec(),
-    )
-}
+/// The inputs of the other constructors at one block size: per-expert
+/// `(block rows, block columns)` for `block_diagonal`, per-expert token
+/// counts (zeros included) and spare capacity blocks for `for_moe` and
+/// `with_rows_valid`.
+type Layouts = (usize, Vec<(usize, usize)>, Vec<usize>, usize);
 
-/// Rebuilds `topo` with `rows_valid` replaced.
-fn rebuild_rows_valid(topo: &Topology, rows_valid: Vec<usize>) -> Topology {
-    Topology::from_raw_parts_unchecked(
-        topo.block_size(),
-        topo.block_rows(),
-        topo.block_cols(),
-        topo.row_offsets().to_vec(),
-        topo.col_indices().to_vec(),
-        topo.row_indices().to_vec(),
-        topo.col_offsets().to_vec(),
-        topo.transpose_indices().to_vec(),
-        rows_valid,
-    )
+fn layouts() -> impl Strategy<Value = Layouts> {
+    (0u32..4).prop_flat_map(|e| {
+        let bs = 1usize << e;
+        (
+            Just(bs),
+            vec((0usize..4, 0usize..4), 1..5),
+            vec(0..3 * bs + 2, 1..6),
+            0usize..3,
+        )
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn constructed_topologies_validate(topo in topology()) {
-        prop_assert!(topo.validate().is_ok(), "{:?}", topo.validate());
-        prop_assert!(topo.transposed().validate().is_ok());
+    fn constructed_topologies_validate(
+        from_blocks in topology(),
+        (bs, diagonal, counts, slack) in layouts(),
+    ) {
+        let block = BlockSize::new(bs).unwrap();
+        let ffn = 2 * bs;
+        let (rows, cols): (Vec<usize>, Vec<usize>) = diagonal.into_iter().unzip();
+        // A capacity layout: every expert owns the rows of the fullest,
+        // plus `slack` blocks, and keeps a prefix of its count.
+        let capacity = counts.iter().map(|c| c.div_ceil(bs)).max().unwrap() + slack;
+        let prefixes = counts
+            .iter()
+            .flat_map(|&c| (0..capacity).map(move |b| c.saturating_sub(b * bs).min(bs)))
+            .collect();
+        let uniform = Topology::for_moe(&vec![capacity * bs; counts.len()], ffn, block).unwrap();
+        let mut built = vec![
+            ("from_blocks", from_blocks),
+            ("block_diagonal", Topology::block_diagonal(&rows, &cols, block).unwrap()),
+            ("for_moe", Topology::for_moe(&counts, ffn, block).unwrap()),
+            ("with_rows_valid", uniform.with_rows_valid(prefixes).unwrap()),
+        ];
+        built.extend(grouping_edge_topologies(bs));
+        for (what, topo) in built {
+            prop_assert_eq!(check(&Raw::of(&topo)), Ok(()), "{}", what);
+            prop_assert_eq!(check(&Raw::of(&topo.transposed())), Ok(()), "{} transposed", what);
+        }
     }
 
     #[test]
@@ -113,61 +124,31 @@ proptest! {
     #[test]
     fn any_single_field_mutation_is_rejected(topo in nonempty_topology(), which in 0usize..7, bump in 1usize..4) {
         let nnz = topo.nnz_blocks();
-        let corrupted = match which {
-            0 => {
-                // Truncate row_offsets.
-                let v = topo.row_offsets()[..topo.block_rows()].to_vec();
-                rebuild(&topo, Some(v), None, None, None, None)
-            }
-            1 => {
-                // Push a column index out of range.
-                let mut v = topo.col_indices().to_vec();
-                v[0] = topo.block_cols() + bump - 1;
-                rebuild(&topo, None, Some(v), None, None, None)
-            }
-            2 => {
-                // Break CSR<->COO agreement.
-                let mut v = topo.row_indices().to_vec();
-                v[nnz - 1] += bump;
-                rebuild(&topo, None, None, Some(v), None, None)
-            }
-            3 => {
-                // Break the col_offsets endpoint.
-                let mut v = topo.col_offsets().to_vec();
-                *v.last_mut().unwrap() += bump;
-                rebuild(&topo, None, None, None, Some(v), None)
-            }
-            4 => {
-                // Duplicate a transpose index (kills the bijection); with a
-                // single stored block fall back to an out-of-range index.
-                let mut v = topo.transpose_indices().to_vec();
-                if nnz >= 2 {
-                    v[1] = v[0];
-                } else {
-                    v[0] = nnz + bump - 1;
-                }
-                rebuild(&topo, None, None, None, None, Some(v))
-            }
-            5 => {
-                // Point a transpose index past the storage.
-                let mut v = topo.transpose_indices().to_vec();
-                v[0] = nnz + bump - 1;
-                rebuild(&topo, None, None, None, None, Some(v))
-            }
-            _ => {
-                // Claim more valid rows than a block has.
-                let mut v = topo.rows_valid().to_vec();
-                v[0] += bump;
-                rebuild_rows_valid(&topo, v)
-            }
-        };
-        prop_assert!(corrupted.validate().is_err(), "mutation {which} went undetected");
+        let mut raw = Raw::of(&topo);
+        match which {
+            // Truncate row_offsets.
+            0 => raw.row_offsets.truncate(raw.block_rows),
+            // Push a column index out of range.
+            1 => raw.col_indices[0] = raw.block_cols + bump - 1,
+            // Break CSR<->COO agreement.
+            2 => raw.row_indices[nnz - 1] += bump,
+            // Break the col_offsets endpoint.
+            3 => *raw.col_offsets.last_mut().unwrap() += bump,
+            // Duplicate a transpose index (kills the bijection); with a
+            // single stored block fall back to an out-of-range index.
+            4 if nnz >= 2 => raw.transpose_indices[1] = raw.transpose_indices[0],
+            // Point a transpose index past the storage.
+            4 | 5 => raw.transpose_indices[0] = nnz + bump - 1,
+            // Claim more valid rows than a block has.
+            _ => raw.rows_valid[0] += bump,
+        }
+        prop_assert!(check(&raw).is_err(), "mutation {} went undetected", which);
     }
 }
 
-/// The acceptance scenario: seed one topology with eight deliberate
-/// corruptions, one field each, and require every one to be caught with
-/// the right — and pairwise distinct — [`AuditError`] variant.
+/// Seed one topology with eight deliberate corruptions, one field each,
+/// and require every one to be caught by the right invariant, at the
+/// right entry, with at least six distinct invariants among them.
 #[test]
 fn seeded_corruptions_each_caught_with_distinct_variant() {
     // 2x3 grid, blocks (0,0), (0,2), (1,1): row 0 has two blocks (so
@@ -183,143 +164,119 @@ fn seeded_corruptions_each_caught_with_distinct_variant() {
         BlockSize::new(2).unwrap(),
     )
     .unwrap();
-    assert_eq!(topo.validate(), Ok(()));
+    let valid = Raw::of(&topo);
+    assert_eq!(check(&valid), Ok(()));
 
-    let cases: Vec<(&str, Topology, AuditError)> = vec![
+    type Corrupt = fn(&mut Raw);
+    let cases: [(&str, Corrupt, &str, &str); 8] = [
         (
             "row_offsets truncated",
-            rebuild(&topo, Some(vec![0, 2]), None, None, None, None),
-            AuditError::RowOffsetsLength {
-                expected: 3,
-                actual: 2,
-            },
+            |r| r.row_offsets = vec![0, 2],
+            "row_offsets length",
+            "2 entries for 2 groups",
         ),
         (
             "row_offsets endpoint overshoots nnz",
-            rebuild(&topo, Some(vec![0, 2, 4]), None, None, None, None),
-            AuditError::RowOffsetsEndpoints {
-                first: 0,
-                last: 4,
-                nnz: 3,
-            },
+            |r| r.row_offsets = vec![0, 2, 4],
+            "row_offsets endpoints",
+            "(0, 4) with 3 blocks",
         ),
         (
             "row_indices disagree with the CSR offsets",
-            rebuild(&topo, None, None, Some(vec![0, 0, 0]), None, None),
-            AuditError::CooRowMismatch {
-                slot: 2,
-                coo_row: 0,
-                csr_row: 1,
-            },
+            |r| r.row_indices = vec![0, 0, 0],
+            "CSR/COO agreement",
+            "slot 2: COO row 0, CSR row 1",
         ),
         (
             "col_indices out of range",
-            rebuild(&topo, None, Some(vec![0, 3, 1]), None, None, None),
-            AuditError::ColIndexOutOfRange {
-                slot: 1,
-                col: 3,
-                block_cols: 3,
-            },
+            |r| r.col_indices = vec![0, 3, 1],
+            "col_indices in range",
+            "slot 1 holds column 3",
         ),
         (
             "col_indices unsorted within row 0",
-            rebuild(&topo, None, Some(vec![2, 0, 1]), None, None, None),
-            AuditError::ColIndicesUnsorted { row: 0, slot: 1 },
+            |r| r.col_indices = vec![2, 0, 1],
+            "col_indices sorted",
+            "block row 0, slot 1",
         ),
         (
             "row_indices (COO half) too short",
-            rebuild(&topo, None, None, Some(vec![0, 0]), None, None),
-            AuditError::CooLengthMismatch {
-                expected: 3,
-                actual: 2,
-            },
+            |r| r.row_indices = vec![0, 0],
+            "row_indices length",
+            "2 entries for 3 blocks",
         ),
         (
             "col_offsets endpoint undershoots nnz",
-            rebuild(&topo, None, None, None, Some(vec![0, 1, 2, 2]), None),
-            AuditError::ColOffsetsEndpoints {
-                first: 0,
-                last: 2,
-                nnz: 3,
-            },
+            |r| r.col_offsets = vec![0, 1, 2, 2],
+            "col_offsets endpoints",
+            "(0, 2) with 3 blocks",
         ),
         (
             "transpose_indices duplicate slot",
-            rebuild(&topo, None, None, None, None, Some(vec![0, 0, 1])),
-            AuditError::TransposeNotBijective { pos: 1, value: 0 },
+            |r| r.transpose_indices = vec![0, 0, 1],
+            "transpose_indices bijective",
+            "position 1 repeats 0",
         ),
     ];
 
-    let mut variants = Vec::new();
-    for (what, corrupted, want) in &cases {
-        let got = corrupted
-            .validate()
-            .expect_err(&format!("{what}: corruption went undetected"));
-        assert_eq!(&got, want, "{what}: wrong diagnosis");
-        variants.push(discriminant(&got));
+    let mut invariants = Vec::new();
+    for (what, corrupt, invariant, at) in cases {
+        let mut raw = valid.clone();
+        corrupt(&mut raw);
+        let got = check(&raw).expect_err(&format!("{what}: corruption went undetected"));
+        let want = Violation {
+            invariant,
+            at: at.to_string(),
+        };
+        assert_eq!(got, want, "{what}: wrong diagnosis");
+        invariants.push(got.invariant);
     }
-    variants.sort_by_key(|d| format!("{d:?}"));
-    variants.dedup();
+    invariants.sort_unstable();
+    invariants.dedup();
     assert!(
-        variants.len() >= 6,
-        "only {} distinct AuditError variants across the seeded corruptions",
-        variants.len()
+        invariants.len() >= 6,
+        "only {} distinct invariants across the seeded corruptions",
+        invariants.len()
     );
 }
 
 /// `rows_valid` seeded three ways — too long, above the block size, a hole
-/// before a valid row — each returns its own [`AuditError`].
+/// before a valid row — each breaks its own invariant, and
+/// `with_rows_valid` refuses the same vector.
 #[test]
 fn seeded_rows_valid_corruptions_each_return_their_error() {
     // Experts of 7 and 4 tokens at block size 4: block rows [4, 3 | 4].
     let topo = Topology::for_moe(&[7, 4], 8, BlockSize::new(4).unwrap()).unwrap();
     assert_eq!(topo.rows_valid(), [4, 3, 4]);
-    assert_eq!(topo.validate(), Ok(()));
+    assert_eq!(check(&Raw::of(&topo)), Ok(()));
     let cases = [
         (
             vec![4, 3, 4, 4],
-            AuditError::RowsValidLength {
-                expected: 3,
-                actual: 4,
-            },
+            "rows_valid length",
+            "4 entries for 3 block rows",
         ),
+        (vec![4, 5, 4], "rows_valid bound", "block row 1 holds 5"),
         (
-            vec![4, 5, 4],
-            AuditError::RowsValidOutOfRange { row: 1, valid: 5 },
+            vec![2, 3, 4],
+            "rows_valid prefix",
+            "block column 0, block row 1",
         ),
-        (vec![2, 3, 4], AuditError::RowsValidHole { col: 0, row: 1 }),
     ];
-    for (rows_valid, want) in cases {
-        let bad = rebuild_rows_valid(&topo, rows_valid.clone());
-        assert_eq!(bad.validate(), Err(want.clone()), "{rows_valid:?}");
-        // The checked path refuses the same vectors.
-        let checked = topo.clone().with_rows_valid(rows_valid);
-        assert_eq!(checked, Err(SparseError::Audit(want)));
+    for (rows_valid, invariant, at) in cases {
+        let mut raw = Raw::of(&topo);
+        raw.rows_valid = rows_valid.clone();
+        let want = Violation {
+            invariant,
+            at: at.to_string(),
+        };
+        assert_eq!(check(&raw), Err(want), "{rows_valid:?}");
+        let checked = topo.clone().with_rows_valid(rows_valid.clone());
+        assert!(
+            matches!(checked, Err(SparseError::Mismatch(_))),
+            "{rows_valid:?}: {checked:?}"
+        );
     }
     // An empty tail (a capacity layout under capacity) is a prefix too.
-    assert!(topo.clone().with_rows_valid(vec![4, 0, 1]).is_ok());
-}
-
-/// End-to-end: in debug builds the op entry points themselves reject
-/// corrupted metadata before any kernel work runs.
-#[cfg(debug_assertions)]
-#[test]
-fn sanitized_ops_reject_corrupted_topology_at_entry() {
-    use megablocks_sparse::ops;
-    use megablocks_tensor::Matrix;
-
-    let topo = Topology::from_blocks(
-        2,
-        2,
-        [BlockCoord { row: 0, col: 0 }, BlockCoord { row: 1, col: 1 }],
-        BlockSize::new(2).unwrap(),
-    )
-    .unwrap();
-    let bad = rebuild(&topo, None, None, None, None, Some(vec![0, 0]));
-    let a = Matrix::from_fn(4, 3, |i, j| (i + j) as f32);
-    let b = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f32);
-    match ops::try_sdd(&a, &b, &bad) {
-        Err(SparseError::Audit(AuditError::TransposeNotBijective { pos: 1, value: 0 })) => {}
-        other => panic!("expected TransposeNotBijective at op entry, got {other:?}"),
-    }
+    let narrowed = topo.clone().with_rows_valid(vec![4, 0, 1]).unwrap();
+    assert_eq!(check(&Raw::of(&narrowed)), Ok(()));
 }

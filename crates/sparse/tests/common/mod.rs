@@ -1,5 +1,7 @@
 //! Topologies that stress how the products group nonzero blocks into
-//! rectangles, shared by the parity and determinism suites.
+//! rectangles, shared by the parity, determinism and topology-oracle
+//! suites. The invariant catalogue beside it (`oracle.rs`) is included
+//! only by the oracle suite, `audit_properties.rs`.
 
 use megablocks_sparse::{BlockCoord, BlockSize, Topology};
 

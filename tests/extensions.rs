@@ -1,28 +1,8 @@
 //! Integration tests for the beyond-the-paper extensions through the
-//! facade API: variable-sized experts and expert-choice routing.
+//! facade API: expert-choice routing.
 
-use megablocks::core::{
-    load_imbalance, DroplessMoe, ExpertChoiceMoe, MoeConfig, VariableDroplessMoe, VariableMoeConfig,
-};
+use megablocks::core::{load_imbalance, DroplessMoe, ExpertChoiceMoe, MoeConfig};
 use megablocks::tensor::init::{normal, seeded_rng};
-
-#[test]
-fn variable_experts_weight_layout_matches_offsets() {
-    // A variable layer with doubling widths: the concatenated weight
-    // layout must match the config's offsets.
-    let cfg = VariableMoeConfig::new(8, vec![4, 8, 16], 4);
-    assert_eq!(cfg.inner_dim(), 28);
-    assert_eq!(cfg.ffn_offset(0), 0);
-    assert_eq!(cfg.ffn_offset(1), 4);
-    assert_eq!(cfg.ffn_offset(2), 12);
-    let mut rng = seeded_rng(1);
-    let mut layer = VariableDroplessMoe::new(cfg, &mut rng);
-    let x = normal(11, 8, 1.0, &mut rng);
-    let out = layer.forward(&x);
-    assert_eq!(out.output.shape(), (11, 8));
-    let dx = layer.backward(&out.cache, &out.output.clone());
-    assert!(dx.as_slice().iter().all(|v| v.is_finite()));
-}
 
 #[test]
 fn expert_choice_and_token_choice_route_differently() {

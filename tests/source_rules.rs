@@ -1,15 +1,15 @@
 //! Source rules clippy cannot state, over `crates/*/src`: each fault site is in
 //! `sites::ALL` and named as `sites::IDENT` by non-test code outside the catalogue;
-//! each `SparseError`/`AuditError` variant is named as `Enum::Variant` by non-test
-//! code outside the enum and its `impl … for Enum` blocks; each `// SAFETY:` comment
-//! says four words. No parser: `cargo fmt --check` keeps `#[cfg(test)]` and items
+//! each `SparseError` variant is named as `SparseError::Variant` by non-test code
+//! outside the enum and its `impl … for SparseError` blocks; each `// SAFETY:`
+//! comment says four words. No parser: `cargo fmt --check` keeps `#[cfg(test)]` and items
 //! at column 0, closed by a column-0 `}`. Finding nothing to check is a finding.
 
 use std::fs;
 use std::path::Path;
 
 const SITES: &str = "crates/resilience/src/sites.rs";
-const ERROR_ENUMS: &[&str] = &["SparseError", "AuditError"];
+const ERROR_ENUMS: &[&str] = &["SparseError"];
 const MIN_SAFETY_WORDS: usize = 4;
 
 /// `(path, text)` of one source file.
