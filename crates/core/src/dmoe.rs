@@ -13,6 +13,8 @@
 //! assignment is kept, and no expert batch is padded beyond the next
 //! block boundary.
 
+use std::borrow::Cow;
+
 use megablocks_resilience as resilience;
 use megablocks_sparse::{SparseError, Topology};
 use megablocks_telemetry as telemetry;
@@ -108,6 +110,13 @@ impl DroplessMoe {
         self.try_forward(x).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// [`DroplessMoe::forward`] with `x` moved into the cache, not copied.
+    #[doc(hidden)]
+    pub fn forward_owned(&self, x: Matrix) -> DmoeOutput {
+        let pass = self.pipeline(Cow::Owned(x), Retain::ForBackward);
+        MoeOutput::of(pass.unwrap_or_else(|e| panic!("{e}")))
+    }
+
     /// Fallible form of [`DroplessMoe::forward`].
     ///
     /// The whole pass — router, permutation, and every kernel launch —
@@ -128,6 +137,7 @@ impl DroplessMoe {
     /// [`megablocks_exec::ExecError`] payload when the ambient context
     /// trips.
     pub fn try_forward(&self, x: &Matrix) -> Result<DmoeOutput, SparseError> {
+        let x = Cow::Owned(x.pooled_copy());
         Ok(MoeOutput::of(self.pipeline(x, Retain::ForBackward)?))
     }
 
@@ -138,8 +148,8 @@ impl DroplessMoe {
     /// nothing for a backward pass: no [`DmoeCache`] is built, the input is
     /// never cloned, the GeLU runs in place on the SDD output blocks
     /// instead of into a second activation buffer, and every intermediate
-    /// (gathered tokens, expert activations, expert outputs) is recycled
-    /// through the workspace arena once its consumers are done. A
+    /// (gathered tokens, expert activations, expert outputs) goes back to
+    /// the workspace arena once its consumers are done. A
     /// steady-state serving loop therefore allocates nothing per request
     /// beyond the returned output matrix. A serving engine bounds a batch
     /// by entering its deadline or cancel token with
@@ -154,12 +164,13 @@ impl DroplessMoe {
     ///
     /// Same as [`DroplessMoe::try_forward`].
     pub fn infer(&self, x: &Matrix) -> Result<Matrix, SparseError> {
-        Ok(self.pipeline(x, Retain::Nothing)?.0)
+        Ok(self.pipeline(Cow::Borrowed(x), Retain::Nothing)?.0)
     }
 
     /// The one dMoE forward pipeline (Figure 6). Training and inference
-    /// differ only in what they retain, so both run this body.
-    fn pipeline(&self, x: &Matrix, retain: Retain) -> Result<Pass, SparseError> {
+    /// differ only in what they retain, so both run this body; a retained
+    /// `x` is owned, and the cache keeps it.
+    fn pipeline(&self, x: Cow<'_, Matrix>, retain: Retain) -> Result<Pass, SparseError> {
         let cfg = &self.cfg;
         assert_eq!(x.cols(), cfg.hidden_size, "input feature size mismatch");
         let op = match retain {
@@ -324,19 +335,17 @@ mod tests {
     }
 
     #[test]
-    fn infer_recycles_intermediates_through_the_workspace() {
+    fn infer_returns_its_intermediates_to_the_workspace_on_drop() {
         let (layer, mut rng) = small_layer(8);
         let x = init::normal(12, 6, 1.0, &mut rng);
-        let warm = layer.infer(&x).unwrap();
-        warm.recycle();
+        drop(layer.infer(&x).unwrap());
         let before = exec::workspace::stats();
-        let out = layer.infer(&x).unwrap();
+        let _out = layer.infer(&x).unwrap();
         let after = exec::workspace::stats();
         assert!(
             after.hits > before.hits,
             "steady-state infer should reuse the arena: {before:?} -> {after:?}"
         );
-        out.recycle();
     }
 
     #[test]

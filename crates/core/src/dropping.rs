@@ -17,6 +17,8 @@
 //! load, trading dropping for worst-case padding — the memory-hungry
 //! behaviour that shrinks Tutel's feasible micro-batch sizes in Table 3.
 
+use std::borrow::Cow;
+
 use megablocks_sparse::Topology;
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::{init, Matrix};
@@ -100,14 +102,21 @@ impl DroppingMoe {
     /// Panics if `x.cols() != hidden_size`, or if a kernel launch fails
     /// (including a tripped ambient cancellation context).
     pub fn forward(&self, x: &Matrix) -> DroppingMoeOutput {
+        self.forward_owned(x.pooled_copy())
+    }
+
+    /// [`DroppingMoe::forward`] with `x` moved into the cache, not copied.
+    #[doc(hidden)]
+    pub fn forward_owned(&self, x: Matrix) -> DroppingMoeOutput {
         let cfg = &self.cfg;
         assert_eq!(x.cols(), cfg.hidden_size, "input feature size mismatch");
         let _span = telemetry::span("moe.dropping.forward");
+        let tokens = x.rows();
 
         let policy = |routing: &Routing| {
             // Tutel's dynamic capacity is the largest realized load.
             let capacity = match cfg.capacity {
-                CapacityFactor::Fixed(f) => cfg.expert_capacity(x.rows(), f),
+                CapacityFactor::Fixed(f) => cfg.expert_capacity(tokens, f),
                 CapacityFactor::Dynamic => {
                     routing.tokens_per_expert().into_iter().max().unwrap_or(0)
                 }
@@ -146,7 +155,7 @@ impl DroppingMoe {
             self.w1.value(),
             self.w2.value(),
             cfg.load_balance_weight,
-            x,
+            Cow::Owned(x),
             Retain::ForBackward,
             policy,
         );

@@ -28,15 +28,6 @@ pub struct ExpertChoiceCache {
     experts: ExpertCache,
 }
 
-impl ExpertChoiceCache {
-    /// Returns the cache's step-sized buffers to the calling thread's
-    /// workspace arena.
-    pub fn recycle(self) {
-        self.x.recycle();
-        self.experts.recycle();
-    }
-}
-
 /// Result of [`ExpertChoiceMoe::forward`].
 #[derive(Debug, Clone)]
 pub struct ExpertChoiceOutput {
@@ -107,6 +98,12 @@ impl ExpertChoiceMoe {
     /// Panics if `x.cols() != hidden_size`, or if a kernel launch fails
     /// (including a tripped ambient cancellation context).
     pub fn forward(&self, x: &Matrix) -> ExpertChoiceOutput {
+        self.forward_owned(x.pooled_copy())
+    }
+
+    /// [`ExpertChoiceMoe::forward`] with `x` moved into the cache, not copied.
+    #[doc(hidden)]
+    pub fn forward_owned(&self, x: Matrix) -> ExpertChoiceOutput {
         let cfg = &self.cfg;
         assert_eq!(x.cols(), cfg.hidden_size, "input feature size mismatch");
         let num_tokens = x.rows();
@@ -115,7 +112,7 @@ impl ExpertChoiceMoe {
 
         // Scores: per-token softmax over experts, then each expert picks
         // its top-capacity tokens down its probability column.
-        let probs = softmax_rows(&matmul(x, self.router_weight.value()));
+        let probs = softmax_rows(&matmul(&x, self.router_weight.value()));
         let kept = select(&probs, capacity);
         let unpicked = kept.chunks(e).filter(|k| !k.contains(&true)).count();
 
@@ -137,7 +134,7 @@ impl ExpertChoiceMoe {
         .and_then(|t| t.with_rows_valid(permute.rows_valid(cfg.block_size)))
         .expect("aligned by construction");
         let (output, experts) = experts::forward(
-            x,
+            &x,
             self.w1.value(),
             self.w2.value(),
             &topology,
@@ -163,11 +160,7 @@ impl ExpertChoiceMoe {
         ExpertChoiceOutput {
             output,
             stats,
-            cache: ExpertChoiceCache {
-                x: x.pooled_copy(),
-                probs,
-                experts,
-            },
+            cache: ExpertChoiceCache { x, probs, experts },
         }
     }
 

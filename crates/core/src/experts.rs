@@ -8,6 +8,8 @@
 //! four remaining products of §5.1 backward (SDD^T and DS^TD for the second
 //! expert layer, DSD^T and DD^TS for the first).
 
+use std::borrow::Cow;
+
 use megablocks_exec as exec;
 use megablocks_sparse::{ops, BlockSparseMatrix, SparseError, Topology};
 use megablocks_telemetry as telemetry;
@@ -28,7 +30,8 @@ const PARALLEL_THRESHOLD: usize = 1 << 16;
 pub(crate) enum Retain {
     /// Everything [`backward`] reads.
     ForBackward,
-    /// Only the output: intermediates go back to the workspace arena.
+    /// Only the output: intermediates go back to the workspace arena as
+    /// soon as they are dropped.
     Nothing,
 }
 
@@ -78,19 +81,21 @@ pub(crate) type Pass = (Matrix, Option<(MoeStats, MoeCache)>);
 /// of rows the layer accounts for (the padded rows of a dropless layer,
 /// `num_experts * capacity` of a dropping one); (3)–(5) the expert
 /// pipeline. Under [`Retain::ForBackward`] it closes with the
-/// load-balancing loss, the recorded [`MoeStats`] and the cache.
+/// load-balancing loss, the recorded [`MoeStats`] and the cache, which
+/// keeps `x`: a caller that retains passes it owned (a borrowed one would
+/// be cloned).
 pub(crate) fn token_choice_forward(
     router: &Router,
     w1: &Matrix,
     w2: &Matrix,
     load_balance_weight: f32,
-    x: &Matrix,
+    x: Cow<'_, Matrix>,
     retain: Retain,
     policy: impl FnOnce(&Routing) -> Result<(PermuteInfo, Topology, usize), SparseError>,
 ) -> Result<Pass, SparseError> {
-    let routing = router.forward(x);
+    let routing = router.forward(&x);
     let (permute, topology, slots) = policy(&routing)?;
-    let (output, experts) = forward(x, w1, w2, &topology, permute, &routing.weights, retain)?;
+    let (output, experts) = forward(&x, w1, w2, &topology, permute, &routing.weights, retain)?;
     let Some(experts) = experts else {
         return Ok((output, None));
     };
@@ -108,7 +113,7 @@ pub(crate) fn token_choice_forward(
     };
     crate::record_moe_stats(&stats);
     let cache = MoeCache {
-        x: x.pooled_copy(),
+        x: x.into_owned(),
         routing,
         experts,
         d_probs_aux: lb.d_probs,
@@ -135,13 +140,6 @@ impl MoeCache {
         (&self.experts.h_pre, &self.experts.h_act)
     }
 
-    /// Returns the cache's step-sized buffers to the calling thread's
-    /// workspace arena.
-    pub fn recycle(self) {
-        self.x.recycle();
-        self.experts.recycle();
-    }
-
     /// Backward of a token-choice layer: the expert pipeline, then the
     /// router (confidence weights + load-balancing loss).
     pub(crate) fn backward(
@@ -154,9 +152,7 @@ impl MoeCache {
         let (mut dx, d_weights) = backward(w1, w2, &self.experts, &self.routing.weights, d_out);
         let dx_router =
             router.backward(&self.x, &self.routing, &d_weights, Some(&self.d_probs_aux));
-        exec::workspace::recycle(d_weights);
         dx.add_assign(&dx_router);
-        dx_router.recycle();
         dx
     }
 }
@@ -165,7 +161,7 @@ impl MoeCache {
 /// the tokens to group by expert, compute the expert layers, un-permute
 /// and scale by `weights` (one per assignment). Returns the layer output
 /// and, under [`Retain::ForBackward`], the cache; under
-/// [`Retain::Nothing`] every intermediate is recycled.
+/// [`Retain::Nothing`] every intermediate goes back to the arena.
 pub(crate) fn forward(
     x: &Matrix,
     w1: &Matrix,
@@ -179,8 +175,6 @@ pub(crate) fn forward(
     let (y, activations) = expert_mlp(&xg, w1, w2, topology, retain)?;
     let output = padded_scatter(&y, &permute, weights);
     let Some((h_pre, h_act)) = activations else {
-        xg.recycle();
-        y.recycle();
         return Ok((output, None));
     };
     let cache = ExpertCache {
@@ -191,17 +185,6 @@ pub(crate) fn forward(
         y,
     };
     Ok((output, Some(cache)))
-}
-
-impl ExpertCache {
-    /// Returns the pipeline's buffers to the calling thread's workspace
-    /// arena.
-    pub(crate) fn recycle(self) {
-        self.xg.recycle();
-        self.h_pre.recycle();
-        self.h_act.recycle();
-        self.y.recycle();
-    }
 }
 
 /// Backward of [`forward`]. Accumulates the gradients of `w1` and `w2`
@@ -232,7 +215,7 @@ pub(crate) fn backward(
     // the parameter's gradient. An empty expert's rows stay as they were.
     let dh_act = ops::sdd_t(&dy, w2.value(), cache.h_pre.topology());
     ops::dst_d_accumulate(&cache.h_act, &dy, w2.grad_mut());
-    dy.recycle();
+    drop(dy);
 
     // Activation backward on the valid rows of the stored blocks.
     let mut dh = dh_act;
@@ -244,19 +227,17 @@ pub(crate) fn backward(
     // the parameter's gradient.
     let dxg = ops::dsd_t(&dh, w1.value());
     ops::ddt_s_accumulate(&cache.xg, &dh, w1.grad_mut());
-    dh.recycle();
+    drop(dh);
 
     // Permutation backward.
-    let dx = padded_gather_backward(&dxg, &cache.permute);
-    dxg.recycle();
-    (dx, d_weights)
+    (padded_gather_backward(&dxg, &cache.permute), d_weights)
 }
 
 /// The expert MLP of Figure 6 over already permuted tokens:
 /// `y = gelu(xg * w1 | topology) * w2`, as SDD -> GeLU -> DSD. Returns
 /// `y` and, under [`Retain::ForBackward`], the pre- and post-activation
 /// blocks; under [`Retain::Nothing`] the GeLU runs in place and the
-/// blocks are recycled. Every layer runs this one body, so their
+/// blocks go back to the arena. Every layer runs this one body, so their
 /// per-element arithmetic cannot drift.
 pub(crate) fn expert_mlp(
     xg: &Matrix,
@@ -269,9 +250,9 @@ pub(crate) fn expert_mlp(
     let mut h = ops::try_sdd(xg, w1, topology)?;
     let (h_pre, h_act) = match retain {
         Retain::ForBackward => {
-            let mut act = exec::workspace::take_zeroed(h.as_slice().len());
-            gelu(topology, &mut act, Some(h.as_slice()));
-            (Some(h), BlockSparseMatrix::from_raw(topology, act)?)
+            let mut act = BlockSparseMatrix::pooled_zeros(topology);
+            gelu(topology, act.as_mut_slice(), Some(h.as_slice()));
+            (Some(h), act)
         }
         Retain::Nothing => {
             gelu(topology, h.as_mut_slice(), None);
@@ -279,13 +260,7 @@ pub(crate) fn expert_mlp(
         }
     };
     let y = ops::try_dsd(&h_act, w2)?;
-    match h_pre {
-        Some(h_pre) => Ok((y, Some((h_pre, h_act)))),
-        None => {
-            h_act.recycle();
-            Ok((y, None))
-        }
-    }
+    Ok((y, h_pre.map(|h_pre| (h_pre, h_act))))
 }
 
 /// Elementwise GeLU over the valid rows of the nonzero blocks:

@@ -15,15 +15,6 @@ pub struct FfnCache {
     h_act: Matrix,
 }
 
-impl FfnCache {
-    /// Returns the cache's buffers to the calling thread's workspace arena.
-    pub fn recycle(self) {
-        self.x.recycle();
-        self.h_pre.recycle();
-        self.h_act.recycle();
-    }
-}
-
 /// A 2-layer MLP with GeLU and biases: `y = gelu(x W1 + b1) W2 + b2` —
 /// the GPT-2 / Megatron FFN.
 ///
@@ -60,20 +51,25 @@ impl DenseFfn {
     }
 
     /// Forward pass on `x` (`num_tokens x hidden_size`). The output and
-    /// the cache are in the calling thread's workspace arena: give them
-    /// back with [`Matrix::recycle`] and [`FfnCache::recycle`].
+    /// the cache are in the calling thread's workspace arena, which gets
+    /// them back when they are dropped; the cache keeps a copy of `x`.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols()` differs from the layer's hidden size.
     pub fn forward(&self, x: &Matrix) -> (Matrix, FfnCache) {
-        let mut h_pre = pooled_matmul(x, Trans::N, self.w1.value(), Trans::N);
+        self.forward_owned(x.pooled_copy())
+    }
+
+    /// [`DenseFfn::forward`] with `x` moved into the cache, not copied.
+    #[doc(hidden)]
+    pub fn forward_owned(&self, x: Matrix) -> (Matrix, FfnCache) {
+        let mut h_pre = pooled_matmul(&x, Trans::N, self.w1.value(), Trans::N);
         add_bias(&mut h_pre, self.b1.value().row(0));
         let mut h_act = Matrix::pooled_zeros(h_pre.rows(), h_pre.cols());
         gelu_into(h_act.as_mut_slice(), h_pre.as_slice());
         let mut y = pooled_matmul(&h_act, Trans::N, self.w2.value(), Trans::N);
         add_bias(&mut y, self.b2.value().row(0));
-        let x = x.pooled_copy();
         (y, FfnCache { x, h_pre, h_act })
     }
 
@@ -106,9 +102,7 @@ impl DenseFfn {
             *g += v;
         }
         self.w1.accumulate_tn(&cache.x, &dh);
-        let dx = pooled_matmul(&dh, Trans::N, self.w1.value(), Trans::T);
-        dh.recycle();
-        dx
+        pooled_matmul(&dh, Trans::N, self.w1.value(), Trans::T)
     }
 }
 

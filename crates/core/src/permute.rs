@@ -454,7 +454,7 @@ pub fn padded_scatter_backward(
     let rows = info.padded_rows();
     let assignments = info.num_assignments();
     let mut dy = Matrix::pooled_zeros(rows, cols);
-    let mut d_weights = exec::workspace::take_zeroed(assignments);
+    let mut d_weights = vec![0.0; assignments];
 
     // Two independent plans: dy bands over padded rows (via the inverse
     // map, padding rows stay zero) and d_weights bands over assignments.

@@ -24,7 +24,7 @@ fn a_one_token_infer_issues_one_row_of_flops_and_launches_inline() {
 
     for _ in 0..2 {
         let before = read();
-        layer.infer(&x).expect("no ambient context").recycle();
+        drop(layer.infer(&x).expect("no ambient context"));
         let after = read();
         let [kernel, sdd, dsd, inline, pooled] = [0, 1, 2, 3, 4].map(|i| after[i] - before[i]);
 

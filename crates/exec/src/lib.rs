@@ -15,10 +15,10 @@
 //!   SDD/DSD/DDS kernels and the dense GEMM all launch through this one
 //!   abstraction, whose constructors assert that the bands tile the
 //!   output exactly.
-//! * **Reusable workspaces** ([`workspace`], [`Workspace`]) — a
-//!   per-thread buffer arena so kernel outputs and scratch reuse storage
-//!   across calls within a training step instead of round-tripping
-//!   through the allocator.
+//! * **Reusable workspaces** ([`workspace`]) — a per-thread buffer arena
+//!   so kernel outputs and scratch reuse storage across calls within a
+//!   training step instead of round-tripping through the allocator; its
+//!   [`workspace::Buffer`] goes back to the arena when dropped.
 //!
 //! * **Seeded schedule perturbation** ([`set_perturbation`],
 //!   [`band_order`], `MEGABLOCKS_PERTURB_SEED`) — bands are disjoint by
@@ -61,4 +61,4 @@ pub use pool::{
     scoped_parallelism, Pool,
 };
 pub use setting::{Setting, SettingValue};
-pub use workspace::{Workspace, WorkspaceStats};
+pub use workspace::WorkspaceStats;

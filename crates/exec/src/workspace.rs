@@ -4,33 +4,38 @@
 //! (sparse outputs, dense outputs, permutation targets, weight-gradient
 //! scratch). Allocating those from the global allocator on every call
 //! wastes the very launch latency the pool saves, so the runtime keeps a
-//! per-thread [`Workspace`] arena: [`take_zeroed`] hands out a recycled
-//! buffer when one of sufficient capacity is shelved, and call sites
-//! return short-lived buffers with [`recycle`] once their contents died
-//! (e.g. a weight gradient after it has been accumulated). Within a
+//! per-thread arena: [`take_zeroed`] and [`take_copy`] hand out a shelved
+//! buffer when one of sufficient capacity is there, wrapped in a
+//! [`Buffer`] that puts it back on the shelf when it is dropped. Within a
 //! training step the same few buffers then ping-pong between kernels
 //! instead of round-tripping through `malloc`.
 //!
-//! The arena is thread-local, so pool workers and the submitting thread
-//! each reuse their own buffers without any locking; a buffer recycled
-//! on a worker serves that worker's next allocation.
+//! Two rules keep the arena from hoarding:
+//!
+//! * **Only what the arena handed out goes back.** A [`Buffer`] made
+//!   from a plain `Vec` (weights, gradients, a request's tokens) is freed
+//!   on drop like any `Vec`.
+//! * **Only to the thread that took it.** The arena is thread-local, so
+//!   pool workers and the submitting thread each reuse their own buffers
+//!   without locking. A buffer dropped on another thread, during thread
+//!   teardown, or while its arena is borrowed is freed instead, and
+//!   counted in `exec.workspace.strays`.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use megablocks_telemetry as telemetry;
 
 /// Upper bound on floats a thread's arena will hold before it starts
-/// dropping recycled buffers (64 MiB of `f32`s) — a backstop against
+/// dropping returned buffers (64 MiB of `f32`s) — a backstop against
 /// pathological workloads hoarding memory.
 const CAP_FLOATS: usize = 16 << 20;
 
-/// A size-bucketed arena of reusable `f32` buffers.
-///
-/// Normally used through the thread-local instance via [`take_zeroed`] /
-/// [`recycle`]; owning one directly is useful in tests.
+/// A size-bucketed arena of reusable `f32` buffers; one per thread.
 #[derive(Debug, Default)]
-pub struct Workspace {
+struct Workspace {
     /// Shelved buffers keyed by capacity (each key holds a stack).
     shelves: BTreeMap<usize, Vec<Vec<f32>>>,
     held_floats: usize,
@@ -52,14 +57,9 @@ pub struct WorkspaceStats {
 }
 
 impl Workspace {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        Workspace::default()
-    }
-
-    /// A zeroed buffer of exactly `len` floats, reusing the smallest
-    /// shelved buffer whose capacity suffices.
-    pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
+    /// An empty buffer with room for `len` floats: the smallest shelved
+    /// one whose capacity suffices, else a fresh one.
+    fn take(&mut self, len: usize) -> Vec<f32> {
         let shelf = self
             .shelves
             .range_mut(len..)
@@ -71,7 +71,6 @@ impl Workspace {
             }
             self.held_floats -= buf.capacity();
             buf.clear();
-            buf.resize(len, 0.0);
             self.hits += 1;
             telemetry::counter("exec.workspace.hits").inc();
             telemetry::trace_counter_event("exec.workspace.hits", self.hits as f64);
@@ -86,15 +85,13 @@ impl Workspace {
             // A fresh buffer's capacity is its power-of-two size class, so
             // one that grows a little from one step to the next (a dMoE's,
             // whose padded rows follow the routing) is still a hit.
-            let mut buf = Vec::with_capacity(len.next_power_of_two());
-            buf.resize(len, 0.0);
-            buf
+            Vec::with_capacity(len.next_power_of_two())
         }
     }
 
     /// Shelves `buf` for reuse (dropped instead if it has no capacity or
     /// would take the arena past its 16M-float holding limit).
-    pub fn recycle(&mut self, buf: Vec<f32>) {
+    fn put(&mut self, buf: Vec<f32>) {
         let cap = buf.capacity();
         if cap == 0 || self.held_floats + cap > CAP_FLOATS {
             return;
@@ -103,8 +100,7 @@ impl Workspace {
         self.shelves.entry(cap).or_default().push(buf);
     }
 
-    /// Counters describing the arena.
-    pub fn stats(&self) -> WorkspaceStats {
+    fn stats(&self) -> WorkspaceStats {
         WorkspaceStats {
             hits: self.hits,
             misses: self.misses,
@@ -113,25 +109,114 @@ impl Workspace {
         }
     }
 
-    /// Drops every shelved buffer (counters are kept).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.shelves.clear();
         self.held_floats = 0;
     }
 }
 
 thread_local! {
-    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::new());
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// The identity of a thread's arena: its address, unique among live
+/// threads.
+fn arena_id(arena: &RefCell<Workspace>) -> usize {
+    std::ptr::from_ref(arena) as usize
+}
+
+/// `f32` storage: a plain allocation, or a buffer the calling
+/// thread's arena handed out ([`take_zeroed`], [`take_copy`]), which
+/// goes back to that arena when dropped on the thread that took it and
+/// is freed anywhere else. A clone is always plain.
+#[derive(Default)]
+pub struct Buffer {
+    data: Vec<f32>,
+    /// The arena that handed the buffer out ([`arena_id`]); `None` if
+    /// plain.
+    home: Option<usize>,
+}
+
+impl From<Vec<f32>> for Buffer {
+    /// A plain buffer: freed on drop.
+    fn from(data: Vec<f32>) -> Self {
+        Buffer { data, home: None }
+    }
+}
+
+impl Drop for Buffer {
+    fn drop(&mut self) {
+        let Some(home) = self.home else {
+            return;
+        };
+        let data = std::mem::take(&mut self.data);
+        // Another thread's buffer, a torn-down arena or a borrowed one is
+        // freed with the closure.
+        let shelved = WORKSPACE.try_with(|arena| {
+            let ws = arena.try_borrow_mut().ok();
+            ws.filter(|_| arena_id(arena) == home)
+                .map(|mut ws| ws.put(data))
+        });
+        if !matches!(shelved, Ok(Some(()))) {
+            telemetry::counter("exec.workspace.strays").inc();
+        }
+    }
+}
+
+impl Deref for Buffer {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.data
+    }
+}
+
+impl DerefMut for Buffer {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+}
+
+impl Clone for Buffer {
+    fn clone(&self) -> Self {
+        Buffer::from(self.data.clone())
+    }
+}
+
+impl PartialEq for Buffer {
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data
+    }
+}
+
+impl fmt::Debug for Buffer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.data.fmt(f)
+    }
+}
+
+/// A buffer of `len` floats from the current thread's arena, filled by
+/// `fill` from empty.
+fn take(len: usize, fill: impl FnOnce(&mut Vec<f32>)) -> Buffer {
+    WORKSPACE.with(|arena| {
+        let mut data = arena.borrow_mut().take(len);
+        fill(&mut data);
+        Buffer {
+            data,
+            home: Some(arena_id(arena)),
+        }
+    })
 }
 
 /// A zeroed buffer of `len` floats from the current thread's arena.
-pub fn take_zeroed(len: usize) -> Vec<f32> {
-    WORKSPACE.with(|w| w.borrow_mut().take_zeroed(len))
+pub fn take_zeroed(len: usize) -> Buffer {
+    take(len, |data| data.resize(len, 0.0))
 }
 
-/// Returns a buffer to the current thread's arena for reuse.
-pub fn recycle(buf: Vec<f32>) {
-    WORKSPACE.with(|w| w.borrow_mut().recycle(buf));
+/// A copy of `src` in a buffer from the current thread's arena, written
+/// once (no zero-fill first).
+pub fn take_copy(src: &[f32]) -> Buffer {
+    take(src.len(), |data| data.extend_from_slice(src))
 }
 
 /// Counters for the current thread's arena.
@@ -148,61 +233,97 @@ pub fn clear() {
 mod tests {
     use super::*;
 
+    fn strays() -> u64 {
+        telemetry::counter("exec.workspace.strays").get()
+    }
+
+    // Each test runs on its own thread, so the thread-local arena starts
+    // empty.
+
     #[test]
     fn reuse_is_a_hit_and_buffers_are_zeroed() {
-        let mut ws = Workspace::new();
-        let mut a = ws.take_zeroed(16);
+        let mut a = take_zeroed(16);
         a.iter_mut().for_each(|v| *v = 7.0);
-        let cap = a.capacity();
-        ws.recycle(a);
-        assert_eq!(ws.stats().held_buffers, 1);
+        let cap = a.data.capacity();
+        drop(a);
+        assert_eq!(stats().held_buffers, 1, "a dropped buffer goes back");
 
-        let b = ws.take_zeroed(10);
-        assert!(b.capacity() >= 10 && b.capacity() <= cap.max(10));
-        assert!(b.iter().all(|&v| v == 0.0), "recycled buffer not zeroed");
-        let s = ws.stats();
+        let b = take_zeroed(10);
+        assert!(b.data.capacity() >= 10 && b.data.capacity() <= cap.max(10));
+        assert!(b.iter().all(|&v| v == 0.0), "reused buffer not zeroed");
+        let s = stats();
         assert_eq!((s.hits, s.misses, s.held_buffers), (1, 1, 0));
+
+        drop(b);
+        let c = take_copy(&[1.0, 2.0, 3.0]);
+        assert_eq!(&c[..], &[1.0, 2.0, 3.0]);
+        assert_eq!(stats().hits, 2, "a copy reuses a shelved buffer too");
     }
 
     #[test]
     fn a_miss_reserves_its_power_of_two_class() {
-        let mut ws = Workspace::new();
-        let a = ws.take_zeroed(40);
-        assert_eq!((a.len(), a.capacity()), (40, 64));
-        ws.recycle(a);
-        let b = ws.take_zeroed(64);
+        let a = take_zeroed(40);
+        assert_eq!((a.len(), a.data.capacity()), (40, 64));
+        drop(a);
+        let b = take_zeroed(64);
         assert_eq!(b.len(), 64);
-        assert_eq!(ws.stats().hits, 1, "a grown request within the class hits");
+        assert_eq!(stats().hits, 1, "a grown request within the class hits");
+    }
+
+    #[test]
+    fn only_what_the_arena_handed_out_goes_back() {
+        let pooled = take_zeroed(8);
+        let plain = Buffer::from(vec![1.0; 32]);
+        let copy = pooled.clone();
+        drop((plain, copy));
+        assert_eq!(
+            stats().held_buffers,
+            0,
+            "plain and cloned buffers are freed"
+        );
+        drop(pooled);
+        assert_eq!(stats().held_buffers, 1);
+    }
+
+    #[test]
+    fn a_buffer_dropped_while_its_arena_is_borrowed_is_a_stray() {
+        let buf = take_zeroed(8);
+        let before = strays();
+        WORKSPACE.with(|w| {
+            let _held = w.borrow();
+            drop(buf);
+        });
+        assert_eq!(strays() - before, 1);
+        assert_eq!(stats().held_buffers, 0);
     }
 
     #[test]
     fn undersized_shelves_are_skipped() {
-        let mut ws = Workspace::new();
-        ws.recycle(Vec::with_capacity(4));
-        let b = ws.take_zeroed(64);
-        assert_eq!(b.len(), 64);
+        let mut ws = Workspace::default();
+        ws.put(Vec::with_capacity(4));
+        let b = ws.take(64);
+        assert!(b.capacity() >= 64);
         assert_eq!(ws.stats().misses, 1);
         assert_eq!(ws.stats().held_buffers, 1, "small buffer stays shelved");
     }
 
     #[test]
     fn clear_empties_the_arena() {
-        let mut ws = Workspace::new();
-        ws.recycle(vec![0.0; 8]);
-        ws.clear();
-        let s = ws.stats();
+        drop(take_zeroed(8));
+        clear();
+        let s = stats();
         assert_eq!((s.held_buffers, s.held_floats), (0, 0));
     }
 
     #[test]
     fn the_holding_cap_bounds_shelving() {
-        let mut ws = Workspace::new();
+        let mut ws = Workspace::default();
         // Reserved, never touched: no memory is committed for these.
-        ws.recycle(Vec::with_capacity(CAP_FLOATS - 8));
+        ws.put(Vec::with_capacity(CAP_FLOATS - 8));
         assert_eq!(ws.stats().held_buffers, 1, "under the cap: shelved");
-        ws.recycle(Vec::with_capacity(16));
+        ws.put(Vec::with_capacity(16));
         assert_eq!(ws.stats().held_buffers, 1, "over the cap: dropped");
-        ws.recycle(Vec::with_capacity(8));
+        ws.put(Vec::with_capacity(8));
         assert_eq!(ws.stats().held_buffers, 2, "exactly at the cap: shelved");
     }
 }

@@ -576,7 +576,6 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
                 if pending.expired() {
                     // Finished compute, but past this member's own
                     // deadline: the caller's budget is blown either way.
-                    slice.recycle();
                     pending.resolve(Err(ServeError::Expired));
                     continue;
                 }
@@ -591,7 +590,6 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
                     batch_size,
                 }));
             }
-            output.recycle();
         }
         Err(error) => {
             if !matches!(error, ServeError::Kernel(_)) {
@@ -603,7 +601,6 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
             }
         }
     }
-    input.recycle();
 }
 
 #[cfg(test)]

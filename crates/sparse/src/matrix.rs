@@ -1,5 +1,6 @@
 //! Block-sparse matrix values over a shared [`Topology`].
 
+use megablocks_exec::workspace::{self, Buffer};
 use megablocks_tensor::Matrix;
 
 use crate::{SparseError, Topology};
@@ -27,7 +28,7 @@ use crate::{SparseError, Topology};
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockSparseMatrix {
     topo: Topology,
-    data: Vec<f32>,
+    data: Buffer,
 }
 
 impl BlockSparseMatrix {
@@ -35,25 +36,19 @@ impl BlockSparseMatrix {
     pub fn zeros(topo: &Topology) -> Self {
         Self {
             topo: topo.clone(),
-            data: vec![0.0; topo.nnz()],
+            data: vec![0.0; topo.nnz()].into(),
         }
     }
 
     /// Creates a zero-valued matrix over `topo` backed by the execution
-    /// runtime's per-thread workspace arena. Pair with
-    /// [`BlockSparseMatrix::recycle`] on short-lived values so kernels
-    /// reuse storage across calls.
+    /// runtime's per-thread workspace arena, which gets the storage back
+    /// when the matrix is dropped on this thread, so kernels reuse storage
+    /// across calls.
     pub fn pooled_zeros(topo: &Topology) -> Self {
         Self {
             topo: topo.clone(),
-            data: megablocks_exec::workspace::take_zeroed(topo.nnz()),
+            data: workspace::take_zeroed(topo.nnz()),
         }
-    }
-
-    /// Returns this matrix's block storage to the execution runtime's
-    /// workspace arena for reuse by a later pooled allocation.
-    pub fn recycle(self) {
-        megablocks_exec::workspace::recycle(self.data);
     }
 
     /// Creates a matrix over `topo` from raw block data in storage order.
@@ -71,7 +66,7 @@ impl BlockSparseMatrix {
         }
         Ok(Self {
             topo: topo.clone(),
-            data,
+            data: data.into(),
         })
     }
 
@@ -164,7 +159,7 @@ impl BlockSparseMatrix {
     /// untouched — beware of activations with `f(0) != 0`, which are only
     /// correct on stored blocks, matching the paper's kernels).
     pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for v in &mut self.data {
+        for v in self.data.iter_mut() {
             *v = f(*v);
         }
     }
@@ -184,7 +179,7 @@ impl BlockSparseMatrix {
     /// Panics if the topologies differ.
     pub fn axpy(&mut self, alpha: f32, other: &BlockSparseMatrix) {
         assert_eq!(self.topo, other.topo, "axpy requires identical topologies");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += alpha * b;
         }
     }

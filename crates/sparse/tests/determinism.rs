@@ -197,8 +197,9 @@ fn concurrent_submitters_share_the_pool_safely() {
 
 #[test]
 fn pooled_buffers_start_zeroed_after_reuse() {
-    // Outputs come from the workspace arena; a recycled buffer must not
-    // leak its previous contents into the next kernel's zero blocks.
+    // Outputs come from the workspace arena, and each goes back when
+    // dropped; a reused buffer must not leak its previous contents into
+    // the next kernel's zero blocks.
     let bs = BlockSize::new(4).expect("nonzero");
     let topo = Topology::for_moe(&[8, 4], 8, bs).expect("block-aligned");
     let (rows, cols) = topo.shape();
@@ -214,6 +215,5 @@ fn pooled_buffers_start_zeroed_after_reuse() {
                 }
             }
         }
-        s.recycle();
     }
 }

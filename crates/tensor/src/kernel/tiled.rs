@@ -33,8 +33,8 @@
 //!
 //! Packing buffers and the accumulator tile come from the exec runtime's
 //! thread-local [`workspace`] arena — each band of a launch plan packs
-//! into its own worker's recycled buffers, so steady-state products
-//! allocate nothing.
+//! into its own worker's shelved buffers, which go back when dropped, so
+//! steady-state products allocate nothing.
 //!
 //! [`workspace`]: megablocks_exec::workspace
 
@@ -42,7 +42,7 @@ use std::cell::Cell;
 use std::sync::Once;
 
 use megablocks_exec::cancel::poll_cancelled;
-use megablocks_exec::workspace;
+use megablocks_exec::workspace::{self, Buffer};
 use megablocks_telemetry as telemetry;
 
 use super::scalar::ScalarKernel;
@@ -297,10 +297,6 @@ fn run_blocked<const NR: usize>(
             }
         }
     }
-
-    workspace::recycle(acc);
-    workspace::recycle(b_pack);
-    workspace::recycle(a_pack);
 }
 
 thread_local! {
@@ -331,7 +327,7 @@ fn few_rows<const M: usize, const W: usize>(
     let mut b_rows = B_ROWS.take();
     b_rows.clear();
     b_rows.extend((0..k).map(|p| b.rows().offset(p)));
-    let mut packed = Vec::new();
+    let mut packed = Buffer::default();
     let mut put = |j: usize, acc: &[[f32; W]; M], width: usize| {
         for (i, vals) in acc.iter().enumerate() {
             out.add_row(i, j, &vals[..width], alpha);
@@ -367,8 +363,6 @@ fn few_rows<const M: usize, const W: usize>(
         j0 += count;
     }
     B_ROWS.set(b_rows);
-    workspace::recycle(packed);
-    workspace::recycle(a_rows);
 }
 
 /// One `M x W` strip of the product: element `(p, j)` of B at

@@ -131,10 +131,10 @@ pub fn gemm(
 }
 
 /// `op_a(a) * op_b(b)` into a matrix from the calling thread's workspace
-/// arena ([`Matrix::pooled_zeros`]; give it back with
-/// [`Matrix::recycle`]). The buffer is already zero, so the product
-/// accumulates into it (`beta = 1`) — the same bits as `beta = 0` — and
-/// skips a second zeroing pass.
+/// arena ([`Matrix::pooled_zeros`]; it goes back when dropped). The
+/// buffer is already zero, so the product accumulates into it
+/// (`beta = 1`) — the same bits as `beta = 0` — and skips a second
+/// zeroing pass.
 ///
 /// # Panics
 ///

@@ -1,14 +1,21 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+use megablocks_exec::workspace::{self, Buffer};
+
 use crate::ShapeError;
 
 /// A dense, row-major `f32` matrix.
 ///
 /// `Matrix` is the workhorse value type of the reproduction: activations,
 /// weights, and gradients are all `Matrix` values. Storage is a single
-/// contiguous `Vec<f32>` in row-major order, which keeps row slices cheap —
+/// contiguous buffer in row-major order, which keeps row slices cheap —
 /// the access pattern every kernel in this workspace is built around.
+///
+/// Storage is a plain allocation, except for a matrix made by
+/// [`Matrix::pooled_zeros`] or [`Matrix::pooled_copy`] (and the kernels
+/// that build on them): its buffer came from the calling thread's
+/// workspace arena and goes back there when the matrix is dropped.
 ///
 /// # Example
 ///
@@ -23,17 +30,13 @@ use crate::ShapeError;
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: Buffer,
 }
 
 impl Matrix {
     /// Creates a `rows` x `cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Self::full(rows, cols, 0.0)
     }
 
     /// Creates a `rows` x `cols` matrix with every element set to `value`.
@@ -41,34 +44,31 @@ impl Matrix {
         Self {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: vec![value; rows * cols].into(),
         }
     }
 
     /// Creates a `rows` x `cols` matrix of zeros backed by the execution
-    /// runtime's per-thread workspace arena. Pair with [`Matrix::recycle`]
-    /// on short-lived values (gradients, scratch) so kernels reuse
-    /// storage across calls instead of round-tripping the allocator.
+    /// runtime's per-thread workspace arena, which gets the storage back
+    /// when the matrix is dropped on this thread — so short-lived values
+    /// (gradients, scratch) reuse storage across calls instead of
+    /// round-tripping the allocator.
     pub fn pooled_zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
-            data: megablocks_exec::workspace::take_zeroed(rows * cols),
+            data: workspace::take_zeroed(rows * cols),
         }
     }
 
     /// A copy of this matrix in workspace-arena storage, like
     /// [`Matrix::pooled_zeros`].
     pub fn pooled_copy(&self) -> Self {
-        let mut m = Self::pooled_zeros(self.rows, self.cols);
-        m.data.copy_from_slice(&self.data);
-        m
-    }
-
-    /// Returns this matrix's storage to the execution runtime's workspace
-    /// arena for reuse by a later [`Matrix::pooled_zeros`].
-    pub fn recycle(self) {
-        megablocks_exec::workspace::recycle(self.data);
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data: workspace::take_copy(&self.data),
+        }
     }
 
     /// Creates the `n` x `n` identity matrix.
@@ -98,7 +98,11 @@ impl Matrix {
                 ),
             ));
         }
-        Ok(Self { rows, cols, data })
+        Ok(Self {
+            rows,
+            cols,
+            data: data.into(),
+        })
     }
 
     /// Creates a matrix by evaluating `f(row, col)` for every element.
@@ -109,7 +113,11 @@ impl Matrix {
                 data.push(f(i, j));
             }
         }
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data: data.into(),
+        }
     }
 
     /// Number of rows.
@@ -145,11 +153,6 @@ impl Matrix {
     /// Mutable access to the underlying row-major data.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns its row-major data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Row `i` as a slice.
@@ -193,7 +196,9 @@ impl Matrix {
         Matrix {
             rows: end - start,
             cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
+            data: self.data[start * self.cols..end * self.cols]
+                .to_vec()
+                .into(),
         }
     }
 
@@ -215,7 +220,7 @@ impl Matrix {
     /// Panics if the shapes differ.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += b;
         }
     }
@@ -227,14 +232,14 @@ impl Matrix {
     /// Panics if the shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += alpha * b;
         }
     }
 
     /// Multiplies every element by `alpha`.
     pub fn scale(&mut self, alpha: f32) {
-        for v in &mut self.data {
+        for v in self.data.iter_mut() {
             *v *= alpha;
         }
     }
@@ -246,7 +251,7 @@ impl Matrix {
 
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for v in &mut self.data {
+        for v in self.data.iter_mut() {
             *v = f(*v);
         }
     }
@@ -281,7 +286,7 @@ impl Matrix {
             && self
                 .data
                 .iter()
-                .zip(&other.data)
+                .zip(other.data.iter())
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
 
@@ -293,7 +298,7 @@ impl Matrix {
         }
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data.iter())
             .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()))
     }
 }

@@ -6,6 +6,8 @@
 //! backward pass out of these pieces, which is also exactly how the paper
 //! enumerates the block-sparse products needed for dMoE training (§5.1).
 
+use megablocks_exec::workspace::{self, Buffer};
+
 use crate::Matrix;
 
 /// Row-wise softmax.
@@ -151,21 +153,14 @@ pub fn cross_entropy(
 #[derive(Debug, Clone)]
 pub struct LayerNormCache {
     /// `[mean; rows]` then `[rstd; rows]`, in workspace-arena storage.
-    stats: Vec<f32>,
-}
-
-impl LayerNormCache {
-    /// Returns the cache's storage to the calling thread's workspace arena.
-    pub fn recycle(self) {
-        megablocks_exec::workspace::recycle(self.stats);
-    }
+    stats: Buffer,
 }
 
 /// Layer normalization over each row, with learnable `gamma` and `beta`.
 ///
 /// Returns the normalized output and a cache for the backward pass, both
-/// in the calling thread's workspace arena ([`Matrix::recycle`],
-/// [`LayerNormCache::recycle`]).
+/// in the calling thread's workspace arena, which gets them back when
+/// they are dropped.
 ///
 /// # Panics
 ///
@@ -175,7 +170,7 @@ pub fn layer_norm(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32) -> (Matrix,
     assert_eq!(beta.len(), x.cols(), "beta length mismatch");
     let rows = x.rows();
     let mut y = Matrix::pooled_zeros(rows, x.cols());
-    let mut stats = megablocks_exec::workspace::take_zeroed(2 * rows);
+    let mut stats = workspace::take_zeroed(2 * rows);
     let n = x.cols() as f32;
     for i in 0..rows {
         let row = x.row(i);

@@ -14,15 +14,15 @@ use rand::rngs::StdRng;
 
 /// What a forward pass keeps of its intermediates (`DroplessMoe`'s switch,
 /// for `Attention`, `Block` and `TransformerLm`). Either way every buffer
-/// is taken from the calling thread's workspace arena and given back to
-/// it: an intermediate once the pass is done with it, a retained one once
-/// backward has consumed it (`BlockCache::recycle`), so a steady-state
-/// training step allocates nothing.
+/// is taken from the calling thread's workspace arena and goes back to it
+/// when dropped: an intermediate once the pass is done with it, a
+/// retained one with its `BlockCache` once backward has consumed it, so a
+/// steady-state training step allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Retain {
     /// Everything `backward` reads.
     ForBackward,
-    /// Only the output, which the caller recycles when done with it.
+    /// Only the output, which the caller drops when done with it.
     Nothing,
 }
 
@@ -57,15 +57,6 @@ pub struct AttentionCache {
     ctx: Matrix,
     batch: usize,
     seq: usize,
-}
-
-impl AttentionCache {
-    /// Returns the cache's buffers to the calling thread's workspace arena.
-    pub fn recycle(self) {
-        for m in [self.x, self.qkv, self.probs, self.ctx] {
-            m.recycle();
-        }
-    }
 }
 
 /// Multi-head causal self-attention (GPT-2 style, with qkv and projection
@@ -120,8 +111,8 @@ impl Attention {
     }
 
     /// Forward pass over `batch` sequences of length `seq`. The output and
-    /// the cache are in the calling thread's workspace arena: give them
-    /// back with [`Matrix::recycle`] and [`AttentionCache::recycle`].
+    /// the cache are in the calling thread's workspace arena, which gets
+    /// them back when they are dropped.
     ///
     /// # Panics
     ///
@@ -218,12 +209,7 @@ impl Attention {
                 };
                 (out, Some(cache))
             }
-            Retain::Nothing => {
-                for m in [x, qkv, probs, ctx] {
-                    m.recycle();
-                }
-                (out, None)
-            }
+            Retain::Nothing => (out, None),
         }
     }
 
@@ -258,7 +244,8 @@ impl Attention {
                 // dV = Pᵀ dC, dP = dC Vᵀ.
                 let dv = OutView::new(&mut rows[2 * h + col..], w);
                 block_gemm(seq, d, seq, 1.0, PanelView::new(probs, 1, seq), d_ctx_h, dv);
-                // This band's thread takes the scratch and gives it back.
+                // This band's thread takes the scratch and gets it back
+                // when the head is done.
                 let mut d_scores = Matrix::pooled_zeros(seq, seq);
                 let v_t = view(&cache.qkv, at + 2 * h, 1, w);
                 let dp = OutView::new(d_scores.as_mut_slice(), seq);
@@ -272,17 +259,14 @@ impl Attention {
                 block_gemm(seq, d, seq, 1.0, view(&d_scores, 0, seq, 1), k, dq);
                 let dk = OutView::new(&mut rows[h + col..], w);
                 block_gemm(seq, d, seq, 1.0, view(&d_scores, 0, 1, seq), q, dk);
-                d_scores.recycle();
             }
         });
-        d_ctx.recycle();
+        drop(d_ctx);
 
         // Input projection.
         self.w_qkv.accumulate_tn(&cache.x, &d_qkv);
         add_row_grad(self.b_qkv.grad_mut(), &bias_backward(&d_qkv));
-        let dx = pooled_matmul(&d_qkv, Trans::N, self.w_qkv.value(), Trans::T);
-        d_qkv.recycle();
-        dx
+        pooled_matmul(&d_qkv, Trans::N, self.w_qkv.value(), Trans::T)
     }
 }
 

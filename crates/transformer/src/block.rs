@@ -34,16 +34,6 @@ enum FfnCacheKind {
     ExpertChoice(ExpertChoiceCache),
 }
 
-impl FfnCacheKind {
-    fn recycle(self) {
-        match self {
-            FfnCacheKind::Dense(c) => c.recycle(),
-            FfnCacheKind::Dropless(c) | FfnCacheKind::Dropping(c) => c.recycle(),
-            FfnCacheKind::ExpertChoice(c) => c.recycle(),
-        }
-    }
-}
-
 /// Forward-pass cache for [`Block::backward`].
 #[derive(Debug, Clone)]
 pub struct BlockCache {
@@ -55,18 +45,6 @@ pub struct BlockCache {
     ffn: FfnCacheKind,
     /// MoE statistics of this block's forward pass (None for dense FFN).
     pub moe_stats: Option<MoeStats>,
-}
-
-impl BlockCache {
-    /// Returns the cache's buffers to the calling thread's workspace arena.
-    pub fn recycle(self) {
-        self.x.recycle();
-        self.ln1.recycle();
-        self.attn.recycle();
-        self.mid.recycle();
-        self.ln2.recycle();
-        self.ffn.recycle();
-    }
 }
 
 /// One pre-norm Transformer block:
@@ -132,8 +110,8 @@ impl Block {
     }
 
     /// Forward pass over `batch` sequences of length `seq`. The output and
-    /// the cache are in the calling thread's workspace arena: give them
-    /// back with [`Matrix::recycle`] and [`BlockCache::recycle`].
+    /// the cache are in the calling thread's workspace arena, which gets
+    /// them back when they are dropped.
     pub fn forward(&self, x: &Matrix, batch: usize, seq: usize) -> (Matrix, BlockCache) {
         let x = x.pooled_copy();
         let (out, cache) = self.pass(x, batch, seq, seq, None, Retain::ForBackward);
@@ -143,7 +121,8 @@ impl Block {
     /// The one block forward; `keep`, `kv` and `retain` are
     /// [`Attention::pass`]'s: every row feeds the keys and values, and
     /// the last `keep` rows of each sequence run the rest of the block.
-    /// The pass takes `x`, which the cache keeps or the arena gets back.
+    /// The pass takes `x`, which the cache keeps or the arena gets back;
+    /// the FFN takes the second layer norm's output the same way.
     pub(crate) fn pass(
         &self,
         x: Matrix,
@@ -172,27 +151,25 @@ impl Block {
                 (moe.infer(&n2).unwrap_or_else(|e| panic!("{e}")), None)
             }
             (BlockFfn::Dense(ffn), _) => {
-                let (y, c) = ffn.forward(&n2);
+                let (y, c) = ffn.forward_owned(n2);
                 (y, Some((FfnCacheKind::Dense(c), None)))
             }
             (BlockFfn::Dropless(moe), _) => {
-                let out = moe.forward(&n2);
+                let out = moe.forward_owned(n2);
                 let cache = FfnCacheKind::Dropless(out.cache);
                 (out.output, Some((cache, Some(out.stats))))
             }
             (BlockFfn::Dropping(moe), _) => {
-                let out = moe.forward(&n2);
+                let out = moe.forward_owned(n2);
                 let cache = FfnCacheKind::Dropping(out.cache);
                 (out.output, Some((cache, Some(out.stats))))
             }
             (BlockFfn::ExpertChoice(moe), _) => {
-                let out = moe.forward(&n2);
+                let out = moe.forward_owned(n2);
                 let cache = FfnCacheKind::ExpertChoice(out.cache);
                 (out.output, Some((cache, Some(out.stats))))
             }
         };
-        // Every FFN cache keeps its own copy of its input.
-        n2.recycle();
         match retain {
             Retain::ForBackward => {
                 f.add_assign(&mid);
@@ -210,13 +187,6 @@ impl Block {
             }
             Retain::Nothing => {
                 mid.add_assign(&f);
-                f.recycle();
-                x.recycle();
-                ln1.recycle();
-                ln2.recycle();
-                if let Some((ffn, _)) = ffn {
-                    ffn.recycle();
-                }
                 (mid, None)
             }
         }
@@ -237,14 +207,12 @@ impl Block {
         // is `a + b` bit for bit, without a copy of `d_out`.
         let mut d_mid = self.ln2.backward(&cache.mid, &d_n2, &cache.ln2);
         d_mid.add_assign(d_out);
-        d_n2.recycle();
+        drop(d_n2);
 
         // First residual.
         let d_n1 = self.attn.backward(&cache.attn, &d_mid);
         let mut dx = self.ln1.backward(&cache.x, &d_n1, &cache.ln1);
         dx.add_assign(&d_mid);
-        d_n1.recycle();
-        d_mid.recycle();
         dx
     }
 }

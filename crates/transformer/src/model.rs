@@ -216,17 +216,15 @@ impl TransformerLm {
     /// never computed — against the cached `wteᵀ`, the same bits.
     fn last_logits(&self, h: &Matrix, batch: usize, seq: usize) -> Matrix {
         let _span = telemetry::span("transformer.lm_head");
-        let mut last = Matrix::pooled_zeros(batch, self.cfg.hidden_size);
-        for b in 0..batch {
-            last.row_mut(b).copy_from_slice(h.row(b * seq + seq - 1));
-        }
-        let (h_final, ln_f) = self.ln_f.forward(&last);
-        last.recycle();
-        ln_f.recycle();
+        let h_final = {
+            let mut last = Matrix::pooled_zeros(batch, self.cfg.hidden_size);
+            for b in 0..batch {
+                last.row_mut(b).copy_from_slice(h.row(b * seq + seq - 1));
+            }
+            self.ln_f.forward(&last).0
+        };
         let wte_t = self.wte_t.get_or_init(|| self.wte.value().transpose());
-        let logits = matmul(&h_final, wte_t);
-        h_final.recycle();
-        logits
+        matmul(&h_final, wte_t)
     }
 
     /// Evaluation forward pass: mean cross-entropy over the batch, no
@@ -244,13 +242,8 @@ impl TransformerLm {
         );
         let seq = seq_of(inputs, batch);
         let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), seq, Retain::Nothing);
-        let (logits, h_final, ln_f) = self.head(&h);
-        let (loss, d_logits) = cross_entropy(&logits, targets, None);
-        for m in [h, h_final, logits, d_logits] {
-            m.recycle();
-        }
-        ln_f.recycle();
-        loss
+        let (logits, _h_final, _ln_f) = self.head(&h);
+        cross_entropy(&logits, targets, None).0
     }
 
     /// Next-token logits for the last position of each sequence: a
@@ -263,9 +256,7 @@ impl TransformerLm {
     pub fn next_token_logits(&self, inputs: &[usize], batch: usize) -> Matrix {
         let seq = seq_of(inputs, batch);
         let (h, _) = self.trunk(inputs, batch, seq, (&mut [], 0), seq, Retain::Nothing);
-        let logits = self.last_logits(&h, batch, seq);
-        h.recycle();
-        logits
+        self.last_logits(&h, batch, seq)
     }
 
     /// Feeds `new_tokens` to the sequence `state` tracks and returns the
@@ -312,9 +303,7 @@ impl TransformerLm {
         // the other rows of the call.
         let last_keep = if tokenwise { 1 } else { fresh.len() };
         let (h, _) = self.trunk(fresh, 1, fresh.len(), kv, last_keep, Retain::Nothing);
-        let logits = self.last_logits(&h, 1, h.rows());
-        h.recycle();
-        logits
+        self.last_logits(&h, 1, h.rows())
     }
 
     /// Autoregressively generates `new_tokens` continuation tokens for a
@@ -400,28 +389,23 @@ impl TransformerLm {
         let (logits, h_final, ln_f) = self.head(&h_last);
 
         let (ce_loss, d_logits) = cross_entropy(&logits, targets, None);
-        logits.recycle();
+        drop(logits);
 
         // LM head backward (tied weights: the embedding gets two gradient
         // contributions — the head here, the lookup below).
         let d_h_final = pooled_matmul(&d_logits, Trans::N, self.wte.value(), Trans::N);
         self.wte.accumulate_tn(&d_logits, &h_final);
-        d_logits.recycle();
-        h_final.recycle();
+        drop((d_logits, h_final));
 
         // Final layer norm.
         let mut d_h = self.ln_f.backward(&h_last, &d_h_final, &ln_f);
-        h_last.recycle();
-        d_h_final.recycle();
-        ln_f.recycle();
+        drop((h_last, d_h_final, ln_f));
 
         // Blocks in reverse, each cache back to the arena once consumed.
         let mut moe_stats = Vec::new();
         for (block, mut bc) in self.blocks.iter_mut().zip(caches).rev() {
-            let d_in = block.backward(&bc, &d_h);
-            std::mem::replace(&mut d_h, d_in).recycle();
+            d_h = block.backward(&bc, &d_h);
             moe_stats.extend(bc.moe_stats.take());
-            bc.recycle();
         }
         moe_stats.reverse();
 
@@ -438,7 +422,6 @@ impl TransformerLm {
                 *d += v;
             }
         }
-        d_h.recycle();
 
         let lb_loss: f32 = moe_stats.iter().map(|s| s.load_balancing_loss).sum();
         let dropped_tokens = moe_stats.iter().map(|s| s.dropped_tokens).sum();

@@ -121,12 +121,11 @@ fn moe_in_process(moe: &MoeConfig, calls: usize) {
     let (w1, w2) = (layer.w1().value(), layer.w2().value());
     let parts: [(&str, &dyn Fn()); 5] = [
         ("DroplessMoe::infer", &|| {
-            layer.infer(&x).expect("valid").recycle()
+            drop(layer.infer(&x).expect("valid"))
         }),
         ("ops::sdd + ops::dsd", &|| {
             let h = ops::sdd(&xg, w1, &topology);
-            ops::dsd(&h, w2).recycle();
-            h.recycle();
+            drop(ops::dsd(&h, w2));
         }),
         ("router", &|| {
             drop(std::hint::black_box(layer.router().forward(&x)))

@@ -1,14 +1,17 @@
 //! Incremental decoding is exact: `TransformerLm::decode` over a
 //! per-sequence KV cache returns, bit for bit, what the stateless
 //! full-window `next_token_logits` returns, so `generate` never changes
-//! its output — and inference gives every workspace buffer back.
+//! its output — and inference gives every workspace buffer back, also
+//! when an expired deadline unwinds it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
-use megablocks::core::MoeConfig;
-use megablocks::exec::{scoped_parallelism, workspace};
+use megablocks::core::{DroplessMoe, MoeConfig};
+use megablocks::exec::{cancel, scoped_parallelism, workspace, Ctx, Deadline, ExecError};
 use megablocks::telemetry;
-use megablocks::tensor::init::seeded_rng;
+use megablocks::tensor::init::{normal, seeded_rng};
 use megablocks::tensor::ops::softmax_rows;
 use megablocks::tensor::{configure_kernel_backend, kernel_backend, KernelBackend, Matrix};
 use megablocks::transformer::{DecodeState, FfnKind, TransformerConfig, TransformerLm};
@@ -305,4 +308,26 @@ fn inference_gives_every_workspace_buffer_back() {
             let _ = lm.generate(&start, SEQ_LEN, None, &mut seeded_rng(0));
         });
     }
+}
+
+/// An expired deadline unwinds the pass at its first launch, the
+/// router's GEMM, before the pass takes a buffer of its own; the call
+/// holds its input in the arena as `serve`'s batcher does.
+#[test]
+fn an_expired_infer_gives_every_workspace_buffer_back() {
+    let _guard = backend_lock();
+    let layer = DroplessMoe::new(moe(), &mut seeded_rng(16));
+    let x = normal(2 * BS + 3, moe().hidden_size, 1.0, &mut seeded_rng(17));
+    let expired = Ctx::none().with_deadline(Deadline::after(Duration::ZERO));
+    assert_conserves_the_workspace("an expired DroplessMoe::infer", || {
+        let input = x.pooled_copy();
+        let _scope = cancel::enter(&expired);
+        let unwound = catch_unwind(AssertUnwindSafe(|| layer.infer(&input)));
+        let payload = unwound.expect_err("an expired deadline unwinds the call");
+        let error = payload.downcast::<ExecError>().expect("with the ExecError");
+        assert!(
+            matches!(*error, ExecError::DeadlineExceeded { .. }),
+            "{error:?}"
+        );
+    });
 }

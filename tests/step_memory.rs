@@ -3,12 +3,14 @@
 //! shape (batch 4 × 128, hidden 128, two layers, no gradient
 //! accumulation) — forward, backward, gradient norm and Adam update —
 //! take every buffer from the calling thread's workspace arena — no miss
-//! — and, on Linux, the process takes next to no minor page faults per
-//! step. One test, so the fault count is this process's alone.
+//! —, give every one back to it — no stray —, hold no more than a fenced
+//! working set, and, on Linux, the process takes next to no minor page
+//! faults per step. One test, so the fault count is this process's alone.
 
 use megablocks::core::MoeConfig;
 use megablocks::data::TokenDataset;
-use megablocks::exec::workspace;
+use megablocks::exec::{scoped_parallelism, workspace};
+use megablocks::telemetry;
 use megablocks::tensor::init::seeded_rng;
 use megablocks::transformer::{FfnKind, Trainer, TrainerConfig, TransformerConfig, TransformerLm};
 
@@ -21,6 +23,13 @@ const STEPS: usize = 3;
 /// pages each. A step whose activations round-trip through `malloc` takes
 /// thousands (3 168 per dense step measured before the arena held them).
 const FAULTS_PER_STEP: u64 = 64;
+
+/// The most the calling thread's arena may hold after a steady-state
+/// step, `(buffers, floats)`: the step's working set as it stood when
+/// every buffer was given back by hand, on one and on two threads. A
+/// buffer that lives past its last reader raises it.
+const DENSE_HELD: (usize, usize) = (30, 3_236_864);
+const DMOE_HELD: (usize, usize) = (35, 5_326_848);
 
 /// Minor faults of this process so far (`/proc/self/stat` field 10).
 #[cfg(target_os = "linux")]
@@ -51,36 +60,58 @@ fn config(ffn: FfnKind) -> TransformerConfig {
 #[test]
 fn a_steady_state_train_step_allocates_nothing() {
     let moe = MoeConfig::new(128, 512, 8).with_block_size(16);
-    for (name, ffn) in [("dense", FfnKind::Dense), ("dMoE", FfnKind::Dropless(moe))] {
-        let lm = TransformerLm::new(config(ffn), &mut seeded_rng(1));
-        let mut trainer = Trainer::new(
-            lm,
-            TrainerConfig {
-                batch_size: BATCH,
-                micro_batch_size: BATCH,
-                seq_len: SEQ,
-                ..TrainerConfig::small(100)
-            },
-        );
-        let tokens: Vec<u32> = (0..(8 * BATCH * SEQ) as u32)
-            .map(|i| (i * 37 + 11) % 512)
-            .collect();
-        let data = TokenDataset::new(tokens, 512);
-        for _ in 0..2 {
-            trainer.train_step(&data);
-        }
-        for step in 0..STEPS {
-            let (misses, faults) = (workspace::stats().misses, minor_faults());
-            trainer.train_step(&data);
-            let missed = workspace::stats().misses - misses;
-            assert_eq!(missed, 0, "{name} step {step}: {missed} workspace misses");
-            if let (Some(before), Some(after)) = (faults, minor_faults()) {
-                let taken = after - before;
-                assert!(
-                    taken <= FAULTS_PER_STEP,
-                    "{name} step {step}: {taken} minor page faults"
-                );
-            }
+    let strays = telemetry::counter("exec.workspace.strays");
+    let kinds = [
+        ("dense", FfnKind::Dense, DENSE_HELD),
+        ("dMoE", FfnKind::Dropless(moe), DMOE_HELD),
+    ];
+    for (name, ffn, (max_buffers, max_floats)) in kinds {
+        for threads in [1, 2] {
+            let lm = TransformerLm::new(config(ffn.clone()), &mut seeded_rng(1));
+            let mut trainer = Trainer::new(
+                lm,
+                TrainerConfig {
+                    batch_size: BATCH,
+                    micro_batch_size: BATCH,
+                    seq_len: SEQ,
+                    ..TrainerConfig::small(100)
+                },
+            );
+            let tokens: Vec<u32> = (0..(8 * BATCH * SEQ) as u32)
+                .map(|i| (i * 37 + 11) % 512)
+                .collect();
+            let data = TokenDataset::new(tokens, 512);
+            let at = format!("{name} on {threads} threads");
+            scoped_parallelism(threads, || {
+                // The arena then holds this configuration's buffers only.
+                workspace::clear();
+                for _ in 0..2 {
+                    trainer.train_step(&data);
+                }
+                for step in 0..STEPS {
+                    let (before, faults) = (workspace::stats(), minor_faults());
+                    let strayed = strays.get();
+                    trainer.train_step(&data);
+                    let after = workspace::stats();
+                    let missed = after.misses - before.misses;
+                    assert_eq!(missed, 0, "{at}, step {step}: {missed} workspace misses");
+                    let strayed = strays.get() - strayed;
+                    assert_eq!(strayed, 0, "{at}, step {step}: {strayed} strays");
+                    assert!(
+                        after.held_buffers <= max_buffers && after.held_floats <= max_floats,
+                        "{at}, step {step}: the arena holds {} buffers, {} floats",
+                        after.held_buffers,
+                        after.held_floats
+                    );
+                    if let (Some(before), Some(after)) = (faults, minor_faults()) {
+                        let taken = after - before;
+                        assert!(
+                            taken <= FAULTS_PER_STEP,
+                            "{at}, step {step}: {taken} minor page faults"
+                        );
+                    }
+                }
+            });
         }
     }
 }
