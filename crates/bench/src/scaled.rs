@@ -174,7 +174,9 @@ pub fn train_scaled(cfg: &ScaledConfig, kind: ScaledKind) -> ScaledResult {
     };
     let mut trainer = Trainer::new(model, tcfg);
     let initial = trainer.evaluate(&valid, 8).loss;
-    let logs = trainer.train(&train, cfg.steps);
+    let logs = trainer
+        .train(&train, cfg.steps)
+        .expect("a fault-free run completes every step");
     let final_val = trainer.evaluate(&valid, 8).loss;
     let total_dropped: usize = logs.iter().map(|l| l.dropped_tokens).sum();
     let routed = cfg.steps * cfg.batch_size * cfg.seq_len * cfg.layers;

@@ -1,26 +1,24 @@
 //! Parameter and training-state checkpointing.
 //!
-//! Two on-disk formats share the `MBRS` magic:
+//! One on-disk format: the `MBRS` magic, a version word (2), a header
+//! carrying the optimizer step index, the Adam timestep and the
+//! data-sampling RNG state, then per parameter its shape, its
+//! little-endian f32 values and, when the checkpoint carries an
+//! optimizer, its Adam first and second moments, and last a CRC32 of
+//! every preceding byte. A parameters-only checkpoint is the same format
+//! with a default [`TrainState`]: no moments, zero counters. A flipped bit
+//! or a truncated tail anywhere fails validation before any state is
+//! touched; any other version word is [`CheckpointError::BadVersion`].
 //!
-//! * **v1** — parameter values only: magic, version, parameter count,
-//!   then per-parameter shape + little-endian f32 data. Still fully
-//!   loadable ([`load_params`] and [`load_train_state`] both accept it).
-//! * **v2** — full training state for exact resume: a header carrying
-//!   the optimizer step index, the Adam timestep, and the data-sampling
-//!   RNG state, then per-parameter value + Adam first/second moments,
-//!   and a trailing CRC32 of every preceding byte. A flipped bit or a
-//!   truncated tail anywhere fails validation before any state is
-//!   touched.
-//!
-//! Loading is **transactional** in both formats: the whole stream is
-//! parsed and every header validated against the model (count + shapes)
-//! *before* the first parameter is overwritten, so a mid-stream mismatch
-//! or truncation can never leave a model half-loaded. File-level writes
-//! go through [`save_train_state_atomic`] (write-temp + fsync + rename
-//! via `megablocks-resilience`), so a crash or injected I/O fault tears
-//! at most a temp file, never a committed checkpoint.
+//! Loading is **transactional**: the whole stream is parsed and every
+//! header validated against the model (count + shapes) *before* the
+//! first parameter is overwritten, so a mid-stream mismatch or truncation
+//! can never leave a model half-loaded. File-level writes go through
+//! [`save_train_state_atomic`] (write-temp + fsync + rename via
+//! `megablocks-resilience`), so a crash or injected I/O fault tears at
+//! most a temp file, never a committed checkpoint.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::Path;
 
 use megablocks_resilience as resilience;
@@ -29,10 +27,7 @@ use megablocks_tensor::Matrix;
 use crate::Param;
 
 const MAGIC: [u8; 4] = *b"MBRS";
-/// The params-only format.
-pub const VERSION_V1: u32 = 1;
-/// The CRC-checked full-training-state format.
-pub const VERSION_V2: u32 = 2;
+const VERSION: u32 = 2;
 
 /// Error type for checkpoint save/load.
 #[derive(Debug)]
@@ -77,11 +72,12 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// Training state carried by a v2 checkpoint alongside the parameters.
+/// Training state carried by a checkpoint alongside the parameters.
 ///
-/// Loaded from a v1 checkpoint, [`TrainState::has_optimizer`] is `false`
-/// and `step`/`opt_steps`/`rng_state` are zero: the caller resumes the
-/// weights but restarts the schedule.
+/// The default is a parameters-only checkpoint's: no moments
+/// ([`TrainState::has_optimizer`] is `false`) and zero
+/// `step`/`opt_steps`/`rng_state`, so the caller resumes the weights but
+/// restarts the schedule.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainState {
     /// Optimizer steps completed when the checkpoint was taken.
@@ -97,61 +93,20 @@ pub struct TrainState {
 }
 
 impl TrainState {
-    /// Whether optimizer moments were present (always true for v2).
+    /// Whether optimizer moments are present.
     pub fn has_optimizer(&self) -> bool {
         !self.m.is_empty()
     }
 }
 
-/// Writes the parameter values (not gradients or optimizer state) to `w`
-/// in format v1.
-///
-/// A `&mut` writer works too (std's blanket `Write for &mut W`).
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on write failure.
-pub fn save_params<W: Write>(params: &[&mut Param], mut w: W) -> Result<(), CheckpointError> {
-    w.write_all(&MAGIC)?;
-    w.write_all(&VERSION_V1.to_le_bytes())?;
-    w.write_all(&(params.len() as u64).to_le_bytes())?;
-    for p in params {
-        let v = p.value();
-        w.write_all(&(v.rows() as u64).to_le_bytes())?;
-        w.write_all(&(v.cols() as u64).to_le_bytes())?;
-        for x in v.as_slice() {
-            w.write_all(&x.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Serializes parameters plus training state in format v2
-/// (CRC-checksummed) to `w`.
+/// Encodes `params` and `state` as checkpoint bytes;
+/// `encode(params, &TrainState::default())` is a parameters-only save.
 ///
 /// # Errors
 ///
 /// Returns [`CheckpointError::Mismatch`] if `state.m`/`state.v` are
-/// nonempty but do not mirror `params` in count or shape, and
-/// [`CheckpointError::Io`] on write failure.
-pub fn save_train_state<W: Write>(
-    params: &[&mut Param],
-    state: &TrainState,
-    mut w: W,
-) -> Result<(), CheckpointError> {
-    let bytes = encode_v2(params, state)?;
-    w.write_all(&bytes)?;
-    Ok(())
-}
-
-/// Encodes a v2 checkpoint into bytes (exposed for the atomic writer and
-/// tests).
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Mismatch`] if the moment vectors do not
-/// mirror `params`.
-pub fn encode_v2(params: &[&mut Param], state: &TrainState) -> Result<Vec<u8>, CheckpointError> {
+/// nonempty but do not mirror `params` in count or shape.
+pub fn encode(params: &[&mut Param], state: &TrainState) -> Result<Vec<u8>, CheckpointError> {
     if !state.m.is_empty() && (state.m.len() != params.len() || state.v.len() != params.len()) {
         return Err(CheckpointError::Mismatch(format!(
             "optimizer has {}/{} moment matrices, model has {} parameters",
@@ -162,7 +117,7 @@ pub fn encode_v2(params: &[&mut Param], state: &TrainState) -> Result<Vec<u8>, C
     }
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION_V2.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&state.step.to_le_bytes());
     out.extend_from_slice(&state.opt_steps.to_le_bytes());
     for word in state.rng_state {
@@ -193,28 +148,11 @@ pub fn encode_v2(params: &[&mut Param], state: &TrainState) -> Result<Vec<u8>, C
     Ok(out)
 }
 
-/// Restores parameter values from `r` into `params` (v1 or v2 stream;
-/// v2 training state is discarded).
-///
-/// Transactional: the stream is fully parsed and validated against the
-/// model before any parameter is overwritten, so an error leaves the
-/// model exactly as it was.
-///
-/// # Errors
-///
-/// Returns an error if the stream is not a checkpoint, the version is
-/// unsupported, integrity validation fails, or the parameter
-/// count/shapes differ from the model's.
-pub fn load_params<R: Read>(params: &mut [&mut Param], r: R) -> Result<(), CheckpointError> {
-    load_train_state(params, r).map(|_| ())
-}
-
 /// Restores parameters *and* training state from `r`.
 ///
-/// Accepts both formats: a v2 stream is CRC-validated and yields the
-/// full [`TrainState`]; a v1 stream yields a default state with
-/// [`TrainState::has_optimizer`] `false`. Transactional like
-/// [`load_params`].
+/// Transactional: the stream is fully parsed, CRC-checked and validated
+/// against the model before any parameter is overwritten, so an error
+/// leaves the model exactly as it was.
 ///
 /// # Errors
 ///
@@ -255,7 +193,7 @@ pub fn load_train_state<R: Read>(
     Ok(parsed.state)
 }
 
-/// Saves a v2 checkpoint to `path` atomically (write-temp + fsync +
+/// Saves a checkpoint to `path` atomically (write-temp + fsync +
 /// rename).
 ///
 /// # Errors
@@ -268,12 +206,12 @@ pub fn save_train_state_atomic(
     params: &[&mut Param],
     state: &TrainState,
 ) -> Result<(), CheckpointError> {
-    let bytes = encode_v2(params, state)?;
+    let bytes = encode(params, state)?;
     resilience::atomic_write(path, &bytes)?;
     Ok(())
 }
 
-/// Loads a checkpoint file (v1 or v2) into `params`, returning the
+/// Loads a checkpoint file into `params`, returning the
 /// training state.
 ///
 /// # Errors
@@ -289,14 +227,13 @@ pub fn load_train_state_file(
 }
 
 /// Structurally validates checkpoint bytes without a model: magic,
-/// version, exact framing, and (v2) the trailing CRC. Returns the
-/// format version.
+/// version, the trailing CRC and exact framing.
 ///
 /// # Errors
 ///
 /// Returns the same errors as loading, minus model mismatches.
-pub fn validate_checkpoint_bytes(bytes: &[u8]) -> Result<u32, CheckpointError> {
-    parse_checkpoint(bytes).map(|p| p.version)
+pub fn validate_checkpoint_bytes(bytes: &[u8]) -> Result<(), CheckpointError> {
+    parse_checkpoint(bytes).map(|_| ())
 }
 
 /// [`validate_checkpoint_bytes`] for a file on disk.
@@ -305,14 +242,13 @@ pub fn validate_checkpoint_bytes(bytes: &[u8]) -> Result<u32, CheckpointError> {
 ///
 /// As [`validate_checkpoint_bytes`], plus [`CheckpointError::Io`] if the
 /// file cannot be read.
-pub fn validate_checkpoint_file(path: &Path) -> Result<u32, CheckpointError> {
+pub fn validate_checkpoint_file(path: &Path) -> Result<(), CheckpointError> {
     let bytes = std::fs::read(path)?;
     validate_checkpoint_bytes(&bytes)
 }
 
 /// A fully parsed checkpoint, staged and not yet committed to a model.
 struct Parsed {
-    version: u32,
     values: Vec<Matrix>,
     state: TrainState,
 }
@@ -323,27 +259,9 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<Parsed, CheckpointError> {
         return Err(CheckpointError::BadMagic);
     }
     let version = r.u32()?;
-    match version {
-        VERSION_V1 => parse_v1(r),
-        VERSION_V2 => parse_v2(bytes, r),
-        v => Err(CheckpointError::BadVersion(v)),
+    if version != VERSION {
+        return Err(CheckpointError::BadVersion(version));
     }
-}
-
-fn parse_v1(mut r: ByteReader<'_>) -> Result<Parsed, CheckpointError> {
-    let count = r.u64()? as usize;
-    let mut values = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        values.push(r.matrix()?);
-    }
-    Ok(Parsed {
-        version: VERSION_V1,
-        values,
-        state: TrainState::default(),
-    })
-}
-
-fn parse_v2(bytes: &[u8], mut r: ByteReader<'_>) -> Result<Parsed, CheckpointError> {
     // Integrity first: the last 4 bytes are the CRC32 of everything
     // before them. Checked before any structural parsing, so truncation
     // and bit flips surface as corruption rather than arbitrary errors.
@@ -387,7 +305,6 @@ fn parse_v2(bytes: &[u8], mut r: ByteReader<'_>) -> Result<Parsed, CheckpointErr
         )));
     }
     Ok(Parsed {
-        version: VERSION_V2,
         values,
         state: TrainState {
             step,
@@ -407,8 +324,7 @@ fn push_f32s(out: &mut Vec<u8>, values: &[f32]) {
 }
 
 /// Bounded little-endian reader over a byte slice. Overruns surface as
-/// `Io(UnexpectedEof)`, matching what streaming v1 loads always
-/// reported for truncation.
+/// `Io(UnexpectedEof)`.
 struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -424,7 +340,7 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Restricts reading to the first `end` bytes (v2 excludes its CRC).
+    /// Restricts reading to the first `end` bytes (excluding the CRC).
     fn limit(&mut self, end: usize) {
         self.end = end.min(self.bytes.len());
     }
@@ -460,7 +376,7 @@ impl<'a> ByteReader<'a> {
         self.matrix_data(rows, cols)
     }
 
-    /// `rows * cols` f32s with a known shape (v2 moment blocks).
+    /// `rows * cols` f32s with a known shape (moment blocks).
     fn matrix_data(&mut self, rows: usize, cols: usize) -> Result<Matrix, CheckpointError> {
         let n = rows
             .checked_mul(cols)
@@ -505,6 +421,24 @@ mod tests {
         }
     }
 
+    /// Parameters-only checkpoint bytes of `params`.
+    fn params_only(params: &[&mut Param]) -> Vec<u8> {
+        encode(params, &TrainState::default()).expect("encode")
+    }
+
+    fn values(l: &mut DroplessMoe) -> Vec<Matrix> {
+        l.params_mut().iter().map(|p| p.value().clone()).collect()
+    }
+
+    fn assert_untouched(l: &mut DroplessMoe, before: &[Matrix]) {
+        for (p, orig) in l.params_mut().iter().zip(before) {
+            assert!(
+                p.value().approx_eq(orig, 0.0),
+                "a failed load scrambled the model"
+            );
+        }
+    }
+
     #[test]
     fn roundtrip_restores_exact_behaviour() {
         let mut a = layer(1);
@@ -514,9 +448,8 @@ mod tests {
         let before = a.forward(&x).output;
         assert!(!b.forward(&x).output.approx_eq(&before, 1e-6));
 
-        let mut buf = Vec::new();
-        save_params(&a.params_mut(), &mut buf).expect("save");
-        load_params(&mut b.params_mut(), buf.as_slice()).expect("load");
+        let buf = params_only(&a.params_mut());
+        load_train_state(&mut b.params_mut(), buf.as_slice()).expect("load");
         let after = b.forward(&x).output;
         assert!(after.approx_eq(&before, 0.0), "bit-exact restore expected");
     }
@@ -526,103 +459,115 @@ mod tests {
         let mut a = layer(1);
         let mut b = layer(2);
         let state = state_for(&a.params_mut());
-        let mut buf = Vec::new();
-        save_train_state(&a.params_mut(), &state, &mut buf).expect("save");
+        let buf = encode(&a.params_mut(), &state).expect("encode");
         let loaded = load_train_state(&mut b.params_mut(), buf.as_slice()).expect("load");
         assert_eq!(loaded, state);
         assert!(loaded.has_optimizer());
         for (pa, pb) in a.params_mut().iter().zip(b.params_mut().iter()) {
             assert!(pa.value().approx_eq(pb.value(), 0.0));
         }
-        assert_eq!(validate_checkpoint_bytes(&buf).expect("valid"), VERSION_V2);
+        validate_checkpoint_bytes(&buf).expect("valid");
     }
 
     #[test]
-    fn v1_stream_loads_as_train_state_without_optimizer() {
+    fn params_only_stream_loads_without_optimizer() {
         let mut a = layer(1);
         let mut b = layer(2);
-        let mut buf = Vec::new();
-        save_params(&a.params_mut(), &mut buf).expect("save");
+        let buf = params_only(&a.params_mut());
+        validate_checkpoint_bytes(&buf).expect("valid");
         let loaded = load_train_state(&mut b.params_mut(), buf.as_slice()).expect("load");
         assert!(!loaded.has_optimizer());
-        assert_eq!(loaded.step, 0);
-        assert_eq!(validate_checkpoint_bytes(&buf).expect("valid"), VERSION_V1);
+        assert_eq!(loaded, TrainState::default());
     }
 
     #[test]
     fn rejects_wrong_architecture() {
         let mut a = layer(1);
-        let mut buf = Vec::new();
-        save_params(&a.params_mut(), &mut buf).expect("save");
+        let buf = params_only(&a.params_mut());
         // A layer with a different expert count has different shapes.
         let mut rng = seeded_rng(4);
         let mut other = DroplessMoe::new(MoeConfig::new(6, 8, 3).with_block_size(4), &mut rng);
-        let err = load_params(&mut other.params_mut(), buf.as_slice()).unwrap_err();
+        let err = load_train_state(&mut other.params_mut(), buf.as_slice()).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
     }
 
     #[test]
     fn mismatch_leaves_the_model_untouched() {
-        // A v1 stream whose *last* parameter header is wrong: the
-        // transactional loader must not have written the earlier ones.
+        // A well-sealed stream whose *last* parameter header is transposed:
+        // every parameter parses, the earlier ones match the model, and the
+        // transactional loader must still not have written them.
         let mut a = layer(1);
-        let mut buf = Vec::new();
-        save_params(&a.params_mut(), &mut buf).expect("save");
-        // Corrupt the final parameter's column count (header sits right
-        // before its data).
+        let mut buf = params_only(&a.params_mut());
         let params = a.params_mut();
-        let last_len = params.last().expect("params").value().len();
-        let header_at = buf.len() - last_len * 4 - 16;
-        buf[header_at + 8..header_at + 16].copy_from_slice(&999u64.to_le_bytes());
+        let last = params.last().expect("params").value();
+        let (rows, cols) = last.shape();
+        assert_ne!(rows, cols, "a transposed header must differ");
+        // The header sits right before the data, which precedes the CRC.
+        let header_at = buf.len() - 4 - last.len() * 4 - 16;
+        buf[header_at..header_at + 8].copy_from_slice(&(cols as u64).to_le_bytes());
+        buf[header_at + 8..header_at + 16].copy_from_slice(&(rows as u64).to_le_bytes());
         drop(params);
+        let payload = buf.len() - 4;
+        let crc = resilience::crc32(&buf[..payload]);
+        buf[payload..].copy_from_slice(&crc.to_le_bytes());
 
         let mut b = layer(2);
-        let before: Vec<Matrix> = b.params_mut().iter().map(|p| p.value().clone()).collect();
-        let err = load_params(&mut b.params_mut(), buf.as_slice()).unwrap_err();
+        let before = values(&mut b);
+        let err = load_train_state(&mut b.params_mut(), buf.as_slice()).unwrap_err();
+        let CheckpointError::Mismatch(what) = &err else {
+            panic!("expected a mismatch, got {err}");
+        };
+        let last_index = before.len() - 1;
         assert!(
-            matches!(err, CheckpointError::Mismatch(_) | CheckpointError::Io(_)),
-            "{err}"
+            what.starts_with(&format!("parameter {last_index}:")),
+            "{what}"
         );
-        for (p, orig) in b.params_mut().iter().zip(&before) {
-            assert!(
-                p.value().approx_eq(orig, 0.0),
-                "a failed load scrambled the model"
-            );
-        }
+        assert_untouched(&mut b, &before);
     }
 
     #[test]
     fn rejects_garbage_and_wrong_version() {
         let mut l = layer(5);
-        let err = load_params(&mut l.params_mut(), &b"nope"[..]).unwrap_err();
+        let before = values(&mut l);
+        let err = load_train_state(&mut l.params_mut(), &b"nope"[..]).unwrap_err();
         assert!(
             matches!(err, CheckpointError::BadMagic | CheckpointError::Io(_)),
             "{err}"
         );
 
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"MBRS");
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        let err = load_params(&mut l.params_mut(), buf.as_slice()).unwrap_err();
-        assert!(matches!(err, CheckpointError::BadVersion(99)), "{err}");
+        // A header of the retired version 1 and of an unknown version.
+        for version in [1u32, 99] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(b"MBRS");
+            buf.extend_from_slice(&version.to_le_bytes());
+            buf.extend_from_slice(&0u64.to_le_bytes());
+            let err = load_train_state(&mut l.params_mut(), buf.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::BadVersion(v) if v == version),
+                "{err}"
+            );
+        }
+        assert_untouched(&mut l, &before);
     }
 
     #[test]
     fn truncated_stream_is_an_io_error() {
+        // Cut inside the magic or the version word, a stream ends before
+        // its CRC can be read: an unexpected EOF. Cut anywhere later, the
+        // CRC rejects it (`v2_bit_flip_is_corrupt`).
         let mut a = layer(6);
-        let mut buf = Vec::new();
-        save_params(&a.params_mut(), &mut buf).expect("save");
-        buf.truncate(buf.len() / 2);
-        let err = load_params(&mut a.params_mut(), buf.as_slice()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        let buf = params_only(&a.params_mut());
+        for cut in [0, 3, 4, 7] {
+            let err = load_train_state(&mut a.params_mut(), &buf[..cut]).unwrap_err();
+            assert!(matches!(err, CheckpointError::Io(_)), "cut at {cut}: {err}");
+        }
     }
 
     #[test]
     fn v2_bit_flip_is_corrupt() {
         let mut a = layer(7);
         let state = state_for(&a.params_mut());
-        let bytes = encode_v2(&a.params_mut(), &state).expect("encode");
+        let bytes = encode(&a.params_mut(), &state).expect("encode");
         let mut corrupt = bytes.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x10;

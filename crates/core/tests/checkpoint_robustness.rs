@@ -1,16 +1,16 @@
-//! Property-based robustness tests for the checkpoint formats.
+//! Property-based robustness tests for the checkpoint format.
 //!
-//! The contract under test: loading either format is transactional (any
-//! failure leaves the model bit-identical to before), v2 integrity is
-//! CRC-guarded (any flipped bit or truncation is rejected), and
-//! round-trips restore parameters — and, for v2, the full training state
-//! — bit-exactly.
+//! The contract under test: loading is transactional (any failure leaves
+//! the model bit-identical to before), integrity is CRC-guarded (any
+//! flipped bit or truncation is rejected), and round-trips restore
+//! parameters — and, with an optimizer, the full training state —
+//! bit-exactly.
 
 use megablocks_core::checkpoint::{
-    encode_v2, load_params, load_train_state, save_params, validate_checkpoint_bytes,
-    CheckpointError, TrainState, VERSION_V1, VERSION_V2,
+    encode, load_train_state, validate_checkpoint_bytes, CheckpointError, TrainState,
 };
 use megablocks_core::{DroplessMoe, MoeConfig};
+use megablocks_resilience::crc32;
 use megablocks_tensor::init::seeded_rng;
 use megablocks_tensor::Matrix;
 use proptest::prelude::*;
@@ -33,15 +33,13 @@ fn assert_untouched(l: &mut DroplessMoe, before: &[Matrix]) {
     }
 }
 
-fn v1_bytes(l: &mut DroplessMoe) -> Vec<u8> {
-    let mut buf = Vec::new();
-    save_params(&l.params_mut(), &mut buf).expect("in-memory save");
-    buf
+fn params_only_bytes(l: &mut DroplessMoe) -> Vec<u8> {
+    encode(&l.params_mut(), &TrainState::default()).expect("in-memory encode")
 }
 
 fn v2_bytes(l: &mut DroplessMoe, seed: u64) -> Vec<u8> {
     let state = train_state_for(l, seed);
-    encode_v2(&l.params_mut(), &state).expect("in-memory encode")
+    encode(&l.params_mut(), &state).expect("in-memory encode")
 }
 
 fn train_state_for(l: &mut DroplessMoe, seed: u64) -> TrainState {
@@ -58,9 +56,11 @@ fn train_state_for(l: &mut DroplessMoe, seed: u64) -> TrainState {
     }
 }
 
-/// Byte offset of parameter `idx`'s (rows, cols) header in a v1 stream.
-fn v1_header_offset(shapes: &[(usize, usize)], idx: usize) -> usize {
-    let mut pos = 4 + 4 + 8; // magic, version, count
+/// Byte offset of parameter `idx`'s (rows, cols) header in a
+/// parameters-only stream.
+fn params_only_header_offset(shapes: &[(usize, usize)], idx: usize) -> usize {
+    // Magic, version, step, Adam timestep, RNG state, count, optimizer flag.
+    let mut pos = 4 + 4 + 8 + 8 + 32 + 8 + 1;
     for &(r, c) in shapes.iter().take(idx) {
         pos += 16 + r * c * 4;
     }
@@ -71,12 +71,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn v1_roundtrip_is_bit_exact(seed in 0u64..500, experts in 2usize..5) {
+    fn params_only_roundtrip_is_bit_exact(seed in 0u64..500, experts in 2usize..5) {
         let mut a = layer(seed, experts);
         let mut b = layer(seed + 1000, experts);
-        let buf = v1_bytes(&mut a);
-        prop_assert_eq!(validate_checkpoint_bytes(&buf).unwrap(), VERSION_V1);
-        load_params(&mut b.params_mut(), buf.as_slice()).expect("valid stream");
+        let buf = params_only_bytes(&mut a);
+        prop_assert!(validate_checkpoint_bytes(&buf).is_ok());
+        let loaded = load_train_state(&mut b.params_mut(), buf.as_slice()).expect("valid stream");
+        prop_assert!(!loaded.has_optimizer());
         for (pa, pb) in a.params_mut().iter().zip(b.params_mut().iter()) {
             prop_assert!(pa.value().approx_eq(pb.value(), 0.0));
         }
@@ -87,8 +88,8 @@ proptest! {
         let mut a = layer(seed, experts);
         let mut b = layer(seed + 1000, experts);
         let state = train_state_for(&mut a, seed);
-        let buf = encode_v2(&a.params_mut(), &state).expect("encode");
-        prop_assert_eq!(validate_checkpoint_bytes(&buf).unwrap(), VERSION_V2);
+        let buf = encode(&a.params_mut(), &state).expect("encode");
+        prop_assert!(validate_checkpoint_bytes(&buf).is_ok());
         let loaded = load_train_state(&mut b.params_mut(), buf.as_slice()).expect("valid stream");
         prop_assert_eq!(loaded, state);
         for (pa, pb) in a.params_mut().iter().zip(b.params_mut().iter()) {
@@ -97,14 +98,24 @@ proptest! {
     }
 
     #[test]
-    fn truncated_v1_never_loads_and_never_mutates(seed in 0u64..500, frac in 0.0f64..1.0) {
+    fn truncated_params_only_never_loads_and_never_mutates(
+        seed in 0u64..500,
+        frac in 0.0f64..1.0,
+    ) {
         let mut a = layer(seed, 3);
-        let buf = v1_bytes(&mut a);
+        let buf = params_only_bytes(&mut a);
         let cut = ((buf.len() - 1) as f64 * frac) as usize;
         let mut b = layer(seed + 1, 3);
         let before = snapshot(&mut b);
-        let err = load_params(&mut b.params_mut(), &buf[..cut]).unwrap_err();
-        prop_assert!(matches!(err, CheckpointError::Io(_) | CheckpointError::BadMagic), "{}", err);
+        let err = load_train_state(&mut b.params_mut(), &buf[..cut]).unwrap_err();
+        prop_assert!(
+            matches!(
+                err,
+                CheckpointError::Corrupt(_) | CheckpointError::Io(_) | CheckpointError::BadMagic
+            ),
+            "{}",
+            err
+        );
         assert_untouched(&mut b, &before);
     }
 
@@ -154,7 +165,7 @@ proptest! {
     #[test]
     fn bad_magic_is_rejected(seed in 0u64..500, first in 0u32..255) {
         let mut a = layer(seed, 2);
-        let mut buf = v1_bytes(&mut a);
+        let mut buf = params_only_bytes(&mut a);
         // Steer away from the one valid leading byte.
         let first = if first as u8 == b'M' { b'X' } else { first as u8 };
         buf[0] = first;
@@ -163,36 +174,42 @@ proptest! {
     }
 
     #[test]
-    fn unknown_versions_are_rejected(seed in 0u64..500, version in 3u32..1000) {
+    fn unknown_versions_are_rejected(seed in 0u64..500, version in 0u32..1000) {
+        // Version 1, the retired parameters-only format, stands in for 2.
+        let version = if version == 2 { 1 } else { version };
         let mut a = layer(seed, 2);
-        let mut buf = v1_bytes(&mut a);
+        let mut buf = params_only_bytes(&mut a);
         buf[4..8].copy_from_slice(&version.to_le_bytes());
         let err = validate_checkpoint_bytes(&buf).unwrap_err();
         prop_assert!(matches!(err, CheckpointError::BadVersion(v) if v == version), "{}", err);
     }
 
     #[test]
-    fn midstream_shape_mismatch_is_transactional(
-        seed in 0u64..500,
-        which in 0usize..6,
-        wrong_cols in 100u64..1000,
-    ) {
-        // Corrupt one parameter's column count in an otherwise valid v1
-        // stream: parameters *before* it parse fine, yet none may be
-        // written to the model.
+    fn midstream_shape_mismatch_is_transactional(seed in 0u64..500, which in 0usize..6) {
+        // Reshape one parameter's header to a vector of the same length and
+        // re-seal the CRC: every parameter parses, those *before* it match
+        // the model, yet none may be written to it.
         let mut a = layer(seed, 3);
         let shapes: Vec<(usize, usize)> =
             a.params_mut().iter().map(|p| p.value().shape()).collect();
         let idx = which % shapes.len();
-        let mut buf = v1_bytes(&mut a);
-        let header = v1_header_offset(&shapes, idx);
-        buf[header + 8..header + 16].copy_from_slice(&wrong_cols.to_le_bytes());
+        let (rows, cols) = shapes[idx];
+        let vector = if cols == 1 { (1, rows) } else { (rows * cols, 1) };
+        prop_assert!(vector != (rows, cols));
+        let mut buf = params_only_bytes(&mut a);
+        let header = params_only_header_offset(&shapes, idx);
+        buf[header..header + 8].copy_from_slice(&(vector.0 as u64).to_le_bytes());
+        buf[header + 8..header + 16].copy_from_slice(&(vector.1 as u64).to_le_bytes());
+        let payload = buf.len() - 4;
+        let crc = crc32(&buf[..payload]);
+        buf[payload..].copy_from_slice(&crc.to_le_bytes());
 
         let mut b = layer(seed + 1, 3);
         let before = snapshot(&mut b);
-        let err = load_params(&mut b.params_mut(), buf.as_slice()).unwrap_err();
+        let err = load_train_state(&mut b.params_mut(), buf.as_slice()).unwrap_err();
+        let want = format!("parameter {idx}:");
         prop_assert!(
-            matches!(err, CheckpointError::Mismatch(_) | CheckpointError::Io(_)),
+            matches!(&err, CheckpointError::Mismatch(what) if what.starts_with(&want)),
             "{}",
             err
         );

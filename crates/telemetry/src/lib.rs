@@ -60,9 +60,9 @@ pub use recorder::*;
 
 /// Flushes telemetry sinks when dropped — including during a panic
 /// unwind, so chaos-run traces and metrics aren't silently truncated
-/// when a step aborts. Create one near the top of `main` (or hold one
-/// in a long-lived runner such as `ResilientTrainer`); configure which
-/// sinks to flush with the builder methods. Flushing is best-effort:
+/// when a step aborts. Create one near the top of `main` (or of a test),
+/// before whatever it should outlive; configure which sinks to flush
+/// with the builder methods. Flushing is best-effort:
 /// I/O errors are reported on stderr, never panicked, because this
 /// runs inside `Drop`.
 #[derive(Debug, Default)]

@@ -46,5 +46,5 @@ pub use config::{
 };
 pub use model::{DecodeState, StepStats, TransformerLm};
 pub use norm::LayerNorm;
-pub use resilient::{ResilienceConfig, ResilienceReport, ResilientTrainer, TrainAbort};
+pub use resilient::{ResilienceConfig, ResilienceReport, TrainAbort};
 pub use trainer::{lr_at_step, EvalResult, PendingStep, TrainLog, Trainer, TrainerConfig};

@@ -445,7 +445,7 @@ fn seq_of(inputs: &[usize], batch: usize) -> usize {
 mod tests {
     use super::*;
     use crate::FfnKind;
-    use megablocks_core::checkpoint::{load_params, save_params};
+    use megablocks_core::checkpoint::{encode, load_train_state, TrainState};
     use megablocks_core::MoeConfig;
     use megablocks_tensor::init::seeded_rng;
 
@@ -602,11 +602,10 @@ mod tests {
         assert_eq!(logits(&used), logits(&fresh));
 
         // A checkpoint load into a model that has already decoded.
-        let mut buf = Vec::new();
-        save_params(&fresh.params_mut(), &mut buf).expect("save");
+        let buf = encode(&fresh.params_mut(), &TrainState::default()).expect("save");
         let mut loaded = TransformerLm::new(cfg.clone(), &mut seeded_rng(12));
         let _ = logits(&loaded);
-        load_params(&mut loaded.params_mut(), buf.as_slice()).expect("load");
+        load_train_state(&mut loaded.params_mut(), buf.as_slice()).expect("load");
         assert_eq!(logits(&loaded), logits(&fresh));
     }
 

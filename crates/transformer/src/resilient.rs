@@ -1,7 +1,8 @@
-//! The fault-tolerant training loop.
+//! How a [`Trainer`] step recovers.
 //!
-//! [`ResilientTrainer`] wraps a [`Trainer`] with the recovery discipline
-//! the robustness milestone specifies:
+//! [`Trainer::try_train_step`] (which [`Trainer::train_step`] and
+//! [`Trainer::train`] run) applies the recovery discipline the robustness
+//! milestone specifies:
 //!
 //! * **Exact step retry.** Each optimizer step snapshots the data RNG,
 //!   runs the accumulation phase under `catch_unwind`, and validates the
@@ -15,7 +16,7 @@
 //!   untouched, and training continues. Too many consecutive skips abort
 //!   with [`TrainAbort`].
 //! * **Periodic atomic checkpoints.** Every `checkpoint_every` steps a
-//!   v2 checkpoint (weights + Adam moments + step + RNG state, CRC32
+//!   checkpoint (weights + Adam moments + step + RNG state, CRC32
 //!   checksummed) is written via write-temp + fsync + rename, with its
 //!   own retry budget; old checkpoints are pruned. A torn or injected
 //!   I/O failure can never leave a corrupt committed file.
@@ -30,13 +31,15 @@
 //!   never retried. An aborted launch unwinds with an [`exec::ExecError`]
 //!   payload, and the step classifies it by [`exec::ExecError::kind`];
 //!   every other panic counts as a worker panic.
-//! * **Auto-resume.** [`ResilientTrainer::resume_latest`] scans the
-//!   checkpoint directory newest-first, skips any file that fails CRC or
-//!   structural validation, and restores the first valid one.
+//! * **Auto-resume.** [`Trainer::resume_latest`] scans the checkpoint
+//!   directory newest-first, skips any file that fails CRC or structural
+//!   validation, and restores the first valid one.
 //!
-//! Every detection and recovery increments the `resilience.*` telemetry
-//! counters declared by the fault-site catalogue in
-//! `megablocks-resilience`.
+//! With no checkpoint directory, deadline or token (the default), a
+//! fault-free step costs an RNG snapshot and two finiteness checks more
+//! than its two phases. Every detection and recovery increments the
+//! `resilience.*` telemetry counters declared by the fault-site catalogue
+//! in `megablocks-resilience`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -49,12 +52,13 @@ use megablocks_resilience as resilience;
 use megablocks_resilience::sites::{
     CHECKPOINT_IO, EXEC_BAND_STALL, EXEC_WORKER_PANIC, KERNEL_NAN_POISON, POOL_QUEUE_FLOOD,
 };
-use megablocks_resilience::RetryPolicy;
+use megablocks_resilience::{RetryPolicy, Site};
 use megablocks_telemetry as telemetry;
+use rand::rngs::StdRng;
 
 use crate::{TrainLog, Trainer};
 
-/// Configuration of the fault-tolerant loop.
+/// The recovery policy a [`Trainer`] runs its steps under.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Where checkpoints live; `None` disables checkpointing.
@@ -75,12 +79,6 @@ pub struct ResilienceConfig {
     /// the in-flight step unwinds at its next cooperative check, rolls
     /// back, and is *not* retried. `None` disables external cancel.
     pub cancel: Option<exec::CancelToken>,
-    /// When set, the trainer holds a [`telemetry::FlushOnDrop`] guard
-    /// exporting the metric registry (JSONL, at this path) and the
-    /// timeline trace (same path with a `.trace.json` extension) when it
-    /// is dropped — including during a panic unwind, so chaos-run
-    /// observability is never silently truncated by an abort.
-    pub telemetry_export: Option<PathBuf>,
 }
 
 impl Default for ResilienceConfig {
@@ -93,12 +91,11 @@ impl Default for ResilienceConfig {
             max_consecutive_skips: 4,
             step_deadline: None,
             cancel: None,
-            telemetry_export: None,
         }
     }
 }
 
-/// What the fault-tolerant loop observed and did.
+/// What a trainer's recovery observed and did.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceReport {
     /// Optimizer steps that completed (including after retries).
@@ -122,7 +119,7 @@ pub struct ResilienceReport {
     /// Checkpoint saves that failed even after retries (training
     /// continues; the failure is recorded here and in telemetry).
     pub checkpoint_failures: usize,
-    /// The step restored by [`ResilientTrainer::resume_latest`], if any.
+    /// The step restored by [`Trainer::resume_latest`], if any.
     pub resumed_from_step: Option<u64>,
 }
 
@@ -141,7 +138,7 @@ impl std::fmt::Display for TrainAbort {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "training aborted at step {}: {} consecutive steps failed every retry (last: {})",
+            "training stopped at step {}: {} consecutive steps failed every retry (last: {})",
             self.step, self.consecutive_skips, self.last_reason
         )
     }
@@ -149,54 +146,138 @@ impl std::fmt::Display for TrainAbort {
 
 impl std::error::Error for TrainAbort {}
 
-/// A [`Trainer`] wrapped in retry, rollback, checkpoint and resume
-/// machinery. See the module docs for the recovery contract.
-#[derive(Debug)]
-pub struct ResilientTrainer {
-    trainer: Trainer,
-    cfg: ResilienceConfig,
-    report: ResilienceReport,
-    consecutive_skips: usize,
-    /// Flushes telemetry sinks on drop — even when dropping because a
-    /// panic is unwinding through the training loop.
-    _flush: Option<telemetry::FlushOnDrop>,
-}
+impl Trainer {
+    /// What recovery has observed and done so far.
+    pub fn report(&self) -> &ResilienceReport {
+        &self.report
+    }
 
-impl ResilientTrainer {
-    /// Wraps `trainer` with the fault-tolerance policy `cfg`.
-    pub fn new(trainer: Trainer, cfg: ResilienceConfig) -> Self {
-        let flush = cfg.telemetry_export.as_ref().map(|path| {
-            telemetry::FlushOnDrop::new()
-                .jsonl(path.clone())
-                .trace(path.with_extension("trace.json"))
-        });
-        ResilientTrainer {
-            trainer,
-            cfg,
-            report: ResilienceReport::default(),
-            consecutive_skips: 0,
-            _flush: flush,
+    /// Runs one optimizer step under the recovery policy.
+    /// `Ok(Some(log))` is a completed step, `Ok(None)` a skipped one
+    /// (every retry failed; the data stream advanced past its batches,
+    /// weights untouched).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainAbort`] once more than
+    /// [`ResilienceConfig::max_consecutive_skips`] successive steps
+    /// skip.
+    pub fn try_train_step(&mut self, data: &TokenDataset) -> Result<Option<TrainLog>, TrainAbort> {
+        match self.step_or_skip(data) {
+            Ok(log) => Ok(Some(log)),
+            Err(skip) if skip.consecutive_skips <= self.resilience.max_consecutive_skips => {
+                Ok(None)
+            }
+            Err(abort) => Err(abort),
         }
     }
 
-    /// The wrapped trainer.
-    pub fn trainer(&self) -> &Trainer {
-        &self.trainer
+    /// One step with its retries: the log of the attempt that completed,
+    /// or, once every retry failed and the step was skipped, the run of
+    /// skipped steps it ends.
+    pub(crate) fn step_or_skip(&mut self, data: &TokenDataset) -> Result<TrainLog, TrainAbort> {
+        let rng_snapshot = self.rng.state();
+        // Fault sites seen by failed attempts, healed if one completes.
+        let mut faults: Vec<Site> = Vec::new();
+        let mut last_reason = String::new();
+        for attempt in 0..=self.resilience.retry.max_retries {
+            if attempt > 0 {
+                self.report.step_retries += 1;
+                telemetry::counter_with("resilience.retries", "train.step").inc();
+                telemetry::trace_instant("resilience.step_retry");
+                let delay = self.resilience.retry.backoff(attempt - 1);
+                if !delay.is_zero() {
+                    std::thread::sleep(delay);
+                }
+            }
+            let ctx = self.step_ctx();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let _ambient = exec::cancel::enter(&ctx);
+                self.accumulate_step(data)
+            }));
+            let site = match outcome {
+                Ok(pending) if pending.ce_loss.is_finite() && pending.grad_norm.is_finite() => {
+                    for site in &faults {
+                        resilience::record_recovered(site);
+                    }
+                    let log = self.apply_step(pending);
+                    self.report.steps_completed += 1;
+                    self.consecutive_skips = 0;
+                    self.maybe_checkpoint();
+                    return Ok(log);
+                }
+                Ok(pending) => {
+                    resilience::record_detected(&KERNEL_NAN_POISON);
+                    self.report.nonfinite_steps += 1;
+                    telemetry::counter("resilience.trainer.nonfinite").inc();
+                    last_reason = format!("non-finite loss or gradient (ce = {})", pending.ce_loss);
+                    KERNEL_NAN_POISON
+                }
+                Err(payload) => match payload.downcast::<exec::ExecError>() {
+                    Ok(error) => {
+                        last_reason = error.to_string();
+                        let site = match error.kind() {
+                            // A cancelled step is a command, not a fault:
+                            // retrying work someone asked to stop cannot
+                            // succeed. Roll back, count it, and skip
+                            // without burning the retry budget.
+                            exec::CancelKind::Cancelled => {
+                                self.report.cancelled_steps += 1;
+                                telemetry::counter("resilience.trainer.cancelled").inc();
+                                telemetry::trace_instant("resilience.step_cancelled");
+                                self.rollback(rng_snapshot);
+                                break;
+                            }
+                            // A blown deadline or an overload shed is
+                            // retryable *because* the next attempt gets a
+                            // fresh budget and a fresh admission decision;
+                            // neither is a worker panic.
+                            exec::CancelKind::DeadlineExceeded => EXEC_BAND_STALL,
+                            exec::CancelKind::Overloaded => POOL_QUEUE_FLOOD,
+                        };
+                        self.report.deadline_steps += 1;
+                        telemetry::counter("resilience.trainer.deadline").inc();
+                        site
+                    }
+                    Err(payload) => {
+                        last_reason = panic_reason(payload.as_ref());
+                        resilience::record_detected(&EXEC_WORKER_PANIC);
+                        self.report.worker_panics += 1;
+                        telemetry::counter("resilience.trainer.panics").inc();
+                        EXEC_WORKER_PANIC
+                    }
+                },
+            };
+            if !faults.contains(&site) {
+                faults.push(site);
+            }
+            self.rollback(rng_snapshot);
+        }
+
+        // Retries exhausted: skip this step's data and move on with the
+        // weights untouched, keeping the data stream aligned with an
+        // uninterrupted run.
+        for _ in 0..self.cfg.batch_size / self.cfg.micro_batch_size {
+            let _ = data.sample_batch(self.cfg.micro_batch_size, self.cfg.seq_len, &mut self.rng);
+        }
+        self.report.steps_skipped += 1;
+        self.consecutive_skips += 1;
+        telemetry::counter("resilience.trainer.skipped").inc();
+        telemetry::trace_instant("resilience.step_skip");
+        Err(TrainAbort {
+            step: self.step,
+            consecutive_skips: self.consecutive_skips,
+            last_reason,
+        })
     }
 
-    /// Mutable access to the wrapped trainer.
-    pub fn trainer_mut(&mut self) -> &mut Trainer {
-        &mut self.trainer
-    }
-
-    /// Unwraps into the inner trainer.
-    pub fn into_trainer(self) -> Trainer {
-        self.trainer
-    }
-
-    /// What the loop has observed and recovered so far.
-    pub fn report(&self) -> &ResilienceReport {
-        &self.report
+    /// Rolls an abandoned attempt back exactly: discards its partial
+    /// gradient accumulation and rewinds the data stream to `rng`.
+    fn rollback(&mut self, rng: [u64; 4]) {
+        for p in self.model.params_mut().iter_mut() {
+            p.zero_grad();
+        }
+        self.rng = StdRng::from_state(rng);
     }
 
     /// The context one step attempt runs under: the configured cancel
@@ -204,10 +285,10 @@ impl ResilientTrainer {
     /// that is what makes deadline expiry retryable).
     fn step_ctx(&self) -> exec::Ctx {
         let mut ctx = exec::Ctx::none();
-        if let Some(token) = &self.cfg.cancel {
+        if let Some(token) = &self.resilience.cancel {
             ctx = ctx.with_token(token);
         }
-        if let Some(budget) = self.cfg.step_deadline {
+        if let Some(budget) = self.resilience.step_deadline {
             ctx = ctx.with_deadline(exec::Deadline::after(budget));
         }
         ctx
@@ -219,206 +300,54 @@ impl ResilientTrainer {
     /// until one validates. Returns `None` when checkpointing is
     /// disabled, the directory is empty, or nothing validates.
     pub fn resume_latest(&mut self) -> Option<u64> {
-        let dir = self.cfg.checkpoint_dir.clone()?;
+        let dir = self.resilience.checkpoint_dir.clone()?;
         let mut ckpts = list_checkpoints(&dir);
         ckpts.sort_by_key(|c| std::cmp::Reverse(c.0));
         let mut saw_corrupt = false;
         for (_, path) in ckpts {
-            let mut params = self.trainer.model_mut().params_mut();
-            match load_train_state_file(&path, &mut params) {
-                Ok(state) => {
-                    drop(params);
-                    if saw_corrupt {
-                        // Falling back to an older checkpoint healed the
-                        // torn newer one.
-                        resilience::record_recovered(&CHECKPOINT_IO);
-                    }
-                    let step = state.step;
-                    self.apply_state(state);
-                    self.report.resumed_from_step = Some(step);
-                    telemetry::counter("resilience.resumed").inc();
-                    telemetry::trace_instant("resilience.resumed");
-                    return Some(step);
-                }
-                Err(e) => {
-                    saw_corrupt = true;
-                    resilience::record_detected(&CHECKPOINT_IO);
-                    telemetry::counter("resilience.checkpoint.rejected").inc();
-                    let _ = e; // surfaced via counters; older files are tried next
-                }
+            // Errors surface through the counters; older files are tried next.
+            let Ok(state) = load_train_state_file(&path, &mut self.model.params_mut()) else {
+                saw_corrupt = true;
+                resilience::record_detected(&CHECKPOINT_IO);
+                telemetry::counter("resilience.checkpoint.rejected").inc();
+                continue;
+            };
+            if saw_corrupt {
+                // Falling back to an older checkpoint healed the torn
+                // newer one.
+                resilience::record_recovered(&CHECKPOINT_IO);
             }
+            self.step = state.step as usize;
+            // A parameters-only checkpoint carries a zero RNG state and no
+            // moments: keep the constructed RNG and optimizer and restart
+            // the schedule from the restored weights.
+            if state.rng_state != [0u64; 4] {
+                self.rng = StdRng::from_state(state.rng_state);
+            }
+            if state.has_optimizer() {
+                self.optimizer.restore(state.opt_steps, state.m, state.v);
+            }
+            self.report.resumed_from_step = Some(state.step);
+            telemetry::counter("resilience.resumed").inc();
+            telemetry::trace_instant("resilience.resumed");
+            return Some(state.step);
         }
         None
     }
 
-    fn apply_state(&mut self, state: TrainState) {
-        self.trainer.set_step(state.step as usize);
-        // A v1 checkpoint (weights only) carries a zero RNG state and no
-        // moments: keep the constructed RNG/optimizer and restart the
-        // schedule from the restored weights.
-        if state.rng_state != [0u64; 4] {
-            self.trainer.set_rng_state(state.rng_state);
-        }
-        if state.has_optimizer() {
-            self.trainer
-                .optimizer_mut()
-                .restore(state.opt_steps, state.m, state.v);
-        }
-    }
-
-    /// Runs one fault-tolerant optimizer step. `Ok(Some(log))` is a
-    /// completed step, `Ok(None)` a skipped one (every retry failed; the
-    /// data stream advanced past its batches, weights untouched).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainAbort`] once more than
-    /// [`ResilienceConfig::max_consecutive_skips`] successive steps
-    /// skip.
-    pub fn train_step(&mut self, data: &TokenDataset) -> Result<Option<TrainLog>, TrainAbort> {
-        let rng_snapshot = self.trainer.rng_state();
-        let mut last_reason = String::new();
-        let mut saw_panic = false;
-        let mut saw_nonfinite = false;
-        let mut saw_deadline = false;
-        let mut saw_overload = false;
-        for attempt in 0..=self.cfg.retry.max_retries {
-            if attempt > 0 {
-                self.report.step_retries += 1;
-                telemetry::counter_with("resilience.retries", "train.step").inc();
-                telemetry::trace_instant("resilience.step_retry");
-                let delay = self.cfg.retry.backoff(attempt - 1);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-            }
-            let ctx = self.step_ctx();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let _ambient = exec::cancel::enter(&ctx);
-                self.trainer.accumulate_step(data)
-            }));
-            match outcome {
-                Ok(pending) => {
-                    if pending.ce_loss().is_finite() && pending.grad_norm().is_finite() {
-                        if saw_panic {
-                            resilience::record_recovered(&EXEC_WORKER_PANIC);
-                        }
-                        if saw_nonfinite {
-                            resilience::record_recovered(&KERNEL_NAN_POISON);
-                        }
-                        if saw_deadline {
-                            resilience::record_recovered(&EXEC_BAND_STALL);
-                        }
-                        if saw_overload {
-                            resilience::record_recovered(&POOL_QUEUE_FLOOD);
-                        }
-                        let log = self.trainer.apply_step(pending);
-                        self.report.steps_completed += 1;
-                        self.consecutive_skips = 0;
-                        self.maybe_checkpoint();
-                        return Ok(Some(log));
-                    }
-                    resilience::record_detected(&KERNEL_NAN_POISON);
-                    self.report.nonfinite_steps += 1;
-                    telemetry::counter("resilience.trainer.nonfinite").inc();
-                    saw_nonfinite = true;
-                    last_reason =
-                        format!("non-finite loss or gradient (ce = {})", pending.ce_loss());
-                }
-                Err(payload) => match payload.downcast::<exec::ExecError>() {
-                    Ok(error) => {
-                        last_reason = error.to_string();
-                        match error.kind() {
-                            // A cancelled step is a command, not a fault:
-                            // retrying work someone asked to stop cannot
-                            // succeed. Roll back, count it, and skip
-                            // without burning the retry budget.
-                            exec::CancelKind::Cancelled => {
-                                self.report.cancelled_steps += 1;
-                                telemetry::counter("resilience.trainer.cancelled").inc();
-                                telemetry::trace_instant("resilience.step_cancelled");
-                                self.trainer.zero_grads();
-                                self.trainer.set_rng_state(rng_snapshot);
-                                break;
-                            }
-                            // A blown deadline or an overload shed is
-                            // retryable *because* the next attempt gets a
-                            // fresh budget and a fresh admission decision;
-                            // neither is a worker panic.
-                            exec::CancelKind::DeadlineExceeded => saw_deadline = true,
-                            exec::CancelKind::Overloaded => saw_overload = true,
-                        }
-                        self.report.deadline_steps += 1;
-                        telemetry::counter("resilience.trainer.deadline").inc();
-                    }
-                    Err(payload) => {
-                        last_reason = panic_reason(payload.as_ref());
-                        resilience::record_detected(&EXEC_WORKER_PANIC);
-                        self.report.worker_panics += 1;
-                        telemetry::counter("resilience.trainer.panics").inc();
-                        saw_panic = true;
-                    }
-                },
-            }
-            // Roll the attempt back exactly: discard partial gradient
-            // accumulation and rewind the data stream.
-            self.trainer.zero_grads();
-            self.trainer.set_rng_state(rng_snapshot);
-        }
-
-        // Retries exhausted: skip this step's data and move on with the
-        // weights untouched.
-        self.trainer.skip_step_data(data);
-        self.report.steps_skipped += 1;
-        self.consecutive_skips += 1;
-        telemetry::counter("resilience.trainer.skipped").inc();
-        telemetry::trace_instant("resilience.step_skip");
-        if self.consecutive_skips > self.cfg.max_consecutive_skips {
-            return Err(TrainAbort {
-                step: self.trainer.step_count(),
-                consecutive_skips: self.consecutive_skips,
-                last_reason,
-            });
-        }
-        Ok(None)
-    }
-
-    /// Trains for `steps` step attempts, returning the logs of the
-    /// completed ones (skipped steps produce no log).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TrainAbort`] from [`ResilientTrainer::train_step`].
-    pub fn train(
-        &mut self,
-        data: &TokenDataset,
-        steps: usize,
-    ) -> Result<Vec<TrainLog>, TrainAbort> {
-        let mut logs = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            if let Some(log) = self.train_step(data)? {
-                logs.push(log);
-            }
-        }
-        Ok(logs)
-    }
-
     fn maybe_checkpoint(&mut self) {
-        let every = self.cfg.checkpoint_every;
-        if every == 0
-            || self.cfg.checkpoint_dir.is_none()
-            || !self.trainer.step_count().is_multiple_of(every)
+        let every = self.resilience.checkpoint_every;
+        if every != 0 && self.resilience.checkpoint_dir.is_some() && self.step.is_multiple_of(every)
         {
-            return;
+            self.checkpoint_now();
         }
-        self.checkpoint_now();
     }
 
-    /// Writes a v2 checkpoint of the current training state, atomically
-    /// and with the configured retry budget. Failure (after retries) is
+    /// Writes a checkpoint of the current training state, atomically and
+    /// with the configured retry budget. Failure (after retries) is
     /// recorded in the report and telemetry but does not stop training.
     pub fn checkpoint_now(&mut self) {
-        let Some(dir) = self.cfg.checkpoint_dir.clone() else {
+        let Some(dir) = self.resilience.checkpoint_dir.clone() else {
             return;
         };
         if std::fs::create_dir_all(&dir).is_err() {
@@ -426,26 +355,25 @@ impl ResilientTrainer {
             telemetry::counter("resilience.checkpoint.failed").inc();
             return;
         }
-        let step = self.trainer.step_count() as u64;
-        let (t, m, v) = self.trainer.optimizer().state();
+        let step = self.step as u64;
+        let (t, m, v) = self.optimizer.state();
         let state = TrainState {
             step,
             opt_steps: t,
-            rng_state: self.trainer.rng_state(),
+            rng_state: self.rng.state(),
             m: m.to_vec(),
             v: v.to_vec(),
         };
         let path = dir.join(format!("step-{step:08}.ckpt"));
-        let retry = self.cfg.retry;
-        let trainer = &mut self.trainer;
+        let params = self.model.params_mut();
         let mut failures = 0u32;
-        let result = resilience::run_with_retry(&retry, "checkpoint.write", || {
-            let params = trainer.model_mut().params_mut();
+        let result = resilience::run_with_retry(&self.resilience.retry, "checkpoint.write", || {
             save_train_state_atomic(&path, &params, &state).inspect_err(|_| {
                 failures += 1;
                 resilience::record_detected(&CHECKPOINT_IO);
             })
         });
+        drop(params);
         match result {
             Ok(()) => {
                 if failures > 0 {
@@ -453,7 +381,7 @@ impl ResilientTrainer {
                 }
                 self.report.checkpoints_written += 1;
                 telemetry::trace_instant("resilience.checkpoint_written");
-                prune_checkpoints(&dir, self.cfg.keep_checkpoints.max(1));
+                prune_checkpoints(&dir, self.resilience.keep_checkpoints.max(1));
             }
             Err(_) => {
                 self.report.checkpoint_failures += 1;
@@ -501,7 +429,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FfnKind, Trainer, TrainerConfig, TransformerConfig, TransformerLm};
+    use crate::{FfnKind, TrainerConfig, TransformerConfig, TransformerLm};
     use megablocks_data::{PileConfig, SyntheticPile, TokenDataset};
     use megablocks_tensor::init::seeded_rng;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -553,7 +481,7 @@ mod tests {
         let data = dataset();
         // Baseline: 10 uninterrupted steps.
         let mut baseline = trainer(10);
-        let _ = baseline.train(&data, 10);
+        baseline.train(&data, 10).expect("no faults configured");
         let reference = baseline.evaluate(&data, 2).loss;
 
         // Crashy run: 6 steps, checkpoint at step 6, then a "new process"
@@ -564,16 +492,16 @@ mod tests {
             checkpoint_every: 6,
             ..ResilienceConfig::default()
         };
-        let mut first = ResilientTrainer::new(trainer(10), cfg.clone());
+        let mut first = trainer(10).with_resilience(cfg.clone());
         first.train(&data, 6).expect("no faults configured");
         assert_eq!(first.report().checkpoints_written, 1);
         drop(first); // the crash
 
-        let mut resumed = ResilientTrainer::new(trainer(10), cfg);
+        let mut resumed = trainer(10).with_resilience(cfg);
         assert_eq!(resumed.resume_latest(), Some(6));
-        assert_eq!(resumed.trainer().step_count(), 6);
+        assert_eq!(resumed.step_count(), 6);
         resumed.train(&data, 4).expect("no faults configured");
-        let after = resumed.trainer().evaluate(&data, 2).loss;
+        let after = resumed.evaluate(&data, 2).loss;
         assert_eq!(
             after.to_bits(),
             reference.to_bits(),
@@ -592,7 +520,7 @@ mod tests {
             keep_checkpoints: 2,
             ..ResilienceConfig::default()
         };
-        let mut rt = ResilientTrainer::new(trainer(5), cfg);
+        let mut rt = trainer(5).with_resilience(cfg);
         rt.train(&data, 5).expect("no faults configured");
         assert_eq!(rt.report().checkpoints_written, 5);
         let mut steps: Vec<u64> = list_checkpoints(&dir).into_iter().map(|(s, _)| s).collect();
@@ -611,7 +539,7 @@ mod tests {
             keep_checkpoints: 3,
             ..ResilienceConfig::default()
         };
-        let mut rt = ResilientTrainer::new(trainer(6), cfg.clone());
+        let mut rt = trainer(6).with_resilience(cfg.clone());
         rt.train(&data, 6).expect("no faults configured");
         // Tear the newest checkpoint the way a crash mid-write would.
         let mut ckpts = list_checkpoints(&dir);
@@ -621,7 +549,7 @@ mod tests {
         let bytes = std::fs::read(&newest_path).expect("read checkpoint");
         std::fs::write(&newest_path, &bytes[..bytes.len() / 2]).expect("truncate");
 
-        let mut resumed = ResilientTrainer::new(trainer(6), cfg);
+        let mut resumed = trainer(6).with_resilience(cfg);
         assert_eq!(resumed.resume_latest(), Some(4), "falls back to step 4");
         assert_eq!(resumed.report().resumed_from_step, Some(4));
         let _ = std::fs::remove_dir_all(&dir);
@@ -634,9 +562,9 @@ mod tests {
             checkpoint_dir: Some(dir.clone()),
             ..ResilienceConfig::default()
         };
-        let mut rt = ResilientTrainer::new(trainer(4), cfg);
+        let mut rt = trainer(4).with_resilience(cfg);
         assert_eq!(rt.resume_latest(), None);
-        assert_eq!(rt.trainer().step_count(), 0);
+        assert_eq!(rt.step_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -653,9 +581,9 @@ mod tests {
             retry: RetryPolicy::immediate(2),
             ..ResilienceConfig::default()
         };
-        let mut rt = ResilientTrainer::new(trainer(4), cfg);
+        let mut rt = trainer(4).with_resilience(cfg);
         let outcome = rt
-            .train_step(&data)
+            .try_train_step(&data)
             .expect("one skip is below the abort bar");
         assert!(outcome.is_none(), "the step must be skipped, not completed");
         let report = rt.report();
@@ -667,7 +595,7 @@ mod tests {
             report.worker_panics, 0,
             "deadline expiry must not be misclassified as a worker panic"
         );
-        assert_eq!(rt.trainer().step_count(), 0, "weights stay untouched");
+        assert_eq!(rt.step_count(), 0, "weights stay untouched");
     }
 
     #[test]
@@ -677,7 +605,7 @@ mod tests {
             step_deadline: Some(Duration::from_secs(3600)),
             ..ResilienceConfig::default()
         };
-        let mut rt = ResilientTrainer::new(trainer(3), cfg);
+        let mut rt = trainer(3).with_resilience(cfg);
         let logs = rt.train(&data, 3).expect("healthy run");
         assert_eq!(logs.len(), 3);
         let report = rt.report();
@@ -696,25 +624,25 @@ mod tests {
             max_consecutive_skips: 10,
             ..ResilienceConfig::default()
         };
-        let mut rt = ResilientTrainer::new(trainer(4), cfg);
+        let mut rt = trainer(4).with_resilience(cfg);
         // A healthy step first, to prove the live token is inert.
-        let first = rt.train_step(&data).expect("live token");
+        let first = rt.try_train_step(&data).expect("live token");
         assert!(first.is_some());
 
         // Cancellation is a command, not a fault: the step rolls back
         // and is skipped without spending a single retry.
         token.cancel();
-        let rng_before = rt.trainer().rng_state();
-        let outcome = rt.train_step(&data).expect("one skip is tolerated");
+        let rng_before = rt.rng.state();
+        let outcome = rt.try_train_step(&data).expect("one skip is tolerated");
         assert!(outcome.is_none());
         let report = rt.report();
         assert_eq!(report.cancelled_steps, 1);
         assert_eq!(report.step_retries, 0, "cancel must not burn retries");
         assert_eq!(report.deadline_steps, 0);
         assert_eq!(report.steps_skipped, 1);
-        assert_eq!(rt.trainer().step_count(), 1, "only the healthy step landed");
+        assert_eq!(rt.step_count(), 1, "only the healthy step landed");
         // The skip advanced the data stream past the cancelled batches.
-        assert_ne!(rt.trainer().rng_state(), rng_before);
+        assert_ne!(rt.rng.state(), rng_before);
     }
 
     #[test]
@@ -726,9 +654,9 @@ mod tests {
             retry: RetryPolicy::immediate(3),
             ..ResilienceConfig::default()
         };
-        let mut rt = ResilientTrainer::new(trainer(4), cfg);
+        let mut rt = trainer(4).with_resilience(cfg);
         parent.cancel();
-        let outcome = rt.train_step(&data).expect("one skip is tolerated");
+        let outcome = rt.try_train_step(&data).expect("one skip is tolerated");
         assert!(outcome.is_none());
         assert_eq!(rt.report().cancelled_steps, 1);
         assert_eq!(rt.report().step_retries, 0);

@@ -1,7 +1,7 @@
 //! Training loop with gradient accumulation, mirroring the paper's recipe:
 //! global batch of 512 sequences split into the largest micro-batch that
 //! fits in memory (Table 3), Adam with warmup + decay, gradient clipping at
-//! 1.0.
+//! 1.0. Every step runs under the recovery policy of `resilient.rs`.
 
 use std::time::Instant;
 
@@ -11,7 +11,9 @@ use megablocks_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{adam, Adam, AdamConfig, TransformerLm};
+use crate::{
+    adam, Adam, AdamConfig, ResilienceConfig, ResilienceReport, TrainAbort, TransformerLm,
+};
 
 /// Trainer hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,17 +93,20 @@ pub struct TrainLog {
 /// The output of [`Trainer::accumulate_step`]: per-step statistics whose
 /// gradients are sitting on the model, waiting for
 /// [`Trainer::apply_step`], and the averaged gradients' global norm.
-/// Holding one of these is the window in which the fault-tolerant loop
+/// Holding one of these is the window in which [`Trainer::try_train_step`]
 /// validates the step (finite loss, finite norm) and can still roll it
 /// back untouched.
 #[derive(Debug, Clone)]
 pub struct PendingStep {
-    ce_loss: f32,
+    /// Mean cross-entropy over the accumulated micro-batches.
+    pub(crate) ce_loss: f32,
     lb_loss: f32,
     dropped_tokens: usize,
     max_load_imbalance: f64,
-    /// Global L2 norm of the averaged gradients, before clipping.
-    grad_norm: f64,
+    /// Global L2 norm of the averaged gradients, before clipping, in
+    /// `f64`: every `f32` square is finite in `f64`, so the norm is finite
+    /// exactly when every gradient element is.
+    pub(crate) grad_norm: f64,
     started: Instant,
     /// The calling thread's workspace-arena misses when the step started.
     misses_before: u64,
@@ -114,25 +119,6 @@ pub struct PendingStep {
     entropy_sum: f64,
 }
 
-impl PendingStep {
-    /// Mean cross-entropy over the accumulated micro-batches.
-    pub fn ce_loss(&self) -> f32 {
-        self.ce_loss
-    }
-
-    /// Mean load-balancing loss over the accumulated micro-batches.
-    pub fn lb_loss(&self) -> f32 {
-        self.lb_loss
-    }
-
-    /// Global L2 norm of the averaged gradients, before clipping, in
-    /// `f64`. Every `f32` square is finite in `f64`, so the norm is finite
-    /// exactly when every gradient element is.
-    pub fn grad_norm(&self) -> f64 {
-        self.grad_norm
-    }
-}
-
 /// Result of a validation pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalResult {
@@ -142,18 +128,22 @@ pub struct EvalResult {
     pub batches: usize,
 }
 
-/// A training harness binding a model, an optimizer and a dataset.
+/// A training harness binding a model, an optimizer and a dataset, and
+/// the recovery policy every step runs under.
 #[derive(Debug)]
 pub struct Trainer {
-    model: TransformerLm,
-    optimizer: Adam,
-    cfg: TrainerConfig,
-    rng: StdRng,
-    step: usize,
+    pub(crate) model: TransformerLm,
+    pub(crate) optimizer: Adam,
+    pub(crate) cfg: TrainerConfig,
+    pub(crate) rng: StdRng,
+    pub(crate) step: usize,
+    pub(crate) resilience: ResilienceConfig,
+    pub(crate) report: ResilienceReport,
+    pub(crate) consecutive_skips: usize,
 }
 
 impl Trainer {
-    /// Creates a trainer.
+    /// Creates a trainer under [`ResilienceConfig::default`].
     ///
     /// # Panics
     ///
@@ -172,7 +162,16 @@ impl Trainer {
             cfg,
             rng,
             step: 0,
+            resilience: ResilienceConfig::default(),
+            report: ResilienceReport::default(),
+            consecutive_skips: 0,
         }
+    }
+
+    /// The same trainer under the recovery policy `cfg`.
+    pub fn with_resilience(mut self, cfg: ResilienceConfig) -> Self {
+        self.resilience = cfg;
+        self
     }
 
     /// The wrapped model.
@@ -195,66 +194,30 @@ impl Trainer {
         self.step
     }
 
-    /// Overrides the optimizer-step counter (checkpoint resume).
-    pub fn set_step(&mut self, step: usize) {
-        self.step = step;
-    }
-
     /// The wrapped optimizer.
     pub fn optimizer(&self) -> &Adam {
         &self.optimizer
     }
 
-    /// Mutable access to the wrapped optimizer (checkpoint resume).
-    pub fn optimizer_mut(&mut self) -> &mut Adam {
-        &mut self.optimizer
-    }
-
-    /// Raw state of the data-sampling RNG — snapshot before a step so a
-    /// retry can resample the exact same batches.
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Restores a data-sampling RNG snapshot taken by
-    /// [`Trainer::rng_state`] (step rollback or checkpoint resume).
-    pub fn set_rng_state(&mut self, state: [u64; 4]) {
-        self.rng = StdRng::from_state(state);
-    }
-
-    /// Zeroes every parameter gradient — a rollback discards all
-    /// accumulation from an abandoned step attempt.
-    pub fn zero_grads(&mut self) {
-        for p in self.model.params_mut().iter_mut() {
-            p.zero_grad();
-        }
-    }
-
     /// Runs one optimizer step (with gradient accumulation over
-    /// `batch_size / micro_batch_size` micro-batches) on `train`.
+    /// `batch_size / micro_batch_size` micro-batches) on `train`: a
+    /// [`Trainer::try_train_step`] that must complete.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the last attempt's reason if the step fails every
+    /// retry (or is cancelled).
     pub fn train_step(&mut self, train: &TokenDataset) -> TrainLog {
-        let pending = self.accumulate_step(train);
-        self.apply_step(pending)
-    }
-
-    /// Advances the data RNG past one step's batches without training —
-    /// the fault-tolerant loop skips a persistently failing step this
-    /// way, keeping the data stream aligned with an uninterrupted run.
-    pub fn skip_step_data(&mut self, train: &TokenDataset) {
-        let micro_steps = self.cfg.batch_size / self.cfg.micro_batch_size;
-        for _ in 0..micro_steps {
-            let _ = train.sample_batch(self.cfg.micro_batch_size, self.cfg.seq_len, &mut self.rng);
-        }
+        self.step_or_skip(train)
+            .unwrap_or_else(|failed| panic!("{failed}"))
     }
 
     /// The accumulation phase of one step: samples and runs every
     /// micro-batch, leaving summed gradients on the parameters, and takes
     /// the averaged gradients' norm (read-only, so it stays inside the
-    /// rollback window). Nothing
-    /// is mutated beyond gradients and the data RNG, so the phase can be
-    /// rolled back with [`Trainer::zero_grads`] +
-    /// [`Trainer::set_rng_state`] — which is exactly what the
-    /// fault-tolerant loop does when it catches a worker panic or a
+    /// rollback window). Nothing is mutated beyond gradients and the data
+    /// RNG, so [`Trainer::try_train_step`] can roll the phase back (zero
+    /// the gradients, restore the RNG) when it catches a worker panic or a
     /// non-finite loss before calling [`Trainer::apply_step`].
     pub fn accumulate_step(&mut self, train: &TokenDataset) -> PendingStep {
         let started = Instant::now();
@@ -411,9 +374,22 @@ impl Trainer {
         }
     }
 
-    /// Trains for `steps` optimizer steps, returning the per-step logs.
-    pub fn train(&mut self, train: &TokenDataset, steps: usize) -> Vec<TrainLog> {
-        (0..steps).map(|_| self.train_step(train)).collect()
+    /// Trains for `steps` step attempts, returning the logs of the
+    /// completed ones (a skipped step produces no log).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`TrainAbort`] from [`Trainer::try_train_step`].
+    pub fn train(
+        &mut self,
+        train: &TokenDataset,
+        steps: usize,
+    ) -> Result<Vec<TrainLog>, TrainAbort> {
+        let mut logs = Vec::with_capacity(steps);
+        for _ in 0..steps {
+            logs.extend(self.try_train_step(train)?);
+        }
+        Ok(logs)
     }
 
     /// Evaluates mean validation loss over up to `max_batches` sequential
@@ -493,7 +469,7 @@ mod tests {
         };
         let mut trainer = Trainer::new(model, tcfg);
         let before = trainer.evaluate(&valid, 4).loss;
-        let logs = trainer.train(&train, 60);
+        let logs = trainer.train(&train, 60).expect("no faults");
         let after = trainer.evaluate(&valid, 4).loss;
         assert!(
             after < before - 0.3,

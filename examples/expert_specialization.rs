@@ -113,7 +113,7 @@ fn main() {
 
     let before = routing_histogram(trainer.model(), &pile, 64, 8, 8);
     println!("training 150 steps...");
-    trainer.train(&train, 150);
+    trainer.train(&train, 150).expect("training completes");
     println!("validation loss: {:.4}", trainer.evaluate(&valid, 8).loss);
     let after = routing_histogram(trainer.model(), &pile, 64, 8, 8);
 

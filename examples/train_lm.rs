@@ -62,7 +62,9 @@ fn main() {
         let before = trainer.evaluate(&valid, 8).loss;
         println!("{label}: initial val loss {before:.4}");
         for chunk in 0..4 {
-            let logs = trainer.train(&train, tcfg.total_steps / 4);
+            let logs = trainer
+                .train(&train, tcfg.total_steps / 4)
+                .expect("training completes");
             let last = logs.last().expect("nonempty");
             let val = trainer.evaluate(&valid, 8).loss;
             println!(

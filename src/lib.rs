@@ -26,8 +26,8 @@
 //!   given an output path) turns them on.
 //! * [`resilience`] — fault injection (always compiled; quiet until a
 //!   [`resilience::FaultPlan`] is installed) and the fault-tolerance
-//!   primitives (CRC32, atomic writes, retry/backoff) the
-//!   checkpoint v2 format and [`transformer::ResilientTrainer`] build on.
+//!   primitives (CRC32, atomic writes, retry/backoff) the checkpoint
+//!   format and [`transformer::Trainer`]'s step recovery build on.
 //! * [`serve`] — batched inference serving: a deadline-aware
 //!   micro-batching engine ([`serve::Engine`]) over the dMoE
 //!   inference-only path, with bounded admission and load shedding.

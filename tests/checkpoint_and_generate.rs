@@ -1,7 +1,7 @@
 //! Integration: checkpoint a trained dMoE LM through the facade API and
 //! verify restored models generate identically.
 
-use megablocks::core::checkpoint::{load_params, save_params};
+use megablocks::core::checkpoint::{encode, load_train_state, TrainState};
 use megablocks::core::MoeConfig;
 use megablocks::data::{PileConfig, SyntheticPile};
 use megablocks::tensor::init::seeded_rng;
@@ -45,17 +45,16 @@ fn checkpoint_roundtrip_preserves_trained_model() {
             seed: 3,
         },
     );
-    trainer.train(&train, 15);
+    trainer.train(&train, 15).expect("no faults");
     let trained_loss = trainer.evaluate(&valid, 4).loss;
 
     // Save.
-    let mut buf = Vec::new();
-    save_params(&trainer.model_mut().params_mut(), &mut buf).expect("save");
+    let buf = encode(&trainer.model_mut().params_mut(), &TrainState::default()).expect("save");
 
     // Restore into a fresh (differently initialized) model.
     let mut rng2 = seeded_rng(999);
     let mut fresh = TransformerLm::new(config(), &mut rng2);
-    load_params(&mut fresh.params_mut(), buf.as_slice()).expect("load");
+    load_train_state(&mut fresh.params_mut(), buf.as_slice()).expect("load");
 
     // Identical evaluation loss...
     let batches = valid.sequential_batches(4, 16);
@@ -78,13 +77,12 @@ fn checkpoint_roundtrip_preserves_trained_model() {
 fn checkpoint_rejects_mismatched_transformer() {
     let mut rng = seeded_rng(4);
     let mut a = TransformerLm::new(config(), &mut rng);
-    let mut buf = Vec::new();
-    save_params(&a.params_mut(), &mut buf).expect("save");
+    let buf = encode(&a.params_mut(), &TrainState::default()).expect("save");
 
     // A dense model of the same dims has a different parameter list.
     let mut dense_cfg = TransformerConfig::tiny(FfnKind::Dense);
     dense_cfg.seq_len = 16;
     let mut rng2 = seeded_rng(5);
     let mut dense = TransformerLm::new(dense_cfg, &mut rng2);
-    assert!(load_params(&mut dense.params_mut(), buf.as_slice()).is_err());
+    assert!(load_train_state(&mut dense.params_mut(), buf.as_slice()).is_err());
 }

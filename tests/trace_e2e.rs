@@ -11,10 +11,7 @@ use megablocks::data::{PileConfig, SyntheticPile};
 use megablocks::telemetry;
 use megablocks::telemetry::json::Json;
 use megablocks::telemetry::TracePhase;
-use megablocks::transformer::{
-    FfnKind, ResilienceConfig, ResilientTrainer, Trainer, TrainerConfig, TransformerConfig,
-    TransformerLm,
-};
+use megablocks::transformer::{FfnKind, Trainer, TrainerConfig, TransformerConfig, TransformerLm};
 
 const STEPS: usize = 4;
 /// Steps after which the caller's workspace arena holds a step's buffers.
@@ -48,6 +45,12 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
     // --- A short dMoE training run under the flush guard ---------------
     let dir = temp_dir();
     let export = dir.join("telemetry.jsonl");
+    let trace_path = export.with_extension("trace.json");
+    // Declared before the trainer, so it drops after it — also when a
+    // panic unwinds through the run.
+    let flush = telemetry::FlushOnDrop::new()
+        .jsonl(&export)
+        .trace(&trace_path);
     let (train, _valid) = SyntheticPile::generate(
         &PileConfig {
             vocab_size: 64,
@@ -67,7 +70,7 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
     let moe_layers = cfg.num_layers;
     let mut rng = megablocks::tensor::init::seeded_rng(11);
     let model = TransformerLm::new(cfg, &mut rng);
-    let trainer = Trainer::new(
+    let mut trainer = Trainer::new(
         model,
         TrainerConfig {
             batch_size: 8,
@@ -80,19 +83,12 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
             seed: 3,
         },
     );
-    let mut rt = ResilientTrainer::new(
-        trainer,
-        ResilienceConfig {
-            telemetry_export: Some(export.clone()),
-            ..ResilienceConfig::default()
-        },
-    );
-    let logs = rt.train(&train, STEPS).expect("training completes");
+    let logs = trainer.train(&train, STEPS).expect("training completes");
     assert_eq!(logs.len(), STEPS);
-    drop(rt); // The flush guard writes the JSONL + trace artifacts.
+    drop(trainer);
+    drop(flush); // Writes the JSONL + trace artifacts.
 
     // --- Trace artifact: valid, lane-complete, span-complete ------------
-    let trace_path = export.with_extension("trace.json");
     let src = std::fs::read_to_string(&trace_path).expect("trace flushed on drop");
     let snap = telemetry::parse_chrome_trace(&src).expect("trace is valid Chrome JSON");
     // Render → parse is the identity on what the recorder holds.
