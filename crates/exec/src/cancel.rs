@@ -4,8 +4,8 @@
 //! poll) that marks in-flight work as abandoned; [`Deadline`] is a fixed
 //! point in time after which work should stop. Both travel together in a
 //! [`Ctx`], which a [`crate::LaunchPlan`] inherits from the submitting
-//! thread's ambient context (installed with [`enter`]). Band tasks
-//! re-install the context on whichever worker runs them, so the tiled
+//! thread's ambient context (installed with [`enter`]). Every band
+//! re-installs the context on whichever thread runs it, so the tiled
 //! microkernel's panel loop can poll [`poll_cancelled`] without any
 //! plumbing through the kernel signatures.
 //!

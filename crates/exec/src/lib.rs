@@ -8,8 +8,12 @@
 //! * **A persistent worker pool** ([`pool`], [`Pool`]) — spawned once,
 //!   sized by [`configure_threads`] or the `MEGABLOCKS_THREADS`
 //!   environment variable (falling back to the CPU count), and reused by
-//!   every launch for the lifetime of the process. A panicking task is
-//!   re-raised on the submitter without poisoning or wedging the pool.
+//!   every launch for the lifetime of the process. A launch is one
+//!   shared object whose bands sit behind a claim counter: the submitter
+//!   runs band 0, queues handles for the workers and keeps claiming
+//!   bands itself, so it waits only on bands another thread has started.
+//!   A panicking band is re-raised on the submitter without poisoning or
+//!   wedging the pool.
 //! * **First-class launch plans** ([`LaunchPlan`]) — a disjoint band
 //!   partition of an output slice plus a per-band body. The sparse
 //!   SDD/DSD/DDS kernels and the dense GEMM all launch through this one
@@ -22,7 +26,7 @@
 //!
 //! * **Seeded schedule perturbation** ([`set_perturbation`],
 //!   [`band_order`], `MEGABLOCKS_PERTURB_SEED`) — bands are disjoint by
-//!   construction, so any submission order is legal; a non-zero seed
+//!   construction, so any claim order is legal; a non-zero seed
 //!   shuffles it and injects short stalls, and the determinism suites
 //!   demand bit-identical results under every seed.
 //!

@@ -1,13 +1,13 @@
 //! Seeded schedule perturbation for launch plans.
 //!
 //! Bands are disjoint by construction (carved with `chunks_mut` /
-//! `split_at_mut`), so any submission order is legal and results must not
+//! `split_at_mut`), so any claim order is legal and results must not
 //! depend on it. Under a non-zero seed ([`set_perturbation`], or the
-//! `MEGABLOCKS_PERTURB_SEED` environment variable) band tasks are
-//! submitted in a seed-derived shuffled order and prefixed with short
-//! injected stalls — the determinism suites run under several seeds and
-//! thread counts and demand bit-identical results. Seed 0 disables
-//! perturbation.
+//! `MEGABLOCKS_PERTURB_SEED` environment variable) a launch's claims map
+//! to its bands in a seed-derived shuffled order, and each band of a
+//! multi-band launch starts with a short injected stall — the determinism
+//! suites run under several seeds and thread counts and demand
+//! bit-identical results. Seed 0 disables perturbation.
 
 use crate::setting::Setting;
 
@@ -37,9 +37,9 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The submission order perturbation seed `seed` imposes on a launch of
-/// `bands` band tasks: a deterministic Fisher–Yates shuffle of
-/// `0..bands`. Seed 0 returns the identity order. Pure — tests use this
+/// The band order perturbation seed `seed` imposes on a launch of
+/// `bands` bands — claim `k` runs band `band_order(seed, bands)[k]`: a
+/// deterministic Fisher–Yates shuffle of `0..bands`. Seed 0 returns the identity order. Pure — tests use this
 /// to find seeds that place one band before another.
 pub fn band_order(seed: u64, bands: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..bands).collect();
@@ -72,7 +72,7 @@ pub fn stall_slots(seed: u64, band: usize) -> u32 {
 /// Injects the schedule-perturbation stall for band `band`: a short run
 /// of scheduler yields derived from the active seed. A no-op when
 /// perturbation is off (seed 0). Called by the launch path at the top of
-/// every band task.
+/// every band of a multi-band launch.
 pub(crate) fn stall(band: usize) {
     let seed = perturbation_seed();
     for _ in 0..stall_slots(seed, band) {

@@ -20,9 +20,10 @@
 //!   length); the body receives `(band, band_index)`.
 //!
 //! Write disjointness holds *by construction*: bands are carved with
-//! `chunks_mut`/`split_at_mut`, so no two tasks can alias an output
+//! `chunks_mut`/`split_at_mut`, so no two bands can alias an output
 //! element, and the two constructors assert that the declared geometry
-//! tiles the output exactly.
+//! tiles the output exactly. Each band sits in its own slot, taken once
+//! by whichever thread claims that band index.
 //!
 //! Every launch also runs under the cancellation [`Ctx`] its submitting
 //! thread entered ([`crate::cancel::enter`]) and is checked cooperatively
@@ -30,11 +31,12 @@
 //! passes skips unstarted bands and ends in bounded time with a
 //! structured [`ExecError`]. Queue admission is bounded too: a launch
 //! that would flood the pool past its depth cap is shed with
-//! [`ExecError::Overloaded`] when latency-bound, or degraded to inline
-//! execution when not. [`LaunchPlan::launch`] unwinds with that error as
+//! [`ExecError::Overloaded`] when latency-bound, or run on the submitter
+//! alone when not. [`LaunchPlan::launch`] unwinds with that error as
 //! the panic payload; [`LaunchPlan::try_launch`] returns it.
 
 use std::panic::resume_unwind;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use megablocks_resilience as resilience;
@@ -44,26 +46,31 @@ use crate::cancel::{self, CancelKind, Ctx, ExecError};
 use crate::perturb;
 use crate::pool;
 
-/// How a plan slices its output.
-enum Partition {
-    /// `items` units of `unit` elements, `items_per_band` per band.
-    Uniform { unit: usize, items_per_band: usize },
-    /// Explicit per-band lengths, in elements.
-    Explicit { band_lens: Vec<usize> },
-}
+/// One band of a plan's output, taken once by the thread that claims it.
+type Band<'data, T> = Mutex<&'data mut [T]>;
 
 /// One kernel launch: output bands plus the per-band body.
 ///
 /// Build with [`LaunchPlan::over_items`] or [`LaunchPlan::over_bands`],
-/// then call [`LaunchPlan::launch`]. The body must be `Sync`: every band
-/// task shares it by reference. The elements are `f32` unless the output
-/// says otherwise; each band is handed to one task, so they must be
-/// `Send`.
+/// then call [`LaunchPlan::launch`]. The body must be `Sync`: every
+/// thread that runs a band shares it by reference. The elements are `f32`
+/// unless the output says otherwise; a band may run on any thread, so
+/// they must be `Send`.
 pub struct LaunchPlan<'data, 'body, T = f32> {
     op: &'static str,
-    data: &'data mut [T],
-    partition: Partition,
+    bands: Vec<Band<'data, T>>,
+    /// Items per band: band `b`'s body receives `b * step`.
+    step: usize,
     body: &'body (dyn Fn(&mut [T], usize) + Sync),
+}
+
+/// The bands `cut` carves, or one empty band if it carves none.
+fn bands<'data, T>(cut: impl Iterator<Item = &'data mut [T]>) -> Vec<Band<'data, T>> {
+    let mut bands: Vec<_> = cut.map(Mutex::new).collect();
+    if bands.is_empty() {
+        bands.push(Mutex::new(&mut []));
+    }
+    bands
 }
 
 impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
@@ -87,13 +94,11 @@ impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
             "{op}: output length {} is not a multiple of unit {unit}",
             data.len()
         );
+        let step = items_per_band.max(1);
         LaunchPlan {
             op,
-            data,
-            partition: Partition::Uniform {
-                unit,
-                items_per_band: items_per_band.max(1),
-            },
+            bands: bands(data.chunks_mut(step.saturating_mul(unit))),
+            step,
             body,
         }
     }
@@ -118,33 +123,29 @@ impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
             "{op}: band lengths sum to {total}, output has {} elements",
             data.len()
         );
+        let cut = band_lens.into_iter().scan(data, |rest, len| {
+            let (band, tail) = std::mem::take(rest).split_at_mut(len);
+            *rest = tail;
+            Some(band)
+        });
         LaunchPlan {
             op,
-            data,
-            partition: Partition::Explicit { band_lens },
+            bands: bands(cut),
+            step: 1,
             body,
         }
     }
 
     /// Number of bands the plan will launch.
     pub fn bands(&self) -> usize {
-        match &self.partition {
-            Partition::Uniform {
-                unit,
-                items_per_band,
-            } => {
-                let items = self.data.len() / unit;
-                items.div_ceil(*items_per_band).max(1)
-            }
-            Partition::Explicit { band_lens } => band_lens.len().max(1),
-        }
+        self.bands.len()
     }
 
     /// Executes the plan on the shared worker pool.
     ///
-    /// Single-band plans (and launches from inside a pool task) run
-    /// inline on the caller. A panicking band is re-raised on the caller
-    /// after every sibling band finished; the pool stays usable.
+    /// Single-band plans (and launches from inside a pool worker's band)
+    /// run inline on the caller. A panicking band is re-raised on the
+    /// caller after every claimed band finished; the pool stays usable.
     ///
     /// # Panics
     ///
@@ -167,14 +168,14 @@ impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
     /// [`ExecError`] a nested [`LaunchPlan::launch`] unwound with inside
     /// a band.
     pub fn try_launch(self) -> Result<(), ExecError> {
-        let bands = self.bands();
-        telemetry::histogram("exec.launch.bands").record(bands as u64);
         let LaunchPlan {
             op,
-            data,
-            partition,
+            bands,
+            step,
             body,
         } = self;
+        let count = bands.len();
+        telemetry::histogram("exec.launch.bands").record(count as u64);
         // The launch runs under the submitter's ambient context, so a
         // deadline entered at (say) the trainer step or the serving batch
         // reaches every nested kernel launch without any call site
@@ -182,113 +183,86 @@ impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
         // every check below short-circuits on `None`.
         let ctx = cancel::current();
         // Pre-launch cancellation point: refuse already-dead work before
-        // building a single task.
+        // a single band runs.
         if let Some(kind) = ctx.status() {
             return Err(abort_error(op, kind));
         }
         // Only launches under a deadline or token shed on overload.
         let latency_bound = !ctx.is_empty();
-        // Chaos injection site: under an installed FaultPlan a band task
-        // may panic before running its body, exercising the pool's
-        // park-and-reraise recovery path end to end. The trace
-        // interval is recorded directly (not via `telemetry::span`) so
-        // band executions land on each worker's timeline lane without
-        // inflating the op's scalar span-family call counts.
-        let guarded = |band: &mut [T], i: usize| {
+        // Bands are disjoint, so any claim order is legal; a perturbation
+        // seed maps claim `k` to band `order[k]` to show results do not
+        // depend on it.
+        let order = match perturb::perturbation_seed() {
+            0 => Vec::new(),
+            seed => perturb::band_order(seed, count),
+        };
+        // One claimed band: re-installs the launch context on whichever
+        // thread runs it (so kernel panel loops can poll it) and checks
+        // the band-boundary cancellation point. A cancelled launch skips
+        // every band that has not started; its output is discarded with
+        // the launch error, so the skipped writes are unobservable. Under
+        // an installed FaultPlan a band may stall (multi-band launches
+        // only) or panic before its body, exercising the pool's
+        // park-and-reraise path end to end. The trace interval is
+        // recorded directly (not via `telemetry::span`) so bands land on
+        // each worker's timeline lane without inflating the op's scalar
+        // span-family call counts.
+        let run_band = |claim: usize| {
+            let b = order.get(claim).copied().unwrap_or(claim);
+            let _ambient = cancel::enter(&ctx);
+            if count > 1 {
+                perturb::stall(b);
+                if ctx.status().is_none() {
+                    chaos_stall_band();
+                }
+            }
+            if ctx.status().is_some() {
+                return;
+            }
+            let band =
+                std::mem::take(&mut *bands[b].lock().unwrap_or_else(PoisonError::into_inner));
             resilience::maybe_panic(&resilience::sites::EXEC_WORKER_PANIC);
             let band_start_us = telemetry::trace_now_us();
-            body(band, i);
+            body(band, b * step);
             telemetry::trace_complete(
                 op,
                 band_start_us,
                 telemetry::trace_now_us().saturating_sub(band_start_us),
             );
         };
-        if bands <= 1 {
-            telemetry::counter_with("exec.launches", "inline").inc();
-            let _ambient = cancel::enter(&ctx);
-            guarded(data, 0);
-            return finish_status(op, &ctx);
-        }
-        let guarded = &guarded;
-        let ctx_ref = &ctx;
-        // One band task: re-installs the launch context on whichever
-        // thread runs the band (so kernel panel loops can poll it) and
-        // checks the band-boundary cancellation point. A cancelled launch
-        // skips every band that has not started; its output is discarded
-        // with the launch error, so the skipped writes are unobservable.
-        let run_band = |b: usize, band: &mut [T], i: usize| {
-            perturb::stall(b);
-            let _ambient = cancel::enter(ctx_ref);
-            if ctx_ref.status().is_some() {
-                return;
-            }
-            chaos_stall_band();
-            if ctx_ref.status().is_none() {
-                guarded(band, i);
-            }
-        };
-        let run_band = &run_band;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(bands);
-        match partition {
-            Partition::Uniform {
-                unit,
-                items_per_band,
-            } => {
-                for (b, band) in data.chunks_mut(items_per_band * unit).enumerate() {
-                    tasks.push(Box::new(move || run_band(b, band, b * items_per_band)));
-                }
-            }
-            Partition::Explicit { band_lens } => {
-                let mut rest = data;
-                for (b, &len) in band_lens.iter().enumerate() {
-                    let (band, tail) = rest.split_at_mut(len);
-                    rest = tail;
-                    tasks.push(Box::new(move || run_band(b, band, b)));
-                }
-            }
-        }
-        let tasks = perturb_submission_order(tasks);
 
         // Chaos `pool.queue_flood` site: force the admission decision
         // this launch would face on a flooded queue.
-        let admission = if resilience::should_fail(&resilience::sites::POOL_QUEUE_FLOOD) {
-            Err(pool::Rejected {
-                tasks,
-                depth: pool::pool().queue_depth(),
-                cap: pool::queue_cap(),
-            })
-        } else {
-            pool::pool().try_run(tasks)
-        };
+        let admission =
+            if count > 1 && resilience::should_fail(&resilience::sites::POOL_QUEUE_FLOOD) {
+                Err(pool::Rejected {
+                    depth: pool::pool().queue_depth(),
+                    cap: pool::queue_cap(),
+                })
+            } else {
+                pool::try_run(count, &run_band)
+            };
         if let Err(rejected) = admission {
             resilience::record_detected(&resilience::sites::POOL_QUEUE_FLOOD);
             telemetry::trace_instant("exec.shed");
             telemetry::histogram("exec.shed.depth").record(rejected.depth as u64);
             telemetry::gauge("exec.pool.queue_cap").set(rejected.cap as f64);
-            if !latency_bound {
-                // Plain throughput work has no deadline to miss:
-                // degrade to inline execution on the submitter. The
-                // queue stays bounded and the work still completes —
-                // the recovery this site's counter pins.
-                telemetry::counter_with("exec.shed", "inline").inc();
-                telemetry::counter_with("exec.launches", "inline").inc();
-                for task in rejected.tasks {
-                    task();
-                }
-                resilience::record_recovered(&resilience::sites::POOL_QUEUE_FLOOD);
-            } else {
-                // Latency-bound work (it carries a deadline/token):
-                // shed explicitly rather than queue into the flood.
+            if latency_bound {
+                // Latency-bound work (it carries a deadline/token): shed
+                // explicitly rather than queue into the flood.
                 telemetry::counter_with("exec.shed", "rejected").inc();
-                drop(rejected.tasks);
                 return Err(abort_error(op, CancelKind::Overloaded));
             }
+            // Plain throughput work has no deadline to miss: run it on the
+            // submitter alone. The queue stays bounded and the work still
+            // completes — the recovery this site's counter pins.
+            telemetry::counter_with("exec.shed", "inline").inc();
+            pool::run_inline(count, &run_band);
+            resilience::record_recovered(&resilience::sites::POOL_QUEUE_FLOOD);
         }
         finish_status(op, &ctx)
     }
 }
-
 /// Maps an aborted context into the launch's structured error, emitting
 /// the `exec.cancelled` counter (labelled by kind) and a trace instant.
 fn abort_error(op: &'static str, kind: CancelKind) -> ExecError {
@@ -330,26 +304,4 @@ fn chaos_stall_band() {
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-}
-
-/// Reorders band tasks by the active schedule-perturbation seed (a no-op
-/// at the default seed 0). Bands are disjoint, so any submission order is
-/// semantically legal; perturbing it shows results do not depend on it.
-fn perturb_submission_order(
-    tasks: Vec<Box<dyn FnOnce() + Send + '_>>,
-) -> Vec<Box<dyn FnOnce() + Send + '_>> {
-    let seed = perturb::perturbation_seed();
-    if seed == 0 || tasks.len() < 2 {
-        return tasks;
-    }
-    let order = perturb::band_order(seed, tasks.len());
-    let mut slots: Vec<Option<Box<dyn FnOnce() + Send + '_>>> =
-        tasks.into_iter().map(Some).collect();
-    let mut shuffled = Vec::with_capacity(slots.len());
-    for &b in &order {
-        if let Some(task) = slots[b].take() {
-            shuffled.push(task);
-        }
-    }
-    shuffled
 }

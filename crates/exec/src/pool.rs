@@ -2,95 +2,134 @@
 //!
 //! One pool per process, initialized lazily on the first pooled launch.
 //! Worker threads are spawned once and live for the lifetime of the
-//! process, so a kernel launch costs a queue push + condvar wake instead
-//! of `threads` fresh OS thread spawns — the CPU analogue of the paper's
-//! cheap kernel launches iterating precomputed metadata (§5.1.3).
+//! process. A launch is one shared [`Launch`] whose bands sit behind a
+//! claim counter: the submitter queues handles to it, and every thread
+//! that runs bands — the submitter, a worker, a one-band or a degraded
+//! launch — claims them one at a time through the same `drain` loop. It
+//! is the CPU analogue of the paper's threadblocks, which find their own
+//! work in precomputed metadata on whichever SM is free (§5.1.3).
 //!
-//! Panic safety: a panicking task is caught on the worker, its payload is
-//! parked in the launch's shared state, and the *submitter* re-raises it
-//! after every task of the launch has finished. Workers never unwind, so
-//! one poisoned launch cannot wedge the queue or leak a lock; the next
-//! launch sees a clean pool.
+//! Panic safety: a panicking band is caught where it ran, its payload is
+//! parked in the launch, and the *submitter* re-raises it once every
+//! claimed band has finished. Workers never unwind, so one poisoned
+//! launch cannot wedge the queue or leak a lock; the next launch sees a
+//! clean pool.
 //!
 //! Admission is bounded: a launch that would push the queue past the
-//! depth cap ([`queue_cap`]) is rejected with its tasks handed back, and
-//! the launch plan decides whether to shed it explicitly (deadline-bound
-//! work) or degrade to inline execution (plain work — the queue stays
+//! depth cap ([`queue_cap`]) is rejected before any band runs, and the
+//! launch plan decides whether to shed it explicitly (deadline-bound
+//! work) or run it on the submitter alone (plain work — the queue stays
 //! bounded either way).
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::thread::{self, Thread};
 
 use megablocks_telemetry as telemetry;
 
 use crate::setting::Setting;
 
-/// A unit of work queued on the pool. Tasks are lifetime-erased closures;
-/// the submitting thread blocks until every task of its launch completed,
-/// which is what makes the erasure sound (see [`Pool::try_run`]).
-type Job = Box<dyn FnOnce() + Send>;
-
 /// State shared by the pool's workers.
 struct Shared {
-    queue: Mutex<VecDeque<Job>>,
+    /// One handle per band a launch offers the workers (`bands - 1`).
+    queue: Mutex<VecDeque<Arc<Launch<'static>>>>,
     available: Condvar,
-    /// Workers currently executing a task (pool occupancy). Signed so a
+    /// Workers currently running bands (pool occupancy). Signed so a
     /// torn read interleaved with a worker's increment/decrement pair can
     /// only ever look *negative* — which the accessor clamps — instead of
     /// wrapping a `usize` to an absurd occupancy.
     busy: AtomicIsize,
-    /// Tasks currently queued, mirrored outside the mutex so occupancy
+    /// Handles currently queued, mirrored outside the mutex so occupancy
     /// probes never contend with the dispatch hot path. Signed and
     /// clamped on read for the same reason as `busy`.
     queued: AtomicIsize,
 }
 
-/// Completion tracking for one launch: the submitter waits on `done`
-/// until `remaining` queued tasks have finished; the first worker panic
-/// is parked in `panic` for the submitter to re-raise.
-struct LaunchState {
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
+/// One launch: `bands` calls of a band body, each claimed by exactly one
+/// thread.
+struct Launch<'a> {
+    /// The band body, called with each claimed band index.
+    body: &'a (dyn Fn(usize) + Sync + 'a),
+    bands: usize,
+    /// The next unclaimed band. `Relaxed`: a claim publishes nothing;
+    /// the launch itself reaches the workers through the queue's mutex.
+    next: AtomicUsize,
+    /// Bands not yet finished. Each band's `Release` decrement pairs with
+    /// the submitter's `Acquire` load, so every band's writes happen
+    /// before the submitter reads 0 and returns.
+    left: AtomicUsize,
+    /// The first band panic, re-raised by the submitter.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Unparked when `left` reaches 0.
+    submitter: Thread,
+    /// When the launch was queued, the start of its `exec.queue_wait`
+    /// (0 for a launch that is not).
+    enqueued_us: u64,
 }
 
-impl LaunchState {
-    fn new(remaining: usize) -> Self {
-        LaunchState {
-            remaining: Mutex::new(remaining),
-            done: Condvar::new(),
+impl<'a> Launch<'a> {
+    /// A launch of `bands >= 1` bands whose band 0 the caller has claimed.
+    fn new(bands: usize, body: &'a (dyn Fn(usize) + Sync + 'a)) -> Self {
+        Launch {
+            body,
+            bands,
+            next: AtomicUsize::new(1),
+            left: AtomicUsize::new(bands),
             panic: Mutex::new(None),
+            submitter: thread::current(),
+            enqueued_us: 0,
         }
     }
 
-    /// Marks one task finished (storing `payload` if it panicked first).
-    fn finish(&self, payload: Option<Box<dyn Any + Send + 'static>>) {
-        if let Some(p) = payload {
-            let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
-            slot.get_or_insert(p);
-        }
-        let mut remaining = self.remaining.lock().unwrap_or_else(|e| e.into_inner());
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
+    /// Claims the next band, while one is left unclaimed.
+    fn claim(&self) -> Option<usize> {
+        let band = self.next.fetch_add(1, Ordering::Relaxed);
+        (band < self.bands).then_some(band)
+    }
+
+    /// Runs the claimed band `band`, then claims and runs bands until none
+    /// is left unclaimed. Returns how many bands it ran.
+    fn drain(&self, mut band: usize) -> u64 {
+        let mut ran = 0;
+        loop {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(band))) {
+                let mut slot = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
+                slot.get_or_insert(payload);
+            }
+            ran += 1;
+            if self.left.fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.submitter.unpark();
+            }
+            match self.claim() {
+                Some(next) => band = next,
+                None => return ran,
+            }
         }
     }
 
-    /// Blocks until every queued task of the launch has finished.
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock().unwrap_or_else(|e| e.into_inner());
-        while *remaining > 0 {
-            remaining = self.done.wait(remaining).unwrap_or_else(|e| e.into_inner());
+    /// The submitter's part: runs band 0 and every band nobody else
+    /// claims, parks while bands other threads claimed still run (the
+    /// `exec.wait` span), then re-raises the first band panic.
+    fn finish(&self) {
+        self.drain(0);
+        if self.left.load(Ordering::Acquire) != 0 {
+            let _wait = telemetry::span("exec.wait");
+            while self.left.load(Ordering::Acquire) != 0 {
+                thread::park();
+            }
         }
-    }
-
-    /// The parked panic payload, if any task panicked.
-    fn take_panic(&self) -> Option<Box<dyn Any + Send + 'static>> {
-        self.panic.lock().unwrap_or_else(|e| e.into_inner()).take()
+        let panic = self
+            .panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -104,8 +143,8 @@ pub struct Pool {
 }
 
 thread_local! {
-    /// Set on pool worker threads: launches submitted from inside a task
-    /// run inline to keep nested launches deadlock-free.
+    /// Set on pool worker threads: launches submitted from inside a
+    /// worker's band run inline on that worker.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
     /// Per-thread parallelism override installed by [`scoped_parallelism`].
     static PARALLELISM_OVERRIDE: Cell<usize> = const { Cell::new(0) };
@@ -214,12 +253,9 @@ pub fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool::new(*TARGET.get_or_init(resolve_target)))
 }
 
-/// A launch handed back by bounded admission: queueing its tasks would
-/// have pushed the queue past `cap`. The tasks are returned untouched so
-/// the caller can run them inline or drop them.
-pub(crate) struct Rejected<'scope> {
-    /// The launch's tasks, in submission order.
-    pub tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>,
+/// A launch turned away by bounded admission: queueing it would have
+/// pushed the queue past `cap`. None of its bands ran.
+pub(crate) struct Rejected {
     /// Queue depth observed at the admission decision.
     pub depth: usize,
     /// The cap the launch was held to.
@@ -245,7 +281,7 @@ impl Pool {
                 .name(format!("megablocks-exec-{i}"))
                 .spawn(move || worker_loop(&shared));
             // A failed spawn degrades parallelism but not correctness:
-            // remaining workers (or the submitter) drain the queue.
+            // the submitter claims every band no worker does.
             drop(spawned);
         }
         telemetry::gauge("exec.pool.workers").set(workers as f64);
@@ -257,149 +293,120 @@ impl Pool {
         self.workers
     }
 
-    /// Tasks currently queued (for tests and occupancy metrics). Read
+    /// Launch handles currently queued, one per band offered to the
+    /// workers (for tests and occupancy metrics). Read
     /// from the lock-free mirror and clamped at zero: a probe racing a
     /// worker wakeup may observe the decrement before the matching
     /// enqueue count, and a transient `-1` must read as empty, not as
     /// `usize::MAX`.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queued.load(Relaxed).max(0) as usize
+        self.shared.queued.load(Ordering::Relaxed).max(0) as usize
     }
 
-    /// Workers currently executing a task, clamped at zero against the
+    /// Workers currently running bands, clamped at zero against the
     /// same torn-interleaving reads as [`Pool::queue_depth`].
     pub fn busy_workers(&self) -> usize {
-        self.shared.busy.load(Relaxed).max(0) as usize
+        self.shared.busy.load(Ordering::Relaxed).max(0) as usize
     }
+}
 
-    /// Executes `tasks` to completion, one per band of a launch plan,
-    /// under bounded admission: if queueing them would push the queue
-    /// past [`queue_cap`], nothing is queued and the tasks come back in
-    /// [`Rejected`] for the caller to shed or degrade. The admission
-    /// decision is taken under the queue lock, so the cap is exact even
-    /// with many concurrent submitters.
-    ///
-    /// The first task runs on the calling thread; the rest are queued for
-    /// the workers. The call returns only after *every* task finished —
-    /// even when one panics — so tasks may freely borrow the caller's
-    /// stack. If any task panicked, the first payload is re-raised on the
-    /// caller once all sibling tasks are done (their borrows must outlive
-    /// the unwind).
-    ///
-    /// Launches submitted from inside a pool task, and launches with a
-    /// single task or on a worker-less pool, run inline on the calling
-    /// thread; panics then propagate directly. Which of the two happened
-    /// is what `exec.launches{inline,pooled}` counts.
-    pub(crate) fn try_run<'scope>(
-        &self,
-        tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>,
-    ) -> Result<(), Rejected<'scope>> {
-        let queued = tasks.len().saturating_sub(1);
-        if queued == 0 || self.workers == 0 || in_worker() {
-            telemetry::counter_with("exec.launches", "inline").inc();
-            for task in tasks {
-                task();
-            }
-            return Ok(());
-        }
+/// Runs a launch of `bands >= 1` calls of `body` on the calling thread
+/// alone. Which path a launch took is what `exec.launches{inline,pooled}`
+/// counts.
+pub(crate) fn run_inline(bands: usize, body: &(dyn Fn(usize) + Sync)) {
+    telemetry::counter_with("exec.launches", "inline").inc();
+    Launch::new(bands, body).finish();
+}
 
-        let cap = queue_cap();
-        let state = Arc::new(LaunchState::new(queued));
-        let enqueued_us = telemetry::trace_now_us();
-        let first;
-        {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            let depth = queue.len();
-            if depth + queued > cap {
-                drop(queue);
-                return Err(Rejected { tasks, depth, cap });
-            }
-            let mut tasks = tasks.into_iter();
-            first = match tasks.next() {
-                Some(t) => t,
-                None => return Ok(()),
-            };
-            for task in tasks {
-                // SAFETY: the erased closure borrows from the caller's
-                // stack frame ('scope). This function does not return —
-                // normally or by unwinding — until `state` confirms the
-                // task ran to completion (`wait` below runs even when the
-                // inline task panics), so every borrow strictly outlives
-                // the task's execution.
-                let task: Box<dyn FnOnce() + Send + 'static> = unsafe { erase_lifetime(task) };
-                let state = Arc::clone(&state);
-                queue.push_back(Box::new(move || {
-                    // Queue wait: enqueue → the moment a worker dequeued
-                    // and started this task. Shows up on the worker's
-                    // trace lane right before the band interval.
-                    let started_us = telemetry::trace_now_us();
-                    telemetry::trace_complete(
-                        "exec.queue_wait",
-                        enqueued_us,
-                        started_us.saturating_sub(enqueued_us),
-                    );
-                    let payload = catch_unwind(AssertUnwindSafe(task)).err();
-                    state.finish(payload);
-                }));
-            }
-            self.shared.queued.fetch_add(queued as isize, Relaxed);
-            telemetry::gauge("exec.pool.queue_depth").set(queue.len() as f64);
+/// Runs a launch of `bands >= 1` calls of `body` (one per band of a launch
+/// plan) to completion under bounded admission: if queueing it would push
+/// the queue past [`queue_cap`], nothing is queued and nothing runs, and
+/// [`Rejected`] comes back for the caller to shed or degrade. The
+/// admission decision is taken under the queue lock, so the cap is exact
+/// even with many concurrent submitters.
+///
+/// Band 0 runs on the calling thread, which queues `bands - 1` handles of
+/// the launch for the workers and then claims bands itself alongside
+/// them. The call returns only after *every* band finished — even when
+/// one panics — so the body may freely borrow the caller's stack. If any
+/// band panicked, the first payload is re-raised on the caller once all
+/// claimed bands are done.
+///
+/// Launches with one band, on a worker-less pool, or submitted from
+/// inside a worker's band run inline on the calling thread
+/// ([`run_inline`]).
+pub(crate) fn try_run(bands: usize, body: &(dyn Fn(usize) + Sync)) -> Result<(), Rejected> {
+    if bands <= 1 || in_worker() || pool().workers == 0 {
+        run_inline(bands, body);
+        return Ok(());
+    }
+    let shared = &pool().shared;
+    let launch = Arc::new(Launch {
+        enqueued_us: telemetry::trace_now_us(),
+        ..Launch::new(bands, body)
+    });
+    {
+        let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let (depth, cap) = (queue.len(), queue_cap());
+        if depth + bands - 1 > cap {
+            return Err(Rejected { depth, cap });
         }
-        self.shared.available.notify_all();
         telemetry::counter_with("exec.launches", "pooled").inc();
-
-        // Run the first band here: the submitter is the pool's extra
-        // executor. Capture its panic so queued siblings can finish
-        // before the stack unwinds past their borrows.
-        let inline_panic = catch_unwind(AssertUnwindSafe(first)).err();
-        state.wait();
-        if let Some(p) = inline_panic.or_else(|| state.take_panic()) {
-            resume_unwind(p);
-        }
-        Ok(())
+        telemetry::gauge("exec.pool.queue_depth").set((depth + bands - 1) as f64);
+        shared
+            .queued
+            .fetch_add(bands as isize - 1, Ordering::Relaxed);
+        // SAFETY: the handles outlive the borrows in `body`, but a handle
+        // calls `body` only inside `drain`, after a successful claim.
+        // Every claimed band holds `left` above 0 until it has finished,
+        // and `finish` below returns or unwinds only once `left` reads 0
+        // (nothing between this push and its wait unwinds: `drain`
+        // catches every band's panic). So each call of `body` ends while
+        // the caller's frame is alive, and a handle popped later claims
+        // nothing and never touches `body`. Only the lifetime changes.
+        let handle: Arc<Launch<'static>> = unsafe { std::mem::transmute(Arc::clone(&launch)) };
+        queue.extend(std::iter::repeat_n(handle, bands - 1));
     }
+    shared.available.notify_all();
+    launch.finish();
+    Ok(())
 }
 
-/// Erases the borrow lifetime of a queued task.
-///
-/// # Safety
-///
-/// The caller must guarantee the task finishes executing before any
-/// borrow captured in it ends — [`Pool::try_run`] does so by blocking until
-/// the launch's completion count reaches zero.
-// SAFETY: declaring this fn unsafe delegates the outlives proof to the
-// caller; see the function docs above for the exact contract.
-unsafe fn erase_lifetime<'scope>(
-    task: Box<dyn FnOnce() + Send + 'scope>,
-) -> Box<dyn FnOnce() + Send + 'static> {
-    // SAFETY: identical vtable layout; only the borrow lifetime changes,
-    // and the caller upholds the outlives contract documented above.
-    unsafe { std::mem::transmute(task) }
-}
-
-/// Worker main loop: pop a task, run it, repeat. Tasks are already
-/// panic-wrapped, so the loop never unwinds and the pool never poisons.
+/// Worker main loop: pop a handle, claim and run bands until its launch
+/// has none left, repeat. A handle whose bands are all claimed is dropped
+/// at once. Bands are panic-wrapped, so the loop never unwinds and the
+/// pool never poisons.
 fn worker_loop(shared: &Shared) {
     IN_WORKER.with(|c| c.set(true));
     loop {
-        let job = {
-            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let launch = {
+            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(job) = queue.pop_front() {
-                    shared.queued.fetch_sub(1, Relaxed);
+                if let Some(launch) = queue.pop_front() {
+                    shared.queued.fetch_sub(1, Ordering::Relaxed);
                     telemetry::gauge("exec.pool.queue_depth").set(queue.len() as f64);
-                    break job;
+                    break launch;
                 }
                 queue = shared
                     .available
                     .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let busy = shared.busy.fetch_add(1, Relaxed) + 1;
+        let Some(band) = launch.claim() else {
+            continue;
+        };
+        // Queue wait: enqueue → this worker's first claim. Shows up on
+        // the worker's trace lane right before the band interval.
+        telemetry::trace_complete(
+            "exec.queue_wait",
+            launch.enqueued_us,
+            telemetry::trace_now_us().saturating_sub(launch.enqueued_us),
+        );
+        let busy = shared.busy.fetch_add(1, Ordering::Relaxed) + 1;
         telemetry::gauge("exec.pool.busy_workers").set(busy.max(0) as f64);
-        telemetry::counter("exec.pool.tasks").inc();
-        job();
-        shared.busy.fetch_sub(1, Relaxed);
+        let ran = launch.drain(band);
+        telemetry::counter("exec.pool.tasks").add(ran);
+        shared.busy.fetch_sub(1, Ordering::Relaxed);
     }
 }

@@ -8,8 +8,8 @@
 //! launch that ran the band with the typed [`ExecError`] as its payload.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::time::{Duration, Instant};
 
 use megablocks_exec::{
     cancel, configure_threads, CancelKind, CancelToken, Ctx, Deadline, ExecError, LaunchPlan,
@@ -189,12 +189,20 @@ fn a_nested_abort_on_a_worker_unwinds_through_the_outer_launch() {
     // The outer launch runs under no context. Every band a pool worker
     // runs launches again under a dead one; that nested launch runs
     // inline on the worker and unwinds with its `ExecError`, which the
-    // pool parks and re-raises on the submitter.
+    // pool parks and re-raises on the submitter. The submitter claims
+    // bands too, so its bands hold until a worker has entered one.
+    let worker_entered = AtomicBool::new(false);
     let body = |band: &mut [f32], _i0: usize| {
         let on_worker = std::thread::current()
             .name()
             .is_some_and(|name| name.starts_with("megablocks-exec"));
-        if on_worker {
+        if !on_worker {
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while !worker_entered.load(Relaxed) && Instant::now() < give_up {
+                std::thread::yield_now();
+            }
+        } else {
+            worker_entered.store(true, Relaxed);
             let _scope = cancel::enter(&dead);
             let len = band.len();
             LaunchPlan::over_items("test.cancel.inner", band, 1, len, &|_, _| {}).launch();

@@ -8,11 +8,18 @@
 //! completion state).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 use megablocks_exec::{configure_threads, parallelism, pool, scoped_parallelism, LaunchPlan};
 use megablocks_telemetry as telemetry;
+
+/// Whether the calling thread is one of the pool's workers.
+fn on_worker() -> bool {
+    std::thread::current()
+        .name()
+        .is_some_and(|name| name.starts_with("megablocks-exec"))
+}
 
 /// Sums `1..=n` through a multi-band plan; the workhorse "normal launch"
 /// the panic tests interleave with.
@@ -105,6 +112,7 @@ fn nested_launches_run_inline_without_deadlock() {
     let outer_bands = 8;
     let mut data = vec![0.0f32; 64 * outer_bands];
     let per_band = data.len() / outer_bands;
+    let worker_bands = AtomicUsize::new(0);
     let body = |band: &mut [f32], _i0: usize| {
         // A launch from inside a pool task must not wait on the pool's
         // own (busy) workers.
@@ -117,6 +125,16 @@ fn nested_launches_run_inline_without_deadlock() {
             &inner_body,
         )
         .launch();
+        if on_worker() {
+            worker_bands.fetch_add(1, Relaxed);
+        } else {
+            // The submitter claims bands too: its first band holds until
+            // the workers have run the other seven.
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while worker_bands.load(Relaxed) < outer_bands - 1 && Instant::now() < give_up {
+                std::thread::yield_now();
+            }
+        }
     };
     // Sibling tests share the registry, so the counter can only be
     // bounded from below: band 0 runs on this thread, the other seven on

@@ -24,52 +24,16 @@ const TABLE: [u32; 256] = {
     table
 };
 
-/// Streaming CRC32 state.
+/// CRC32 of `bytes`.
 ///
 /// ```
-/// use megablocks_resilience::Crc32;
-/// let mut crc = Crc32::new();
-/// crc.update(b"123");
-/// crc.update(b"456789");
-/// assert_eq!(crc.finalize(), 0xCBF43926); // the standard check value
+/// use megablocks_resilience::crc32;
+/// assert_eq!(crc32(b"123456789"), 0xCBF43926); // the standard check value
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// Fresh state.
-    pub fn new() -> Self {
-        Crc32 { state: !0 }
-    }
-
-    /// Folds `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.state;
-        for &b in bytes {
-            c = TABLE[usize::from((c as u8) ^ b)] ^ (c >> 8);
-        }
-        self.state = c;
-    }
-
-    /// The checksum of everything folded in so far.
-    pub fn finalize(&self) -> u32 {
-        !self.state
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One-shot CRC32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finalize()
+    !bytes
+        .iter()
+        .fold(!0u32, |c, &b| TABLE[usize::from((c as u8) ^ b)] ^ (c >> 8))
 }
 
 #[cfg(test)]
@@ -80,18 +44,6 @@ mod tests {
     fn matches_the_standard_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF43926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn streaming_equals_one_shot_at_any_split() {
-        let data: Vec<u8> = (0u16..600).map(|i| (i * 31 % 251) as u8).collect();
-        let whole = crc32(&data);
-        for split in [0, 1, 7, 300, 599, 600] {
-            let mut c = Crc32::new();
-            c.update(&data[..split]);
-            c.update(&data[split..]);
-            assert_eq!(c.finalize(), whole, "split at {split}");
-        }
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!   through hooks ([`maybe_panic`], [`maybe_poison`], [`should_fail`],
 //!   [`delay_requested`], [`maybe_io_error`]) that cost one relaxed atomic
 //!   load while no plan is installed.
-//! * **CRC-checked, atomic file I/O** ([`crc32`], [`Crc32`],
-//!   [`atomic_write`]) — the write-temp + fsync + rename discipline the
-//!   v2 checkpoint format relies on, so a crash or injected I/O error can
-//!   tear at most a temp file, never a committed checkpoint.
+//! * **CRC-checked, atomic file I/O** ([`crc32`], [`atomic_write`]) —
+//!   the write-temp + fsync + rename discipline the v2 checkpoint format
+//!   relies on, so a crash or injected I/O error can tear at most a temp
+//!   file, never a committed checkpoint.
 //! * **Bounded exponential-backoff retry** ([`RetryPolicy`],
 //!   [`run_with_retry`]) shared by the checkpoint writer and the
 //!   fault-tolerant trainer loop.
@@ -36,11 +36,11 @@ mod plan;
 mod retry;
 pub mod sites;
 
-pub use crc::{crc32, Crc32};
+pub use crc::crc32;
 pub use io::atomic_write;
 pub use plan::{
-    clear_plan, delay_requested, install_plan, maybe_io_error, maybe_panic, maybe_poison,
-    plan_installed, report, should_fail, FaultPlan, FaultReport, SiteReport, INJECTED_PANIC_PREFIX,
+    clear_plan, delay_requested, install_plan, maybe_io_error, maybe_panic, maybe_poison, report,
+    should_fail, FaultPlan, FaultReport, SiteReport,
 };
 pub use retry::{run_with_retry, RetryPolicy};
 pub use sites::Site;

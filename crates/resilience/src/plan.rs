@@ -186,11 +186,6 @@ pub fn clear_plan() {
     *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
-/// Whether a plan is currently installed.
-pub fn plan_installed() -> bool {
-    current().is_some()
-}
-
 /// Injection activity of the installed plan (empty when no plan is
 /// installed).
 pub fn report() -> FaultReport {
@@ -247,9 +242,9 @@ fn fires(site: &Site) -> Option<u64> {
     Some(plan.delay_ms)
 }
 
-/// Payload prefix of every injected panic, so recovery paths (and tests)
-/// can tell injected faults from genuine ones.
-pub const INJECTED_PANIC_PREFIX: &str = "injected fault:";
+/// Message prefix of every injected panic and I/O error, so a log names
+/// the fault as injected.
+pub(crate) const INJECTED_PANIC_PREFIX: &str = "injected fault:";
 
 /// Worker-panic hook: panics with a recognizable payload if the plan
 /// fires at `site`.
@@ -333,7 +328,7 @@ mod tests {
     #[test]
     fn hooks_are_quiet_with_no_plan_installed() {
         let _guard = serial();
-        assert!(!plan_installed());
+        assert!(current().is_none());
         let mut data = [1.0f32];
         maybe_poison(&sites::KERNEL_NAN_POISON, &mut data);
         assert_eq!(data[0], 1.0);

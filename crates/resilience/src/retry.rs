@@ -45,13 +45,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The same policy with a different jitter amplitude (clamped to
-    /// `0..=100`).
-    pub fn with_jitter(mut self, jitter_pct: u32) -> Self {
-        self.jitter_pct = jitter_pct.min(100);
-        self
-    }
-
     /// The backoff before the `attempt`-th retry (0-based, jitter-free):
     /// exponential in `attempt` and capped at [`RetryPolicy::max_delay`].
     ///
@@ -245,7 +238,10 @@ mod tests {
     fn zero_jitter_and_zero_base_are_exact() {
         let p = RetryPolicy::immediate(3);
         assert_eq!(p.backoff_jittered(0, 42), Duration::ZERO);
-        let q = RetryPolicy::default_transient().with_jitter(0);
+        let q = RetryPolicy {
+            jitter_pct: 0,
+            ..RetryPolicy::default_transient()
+        };
         for attempt in 0..8 {
             assert_eq!(q.backoff_jittered(attempt, 7), q.backoff(attempt));
         }

@@ -1,7 +1,7 @@
 //! The registered fault-injection sites.
 //!
-//! A [`Site`] names one place in the workspace where a [`FaultPlan`]
-//! (see [`crate::FaultPlan`]) may inject a failure, together with the
+//! A [`Site`] names one place in the workspace where a
+//! [`FaultPlan`](crate::FaultPlan) may inject a failure, together with the
 //! three `resilience.*` telemetry counters its lifecycle reports to:
 //! `injected` (the chaos layer fired), `detected` (a recovery path
 //! noticed a fault — injected or genuine) and `recovered` (the recovery

@@ -22,9 +22,10 @@
 //! nothing. Metrics are never removed, so a handle stays valid for the
 //! life of the process.
 //!
-//! Snapshots feed pluggable [`Sink`]s: [`JsonlSink`] writes one JSON
-//! object per metric (for `results/`), and [`SummarySink`] renders a
-//! human-readable table. [`FlushOnDrop`] runs either when it goes out of
+//! A [`snapshot`] renders as JSONL ([`render_jsonl`], one JSON object
+//! per metric, written by [`export_jsonl`] for `results/`) or as a
+//! human-readable table ([`render_summary`], printed by
+//! [`print_summary`]). [`FlushOnDrop`] writes either when it goes out of
 //! scope.
 //!
 //! There is one implementation and it is always compiled. The bounded
@@ -44,8 +45,7 @@ mod report;
 pub mod trace;
 mod value;
 pub use report::{
-    render_jsonl, render_summary, CounterRow, GaugeRow, HistogramRow, JsonlSink, Sink, Snapshot,
-    SpanRow, SummarySink,
+    render_jsonl, render_summary, CounterRow, GaugeRow, HistogramRow, Snapshot, SpanRow,
 };
 pub use trace::{
     parse_chrome_trace, render_chrome_trace, TraceEventRow, TraceLane, TracePhase, TraceSnapshot,

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::report::{CounterRow, GaugeRow, HistogramRow, JsonlSink, Sink, Snapshot, SpanRow};
+use crate::report::{render_jsonl, CounterRow, GaugeRow, HistogramRow, Snapshot, SpanRow};
 use crate::value::{json_escape, Value};
 
 const BUCKETS: usize = 65;
@@ -495,8 +495,13 @@ fn histogram_row(name: &str, label: Option<String>, h: &HistogramCore) -> Histog
 }
 
 /// Exports the current registry state as JSONL to `path`.
+/// Parent directories are created.
 pub fn export_jsonl(path: impl AsRef<Path>) -> io::Result<()> {
-    JsonlSink::new(path).export(&snapshot())
+    let path = path.as_ref();
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, render_jsonl(&snapshot()))
 }
 
 /// Returns the current summary table as a string.

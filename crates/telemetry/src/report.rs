@@ -1,9 +1,7 @@
-//! Snapshot data model, sinks, and renderers — plain data with no
+//! Snapshot data model and renderers — plain data with no
 //! atomics, apart from the registry that fills it.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use crate::value::{json_escape, Value};
 
@@ -69,7 +67,8 @@ pub struct SpanRow {
     pub max_ns: u64,
 }
 
-/// A point-in-time copy of the whole registry, consumed by [`Sink`]s.
+/// A point-in-time copy of the whole registry, rendered by
+/// [`render_jsonl`] and [`render_summary`].
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// All counters, sorted by (name, label).
@@ -84,38 +83,6 @@ pub struct Snapshot {
     pub events: Vec<String>,
 }
 
-/// An exporter consuming [`Snapshot`]s.
-pub trait Sink {
-    /// Exports one snapshot.
-    fn export(&self, snapshot: &Snapshot) -> io::Result<()>;
-}
-
-/// Sink writing one JSON object per line — one per metric, plus every
-/// event — suitable for `results/*.jsonl`.
-pub struct JsonlSink {
-    path: PathBuf,
-}
-
-impl JsonlSink {
-    /// Creates a sink writing to `path` (parent directories are created).
-    pub fn new(path: impl AsRef<Path>) -> Self {
-        JsonlSink {
-            path: path.as_ref().to_path_buf(),
-        }
-    }
-}
-
-impl Sink for JsonlSink {
-    fn export(&self, snapshot: &Snapshot) -> io::Result<()> {
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(&self.path, render_jsonl(snapshot))
-    }
-}
-
 fn label_json(label: &Option<String>) -> String {
     match label {
         Some(l) => format!(",\"label\":{}", json_escape(l)),
@@ -123,7 +90,8 @@ fn label_json(label: &Option<String>) -> String {
     }
 }
 
-/// Renders a snapshot in the JSONL format [`JsonlSink`] writes.
+/// Renders a snapshot as JSONL: one JSON object per line — one per
+/// metric, plus every event — the format of `results/*.jsonl`.
 pub fn render_jsonl(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     for c in &snapshot.counters {
@@ -177,17 +145,6 @@ pub fn render_jsonl(snapshot: &Snapshot) -> String {
         let _ = writeln!(out, "{e}");
     }
     out
-}
-
-/// Sink printing the human-readable summary table to stdout.
-#[derive(Debug, Default)]
-pub struct SummarySink;
-
-impl Sink for SummarySink {
-    fn export(&self, snapshot: &Snapshot) -> io::Result<()> {
-        print!("{}", render_summary(snapshot));
-        Ok(())
-    }
 }
 
 fn fmt_ns(ns: u64) -> String {

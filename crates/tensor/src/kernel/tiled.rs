@@ -21,12 +21,12 @@
 //! read, so it cannot perturb any retained element.
 //!
 //! The routine is written once, generic over `MR x NR`, and instantiated
-//! per instruction set ([`Variant`]): `4 x 8` at the build's default
+//! per instruction set (`Variant`): `4 x 8` at the build's default
 //! target features and, on x86-64, `4 x 16` under `avx2` — picked per
 //! call by CPU detection and never with `fma`, so every variant rounds
 //! exactly as [`ScalarKernel`] does, on every machine. A product of
 //! fewer than four rows (a decode step, an expert holding a few tokens)
-//! runs [`few_rows`] in the same variant instead: no packed panel and no
+//! runs `few_rows` in the same variant instead: no packed panel and no
 //! zero row, B read where it lies, down one `W`-column strip at a time
 //! into local accumulators that are written back once (only a
 //! transposed B and a partial last strip are packed).

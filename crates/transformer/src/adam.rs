@@ -345,8 +345,8 @@ pub(crate) fn clip_coef(norm: f32, max_norm: f32) -> Option<f32> {
 ///
 /// Matches Megatron-LM's `clip_grad_norm` (the paper trains with the
 /// gradient-clipping settings of Shoeybi et al. 2019, i.e. clip at 1.0).
-/// The norm is [`grad_norm`]'s; the trainer folds the rescale into its
-/// update instead of calling this.
+/// The norm is the fixed-order banded one the module describes; the
+/// trainer folds the rescale into its update instead of calling this.
 pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
     let norm = grad_norm(params, 1.0) as f32;
     if let Some(coef) = clip_coef(norm, max_norm) {

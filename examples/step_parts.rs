@@ -11,7 +11,9 @@
 //! update) — and prints their p50s, then every telemetry span's self time
 //! and calls per step, summed over the timed steps and over every thread
 //! (bands of a launch run on the pool's workers beside the caller), and
-//! the wall time no span covers.
+//! the wall time no span covers. A launching span's self time is its own
+//! work: the time its thread parks on bands a worker claimed and still
+//! runs is the `exec.wait` row.
 //!
 //! Run with: `cargo run --release --example step_parts [steps]`
 //! (default 40 steps per model, after 5 untimed ones).

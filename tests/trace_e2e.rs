@@ -98,9 +98,10 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
     );
 
     // Four-way execution: the pool spawns `threads - 1` background
-    // workers and runs band 0 on the submitting thread, so a 4-thread
-    // run shows three `megablocks-exec-*` lanes plus the caller's lane
-    // — four lanes of kernel work in total.
+    // workers and runs band 0 (and every band no worker claims) on the
+    // submitting thread, so a 4-thread run shows three
+    // `megablocks-exec-*` lanes plus the caller's lane — four lanes of
+    // kernel work in total.
     let worker_lanes: Vec<_> = snap
         .lanes
         .iter()
@@ -164,6 +165,12 @@ fn dmoe_run_emits_trace_lanes_spans_and_health_report() {
     assert!(
         complete_names.contains(&"exec.queue_wait"),
         "trace missing queue-wait accounting"
+    );
+    // A submitter that runs out of bands to claim parks on the ones its
+    // workers still run, inside an `exec.wait` span.
+    assert!(
+        complete_names.contains(&"exec.wait"),
+        "trace missing the submitter's wait on claimed bands"
     );
 
     // --- The step interval is the whole step ----------------------------
