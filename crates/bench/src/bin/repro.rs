@@ -47,8 +47,7 @@ fn main() {
         .trace(format!("results/trace_{cmd}.json"))
         .with_summary(true);
     println!(
-        "repro {cmd}: kernel backend {} ({})",
-        megablocks_tensor::kernel_backend().name(),
+        "repro {cmd}: GEMM variant {}",
         megablocks_tensor::tiled_variant()
     );
     match cmd {

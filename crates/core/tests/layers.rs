@@ -1,8 +1,9 @@
-//! The three MoE layers against one finite-difference harness, and the
-//! exact identities that hold because they share one expert pipeline.
+//! The three MoE layers and the dense FFN against one finite-difference
+//! harness, and the exact identities that hold because the MoE layers
+//! share one expert pipeline.
 
 use megablocks_core::{
-    CapacityFactor, DroplessMoe, DroppingMoe, ExpertChoiceMoe, MoeConfig, Param,
+    CapacityFactor, DenseFfn, DroplessMoe, DroppingMoe, ExpertChoiceMoe, MoeConfig, Param,
 };
 use megablocks_tensor::init::{normal, seeded_rng};
 use megablocks_tensor::ops::softmax_rows;
@@ -14,8 +15,8 @@ fn cfg() -> MoeConfig {
     MoeConfig::new(HIDDEN, 8, 3).with_block_size(4)
 }
 
-/// What the harness needs of a layer. `params_mut` is `[router, w1, w2]`
-/// for all three.
+/// What the harness needs of a layer. It checks every parameter
+/// `params_mut` returns and names each by its index there.
 trait Layer {
     fn params_mut(&mut self) -> Vec<&mut Param>;
     /// Layer output and auxiliary loss.
@@ -68,6 +69,23 @@ layer!(ExpertChoiceMoe, |l, x| {
     picks
 });
 
+// A dense FFN routes nothing: no perturbation changes who goes where.
+impl Layer for DenseFfn {
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        DenseFfn::params_mut(self)
+    }
+    fn run(&self, x: &Matrix) -> (Matrix, f32) {
+        (self.forward(x).0, 0.0)
+    }
+    fn grads(&mut self, x: &Matrix, d_out: &Matrix) -> Matrix {
+        let (_, cache) = self.forward(x);
+        self.backward(&cache, d_out)
+    }
+    fn assignment(&mut self, _: &Matrix) -> Vec<usize> {
+        Vec::new()
+    }
+}
+
 fn objective(layer: &dyn Layer, x: &Matrix, w: &Matrix) -> f32 {
     let (out, aux) = layer.run(x);
     let dot: f32 = out
@@ -79,8 +97,8 @@ fn objective(layer: &dyn Layer, x: &Matrix, w: &Matrix) -> f32 {
     dot + aux
 }
 
-/// Checks `dx` and the gradients of the router weight, `w1` and `w2`
-/// against central differences of `sum(output * w) + aux`.
+/// Checks `dx` and the gradient of every parameter against central
+/// differences of `sum(output * w) + aux`.
 fn check_gradients(name: &str, layer: &mut dyn Layer, tokens: usize, seed: u64) {
     const EPS: f32 = 2e-3;
     let close = |num: f32, ana: f32| (num - ana).abs() < 5e-2 * (1.0 + num.abs());
@@ -124,8 +142,8 @@ fn check_gradients(name: &str, layer: &mut dyn Layer, tokens: usize, seed: u64) 
         "{name}: only {checked} stable finite-diff points"
     );
 
-    for (p, param) in ["router", "w1", "w2"].iter().enumerate() {
-        let (rows, cols) = grads[p].shape();
+    for (p, grad) in grads.iter().enumerate() {
+        let (rows, cols) = grad.shape();
         let mut checked = 0;
         for spot in 0..8 {
             let (r, c) = ((spot * 5) % rows, (spot * 7 + 1) % cols);
@@ -142,15 +160,18 @@ fn check_gradients(name: &str, layer: &mut dyn Layer, tokens: usize, seed: u64) 
             };
             let num = (fp - fm) / (2.0 * EPS);
             assert!(
-                close(num, grads[p][(r, c)]),
-                "{name} d_{param}({r},{c}): numeric {num}, analytic {}",
-                grads[p][(r, c)]
+                close(num, grad[(r, c)]),
+                "{name} param {p} ({r},{c}): numeric {num}, analytic {}",
+                grad[(r, c)]
             );
             checked += 1;
         }
         // Expert choice ranks near-equal probabilities, so most router
         // perturbations flip a pick.
-        assert!(checked >= 2, "{name} {param}: only {checked} stable points");
+        assert!(
+            checked >= 2,
+            "{name} param {p}: only {checked} stable points"
+        );
     }
 }
 
@@ -192,6 +213,7 @@ fn every_layer_matches_finite_differences() {
             "expert choice",
             Box::new(ExpertChoiceMoe::new(cfg(), &mut rng)),
         ),
+        ("dense ffn", Box::new(DenseFfn::new(HIDDEN, 8, &mut rng))),
     ];
     for (seed, (name, layer)) in cases.iter_mut().enumerate() {
         check_gradients(name, layer.as_mut(), 12, 10 + seed as u64);

@@ -41,9 +41,10 @@
 //!   panic payload, which the code that entered the context catches by
 //!   type.
 //!
-//! * **One settings resolver** ([`Setting`]) — programmatic request >
-//!   environment variable > default, and a variable that does not parse
-//!   panics at first use instead of falling back.
+//! * **One settings resolver** — each integer knob above resolves
+//!   programmatic request > environment variable > default, and a
+//!   variable that does not parse panics at first use instead of falling
+//!   back.
 //!
 //! Pool occupancy, queue depth, launch counts and workspace hit rates
 //! are reported through `megablocks-telemetry` (`exec.*` metrics).
@@ -64,5 +65,4 @@ pub use pool::{
     configure_queue_cap, configure_threads, parallelism, parallelism_for, pool, queue_cap,
     scoped_parallelism, Pool,
 };
-pub use setting::{Setting, SettingValue};
 pub use workspace::WorkspaceStats;

@@ -13,7 +13,7 @@ use crate::setting::Setting;
 
 /// The process-wide schedule-perturbation seed (0 = off):
 /// [`set_perturbation`], then `MEGABLOCKS_PERTURB_SEED`, then off.
-static PERTURB_SEED: Setting<u64> = Setting::new(Some("MEGABLOCKS_PERTURB_SEED"), || 0);
+static PERTURB_SEED: Setting = Setting::new(Some("MEGABLOCKS_PERTURB_SEED"), || 0);
 
 /// Sets the schedule-perturbation seed (0 disables perturbation),
 /// overriding the `MEGABLOCKS_PERTURB_SEED` environment variable. Takes

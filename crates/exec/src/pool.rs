@@ -152,8 +152,8 @@ thread_local! {
 
 /// The requested parallelism target: [`configure_threads`], then
 /// `MEGABLOCKS_THREADS`, then the detected CPU count.
-static THREADS: Setting<usize> = Setting::new(Some("MEGABLOCKS_THREADS"), || {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+static THREADS: Setting = Setting::new(Some("MEGABLOCKS_THREADS"), || {
+    std::thread::available_parallelism().map_or(1, |p| p.get() as u64)
 });
 
 /// The parallelism target the process resolved on first use; the pool is
@@ -167,7 +167,7 @@ static POOL: OnceLock<Pool> = OnceLock::new();
 /// generous for kernel fan-out (a launch queues at most
 /// `parallelism - 1` bands) while bounding memory and latency when many
 /// submitters flood the pool at once.
-static QUEUE_CAP_REQUEST: Setting<usize> = Setting::new(None, || 1024);
+static QUEUE_CAP_REQUEST: Setting = Setting::new(None, || 1024);
 
 /// The queue-depth cap the process resolved on first use.
 static QUEUE_CAP: OnceLock<usize> = OnceLock::new();
@@ -178,7 +178,7 @@ static QUEUE_CAP: OnceLock<usize> = OnceLock::new();
 /// Returns `false` if the runtime already resolved its target (the pool
 /// keeps its original configuration in that case).
 pub fn configure_threads(threads: usize) -> bool {
-    THREADS.set(threads);
+    THREADS.set(threads as u64);
     TARGET.get().is_none()
 }
 
@@ -188,18 +188,18 @@ pub fn configure_threads(threads: usize) -> bool {
 /// Returns `false` if the runtime already resolved its cap (the original
 /// configuration is kept in that case).
 pub fn configure_queue_cap(cap: usize) -> bool {
-    QUEUE_CAP_REQUEST.set(cap);
+    QUEUE_CAP_REQUEST.set(cap as u64);
     QUEUE_CAP.get().is_none()
 }
 
 /// The resolved queue-depth cap.
 pub fn queue_cap() -> usize {
-    *QUEUE_CAP.get_or_init(|| QUEUE_CAP_REQUEST.get())
+    *QUEUE_CAP.get_or_init(|| usize::try_from(QUEUE_CAP_REQUEST.get()).unwrap_or(usize::MAX))
 }
 
 /// Resolves the parallelism target. Never less than 1.
 fn resolve_target() -> usize {
-    THREADS.get().max(1)
+    usize::try_from(THREADS.get()).map_or(usize::MAX, |n| n.max(1))
 }
 
 /// The process-wide parallelism target (workers + submitter), honoring a

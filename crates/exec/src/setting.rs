@@ -1,78 +1,30 @@
 //! One process-wide runtime setting.
 //!
-//! Every knob the workspace exposes resolves the same way — a
+//! Every knob the runtime has — the thread count, the perturbation seed,
+//! the queue-cap request — is an integer and resolves the same way: a
 //! programmatic request wins over the environment variable, which wins
-//! over the default — and fails the same way: a variable that is set but
+//! over the default. It fails the same way too: a variable that is set but
 //! does not parse panics at first use, naming the variable and the
 //! rejected text. A typo must not silently run another configuration.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// A value a [`Setting`] can hold: parsed from an environment variable
-/// and stored in one atomic word (reads sit on kernel hot paths).
-pub trait SettingValue: Copy {
-    /// What a valid value looks like, for the rejection message.
-    const EXPECTED: &'static str;
-
-    /// Parses the text of the environment variable.
-    fn parse(text: &str) -> Option<Self>;
-
-    /// The value as an atomic word.
-    fn to_bits(self) -> u64;
-
-    /// Inverse of [`SettingValue::to_bits`].
-    fn from_bits(bits: u64) -> Self;
-}
-
-impl SettingValue for usize {
-    const EXPECTED: &'static str = "a non-negative integer";
-
-    fn parse(text: &str) -> Option<Self> {
-        text.trim().parse().ok()
-    }
-
-    fn to_bits(self) -> u64 {
-        self as u64
-    }
-
-    fn from_bits(bits: u64) -> Self {
-        // Only ever fed words `to_bits` produced from a `usize`.
-        bits as usize
-    }
-}
-
-impl SettingValue for u64 {
-    const EXPECTED: &'static str = "a non-negative integer";
-
-    fn parse(text: &str) -> Option<Self> {
-        text.trim().parse().ok()
-    }
-
-    fn to_bits(self) -> u64 {
-        self
-    }
-
-    fn from_bits(bits: u64) -> Self {
-        bits
-    }
-}
-
-/// A process-wide setting: [`Setting::set`] > environment variable >
-/// default. Meant to live in a `static`.
-pub struct Setting<T> {
+/// A process-wide integer: [`Setting::set`] > environment variable >
+/// default. Meant to live in a `static`; reads are two atomic loads.
+pub(crate) struct Setting {
     var: Option<&'static str>,
-    default: fn() -> T,
+    default: fn() -> u64,
     requested: AtomicU64,
     is_requested: AtomicBool,
     /// Environment-or-default, read once per process.
-    fallback: OnceLock<T>,
+    fallback: OnceLock<u64>,
 }
 
-impl<T: SettingValue> Setting<T> {
+impl Setting {
     /// A setting read from environment variable `var` (if any), falling
     /// back to `default()`.
-    pub const fn new(var: Option<&'static str>, default: fn() -> T) -> Self {
+    pub(crate) const fn new(var: Option<&'static str>, default: fn() -> u64) -> Self {
         Setting {
             var,
             default,
@@ -88,9 +40,9 @@ impl<T: SettingValue> Setting<T> {
     /// # Panics
     ///
     /// As [`Setting::get`].
-    pub fn set(&self, value: T) -> T {
+    pub(crate) fn set(&self, value: u64) -> u64 {
         let previous = self.get();
-        self.requested.store(value.to_bits(), Ordering::Relaxed);
+        self.requested.store(value, Ordering::Relaxed);
         // Release/Acquire on the flag publishes the word stored above.
         self.is_requested.store(true, Ordering::Release);
         previous
@@ -102,9 +54,9 @@ impl<T: SettingValue> Setting<T> {
     ///
     /// Panics if nothing was requested and the environment variable is
     /// set to text that does not parse.
-    pub fn get(&self) -> T {
+    pub(crate) fn get(&self) -> u64 {
         if self.is_requested.load(Ordering::Acquire) {
-            return T::from_bits(self.requested.load(Ordering::Relaxed));
+            return self.requested.load(Ordering::Relaxed);
         }
         *self.fallback.get_or_init(|| {
             let from_env = self.var.and_then(|var| {
@@ -118,8 +70,10 @@ impl<T: SettingValue> Setting<T> {
 
 /// The value environment variable `var` holds as `text`, or a message
 /// naming the variable and the rejected text.
-fn parse_env<T: SettingValue>(var: &str, text: &str) -> Result<T, String> {
-    T::parse(text).ok_or_else(|| format!("{var}={text:?} is not valid (expected {})", T::EXPECTED))
+fn parse_env(var: &str, text: &str) -> Result<u64, String> {
+    text.trim()
+        .parse()
+        .map_err(|_| format!("{var}={text:?} is not valid (expected a non-negative integer)"))
 }
 
 #[cfg(test)]
@@ -128,20 +82,20 @@ mod tests {
 
     #[test]
     fn unparsable_environment_text_is_rejected_by_name() {
-        assert_eq!(parse_env::<usize>("MEGABLOCKS_THREADS", " 4\n"), Ok(4));
-        assert_eq!(parse_env::<u64>("MEGABLOCKS_PERTURB_SEED", "0"), Ok(0));
+        assert_eq!(parse_env("MEGABLOCKS_THREADS", " 4\n"), Ok(4));
+        assert_eq!(parse_env("MEGABLOCKS_PERTURB_SEED", "0"), Ok(0));
         for text in ["abc", "", "-1", "1.5"] {
-            let err = parse_env::<usize>("MEGABLOCKS_THREADS", text).unwrap_err();
+            let err = parse_env("MEGABLOCKS_THREADS", text).unwrap_err();
             assert!(err.contains("MEGABLOCKS_THREADS"), "{err}");
             assert!(err.contains(&format!("{text:?}")), "{err}");
         }
-        let err = parse_env::<u64>("MEGABLOCKS_PERTURB_SEED", "x").unwrap_err();
+        let err = parse_env("MEGABLOCKS_PERTURB_SEED", "x").unwrap_err();
         assert!(err.contains("MEGABLOCKS_PERTURB_SEED=\"x\""), "{err}");
     }
 
     #[test]
     fn a_request_wins_over_the_default_and_reports_what_it_replaced() {
-        static SETTING: Setting<usize> = Setting::new(None, || 7);
+        static SETTING: Setting = Setting::new(None, || 7);
         assert_eq!(SETTING.get(), 7);
         assert_eq!(SETTING.set(0), 7);
         assert_eq!(SETTING.get(), 0);

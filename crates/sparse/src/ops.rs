@@ -49,10 +49,10 @@
 //!   boundaries balanced by real rows; a rectangle that straddles a
 //!   cut is simply computed as two. DDS bands are rows of the dense
 //!   output, and every band walks all rectangles.
-//! * The arithmetic lives in `megablocks_tensor::kernel`'s microkernel
-//!   backends, shared with dense GEMM, so sparse and dense products are
-//!   bit-identical per element regardless of the selected backend
-//!   (`MEGABLOCKS_KERNEL`).
+//! * The arithmetic lives in `megablocks_tensor::kernel`, shared with
+//!   dense GEMM, so sparse and dense products are bit-identical per
+//!   element, and equal to `kernel::scalar` over the densified operands
+//!   on every CPU variant.
 
 // A kernel hot path: propagate an error instead of panicking on one.
 #![deny(clippy::unwrap_used, clippy::expect_used)]

@@ -1,11 +1,11 @@
 //! `sparse.flops{variant}` counts the multiply-adds a product issues, not
 //! the padded blocks it stores: over the same call it adds exactly what
-//! `kernel.flops{backend}` adds. Alone in its binary: it reads the
+//! `kernel.flops` adds. Alone in its binary: it reads the
 //! process-global telemetry counters.
 
 use megablocks_sparse::{ops, BlockSize, Topology};
 use megablocks_telemetry as telemetry;
-use megablocks_tensor::{kernel_backend, Matrix};
+use megablocks_tensor::Matrix;
 
 #[test]
 fn sparse_flops_reconcile_with_kernel_flops_on_partial_and_empty_experts() {
@@ -33,7 +33,7 @@ fn sparse_flops_reconcile_with_kernel_flops_on_partial_and_empty_experts() {
     // `hidden x ffn` weights of its expert.
     let real: usize = counts.iter().sum();
     let per_product = (2 * real * ffn * hidden) as u64;
-    let kernel = telemetry::counter_with("kernel.flops", kernel_backend().name());
+    let kernel = telemetry::counter("kernel.flops");
     let kernel_start = kernel.get();
     let mut sparse_total = 0;
     for (variant, product) in products {

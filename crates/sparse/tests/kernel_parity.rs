@@ -1,41 +1,34 @@
-//! Backend-parity properties for the block-sparse products.
+//! Parity of the block-sparse products with the dense reference.
 //!
-//! Every SDD/DSD/DDS transpose variant reduces to lowering the topology
-//! into rectangles of nonzero blocks plus one `block_gemm` call per
-//! rectangle, so the microkernel contract (one accumulator per element,
-//! ascending-`k`, `alpha` once) makes the tiled and scalar backends
-//! bit-identical on sparse products too. These properties pin that across
-//! randomized irregular topologies, the grouping edge cases, every
-//! transpose combination, and worker counts 1/2/8 — and pin the products
-//! themselves to the dense GEMM over the densified operand, bit for bit.
+//! Every SDD/DSD/DDS transpose variant lowers the topology into
+//! rectangles of nonzero blocks plus one `block_gemm` call per rectangle.
+//! These properties compare all twelve variants, bit for bit, with
+//! [`kernel::scalar`] over the densified operands — an oracle that shares
+//! nothing of that lowering: SDD masked to the topology's blocks and
+//! valid rows, DSD/DDS over `to_dense()`. A DSD/DDS element is one
+//! accumulator over its row's (column's) nonzero blocks in ascending
+//! order — the dense reduction minus the structural zeros, and adding the
+//! `0.0 * d` terms those contribute never changes a finite accumulator.
+//! Pinned across randomized irregular topologies, the grouping edge
+//! cases, experts with partial blocks and worker counts 1/2/8.
 //!
-//! The backend registry is process-global; tests hold a lock while
-//! flipping it (hygiene only — bit-identical backends make concurrent
-//! flips unobservable).
+//! `kernel.calls` is process-wide, so every test holds one lock: the
+//! test that counts calls must see only its own.
 
 use std::sync::{Mutex, MutexGuard};
 
 use megablocks_exec::scoped_parallelism;
 use megablocks_sparse::{ops, BlockCoord, BlockSize, BlockSparseMatrix, Topology};
 use megablocks_telemetry as telemetry;
-use megablocks_tensor::{
-    configure_kernel_backend, gemm, kernel_backend, KernelBackend, Matrix, Trans,
-};
+use megablocks_tensor::{gemm, kernel, Matrix, OutView, PanelView, Trans};
 use proptest::prelude::*;
 
 mod common;
 use common::grouping_edge_topologies;
 
-fn backend_lock() -> MutexGuard<'static, ()> {
+fn counter_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn with_backend<R>(backend: KernelBackend, f: impl FnOnce() -> R) -> R {
-    let prev = configure_kernel_backend(backend);
-    let out = f();
-    configure_kernel_backend(prev);
-    out
 }
 
 fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -50,6 +43,43 @@ fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A whole matrix as a view of its logical operand under `op`.
+fn view(x: &Matrix, op: Trans) -> PanelView<'_> {
+    match op {
+        Trans::N => PanelView::new(x.as_slice(), x.cols(), 1),
+        Trans::T => PanelView::new(x.as_slice(), 1, x.cols()),
+    }
+}
+
+/// `op_x(x) * op_y(y)` by [`kernel::scalar`] over whole-matrix views.
+fn reference(x: &Matrix, op_x: Trans, y: &Matrix, op_y: Trans) -> Matrix {
+    let (m, k) = if op_x == Trans::N {
+        x.shape()
+    } else {
+        (x.cols(), x.rows())
+    };
+    let n = if op_y == Trans::N { y.cols() } else { y.rows() };
+    let mut out = Matrix::zeros(m, n);
+    let ov = OutView::new(out.as_mut_slice(), n);
+    kernel::scalar(m, n, k, 1.0, view(x, op_x), view(y, op_y), ov);
+    out
+}
+
+/// `dense` where `topo` stores an element — a nonzero block, a row below
+/// its block row's `rows_valid` — and `+0.0` elsewhere.
+fn masked(dense: &Matrix, topo: &Topology) -> Matrix {
+    let bs = topo.block_size().get();
+    let valid = topo.rows_valid();
+    Matrix::from_fn(dense.rows(), dense.cols(), |i, j| {
+        let stored = topo.find(i / bs, j / bs).is_some() && i % bs < valid[i / bs];
+        if stored {
+            dense[(i, j)]
+        } else {
+            0.0
+        }
+    })
 }
 
 const COMBOS: [(Trans, Trans); 4] = [
@@ -78,24 +108,32 @@ fn masked_topology(block_rows: usize, block_cols: usize, bs: usize, mask: u64) -
 }
 
 /// A fixed sparse operand for the DSD/DDS families, built without any
-/// product so its bits cannot depend on the backend under test.
+/// product, `+0.0` in the rows past `rows_valid` as a gather leaves them.
 fn sparse_operand(topo: &Topology, seed: u64) -> BlockSparseMatrix {
     let (rows, cols) = topo.shape();
-    let dense = lcg_matrix(rows, cols, seed);
-    let masked = Matrix::from_fn(rows, cols, |i, j| {
-        let b = topo.block_size().get();
-        if topo.find(i / b, j / b).is_some() {
-            dense[(i, j)]
-        } else {
-            0.0
-        }
-    });
-    BlockSparseMatrix::from_dense(&masked, topo).expect("masked to topology")
+    let dense = masked(&lcg_matrix(rows, cols, seed), topo);
+    BlockSparseMatrix::from_dense(&dense, topo).expect("shaped as the topology")
 }
 
-/// Runs all twelve sparse product variants (4 per family) and returns
-/// every output's bit pattern.
-fn all_sparse_products(topo: &Topology, k: usize, n: usize, m: usize, seed: u64) -> Vec<Vec<u32>> {
+/// Which side of the parity a run computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// The sparse ops.
+    Ops,
+    /// [`reference`] over the densified operands.
+    Reference,
+}
+
+/// Runs all twelve sparse product variants (4 per family) via `via` and
+/// returns every output's bit pattern, an SDD output densified.
+fn all_sparse_products(
+    via: Via,
+    topo: &Topology,
+    k: usize,
+    n: usize,
+    m: usize,
+    seed: u64,
+) -> Vec<Vec<u32>> {
     let (rows, cols) = topo.shape();
     let mut outputs = Vec::new();
 
@@ -108,14 +146,17 @@ fn all_sparse_products(topo: &Topology, k: usize, n: usize, m: usize, seed: u64)
             Trans::N => lcg_matrix(k, cols, seed ^ 1),
             Trans::T => lcg_matrix(cols, k, seed ^ 1),
         };
-        outputs.push(bits(
-            ops::try_sdd_op(&a, op_a, &b, op_b, topo)
+        let c = match via {
+            Via::Ops => ops::try_sdd_op(&a, op_a, &b, op_b, topo)
                 .unwrap()
-                .as_slice(),
-        ));
+                .to_dense(),
+            Via::Reference => masked(&reference(&a, op_a, &b, op_b), topo),
+        };
+        outputs.push(bits(c.as_slice()));
     }
 
     let s = sparse_operand(topo, seed ^ 2);
+    let sd = s.to_dense();
 
     for &(op_s, op_d) in &COMBOS {
         let inner = match op_s {
@@ -126,9 +167,11 @@ fn all_sparse_products(topo: &Topology, k: usize, n: usize, m: usize, seed: u64)
             Trans::N => lcg_matrix(inner, n, seed ^ 3),
             Trans::T => lcg_matrix(n, inner, seed ^ 3),
         };
-        outputs.push(bits(
-            ops::try_dsd_op(&s, op_s, &d, op_d).unwrap().as_slice(),
-        ));
+        let c = match via {
+            Via::Ops => ops::try_dsd_op(&s, op_s, &d, op_d).unwrap(),
+            Via::Reference => reference(&sd, op_s, &d, op_d),
+        };
+        outputs.push(bits(c.as_slice()));
     }
 
     for &(op_d, op_s) in &COMBOS {
@@ -140,9 +183,11 @@ fn all_sparse_products(topo: &Topology, k: usize, n: usize, m: usize, seed: u64)
             Trans::N => lcg_matrix(m, inner, seed ^ 4),
             Trans::T => lcg_matrix(inner, m, seed ^ 4),
         };
-        outputs.push(bits(
-            ops::try_dds_op(&d, op_d, &s, op_s).unwrap().as_slice(),
-        ));
+        let c = match via {
+            Via::Ops => ops::try_dds_op(&d, op_d, &s, op_s).unwrap(),
+            Via::Reference => reference(&d, op_d, &sd, op_s),
+        };
+        outputs.push(bits(c.as_slice()));
     }
 
     outputs
@@ -151,8 +196,8 @@ fn all_sparse_products(topo: &Topology, k: usize, n: usize, m: usize, seed: u64)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tiled and scalar agree bit-for-bit on all twelve sparse product
-    /// variants over randomized irregular topologies.
+    /// All twelve sparse product variants give the reference's bits over
+    /// randomized irregular topologies.
     #[test]
     fn tiled_matches_scalar_on_all_sparse_products(
         block_rows in 1usize..5,
@@ -162,19 +207,18 @@ proptest! {
         (k, n, m) in (1usize..24, 1usize..20, 1usize..20),
         seed in 0u64..1000,
     ) {
-        let _guard = backend_lock();
+        let _guard = counter_lock();
         let topo = masked_topology(block_rows, block_cols, bs, mask);
-        let scalar =
-            with_backend(KernelBackend::Scalar, || all_sparse_products(&topo, k, n, m, seed));
-        let tiled =
-            with_backend(KernelBackend::Tiled, || all_sparse_products(&topo, k, n, m, seed));
-        prop_assert_eq!(scalar, tiled);
+        prop_assert_eq!(
+            all_sparse_products(Via::Ops, &topo, k, n, m, seed),
+            all_sparse_products(Via::Reference, &topo, k, n, m, seed)
+        );
     }
 
-    /// Worker count never changes a bit, under either backend.
+    /// Worker count never changes a bit.
     #[test]
     fn worker_count_is_bit_invisible(seed in 0u64..100) {
-        let _guard = backend_lock();
+        let _guard = counter_lock();
         // Large enough to clear PARALLEL_THRESHOLD so banding really
         // happens at 2 and 8 workers.
         let topo = Topology::for_moe(&[32, 8, 24], 32, BlockSize::new(8).expect("nonzero"))
@@ -183,32 +227,15 @@ proptest! {
     }
 }
 
-/// Runs all twelve variants at 1, 2 and 8 workers under both backends and
-/// requires identical bits.
+/// Runs all twelve variants at 1, 2 and 8 workers and requires the
+/// reference's bits from each.
 fn assert_worker_count_invisible(what: &str, topo: &Topology, inner: usize, seed: u64) {
-    for backend in [KernelBackend::Scalar, KernelBackend::Tiled] {
-        let runs: Vec<Vec<Vec<u32>>> = [1usize, 2, 8]
-            .iter()
-            .map(|&threads| {
-                scoped_parallelism(threads, || {
-                    with_backend(backend, || {
-                        all_sparse_products(topo, inner, inner, inner, seed)
-                    })
-                })
-            })
-            .collect();
-        assert_eq!(
-            runs[0],
-            runs[1],
-            "{what}: 1 vs 2 workers ({})",
-            backend.name()
-        );
-        assert_eq!(
-            runs[0],
-            runs[2],
-            "{what}: 1 vs 8 workers ({})",
-            backend.name()
-        );
+    let want = all_sparse_products(Via::Reference, topo, inner, inner, inner, seed);
+    for threads in [1usize, 2, 8] {
+        let got = scoped_parallelism(threads, || {
+            all_sparse_products(Via::Ops, topo, inner, inner, inner, seed)
+        });
+        assert_eq!(got, want, "{what}: {threads} workers");
     }
 }
 
@@ -217,7 +244,7 @@ fn assert_worker_count_invisible(what: &str, topo: &Topology, inner: usize, seed
 /// bits of the single-band run.
 #[test]
 fn worker_count_is_bit_invisible_on_grouping_edge_cases() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     for (what, topo) in grouping_edge_topologies(8) {
         // Inner dimensions large enough to clear PARALLEL_THRESHOLD even
         // for a one-block topology, so banding happens wherever there is
@@ -230,35 +257,41 @@ fn worker_count_is_bit_invisible_on_grouping_edge_cases() {
 /// Degenerate cases: empty topology, single 1x1 block, `k = 1`.
 #[test]
 fn degenerate_topologies_are_bit_identical() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     let cases = [
         masked_topology(2, 2, 4, 0),  // empty
         masked_topology(1, 1, 1, 1),  // single 1x1 block
         masked_topology(3, 1, 2, !0), // full single column
     ];
     for topo in &cases {
-        let scalar = with_backend(KernelBackend::Scalar, || {
-            all_sparse_products(topo, 1, 1, 1, 5)
-        });
-        let tiled = with_backend(KernelBackend::Tiled, || {
-            all_sparse_products(topo, 1, 1, 1, 5)
-        });
-        assert_eq!(scalar, tiled, "topology shape {:?}", topo.shape());
+        assert_eq!(
+            all_sparse_products(Via::Ops, topo, 1, 1, 1, 5),
+            all_sparse_products(Via::Reference, topo, 1, 1, 1, 5),
+            "topology shape {:?}",
+            topo.shape()
+        );
     }
 }
 
-/// The grouping edge cases are bit-identical across backends on all
-/// twelve variants (the randomized property above rarely draws them).
+/// The grouping edge cases, and experts whose last block row is partial
+/// (a row run ends there), give the reference's bits on all twelve
+/// variants (the randomized property above rarely draws them).
 #[test]
 fn grouping_edge_cases_are_bit_identical_across_backends() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     for bs in [1usize, 4, 16] {
-        for (what, topo) in grouping_edge_topologies(bs) {
-            let run =
-                |backend| with_backend(backend, || all_sparse_products(&topo, 37, 19, 23, 11));
+        let mut topologies = grouping_edge_topologies(bs);
+        let bsz = BlockSize::new(bs).expect("nonzero");
+        let partial = Topology::for_moe(&[5, 0, 2 * bs + 3, bs], 2 * bs, bsz);
+        topologies.push((
+            "experts with partial blocks",
+            partial.expect("block-aligned"),
+        ));
+        for (what, topo) in topologies {
+            let run = |via| all_sparse_products(via, &topo, 37, 19, 23, 11);
             assert_eq!(
-                run(KernelBackend::Scalar),
-                run(KernelBackend::Tiled),
+                run(Via::Ops),
+                run(Via::Reference),
                 "{what} (block size {bs})"
             );
         }
@@ -267,13 +300,13 @@ fn grouping_edge_cases_are_bit_identical_across_backends() {
 
 /// ROADMAP aim 3, "block-sparse products equal the dense reference", as a
 /// bitwise oracle: every DSD and DDS variant equals the dense [`gemm`]
-/// over `s.to_dense()` bit for bit, on both backends. An output element is
+/// over `s.to_dense()` bit for bit. An output element is
 /// one accumulator over its row's (column's) nonzero blocks in ascending
 /// order — the dense reduction minus the structural zeros, and adding the
 /// `0.0 * d` terms those contribute never changes a finite accumulator.
 #[test]
 fn dsd_and_dds_equal_the_dense_gemm_bit_for_bit() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     let mut topologies = grouping_edge_topologies(4);
     topologies.push((
         "random mask",
@@ -296,33 +329,27 @@ fn dsd_and_dds_equal_the_dense_gemm_bit_for_bit() {
         let s = sparse_operand(topo, 77);
         let sd = s.to_dense();
         let width = 21;
-        for backend in [KernelBackend::Scalar, KernelBackend::Tiled] {
-            with_backend(backend, || {
-                for &(op_s, op_d) in &COMBOS {
-                    let inner = if op_s == Trans::N { cols } else { rows };
-                    let d = match op_d {
-                        Trans::N => lcg_matrix(inner, width, 78),
-                        Trans::T => lcg_matrix(width, inner, 78),
-                    };
-                    assert_eq!(
-                        bits(ops::try_dsd_op(&s, op_s, &d, op_d).unwrap().as_slice()),
-                        dense_product(&sd, op_s, &d, op_d),
-                        "{what}: dsd ({op_s:?}, {op_d:?}) on {}",
-                        backend.name()
-                    );
-                    let inner = if op_s == Trans::N { rows } else { cols };
-                    let d = match op_d {
-                        Trans::N => lcg_matrix(width, inner, 79),
-                        Trans::T => lcg_matrix(inner, width, 79),
-                    };
-                    assert_eq!(
-                        bits(ops::try_dds_op(&d, op_d, &s, op_s).unwrap().as_slice()),
-                        dense_product(&d, op_d, &sd, op_s),
-                        "{what}: dds ({op_d:?}, {op_s:?}) on {}",
-                        backend.name()
-                    );
-                }
-            });
+        for &(op_s, op_d) in &COMBOS {
+            let inner = if op_s == Trans::N { cols } else { rows };
+            let d = match op_d {
+                Trans::N => lcg_matrix(inner, width, 78),
+                Trans::T => lcg_matrix(width, inner, 78),
+            };
+            assert_eq!(
+                bits(ops::try_dsd_op(&s, op_s, &d, op_d).unwrap().as_slice()),
+                dense_product(&sd, op_s, &d, op_d),
+                "{what}: dsd ({op_s:?}, {op_d:?})"
+            );
+            let inner = if op_s == Trans::N { rows } else { cols };
+            let d = match op_d {
+                Trans::N => lcg_matrix(width, inner, 79),
+                Trans::T => lcg_matrix(inner, width, 79),
+            };
+            assert_eq!(
+                bits(ops::try_dds_op(&d, op_d, &s, op_s).unwrap().as_slice()),
+                dense_product(&d, op_d, &sd, op_s),
+                "{what}: dds ({op_d:?}, {op_s:?})"
+            );
         }
     }
 }
@@ -332,7 +359,7 @@ fn dsd_and_dds_equal_the_dense_gemm_bit_for_bit() {
 /// not the 1,024 blocks.
 #[test]
 fn moe_products_issue_one_kernel_call_per_expert_per_band() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     let experts = 8;
     let topo = Topology::for_moe(&[64; 8], 512, BlockSize::new(16).expect("nonzero"))
         .expect("block-aligned");
@@ -341,9 +368,9 @@ fn moe_products_issue_one_kernel_call_per_expert_per_band() {
     let x = lcg_matrix(rows, 128, 1);
     let w1 = lcg_matrix(128, cols, 2);
     let w2 = lcg_matrix(cols, 128, 3);
-    // Every test in this binary holds `backend_lock` around its products,
+    // Every test in this binary holds `counter_lock` around its products,
     // so the counter moves only for the calls below.
-    let calls = telemetry::counter_with("kernel.calls", kernel_backend().name());
+    let calls = telemetry::counter("kernel.calls");
     for bands in [1usize, 2, 8] {
         let before = calls.get();
         let h = scoped_parallelism(bands, || ops::sdd(&x, &w1, &topo));

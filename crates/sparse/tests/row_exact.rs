@@ -5,13 +5,12 @@
 //! rows — `Topology::for_moe(real counts)`, or a capacity layout narrowed
 //! with `with_rows_valid` — equal, by `to_bits`, the same products over
 //! the all-valid topology of the same layout on zero-padded operands,
-//! which is what the parent of this change computed. On both kernel
-//! backends, single-banded and at two workers. Alone in its binary: it
-//! flips the process-wide kernel backend.
+//! which is what a padded layout computes. Single-banded and at two
+//! workers.
 
 use megablocks_exec::scoped_parallelism;
 use megablocks_sparse::{ops, BlockSize, Topology};
-use megablocks_tensor::{configure_kernel_backend, kernel_backend, KernelBackend, Matrix};
+use megablocks_tensor::Matrix;
 use proptest::prelude::*;
 
 /// Wide enough that the larger cases clear the ops' parallel threshold
@@ -75,25 +74,20 @@ fn assert_same_bits(real: &Topology, padded: &Topology) {
     assert_eq!(real.nnz_blocks(), padded.nnz_blocks());
     let x = token_rows(real, HIDDEN, 1);
     let dy = token_rows(real, HIDDEN, 2);
-    let original = kernel_backend();
-    for backend in [KernelBackend::Scalar, KernelBackend::Tiled] {
-        configure_kernel_backend(backend);
-        for workers in [1, 2] {
-            scoped_parallelism(workers, || {
-                let got = six_products(real, &x, &dy);
-                let want = six_products(padded, &x, &dy);
-                let names = ["sdd", "dsd", "sdd_t", "dst_d", "dsd_t", "ddt_s"];
-                for ((name, got), want) in names.iter().zip(&got).zip(&want) {
-                    assert!(
-                        got == want,
-                        "{name} differs on {backend:?} at {workers} workers, rows_valid {:?}",
-                        real.rows_valid()
-                    );
-                }
-            });
-        }
+    for workers in [1, 2] {
+        scoped_parallelism(workers, || {
+            let got = six_products(real, &x, &dy);
+            let want = six_products(padded, &x, &dy);
+            let names = ["sdd", "dsd", "sdd_t", "dst_d", "dsd_t", "ddt_s"];
+            for ((name, got), want) in names.iter().zip(&got).zip(&want) {
+                assert!(
+                    got == want,
+                    "{name} differs at {workers} workers, rows_valid {:?}",
+                    real.rows_valid()
+                );
+            }
+        });
     }
-    configure_kernel_backend(original);
 }
 
 proptest! {

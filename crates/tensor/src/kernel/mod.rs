@@ -1,4 +1,4 @@
-//! The tiled-microkernel dispatch layer.
+//! The one GEMM primitive every product runs on.
 //!
 //! Every matrix product in the workspace — the four dense [`gemm`]
 //! transpose combinations and the whole SDD/DSD/DDS block-sparse family —
@@ -7,16 +7,14 @@
 //! *separable views* over dense storage or sparse blocks. This module owns
 //! that primitive. Ops keep their topology iteration (which rectangles of
 //! nonzero blocks exist, which bands a worker owns) and delegate every
-//! product to [`block_gemm`], which dispatches to the selected
-//! [`GemmMicrokernel`] backend:
-//!
-//! * [`scalar`] — the reference triple loop, one dot product per output
-//!   element. Obviously correct; it *defines* the result every other
-//!   backend is proven against.
-//! * [`tiled`] — packed A/B panels with `Mc`/`Nc`/`Kc` cache blocking and
-//!   an `MR x NR` register tile whose lanes vectorize across output
-//!   columns; one routine instantiated per instruction set
-//!   ([`tiled_variant`] names the one this CPU runs).
+//! product to [`block_gemm`], which runs the tiled routine (`tiled.rs`):
+//! packed A/B panels with `Mc`/`Nc`/`Kc` cache blocking and an `MR x NR`
+//! register tile whose lanes vectorize across output columns, one
+//! instantiation per instruction set ([`tiled_variant`] names the one
+//! this CPU runs). [`scalar`] — one dot product per output element —
+//! defines the result: the tiled routine is bit-identical to it, runs it
+//! itself for products too small to pack, and every parity test compares
+//! against it.
 //!
 //! # Separable views
 //!
@@ -26,23 +24,22 @@
 //! *tiled* (`tile_off[i / bs] + (i % bs) * inner` — block-sparse storage
 //! restricted to a rectangle of blocks, or a gather of `bs`-wide
 //! row/column panels of a dense matrix). Block storage over a rectangle
-//! of blocks is separable in exactly this sense, so the backends pack
+//! of blocks is separable in exactly this sense, so the routines pack
 //! sparse blocks and gathered dense panels directly, and write back
 //! straight into block storage: one call covers a whole rectangle of
 //! nonzero blocks, with a reduction as long as the rectangle is wide.
 //!
 //! # Determinism contract
 //!
-//! Backends are **bit-identical** by construction, not by testing alone:
-//! the trait contract fixes, per output element, a single `f32`
-//! accumulator filled in ascending-`k` order, with `alpha` applied exactly
-//! once after the reduction (`out[i][j] += alpha * Σ_p a[i][p] *
-//! b[p][j]`). Cache blocking only *chunks* that reduction — the sequence
-//! of binary `f32` additions per element is unchanged — so a backend
-//! switch can never change a single bit of any product, and the exec
-//! runtime's cross-worker-count determinism guarantee extends across
-//! backends. No backend may skip zero operands (adding `0.0` is not a
-//! bitwise no-op when `-0.0` is involved) or reassociate the reduction.
+//! Per output element, a single `f32` accumulator filled in ascending-`k`
+//! order, with `alpha` applied exactly once after the reduction
+//! (`out[i][j] += alpha * Σ_p a[i][p] * b[p][j]`). Cache blocking only
+//! *chunks* that reduction — the sequence of binary `f32` additions per
+//! element is unchanged — so every routine and every variant gives the
+//! bits of [`scalar`], and the exec runtime's cross-worker-count
+//! determinism guarantee holds on every CPU. No routine may skip zero
+//! operands (adding `0.0` is not a bitwise no-op when `-0.0` is
+//! involved) or reassociate the reduction.
 //!
 //! `k` is the view's logical reduction index. For a block-sparse operand
 //! the ops gather a block row's (column's) nonzero blocks along it in
@@ -54,28 +51,26 @@
 //! operands, never on how many rows or columns share the call, which is
 //! why banding and request batching cannot change a bit.
 //!
+//! # Routine selection
+//!
+//! By shape and by CPU, never by a setting: [`scalar`] below a small
+//! number of multiply-adds, a few-row routine at one to three rows, the
+//! blocked routine otherwise — each in the widest variant the running CPU
+//! supports. The outputs are identical either way, so there is nothing to
+//! choose from outside.
+//!
 //! [`gemm`]: crate::gemm
-//!
-//! # Backend selection
-//!
-//! [`configure_kernel_backend`] wins over the `MEGABLOCKS_KERNEL`
-//! environment variable (`scalar` or `tiled`), which wins over the
-//! default ([`KernelBackend::Tiled`]). Selection is process-global and
-//! re-readable at runtime, so benchmarks can flip backends between
-//! measurements.
 
 // A kernel hot path, `scalar` and `tiled` included: propagate an error
 // instead of panicking on one.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use megablocks_exec::{Setting, SettingValue};
 use megablocks_telemetry as telemetry;
 
-pub mod scalar;
-pub mod tiled;
+mod scalar;
+mod tiled;
 
-pub use scalar::ScalarKernel;
-pub use tiled::TiledKernel;
+pub use scalar::scalar;
 
 /// How one axis of a view maps a logical index to a storage offset.
 #[derive(Debug, Clone, Copy)]
@@ -362,119 +357,7 @@ impl<'a> OutView<'a> {
     }
 }
 
-/// One GEMM backend.
-///
-/// # Contract
-///
-/// `run` must compute, for every `i < m`, `j < n`:
-///
-/// ```text
-/// out[(i, j)] += alpha * (Σ_{p=0..k} a.at(i, p) * b.at(p, j))
-/// ```
-///
-/// where the reduction uses a single `f32` accumulator per output element,
-/// filled in ascending `p` order (chunking the reduction is fine —
-/// reordering or splitting it is not), `alpha` multiplies the finished sum
-/// exactly once, and no term is skipped (not even exact zeros). Every
-/// conforming backend is therefore bit-identical to [`ScalarKernel`],
-/// which runs the same views through its triple loop and defines the
-/// result.
-///
-/// `p` is the views' logical reduction index, whatever storage lies
-/// behind it (the module docs say what that makes a DSD/DDS element), and
-/// the value of `out[(i, j)]` depends only on row `i` of `a` and column
-/// `j` of `b`.
-///
-/// Callers reach backends through [`block_gemm`], which validates the
-/// geometry (operand coverage, output bounds, output injectivity) before
-/// dispatch; `run` may assume it.
-pub trait GemmMicrokernel: Sync {
-    /// Stable backend name (telemetry label, `MEGABLOCKS_KERNEL` value).
-    fn name(&self) -> &'static str;
-
-    /// Accumulates `alpha * a * b` into the `m x n` output view.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "the standard GEMM signature (dims, scale, two operands, output); a struct \
-                  would only move the same seven names one level down at every call site"
-    )]
-    fn run(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: f32,
-        a: PanelView<'_>,
-        b: PanelView<'_>,
-        out: OutView<'_>,
-    );
-}
-
-/// The selectable GEMM backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelBackend {
-    /// Reference triple loop ([`ScalarKernel`]).
-    Scalar,
-    /// Packed panels + register tile ([`TiledKernel`]).
-    Tiled,
-}
-
-impl KernelBackend {
-    /// The backend's stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::Tiled => "tiled",
-        }
-    }
-}
-
-impl SettingValue for KernelBackend {
-    const EXPECTED: &'static str = "\"scalar\" or \"tiled\"";
-
-    /// Parses a `MEGABLOCKS_KERNEL` value.
-    fn parse(s: &str) -> Option<KernelBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(KernelBackend::Scalar),
-            "tiled" => Some(KernelBackend::Tiled),
-            _ => None,
-        }
-    }
-
-    fn to_bits(self) -> u64 {
-        self as u64
-    }
-
-    fn from_bits(bits: u64) -> Self {
-        if bits == KernelBackend::Scalar as u64 {
-            KernelBackend::Scalar
-        } else {
-            KernelBackend::Tiled
-        }
-    }
-}
-
-/// [`configure_kernel_backend`] > `MEGABLOCKS_KERNEL` (a typo'd name
-/// panics rather than silently benchmarking the default) >
-/// [`KernelBackend::Tiled`].
-static BACKEND: Setting<KernelBackend> =
-    Setting::new(Some("MEGABLOCKS_KERNEL"), || KernelBackend::Tiled);
-
-/// Selects the process-wide GEMM backend, overriding `MEGABLOCKS_KERNEL`
-/// and the default. Takes effect for every subsequent product (the switch
-/// is re-readable at runtime — backends are bit-identical, so flipping
-/// mid-run changes speed, never results). Returns the previous selection.
-pub fn configure_kernel_backend(backend: KernelBackend) -> KernelBackend {
-    BACKEND.set(backend)
-}
-
-/// The currently selected backend: [`configure_kernel_backend`] >
-/// `MEGABLOCKS_KERNEL` > [`KernelBackend::Tiled`].
-pub fn kernel_backend() -> KernelBackend {
-    BACKEND.get()
-}
-
-/// The instantiation of the [`tiled`] routine the running CPU dispatches
+/// The instantiation of the tiled routine the running CPU dispatches
 /// to — `"avx2-4x16"` or `"baseline-4x8"`: instruction set and register
 /// tile. Detected, never configured; every variant is bit-identical to
 /// `scalar`, so this names a speed, not a result. Telemetry records it as
@@ -484,30 +367,20 @@ pub fn tiled_variant() -> &'static str {
     tiled::Variant::detect().name()
 }
 
-static SCALAR: ScalarKernel = ScalarKernel;
-static TILED: TiledKernel = TiledKernel;
-
-/// The selected backend's implementation.
-pub fn backend_impl() -> &'static dyn GemmMicrokernel {
-    match kernel_backend() {
-        KernelBackend::Scalar => &SCALAR,
-        KernelBackend::Tiled => &TILED,
-    }
-}
-
 /// Products at or above this many flops (`2 * m * n * k`, the number
 /// `kernel.flops` adds) record a `kernel.block_gemm` telemetry span;
 /// smaller calls only count, so a topology that lowers to many small
 /// rectangles stays cheap to dispatch.
 const SPAN_FLOPS: usize = 1 << 20;
 
-/// The shared entry every matrix product dispatches through: accumulates
-/// `alpha * a * b` into the `m x n` view `out`, on the selected backend.
+/// The shared entry every matrix product runs through: accumulates
+/// `alpha * a * b` into the `m x n` view `out`, bit for bit as [`scalar`]
+/// does.
 ///
 /// `a` is logically `m x k`, `b` is `k x n`. When `k == 0` or
-/// `alpha == 0.0` the output is untouched (no `+= 0.0` writeback, on
-/// every backend alike). `kernel.calls` counts these calls: one per dense
-/// band, one per rectangle of nonzero blocks.
+/// `alpha == 0.0` the output is untouched (no `+= 0.0` writeback).
+/// `kernel.calls` counts these calls: one per dense band, one per
+/// rectangle of nonzero blocks.
 ///
 /// # Panics
 ///
@@ -523,78 +396,72 @@ pub fn block_gemm(
     b: PanelView<'_>,
     out: OutView<'_>,
 ) {
-    if m == 0 || n == 0 {
+    if !adds_anything(m, n, k, alpha, &a, &b, &out) {
         return;
+    }
+    let flops = 2 * m * n * k;
+    telemetry::counter("kernel.calls").inc();
+    telemetry::counter("kernel.flops").add(flops as u64);
+    let _span = if flops >= SPAN_FLOPS {
+        Some(telemetry::span("kernel.block_gemm"))
+    } else {
+        None
+    };
+    tiled::run(m, n, k, alpha, a, b, out);
+}
+
+/// Checks a product's views and says whether it adds anything: not for
+/// an empty output, `k == 0` or `alpha == 0.0`. Both entries ask it
+/// first; the routines behind them assume what it asserts.
+///
+/// # Panics
+///
+/// As [`block_gemm`].
+fn adds_anything(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &PanelView<'_>,
+    b: &PanelView<'_>,
+    out: &OutView<'_>,
+) -> bool {
+    if m == 0 || n == 0 {
+        return false;
     }
     assert!(
         a.covers(m, k),
-        "block_gemm: A view ({} floats, axes {:?} x {:?}) does not cover {m}x{k}",
+        "gemm: A view ({} floats, axes {:?} x {:?}) does not cover {m}x{k}",
         a.data.len(),
         a.rows,
         a.cols
     );
     assert!(
         b.covers(k, n),
-        "block_gemm: B view ({} floats, axes {:?} x {:?}) does not cover {k}x{n}",
+        "gemm: B view ({} floats, axes {:?} x {:?}) does not cover {k}x{n}",
         b.data.len(),
         b.rows,
         b.cols
     );
     assert!(
         covers(out.data.len(), &out.rows, &out.cols, m, n),
-        "block_gemm: {m}x{n} output (axes {:?} x {:?}) overflows {} floats",
+        "gemm: {m}x{n} output (axes {:?} x {:?}) overflows {} floats",
         out.rows,
         out.cols,
         out.data.len()
     );
     assert!(
         out.is_injective(m, n),
-        "block_gemm: {m}x{n} output view (axes {:?} x {:?}) would alias output elements",
+        "gemm: {m}x{n} output view (axes {:?} x {:?}) would alias output elements",
         out.rows,
         out.cols
     );
-    if k == 0 || alpha == 0.0 {
-        return;
-    }
-
-    let kernel = backend_impl();
-    let flops = 2 * m * n * k;
-    telemetry::counter_with("kernel.calls", kernel.name()).inc();
-    telemetry::counter_with("kernel.flops", kernel.name()).add(flops as u64);
-    let _span = if flops >= SPAN_FLOPS {
-        Some(telemetry::span("kernel.block_gemm"))
-    } else {
-        None
-    };
-    kernel.run(m, n, k, alpha, a, b, out);
+    k > 0 && alpha != 0.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_names_round_trip() {
-        for b in [KernelBackend::Scalar, KernelBackend::Tiled] {
-            assert_eq!(KernelBackend::parse(b.name()), Some(b));
-        }
-        assert_eq!(
-            KernelBackend::parse(" TILED \n"),
-            Some(KernelBackend::Tiled)
-        );
-        assert_eq!(KernelBackend::parse("cuda"), None);
-    }
-
-    #[test]
-    fn configure_overrides_and_restores() {
-        let original = kernel_backend();
-        configure_kernel_backend(KernelBackend::Scalar);
-        assert_eq!(kernel_backend(), KernelBackend::Scalar);
-        let previous = configure_kernel_backend(KernelBackend::Tiled);
-        assert_eq!(previous, KernelBackend::Scalar);
-        assert_eq!(kernel_backend(), KernelBackend::Tiled);
-        configure_kernel_backend(original);
-    }
 
     #[test]
     fn zero_k_and_zero_alpha_leave_output_untouched() {

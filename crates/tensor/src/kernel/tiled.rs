@@ -1,4 +1,4 @@
-//! The tiled backend: packed panels, cache blocking, register tiles.
+//! The tiled routine: packed panels, cache blocking, register tiles.
 //!
 //! Classic three-level blocking (BLIS-style): the output is processed in
 //! `MC x NC` rectangles, the reduction dimension in `KC` chunks. For each
@@ -11,7 +11,7 @@
 //! itself would reassociate float additions and break the bit-exactness
 //! contract, but independent output elements in parallel lanes do not.
 //!
-//! Bit-exactness with [`ScalarKernel`] falls out of the accumulator
+//! Bit-exactness with [`scalar`] falls out of the accumulator
 //! discipline: each output element's partial sum lives in the packed
 //! accumulator tile across `KC` chunks, so the per-element sequence of
 //! `f32` additions is exactly the ascending-`k` order the contract
@@ -20,22 +20,25 @@
 //! writeback; the padding multiplies into accumulators that are never
 //! read, so it cannot perturb any retained element.
 //!
-//! The routine is written once, generic over `MR x NR`, and instantiated
-//! per instruction set (`Variant`): `4 x 8` at the build's default
-//! target features and, on x86-64, `4 x 16` under `avx2` — picked per
-//! call by CPU detection and never with `fma`, so every variant rounds
-//! exactly as [`ScalarKernel`] does, on every machine. A product of
-//! fewer than four rows (a decode step, an expert holding a few tokens)
-//! runs `few_rows` in the same variant instead: no packed panel and no
-//! zero row, B read where it lies, down one `W`-column strip at a time
-//! into local accumulators that are written back once (only a
-//! transposed B and a partial last strip are packed).
+//! [`run`] picks its routine from what it can observe, never from a
+//! setting: [`scalar`]'s loop below [`SMALL_MULADDS`], else the blocked
+//! routine, written once, generic over `MR x NR`, and instantiated per
+//! instruction set (`Variant`): `4 x 8` at the build's default target
+//! features and, on x86-64, `4 x 16` under `avx2` — picked per call by
+//! CPU detection and never with `fma`, so every variant rounds exactly as
+//! [`scalar`] does, on every machine. A product of fewer than four rows
+//! (a decode step, an expert holding a few tokens) runs `few_rows` in the
+//! same variant instead: no packed panel and no zero row, B read where it
+//! lies, down one `W`-column strip at a time into local accumulators that
+//! are written back once (only a transposed B and a partial last strip
+//! are packed).
 //!
 //! Packing buffers and the accumulator tile come from the exec runtime's
 //! thread-local [`workspace`] arena — each band of a launch plan packs
 //! into its own worker's shelved buffers, which go back when dropped, so
 //! steady-state products allocate nothing.
 //!
+//! [`scalar`]: super::scalar
 //! [`workspace`]: megablocks_exec::workspace
 
 use std::cell::Cell;
@@ -45,8 +48,8 @@ use megablocks_exec::cancel::poll_cancelled;
 use megablocks_exec::workspace::{self, Buffer};
 use megablocks_telemetry as telemetry;
 
-use super::scalar::ScalarKernel;
-use super::{GemmMicrokernel, OutView, PanelView};
+use super::scalar::dot_products;
+use super::{OutView, PanelView};
 
 /// Row cache block (a multiple of every variant's `MR`).
 const MC: usize = 64;
@@ -61,49 +64,42 @@ const TILE_ROWS: usize = 4;
 const ONE_ROW_W: usize = 64;
 const FEW_ROWS_W: usize = 32;
 
-/// Products below this many multiply-adds (`m * n * k`) delegate to the
-/// scalar backend: a call's fixed cost outweighs the work, and the
-/// contract makes the results bit-identical either way. Measured
-/// crossover (EXPERIMENTS.md): from `2^11` up the blocked path wins at
-/// every shape with `m` = 1..16 on the AVX2 variant. Re-swept at `m` =
-/// 1–3 against [`few_rows`]: below it a product whose columns fill a
-/// strip still wins and one that packs a partial strip (a router's 8
+/// Products below this many multiply-adds (`m * n * k`) run
+/// [`scalar`](super::scalar)'s loop: a call's fixed cost outweighs the
+/// work, and the contract makes the results bit-identical either way.
+/// Measured crossover (EXPERIMENTS.md): from `2^11` up the blocked path
+/// wins at every shape with `m` = 1..16 on the AVX2 variant. Re-swept at
+/// `m` = 1–3 against [`few_rows`]: below it a product whose columns fill
+/// a strip still wins and one that packs a partial strip (a router's 8
 /// columns) loses, so the constant stays.
 const SMALL_MULADDS: usize = 1 << 11;
 
-/// The packed/tiled backend.
-#[derive(Debug, Default)]
-pub struct TiledKernel;
-
-impl GemmMicrokernel for TiledKernel {
-    fn name(&self) -> &'static str {
-        "tiled"
+/// Accumulates `alpha * a * b` into `out` on views
+/// [`block_gemm`](super::block_gemm) has checked: [`SMALL_MULADDS`]
+/// decides between the scalar loop and the detected [`Variant`].
+pub(super) fn run(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: PanelView<'_>,
+    b: PanelView<'_>,
+    out: OutView<'_>,
+) {
+    if m * n * k < SMALL_MULADDS {
+        return dot_products(m, n, k, alpha, a, b, out);
     }
-
-    fn run(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: f32,
-        a: PanelView<'_>,
-        b: PanelView<'_>,
-        out: OutView<'_>,
-    ) {
-        if m * n * k < SMALL_MULADDS {
-            return ScalarKernel.run(m, n, k, alpha, a, b, out);
-        }
-        let variant = Variant::detect();
-        // So a run's summary and JSONL export name their microkernel.
-        static RECORDED: Once = Once::new();
-        RECORDED.call_once(|| telemetry::counter_with("kernel.variant", variant.name()).inc());
-        variant.run_blocked(m, n, k, alpha, a, b, out);
-    }
+    let variant = Variant::detect();
+    // So a run's summary and JSONL export name their microkernel.
+    static RECORDED: Once = Once::new();
+    RECORDED.call_once(|| telemetry::counter_with("kernel.variant", variant.name()).inc());
+    variant.run_blocked(m, n, k, alpha, a, b, out);
 }
 
 /// The instantiations of the one blocked routine: per instruction set,
 /// the register tile its lanes hold without spilling (sweep in DESIGN
-/// §12). All are bit-identical to [`ScalarKernel`]; the choice is speed.
+/// §12). All are bit-identical to [`scalar`](super::scalar); the choice
+/// is speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Variant {
     /// `4 x 8` at the build's default target features (128-bit lanes on
@@ -147,12 +143,12 @@ impl Variant {
     }
 
     /// The blocked path proper, with no size cutoff — separated from
-    /// [`TiledKernel::run`] so tests can drive each variant's machinery
+    /// [`run`] so tests can drive each variant's machinery
     /// on shapes below the scalar-delegation threshold. Panics if the
     /// running CPU does not support the variant.
     #[allow(
         clippy::too_many_arguments,
-        reason = "`GemmMicrokernel::run`'s seven arguments plus the variant it dispatches on"
+        reason = "`block_gemm`'s seven arguments plus the variant it dispatches on"
     )]
     pub(crate) fn run_blocked(
         self,
@@ -525,7 +521,7 @@ fn micro<const MR: usize, const NR: usize>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Axis, KernelBackend};
+    use super::super::{block_gemm, scalar, Axis};
     use super::*;
     use crate::testutil::{hash_bits, lcg_fill};
 
@@ -598,7 +594,7 @@ mod tests {
                 );
                 out
             };
-            let want = run(&|a, b, out| ScalarKernel.run(m, n, k, alpha, a, b, out));
+            let want = run(&|a, b, out| scalar(m, n, k, alpha, a, b, out));
             for variant in supported_variants() {
                 // run_blocked directly: exercises the packing machinery
                 // even on shapes below the scalar-delegation threshold.
@@ -617,14 +613,14 @@ mod tests {
         let av = PanelView::new(&a, 1, m);
         let bv = PanelView::new(&b, 1, k);
         let mut want = vec![0.0f32; m * n];
-        ScalarKernel.run(m, n, k, 1.0, av, bv, OutView::new(&mut want, n));
+        scalar(m, n, k, 1.0, av, bv, OutView::new(&mut want, n));
         for variant in supported_variants() {
             let mut got = vec![0.0f32; m * n];
             variant.run_blocked(m, n, k, 1.0, av, bv, OutView::new(&mut got, n));
             assert_same_bits(&got, &want, variant.name());
         }
         let mut got = vec![0.0f32; m * n];
-        TiledKernel.run(m, n, k, 1.0, av, bv, OutView::new(&mut got, n));
+        block_gemm(m, n, k, 1.0, av, bv, OutView::new(&mut got, n));
         assert_same_bits(&got, &want, "dispatched");
     }
 
@@ -659,7 +655,7 @@ mod tests {
                 .collect();
             let mut want = lcg_fill(m * n, 23);
             let out_init = want.clone();
-            ScalarKernel.run(
+            scalar(
                 rows,
                 n,
                 k,
@@ -695,7 +691,7 @@ mod tests {
                 let ov = OutView::with_axes(&mut got, tiled(&o_rows, bs), tiled(&o_cols, 1));
                 match variant {
                     Some(variant) => variant.run_blocked(rows, n, k, 0.5, av, bv, ov),
-                    None => ScalarKernel.run(rows, n, k, 0.5, av, bv, ov),
+                    None => scalar(rows, n, k, 0.5, av, bv, ov),
                 }
                 let what = format!(
                     "bs={bs} rows={rows} {}",
@@ -782,7 +778,7 @@ mod tests {
                     };
                     match variant {
                         Some(variant) => variant.run_blocked(m, n, k, 1.5, av, b, ov),
-                        None => ScalarKernel.run(m, n, k, 1.5, av, b, ov),
+                        None => scalar(m, n, k, 1.5, av, b, ov),
                     }
                     got
                 };
@@ -810,7 +806,7 @@ mod tests {
             let init = lcg_fill(m * n, 39);
             let (av, bv) = (PanelView::new(&a, k, 1), PanelView::new(&b, n, 1));
             let mut out = init.clone();
-            ScalarKernel.run(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
+            scalar(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
             let hash = hash_bits(&out);
             assert_eq!(hash, golden, "scalar m={m}: {hash:#018x}");
             for variant in supported_variants() {
@@ -832,41 +828,81 @@ mod tests {
         let init = lcg_fill(m * n, 36);
         let (av, bv) = (PanelView::new(&a, k, 1), PanelView::new(&b, n, 1));
         let mut out = init.clone();
-        ScalarKernel.run(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
+        scalar(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
         assert_eq!(hash_bits(&out), GOLDEN, "scalar: {:#018x}", hash_bits(&out));
         for variant in supported_variants() {
             let mut out = init.clone();
             variant.run_blocked(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
             assert_eq!(hash_bits(&out), GOLDEN, "{}", variant.name());
         }
+    }
+
+    /// The largest error of `got` against `init + alpha * a * b` computed in
+    /// `f64` (`a` is `m x k` and `b` is `k x n`, both row-major), each
+    /// element's error taken relative to the magnitude of what it sums,
+    /// `|init| + |alpha| * Σ_p |a_ip * b_pj|`: the scale an `f32`
+    /// accumulation's rounding error grows with, so an element that cancels
+    /// to near zero reads its real error, not a huge quotient.
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a product's shape, scale, two operands and output, as the kernel takes them"
+    )]
+    fn max_relative_error(
+        got: &[f32],
+        init: &[f32],
+        alpha: f32,
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> f64 {
+        let mut worst = 0.0f64;
+        for i in 0..m {
+            for j in 0..n {
+                let (mut sum, mut size) = (0.0f64, 0.0f64);
+                for p in 0..k {
+                    let term = f64::from(a[i * k + p]) * f64::from(b[p * n + j]);
+                    sum += term;
+                    size += term.abs();
+                }
+                let alpha = f64::from(alpha);
+                let exact = f64::from(init[i * n + j]) + alpha * sum;
+                let scale = f64::from(init[i * n + j]).abs() + alpha.abs() * size;
+                let err = (f64::from(got[i * n + j]) - exact).abs();
+                if scale > 0.0 {
+                    worst = worst.max(err / scale);
+                }
+            }
+        }
+        worst
     }
 
     /// Golden bits: scalar ≡ tiled on one machine cannot see a build in
     /// which *both* drift (a toolchain flag that contracts `a * b + c`
     /// into an FMA, a different float environment); a constant can. The
     /// operands are LCG-filled, so the value depends on nothing but the
-    /// contract's arithmetic.
+    /// contract's arithmetic. A constant cannot see a contract that is
+    /// wrong from the start; the `f64` product can: the `f32` result's
+    /// largest relative error (read 1.37e-7) stays under `MAX_REL_ERR`.
     #[test]
     fn golden_bits_of_a_dense_product() {
         const GOLDEN: u64 = 0x104a_90d5_20f3_1153;
+        const MAX_REL_ERR: f64 = 1.5e-7;
         let (m, n, k) = (70, 65, 300);
         let a = lcg_fill(m * k, 31);
         let b = lcg_fill(k * n, 32);
         let init = lcg_fill(m * n, 33);
         let (av, bv) = (PanelView::new(&a, k, 1), PanelView::new(&b, n, 1));
         let mut out = init.clone();
-        ScalarKernel.run(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
+        scalar(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
         assert_eq!(hash_bits(&out), GOLDEN, "scalar: {:#018x}", hash_bits(&out));
+        let err = max_relative_error(&out, &init, 0.75, &a, &b, m, n, k);
+        assert!(err < MAX_REL_ERR, "relative error {err:.3e} against f64");
         for variant in supported_variants() {
             let mut out = init.clone();
             variant.run_blocked(m, n, k, 0.75, av, bv, OutView::new(&mut out, n));
             assert_eq!(hash_bits(&out), GOLDEN, "{}", variant.name());
         }
-    }
-
-    #[test]
-    fn backend_names_are_stable() {
-        assert_eq!(TiledKernel.name(), KernelBackend::Tiled.name());
-        assert_eq!(ScalarKernel.name(), KernelBackend::Scalar.name());
     }
 }

@@ -7,11 +7,10 @@
 //! * [`gemm`] / [`matmul`] — general matrix multiplication with all
 //!   transpose combinations, parallelized across output-row tiles. This is
 //!   the stand-in for a device GEMM (cuBLAS in the paper).
-//! * [`kernel`] — the tiled-microkernel dispatch layer every product
-//!   (dense *and* block-sparse, via `megablocks-sparse`) funnels through:
-//!   a [`GemmMicrokernel`] backend trait with bit-identical `scalar` and
-//!   `tiled` implementations, selected by [`configure_kernel_backend`] or
-//!   the `MEGABLOCKS_KERNEL` environment variable.
+//! * [`kernel`] — the one GEMM primitive every product (dense *and*
+//!   block-sparse, via `megablocks-sparse`) runs on: [`block_gemm`], a
+//!   tiled routine that picks its instantiation by shape and by CPU, and
+//!   [`kernel::scalar`], the triple loop that defines its bits.
 //! * [`ops`] — neural-network forward/backward primitives: softmax,
 //!   layer norm, GeLU, bias, cross-entropy.
 //! * [`init`] — deterministic weight initializers.
@@ -39,9 +38,6 @@ pub mod ops;
 mod testutil;
 
 pub use error::ShapeError;
-pub use kernel::{
-    block_gemm, configure_kernel_backend, kernel_backend, tiled_variant, Axis, GemmMicrokernel,
-    KernelBackend, OutView, PanelView,
-};
+pub use kernel::{block_gemm, tiled_variant, Axis, OutView, PanelView};
 pub use matmul::{gemm, matmul, matmul_nt, pooled_matmul, Trans};
 pub use matrix::Matrix;

@@ -1,40 +1,17 @@
-//! Backend-parity properties for the kernel dispatch layer.
+//! Parity of the dense entry points with the reference product.
 //!
-//! The [`GemmMicrokernel`] contract promises that every backend produces
-//! *bit-identical* outputs: per output element, one `f32` accumulator
-//! filled in ascending-`k` order with `alpha` applied once at the end.
-//! These properties pin that promise on the public dense entry points
-//! across every transpose combination, degenerate shapes (`k = 0`, `1x1`),
-//! dimensions that do not divide any blocking constant, and worker counts
-//! 1/2/8 — if a future backend (SIMD, device offload) reassociates a
-//! single addition, these tests name the first differing element.
-//!
-//! The kernel backend registry is process-global, so each test holds a
-//! lock while it flips backends. The lock is about test hygiene, not
-//! correctness: a concurrent flip could not change any output precisely
-//! because the backends are bit-identical.
-
-use std::sync::{Mutex, MutexGuard};
+//! [`kernel::scalar`] defines every product's bits: per output element,
+//! one `f32` accumulator filled in ascending-`k` order with `alpha`
+//! applied once at the end. These properties pin [`gemm`] and
+//! [`block_gemm`] to it across every transpose combination, degenerate
+//! shapes (`k = 0`, `1x1`), dimensions that do not divide any blocking
+//! constant, and worker counts 1/2/8 — if the tiled routine reassociates
+//! a single addition, these tests name the first differing element.
 
 use megablocks_exec::cancel::{self, CancelToken, Ctx};
 use megablocks_exec::{scoped_parallelism, workspace};
-use megablocks_tensor::{
-    block_gemm, configure_kernel_backend, gemm, KernelBackend, Matrix, OutView, PanelView, Trans,
-};
+use megablocks_tensor::{block_gemm, gemm, kernel, Matrix, OutView, PanelView, Trans};
 use proptest::prelude::*;
-
-fn backend_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Runs `f` with the given backend selected, restoring the previous one.
-fn with_backend<R>(backend: KernelBackend, f: impl FnOnce() -> R) -> R {
-    let prev = configure_kernel_backend(backend);
-    let out = f();
-    configure_kernel_backend(prev);
-    out
-}
 
 fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -57,9 +34,42 @@ const COMBOS: [(Trans, Trans); 4] = [
     (Trans::T, Trans::T),
 ];
 
-/// One full gemm (all four transpose combos) under the given backend,
+/// A whole matrix as a view of its logical operand under `op`.
+fn view(x: &Matrix, op: Trans) -> PanelView<'_> {
+    match op {
+        Trans::N => PanelView::new(x.as_slice(), x.cols(), 1),
+        Trans::T => PanelView::new(x.as_slice(), 1, x.cols()),
+    }
+}
+
+/// What [`gemm`] must compute: its `beta` step, then [`kernel::scalar`]
+/// over whole-matrix views.
+fn reference_gemm(
+    alpha: f32,
+    a: &Matrix,
+    op_a: Trans,
+    b: &Matrix,
+    op_b: Trans,
+    beta: f32,
+    c: &mut Matrix,
+) {
+    if beta == 0.0 {
+        c.fill_zero();
+    } else if beta != 1.0 {
+        c.scale(beta);
+    }
+    let (m, n) = c.shape();
+    let k = if op_a == Trans::N { a.cols() } else { a.rows() };
+    let out = OutView::new(c.as_mut_slice(), n);
+    kernel::scalar(m, n, k, alpha, view(a, op_a), view(b, op_b), out);
+}
+
+type Gemm = fn(f32, &Matrix, Trans, &Matrix, Trans, f32, &mut Matrix);
+
+/// One full product (all four transpose combos) through `product`,
 /// returning the bit patterns of every output.
 fn gemm_all_combos(
+    product: Gemm,
     m: usize,
     n: usize,
     k: usize,
@@ -79,7 +89,7 @@ fn gemm_all_combos(
                 Trans::T => lcg_matrix(n, k, seed ^ 0xABCD),
             };
             let mut c = lcg_matrix(m, n, seed ^ 0x5A5A);
-            gemm(alpha, &a, op_a, &b, op_b, beta, &mut c);
+            product(alpha, &a, op_a, &b, op_b, beta, &mut c);
             bits(&c)
         })
         .collect()
@@ -88,8 +98,8 @@ fn gemm_all_combos(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Tiled and scalar agree bit-for-bit on every transpose combination,
-    /// including `k = 0` and non-divisible dimensions.
+    /// `gemm` and the reference agree bit-for-bit on every transpose
+    /// combination, including `k = 0` and non-divisible dimensions.
     #[test]
     fn tiled_matches_scalar_bitwise(
         m in 1usize..40,
@@ -99,37 +109,28 @@ proptest! {
         beta in -2.0f32..2.0,
         seed in 0u64..1000,
     ) {
-        let _guard = backend_lock();
-        let scalar = with_backend(KernelBackend::Scalar, || gemm_all_combos(m, n, k, alpha, beta, seed));
-        let tiled = with_backend(KernelBackend::Tiled, || gemm_all_combos(m, n, k, alpha, beta, seed));
-        prop_assert_eq!(scalar, tiled);
+        let want = gemm_all_combos(reference_gemm, m, n, k, alpha, beta, seed);
+        prop_assert_eq!(gemm_all_combos(gemm, m, n, k, alpha, beta, seed), want);
     }
 
-    /// Worker count is invisible: with either backend, running the same
-    /// product on 1, 2, and 8 workers yields the same bits.
+    /// Worker count is invisible: the same product on 1, 2 and 8
+    /// workers yields the reference's bits.
     #[test]
     fn worker_count_is_bit_invisible(seed in 0u64..200) {
-        let _guard = backend_lock();
-        for backend in [KernelBackend::Scalar, KernelBackend::Tiled] {
-            let runs: Vec<Vec<Vec<u32>>> = [1usize, 2, 8]
-                .iter()
-                .map(|&threads| {
-                    scoped_parallelism(threads, || {
-                        with_backend(backend, || gemm_all_combos(70, 65, 48, 1.0, 0.0, seed))
-                    })
-                })
-                .collect();
-            prop_assert_eq!(&runs[0], &runs[1], "1 vs 2 workers ({})", backend.name());
-            prop_assert_eq!(&runs[0], &runs[2], "1 vs 8 workers ({})", backend.name());
+        let want = gemm_all_combos(reference_gemm, 70, 65, 48, 1.0, 0.0, seed);
+        for threads in [1usize, 2, 8] {
+            let got = scoped_parallelism(threads, || {
+                gemm_all_combos(gemm, 70, 65, 48, 1.0, 0.0, seed)
+            });
+            prop_assert_eq!(&got, &want, "{} workers", threads);
         }
     }
 }
 
-/// Deterministic edge shapes straddling the tiled backend's blocking
-/// constants and the small-product delegation threshold.
+/// Deterministic edge shapes straddling the tiled routine's blocking
+/// constants, the small-product threshold and the few-row switch.
 #[test]
 fn edge_shapes_are_bit_identical() {
-    let _guard = backend_lock();
     let shapes = [
         (1usize, 1usize, 0usize),
         (1, 1, 1),
@@ -140,42 +141,38 @@ fn edge_shapes_are_bit_identical() {
         (64, 128, 64), // exact cache blocks
         (69, 145, 300),
         (150, 70, 96), // crosses the scalar-delegation threshold
+        (1, 200, 64),  // one row: 64-column strips and a packed tail
+        (2, 65, 300),  // two rows, one past a 32-column strip, k > KC
+        (3, 40, 40),   // three rows, a partial strip
     ];
     for &(m, n, k) in &shapes {
-        let scalar = with_backend(KernelBackend::Scalar, || {
-            gemm_all_combos(m, n, k, 1.25, 1.0, 99)
-        });
-        let tiled = with_backend(KernelBackend::Tiled, || {
-            gemm_all_combos(m, n, k, 1.25, 1.0, 99)
-        });
-        assert_eq!(scalar, tiled, "m={m} n={n} k={k}");
+        let want = gemm_all_combos(reference_gemm, m, n, k, 1.25, 1.0, 99);
+        let got = gemm_all_combos(gemm, m, n, k, 1.25, 1.0, 99);
+        assert_eq!(got, want, "m={m} n={n} k={k}");
     }
 }
 
-/// `block_gemm` itself honors the contract for strided (transposed)
-/// operand views, not just the matrix entry points.
+/// `block_gemm` itself gives the reference's bits on strided
+/// (transposed) operand views, not just the matrix entry points.
 #[test]
 fn block_gemm_strided_views_are_backend_invariant() {
-    let _guard = backend_lock();
     let (m, n, k) = (33, 41, 67);
     let a = lcg_matrix(k, m, 7); // stored k x m, viewed as A^T
     let b = lcg_matrix(n, k, 8); // stored n x k, viewed as B^T
-    let run = |backend| {
-        with_backend(backend, || {
-            let mut out = vec![0.5f32; m * n];
-            block_gemm(
-                m,
-                n,
-                k,
-                0.75,
-                PanelView::new(a.as_slice(), 1, m),
-                PanelView::new(b.as_slice(), 1, k),
-                OutView::new(&mut out, n),
-            );
-            out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
-        })
+    let run = |product: fn(usize, usize, usize, f32, PanelView, PanelView, OutView)| {
+        let mut out = vec![0.5f32; m * n];
+        product(
+            m,
+            n,
+            k,
+            0.75,
+            PanelView::new(a.as_slice(), 1, m),
+            PanelView::new(b.as_slice(), 1, k),
+            OutView::new(&mut out, n),
+        );
+        out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
     };
-    assert_eq!(run(KernelBackend::Scalar), run(KernelBackend::Tiled));
+    assert_eq!(run(block_gemm), run(kernel::scalar));
 }
 
 /// A product of one to three rows under an entered, already-tripped
@@ -185,7 +182,6 @@ fn block_gemm_strided_views_are_backend_invariant() {
 /// context does write.
 #[test]
 fn a_cancelled_few_row_product_writes_nothing_and_gives_its_buffers_back() {
-    let _guard = backend_lock();
     let token = CancelToken::new();
     token.cancel();
     let tripped = Ctx::none().with_token(&token);
@@ -193,42 +189,40 @@ fn a_cancelled_few_row_product_writes_nothing_and_gives_its_buffers_back() {
     let a = lcg_matrix(3, k, 9);
     let b = lcg_matrix(k, n, 10);
     let b_t = lcg_matrix(n, k, 11);
-    with_backend(KernelBackend::Tiled, || {
-        for m in 1..=3 {
-            let views = [
-                ("in place", PanelView::new(b.as_slice(), n, 1)),
-                ("transposed", PanelView::new(b_t.as_slice(), 1, k)),
-            ];
-            for (layout, bv) in views {
-                let av = PanelView::new(a.as_slice(), k, 1);
-                let init = vec![0.25f32; m * n];
-                let mut out = init.clone();
-                workspace::clear();
-                let start = workspace::stats();
-                {
-                    let _scope = cancel::enter(&tripped);
-                    block_gemm(m, n, k, 1.0, av, bv, OutView::new(&mut out, n));
-                }
-                let end = workspace::stats();
-                let what = format!("m={m} {layout}");
-                assert!(end.misses > start.misses, "{what}: took no buffer");
-                assert_eq!(
-                    end.held_buffers as u64,
-                    end.misses - start.misses,
-                    "{what}: a buffer taken from the arena did not come back"
-                );
-                assert!(
-                    out.iter()
-                        .zip(&init)
-                        .all(|(o, i)| o.to_bits() == i.to_bits()),
-                    "{what}: a cancelled product wrote its output"
-                );
+    for m in 1..=3 {
+        let views = [
+            ("in place", PanelView::new(b.as_slice(), n, 1)),
+            ("transposed", PanelView::new(b_t.as_slice(), 1, k)),
+        ];
+        for (layout, bv) in views {
+            let av = PanelView::new(a.as_slice(), k, 1);
+            let init = vec![0.25f32; m * n];
+            let mut out = init.clone();
+            workspace::clear();
+            let start = workspace::stats();
+            {
+                let _scope = cancel::enter(&tripped);
                 block_gemm(m, n, k, 1.0, av, bv, OutView::new(&mut out, n));
-                assert_ne!(
-                    out, init,
-                    "{what}: the product outside the context wrote nothing"
-                );
             }
+            let end = workspace::stats();
+            let what = format!("m={m} {layout}");
+            assert!(end.misses > start.misses, "{what}: took no buffer");
+            assert_eq!(
+                end.held_buffers as u64,
+                end.misses - start.misses,
+                "{what}: a buffer taken from the arena did not come back"
+            );
+            assert!(
+                out.iter()
+                    .zip(&init)
+                    .all(|(o, i)| o.to_bits() == i.to_bits()),
+                "{what}: a cancelled product wrote its output"
+            );
+            block_gemm(m, n, k, 1.0, av, bv, OutView::new(&mut out, n));
+            assert_ne!(
+                out, init,
+                "{what}: the product outside the context wrote nothing"
+            );
         }
-    });
+    }
 }

@@ -5,21 +5,20 @@
 //!
 //! Run with: `cargo run --release --example kernel_tour`
 //!
-//! Every product below executes through the microkernel dispatch layer;
-//! set `MEGABLOCKS_KERNEL=scalar` (or `tiled`, the default) to pick the
-//! backend — the printed numbers are bit-identical either way.
+//! Every product below runs on the one tiled GEMM routine, in the
+//! instantiation this CPU supports; the printed numbers are the same bits
+//! on every variant.
 
 use megablocks::gpusim::sparse::{moe_op_time, MoeOp, MoeProblem};
 use megablocks::gpusim::DeviceSpec;
 use megablocks::sparse::{ops, BlockSize, Topology};
 use megablocks::tensor::init::{normal, seeded_rng};
-use megablocks::tensor::{kernel_backend, matmul};
+use megablocks::tensor::{matmul, tiled_variant};
 
 fn main() {
     println!(
-        "kernel backend: {:?} (MEGABLOCKS_KERNEL or configure_kernel_backend \
-         selects; scalar and tiled are bit-identical)",
-        kernel_backend()
+        "GEMM variant: {} (detected from the CPU; every variant gives the same bits)",
+        tiled_variant()
     );
 
     // Three experts with 2, 1 and 3 blocks of tokens (block size 4):

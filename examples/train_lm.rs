@@ -24,11 +24,7 @@ fn build(ffn: FfnKind, seed: u64) -> TransformerLm {
 }
 
 fn main() {
-    println!(
-        "kernel backend {} ({})",
-        megablocks::tensor::kernel_backend().name(),
-        megablocks::tensor::tiled_variant()
-    );
+    println!("GEMM variant {}", megablocks::tensor::tiled_variant());
     let pile = SyntheticPile::generate(
         &PileConfig {
             vocab_size: 256,

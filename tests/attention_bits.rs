@@ -5,13 +5,12 @@
 //! prefill plus three one-token `TransformerLm::decode` steps, each
 //! hashed. The constants do not depend on how the per-head products are
 //! laid out, launched or banded — every element is one ascending-`k`
-//! chain and the softmax runs in one fixed order — so they hold on both
-//! kernel backends and at one and two bands. This file holds one test:
-//! flipping the process-wide backend races with nothing.
+//! chain and the softmax runs in one fixed order — so they hold at one
+//! and two bands.
 
 use megablocks::exec::scoped_parallelism;
 use megablocks::tensor::init::seeded_rng;
-use megablocks::tensor::{configure_kernel_backend, KernelBackend, Matrix};
+use megablocks::tensor::Matrix;
 use megablocks::transformer::{Attention, DecodeState, FfnKind, TransformerConfig, TransformerLm};
 
 fn lcg_fill(len: usize, seed: u64) -> Vec<f32> {
@@ -86,17 +85,8 @@ fn golden_bits_of_attention_and_of_a_decode() {
         0x51d6_83d5_28ca_3287,
         0xb9af_78d0_6cfd_afca,
     ];
-    for backend in [KernelBackend::Scalar, KernelBackend::Tiled] {
-        for bands in [1, 2] {
-            let previous = configure_kernel_backend(backend);
-            let got = scoped_parallelism(bands, hashes);
-            configure_kernel_backend(previous);
-            assert_eq!(
-                got,
-                GOLDEN,
-                "{} at {bands} band(s): {got:#018x?}",
-                backend.name()
-            );
-        }
+    for bands in [1, 2] {
+        let got = scoped_parallelism(bands, hashes);
+        assert_eq!(got, GOLDEN, "at {bands} band(s): {got:#018x?}");
     }
 }

@@ -13,7 +13,7 @@ use megablocks::exec::{cancel, scoped_parallelism, workspace, Ctx, Deadline, Exe
 use megablocks::telemetry;
 use megablocks::tensor::init::{normal, seeded_rng};
 use megablocks::tensor::ops::softmax_rows;
-use megablocks::tensor::{configure_kernel_backend, kernel_backend, KernelBackend, Matrix};
+use megablocks::tensor::Matrix;
 use megablocks::transformer::{DecodeState, FfnKind, TransformerConfig, TransformerLm};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -22,23 +22,18 @@ use rand::Rng;
 const BS: usize = 8;
 const SEQ_LEN: usize = 24;
 
-/// The kernel backend and the `kernel.flops` counter are process-wide;
+/// The `kernel.flops` counter and the telemetry spans are process-wide;
 /// every test in this binary holds this lock.
-fn backend_lock() -> MutexGuard<'static, ()> {
+fn counter_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `f` on each backend at 1 and 2 workers, then restores the backend.
-fn on_every_backend_and_worker_count(mut f: impl FnMut()) {
-    let original = kernel_backend();
-    for backend in [KernelBackend::Scalar, KernelBackend::Tiled] {
-        configure_kernel_backend(backend);
-        for workers in [1, 2] {
-            scoped_parallelism(workers, &mut f);
-        }
+/// Runs `f` at 1 and 2 workers.
+fn on_every_worker_count(mut f: impl FnMut()) {
+    for workers in [1, 2] {
+        scoped_parallelism(workers, &mut f);
     }
-    configure_kernel_backend(original);
 }
 
 fn moe() -> MoeConfig {
@@ -89,11 +84,11 @@ fn bits(m: &Matrix) -> Vec<u32> {
 
 #[test]
 fn every_decode_step_is_bit_identical_to_the_full_window() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     for ffn in all_kinds() {
         let lm = model(ffn.clone(), 11);
         let vocab = lm.config().vocab_size;
-        on_every_backend_and_worker_count(|| {
+        on_every_worker_count(|| {
             for len in [1, BS - 1, BS + 1, SEQ_LEN] {
                 let mut context = prompt(len, vocab);
                 let mut state = DecodeState::new(lm.config());
@@ -117,12 +112,12 @@ fn every_decode_step_is_bit_identical_to_the_full_window() {
 
 #[test]
 fn a_one_token_step_runs_one_row_not_the_window() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     let mut steps = Vec::new();
     for ffn in tokenwise_kinds() {
         let lm = model(ffn.clone(), 12);
         let context = prompt(SEQ_LEN - 1, lm.config().vocab_size);
-        let flops = telemetry::counter_with("kernel.flops", kernel_backend().name());
+        let flops = telemetry::counter("kernel.flops");
 
         let before = flops.get();
         let _ = lm.next_token_logits(&context, 1);
@@ -162,7 +157,7 @@ fn a_one_token_step_runs_one_row_not_the_window() {
 
 #[test]
 fn a_prefill_runs_the_final_block_on_its_last_row_only() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     let lm = model(FfnKind::Dropless(moe()), 17);
     let (cfg, moe) = (lm.config(), moe());
     assert_eq!((cfg.num_layers, moe.top_k), (2, 1));
@@ -191,7 +186,7 @@ fn a_prefill_runs_the_final_block_on_its_last_row_only() {
 
 #[test]
 fn greedy_generate_equals_the_argmax_loop_for_every_ffn() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     for ffn in all_kinds() {
         let lm = model(ffn.clone(), 13);
         let vocab = lm.config().vocab_size;
@@ -213,7 +208,7 @@ fn greedy_generate_equals_the_argmax_loop_for_every_ffn() {
 
 #[test]
 fn seeded_sampling_equals_the_hand_rolled_loop() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     let t = 0.9;
     for ffn in all_kinds() {
         let lm = model(ffn.clone(), 14);
@@ -251,7 +246,7 @@ fn span_calls(name: &str) -> u64 {
 
 #[test]
 fn a_one_token_decode_records_its_parts_once_each() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     let lm = model(FfnKind::Dropless(moe()), 16);
     let mut state = DecodeState::new(lm.config());
     let _ = lm.decode(&mut state, &prompt(BS + 1, lm.config().vocab_size));
@@ -296,7 +291,7 @@ fn assert_conserves_the_workspace(what: &str, mut call: impl FnMut()) {
 
 #[test]
 fn inference_gives_every_workspace_buffer_back() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     for ffn in tokenwise_kinds() {
         let lm = model(ffn.clone(), 15);
         let start = prompt(BS + 1, lm.config().vocab_size);
@@ -315,7 +310,7 @@ fn inference_gives_every_workspace_buffer_back() {
 /// holds its input in the arena as `serve`'s batcher does.
 #[test]
 fn an_expired_infer_gives_every_workspace_buffer_back() {
-    let _guard = backend_lock();
+    let _guard = counter_lock();
     let layer = DroplessMoe::new(moe(), &mut seeded_rng(16));
     let x = normal(2 * BS + 3, moe().hidden_size, 1.0, &mut seeded_rng(17));
     let expired = Ctx::none().with_deadline(Deadline::after(Duration::ZERO));

@@ -2,15 +2,20 @@
 //! `sites::ALL` and named as `sites::IDENT` by non-test code outside the catalogue;
 //! each `SparseError` variant is named as `SparseError::Variant` by non-test code
 //! outside the enum and its `impl … for SparseError` blocks; each `// SAFETY:`
-//! comment says four words. No parser: `cargo fmt --check` keeps `#[cfg(test)]` and items
+//! comment says four words; the `MEGABLOCKS_*` names non-test code reads are the
+//! rows of README's environment table. No parser: `cargo fmt --check` keeps `#[cfg(test)]` and items
 //! at column 0, closed by a column-0 `}`. Finding nothing to check is a finding.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 const SITES: &str = "crates/resilience/src/sites.rs";
 const ERROR_ENUMS: &[&str] = &["SparseError"];
 const MIN_SAFETY_WORDS: usize = 4;
+const README: &str = "README.md";
+const ENV_HEADING: &str = "### Environment variables";
+const ENV_PREFIX: &str = "MEGABLOCKS_";
 
 /// `(path, text)` of one source file.
 type Source<'a> = (&'a str, &'a str);
@@ -45,15 +50,16 @@ fn item_end(lines: &[&str], start: usize) -> usize {
     n.map_or(lines.len(), |n| start + n)
 }
 
-/// The non-comment lines outside column-0 `#[cfg(test)]` items and items `skip` accepts.
-fn code_lines<'a>(text: &'a str, skip: &dyn Fn(&str) -> bool) -> Vec<&'a str> {
+/// The non-comment lines outside column-0 `#[cfg(test)]` items and items `skip` accepts,
+/// each with its 0-based index.
+fn code_lines<'a>(text: &'a str, skip: &dyn Fn(&str) -> bool) -> Vec<(usize, &'a str)> {
     let lines: Vec<&str> = text.lines().collect();
     let (mut out, mut i) = (Vec::new(), 0);
     while i < lines.len() {
         if lines[i] == "#[cfg(test)]" || skip(lines[i]) {
             i = item_end(&lines, i);
         } else if !lines[i].trim_start().starts_with("//") {
-            out.push(lines[i]);
+            out.push((i, lines[i]));
         }
         i += 1;
     }
@@ -70,7 +76,7 @@ fn names(line: &str, path: &str) -> bool {
 
 /// Whether a file other than `except` names `path` on a line [`code_lines`] keeps.
 fn named(files: &[Source], except: &str, skip: &dyn Fn(&str) -> bool, path: &str) -> bool {
-    let kept = |t: &str| code_lines(t, skip).iter().any(|l| names(l, path));
+    let kept = |t: &str| code_lines(t, skip).iter().any(|(_, l)| names(l, path));
     files.iter().any(|&(p, t)| p != except && kept(t))
 }
 
@@ -160,13 +166,75 @@ fn check_safety(files: &[Source]) -> Vec<Finding> {
     out
 }
 
+/// The `MEGABLOCKS_*` names on `line`.
+fn env_names(line: &str) -> impl Iterator<Item = &str> {
+    line.match_indices(ENV_PREFIX).filter_map(move |(at, _)| {
+        let rest = &line[at..];
+        let name = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+        let len = rest.find(|c| !name(c)).unwrap_or(rest.len());
+        (len > ENV_PREFIX.len()).then(|| &rest[..len])
+    })
+}
+
+/// Each `MEGABLOCKS_*` name in non-test code is a row of `readme`'s environment table, and
+/// each row's name is in that code.
+fn check_env_docs(files: &[Source], readme: Source) -> Vec<Finding> {
+    let mut used = BTreeMap::new();
+    for (path, text) in files {
+        for (i, l) in code_lines(text, &|_| false) {
+            for name in env_names(l) {
+                used.entry(name).or_insert((path.to_string(), i + 1));
+            }
+        }
+    }
+    let table = readme
+        .1
+        .lines()
+        .enumerate()
+        .skip_while(|(_, l)| *l != ENV_HEADING);
+    let table = table.skip(1).take_while(|(_, l)| !l.starts_with('#'));
+    let mut rows = BTreeMap::new();
+    for (i, l) in table {
+        let first_cell = l.strip_prefix('|').and_then(|l| l.split('|').next());
+        if let Some(name) = first_cell.and_then(|cell| env_names(cell).next()) {
+            rows.insert(name, i + 1);
+        }
+    }
+    let mut out = Vec::new();
+    if rows.is_empty() {
+        out.push((readme.0.into(), 0, "no environment table found".into()));
+    }
+    for (name, (path, line)) in &used {
+        if !rows.contains_key(name) {
+            out.push((
+                path.clone(),
+                *line,
+                format!("`{name}` has no row in {}", readme.0),
+            ));
+        }
+    }
+    for (name, line) in &rows {
+        if !used.contains_key(name) {
+            out.push((
+                readme.0.into(),
+                *line,
+                format!("`{name}` is read by no code"),
+            ));
+        }
+    }
+    out
+}
+
 #[test]
 fn the_workspace_follows_the_source_rules() {
     let owned = workspace();
     let files: Vec<Source> = owned.iter().map(|f| (&f.0[..], &f.1[..])).collect();
+    let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join(README);
+    let readme = fs::read_to_string(readme).expect("readable README");
     let mut found = check_sites(&files, SITES);
     found.extend(check_variants(&files, ERROR_ENUMS));
     found.extend(check_safety(&files));
+    found.extend(check_env_docs(&files, (README, &readme)));
     assert!(found.is_empty(), "{found:#?}");
 }
 
@@ -243,4 +311,35 @@ fn a_three_word_safety_comment_is_found() {
     let found = check_safety(&[("x/unsafe.rs", UNSAFE)]);
     assert_planted(UNSAFE, &["trust me"], &found);
     assert_eq!(check_safety(&[])[0].1, 0, "no SAFETY comment");
+}
+
+const ENV_CODE: &str = r#"static THREADS: Setting = Setting::new(Some("MEGABLOCKS_THREADS"), || 1);
+static SEED: Setting = Setting::new(Some("MEGABLOCKS_SEED"), || 0);
+// MEGABLOCKS_IN_A_COMMENT is prose, not a variable read.
+#[cfg(test)]
+mod tests {
+    const VAR: &str = "MEGABLOCKS_TEST_ONLY";
+}
+"#;
+
+const ENV_README: &str = "### Environment variables
+
+| variable | default |
+|---|---|
+| `MEGABLOCKS_THREADS` | CPU count |
+| `MEGABLOCKS_STALE` | `on` |
+
+### Entry points
+
+| `MEGABLOCKS_ELSEWHERE` | another table |
+";
+
+#[test]
+fn an_unlisted_variable_and_a_stale_row_are_found() {
+    let found = check_env_docs(&[("x/pool.rs", ENV_CODE)], ("README.md", ENV_README));
+    let (code, readme): (Vec<Finding>, Vec<Finding>) =
+        found.into_iter().partition(|f| f.0 == "x/pool.rs");
+    assert_planted(ENV_CODE, &["MEGABLOCKS_SEED"], &code);
+    assert_planted(ENV_README, &["MEGABLOCKS_STALE"], &readme);
+    assert_eq!(check_env_docs(&[], ("README.md", ""))[0].1, 0, "no table");
 }
