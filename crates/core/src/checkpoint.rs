@@ -14,14 +14,16 @@
 //! header validated against the model (count + shapes) *before* the
 //! first parameter is overwritten, so a mid-stream mismatch or truncation
 //! can never leave a model half-loaded. File-level writes go through
-//! [`save_train_state_atomic`] (write-temp + fsync + rename via
-//! `megablocks-resilience`), so a crash or injected I/O fault tears at
-//! most a temp file, never a committed checkpoint.
+//! [`save_train_state_atomic`] (write-temp + fsync + rename, in
+//! [`atomic_write`]), so a crash or injected I/O fault tears at most a
+//! temp file, never a committed checkpoint.
 
-use std::io::{self, Read};
+use std::fs::{self, File};
+use std::io::{self, Read, Write};
 use std::path::Path;
 
-use megablocks_resilience as resilience;
+use megablocks_exec::fault::{self, sites};
+use megablocks_telemetry as telemetry;
 use megablocks_tensor::Matrix;
 
 use crate::Param;
@@ -143,7 +145,7 @@ pub fn encode(params: &[&mut Param], state: &TrainState) -> Result<Vec<u8>, Chec
             }
         }
     }
-    let crc = resilience::crc32(&out);
+    let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     Ok(out)
 }
@@ -207,7 +209,7 @@ pub fn save_train_state_atomic(
     state: &TrainState,
 ) -> Result<(), CheckpointError> {
     let bytes = encode(params, state)?;
-    resilience::atomic_write(path, &bytes)?;
+    atomic_write(path, &bytes)?;
     Ok(())
 }
 
@@ -222,7 +224,7 @@ pub fn load_train_state_file(
     path: &Path,
     params: &mut [&mut Param],
 ) -> Result<TrainState, CheckpointError> {
-    let bytes = std::fs::read(path)?;
+    let bytes = fs::read(path)?;
     load_train_state(params, bytes.as_slice())
 }
 
@@ -243,8 +245,76 @@ pub fn validate_checkpoint_bytes(bytes: &[u8]) -> Result<(), CheckpointError> {
 /// As [`validate_checkpoint_bytes`], plus [`CheckpointError::Io`] if the
 /// file cannot be read.
 pub fn validate_checkpoint_file(path: &Path) -> Result<(), CheckpointError> {
-    let bytes = std::fs::read(path)?;
+    let bytes = fs::read(path)?;
     validate_checkpoint_bytes(&bytes)
+}
+
+/// Reflected polynomial of CRC-32/ISO-HDLC (zlib's `crc32`).
+const POLY: u32 = 0xEDB8_8320;
+
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// CRC32 (IEEE 802.3, the zlib/PNG polynomial) of `bytes`: the checksum
+/// a checkpoint ends with.
+///
+/// ```
+/// use megablocks_core::checkpoint::crc32;
+/// assert_eq!(crc32(b"123456789"), 0xCBF43926); // the standard check value
+/// ```
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |c, &b| {
+        CRC_TABLE[usize::from((c as u8) ^ b)] ^ (c >> 8)
+    })
+}
+
+/// Writes `bytes` to `path` atomically: it stages them in a sibling temp
+/// file, fsyncs it, then renames it over `path`. On POSIX filesystems the
+/// rename is atomic, so a crash (or an injected fault) at any point
+/// leaves either the old file or the new one, never a torn hybrid. The
+/// [`sites::CHECKPOINT_IO`] fault site is queried before each stage.
+///
+/// # Errors
+///
+/// Returns any underlying I/O error (or one injected by an entered fault
+/// plan). On error the temp file is removed best-effort and `path` is
+/// left exactly as it was.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let _span = telemetry::span("resilience.atomic_write");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+
+    let result = (|| {
+        fault::maybe_io_error(&sites::CHECKPOINT_IO)?;
+        let mut f = File::create(tmp)?;
+        f.write_all(bytes)?;
+        fault::maybe_io_error(&sites::CHECKPOINT_IO)?;
+        f.sync_all()?;
+        drop(f);
+        fault::maybe_io_error(&sites::CHECKPOINT_IO)?;
+        fs::rename(tmp, path)
+    })();
+
+    if result.is_err() {
+        let _ = fs::remove_file(tmp);
+    } else {
+        telemetry::counter("resilience.checkpoint.committed").inc();
+    }
+    result
 }
 
 /// A fully parsed checkpoint, staged and not yet committed to a model.
@@ -270,7 +340,7 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<Parsed, CheckpointError> {
     }
     let payload_len = bytes.len() - 4;
     let stored = u32::from_le_bytes(bytes[payload_len..].try_into().expect("4 bytes"));
-    let computed = resilience::crc32(&bytes[..payload_len]);
+    let computed = crc32(&bytes[..payload_len]);
     if stored != computed {
         return Err(CheckpointError::Corrupt(format!(
             "CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
@@ -508,7 +578,7 @@ mod tests {
         buf[header_at + 8..header_at + 16].copy_from_slice(&(rows as u64).to_le_bytes());
         drop(params);
         let payload = buf.len() - 4;
-        let crc = resilience::crc32(&buf[..payload]);
+        let crc = crc32(&buf[..payload]);
         buf[payload..].copy_from_slice(&crc.to_le_bytes());
 
         let mut b = layer(2);
@@ -576,5 +646,72 @@ mod tests {
         // Truncation also fails integrity, not just framing.
         let err = validate_checkpoint_bytes(&bytes[..bytes.len() - 9]).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn matches_the_standard_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF43926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn single_bit_flip_changes_the_checksum() {
+        let data = vec![0xA5u8; 128];
+        let base = crc32(&data);
+        for byte in [0usize, 64, 127] {
+            for bit in 0..8 {
+                let mut corrupt = data.clone();
+                corrupt[byte] ^= 1 << bit;
+                assert_ne!(crc32(&corrupt), base, "flip {byte}:{bit} undetected");
+            }
+        }
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("megablocks-checkpoint-io");
+        fs::create_dir_all(&dir).expect("scratch dir");
+        dir.join(format!("{name}-{}", std::process::id()))
+    }
+
+    #[test]
+    fn write_then_read_back() {
+        let path = scratch("roundtrip.bin");
+        atomic_write(&path, b"hello checkpoint").expect("write");
+        assert_eq!(fs::read(&path).expect("read"), b"hello checkpoint");
+        // Overwrite in place: the rename replaces the old file.
+        atomic_write(&path, b"v2").expect("rewrite");
+        assert_eq!(fs::read(&path).expect("read"), b"v2");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn no_temp_file_survives_a_successful_write() {
+        let path = scratch("clean.bin");
+        atomic_write(&path, &[1, 2, 3]).expect("write");
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        assert!(!Path::new(&tmp).exists(), "temp file leaked");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn injected_io_error_never_tears_the_destination() {
+        let path = scratch("torn.bin");
+        atomic_write(&path, b"committed v1").expect("seed write");
+        // One failure per stage: write 1 dies before create (1 call
+        // consumed), write 2 before fsync (2 calls), write 3 before
+        // rename (3 calls).
+        let _plan = fault::FaultPlan::seeded(1)
+            .at_calls(&sites::CHECKPOINT_IO, &[0, 2, 5])
+            .enter();
+        for _ in 0..3 {
+            atomic_write(&path, b"should never land").expect_err("injected failure");
+            assert_eq!(
+                fs::read(&path).expect("read"),
+                b"committed v1",
+                "destination torn by a failed write"
+            );
+        }
+        let _ = fs::remove_file(&path);
     }
 }

@@ -15,7 +15,7 @@
 
 use std::borrow::Cow;
 
-use megablocks_resilience as resilience;
+use megablocks_exec::fault::{self, sites};
 use megablocks_sparse::{SparseError, Topology};
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::{init, Matrix};
@@ -204,11 +204,11 @@ impl DroplessMoe {
             policy,
         )?;
         if pass.1.is_some() {
-            // Chaos injection site: an installed FaultPlan may poison the
+            // Chaos injection site: an entered FaultPlan may poison the
             // layer output with a NaN here, exercising the trainer's
             // non-finite detection + rollback path.
             let output = pass.0.as_mut_slice();
-            resilience::maybe_poison(&resilience::sites::KERNEL_NAN_POISON, output);
+            fault::maybe_poison(&sites::KERNEL_NAN_POISON, output);
         }
         Ok(pass)
     }

@@ -7,10 +7,9 @@
 //! bit-exactly.
 
 use megablocks_core::checkpoint::{
-    encode, load_train_state, validate_checkpoint_bytes, CheckpointError, TrainState,
+    crc32, encode, load_train_state, validate_checkpoint_bytes, CheckpointError, TrainState,
 };
 use megablocks_core::{DroplessMoe, MoeConfig};
-use megablocks_resilience::crc32;
 use megablocks_tensor::init::seeded_rng;
 use megablocks_tensor::Matrix;
 use proptest::prelude::*;

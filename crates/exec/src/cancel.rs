@@ -7,7 +7,9 @@
 //! thread's ambient context (installed with [`enter`]). Every band
 //! re-installs the context on whichever thread runs it, so the tiled
 //! microkernel's panel loop can poll [`poll_cancelled`] without any
-//! plumbing through the kernel signatures.
+//! plumbing through the kernel signatures. The same context carries the
+//! [`crate::fault::FaultPlan`] in force, so a plan reaches every band of
+//! every launch made under it, and no other.
 //!
 //! Cancellation is *cooperative*: nothing preempts a running band.
 //! Instead the runtime checks the context at band boundaries and inside
@@ -25,16 +27,11 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Token state: work may proceed.
-const LIVE: u8 = 0;
-/// Token state: explicitly cancelled.
-const CANCELLED: u8 = 1;
-/// Token state: cancelled because a deadline passed.
-const DEADLINE: u8 = 2;
+use crate::fault::ActivePlan;
 
 /// Why in-flight work was abandoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,26 +56,8 @@ impl CancelKind {
 }
 
 struct TokenInner {
-    state: AtomicU8,
+    cancelled: AtomicBool,
     parent: Option<Arc<TokenInner>>,
-}
-
-impl TokenInner {
-    /// The first non-live state found walking up the ancestor chain.
-    fn kind(&self) -> Option<CancelKind> {
-        let mut node = self;
-        loop {
-            match node.state.load(Relaxed) {
-                CANCELLED => return Some(CancelKind::Cancelled),
-                DEADLINE => return Some(CancelKind::DeadlineExceeded),
-                _ => {}
-            }
-            match &node.parent {
-                Some(parent) => node = parent,
-                None => return None,
-            }
-        }
-    }
 }
 
 /// A shared cancellation flag. Cloning shares the flag; use
@@ -93,7 +72,7 @@ impl CancelToken {
     pub fn new() -> Self {
         CancelToken {
             inner: Arc::new(TokenInner {
-                state: AtomicU8::new(LIVE),
+                cancelled: AtomicBool::new(false),
                 parent: None,
             }),
         }
@@ -104,38 +83,29 @@ impl CancelToken {
     pub fn child(&self) -> Self {
         CancelToken {
             inner: Arc::new(TokenInner {
-                state: AtomicU8::new(LIVE),
+                cancelled: AtomicBool::new(false),
                 parent: Some(Arc::clone(&self.inner)),
             }),
         }
     }
 
-    /// Marks the token cancelled. Idempotent; never downgrades a
-    /// deadline-cancellation already recorded.
+    /// Marks the token cancelled. Idempotent.
     pub fn cancel(&self) {
-        let _ = self
-            .inner
-            .state
-            .compare_exchange(LIVE, CANCELLED, Relaxed, Relaxed);
+        self.inner.cancelled.store(true, Relaxed);
     }
 
-    /// Marks the token cancelled by deadline — deadline enforcement's
-    /// flavor of [`CancelToken::cancel`].
-    pub fn cancel_deadline(&self) {
-        let _ = self
-            .inner
-            .state
-            .compare_exchange(LIVE, DEADLINE, Relaxed, Relaxed);
-    }
-
-    /// Whether this token or any ancestor has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.kind().is_some()
-    }
-
-    /// Why this token (or an ancestor) was cancelled, if it was.
+    /// [`CancelKind::Cancelled`] once this token or an ancestor was
+    /// cancelled. A token never reads a deadline: expiry comes from the
+    /// [`Deadline`] beside it in a [`Ctx`].
     pub fn kind(&self) -> Option<CancelKind> {
-        self.inner.kind()
+        let mut node = Some(&self.inner);
+        while let Some(inner) = node {
+            if inner.cancelled.load(Relaxed) {
+                return Some(CancelKind::Cancelled);
+            }
+            node = inner.parent.as_ref();
+        }
+        None
     }
 }
 
@@ -183,17 +153,19 @@ impl Deadline {
     }
 }
 
-/// The cancellation/deadline context a launch runs under. Empty by
-/// default ([`Ctx::none`]) — and an empty context costs nothing: every
-/// poll short-circuits on a `None` check.
+/// The context a launch runs under: a cancel token and a deadline, and
+/// the fault plan in force. Empty by default ([`Ctx::none`]) — and an
+/// empty context costs nothing: every poll short-circuits on a `None`
+/// check.
 #[derive(Debug, Clone, Default)]
 pub struct Ctx {
     token: Option<CancelToken>,
     deadline: Option<Deadline>,
+    plan: Option<Arc<ActivePlan>>,
 }
 
 impl Ctx {
-    /// The empty context: no token, no deadline, zero-cost polls.
+    /// The empty context: no token, no deadline, no fault plan.
     pub fn none() -> Self {
         Ctx::default()
     }
@@ -210,6 +182,11 @@ impl Ctx {
         self
     }
 
+    pub(crate) fn with_plan(mut self, plan: Arc<ActivePlan>) -> Self {
+        self.plan = Some(plan);
+        self
+    }
+
     /// The context's cancel token, if any.
     pub fn token(&self) -> Option<&CancelToken> {
         self.token.as_ref()
@@ -220,9 +197,21 @@ impl Ctx {
         self.deadline
     }
 
-    /// Whether the context carries neither token nor deadline.
+    /// Whether the context carries neither token nor deadline. Its fault
+    /// plan does not count: a plan never makes work latency-bound.
     pub fn is_empty(&self) -> bool {
         self.token.is_none() && self.deadline.is_none()
+    }
+
+    /// This context without its token and deadline: only its fault plan.
+    /// It is what [`detach`] leaves in force, and what a queued request
+    /// records so the work another thread does for it runs under the
+    /// plan of its submitter.
+    pub fn detached(&self) -> Ctx {
+        Ctx {
+            plan: self.plan.clone(),
+            ..Ctx::none()
+        }
     }
 
     /// Why work under this context should stop, if it should: a tripped
@@ -265,31 +254,56 @@ impl Drop for CtxScope {
 /// so one `enter` at (say) the trainer step covers every nested kernel
 /// launch.
 ///
-/// Entering an *empty* context is a no-op (the previous ambient context,
-/// if any, stays installed) — wrappers can unconditionally enter their
-/// optional context without masking an outer deadline.
+/// The context has two parts, each kept from the outer context when
+/// `ctx` lacks it: a token and deadline (kept when `ctx` has neither),
+/// and a fault plan. So wrappers can unconditionally enter their
+/// optional context without masking an outer deadline, and a step's
+/// deadline does not hide the plan a drill entered around it. Entering
+/// the empty context is a no-op.
 pub fn enter(ctx: &Ctx) -> CtxScope {
-    if ctx.is_empty() {
+    if ctx.is_empty() && ctx.plan.is_none() {
         return CtxScope { prev: None };
     }
-    let prev = CURRENT.with(|c| c.borrow_mut().replace(ctx.clone()));
+    let prev = CURRENT.with(|c| {
+        let mut current = c.borrow_mut();
+        let mut next = ctx.clone();
+        if let Some(outer) = current.as_ref() {
+            if next.is_empty() {
+                next.token.clone_from(&outer.token);
+                next.deadline = outer.deadline;
+            }
+            if next.plan.is_none() {
+                next.plan.clone_from(&outer.plan);
+            }
+        }
+        current.replace(next)
+    });
     CtxScope { prev: Some(prev) }
 }
 
-/// Removes the current thread's ambient context until the returned guard
-/// drops, so launches in between run under the empty context — for work
+/// Removes the current thread's token and deadline until the returned
+/// guard drops, so launches in between cannot be cancelled — for work
 /// that must not stop half-done once it starts (an optimizer update
 /// mutates weights in place; a deadline that cut it short would leave
-/// them half-updated). [`enter`] cannot do this: entering an empty
-/// context keeps the outer one.
+/// them half-updated). The fault plan stays in force. [`enter`] cannot
+/// do this: entering an empty context keeps the outer one.
 pub fn detach() -> CtxScope {
-    let prev = CURRENT.with(|c| c.borrow_mut().take());
+    let prev = CURRENT.with(|c| {
+        let mut current = c.borrow_mut();
+        let detached = current.as_ref().map(Ctx::detached);
+        std::mem::replace(&mut *current, detached)
+    });
     CtxScope { prev: Some(prev) }
 }
 
 /// The current thread's ambient context (empty if none installed).
 pub fn current() -> Ctx {
     CURRENT.with(|c| c.borrow().clone().unwrap_or_default())
+}
+
+/// The fault plan in force on the current thread, if one was entered.
+pub(crate) fn ambient_plan() -> Option<Arc<ActivePlan>> {
+    CURRENT.with(|c| c.borrow().as_ref()?.plan.clone())
 }
 
 /// Cooperative cancellation point: whether the ambient context wants the
@@ -358,8 +372,8 @@ mod tests {
         assert_eq!(token.kind(), None);
         token.cancel();
         assert_eq!(token.kind(), Some(CancelKind::Cancelled));
-        // Never downgraded or re-flavored after the fact.
-        token.cancel_deadline();
+        // A second cancel changes nothing.
+        token.cancel();
         assert_eq!(token.kind(), Some(CancelKind::Cancelled));
     }
 
@@ -369,8 +383,11 @@ mod tests {
         let child = root.child();
         let grandchild = child.child();
         child.cancel();
-        assert!(!root.is_cancelled(), "cancel must not propagate upward");
-        assert!(grandchild.is_cancelled(), "cancel must propagate downward");
+        assert!(root.kind().is_none(), "cancel must not propagate upward");
+        assert!(
+            grandchild.kind().is_some(),
+            "cancel must propagate downward"
+        );
         assert_eq!(grandchild.kind(), Some(CancelKind::Cancelled));
     }
 

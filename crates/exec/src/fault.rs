@@ -1,6 +1,11 @@
-//! Deterministic, seeded fault plans and the injection hooks sites query.
+//! Deterministic, seeded fault plans, the injection hooks sites query,
+//! and the counters recovery paths report to.
 //!
-//! A [`FaultPlan`] schedules faults per [`Site`] two ways, composable:
+//! The paper's dropless formulation removes one whole class of silent
+//! failures (token dropping); this module is the workspace's answer to
+//! the *loud* ones — worker panics, NaN-poisoned kernels, stalled bands,
+//! a flooded pool queue, torn checkpoint writes. A [`FaultPlan`]
+//! schedules faults per [`Site`] two ways, composable:
 //!
 //! * **Explicit call indices** ([`FaultPlan::at_calls`]) — fire on
 //!   exactly the n-th, m-th, … invocation of the site (0-based). Each
@@ -11,17 +16,30 @@
 //!   `(seed, site, call index)`, capped at `budget` total firings so a
 //!   chaos run always drains its faults and can finish.
 //!
-//! The hooks are always compiled and [`install_plan`] / [`clear_plan`]
-//! are the only switch. Every hook begins with one relaxed load of an
-//! armed flag: with no plan installed it takes no lock, allocates nothing
-//! and reports "no fault".
+//! A plan is in force only where it was entered: [`FaultPlan::enter`]
+//! puts it in the thread's ambient [`crate::Ctx`] until the returned
+//! [`FaultScope`] drops, and every launch carries that context — plan
+//! included — to whichever thread runs each of its bands. So two threads
+//! may run under two plans at once, each scope's [`FaultScope::report`]
+//! counts only the calls made under it, and a hook on a thread with no
+//! plan takes one thread-local read and reports "no fault".
+//!
+//! Every injection and every recovery emits `resilience.*` telemetry:
+//! `resilience.injected.<site>` when a fault fires,
+//! `resilience.detected.<site>` when a recovery path notices one
+//! ([`record_detected`]), and `resilience.recovered.<site>` when it heals
+//! it ([`record_recovered`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 use megablocks_telemetry as telemetry;
 
-use crate::sites::Site;
+use crate::cancel::{self, Ctx, CtxScope};
+
+pub mod sites;
+
+pub use sites::Site;
 
 /// How one site's faults are scheduled.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -37,13 +55,12 @@ struct Schedule {
 /// A deterministic, seeded fault-injection plan.
 ///
 /// Build one with [`FaultPlan::seeded`], add per-site schedules, then
-/// [`install_plan`] it process-wide. Installing replaces any previous
-/// plan and resets all call counters.
+/// [`FaultPlan::enter`] it. Each entry starts its own call counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
-    /// Milliseconds an injected [`crate::sites::EXEC_BAND_STALL`] fault
-    /// parks for.
+    /// Milliseconds an injected [`sites::EXEC_BAND_STALL`] fault parks
+    /// for.
     delay_ms: u64,
     schedules: Vec<(&'static str, Schedule)>,
 }
@@ -97,20 +114,49 @@ impl FaultPlan {
         self.schedules.push((site.name, Schedule::default()));
         &mut self.schedules.last_mut().expect("just pushed").1
     }
+
+    /// Puts the plan in force on the current thread, with fresh call
+    /// counters, until the returned scope drops. The thread's token and
+    /// deadline stay as they were; an outer plan is hidden until then.
+    /// Launches submitted meanwhile carry the plan to every thread that
+    /// runs one of their bands.
+    pub fn enter(&self) -> FaultScope {
+        let sites = self
+            .schedules
+            .iter()
+            .map(|(name, sched)| ActiveSite {
+                name,
+                sched: sched.clone(),
+                calls: AtomicU64::new(0),
+                fired: AtomicU64::new(0),
+                budget_left: AtomicU64::new(sched.budget),
+            })
+            .collect();
+        let plan = Arc::new(ActivePlan {
+            seed: self.seed,
+            delay_ms: self.delay_ms,
+            sites,
+        });
+        let ambient = cancel::enter(&Ctx::none().with_plan(Arc::clone(&plan)));
+        FaultScope {
+            plan,
+            _ambient: ambient,
+        }
+    }
 }
 
-/// Injection counts for one site, from [`report`].
+/// Injection counts for one site, from [`FaultScope::report`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteReport {
     /// The site's registered name.
     pub site: &'static str,
-    /// Calls the site made into the chaos layer.
+    /// Calls the site made into the plan.
     pub calls: u64,
     /// Faults actually injected.
     pub injected: u64,
 }
 
-/// Snapshot of the installed plan's activity, from [`report`].
+/// Snapshot of one entered plan's activity, from [`FaultScope::report`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Per-site activity, in plan order.
@@ -118,8 +164,7 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Faults injected at `site` so far (0 if the site is unscheduled or
-    /// no plan is installed).
+    /// Faults injected at `site` so far (0 if the site is unscheduled).
     pub fn injected_at(&self, site: &Site) -> u64 {
         self.sites
             .iter()
@@ -128,6 +173,7 @@ impl FaultReport {
     }
 }
 
+#[derive(Debug)]
 struct ActiveSite {
     name: &'static str,
     sched: Schedule,
@@ -136,72 +182,39 @@ struct ActiveSite {
     budget_left: AtomicU64,
 }
 
-struct ActivePlan {
+/// An entered plan: its schedules and the counters every thread working
+/// under it shares.
+#[derive(Debug)]
+pub(crate) struct ActivePlan {
     seed: u64,
     delay_ms: u64,
     sites: Vec<ActiveSite>,
 }
 
-static PLAN: RwLock<Option<Arc<ActivePlan>>> = RwLock::new(None);
-
-/// Set while `PLAN` may hold a plan. It publishes nothing — the plan is
-/// only ever read through the lock — so relaxed ordering is enough: a hook
-/// that sees a stale `true` finds `None` under the lock, and one that sees
-/// a stale `false` behaves as if it ran just before the install.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-fn current() -> Option<Arc<ActivePlan>> {
-    if !ARMED.load(Relaxed) {
-        return None;
-    }
-    PLAN.read().unwrap_or_else(|e| e.into_inner()).clone()
+/// A [`FaultPlan`] in force on the thread that entered it, until this
+/// drops (which restores the thread's previous context).
+#[must_use = "the plan is in force only while its scope lives"]
+pub struct FaultScope {
+    plan: Arc<ActivePlan>,
+    _ambient: CtxScope,
 }
 
-/// Installs `plan` process-wide, replacing any previous plan and
-/// resetting all call counters.
-pub fn install_plan(plan: FaultPlan) {
-    let sites = plan
-        .schedules
-        .iter()
-        .map(|(name, sched)| ActiveSite {
-            name,
-            sched: sched.clone(),
-            calls: AtomicU64::new(0),
-            fired: AtomicU64::new(0),
-            budget_left: AtomicU64::new(sched.budget),
-        })
-        .collect();
-    let active = ActivePlan {
-        seed: plan.seed,
-        delay_ms: plan.delay_ms,
-        sites,
-    };
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(active));
-    ARMED.store(true, Relaxed);
-}
-
-/// Removes the installed plan (all sites go quiet).
-pub fn clear_plan() {
-    ARMED.store(false, Relaxed);
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
-/// Injection activity of the installed plan (empty when no plan is
-/// installed).
-pub fn report() -> FaultReport {
-    let Some(plan) = current() else {
-        return FaultReport::default();
-    };
-    FaultReport {
-        sites: plan
-            .sites
-            .iter()
-            .map(|s| SiteReport {
-                site: s.name,
-                calls: s.calls.load(Relaxed),
-                injected: s.fired.load(Relaxed),
-            })
-            .collect(),
+impl FaultScope {
+    /// What the plan has done so far, counting every call made under it
+    /// on any thread and nothing made under another plan.
+    pub fn report(&self) -> FaultReport {
+        FaultReport {
+            sites: self
+                .plan
+                .sites
+                .iter()
+                .map(|s| SiteReport {
+                    site: s.name,
+                    calls: s.calls.load(Relaxed),
+                    injected: s.fired.load(Relaxed),
+                })
+                .collect(),
+        }
     }
 }
 
@@ -217,11 +230,11 @@ fn decision_hash(seed: u64, site: &str, call: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One call into the chaos layer from `site`: advances the site's call
+/// One call into the ambient plan from `site`: advances the site's call
 /// counter and decides whether a fault fires here. `Some(delay_ms)` when
 /// it does.
 fn fires(site: &Site) -> Option<u64> {
-    let plan = current()?;
+    let plan = cancel::ambient_plan()?;
     let s = plan.sites.iter().find(|s| s.name == site.name)?;
     let call = s.calls.fetch_add(1, Relaxed);
     let mut fire = s.sched.at_calls.binary_search(&call).is_ok();
@@ -244,7 +257,7 @@ fn fires(site: &Site) -> Option<u64> {
 
 /// Message prefix of every injected panic and I/O error, so a log names
 /// the fault as injected.
-pub(crate) const INJECTED_PANIC_PREFIX: &str = "injected fault:";
+const INJECTED_PANIC_PREFIX: &str = "injected fault:";
 
 /// Worker-panic hook: panics with a recognizable payload if the plan
 /// fires at `site`.
@@ -296,19 +309,24 @@ pub fn maybe_io_error(site: &Site) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The plan is process-global: every test in this crate that installs one
-/// *or* calls a hooked function holds this lock, so an install never
-/// injects into a test running beside it.
-#[cfg(test)]
-pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+/// Records that a recovery path *noticed* a fault at `site` (its own or
+/// an injected one). Detection happens on the recovery path, never in a
+/// kernel hot loop.
+pub fn record_detected(site: &Site) {
+    telemetry::counter(site.detected).inc();
+    telemetry::trace_instant(site.detected);
+}
+
+/// Records that a recovery path *healed* a fault at `site` — a retried
+/// step succeeded, a checkpoint write went through on a later attempt.
+pub fn record_recovered(site: &Site) {
+    telemetry::counter(site.recovered).inc();
+    telemetry::trace_instant(site.recovered);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sites;
 
     #[test]
     fn builder_dedups_and_sorts_call_indices() {
@@ -327,8 +345,7 @@ mod tests {
 
     #[test]
     fn hooks_are_quiet_with_no_plan_installed() {
-        let _guard = serial();
-        assert!(current().is_none());
+        assert!(cancel::ambient_plan().is_none());
         let mut data = [1.0f32];
         maybe_poison(&sites::KERNEL_NAN_POISON, &mut data);
         assert_eq!(data[0], 1.0);
@@ -336,31 +353,36 @@ mod tests {
         assert_eq!(delay_requested(&sites::EXEC_BAND_STALL), 0);
         assert!(maybe_io_error(&sites::CHECKPOINT_IO).is_ok());
         maybe_panic(&sites::EXEC_WORKER_PANIC); // must not panic
-        assert!(report().sites.is_empty());
+                                                // A scope that ended leaves nothing behind.
+        drop(
+            FaultPlan::seeded(1)
+                .at_calls(&sites::POOL_QUEUE_FLOOD, &[0])
+                .enter(),
+        );
+        assert!(!should_fail(&sites::POOL_QUEUE_FLOOD));
     }
 
     #[test]
     fn explicit_calls_fire_exactly_once_each() {
-        let _guard = serial();
-        install_plan(FaultPlan::seeded(3).at_calls(&sites::POOL_QUEUE_FLOOD, &[1, 3]));
+        let scope = FaultPlan::seeded(3)
+            .at_calls(&sites::POOL_QUEUE_FLOOD, &[1, 3])
+            .enter();
         let fired: Vec<bool> = (0..6)
             .map(|_| should_fail(&sites::POOL_QUEUE_FLOOD))
             .collect();
         assert_eq!(fired, vec![false, true, false, true, false, false]);
-        assert_eq!(report().injected_at(&sites::POOL_QUEUE_FLOOD), 2);
-        clear_plan();
+        assert_eq!(scope.report().injected_at(&sites::POOL_QUEUE_FLOOD), 2);
     }
 
     #[test]
     fn rate_respects_budget_and_is_seed_deterministic() {
-        let _guard = serial();
         let run = |seed| {
-            install_plan(FaultPlan::seeded(seed).with_rate(&sites::CHECKPOINT_IO, 0.5, 4));
-            let fired: Vec<bool> = (0..64)
+            let _scope = FaultPlan::seeded(seed)
+                .with_rate(&sites::CHECKPOINT_IO, 0.5, 4)
+                .enter();
+            (0..64)
                 .map(|_| maybe_io_error(&sites::CHECKPOINT_IO).is_err())
-                .collect();
-            clear_plan();
-            fired
+                .collect::<Vec<bool>>()
         };
         let a = run(11);
         let b = run(11);
@@ -370,11 +392,11 @@ mod tests {
 
     #[test]
     fn unscheduled_sites_stay_quiet() {
-        let _guard = serial();
-        install_plan(FaultPlan::seeded(5).at_calls(&sites::POOL_QUEUE_FLOOD, &[0]));
+        let _scope = FaultPlan::seeded(5)
+            .at_calls(&sites::POOL_QUEUE_FLOOD, &[0])
+            .enter();
         maybe_panic(&sites::EXEC_WORKER_PANIC);
         assert_eq!(delay_requested(&sites::EXEC_BAND_STALL), 0);
-        clear_plan();
     }
 
     #[test]
@@ -388,23 +410,22 @@ mod tests {
             recovered: "resilience.recovered.test.unlisted",
         };
         assert!(sites::ALL.iter().all(|s| s.name != UNLISTED.name));
-        let _guard = serial();
         let before = telemetry::counter(UNLISTED.injected).get();
-        install_plan(FaultPlan::seeded(2).at_calls(&UNLISTED, &[0, 2]));
+        let scope = FaultPlan::seeded(2).at_calls(&UNLISTED, &[0, 2]).enter();
         let fired = (0..3).filter(|_| should_fail(&UNLISTED)).count();
-        clear_plan();
+        drop(scope);
         assert_eq!(fired, 2);
         assert_eq!(telemetry::counter(UNLISTED.injected).get() - before, 2);
     }
 
     #[test]
     fn injected_panics_carry_the_marker_payload() {
-        let _guard = serial();
-        install_plan(FaultPlan::seeded(9).at_calls(&sites::EXEC_WORKER_PANIC, &[0]));
+        let _scope = FaultPlan::seeded(9)
+            .at_calls(&sites::EXEC_WORKER_PANIC, &[0])
+            .enter();
         let err = std::panic::catch_unwind(|| maybe_panic(&sites::EXEC_WORKER_PANIC))
             .expect_err("scheduled call must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.starts_with(INJECTED_PANIC_PREFIX), "{msg}");
-        clear_plan();
     }
 }

@@ -1,7 +1,7 @@
 //! The registered fault-injection sites.
 //!
 //! A [`Site`] names one place in the workspace where a
-//! [`FaultPlan`](crate::FaultPlan) may inject a failure, together with the
+//! [`FaultPlan`](super::FaultPlan) may inject a failure, together with the
 //! three `resilience.*` telemetry counters its lifecycle reports to:
 //! `injected` (the chaos layer fired), `detected` (a recovery path
 //! noticed a fault — injected or genuine) and `recovered` (the recovery
@@ -18,7 +18,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Site {
     /// Stable site name (`subsystem.fault`), the key a
-    /// [`crate::FaultPlan`] schedules against.
+    /// [`super::FaultPlan`] schedules against.
     pub name: &'static str,
     /// Counter incremented when the chaos layer injects a fault here.
     pub injected: &'static str,
@@ -47,9 +47,9 @@ pub const KERNEL_NAN_POISON: Site = Site {
     recovered: "resilience.recovered.kernel.nan_poison",
 };
 
-/// Checkpoint I/O failure: an [`crate::atomic_write`] step returns an
-/// injected `io::Error`, exercising write retry/backoff and proving a
-/// torn write never commits.
+/// Checkpoint I/O failure: a stage of `core::checkpoint::atomic_write`
+/// returns an injected `io::Error`, exercising write retry/backoff and
+/// proving a torn write never commits.
 pub const CHECKPOINT_IO: Site = Site {
     name: "checkpoint.io",
     injected: "resilience.injected.checkpoint.io",
@@ -59,7 +59,7 @@ pub const CHECKPOINT_IO: Site = Site {
 
 /// Band stall inside the exec launch path: one band of a launch plan
 /// parks for the plan's configured delay (cooperatively, via
-/// [`crate::delay_requested`]), exercising the path on which the
+/// [`super::delay_requested`]), exercising the path on which the
 /// launch's deadline cuts the stall short and unwinds.
 pub const EXEC_BAND_STALL: Site = Site {
     name: "exec.band_stall",

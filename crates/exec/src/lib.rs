@@ -41,6 +41,12 @@
 //!   panic payload, which the code that entered the context catches by
 //!   type.
 //!
+//! * **Seeded fault injection** ([`fault`]) — a [`fault::FaultPlan`] is
+//!   entered like a context and travels in it: the sites in the pool,
+//!   the launch path, the dMoE layer and the checkpoint writer fire on
+//!   the calls it schedules, for the work done under it and no other,
+//!   and recovery paths report `resilience.*` counters.
+//!
 //! * **One settings resolver** — each integer knob above resolves
 //!   programmatic request > environment variable > default, and a
 //!   variable that does not parse panics at first use instead of falling
@@ -52,6 +58,7 @@
 #![deny(missing_docs)]
 
 pub mod cancel;
+pub mod fault;
 mod perturb;
 mod plan;
 mod pool;

@@ -39,10 +39,10 @@ use std::panic::resume_unwind;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use megablocks_resilience as resilience;
 use megablocks_telemetry as telemetry;
 
 use crate::cancel::{self, CancelKind, Ctx, ExecError};
+use crate::fault::{self, sites};
 use crate::perturb;
 use crate::pool;
 
@@ -179,8 +179,9 @@ impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
         // The launch runs under the submitter's ambient context, so a
         // deadline entered at (say) the trainer step or the serving batch
         // reaches every nested kernel launch without any call site
-        // threading it through. An empty context keeps the fast path:
-        // every check below short-circuits on `None`.
+        // threading it through; so does a fault plan entered around it.
+        // An empty context keeps the fast path: every check below
+        // short-circuits on `None`.
         let ctx = cancel::current();
         // Pre-launch cancellation point: refuse already-dead work before
         // a single band runs.
@@ -197,11 +198,12 @@ impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
             seed => perturb::band_order(seed, count),
         };
         // One claimed band: re-installs the launch context on whichever
-        // thread runs it (so kernel panel loops can poll it) and checks
+        // thread runs it (so kernel panel loops can poll it, and fault
+        // sites count against the launch's plan) and checks
         // the band-boundary cancellation point. A cancelled launch skips
         // every band that has not started; its output is discarded with
         // the launch error, so the skipped writes are unobservable. Under
-        // an installed FaultPlan a band may stall (multi-band launches
+        // an entered FaultPlan a band may stall (multi-band launches
         // only) or panic before its body, exercising the pool's
         // park-and-reraise path end to end. The trace interval is
         // recorded directly (not via `telemetry::span`) so bands land on
@@ -221,7 +223,7 @@ impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
             }
             let band =
                 std::mem::take(&mut *bands[b].lock().unwrap_or_else(PoisonError::into_inner));
-            resilience::maybe_panic(&resilience::sites::EXEC_WORKER_PANIC);
+            fault::maybe_panic(&sites::EXEC_WORKER_PANIC);
             let band_start_us = telemetry::trace_now_us();
             body(band, b * step);
             telemetry::trace_complete(
@@ -233,17 +235,16 @@ impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
 
         // Chaos `pool.queue_flood` site: force the admission decision
         // this launch would face on a flooded queue.
-        let admission =
-            if count > 1 && resilience::should_fail(&resilience::sites::POOL_QUEUE_FLOOD) {
-                Err(pool::Rejected {
-                    depth: pool::pool().queue_depth(),
-                    cap: pool::queue_cap(),
-                })
-            } else {
-                pool::try_run(count, &run_band)
-            };
+        let admission = if count > 1 && fault::should_fail(&sites::POOL_QUEUE_FLOOD) {
+            Err(pool::Rejected {
+                depth: pool::pool().queue_depth(),
+                cap: pool::queue_cap(),
+            })
+        } else {
+            pool::try_run(count, &run_band)
+        };
         if let Err(rejected) = admission {
-            resilience::record_detected(&resilience::sites::POOL_QUEUE_FLOOD);
+            fault::record_detected(&sites::POOL_QUEUE_FLOOD);
             telemetry::trace_instant("exec.shed");
             telemetry::histogram("exec.shed.depth").record(rejected.depth as u64);
             telemetry::gauge("exec.pool.queue_cap").set(rejected.cap as f64);
@@ -258,7 +259,7 @@ impl<'data, 'body, T: Send> LaunchPlan<'data, 'body, T> {
             // completes — the recovery this site's counter pins.
             telemetry::counter_with("exec.shed", "inline").inc();
             pool::run_inline(count, &run_band);
-            resilience::record_recovered(&resilience::sites::POOL_QUEUE_FLOOD);
+            fault::record_recovered(&sites::POOL_QUEUE_FLOOD);
         }
         finish_status(op, &ctx)
     }
@@ -292,14 +293,14 @@ fn finish_status(op: &'static str, ctx: &Ctx) -> Result<(), ExecError> {
 /// recovery the site exists to prove. A stall cut short that way counts
 /// as detected.
 fn chaos_stall_band() {
-    let ms = resilience::delay_requested(&resilience::sites::EXEC_BAND_STALL);
+    let ms = fault::delay_requested(&sites::EXEC_BAND_STALL);
     if ms == 0 {
         return;
     }
     let until = Instant::now() + Duration::from_millis(ms);
     while Instant::now() < until {
         if cancel::poll_cancelled() {
-            resilience::record_detected(&resilience::sites::EXEC_BAND_STALL);
+            fault::record_detected(&sites::EXEC_BAND_STALL);
             break;
         }
         std::thread::sleep(Duration::from_millis(1));

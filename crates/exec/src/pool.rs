@@ -4,14 +4,15 @@
 //! Worker threads are spawned once and live for the lifetime of the
 //! process. A launch is one shared [`Launch`] whose bands sit behind a
 //! claim counter: the submitter queues handles to it, and every thread
-//! that runs bands — the submitter, a worker, a one-band or a degraded
-//! launch — claims them one at a time through the same `drain` loop. It
-//! is the CPU analogue of the paper's threadblocks, which find their own
-//! work in precomputed metadata on whichever SM is free (§5.1.3).
+//! that runs bands — the submitter, a worker, a degraded launch — claims
+//! them one at a time through the same `drain` loop; a one-band launch
+//! is a direct call. It is the CPU analogue of the paper's threadblocks,
+//! which find their own work in precomputed metadata on whichever SM is
+//! free (§5.1.3).
 //!
-//! Panic safety: a panicking band is caught where it ran, its payload is
-//! parked in the launch, and the *submitter* re-raises it once every
-//! claimed band has finished. Workers never unwind, so one poisoned
+//! Panic safety: a panicking band of a multi-band launch is caught where
+//! it ran, its payload is parked in the launch, and the *submitter*
+//! re-raises it once every claimed band has finished. Workers never unwind, so one poisoned
 //! launch cannot wedge the queue or leak a lock; the next launch sees a
 //! clean pool.
 //!
@@ -312,10 +313,15 @@ impl Pool {
 
 /// Runs a launch of `bands >= 1` calls of `body` on the calling thread
 /// alone. Which path a launch took is what `exec.launches{inline,pooled}`
-/// counts.
+/// counts. One band is a direct call: with nothing to claim or wait for,
+/// its panic unwinds straight to the caller.
 pub(crate) fn run_inline(bands: usize, body: &(dyn Fn(usize) + Sync)) {
     telemetry::counter_with("exec.launches", "inline").inc();
-    Launch::new(bands, body).finish();
+    if bands == 1 {
+        body(0);
+    } else {
+        Launch::new(bands, body).finish();
+    }
 }
 
 /// Runs a launch of `bands >= 1` calls of `body` (one per band of a launch

@@ -147,6 +147,9 @@ impl ResponseHandle {
 struct Pending {
     tokens: Matrix,
     deadline: Option<Deadline>,
+    /// The fault plan in force at [`Engine::submit`] ([`Ctx::detached`]):
+    /// a batch runs under its first member's.
+    faults: Ctx,
     submitted: Instant,
     slot: Arc<Slot>,
     counters: Arc<Counters>,
@@ -414,6 +417,7 @@ impl Engine {
         state.queue.push_back(Pending {
             tokens,
             deadline,
+            faults: cancel::current().detached(),
             submitted: Instant::now(),
             slot: Arc::clone(&slot),
             counters: Arc::clone(&self.shared.counters),
@@ -532,8 +536,9 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>) {
     // *latest* member deadline (the batch is still worth finishing
     // while any member can meet its own deadline; members that
     // individually expired mid-compute are filtered on resolution).
-    // A member without a deadline leaves the batch unbounded.
-    let mut ctx = Ctx::none().with_token(&shared.root.child());
+    // A member without a deadline leaves the batch unbounded. The batch
+    // runs under its first member's fault plan.
+    let mut ctx = batch[0].faults.clone().with_token(&shared.root.child());
     if batch.iter().all(|p| p.deadline.is_some()) {
         let latest = batch
             .iter()
@@ -627,6 +632,7 @@ mod tests {
         let pending = Pending {
             tokens,
             deadline: None,
+            faults: Ctx::none(),
             submitted: Instant::now(),
             slot: Arc::clone(&slot),
             counters: Arc::clone(counters),

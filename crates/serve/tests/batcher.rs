@@ -16,17 +16,17 @@
 //!   deadline passed before its batch formed rides in it.
 //!
 //! (v) needs no model: a lone request on an idle engine is dispatched at
-//! once. The fault plan and the perturbation seed are process-global, so
+//! once. The perturbation seed a schedule sets is process-global, so
 //! every test takes one lock.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use megablocks_core::{DroplessMoe, MoeConfig};
+use megablocks_exec::fault::{sites, FaultPlan};
 use megablocks_exec::{
     configure_threads, perturbation_seed, set_perturbation, CancelKind, Deadline,
 };
-use megablocks_resilience::{clear_plan, install_plan, report, sites, FaultPlan};
 use megablocks_serve::{Engine, EngineStats, Response, ServeConfig, ServeError};
 use megablocks_tensor::init::{normal, seeded_rng};
 use megablocks_tensor::Matrix;
@@ -46,6 +46,9 @@ const DOOMED: Duration = Duration::from_millis(20);
 /// The budget of a distant deadline: it outlives every schedule.
 const DISTANT: Duration = Duration::from_secs(600);
 
+/// Held by every test: a schedule sets the process-global perturbation
+/// seed (`set_perturbation`), which reorders and stalls the bands of
+/// every launch in the process, including another test's.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -221,17 +224,18 @@ impl Schedule {
         } else {
             HOLD.as_millis()
         };
-        install_plan(
-            FaultPlan::seeded(self.seed)
-                .at_calls(&sites::EXEC_BAND_STALL, &[0])
-                .delay_ms(hold_ms as u64),
-        );
+        // The held request records the plan at submit, and its batch
+        // runs under it on the batcher thread.
+        let plan = FaultPlan::seeded(self.seed)
+            .at_calls(&sites::EXEC_BAND_STALL, &[0])
+            .delay_ms(hold_ms as u64)
+            .enter();
         let start = Instant::now();
         let held = engine
             .submit(holder.clone(), None)
             .expect("an idle engine admits");
         let held_after = Instant::now();
-        while report().injected_at(&sites::EXEC_BAND_STALL) == 0 {
+        while plan.report().injected_at(&sites::EXEC_BAND_STALL) == 0 {
             assert!(
                 start.elapsed() < Duration::from_secs(30),
                 "the held batch never stalled"
@@ -294,7 +298,7 @@ impl Schedule {
                 result: admitted.and_then(|handle| handle.wait()),
             });
         }
-        clear_plan();
+        drop(plan);
         set_perturbation(perturbation);
 
         let (fates, want) = predict(self.cfg, &kinds, self.shutdown);

@@ -7,13 +7,13 @@
 //! and from `telemetry::snapshot()`. A scenario that needs a batch still
 //! computing parks it with an injected `exec.band_stall`, so each one
 //! runs the same in debug and release builds. One test in its own
-//! binary: the registry and the fault plan are process-global.
+//! binary: the telemetry registry is process-global.
 
 use std::time::{Duration, Instant};
 
 use megablocks_core::{DroplessMoe, MoeConfig};
+use megablocks_exec::fault::{sites, FaultPlan, FaultScope};
 use megablocks_exec::{configure_threads, Deadline};
-use megablocks_resilience::{clear_plan, install_plan, report, sites, FaultPlan};
 use megablocks_serve::{Engine, EngineStats, ResponseHandle, ServeConfig, ServeError};
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::init::{normal, seeded_rng};
@@ -50,36 +50,41 @@ impl Client {
         self.engine.submit(tokens, deadline)
     }
 
-    /// Band calls a batch of `tokens` alone makes: under a plan installed
+    /// Band calls a batch of `tokens` alone makes: under a plan entered
     /// just before it, the next batch's first band call has this index.
     fn band_calls(&self, tokens: &Matrix) -> u64 {
-        install_plan(FaultPlan::seeded(5).at_calls(&sites::EXEC_BAND_STALL, &[u64::MAX]));
+        let plan = FaultPlan::seeded(5)
+            .at_calls(&sites::EXEC_BAND_STALL, &[u64::MAX])
+            .enter();
         self.engine.layer().infer(tokens).expect("infer");
-        let calls = report().sites.iter().map(|site| site.calls).sum();
-        clear_plan();
-        calls
+        plan.report().sites.iter().map(|site| site.calls).sum()
     }
 
     /// Submits `tokens` with the band calls `calls` parked for `hold`, and
     /// returns once its batch is parked: what is submitted next queues
-    /// behind it.
-    fn hold(&mut self, tokens: Matrix, calls: &[u64], hold: Duration) -> ResponseHandle {
-        install_plan(
-            FaultPlan::seeded(5)
-                .at_calls(&sites::EXEC_BAND_STALL, calls)
-                .delay_ms(hold.as_millis() as u64),
-        );
+    /// behind it. Requests submitted while the returned scope lives
+    /// record its plan, so a batch they lead counts on.
+    fn hold(
+        &mut self,
+        tokens: Matrix,
+        calls: &[u64],
+        hold: Duration,
+    ) -> (ResponseHandle, FaultScope) {
+        let plan = FaultPlan::seeded(5)
+            .at_calls(&sites::EXEC_BAND_STALL, calls)
+            .delay_ms(hold.as_millis() as u64)
+            .enter();
         self.attempts += 1;
         let held = self.engine.submit(tokens, None).expect("admitted");
         let asked = Instant::now();
-        while report().injected_at(&sites::EXEC_BAND_STALL) == 0 {
+        while plan.report().injected_at(&sites::EXEC_BAND_STALL) == 0 {
             assert!(
                 asked.elapsed() < Duration::from_secs(30),
                 "the batch never parked"
             );
             std::thread::sleep(Duration::from_micros(100));
         }
-        held
+        (held, plan)
     }
 }
 
@@ -106,7 +111,7 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
     // Serve: a backlog of `MAX_BATCH` behind a parked batch leaves as one
     // batch.
     let holder = client.tokens(HOLDER_ROWS);
-    let held = client.hold(holder, &[0], HOLD);
+    let (held, plan) = client.hold(holder, &[0], HOLD);
     let full: Vec<_> = (0..MAX_BATCH)
         .map(|_| client.submit(2, None).expect("admitted"))
         .collect();
@@ -114,6 +119,7 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
     for handle in full {
         assert_eq!(outcome(handle), Ok(MAX_BATCH));
     }
+    drop(plan);
 
     // Dead on arrival: refused, but still one submission and one outcome.
     let dead = client.submit(1, Some(Deadline::after(Duration::ZERO)));
@@ -122,7 +128,7 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
     // Pre-batch expiry: the deadline passes while the request queues
     // behind a parked batch, so the undated elder rides alone.
     let holder = client.tokens(HOLDER_ROWS);
-    let held = client.hold(holder, &[0], HOLD);
+    let (held, plan) = client.hold(holder, &[0], HOLD);
     let elder = client.submit(1, None).expect("admitted");
     let doomed = client
         .submit(1, Some(Deadline::after(HOLD / 10)))
@@ -130,6 +136,7 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
     assert_eq!(outcome(doomed), Err(ServeError::Expired));
     assert_eq!(outcome(elder), Ok(1));
     assert_eq!(outcome(held), Ok(1));
+    drop(plan);
 
     // Post-compute expiry: a full batch forms behind a parked one and is
     // parked in turn. An undated co-rider leaves it unbounded, and one
@@ -137,7 +144,7 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
     let holder = client.tokens(HOLDER_ROWS);
     let next = client.band_calls(&holder);
     let parked = Instant::now();
-    let held = client.hold(holder, &[0, next], HOLD);
+    let (held, plan) = client.hold(holder, &[0, next], HOLD);
     let long = client.submit(HOLDER_ROWS, None).expect("admitted");
     let rider = client.submit(1, None).expect("admitted");
     let late = client
@@ -147,27 +154,30 @@ fn every_attempt_is_shed_or_submitted_and_every_submission_resolves_once() {
     assert_eq!(outcome(long), Ok(MAX_BATCH), "the late member rode");
     assert_eq!(outcome(rider), Ok(MAX_BATCH));
     assert_eq!(outcome(held), Ok(1));
+    drop(plan);
 
     // A kernel bug: a band panics with a plain payload under the batch's
     // live deadline. Only an `ExecError` payload is an abort, so this
     // panic keeps unwinding and the member resolves `Kernel`.
-    install_plan(FaultPlan::seeded(5).at_calls(&sites::EXEC_WORKER_PANIC, &[0]));
+    let plan = FaultPlan::seeded(5)
+        .at_calls(&sites::EXEC_WORKER_PANIC, &[0])
+        .enter();
     let hour = Deadline::after(Duration::from_secs(3600));
     let buggy = client.submit(HOLDER_ROWS, Some(hour)).expect("admitted");
     assert!(matches!(outcome(buggy), Err(ServeError::Kernel(_))));
-    clear_plan();
+    drop(plan);
 
     // Shutdown with one batch parked, a full queue behind it and one
     // request too many.
     let holder = client.tokens(HOLDER_ROWS);
-    let in_flight = client.hold(holder, &[0], Duration::from_secs(60));
+    let (in_flight, plan) = client.hold(holder, &[0], Duration::from_secs(60));
     let queued: Vec<_> = (0..MAX_BATCH)
         .map(|_| client.submit(1, None).expect("queued"))
         .collect();
     let excess = client.submit(1, None);
     assert!(matches!(excess, Err(ServeError::Overloaded { depth }) if depth == MAX_BATCH));
     client.engine.shutdown();
-    clear_plan();
+    drop(plan);
     assert!(matches!(outcome(in_flight), Err(ServeError::Cancelled(_))));
     for handle in queued {
         assert_eq!(outcome(handle), Err(ServeError::ShuttingDown));

@@ -18,9 +18,8 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use megablocks_core::Param;
+use megablocks_exec::fault::{self, sites::EXEC_WORKER_PANIC};
 use megablocks_exec::{self as exec, LaunchPlan};
-use megablocks_resilience as resilience;
-use megablocks_resilience::sites::EXEC_WORKER_PANIC;
 use megablocks_tensor::Matrix;
 
 /// Elements per chunk: the unit of the norm's summation order and of both
@@ -252,11 +251,11 @@ fn launch_exactly_once<T: Send>(
         let plan = LaunchPlan::over_bands(op, &mut *units, band_lens.clone(), &run);
         let Err(payload) = catch_unwind(AssertUnwindSafe(|| plan.launch())) else {
             if recovering {
-                resilience::record_recovered(&EXEC_WORKER_PANIC);
+                fault::record_recovered(&EXEC_WORKER_PANIC);
             }
             return;
         };
-        resilience::record_detected(&EXEC_WORKER_PANIC);
+        fault::record_detected(&EXEC_WORKER_PANIC);
         recovering = true;
         fruitless = if done(units) > before {
             0

@@ -36,6 +36,7 @@ mod config;
 mod model;
 mod norm;
 mod resilient;
+mod retry;
 mod trainer;
 
 pub use adam::{clip_grad_norm, Adam, AdamConfig};
@@ -47,4 +48,5 @@ pub use config::{
 pub use model::{DecodeState, StepStats, TransformerLm};
 pub use norm::LayerNorm;
 pub use resilient::{ResilienceConfig, ResilienceReport, TrainAbort};
+pub use retry::RetryPolicy;
 pub use trainer::{lr_at_step, EvalResult, PendingStep, TrainLog, Trainer, TrainerConfig};

@@ -39,7 +39,7 @@
 //! fault-free step costs an RNG snapshot and two finiteness checks more
 //! than its two phases. Every detection and recovery increments the
 //! `resilience.*` telemetry counters declared by the fault-site catalogue
-//! in `megablocks-resilience`.
+//! in `megablocks_exec::fault::sites`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -48,14 +48,14 @@ use std::time::Duration;
 use megablocks_core::checkpoint::{load_train_state_file, save_train_state_atomic, TrainState};
 use megablocks_data::TokenDataset;
 use megablocks_exec as exec;
-use megablocks_resilience as resilience;
-use megablocks_resilience::sites::{
+use megablocks_exec::fault::sites::{
     CHECKPOINT_IO, EXEC_BAND_STALL, EXEC_WORKER_PANIC, KERNEL_NAN_POISON, POOL_QUEUE_FLOOD,
 };
-use megablocks_resilience::{RetryPolicy, Site};
+use megablocks_exec::fault::{self, Site};
 use megablocks_telemetry as telemetry;
 use rand::rngs::StdRng;
 
+use crate::retry::{run_with_retry, RetryPolicy};
 use crate::{TrainLog, Trainer};
 
 /// The recovery policy a [`Trainer`] runs its steps under.
@@ -198,7 +198,7 @@ impl Trainer {
             let site = match outcome {
                 Ok(pending) if pending.ce_loss.is_finite() && pending.grad_norm.is_finite() => {
                     for site in &faults {
-                        resilience::record_recovered(site);
+                        fault::record_recovered(site);
                     }
                     let log = self.apply_step(pending);
                     self.report.steps_completed += 1;
@@ -207,7 +207,7 @@ impl Trainer {
                     return Ok(log);
                 }
                 Ok(pending) => {
-                    resilience::record_detected(&KERNEL_NAN_POISON);
+                    fault::record_detected(&KERNEL_NAN_POISON);
                     self.report.nonfinite_steps += 1;
                     telemetry::counter("resilience.trainer.nonfinite").inc();
                     last_reason = format!("non-finite loss or gradient (ce = {})", pending.ce_loss);
@@ -241,7 +241,7 @@ impl Trainer {
                     }
                     Err(payload) => {
                         last_reason = panic_reason(payload.as_ref());
-                        resilience::record_detected(&EXEC_WORKER_PANIC);
+                        fault::record_detected(&EXEC_WORKER_PANIC);
                         self.report.worker_panics += 1;
                         telemetry::counter("resilience.trainer.panics").inc();
                         EXEC_WORKER_PANIC
@@ -308,14 +308,14 @@ impl Trainer {
             // Errors surface through the counters; older files are tried next.
             let Ok(state) = load_train_state_file(&path, &mut self.model.params_mut()) else {
                 saw_corrupt = true;
-                resilience::record_detected(&CHECKPOINT_IO);
+                fault::record_detected(&CHECKPOINT_IO);
                 telemetry::counter("resilience.checkpoint.rejected").inc();
                 continue;
             };
             if saw_corrupt {
                 // Falling back to an older checkpoint healed the torn
                 // newer one.
-                resilience::record_recovered(&CHECKPOINT_IO);
+                fault::record_recovered(&CHECKPOINT_IO);
             }
             self.step = state.step as usize;
             // A parameters-only checkpoint carries a zero RNG state and no
@@ -367,17 +367,17 @@ impl Trainer {
         let path = dir.join(format!("step-{step:08}.ckpt"));
         let params = self.model.params_mut();
         let mut failures = 0u32;
-        let result = resilience::run_with_retry(&self.resilience.retry, "checkpoint.write", || {
+        let result = run_with_retry(&self.resilience.retry, "checkpoint.write", || {
             save_train_state_atomic(&path, &params, &state).inspect_err(|_| {
                 failures += 1;
-                resilience::record_detected(&CHECKPOINT_IO);
+                fault::record_detected(&CHECKPOINT_IO);
             })
         });
         drop(params);
         match result {
             Ok(()) => {
                 if failures > 0 {
-                    resilience::record_recovered(&CHECKPOINT_IO);
+                    fault::record_recovered(&CHECKPOINT_IO);
                 }
                 self.report.checkpoints_written += 1;
                 telemetry::trace_instant("resilience.checkpoint_written");

@@ -1,29 +1,20 @@
 //! Faults inside a training step: an overload shed is retried like a
 //! blown deadline, not counted as a worker panic; a poisoned step rolls
 //! back and gives every workspace buffer back.
-//!
-//! The fault plan is process-global, so this binary owns it and every
-//! test here takes one lock.
 
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use megablocks_core::MoeConfig;
 use megablocks_data::{PileConfig, SyntheticPile, TokenDataset};
+use megablocks_exec::fault::sites::{KERNEL_NAN_POISON, POOL_QUEUE_FLOOD};
+use megablocks_exec::fault::FaultPlan;
 use megablocks_exec::{configure_threads, scoped_parallelism, workspace};
-use megablocks_resilience::sites::{KERNEL_NAN_POISON, POOL_QUEUE_FLOOD};
-use megablocks_resilience::{clear_plan, install_plan, report, FaultPlan, RetryPolicy};
 use megablocks_telemetry as telemetry;
 use megablocks_tensor::init::seeded_rng;
 use megablocks_transformer::{
-    FfnKind, ResilienceConfig, Trainer, TrainerConfig, TransformerConfig, TransformerLm,
+    FfnKind, ResilienceConfig, RetryPolicy, Trainer, TrainerConfig, TransformerConfig,
+    TransformerLm,
 };
-
-static PLAN: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    PLAN.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn dataset() -> TokenDataset {
     SyntheticPile::generate(
@@ -64,7 +55,6 @@ fn trainer() -> Trainer {
 
 #[test]
 fn an_overload_shed_is_retried_not_counted_as_a_worker_panic() {
-    let _serial = serial();
     // Four bands per launch, whatever the host: the flood site only
     // fires on a multi-band launch.
     configure_threads(4);
@@ -77,11 +67,13 @@ fn an_overload_shed_is_retried_not_counted_as_a_worker_panic() {
     };
     let recovered = telemetry::counter(POOL_QUEUE_FLOOD.recovered);
     let recovered_before = recovered.get();
-    install_plan(FaultPlan::seeded(7).at_calls(&POOL_QUEUE_FLOOD, &[0]));
+    let plan = FaultPlan::seeded(7)
+        .at_calls(&POOL_QUEUE_FLOOD, &[0])
+        .enter();
     let mut rt = trainer().with_resilience(cfg);
     let log = rt.try_train_step(&data).expect("one step cannot abort");
-    assert_eq!(report().injected_at(&POOL_QUEUE_FLOOD), 1);
-    clear_plan();
+    assert_eq!(plan.report().injected_at(&POOL_QUEUE_FLOOD), 1);
+    drop(plan);
 
     assert!(log.is_some(), "the retried step completes");
     let rep = rt.report();
@@ -96,7 +88,6 @@ fn an_overload_shed_is_retried_not_counted_as_a_worker_panic() {
 
 #[test]
 fn a_rolled_back_step_gives_every_workspace_buffer_back() {
-    let _serial = serial();
     let data = dataset();
     let cfg = ResilienceConfig {
         retry: RetryPolicy::immediate(1),
@@ -114,10 +105,12 @@ fn a_rolled_back_step_gives_every_workspace_buffer_back() {
         // build's GEMM sweep unwinds at the op that reads it, a release
         // build reaches the non-finite loss. Either way the attempt rolls
         // back with buffers in flight, and the retry completes.
-        install_plan(FaultPlan::seeded(3).at_calls(&KERNEL_NAN_POISON, &[0]));
+        let plan = FaultPlan::seeded(3)
+            .at_calls(&KERNEL_NAN_POISON, &[0])
+            .enter();
         let outcome = trainer.try_train_step(&data);
-        let fired = report().injected_at(&KERNEL_NAN_POISON);
-        clear_plan();
+        let fired = plan.report().injected_at(&KERNEL_NAN_POISON);
+        drop(plan);
         assert_eq!(fired, 1);
         let outcome = outcome.expect("one failed attempt cannot abort");
         assert!(outcome.is_some(), "the retried step completes");

@@ -4,24 +4,13 @@
 //! panics before its body runs (`exec.worker_panic`) re-runs only the
 //! chunks that did not run; and an update under a cancelled context
 //! still runs to the end.
-//!
-//! The fault plan is process-global, so every test here takes one lock.
-
-use std::sync::{Mutex, MutexGuard};
 
 use megablocks_core::MoeConfig;
 use megablocks_data::{PileConfig, SyntheticPile, TokenDataset};
+use megablocks_exec::fault::{sites::EXEC_WORKER_PANIC, FaultPlan};
 use megablocks_exec::{self as exec, scoped_parallelism, CancelToken, Ctx};
-use megablocks_resilience::sites::EXEC_WORKER_PANIC;
-use megablocks_resilience::{clear_plan, install_plan, report, FaultPlan};
 use megablocks_tensor::init::seeded_rng;
 use megablocks_transformer::{FfnKind, Trainer, TrainerConfig, TransformerConfig, TransformerLm};
-
-static PLAN: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    PLAN.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn dataset() -> TokenDataset {
     SyntheticPile::generate(
@@ -84,7 +73,6 @@ fn state_bits(trainer: &mut Trainer) -> Vec<Vec<u32>> {
 
 #[test]
 fn weights_moments_and_norm_do_not_depend_on_the_band_count() {
-    let _serial = serial();
     let data = dataset();
     let runs: Vec<(Vec<Vec<u32>>, Vec<u32>)> = [1, 2, 3]
         .map(|threads| {
@@ -119,7 +107,6 @@ fn step(during: impl FnOnce(&mut Trainer, megablocks_transformer::PendingStep)) 
 
 #[test]
 fn a_band_lost_before_its_body_is_rerun_and_nothing_else() {
-    let _serial = serial();
     let want = step(|t, pending| {
         t.apply_step(pending);
     });
@@ -127,10 +114,11 @@ fn a_band_lost_before_its_body_is_rerun_and_nothing_else() {
     // a band of it; 3 and 4 are bands of the relaunch.
     for calls in [&[0][..], &[1], &[2], &[0, 3, 4]] {
         let got = step(|t, pending| {
-            install_plan(FaultPlan::seeded(1).at_calls(&EXEC_WORKER_PANIC, calls));
+            let plan = FaultPlan::seeded(1)
+                .at_calls(&EXEC_WORKER_PANIC, calls)
+                .enter();
             t.apply_step(pending);
-            let fired = report().injected_at(&EXEC_WORKER_PANIC);
-            clear_plan();
+            let fired = plan.report().injected_at(&EXEC_WORKER_PANIC);
             assert_eq!(fired, calls.len() as u64, "faults at {calls:?}");
         });
         assert!(got == want, "faults at {calls:?} changed the update");
@@ -139,7 +127,6 @@ fn a_band_lost_before_its_body_is_rerun_and_nothing_else() {
 
 #[test]
 fn a_cancelled_context_does_not_stop_the_update() {
-    let _serial = serial();
     let want = step(|t, pending| {
         t.apply_step(pending);
     });

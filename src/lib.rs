@@ -18,16 +18,17 @@
 //!   kernel launches on, the [`exec::LaunchPlan`] band abstraction, and
 //!   the reusable buffer workspace. Thread count is controlled with
 //!   [`exec::configure_threads`] or the `MEGABLOCKS_THREADS` environment
-//!   variable.
+//!   variable. Its [`exec::fault`] module is the fault-injection layer:
+//!   always compiled, quiet until a [`exec::fault::FaultPlan`] is
+//!   entered, and in force only for the work done under its scope. The
+//!   checkpoint format's CRC32 and atomic writes are in
+//!   [`core::checkpoint`], and [`transformer::Trainer`]'s step recovery
+//!   backs off by a [`transformer::RetryPolicy`].
 //! * [`telemetry`] — span timers, counters, histograms and JSONL export
 //!   for observing training runs. Always compiled: the bounded metrics
 //!   always record, the timeline and the per-step logs only once
 //!   [`telemetry::trace_set_enabled`] (or a [`telemetry::FlushOnDrop`]
 //!   given an output path) turns them on.
-//! * [`resilience`] — fault injection (always compiled; quiet until a
-//!   [`resilience::FaultPlan`] is installed) and the fault-tolerance
-//!   primitives (CRC32, atomic writes, retry/backoff) the checkpoint
-//!   format and [`transformer::Trainer`]'s step recovery build on.
 //! * [`serve`] — batched inference serving: a deadline-aware
 //!   micro-batching engine ([`serve::Engine`]) over the dMoE
 //!   inference-only path, with bounded admission and load shedding.
@@ -51,7 +52,6 @@ pub use megablocks_core as core;
 pub use megablocks_data as data;
 pub use megablocks_exec as exec;
 pub use megablocks_gpusim as gpusim;
-pub use megablocks_resilience as resilience;
 pub use megablocks_serve as serve;
 pub use megablocks_sparse as sparse;
 pub use megablocks_telemetry as telemetry;

@@ -5,17 +5,14 @@
 //! checkpoint directory. The other two registered sites,
 //! `exec.band_stall` and `pool.queue_flood`, are exec's own drills
 //! (`crates/exec/tests/chaos.rs`).
-//!
-//! The fault plan is process-global, so this soak owns its own
-//! integration-test binary (one process, one test).
 
 use std::path::PathBuf;
 
 use megablocks::core::checkpoint::validate_checkpoint_file;
 use megablocks::core::MoeConfig;
 use megablocks::data::{PileConfig, SyntheticPile, TokenDataset};
-use megablocks::resilience::sites::{CHECKPOINT_IO, EXEC_WORKER_PANIC, KERNEL_NAN_POISON};
-use megablocks::resilience::{clear_plan, install_plan, report, FaultPlan};
+use megablocks::exec::fault::sites::{CHECKPOINT_IO, EXEC_WORKER_PANIC, KERNEL_NAN_POISON};
+use megablocks::exec::fault::FaultPlan;
 use megablocks::tensor::init::seeded_rng;
 use megablocks::transformer::{
     FfnKind, ResilienceConfig, Trainer, TrainerConfig, TransformerConfig, TransformerLm,
@@ -69,7 +66,6 @@ fn temp_dir() -> PathBuf {
 #[test]
 fn soak_survives_every_fault_kind_and_matches_the_baseline() {
     // --- Fault-free baseline -------------------------------------------
-    clear_plan();
     let (train, valid) = dataset();
     let mut baseline = trainer();
     baseline.train(&train, STEPS).expect("fault-free run");
@@ -80,12 +76,11 @@ fn soak_survives_every_fault_kind_and_matches_the_baseline() {
     // before the NaN poisoning lands (a few steps later) — each recovery
     // path is observed on its own.
     let dir = temp_dir();
-    install_plan(
-        FaultPlan::seeded(41)
-            .at_calls(&EXEC_WORKER_PANIC, &[2])
-            .at_calls(&KERNEL_NAN_POISON, &[30])
-            .at_calls(&CHECKPOINT_IO, &[0]),
-    );
+    let plan = FaultPlan::seeded(41)
+        .at_calls(&EXEC_WORKER_PANIC, &[2])
+        .at_calls(&KERNEL_NAN_POISON, &[30])
+        .at_calls(&CHECKPOINT_IO, &[0])
+        .enter();
 
     let cfg = ResilienceConfig {
         checkpoint_dir: Some(dir.clone()),
@@ -98,7 +93,7 @@ fn soak_survives_every_fault_kind_and_matches_the_baseline() {
         .expect("the soak must complete under faults");
 
     // --- Every scheduled site actually injected ------------------------
-    let injected = report();
+    let injected = plan.report();
     for site in [&EXEC_WORKER_PANIC, &KERNEL_NAN_POISON, &CHECKPOINT_IO] {
         assert!(
             injected.injected_at(site) >= 1,
@@ -106,7 +101,7 @@ fn soak_survives_every_fault_kind_and_matches_the_baseline() {
             site.name
         );
     }
-    clear_plan();
+    drop(plan);
 
     // --- Recovery evidence ---------------------------------------------
     let rep = rt.report();

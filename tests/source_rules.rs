@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-const SITES: &str = "crates/resilience/src/sites.rs";
+const SITES: &str = "crates/exec/src/fault/sites.rs";
 const ERROR_ENUMS: &[&str] = &["SparseError"];
 const MIN_SAFETY_WORDS: usize = 4;
 const README: &str = "README.md";
