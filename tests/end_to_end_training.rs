@@ -148,11 +148,19 @@ fn six_steps(ffn: &FfnKind, dir: Option<&Path>) -> f32 {
 #[test]
 fn eval_loss_is_pinned_by_bits_straight_and_across_a_resume() {
     // Read off a straight run before the recovery policy moved into
-    // `Trainer`; any change to what a step computes moves them.
+    // `Trainer` (dense, dMoE) and before the three MoE layers became one
+    // generic layer (dropping, expert choice); any change to what a step
+    // computes moves them.
     let moe = MoeConfig::new(32, 64, 4).with_block_size(8);
     let pins = [
         ("dense", FfnKind::Dense, 0x4080_b423_u32),
-        ("dMoE", FfnKind::Dropless(moe), 0x4081_068a),
+        ("dMoE", FfnKind::Dropless(moe.clone()), 0x4081_068a),
+        (
+            "dropping-cf1",
+            FfnKind::Dropping(moe.clone().with_capacity(CapacityFactor::Fixed(1.0))),
+            0x4081_1ba0,
+        ),
+        ("expert-choice", FfnKind::ExpertChoice(moe), 0x4080_f5a6),
     ];
     for (name, ffn, bits) in pins {
         let straight = six_steps(&ffn, None);
