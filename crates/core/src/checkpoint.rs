@@ -281,17 +281,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     })
 }
 
-/// Writes `bytes` to `path` atomically: it stages them in a sibling temp
-/// file, fsyncs it, then renames it over `path`. On POSIX filesystems the
-/// rename is atomic, so a crash (or an injected fault) at any point
-/// leaves either the old file or the new one, never a torn hybrid. The
-/// [`sites::CHECKPOINT_IO`] fault site is queried before each stage.
+/// Writes `bytes` to `path` atomically and durably: it stages them in a
+/// sibling temp file, fsyncs it, renames it over `path`, then (on Unix)
+/// fsyncs the directory, without which a crash can lose the rename. On
+/// POSIX filesystems the rename is atomic, so a crash (or an injected
+/// fault) at any point leaves either the old file or the new one, never a
+/// torn hybrid. The [`sites::CHECKPOINT_IO`] fault site is queried before
+/// each of the first three stages.
 ///
 /// # Errors
 ///
 /// Returns any underlying I/O error (or one injected by an entered fault
-/// plan). On error the temp file is removed best-effort and `path` is
-/// left exactly as it was.
+/// plan). On an error before the rename the temp file is removed
+/// best-effort and `path` is left exactly as it was; on one syncing the
+/// directory, `path` holds the new bytes but they may not survive a crash.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let _span = telemetry::span("resilience.atomic_write");
     let mut tmp = path.as_os_str().to_owned();
@@ -306,7 +309,12 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         f.sync_all()?;
         drop(f);
         fault::maybe_io_error(&sites::CHECKPOINT_IO)?;
-        fs::rename(tmp, path)
+        fs::rename(tmp, path)?;
+        if cfg!(unix) {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
+        Ok(())
     })();
 
     if result.is_err() {

@@ -12,8 +12,8 @@ pub enum CapacityFactor {
     Dynamic,
 }
 
-/// Configuration of an MoE layer, shared by [`crate::DroplessMoe`] and
-/// [`crate::DroppingMoe`].
+/// Configuration of an MoE layer ([`crate::MoeLayer`]), whatever its
+/// placement policy.
 ///
 /// Mirrors the hyperparameters of the paper's Table 2 models:
 /// `num_experts = 64`, `top_k = 1`, experts are 2-layer MLPs with the
@@ -33,8 +33,8 @@ pub struct MoeConfig {
     /// Coefficient of the load-balancing auxiliary loss (Switch
     /// Transformer uses 0.01).
     pub load_balance_weight: f32,
-    /// Capacity policy used by the token-dropping baseline. Ignored by
-    /// [`crate::DroplessMoe`].
+    /// Capacity policy used by the token-dropping baseline
+    /// ([`crate::DroppingMoe`]). Ignored by the other placements.
     pub capacity: CapacityFactor,
 }
 

@@ -8,8 +8,6 @@
 //! four remaining products of §5.1 backward (SDD^T and DS^TD for the second
 //! expert layer, DSD^T and DD^TS for the first).
 
-use std::borrow::Cow;
-
 use megablocks_exec as exec;
 use megablocks_sparse::{ops, BlockSparseMatrix, SparseError, Topology};
 use megablocks_telemetry as telemetry;
@@ -17,8 +15,8 @@ use megablocks_tensor::ops::{gelu_grad_mul, gelu_inplace, gelu_into};
 use megablocks_tensor::Matrix;
 
 use crate::{
-    load_balancing_loss, padded_gather, padded_gather_backward, padded_scatter,
-    padded_scatter_backward, MoeStats, Param, PermuteInfo, Router, Routing,
+    padded_gather, padded_gather_backward, padded_scatter, padded_scatter_backward, Param,
+    PermuteInfo,
 };
 
 /// Elements below this stay single-banded in the elementwise activation
@@ -40,121 +38,9 @@ pub(crate) enum Retain {
 pub(crate) struct ExpertCache {
     pub(crate) permute: PermuteInfo,
     xg: Matrix,
-    h_pre: BlockSparseMatrix,
-    h_act: BlockSparseMatrix,
+    pub(crate) h_pre: BlockSparseMatrix,
+    pub(crate) h_act: BlockSparseMatrix,
     y: Matrix,
-}
-
-/// Everything the backward pass of a token-choice layer needs from a
-/// forward invocation.
-///
-/// Holding the cache in a separate value (rather than layer state) keeps
-/// the layer reentrant under gradient accumulation: each micro-batch owns
-/// its cache.
-#[derive(Debug, Clone)]
-pub struct MoeCache {
-    x: Matrix,
-    pub(crate) routing: Routing,
-    pub(crate) experts: ExpertCache,
-    d_probs_aux: Matrix,
-}
-
-/// Result of a token-choice layer's forward pass.
-#[derive(Debug, Clone)]
-pub struct MoeOutput {
-    /// Layer output, `num_tokens x hidden_size`. A token whose every
-    /// assignment was dropped produces a zero row (its value re-enters
-    /// through the residual connection).
-    pub output: Matrix,
-    /// Forward-pass statistics: dropped assignments and padding waste.
-    pub stats: MoeStats,
-    /// Cache to pass to the layer's `backward`.
-    pub cache: MoeCache,
-}
-
-/// What [`token_choice_forward`] returns: the layer output and, under
-/// [`Retain::ForBackward`], the statistics and the cache.
-pub(crate) type Pass = (Matrix, Option<(MoeStats, MoeCache)>);
-
-/// A token-choice layer's forward pass (Figure 6): (1) route; (2) `policy`
-/// decides who goes where — the permutation, the topology, and the number
-/// of rows the layer accounts for (the padded rows of a dropless layer,
-/// `num_experts * capacity` of a dropping one); (3)–(5) the expert
-/// pipeline. Under [`Retain::ForBackward`] it closes with the
-/// load-balancing loss, the recorded [`MoeStats`] and the cache, which
-/// keeps `x`: a caller that retains passes it owned (a borrowed one would
-/// be cloned).
-pub(crate) fn token_choice_forward(
-    router: &Router,
-    w1: &Matrix,
-    w2: &Matrix,
-    load_balance_weight: f32,
-    x: Cow<'_, Matrix>,
-    retain: Retain,
-    policy: impl FnOnce(&Routing) -> Result<(PermuteInfo, Topology, usize), SparseError>,
-) -> Result<Pass, SparseError> {
-    let routing = router.forward(&x);
-    let (permute, topology, slots) = policy(&routing)?;
-    let (output, experts) = forward(&x, w1, w2, &topology, permute, &routing.weights, retain)?;
-    let Some(experts) = experts else {
-        return Ok((output, None));
-    };
-
-    let permute = &experts.permute;
-    let lb = load_balancing_loss(&routing, load_balance_weight);
-    let kept: usize = permute.kept_per_expert().iter().sum();
-    let stats = MoeStats {
-        dropped_tokens: permute.num_assignments() - kept,
-        padding_rows: slots - kept,
-        tokens_per_expert: permute.tokens_per_expert().to_vec(),
-        load_balancing_loss: lb.loss,
-        padding_overhead: MoeStats::overhead(slots - kept, kept),
-        expert_load: permute.kept_per_expert().to_vec(),
-    };
-    crate::record_moe_stats(&stats);
-    let cache = MoeCache {
-        x: x.into_owned(),
-        routing,
-        experts,
-        d_probs_aux: lb.d_probs,
-    };
-    Ok((output, Some((stats, cache))))
-}
-
-impl MoeOutput {
-    /// The result of a [`Retain::ForBackward`] [`token_choice_forward`].
-    pub(crate) fn of((output, kept): Pass) -> Self {
-        let (stats, cache) = kept.expect("a ForBackward pass keeps its cache");
-        Self {
-            output,
-            stats,
-            cache,
-        }
-    }
-}
-
-impl MoeCache {
-    /// The expert activations the forward pass kept, before and after the
-    /// GeLU, in the block layout of the pass's topology.
-    pub fn activations(&self) -> (&BlockSparseMatrix, &BlockSparseMatrix) {
-        (&self.experts.h_pre, &self.experts.h_act)
-    }
-
-    /// Backward of a token-choice layer: the expert pipeline, then the
-    /// router (confidence weights + load-balancing loss).
-    pub(crate) fn backward(
-        &self,
-        router: &mut Router,
-        w1: &mut Param,
-        w2: &mut Param,
-        d_out: &Matrix,
-    ) -> Matrix {
-        let (mut dx, d_weights) = backward(w1, w2, &self.experts, &self.routing.weights, d_out);
-        let dx_router =
-            router.backward(&self.x, &self.routing, &d_weights, Some(&self.d_probs_aux));
-        dx.add_assign(&dx_router);
-        dx
-    }
 }
 
 /// Steps (3)–(5) of Figure 6 for the assignments `permute` keeps: permute

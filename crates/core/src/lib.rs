@@ -12,16 +12,20 @@
 //!   block size, fused exactly like the custom kernels of §5.2. An
 //!   assignment may be dropped: it then has no row.
 //! * One expert pipeline (`experts`, crate-private): gather → SDD → GeLU →
-//!   DSD → scatter and its backward. Every MoE layer below decides only
-//!   *who goes where* — a [`PermuteInfo`] and a block-diagonal topology —
-//!   and runs it (Figure 3: a capacity-padded batched matmul is the same
-//!   product with equal blocks).
-//! * [`DroplessMoe`] — the paper's dMoE layer (Figure 6): every assignment
-//!   kept, each expert padded to the next block.
-//! * [`DroppingMoe`] — the token-dropping baseline (GShard/Switch/Tutel
-//!   formulation, §2–3): experts fill to a capacity in token order, the
-//!   rest drop; including Tutel's dynamic capacity factor.
-//! * [`ExpertChoiceMoe`] — expert-choice routing (§7) as one more policy.
+//!   DSD → scatter and its backward.
+//! * [`MoeLayer`] — the one MoE layer (Figure 6) over that pipeline. Its
+//!   [`Placement`] policy decides only *who goes where* — the routing, a
+//!   [`PermuteInfo`] and a block-diagonal topology (Figure 3: a
+//!   capacity-padded batched matmul is the same product with equal
+//!   blocks):
+//!   * [`DroplessMoe`] (`MoeLayer<`[`Dropless`]`>`) — the paper's dMoE:
+//!     every assignment kept, each expert padded to the next block;
+//!   * [`DroppingMoe`] (`MoeLayer<`[`Dropping`]`>`) — the token-dropping
+//!     baseline (GShard/Switch/Tutel formulation, §2–3): experts fill to a
+//!     capacity in token order, the rest drop; including Tutel's dynamic
+//!     capacity factor;
+//!   * [`ExpertChoiceMoe`] (`MoeLayer<`[`ExpertChoice`]`>`) — expert-choice
+//!     routing (§7): each expert picks its most probable tokens.
 //! * [`DenseFfn`] — the dense FFN layer a standard Transformer uses, for
 //!   the Megatron-LM baseline.
 //!
@@ -44,23 +48,21 @@
 
 pub mod checkpoint;
 mod config;
-mod dmoe;
-mod dropping;
-mod expert_choice;
 mod experts;
 mod ffn;
 mod loss;
+mod moe;
 mod param;
 mod permute;
 mod router;
 
 pub use config::{CapacityFactor, MoeConfig};
-pub use dmoe::{DmoeCache, DmoeOutput, DroplessMoe};
-pub use dropping::{DroppingMoe, DroppingMoeCache, DroppingMoeOutput};
-pub use expert_choice::{ExpertChoiceCache, ExpertChoiceMoe, ExpertChoiceOutput};
-pub use experts::{MoeCache, MoeOutput};
 pub use ffn::{DenseFfn, FfnCache};
 pub use loss::{load_balancing_loss, LoadBalance};
+pub use moe::{
+    DmoeCache, DmoeOutput, Dropless, DroplessMoe, Dropping, DroppingMoe, DroppingMoeCache,
+    DroppingMoeOutput, ExpertChoice, ExpertChoiceMoe, MoeCache, MoeLayer, MoeOutput, Placement,
+};
 pub use param::Param;
 pub use permute::{
     padded_gather, padded_gather_backward, padded_scatter, padded_scatter_backward, PermuteInfo,

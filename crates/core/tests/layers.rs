@@ -1,13 +1,13 @@
-//! The three MoE layers and the dense FFN against one finite-difference
-//! harness, and the exact identities that hold because the MoE layers
-//! share one expert pipeline.
+//! The MoE layers, the router and the dense FFN against one
+//! finite-difference harness, and the exact identities that hold because
+//! every MoE layer is one layer over a placement policy.
 
 use megablocks_core::{
-    CapacityFactor, DenseFfn, DroplessMoe, DroppingMoe, ExpertChoiceMoe, MoeConfig, Param,
+    CapacityFactor, DenseFfn, DroplessMoe, DroppingMoe, ExpertChoiceMoe, MoeConfig, MoeLayer,
+    Param, Placement, Router,
 };
 use megablocks_tensor::init::{normal, seeded_rng};
-use megablocks_tensor::ops::softmax_rows;
-use megablocks_tensor::{matmul, Matrix};
+use megablocks_tensor::Matrix;
 
 const HIDDEN: usize = 6;
 
@@ -28,46 +28,54 @@ trait Layer {
     fn assignment(&mut self, x: &Matrix) -> Vec<usize>;
 }
 
-macro_rules! layer {
-    ($ty:ty, $assignment:expr) => {
-        impl Layer for $ty {
-            fn params_mut(&mut self) -> Vec<&mut Param> {
-                <$ty>::params_mut(self)
-            }
-            fn run(&self, x: &Matrix) -> (Matrix, f32) {
-                let out = self.forward(x);
-                (out.output, out.stats.load_balancing_loss)
-            }
-            fn grads(&mut self, x: &Matrix, d_out: &Matrix) -> Matrix {
-                let out = self.forward(x);
-                self.backward(&out.cache, d_out)
-            }
-            fn assignment(&mut self, x: &Matrix) -> Vec<usize> {
-                let assignment: fn(&mut $ty, &Matrix) -> Vec<usize> = $assignment;
-                assignment(self, x)
-            }
-        }
-    };
+impl<P: Placement> Layer for MoeLayer<P> {
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        MoeLayer::params_mut(self)
+    }
+    fn run(&self, x: &Matrix) -> (Matrix, f32) {
+        let out = self.forward(x);
+        (out.output, out.stats.load_balancing_loss)
+    }
+    fn grads(&mut self, x: &Matrix, d_out: &Matrix) -> Matrix {
+        let out = self.forward(x);
+        self.backward(&out.cache, d_out)
+    }
+    // Each expert's demand and each assignment's row: the rows alone fix
+    // every kept assignment's expert once the demand fixes the offsets.
+    fn assignment(&mut self, x: &Matrix) -> Vec<usize> {
+        let out = self.forward(x);
+        let permute = out.cache.permute();
+        let rows = (0..permute.num_assignments()).map(|a| permute.row_of(a).unwrap_or(usize::MAX));
+        permute
+            .tokens_per_expert()
+            .iter()
+            .copied()
+            .chain(rows)
+            .collect()
+    }
 }
 
-// Token choice: the drop pattern is a function of the expert indices.
-layer!(DroplessMoe, |l, x| l.router().forward(x).expert_indices);
-layer!(DroppingMoe, |l, x| l.router().forward(x).expert_indices);
-// Expert choice: each expert's `capacity` most probable tokens, recomputed
-// from the router weight.
-layer!(ExpertChoiceMoe, |l, x| {
-    let capacity = l.capacity(x.rows());
-    let probs = softmax_rows(&matmul(x, l.params_mut()[0].value()));
-    let mut picks = Vec::new();
-    for e in 0..probs.cols() {
-        let mut tokens: Vec<usize> = (0..x.rows()).collect();
-        tokens.sort_by(|&a, &b| probs[(b, e)].total_cmp(&probs[(a, e)]).then(a.cmp(&b)));
-        tokens.truncate(capacity);
-        tokens.sort_unstable();
-        picks.extend(tokens);
+// The router's output is its per-assignment weights, one row of `top_k`
+// per token, so the objective reads the first `tokens * top_k` entries of
+// its weight matrix, and the backward takes the same entries as `d_weights`.
+impl Layer for Router {
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        vec![self.weight_mut()]
     }
-    picks
-});
+    fn run(&self, x: &Matrix) -> (Matrix, f32) {
+        let routing = self.forward(x);
+        let weights = Matrix::from_vec(x.rows(), self.top_k(), routing.weights);
+        (weights.expect("top_k weights per token"), 0.0)
+    }
+    fn grads(&mut self, x: &Matrix, d_out: &Matrix) -> Matrix {
+        let routing = self.forward(x);
+        let d_weights = &d_out.as_slice()[..routing.weights.len()];
+        self.backward(x, &routing, d_weights, None)
+    }
+    fn assignment(&mut self, x: &Matrix) -> Vec<usize> {
+        self.forward(x).expert_indices
+    }
+}
 
 // A dense FFN routes nothing: no perturbation changes who goes where.
 impl Layer for DenseFfn {
@@ -214,6 +222,14 @@ fn every_layer_matches_finite_differences() {
             Box::new(ExpertChoiceMoe::new(cfg(), &mut rng)),
         ),
         ("dense ffn", Box::new(DenseFfn::new(HIDDEN, 8, &mut rng))),
+        (
+            "router top-1",
+            Box::new(Router::new(HIDDEN, 3, 1, &mut rng)),
+        ),
+        (
+            "router top-2",
+            Box::new(Router::new(HIDDEN, 3, 2, &mut rng)),
+        ),
     ];
     for (seed, (name, layer)) in cases.iter_mut().enumerate() {
         check_gradients(name, layer.as_mut(), 12, 10 + seed as u64);

@@ -43,11 +43,6 @@ impl BlockSize {
     pub fn round_up(self, n: usize) -> usize {
         n.div_ceil(self.0) * self.0
     }
-
-    /// Number of blocks needed to cover `n` elements.
-    pub fn blocks_for(self, n: usize) -> usize {
-        n.div_ceil(self.0)
-    }
 }
 
 impl Default for BlockSize {
@@ -85,8 +80,9 @@ mod tests {
         assert_eq!(bs.round_up(1), 128);
         assert_eq!(bs.round_up(128), 128);
         assert_eq!(bs.round_up(129), 256);
-        assert_eq!(bs.blocks_for(129), 2);
-        assert_eq!(bs.blocks_for(0), 0);
+        // The blocks needed for `n` elements: two for 129, none for 0.
+        assert_eq!(bs.round_up(129) / bs.get(), 2);
+        assert_eq!(bs.round_up(0) / bs.get(), 0);
     }
 
     #[test]

@@ -488,20 +488,11 @@ product_wrappers! {
 ///
 /// Panics if `s.shape().0 != d.rows()`.
 pub fn dst_d_explicit(s: &BlockSparseMatrix, d: &Matrix) -> Matrix {
-    try_dst_d_explicit(s, d).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`dst_d_explicit`].
-///
-/// # Errors
-///
-/// Returns [`SparseError::Mismatch`] on incompatible shapes.
-pub fn try_dst_d_explicit(s: &BlockSparseMatrix, d: &Matrix) -> Result<Matrix, SparseError> {
     // The span covers the materialized transpose plus the inner DSD (which
     // records its own nested "sparse.dsd" span), so the ablation's extra
     // cost shows up as this span's exclusive time.
     let _span = telemetry::span("sparse.dst_d_explicit");
-    try_dsd(&s.explicit_transpose(), d)
+    try_dsd(&s.explicit_transpose(), d).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// DS^TD accumulated into a caller's matrix: `out += s^T * d` — the

@@ -1,8 +1,8 @@
 //! A pre-norm Transformer block with a pluggable feed-forward layer.
 
 use megablocks_core::{
-    DenseFfn, DmoeCache, DroplessMoe, DroppingMoe, DroppingMoeCache, ExpertChoiceCache,
-    ExpertChoiceMoe, FfnCache, MoeStats, Param,
+    DenseFfn, DroplessMoe, DroppingMoe, ExpertChoiceMoe, FfnCache, MoeCache, MoeLayer, MoeStats,
+    Param, Placement,
 };
 use megablocks_tensor::ops::LayerNormCache;
 use megablocks_tensor::Matrix;
@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 use crate::attention::{KvCache, Retain};
 use crate::{Attention, AttentionCache, FfnKind, LayerNorm};
 
-/// The feed-forward sub-layer of a block: dense, dropless MoE, or
-/// token-dropping MoE.
+/// The feed-forward sub-layer of a block: dense, or the MoE layer under
+/// one of its placements.
 #[derive(Debug, Clone)]
 pub enum BlockFfn {
     /// Dense 2-layer MLP (Megatron-LM baseline).
@@ -27,12 +27,18 @@ pub enum BlockFfn {
 
 /// Cache of whichever FFN flavor ran in the forward pass.
 #[derive(Debug, Clone)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one per block forward, moved into its `BlockCache`: a box would only add an allocation"
+)]
 enum FfnCacheKind {
     Dense(FfnCache),
-    Dropless(DmoeCache),
-    Dropping(DroppingMoeCache),
-    ExpertChoice(ExpertChoiceCache),
+    Moe(MoeCache),
 }
+
+/// What an FFN's part of [`Block::pass`] keeps: its cache and, for an MoE
+/// layer, its statistics.
+type FfnKept = Option<(FfnCacheKind, Option<MoeStats>)>;
 
 /// Forward-pass cache for [`Block::backward`].
 #[derive(Debug, Clone)]
@@ -145,30 +151,14 @@ impl Block {
         }
 
         let (n2, ln2) = self.ln2.forward(&mid);
-        let (mut f, ffn) = match (&self.ffn, retain) {
-            // The one FFN with a retention-free entry.
-            (BlockFfn::Dropless(moe), Retain::Nothing) => {
-                (moe.infer(&n2).unwrap_or_else(|e| panic!("{e}")), None)
-            }
-            (BlockFfn::Dense(ffn), _) => {
+        let (mut f, ffn) = match &self.ffn {
+            BlockFfn::Dense(ffn) => {
                 let (y, c) = ffn.forward_owned(n2);
                 (y, Some((FfnCacheKind::Dense(c), None)))
             }
-            (BlockFfn::Dropless(moe), _) => {
-                let out = moe.forward_owned(n2);
-                let cache = FfnCacheKind::Dropless(out.cache);
-                (out.output, Some((cache, Some(out.stats))))
-            }
-            (BlockFfn::Dropping(moe), _) => {
-                let out = moe.forward_owned(n2);
-                let cache = FfnCacheKind::Dropping(out.cache);
-                (out.output, Some((cache, Some(out.stats))))
-            }
-            (BlockFfn::ExpertChoice(moe), _) => {
-                let out = moe.forward_owned(n2);
-                let cache = FfnCacheKind::ExpertChoice(out.cache);
-                (out.output, Some((cache, Some(out.stats))))
-            }
+            BlockFfn::Dropless(moe) => moe_pass(moe, n2, retain),
+            BlockFfn::Dropping(moe) => moe_pass(moe, n2, retain),
+            BlockFfn::ExpertChoice(moe) => moe_pass(moe, n2, retain),
         };
         match retain {
             Retain::ForBackward => {
@@ -198,9 +188,9 @@ impl Block {
         // Second residual: d_out flows to both mid and the FFN branch.
         let d_n2 = match (&mut self.ffn, &cache.ffn) {
             (BlockFfn::Dense(ffn), FfnCacheKind::Dense(c)) => ffn.backward(c, d_out),
-            (BlockFfn::Dropless(moe), FfnCacheKind::Dropless(c)) => moe.backward(c, d_out),
-            (BlockFfn::Dropping(moe), FfnCacheKind::Dropping(c)) => moe.backward(c, d_out),
-            (BlockFfn::ExpertChoice(moe), FfnCacheKind::ExpertChoice(c)) => moe.backward(c, d_out),
+            (BlockFfn::Dropless(moe), FfnCacheKind::Moe(c)) => moe.backward(c, d_out),
+            (BlockFfn::Dropping(moe), FfnCacheKind::Moe(c)) => moe.backward(c, d_out),
+            (BlockFfn::ExpertChoice(moe), FfnCacheKind::Moe(c)) => moe.backward(c, d_out),
             _ => unreachable!("cache flavor always matches the layer flavor"),
         };
         // Each residual sum is added into the layer norm's gradient: `b + a`
@@ -214,6 +204,19 @@ impl Block {
         let mut dx = self.ln1.backward(&cache.x, &d_n1, &cache.ln1);
         dx.add_assign(&d_mid);
         dx
+    }
+}
+
+/// An MoE layer's part of [`Block::pass`]: the retention-free entry when
+/// nothing is kept, else the forward that takes `x` into its cache.
+fn moe_pass<P: Placement>(moe: &MoeLayer<P>, x: Matrix, retain: Retain) -> (Matrix, FfnKept) {
+    match retain {
+        Retain::Nothing => (moe.infer(&x).unwrap_or_else(|e| panic!("{e}")), None),
+        Retain::ForBackward => {
+            let out = moe.forward_owned(x);
+            let cache = FfnCacheKind::Moe(out.cache);
+            (out.output, Some((cache, Some(out.stats))))
+        }
     }
 }
 
