@@ -252,4 +252,66 @@ mod tests {
         let counts = r.tokens_per_expert();
         assert_eq!(counts.iter().sum::<usize>(), 32);
     }
+
+    #[test]
+    fn backward_matches_finite_difference() {
+        // Scalar objective: sum over assignments of c_a * weight_a where
+        // c_a are fixed coefficients (this is how the layer output depends
+        // on routing weights).
+        let mut rng = seeded_rng(3);
+        let mut router = Router::new(5, 3, 1, &mut rng);
+        let x = init::normal(6, 5, 1.0, &mut rng);
+        let coef: Vec<f32> = (0..6).map(|i| (i as f32 * 0.7).sin()).collect();
+
+        let objective = |router: &Router, x: &Matrix| -> f32 {
+            let r = router.forward(x);
+            r.weights.iter().zip(&coef).map(|(w, c)| w * c).sum()
+        };
+
+        let base_routing = router.forward(&x);
+        let dx = router.backward(&x, &base_routing, &coef, None);
+
+        // Finite difference on x. (Assignment indices may flip for some
+        // perturbations; keep epsilon small and tolerate coarse agreement.)
+        let eps = 1e-3;
+        let mut checked = 0;
+        for i in 0..x.rows() {
+            for j in 0..x.cols() {
+                let mut xp = x.clone();
+                xp[(i, j)] += eps;
+                let mut xm = x.clone();
+                xm[(i, j)] -= eps;
+                // Skip points where the top-k selection changes.
+                let rp = router.forward(&xp);
+                let rm = router.forward(&xm);
+                if rp.expert_indices != base_routing.expert_indices
+                    || rm.expert_indices != base_routing.expert_indices
+                {
+                    continue;
+                }
+                let num = (objective(&router, &xp) - objective(&router, &xm)) / (2.0 * eps);
+                assert!(
+                    (num - dx[(i, j)]).abs() < 3e-2 * (1.0 + num.abs()),
+                    "dx mismatch at ({i},{j}): numeric {num}, analytic {}",
+                    dx[(i, j)]
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 10, "too few finite-difference points were stable");
+
+        // Weight gradient finite difference on one entry.
+        let g = router.weight().grad()[(2, 1)];
+        let orig = router.weight().value()[(2, 1)];
+        router.weight_mut().value_mut()[(2, 1)] = orig + eps;
+        let fp = objective(&router, &x);
+        router.weight_mut().value_mut()[(2, 1)] = orig - eps;
+        let fm = objective(&router, &x);
+        router.weight_mut().value_mut()[(2, 1)] = orig;
+        let num = (fp - fm) / (2.0 * eps);
+        assert!(
+            (num - g).abs() < 3e-2 * (1.0 + num.abs()),
+            "dW mismatch: numeric {num}, analytic {g}"
+        );
+    }
 }
